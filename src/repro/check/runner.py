@@ -110,7 +110,6 @@ def run_schedule(schedule):
         retry_jitter=cfg.get("retry_jitter", 0.0),
         ship_retry_us=cfg.get("ship_retry_us", 0.0),
         num_slots=cfg.get("num_slots", 0),
-        broken_handoff=cfg.get("broken_handoff", False),
         seed=schedule["seed"],
     )
     cluster = FalconCluster(config)

@@ -23,8 +23,11 @@ meantime (§4.2.1).
 """
 
 from repro.core.filestore import BlockClient
-from repro.core.indexing import ExceptionTable, HybridIndex
-from repro.core.mnode import exception_table_from_wire
+from repro.core.indexing import (
+    ExceptionTable,
+    HybridIndex,
+    exception_table_from_wire,
+)
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import (
@@ -490,10 +493,7 @@ class FalconClient(Node):
     def _install_xt(self, table):
         if not self.auto_refresh_xt:
             return
-        if table.version > self.xt.version:
-            self.xt.version = table.version
-            self.xt.pathwalk = table.pathwalk
-            self.xt.override = table.override
+        if self.xt.adopt(table):
             self.metrics.counter("xt_refreshes").inc()
 
     # ------------------------------------------------------------------

@@ -26,6 +26,9 @@ from repro.core.shared import ClusterShared, FalconConfig
 from repro.net import CostModel, Network
 from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
+from repro.storage import Table
+from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
+from repro.storage.replication import Standby, divergence
 from repro.vfs.attrs import ROOT_INO
 from repro.vfs.pathwalk import basename, join_path, parent_path, split_path
 
@@ -53,29 +56,14 @@ class FalconCluster:
         #: (slot, name) of deposed-but-alive leaders awaiting demotion.
         self._zombies = []
         if self.config.consensus:
-            from repro.storage.consensus import ConsensusFollower, Witness
-
             for i, mnode in enumerate(self.mnodes):
-                witness = Witness(
-                    self.env, self.network, mnode.name + "-witness",
-                    election_timeout_us=self.config.election_timeout_us,
-                )
-                follower = self._make_follower(i, mnode.name + "-standby",
-                                               witness.name)
-                mnode.attach_group(witness.name,
-                                   standby_name=follower.name)
-                self.witnesses.append(witness)
-                self.standbys.append(follower)
+                self.witnesses.append(Witness(
+                    self.env, self.network, mnode.name + "-witness"))
                 self.coordinator.register_leader(i, 1, mnode.name)
             self.coordinator.install_leader = self.install_elected_leader
-        elif self.config.replication:
-            from repro.storage.replication import Standby
-
-            for mnode in self.mnodes:
-                standby = Standby(self.env, self.network,
-                                  mnode.name + "-standby")
-                mnode.attach_standby(standby.name)
-                self.standbys.append(standby)
+        if self.config.replication:
+            self.standbys = [self._join_member(i, mnode.name + "-standby")
+                             for i, mnode in enumerate(self.mnodes)]
         self.storage = [
             StorageNode(self.env, self.network, name)
             for name in self.shared.storage_names
@@ -150,14 +138,8 @@ class FalconCluster:
         self.mnodes.append(node)
         self.config.num_mnodes = len(self.mnodes)
         if self.config.replication:
-            from repro.storage.replication import Standby
-
-            standby = Standby(self.env, self.network,
-                              node.name + "-standby")
-            node.attach_standby(standby.name)
-            self.standbys.append(standby)
-        elif self.standbys:
-            self.standbys.append(None)
+            self.standbys.append(
+                self._join_member(index, node.name + "-standby"))
         return index
 
     def inode_distribution(self):
@@ -187,10 +169,10 @@ class FalconCluster:
         transaction count that a later promotion will lose (a later
         *restart* loses only the unfsynced tail)."""
         mnode = self.mnodes[index]
+        standby = self._standby(index)
         lag = 0
-        if (mnode.shipper is not None and index < len(self.standbys)
-                and self.standbys[index] is not None):
-            lag = self.standbys[index].lag(mnode.shipper)
+        if mnode.shipper is not None and standby is not None:
+            lag = standby.lag(mnode.shipper)
         self.network.set_down(mnode.name)
         mnode.wal.power_fail()
         self._crashed[index] = mnode
@@ -199,6 +181,11 @@ class FalconCluster:
             "lag_at_crash": lag,
         })
         return lag
+
+    def _standby(self, index):
+        """Slot ``index``'s replica machine, or None — no replication,
+        or a promotion consumed it and no restart has restored one."""
+        return self.standbys[index] if index < len(self.standbys) else None
 
     def promote_standby(self, index):
         """Promote MNode ``index``'s standby into the ring (state
@@ -209,51 +196,54 @@ class FalconCluster:
         server that re-resolves the slot reaches the promoted node.
         Returns ``(new_node, lost_txns)``.
         """
-        if index >= len(self.standbys) or self.standbys[index] is None:
+        standby = self._standby(index)
+        if standby is None:
             raise RuntimeError(
                 "MNode {} has no standby to promote".format(index)
             )
         old = self.mnodes[index]
-        standby = self.standbys[index]
         lost_txns = standby.lag(old.shipper) if old.shipper else 0
-        tables = standby.promote_tables()
-        self._promotions += 1
-        new_name = "{}-p{}".format(old.name, self._promotions)
-        # The directory slot must point at the new name *before* the
-        # MNode is constructed (it takes its name from the directory) —
-        # and from here on, every retry that re-resolves slot ``index``
-        # lands on the promoted node.
-        self.shared.mnode_names[index] = new_name
-        node = MNode(self.env, self.network, self.shared, index)
-        if "inode" in tables:
-            node.inodes = tables["inode"]
-        if "dentry" in tables:
-            node.dentries = tables["dentry"]
-        if "meta" in tables:
-            node.meta = tables["meta"]
-        # Durable handoff markers override the slot-map seed: a fenced
-        # or pending slot stays that way across the promotion.
-        node._restore_slot_state()
-        self._rebuild_owned_state(node)
-        # Base-backup the installed tables into the promoted node's WAL
-        # so the new primary is itself restartable: a later crash
-        # redo-replays this base image plus whatever it commits on top.
-        node.wal.bootstrap(
-            [[("inode", key, record.copy())]
-             for key, record in node.inodes.scan()]
-            + [[("dentry", key, record.copy())]
-               for key, record in node.dentries.scan()]
-            + [[("meta", key, value.copy())]
-               for key, value in node.meta.scan()]
-        )
-        self.mnodes[index] = node
-        # The dead original can never be resumed in place now that the
-        # slot moved on; if it restarts it rejoins as a standby.  Halt it
-        # so its frozen handlers stay dead if its *name* is reincarnated.
-        old.halted = True
-        self.retired_mnodes.append(old)
+        node = self._install_node(index, old, standby.promote_tables())
         self.standbys[index] = None
         return node, lost_txns
+
+    def _install_node(self, index, old, tables, replayed_log=None):
+        """The state surgery every recovery path shares: a fresh MNode
+        over ``tables`` replaces ``old`` at ``index``.
+
+        A promotion or election installs it under a new name — the
+        directory slot must point there *before* the MNode is
+        constructed (it takes its name from the directory), and from
+        then on every retry that re-resolves the slot lands on the new
+        node; a redo resume (``replayed_log`` given) keeps the name.
+        Durable handoff markers then override the slot-map seed (a
+        fenced or pending slot stays that way), owned state is rebuilt,
+        and the WAL is seeded so the new incarnation is itself
+        restartable: with the replayed log, or else a base backup of
+        the installed tables, which a later crash redo-replays plus
+        whatever commits on top.  The old incarnation is halted — its
+        frozen handlers stay dead even if its *name* is reincarnated —
+        and retired.
+        """
+        if replayed_log is None:
+            self._promotions += 1
+            self.shared.mnode_names[index] = "{}-p{}".format(
+                old.name, self._promotions)
+        node = MNode(self.env, self.network, self.shared, index)
+        node.inodes = tables.get("inode", node.inodes)
+        node.dentries = tables.get("dentry", node.dentries)
+        node.meta = tables.get("meta", node.meta)
+        node._restore_slot_state()
+        self._rebuild_owned_state(node)
+        node.wal.bootstrap(replayed_log if replayed_log is not None else [
+            [(table.name, key, row.copy())]
+            for table in (node.inodes, node.dentries, node.meta)
+            for key, row in table.scan()
+        ])
+        self.mnodes[index] = node
+        old.halted = True
+        self.retired_mnodes.append(old)
+        return node
 
     def _rebuild_owned_state(self, node):
         """State surgery after installing tables into a fresh MNode
@@ -291,12 +281,8 @@ class FalconCluster:
             # from the authoritative inode alongside it.
             if (inode.is_dir and node._owns_dentry(key)
                     and node.dentries.get(key) is None):
-                node.dentries.put(key, DentryRecord(
-                    ino=inode.ino, mode=inode.mode,
-                    uid=inode.uid, gid=inode.gid,
-                ))
-        # The coordinator's exception table is authoritative; copy it in
-        # place so the node's HybridIndex (bound at construction) sees it.
+                node.dentries.put(key, inode.dentry())
+        # The coordinator's exception table is authoritative.
         xt = self.coordinator.xt
         node.xt.version = xt.version
         node.xt.pathwalk = set(xt.pathwalk)
@@ -304,27 +290,39 @@ class FalconCluster:
 
     # -- consensus (leader election) -----------------------------------------
 
-    def _make_follower(self, slot, name, witness_name):
-        """Construct the slot's data follower with its seeded election
-        RNG (one stream per follower name, so reincarnations draw a
-        fresh deterministic sequence)."""
-        from repro.storage.consensus import ConsensusFollower
-
-        return ConsensusFollower(
-            self.env, self.network, name, slot, witness_name,
+    def _join_member(self, index, name):
+        """Construct slot ``index``'s replica machine under ``name`` and
+        point the slot's leader at it: a data follower in the witness's
+        group where the slot has one (seeded election RNG, one stream
+        per follower name, so reincarnations draw a fresh deterministic
+        sequence), else an asynchronous standby.  Commits from here on
+        reach it as ordered deltas; a rejoiner then installs a snapshot
+        that the delta stream seamlessly extends."""
+        leader = self.mnodes[index]
+        if not self.witnesses:
+            member = Standby(self.env, self.network, name)
+            leader.attach_standby(name)
+            return member
+        witness_name = self.witnesses[index].name
+        member = ConsensusFollower(
+            self.env, self.network, name, index, witness_name,
             self.shared.coordinator_name,
             self.shared.streams.stream(
-                "consensus.election.{}.{}".format(slot, name)),
-            election_timeout_us=self.config.election_timeout_us,
+                "consensus.election.{}.{}".format(index, name)),
             rpc_timeout_us=self.config.rpc_timeout_us or 400.0,
         )
+        if leader.shipper is None:
+            leader.attach_group(witness_name, standby_name=name)
+        else:
+            leader.shipper.attach_data_member(name)
+        return member
 
     def start_consensus(self):
         """Start the groups' standing timers: leader heartbeats (which
         double as retransmission and lease renewal) and follower
         election timers.  :meth:`heal` stops them again before the
         drain, so quiescence-based checking still works."""
-        if not self.config.consensus:
+        if not self.witnesses:
             raise RuntimeError("consensus is not enabled")
         self._consensus_running = True
         for mnode in self.mnodes:
@@ -337,12 +335,10 @@ class FalconCluster:
     def stop_consensus_timers(self):
         self._consensus_running = False
         for mnode in self.mnodes:
-            shipper = mnode.shipper
-            if shipper is not None and hasattr(shipper, "stop"):
-                shipper.stop()
+            if mnode.shipper is not None:
+                mnode.shipper.stop()
         for follower in self.standbys:
-            if follower is not None and hasattr(follower,
-                                                "stop_elections"):
+            if follower is not None:
                 follower.stop_elections()
 
     def install_elected_leader(self, slot, term, claim):
@@ -378,37 +374,13 @@ class FalconCluster:
         if old.shipper is not None:
             lost_txns = max(0, old.shipper.last_lsn - base_lsn)
         follower.stop_elections()
-        tables = follower.promote_tables()
-        self._promotions += 1
-        new_name = "{}-p{}".format(old.name, self._promotions)
-        self.shared.mnode_names[slot] = new_name
-        node = MNode(self.env, self.network, self.shared, slot)
-        if "inode" in tables:
-            node.inodes = tables["inode"]
-        if "dentry" in tables:
-            node.dentries = tables["dentry"]
-        if "meta" in tables:
-            node.meta = tables["meta"]
-        node._restore_slot_state()
-        self._rebuild_owned_state(node)
-        node.wal.bootstrap(
-            [[("inode", key, record.copy())]
-             for key, record in node.inodes.scan()]
-            + [[("dentry", key, record.copy())]
-               for key, record in node.dentries.scan()]
-            + [[("meta", key, value.copy())]
-               for key, value in node.meta.scan()]
-        )
-        self.mnodes[slot] = node
-        # The deposed leader: crashed, or an alive zombie on the
-        # minority side of a partition.  Halt it either way — its lease
-        # provably lapsed before the witness would grant the vote that
-        # got us here, so it has already stopped serving; halting makes
-        # that permanent even if its name is later reincarnated.  An
-        # alive zombie's machine is demoted into the group's new data
-        # follower at heal time.
-        old.halted = True
-        self.retired_mnodes.append(old)
+        # The deposed leader is crashed, or an alive zombie on the
+        # minority side of a partition; its lease provably lapsed before
+        # the witness would grant the vote that got us here, so it has
+        # already stopped serving and the install's halt only makes that
+        # permanent.  An alive zombie's machine is demoted into the
+        # group's new data follower at heal time.
+        node = self._install_node(slot, old, follower.promote_tables())
         if slot not in self._crashed:
             self._zombies.append((slot, old.name))
         self.standbys[slot] = None
@@ -420,27 +392,24 @@ class FalconCluster:
             shipper.start()
         return node, lost_txns
 
-    def _rejoin_follower(self, index, old):
-        """Generator: consensus flavor of rejoin — the restarted (or
-        demoted-zombie) machine becomes the slot's new data follower,
-        snapshots from the elected leader, and arms its election timer.
-        """
+    def _rejoin(self, index, old):
+        """Generator: another node owns the slot, so the restarted (or
+        demoted-zombie) machine ``old`` rejoins as its fresh replica —
+        a standby behind the promoted primary, or the elected leader's
+        new data follower with its election timer armed — and catches
+        up by snapshot.  (``old`` is already retired: the promotion put
+        it there when it took over the slot.)"""
         if not self.network.is_down(old.name):
             # A zombie being demoted, not a crash: abandon the halted
             # incarnation's frozen handlers the same way a crash does.
             self.network.set_down(old.name)
         self.network.reincarnate(old.name)
-        follower = self._make_follower(index, old.name,
-                                       self.witnesses[index].name)
-        leader = self.mnodes[index]
-        self.standbys[index] = follower
-        if leader.shipper is not None and hasattr(leader.shipper,
-                                                  "attach_data_member"):
-            leader.shipper.attach_data_member(follower.name)
-        yield from follower.catch_up(leader.name)
+        member = self._join_member(index, old.name)
+        self.standbys[index] = member
+        yield from member.catch_up(self.mnodes[index].name)
         if self._consensus_running:
-            follower.start_elections()
-        return follower
+            member.start_elections()
+        return member
 
     def restart_mnode(self, index):
         """Generator: restart the crashed former occupant of slot
@@ -474,13 +443,9 @@ class FalconCluster:
         # The old incarnation is retired for good: its frozen handler
         # processes must stay dead once the name is reachable again.
         old.halted = True
-        promoted_away = self.shared.mnode_names[index] != old.name
-        if promoted_away:
+        if self.shared.mnode_names[index] != old.name:
             role = "standby"
-            if self.config.consensus:
-                node = yield from self._rejoin_follower(index, old)
-            else:
-                node = yield from self._rejoin_standby(index, old)
+            node = yield from self._rejoin(index, old)
         else:
             role = "primary"
             node = yield from self._resume_primary(index, old, payloads)
@@ -497,30 +462,22 @@ class FalconCluster:
 
     def _resume_primary(self, index, old, payloads):
         """Generator: rebuild the crashed node from its durable WAL and
-        re-install it under its own name and slot, then reconcile log
-        shipping with the surviving standby."""
+        re-install it under its own name and slot (replayed handoff
+        markers override the slot-map seed), then reconcile replication
+        with the surviving standby."""
         self.network.reincarnate(old.name)
-        node = MNode(self.env, self.network, self.shared, index)
-        tables = {"inode": node.inodes, "dentry": node.dentries,
-                  "meta": node.meta}
+        tables = {name: Table(name) for name in ("inode", "dentry", "meta")}
         for _, payload in payloads:
-            if not payload:
-                continue
-            for table_name, key, value in payload:
-                table = tables[table_name]
+            for table_name, key, value in payload or ():
                 if value is None:
-                    table.delete(key)
+                    tables[table_name].delete(key)
                 else:
-                    table.put(key, value.copy())
-        node.wal.bootstrap([payload for _, payload in payloads])
-        # Replayed handoff markers (fenced-away / mid-install slots)
-        # override the slot-map seed before ownership is rebuilt.
-        node._restore_slot_state()
-        self._rebuild_owned_state(node)
-        self.mnodes[index] = node
-        self.retired_mnodes.append(old)
-        standby = (self.standbys[index] if index < len(self.standbys)
-                   else None)
+                    tables[table_name].put(key, value.copy())
+        node = self._install_node(
+            index, old, tables,
+            replayed_log=[payload for _, payload in payloads])
+        standby = self._standby(index)
+        anchor, base = old._ship_anchor, old._ship_base
         if self.config.consensus:
             # Resume leading under a *bumped* term: an elected successor
             # cannot exist (the slot never moved on), but the bump makes
@@ -531,17 +488,15 @@ class FalconCluster:
             # and members below it resync by snapshot (follower) or
             # adopt the base (witness).
             term = self.coordinator.next_term(index)
-            anchor, base = old._ship_anchor, old._ship_base
             entries, _ = old.wal.replay_entries()
             shippable = [(etrm, payload) for lsn, etrm, payload in entries
                          if lsn > anchor and payload]
-            base_lsn = base + len(shippable) - 1
-            base_term = (shippable[-1][0] if shippable
-                         else getattr(old.shipper, "base_term", 0))
             shipper = node.attach_group(
                 self.witnesses[index].name,
                 standby_name=None if standby is None else standby.name,
-                term=term, base_lsn=base_lsn, base_term=base_term,
+                term=term, base_lsn=base + len(shippable) - 1,
+                base_term=(shippable[-1][0] if shippable
+                           else old.shipper.base_term),
             )
             if self._consensus_running:
                 shipper.start()
@@ -551,7 +506,6 @@ class FalconCluster:
             # one LSN, starting at the old base.  Whatever the standby
             # has not applied is the durable-but-unshipped window —
             # exactly what a promotion would have lost; re-ship it.
-            anchor, base = old._ship_anchor, old._ship_base
             shippable = [payload for lsn, payload in payloads
                          if lsn > anchor and payload]
             node.attach_standby(
@@ -569,23 +523,6 @@ class FalconCluster:
                     node.shipper.ship_payload(payload, lsn=lsn)
         return node
 
-    def _rejoin_standby(self, index, old):
-        """Generator: a promoted node owns the slot, so the restarted
-        machine rejoins as its fresh standby — attach shipping first
-        (commits from here on arrive as ordered deltas), then install a
-        snapshot that the delta stream seamlessly extends."""
-        from repro.storage.replication import Standby
-
-        self.network.reincarnate(old.name)
-        standby = Standby(self.env, self.network, old.name)
-        primary = self.mnodes[index]
-        primary.attach_standby(standby.name)
-        self.standbys[index] = standby
-        # ``old`` is already in retired_mnodes: the promotion put it
-        # there when it took over the slot.
-        yield from standby.catch_up(primary.name)
-        return standby
-
     def fail_over(self, index):
         """Generator: the full recovery path for a dead MNode — promote
         its standby and run the coordinator's cluster repair (survivor
@@ -598,21 +535,10 @@ class FalconCluster:
         the crashed machine restarts in place or a standby reappears.
         Promoting nothing would otherwise crash the control plane."""
         failed_name = self.shared.node_name(index)
-        if self.network.is_down(failed_name) and (
-                index >= len(self.standbys)
-                or self.standbys[index] is None):
-            record = {
-                "index": index,
-                "failed": failed_name,
-                "promoted": None,
-                "deferred": True,
-                "detected_at": self.env.now,
-                "lost_txns": 0,
-                "orphans_removed": 0,
-            }
-            self.coordinator.failover_log.append(record)
-            self.coordinator.metrics.counter("failovers_deferred").inc()
-            return record
+        if self.network.is_down(failed_name) and self._standby(index) is None:
+            return self.coordinator.log_failover(
+                "failovers_deferred", index, failed_name, self.env.now,
+                deferred=True)
         record = yield from self.coordinator.fail_over(
             index, self.promote_standby
         )
@@ -641,25 +567,23 @@ class FalconCluster:
         if restart:
             for index in sorted(self._crashed):
                 records.append(self.run_process(self.restart_mnode(index)))
-        if self.config.consensus:
-            # Demote alive zombies: leaders deposed while partitioned
-            # (not crashed).  Their halted incarnation is already
-            # retired; the machine reincarnates as the slot's new data
-            # follower so the group regains its 2-of-3 data quorum.
-            zombies, self._zombies = self._zombies, []
-            for slot, name in zombies:
-                if self.standbys[slot] is not None:
-                    continue  # a crash-restart already refilled the slot
-                old = next(m for m in self.retired_mnodes
-                           if m.name == name)
-                self.run_process(self._rejoin_follower(slot, old))
-            if self._consensus_running:
-                # Let the groups settle — heartbeats re-establish match
-                # positions and push the commit horizon to every member
-                # — then stop the standing timers so the drain that
-                # follows can actually go quiescent.
-                self.run_for(10 * self.config.consensus_heartbeat_us)
-                self.stop_consensus_timers()
+        # Demote alive zombies: leaders deposed while partitioned (not
+        # crashed).  Their halted incarnation is already retired; the
+        # machine reincarnates as the slot's new data follower so the
+        # group regains its 2-of-3 data quorum.
+        zombies, self._zombies = self._zombies, []
+        for slot, name in zombies:
+            if self.standbys[slot] is not None:
+                continue  # a crash-restart already refilled the slot
+            old = next(m for m in self.retired_mnodes if m.name == name)
+            self.run_process(self._rejoin(slot, old))
+        if self._consensus_running:
+            # Let the groups settle — heartbeats re-establish match
+            # positions and push the commit horizon to every member —
+            # then stop the standing timers so the drain that follows
+            # can actually go quiescent.
+            self.run_for(10 * HEARTBEAT_US)
+            self.stop_consensus_timers()
         return records
 
     def quiesce(self, budget_us=None):
@@ -667,7 +591,7 @@ class FalconCluster:
         True when the simulation went fully quiescent."""
         return self.env.run_until_quiescent(budget_us)
 
-    def start_failure_detection(self, **kwargs):
+    def start_failure_detection(self):
         """Start the coordinator's heartbeat failure detector; detected
         deaths trigger :meth:`fail_over` automatically.  Returns the
         :class:`~repro.faults.FailureDetector`.
@@ -681,7 +605,6 @@ class FalconCluster:
         self.detector = FailureDetector(
             self.coordinator, self.shared,
             on_failure=None if self.config.consensus else self.fail_over,
-            **kwargs,
         )
         self.detector.start()
         return self.detector
@@ -693,8 +616,6 @@ class FalconCluster:
         in-flight shipments drain; an all-empty result means every
         standby has converged.
         """
-        from repro.storage.replication import divergence
-
         if not self.standbys:
             raise RuntimeError("replication is not enabled")
         return {
@@ -790,10 +711,7 @@ class FalconCluster:
             return
         standby.table("inode").put(key, record.copy())
         if is_dir:
-            standby.table("dentry").put(
-                key, DentryRecord(ino=record.ino, mode=record.mode,
-                                  uid=record.uid, gid=record.gid),
-            )
+            standby.table("dentry").put(key, record.dentry())
 
 
 class FalconFilesystem:

@@ -19,12 +19,16 @@ The coordinator owns namespace *changes* and cluster load balance:
 import math
 from itertools import count
 
-from repro.core.indexing import ExceptionTable, HybridIndex
-from repro.core.mnode import exception_table_to_wire
+from repro.core.indexing import (
+    ExceptionTable,
+    HybridIndex,
+    exception_table_to_wire,
+)
 from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import CAT_PHASE, NULL_CONTEXT, deadline_call
+from repro.obs import CAT_PHASE, NULL_CONTEXT, deadline_call, redeliver
+from repro.obs.retry import REDELIVER_BACKOFF_US
 from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
 
@@ -128,71 +132,65 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # client-facing namespace changes
     # ------------------------------------------------------------------
 
-    def _on_rmdir(self, message):
+    def _directory_change(self, message, exec_kind, extra=None, cpu_us=None):
+        """Generator: the rmdir / directory-chmod skeleton.  Resolve and
+        lock the path (S ancestors, X target), charge ``cpu_us`` of
+        coordinator bookkeeping, have the directory inode's owner
+        execute ``exec_kind`` — it drives the invalidation broadcast
+        (§4.3) — and release.  Returns the target's ``(pid, name)`` once
+        the owner acknowledged, None when the client was already
+        answered with a failure."""
         payload = message.payload
         ctx = message.ctx
         try:
             components = split_path(payload["path"])
             if not components:
-                raise RpcFailure(RpcError.EINVAL, "rmdir /")
+                raise RpcFailure(RpcError.EINVAL, message.kind + " /")
             pid, grants = yield from self._resolve_and_lock(components,
                                                             ctx=ctx)
         except (ValueError, RpcFailure) as failure:
             if not isinstance(failure, RpcFailure):
                 failure = RpcFailure(RpcError.EINVAL, payload["path"])
             self.respond_error(message, failure)
-            return
+            return None
         name = components[-1]
         try:
-            # Per-MNode invalidation bookkeeping at the coordinator: the
-            # cluster-size-proportional share of rmdir's overhead (§6.2).
-            yield from self.execute(
-                self.costs.invalidate_apply_us * 2
-                * self.shared.config.num_mnodes,
-                ctx=ctx,
-            )
-            yield self.call(self._owner(pid, name), "rmdir_exec", {
-                "pid": pid, "name": name, "path": payload["path"],
-            }, ctx=ctx)
+            if cpu_us is not None:
+                yield from self.execute(cpu_us, ctx=ctx)
+            yield self.call(self._owner(pid, name), exec_kind, dict(
+                extra or {}, pid=pid, name=name, path=payload["path"],
+            ), ctx=ctx)
         except RpcFailure as failure:
             self.respond_error(message, failure)
-            return
+            return None
         finally:
             self._release(grants)
+        return pid, name
+
+    def _on_rmdir(self, message):
+        # Per-MNode invalidation bookkeeping at the coordinator: the
+        # cluster-size-proportional share of rmdir's overhead (§6.2).
+        key = yield from self._directory_change(
+            message, "rmdir_exec",
+            cpu_us=(self.costs.invalidate_apply_us * 2
+                    * self.shared.config.num_mnodes))
+        if key is None:
+            return
         # Our own replica entry is gone from the authoritative store.
-        self.dentries.delete((pid, name))
-        self.inval_seq[("d", pid, name)] += 1
+        self.dentries.delete(key)
+        self.inval_seq[("d",) + key] += 1
         self.metrics.counter("ops").inc("rmdir")
         self.respond(message, {"ok": True})
 
     def _on_chmod_dir(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        try:
-            components = split_path(payload["path"])
-            if not components:
-                raise RpcFailure(RpcError.EINVAL, "chmod /")
-            pid, grants = yield from self._resolve_and_lock(components,
-                                                            ctx=ctx)
-        except (ValueError, RpcFailure) as failure:
-            if not isinstance(failure, RpcFailure):
-                failure = RpcFailure(RpcError.EINVAL, payload["path"])
-            self.respond_error(message, failure)
+        mode = message.payload["mode"]
+        key = yield from self._directory_change(message, "chmod_exec",
+                                                {"mode": mode})
+        if key is None:
             return
-        name = components[-1]
-        try:
-            yield self.call(self._owner(pid, name), "chmod_exec", {
-                "pid": pid, "name": name, "path": payload["path"],
-                "mode": payload["mode"],
-            }, ctx=ctx)
-        except RpcFailure as failure:
-            self.respond_error(message, failure)
-            return
-        finally:
-            self._release(grants)
-        record = self.dentries.get((pid, name))
+        record = self.dentries.get(key)
         if record is not None:
-            record.mode = payload["mode"]
+            record.mode = mode
         self.metrics.counter("ops").inc("chmod_dir")
         self.respond(message, {"ok": True})
 
@@ -246,13 +244,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self._rename_mutex.release(mutex)
 
     def _mnode_call(self, target, kind, payload, ctx):
-        """Generator: one participant RPC on the rename path.
-
-        Bounded by the per-attempt RPC timeout when the cluster
-        configures one, so a dead or partitioned participant surfaces as
-        ``ETIMEDOUT`` instead of parking this handler forever while it
-        holds the global rename mutex and the namespace locks.  Without
-        a configured timeout the call is the plain unbounded one."""
+        """Generator: one participant RPC on the rename path, bounded by
+        the per-attempt RPC timeout when the cluster configures one, so
+        a dead or partitioned participant surfaces as ``ETIMEDOUT``
+        instead of parking this handler forever while it holds the
+        global rename mutex and the namespace locks.  Without one the
+        call is unbounded — not even the *operation* deadline may
+        abandon a 2PC hop, because ``_prepare`` arms the participant's
+        late-prepare refusal and in-doubt resolver only under a
+        per-attempt timeout: unarmed, a prepare still queued on its
+        locks would stage its half with nobody left to release it."""
         timeout_us = self.shared.config.rpc_timeout_us or None
         if timeout_us is None:
             result = yield self.call(target, kind, payload, ctx=ctx)
@@ -261,6 +262,28 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self, ctx, target, kind, payload, timeout_us=timeout_us,
         )
         return result
+
+    def _prepare(self, txid, owner, staged, refusal, ctx, prepare):
+        """Generator: one rename prepare round; returns the yes vote.
+        A refusal (raised as ``refusal``) or an unreachable participant
+        aborts every participant in ``staged`` — recording the outcome
+        first, so one left in doubt resolves to it — and re-raises."""
+        timeout_us = self.shared.config.rpc_timeout_us or None
+        if timeout_us is not None:
+            # Participants reject prepares they pick up after this
+            # instant: by then the coordinator has timed out and its
+            # abort may already have come and gone.
+            prepare["deadline"] = self.env.now_us() + timeout_us
+        try:
+            vote = yield from self._mnode_call(owner, "rename_prepare",
+                                               prepare, ctx)
+            if not vote["ok"]:
+                raise RpcFailure(refusal, tuple(prepare["key"]))
+        except RpcFailure:
+            self._rename_outcomes[txid] = "abort"
+            yield from self._abort_rename(staged, txid, ctx)
+            raise
+        return vote
 
     def _abort_rename(self, owners, txid, ctx):
         """Generator: best-effort aborts — the outcome is already
@@ -277,27 +300,19 @@ class Coordinator(NamespaceReplicaMixin, Node):
         """Process: re-deliver a decided commit to an unreachable
         participant until it acknowledges.
 
-        Resolves the target name per attempt so retries follow a
-        promotion to the slot's new primary.  Only spawned under a
-        bounded RPC timeout (an unbounded commit call never fails), and
-        the redo path on the participant is idempotent, so re-delivering
-        an already-applied half is harmless."""
-        backoff = 1000.0
-        timeout_us = self.shared.config.rpc_timeout_us or 1000.0
-        while True:
-            yield self.env.timeout(backoff)
-            backoff = min(backoff * 2, 8000.0)
-            target = self.shared.mnode_name(slot)
-            try:
-                yield from deadline_call(
-                    self, NULL_CONTEXT, target, "rename_commit",
-                    {"txid": txid, "actions": actions},
-                    timeout_us=timeout_us,
-                )
-            except RpcFailure:
-                continue
-            self.metrics.counter("rename_commits_completed").inc()
-            return
+        Addressed by slot, so retries follow a promotion to the slot's
+        new primary.  Only spawned under a bounded RPC timeout (an
+        unbounded commit call never fails), and the redo path on the
+        participant is idempotent, so re-delivering an already-applied
+        half is harmless."""
+        yield self.env.timeout(REDELIVER_BACKOFF_US)
+        yield from redeliver(
+            self, lambda: self.shared.mnode_name(slot), "rename_commit",
+            {"txid": txid, "actions": actions},
+            timeout_us=self.shared.config.rpc_timeout_us or 1000.0,
+            backoff_us=2 * REDELIVER_BACKOFF_US,
+        )
+        self.metrics.counter("rename_commits_completed").inc()
 
     def _on_rename_resolve(self, message):
         """A participant terminating an in-doubt prepared transaction:
@@ -318,45 +333,17 @@ class Coordinator(NamespaceReplicaMixin, Node):
         owners = [src_owner]
         if dst_owner != src_owner:
             owners.append(dst_owner)
-        timeout_us = self.shared.config.rpc_timeout_us or None
         with ctx.span("2pc", CAT_PHASE, node=self.name,
                       attrs={"txid": txid} if ctx.traced else None):
-            prepare = {"txid": txid, "action": "delete", "key": list(skey)}
-            if timeout_us is not None:
-                # Participants reject prepares they pick up after this
-                # instant: by then the coordinator has timed out and its
-                # abort may already have come and gone.
-                prepare["deadline"] = self.env.now_us() + timeout_us
-            try:
-                vote = yield from self._mnode_call(
-                    src_owner, "rename_prepare", prepare, ctx
-                )
-            except RpcFailure:
-                self._rename_outcomes[txid] = "abort"
-                yield from self._abort_rename([src_owner], txid, ctx)
-                raise
-            if not vote["ok"]:
-                self._rename_outcomes[txid] = "abort"
-                yield from self._abort_rename([src_owner], txid, ctx)
-                raise RpcFailure(RpcError.ENOENT, skey)
+            vote = yield from self._prepare(
+                txid, src_owner, [src_owner], RpcError.ENOENT, ctx,
+                {"txid": txid, "action": "delete", "key": list(skey)})
             record = vote["record"]
-            prepare = {"txid": txid, "action": "insert", "key": list(dkey),
-                       "record": record}
-            if timeout_us is not None:
-                prepare["deadline"] = self.env.now_us() + timeout_us
-            try:
-                vote = yield from self._mnode_call(
-                    dst_owner, "rename_prepare", prepare, ctx
-                )
-            except RpcFailure:
-                self._rename_outcomes[txid] = "abort"
-                yield from self._abort_rename(owners, txid, ctx)
-                raise
-            if not vote["ok"]:
-                # One abort per participant releases everything staged.
-                self._rename_outcomes[txid] = "abort"
-                yield from self._abort_rename(owners, txid, ctx)
-                raise RpcFailure(RpcError.EEXIST, dkey)
+            # One abort per participant releases everything staged.
+            yield from self._prepare(
+                txid, dst_owner, owners, RpcError.EEXIST, ctx,
+                {"txid": txid, "action": "insert", "key": list(dkey),
+                 "record": record})
             if record["is_dir"]:
                 # Invalidate the source dentry everywhere; the two owners
                 # already hold it locked and update their replicas at
@@ -459,36 +446,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
             # keeps re-declaring the node until the saga finishes
             # (committed, aborted, or completed by re-delivery once the
             # node restarts), and only then does failover proceed.
-            record = {
-                "index": index,
-                "failed": failed_name,
-                "promoted": None,
-                "deferred": True,
-                "migrating_slot": involved[0],
-                "detected_at": detected_at,
-                "lost_txns": 0,
-                "orphans_removed": 0,
-            }
-            self.failover_log.append(record)
-            self.metrics.counter("failovers_deferred_migration").inc()
-            return record
+            return self.log_failover(
+                "failovers_deferred_migration", index, failed_name,
+                detected_at, deferred=True, migrating_slot=involved[0])
         if not self.network.is_down(failed_name):
             # Redo won the race: the restarted node already owns the
             # slot with its durable state intact.
-            record = {
-                "index": index,
-                "failed": failed_name,
-                "promoted": failed_name,
-                "suppressed": True,
-                "detected_at": detected_at,
-                "promoted_at": self.env.now,
-                "recovered_at": self.env.now,
-                "lost_txns": 0,
-                "orphans_removed": 0,
-            }
-            self.failover_log.append(record)
-            self.metrics.counter("failovers_suppressed").inc()
-            return record
+            return self.log_failover(
+                "failovers_suppressed", index, failed_name, detected_at,
+                promoted=failed_name, suppressed=True,
+                promoted_at=self.env.now, recovered_at=self.env.now)
         new_node, lost_txns = promote(index)
         promoted_at = self.env.now
         # Hash slots hosted at promotion time: the oracle's loss windows
@@ -497,19 +464,22 @@ class Coordinator(NamespaceReplicaMixin, Node):
         # migrations involving a down node are deferred above.
         hosted = sorted(self.shared.slot_map.slots_of(index))
         orphans_removed = yield from self._repair_slot(index, new_node.name)
-        record = {
-            "index": index,
-            "failed": failed_name,
-            "promoted": new_node.name,
-            "detected_at": detected_at,
-            "promoted_at": promoted_at,
-            "recovered_at": self.env.now,
-            "lost_txns": lost_txns,
-            "orphans_removed": orphans_removed,
-            "slots": hosted,
-        }
+        return self.log_failover(
+            "failovers", index, failed_name, detected_at,
+            promoted=new_node.name, promoted_at=promoted_at,
+            recovered_at=self.env.now, lost_txns=lost_txns,
+            orphans_removed=orphans_removed, slots=hosted)
+
+    def log_failover(self, counter, index, failed, detected_at, **fields):
+        """Append one failover record — a promotion, an election, a
+        suppression or a deferral — carrying the fields every consumer
+        reads, count it under ``counter`` and return it."""
+        record = {"index": index, "failed": failed, "promoted": None,
+                  "detected_at": detected_at, "lost_txns": 0,
+                  "orphans_removed": 0}
+        record.update(fields)
         self.failover_log.append(record)
-        self.metrics.counter("failovers").inc()
+        self.metrics.counter(counter).inc()
         return record
 
     def _repair_slot(self, index, new_name):
@@ -549,75 +519,41 @@ class Coordinator(NamespaceReplicaMixin, Node):
         )
 
     def _slot_call(self, node_index, kind, payload, attempts=1):
-        """Generator: one migration-step RPC to physical node
-        ``node_index``, bounded by the per-attempt RPC timeout when the
-        cluster configures one.  Retries up to ``attempts`` times with
-        backoff, re-resolving the node's current name each try, then
-        re-raises — the caller aborts the saga."""
-        timeout_us = self.shared.config.rpc_timeout_us or None
-        backoff = 1000.0
-        for attempt in range(attempts):
-            target = self.shared.node_name(node_index)
-            try:
-                if timeout_us is None:
-                    reply = yield self.call(target, kind, payload)
-                else:
-                    reply = yield from deadline_call(
-                        self, NULL_CONTEXT, target, kind, payload,
-                        timeout_us=timeout_us,
-                    )
-                return reply
-            except RpcFailure:
-                if attempt == attempts - 1:
-                    raise
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 8000.0)
+        """Generator: one migration-step RPC, bounded by the per-attempt
+        RPC timeout when the cluster configures one and addressed by
+        node index, so delivery follows a crash-restart.  ``attempts``
+        bounds the tries before the failure propagates and the caller
+        aborts the saga; None re-delivers until acknowledged — the steps
+        past the point of no return (activate, purge, the abort's own
+        rollback) are idempotent and must eventually apply: aborting
+        would erase writes the destination may already have acked."""
+        reply = yield from redeliver(
+            self, lambda: self.shared.node_name(node_index), kind, payload,
+            timeout_us=self.shared.config.rpc_timeout_us or None,
+            attempts=attempts,
+        )
+        return reply
 
-    def _slot_deliver(self, node_index, kind, payload):
-        """Generator: re-deliver a *decided* migration step until the
-        node acknowledges it.
+    def _slot_abort(self, slot, src, dst, record):
+        """Generator: roll a handoff that failed in ``record["phase"]``
+        back to the source.
 
-        Used past the saga's point of no return (activate, purge):
-        these steps are idempotent on the receiver and must eventually
-        apply — aborting instead would erase writes the destination may
-        already have acknowledged to clients.  Re-resolves the node's
-        name per attempt so delivery follows a crash-restart."""
-        timeout_us = self.shared.config.rpc_timeout_us or None
-        backoff = 1000.0
-        while True:
-            target = self.shared.node_name(node_index)
-            try:
-                if timeout_us is None:
-                    reply = yield self.call(target, kind, payload)
-                else:
-                    reply = yield from deadline_call(
-                        self, NULL_CONTEXT, target, kind, payload,
-                        timeout_us=timeout_us,
-                    )
-                return reply
-            except RpcFailure:
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 8000.0)
-
-    def _slot_abort(self, slot, src, dst, record, discard_dst,
-                    burn_epoch=False):
-        """Generator: roll a failed handoff back to the source.
-
-        The destination discards its partial copy (idempotent if the
-        install never landed) and the source reclaims hosting
-        (idempotent if the fence never landed).  Both are re-delivered
-        until acknowledged: an un-rolled-back fence would leave the
-        slot unhosted everywhere.  When the fence may have exposed the
-        advertised epoch to clients, ``burn_epoch`` re-assigns the slot
-        to its source, superseding any ``EMOVED`` hint a client adopted
-        before the abort."""
+        Once an install was attempted the destination discards its
+        partial copy (idempotent if it never landed), and the source
+        reclaims hosting (idempotent if the fence never landed).  Both
+        are re-delivered until acknowledged: an un-rolled-back fence
+        would leave the slot unhosted everywhere.  A failed fence may
+        have exposed the advertised epoch to clients, so the slot is
+        re-assigned to its source, superseding any ``EMOVED`` hint a
+        client adopted before the abort."""
+        phase = record["aborted_phase"] = record["phase"]
         record["status"] = "aborted"
-        record["aborted_phase"] = record["phase"]
-        if discard_dst:
-            yield from self._slot_deliver(dst, "slot_discard",
-                                          {"slot": slot})
-        yield from self._slot_deliver(src, "slot_reclaim", {"slot": slot})
-        if burn_epoch:
+        if phase != "snapshot":
+            yield from self._slot_call(dst, "slot_discard", {"slot": slot},
+                                       attempts=None)
+        yield from self._slot_call(src, "slot_reclaim", {"slot": slot},
+                                   attempts=None)
+        if phase == "fence":
             # Two bumps, not one: the first lands exactly on the epoch
             # the fence advertised, and patches only apply on a
             # *strictly newer* per-slot version — a client that adopted
@@ -679,24 +615,14 @@ class Coordinator(NamespaceReplicaMixin, Node):
             try:
                 reply = yield from self._slot_call(
                     src, "slot_snapshot", {"slot": slot}, attempts=4)
-            except RpcFailure:
-                yield from self._slot_abort(slot, src, dest, record,
-                                            discard_dst=False)
-                return record
-            record["phase"] = "install"
-            try:
+                record["phase"] = "install"
                 yield from self._slot_call(
                     dest, "slot_install",
                     {"slot": slot, "entries": reply["entries"],
                      "markers": reply.get("markers", [])},
                     attempts=4)
-            except RpcFailure:
-                yield from self._slot_abort(slot, src, dest, record,
-                                            discard_dst=True)
-                return record
-            record["phase"] = "fence"
-            advertised = self.shared.slot_map.epoch + 1
-            try:
+                record["phase"] = "fence"
+                advertised = self.shared.slot_map.epoch + 1
                 # Single attempt by design: a retried fence would
                 # return an *empty* delta (the capture is consumed by
                 # the first fence) and silently drop the real one.
@@ -704,22 +630,20 @@ class Coordinator(NamespaceReplicaMixin, Node):
                     src, "slot_fence",
                     {"slot": slot, "node": dest, "epoch": advertised})
             except RpcFailure:
-                yield from self._slot_abort(slot, src, dest, record,
-                                            discard_dst=True,
-                                            burn_epoch=True)
+                yield from self._slot_abort(slot, src, dest, record)
                 return record
             record["fenced_at"] = self.env.now
             record["delta_txns"] = len(reply["delta"])
             record["phase"] = "activate"
-            yield from self._slot_deliver(
+            yield from self._slot_call(
                 dest, "slot_activate",
-                {"slot": slot, "delta": reply["delta"]})
+                {"slot": slot, "delta": reply["delta"]}, attempts=None)
             record["activated_at"] = self.env.now
             record["epoch"] = self.shared.slot_map.assign(slot, dest)
             record["status"] = "committed"
             record["phase"] = "purge"
-            yield from self._slot_deliver(src, "slot_purge",
-                                          {"slot": slot})
+            yield from self._slot_call(src, "slot_purge", {"slot": slot},
+                                       attempts=None)
             record["phase"] = "done"
             self.metrics.counter("slot_migrations").inc()
             return record
@@ -781,9 +705,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         resurrects it with its old log, but it must never again append
         under a term an elected successor may have claimed meanwhile.
         """
-        entry = self.consensus_registry.setdefault(
-            slot, {"term": 1, "leader": self.shared.mnode_name(slot)}
-        )
+        entry = self.consensus_registry[slot]
         entry["term"] += 1
         entry["leader"] = self.shared.mnode_name(slot)
         return entry["term"]
@@ -804,9 +726,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         """
         p = message.payload
         slot, term = p["slot"], p["term"]
-        entry = self.consensus_registry.setdefault(
-            slot, {"term": 1, "leader": self.shared.mnode_name(slot)}
-        )
+        entry = self.consensus_registry[slot]
         if term <= entry["term"]:
             # A stale claim (the candidate lost a race, or a zombie is
             # re-asserting an old term).  Tell it the current term so it
@@ -821,20 +741,11 @@ class Coordinator(NamespaceReplicaMixin, Node):
         entry["term"] = term
         entry["leader"] = new_node.name
         orphans_removed = yield from self._repair_slot(slot, new_node.name)
-        record = {
-            "index": slot,
-            "failed": deposed,
-            "promoted": new_node.name,
-            "elected": True,
-            "term": term,
-            "detected_at": detected_at,
-            "promoted_at": detected_at,
-            "recovered_at": self.env.now,
-            "lost_txns": lost_txns,
-            "orphans_removed": orphans_removed,
-        }
-        self.failover_log.append(record)
-        self.metrics.counter("elections").inc()
+        self.log_failover(
+            "elections", slot, deposed, detected_at,
+            promoted=new_node.name, elected=True, term=term,
+            promoted_at=detected_at, recovered_at=self.env.now,
+            lost_txns=lost_txns, orphans_removed=orphans_removed)
         self.respond(message, {"ok": True, "term": term})
 
     def fsck(self):

@@ -67,6 +67,17 @@ class ExceptionTable:
     def copy(self):
         return ExceptionTable(self.version, self.pathwalk, self.override)
 
+    def adopt(self, newer):
+        """Take over a strictly newer table's entries *in place* — every
+        holder's :class:`HybridIndex` is bound to this object and must
+        see the refresh.  Returns whether anything changed."""
+        if newer.version <= self.version:
+            return False
+        self.version = newer.version
+        self.pathwalk = newer.pathwalk
+        self.override = newer.override
+        return True
+
     def __len__(self):
         return len(self.pathwalk) + len(self.override)
 
@@ -92,6 +103,23 @@ class ExceptionTable:
         if removed:
             self.version += 1
         return removed
+
+
+def exception_table_to_wire(table):
+    """Serialize an exception table for RPC distribution."""
+    return {
+        "version": table.version,
+        "pathwalk": sorted(table.pathwalk),
+        "override": dict(table.override),
+    }
+
+
+def exception_table_from_wire(data):
+    return ExceptionTable(
+        version=data["version"],
+        pathwalk=data["pathwalk"],
+        override=data["override"],
+    )
 
 
 class HybridIndex:

@@ -17,19 +17,29 @@ Client-facing operations (`create`, `open`, `close`, `getattr`, `setattr`,
 (dentry lookups serving other replicas, invalidations, rmdir/chmod/rename
 execution for the coordinator, statistics, migration) is handled by
 directly spawned processes so that replica maintenance can never be
-starved by a full worker pool.
+starved by a full worker pool.  Every control-plane handler that durably
+mutates owned state does so through one scaffold, :class:`_OwnerWrite`,
+and states only its protocol step.
 """
 
 import heapq
 from collections import defaultdict
 
-from repro.core.indexing import ROUTE_PATHWALK, ExceptionTable, HybridIndex
+from repro.core.indexing import (
+    ROUTE_PATHWALK,
+    ExceptionTable,
+    HybridIndex,
+    exception_table_from_wire,
+    exception_table_to_wire,
+)
 from repro.core.merging import WorkerPool
 from repro.core.records import (
     INVALID,
     VALID,
     DentryRecord,
     InodeRecord,
+    dentry_from_wire,
+    dentry_to_wire,
     inode_from_wire,
     inode_to_wire,
 )
@@ -37,7 +47,13 @@ from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.message import Message
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import CAT_PHASE, CAT_QUEUE, NULL_CONTEXT, OpContext
+from repro.obs import (
+    CAT_PHASE,
+    CAT_QUEUE,
+    NULL_CONTEXT,
+    OpContext,
+    redeliver,
+)
 from repro.obs.tracer import CAT_BATCH
 from repro.storage import LockMode, Table, Transaction, WriteAheadLog
 from repro.vfs.pathwalk import split_path
@@ -53,6 +69,10 @@ WRITE_OPS = frozenset(("create", "close", "unlink", "mkdir", "setattr"))
 
 #: Operations that require write permission on the parent directory.
 PARENT_WRITE_OPS = frozenset(("create", "unlink", "mkdir"))
+
+#: Contention multiplier on the serialized dispatch cost when merging is
+#: disabled (shared request-queue cache-line bouncing, §6.7).
+UNMERGED_DISPATCH_FACTOR = 24.0
 
 
 class _Plan:
@@ -75,6 +95,122 @@ class _Plan:
     @property
     def inode_key(self):
         return (self.pid, self.name)
+
+
+class _OwnerWrite:
+    """One durable owner-side mutation: the scaffold every control-plane
+    write runs inside, so that a handler states only its protocol step.
+    It is the single home of the five obligations such a write carries:
+
+    1. **one lock order** — :meth:`lock` X-locks a key's pair as
+       ``("d", key)`` then ``("i", key)``, the order ``sorted`` gives the
+       batch path, so no two writers can each hold half of a key;
+    2. **hosted check + writer registration** — :meth:`enter`, in one
+       no-yield block: a slot fence either sees the writer and drains
+       it (:meth:`drain`), or fenced first and the write bounces;
+    3. **one put/delete primitive** — :meth:`put` / :meth:`delete` keep
+       inode row, owned dentry, ``inval_seq`` and name index in step;
+    4. **commit-or-abort** — :meth:`commit`; the name index moves only
+       once the rows are durable, so an abandoned write leaves nothing;
+    5. **quorum-gated ack** — :meth:`MNode._ack` (the write applies
+       locally either way; only the acknowledgement waits).
+
+    :meth:`close` releases every lock and registration — from a
+    ``finally``, or, for a staged 2PC half, when the decision resolves it.
+    """
+
+    __slots__ = ("node", "ctx", "_txn", "grants", "slots", "_index")
+
+    def __init__(self, node, ctx=None):
+        self.node = node
+        self.ctx = ctx
+        self._txn = None
+        self.grants = []
+        self.slots = []
+        #: (key, +1 | -1) name-index deltas applied at commit.
+        self._index = []
+
+    @property
+    def txn(self):
+        """The write's transaction, opened by the first row it stages."""
+        if self._txn is None:
+            self._txn = self.node._txn(ctx=self.ctx)
+        return self._txn
+
+    def lock(self, key):
+        """Generator: X-lock ``key``'s dentry/inode pair, ``d`` first."""
+        locks = self.node.locks
+        for kind in ("d", "i"):
+            grant = locks.acquire((kind,) + key, LockMode.EXCLUSIVE,
+                                  ctx=self.ctx)
+            yield grant.event
+            self.grants.append(grant)
+
+    def enter(self, key):
+        """Raise the slot bounce unless ``key``'s slot is hosted here,
+        else pin it; returns the slot.  Never yields."""
+        slot = self.node._check_hosted(key)
+        self.pin(slot)
+        return slot
+
+    def pin(self, slot):
+        """Register as an in-flight writer of ``slot`` (once)."""
+        if slot not in self.slots:
+            self.slots.append(slot)
+            self.node._slot_writers[slot] += 1
+
+    def put(self, key, record, dentry=True):
+        """Stage inode ``record`` at ``key`` with what must move with it:
+        the owner's replica dentry for a directory and, at commit, the
+        name index.  ``dentry=False`` replays a logical record stream
+        that carries its own dentry rows (a handoff delta)."""
+        node, txn = self.node, self.txn
+        if txn.get(node.inodes, key) is None:
+            self._index.append((key, +1))
+        txn.put(node.inodes, key, record)
+        if dentry and record.is_dir:
+            txn.put(node.dentries, key, record.dentry())
+
+    def delete(self, key, dentry=True):
+        """Stage the removal of ``key``'s inode; a directory's owned
+        dentry goes with it and its ``inval_seq`` is bumped at once
+        (invalidating early is always safe).  ``dentry=False`` drops a
+        copy this node is not the authority for and leaves the dentry
+        to the caller.  Returns whether the key was present."""
+        node, txn = self.node, self.txn
+        record = txn.get(node.inodes, key)
+        if record is None:
+            return False
+        txn.delete(node.inodes, key)
+        if dentry and record.is_dir:
+            txn.delete(node.dentries, key)
+            node.inval_seq[("d",) + key] += 1
+        self._index.append((key, -1))
+        return True
+
+    def commit(self):
+        """Generator: make the staged rows durable (nothing staged,
+        nothing logged), then bring the name index in step."""
+        if self._txn is not None and self._txn.write_count:
+            yield from self._txn.commit()
+        for key, delta in self._index:
+            self.node._track_name(key, delta)
+
+    def close(self):
+        """Release every writer registration and grant, exactly once."""
+        node = self.node
+        for slot in self.slots:
+            node._slot_writers[slot] -= 1
+        for grant in reversed(self.grants):
+            node.locks.release(grant)
+
+    @staticmethod
+    def drain(node, slot):
+        """Generator, the fence's side of obligation 2: wait out every
+        writer registered on ``slot`` before the fence collects."""
+        while node._slot_writers.get(slot, 0) > 0:
+            yield node.env.timeout(50.0)
+        node._slot_writers.pop(slot, None)
 
 
 class MNode(NamespaceReplicaMixin, Node):
@@ -108,8 +244,7 @@ class MNode(NamespaceReplicaMixin, Node):
         self.moved_slots = {}
         #: Slots whose snapshot is installed but whose fenced delta has
         #: not been applied yet — requests bounce ERETRY until
-        #: activation (the handoff-safety invariant the planted
-        #: ``broken_handoff`` bug violates).
+        #: activation (the handoff-safety invariant).
         self.pending_slots = set()
         #: slot -> captured logical records: while a slot is being
         #: migrated away, every commit touching it is also appended
@@ -177,11 +312,25 @@ class MNode(NamespaceReplicaMixin, Node):
             raise RuntimeError(
                 "{} cannot handle {!r}".format(self.name, message)
             )
-        yield from handler(message)
+        # Handlers that never wait are plain functions, not generators.
+        steps = handler(message)
+        if steps is not None:
+            yield from steps
 
     def _owns_dentry(self, key):
         slot = self.index.locate(key[0], key[1])
         return slot in self.hosted_slots and slot not in self.moved_slots
+
+    def _peers(self):
+        """Every other MNode (broadcast fan-out)."""
+        return [peer for peer in self.shared.mnode_names
+                if peer != self.name]
+
+    def _call_peers(self, kind, payload, ctx=None):
+        """One RPC to every other MNode; the event of all the replies."""
+        return self.env.all_of([
+            self.call(peer, kind, payload, ctx=ctx) for peer in self._peers()
+        ])
 
     def _slot_of(self, key):
         """Directory slot owning inode key ``(pid, name)``."""
@@ -225,9 +374,9 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _check_hosted(self, key):
         """Raise the slot bounce unless this node currently serves
-        ``key``'s slot; returns the slot (for writer registration).
-        Callers must not yield between this check and registering in
-        ``_slot_writers`` — the fence relies on that atomicity."""
+        ``key``'s slot; returns the slot.  Writers reach this through
+        :meth:`_OwnerWrite.enter`, which registers them for the fence
+        in the same no-yield block."""
         slot = self._slot_of(key)
         if slot not in self.hosted_slots:
             failure = self._slot_failure(slot, key)
@@ -266,7 +415,7 @@ class MNode(NamespaceReplicaMixin, Node):
         self._ship_base = start_lsn if base is None else base
 
     def attach_group(self, witness_name, standby_name=None, term=1,
-                     base_lsn=0, base_term=0, anchor=None):
+                     base_lsn=0, base_term=0):
         """Attach this MNode as the *leader* of a consensus group.
 
         Replaces the plain log shipper with a
@@ -275,20 +424,16 @@ class MNode(NamespaceReplicaMixin, Node):
         only after quorum, and the serve path is fenced by the leader
         lease.  ``base_lsn``/``base_term`` anchor the log at the
         snapshot horizon the leader's tables reflect (election install
-        or redo recovery); ``anchor`` pins the WAL-transaction count
-        that horizon corresponds to, exactly like :meth:`attach_standby`.
+        or redo recovery) — everything the WAL holds now.
         """
         from repro.storage.consensus import ReplicatedLog
 
-        cfg = self.shared.config
         self.shipper = ReplicatedLog(
             self, witness_name, standby_name=standby_name, term=term,
             base_lsn=base_lsn, base_term=base_term,
-            lease_us=cfg.lease_us, heartbeat_us=cfg.consensus_heartbeat_us,
         )
         self.wal.term = term
-        self._ship_anchor = (self.wal.appended_txns if anchor is None
-                             else anchor)
+        self._ship_anchor = self.wal.appended_txns
         self._ship_base = base_lsn + 1
         return self.shipper
 
@@ -298,9 +443,7 @@ class MNode(NamespaceReplicaMixin, Node):
         and must not answer even reads — a successor could already be
         serving newer state)."""
         shipper = self.shipper
-        if shipper is None or not hasattr(shipper, "leading"):
-            return True
-        return shipper.leading(self.clock.now_us())
+        return shipper is None or shipper.leading(self.clock.now_us())
 
     def _quorum_barrier(self):
         """Generator: park until the shipper's latest entry is quorum-
@@ -308,11 +451,54 @@ class MNode(NamespaceReplicaMixin, Node):
         unreachable (deposed, or the lease lapsed mid-wait) and the
         operation must answer ENOTLEADER instead of acking a write a
         majority never saw.  Trivially True outside consensus mode."""
-        shipper = self.shipper
-        if shipper is None or not hasattr(shipper, "wait_quorum"):
+        if self.shipper is None:
             return True
-        ok = yield from shipper.wait_quorum()
+        ok = yield from self.shipper.wait_quorum()
         return ok
+
+    def _ack(self, message, payload):
+        """Generator: the quorum gate on an acknowledgement.  The write
+        is applied locally either way; only the *ack* waits for a
+        majority, and a leader that cannot reach one answers ENOTLEADER
+        so the caller re-resolves.  Returns whether it acknowledged."""
+        if (yield from self._quorum_barrier()):
+            self.respond(message, payload)
+            return True
+        self._respond_error(message,
+                            RpcFailure(RpcError.ENOTLEADER, self.name))
+        return False
+
+    def _owner_write(self, message, op, step):
+        """Generator: run ``step(w, key)`` — a handler's protocol step —
+        as one durable mutation of the payload's ``(pid, name)`` inside
+        the :class:`_OwnerWrite` scaffold, and answer the caller."""
+        key = (message.payload["pid"], message.payload["name"])
+        w = _OwnerWrite(self, message.ctx)
+        yield from w.lock(key)
+        try:
+            w.enter(key)
+            yield from step(w, key)
+            yield from w.commit()
+            if (yield from self._ack(message, {"ok": True})):
+                self.metrics.counter("ops").inc(op)
+        except RpcFailure as failure:
+            self._respond_error(message, failure)
+        finally:
+            w.close()
+
+    def _bulk_write(self, ctx, unit_us, stage):
+        """Generator: one durable multi-key mutation inside the scaffold.
+        ``stage(w)`` stages the rows (pinning the slots it writes into)
+        and returns how many — the result; they are charged ``unit_us``
+        each and committed, and every pin is released whatever happens."""
+        w = _OwnerWrite(self, ctx)
+        try:
+            count = stage(w)
+            yield from self.execute(unit_us * max(1, count), ctx=ctx)
+            yield from w.commit()
+        finally:
+            w.close()
+        return count
 
     def _txn(self, ctx=None):
         return Transaction(self.env, self.wal, self.costs,
@@ -334,23 +520,17 @@ class MNode(NamespaceReplicaMixin, Node):
             # fsck, coordinator-executed ops), so nothing that commits
             # here before the fence collects can be missing at the
             # destination.
+            # Rename-applied markers are slot-scoped durable state and
+            # must travel with the handoff: a stale commit re-delivery
+            # after the flip resolves to the *destination*, which can
+            # only no-op it if the marker moved too.  Handoff markers
+            # ("slot", ...) describe this node and never move.
             for table, key, value in txn.export_writes():
                 if table == "meta":
-                    # Rename-applied markers are slot-scoped durable
-                    # state and must travel with the handoff: a stale
-                    # commit re-delivery after the flip resolves to the
-                    # *destination*, which can only no-op it if the
-                    # marker moved too.  Handoff markers ("slot", ...)
-                    # describe this node and never move.
-                    if key[0] != "rename":
-                        continue
-                    buf = self._slot_capture.get(key[1])
-                    if buf is not None:
-                        buf.append((table, key, value))
-                    continue
-                if table not in ("inode", "dentry"):
-                    continue
-                buf = self._slot_capture.get(self._slot_of(key))
+                    slot = key[1] if key[0] == "rename" else None
+                else:
+                    slot = self._slot_of(key)
+                buf = self._slot_capture.get(slot)
                 if buf is not None:
                     buf.append((table, key, value))
 
@@ -361,10 +541,9 @@ class MNode(NamespaceReplicaMixin, Node):
     def _batch_ctx(self, kind, batch):
         """Batch-level context: its root span carries the member op ids,
         so the analyzer can amortize shared costs (dispatch, coalesced
-        locks, the single WAL flush) across the merged operations."""
+        locks, the single WAL flush) across the merged operations.
+        Only reached with tracing on (see the constructor)."""
         tracer = self.shared.tracer
-        if not tracer.enabled:
-            return None
         members = [
             message.ctx.op_id for message in batch
             if message.ctx is not None
@@ -384,9 +563,6 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _execute_batch(self, kind, batch):
         bctx = self._batch_ctx(kind, batch)
-        if bctx is None:
-            yield from self._execute_batch_body(kind, batch, None)
-            return
         try:
             yield from self._execute_batch_body(kind, batch, bctx)
         except BaseException as exc:
@@ -413,7 +589,7 @@ class MNode(NamespaceReplicaMixin, Node):
                 yield req
             try:
                 yield from self.execute(
-                    self.costs.dispatch_us * cfg.unmerged_dispatch_factor,
+                    self.costs.dispatch_us * UNMERGED_DISPATCH_FACTOR,
                     ctx=bctx,
                 )
             finally:
@@ -800,28 +976,17 @@ class MNode(NamespaceReplicaMixin, Node):
             mode = plan.payload.get("mode", 0o755)
             txid = "mkdir-{}-{}".format(self.name, ino)
             wire = {"ino": ino, "mode": mode, "uid": 0, "gid": 0}
-            peers = [
-                peer for peer in self.shared.mnode_names
-                if peer != self.name
-            ]
+            round_us = (self.costs.two_phase_round_us
+                        * max(1, len(self._peers())))
             with ctx.span("2pc", CAT_PHASE, node=self.name,
                           attrs={"txid": txid} if ctx.traced else None):
-                votes = yield self.env.all_of([
-                    self.call(peer, "replica_prepare",
-                              {"txid": txid, "key": list(key),
-                               "record": wire}, ctx=ctx)
-                    for peer in peers
-                ])
-                yield from self.execute(
-                    self.costs.two_phase_round_us * max(1, len(peers)),
-                    ctx=ctx,
-                )
+                votes = yield self._call_peers(
+                    "replica_prepare",
+                    {"txid": txid, "key": list(key), "record": wire}, ctx)
+                yield from self.execute(round_us, ctx=ctx)
                 if not all(vote.get("ok") for vote in votes):
-                    yield self.env.all_of([
-                        self.call(peer, "replica_abort", {"txid": txid},
-                                  ctx=ctx)
-                        for peer in peers
-                    ])
+                    yield self._call_peers("replica_abort", {"txid": txid},
+                                           ctx)
                     self._respond_error(
                         plan.message, RpcFailure(RpcError.ERETRY, plan.name)
                     )
@@ -834,15 +999,9 @@ class MNode(NamespaceReplicaMixin, Node):
                                                          mode=mode))
                 yield from txn.commit()
                 self._track_name(key, +1)
-                yield self.env.all_of([
-                    self.call(peer, "replica_commit", {"txid": txid},
-                              ctx=ctx)
-                    for peer in peers
-                ])
-                yield from self.execute(
-                    self.costs.two_phase_round_us * max(1, len(peers)),
-                    ctx=ctx,
-                )
+                yield self._call_peers("replica_commit", {"txid": txid},
+                                       ctx)
+                yield from self.execute(round_us, ctx=ctx)
             self.metrics.counter("ops").inc("mkdir")
             self._respond_ok(plan.message, {"ino": ino})
         finally:
@@ -877,8 +1036,6 @@ class MNode(NamespaceReplicaMixin, Node):
         if staged is not None:
             self.locks.release(staged["grant"])
         self.respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # control plane: liveness and failover repair
@@ -892,23 +1049,14 @@ class MNode(NamespaceReplicaMixin, Node):
         self.respond(message, {"ok": True, "index": self.my_index})
 
     def _on_wal_ack(self, message):
-        """Standby applied-LSN acknowledgement: prune the shipper's
-        retained history down to the unacknowledged suffix."""
-        if (self.shipper is not None
-                and message.sender == self.shipper.standby_name):
-            self.shipper.acknowledge(message.payload["applied_lsn"])
-        return
-        yield  # pragma: no cover
+        """A replication acknowledgement — a standby's applied LSN, or a
+        consensus member's append ack.  The shipper consumes it: prunes
+        retained history, advances the commit horizon, renews the lease,
+        or fences this leader for good on a higher term."""
+        if self.shipper is not None:
+            self.shipper.on_ack(message.sender, message.payload)
 
-    def _on_append_ack(self, message):
-        """Consensus member ack: advance its match index, move the
-        commit horizon, renew the lease — or fence this leader for good
-        when the ack carries a higher term (a successor exists)."""
-        shipper = self.shipper
-        if shipper is not None and hasattr(shipper, "on_ack"):
-            shipper.on_ack(message.payload)
-        return
-        yield  # pragma: no cover
+    _on_append_ack = _on_wal_ack
 
     def _on_snapshot(self, message):
         """Base-backup fetch for a (re)joining standby: a copy of the
@@ -917,28 +1065,22 @@ class MNode(NamespaceReplicaMixin, Node):
         this instant arrive as ordered log-shipping deltas the snapshot
         does not cover."""
         entries = {
-            "inode": [(key, record.copy())
-                      for key, record in self.inodes.scan()],
-            "dentry": [(key, record.copy())
-                       for key, record in self.dentries.scan()],
-            "meta": [(key, value.copy())
-                     for key, value in self.meta.scan()],
+            table.name: [(key, row.copy()) for key, row in table.scan()]
+            for table in (self.inodes, self.dentries, self.meta)
         }
         # The LSN must be read at the same instant as the table copy:
         # transactions committing while the copy cost elapses below are
         # not in the snapshot and must stay above its LSN so the standby
         # keeps (rather than drops) their buffered deltas.
-        lsn = self.shipper.next_lsn - 1 if self.shipper is not None else 0
+        # (A consensus log adds the term at that position: the follower
+        # resets its log base to the snapshot point.)
+        reply = {"tables": entries, "lsn": 0}
+        if self.shipper is not None:
+            reply.update(self.shipper.snapshot_position())
         count = sum(len(rows) for rows in entries.values())
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * count, ctx=message.ctx
         )
-        reply = {"tables": entries, "lsn": lsn}
-        if self.shipper is not None and hasattr(self.shipper, "last_term"):
-            # Consensus: the follower resets its log base to this
-            # snapshot point, so it needs the term at that position.
-            reply["term"] = (self.shipper.last_term if lsn
-                             == self.shipper.last_lsn else 0)
         self.respond(
             message, reply,
             size=self.costs.rpc_response_bytes
@@ -955,11 +1097,7 @@ class MNode(NamespaceReplicaMixin, Node):
         The payload names the failed node's *slots* (a node hosts
         several under the elastic namespace).
         """
-        payload = message.payload
-        if "slots" in payload:
-            slots = set(payload["slots"])
-        else:
-            slots = {payload["owner"]}
+        slots = set(message.payload["slots"])
         keys = [
             key for key, record in self.dentries.scan()
             if self.index.locate(key[0], key[1]) in slots
@@ -986,42 +1124,23 @@ class MNode(NamespaceReplicaMixin, Node):
     def _on_fsck_delete(self, message):
         """Garbage-collect orphaned inodes (parent directory lost in a
         failover's unshipped window)."""
-        keys = [tuple(key) for key in message.payload["keys"]]
-        txn = self._txn(ctx=message.ctx)
-        removed = []
-        writer_slots = set()
-        try:
-            for key in keys:
-                record = self.inodes.get(key)
-                if record is None:
-                    continue
+        def stage(w):
+            removed = 0
+            for key in map(tuple, message.payload["keys"]):
                 slot = self._slot_of(key)
                 if slot in self.moved_slots or slot in self.pending_slots:
                     # Mid-slot-handoff: the slot's records travel with
                     # the handoff saga; its current host sweeps them.
                     continue
-                if slot not in writer_slots:
-                    writer_slots.add(slot)
-                    self._slot_writers[slot] += 1
-                txn.delete(self.inodes, key)
-                if record.is_dir:
-                    txn.delete(self.dentries, key)
-                    self.inval_seq[("d",) + key] += 1
-                removed.append(key)
-            yield from self.execute(
-                self.costs.index_delete_us * max(1, len(removed))
-            )
-            if txn.write_count:
-                yield from txn.commit()
-            else:
-                txn.abort()
-        finally:
-            for slot in writer_slots:
-                self._slot_writers[slot] -= 1
-        for key in removed:
-            self._track_name(key, -1)
-        self.metrics.counter("fsck_removed").inc(amount=len(removed))
-        self.respond(message, {"removed": len(removed)})
+                if w.delete(key):
+                    w.pin(slot)
+                    removed += 1
+            return removed
+
+        removed = yield from self._bulk_write(
+            message.ctx, self.costs.index_delete_us, stage)
+        self.metrics.counter("fsck_removed").inc(amount=removed)
+        self.respond(message, {"removed": removed})
 
     # ------------------------------------------------------------------
     # control plane: replica maintenance
@@ -1073,118 +1192,51 @@ class MNode(NamespaceReplicaMixin, Node):
     # ------------------------------------------------------------------
 
     def _on_rmdir_exec(self, message):
-        """Owner-side rmdir: lock, broadcast invalidation + child check,
-        then delete inode and local dentry if the directory is empty."""
+        """Owner-side rmdir: broadcast invalidation + child check, then
+        delete inode and local dentry if the directory is empty."""
         payload = message.payload
         ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        dgrant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
-                                    ctx=ctx)
-        yield dgrant.event
-        igrant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
-                                    ctx=ctx)
-        yield igrant.event
-        slot = None
-        try:
-            # Registered as a slot writer in the same no-yield block as
-            # the hosted check: a fence either sees this writer and
-            # drains it, or fenced first and the check bounces us.
-            slot = self._check_hosted(key)
-            self._slot_writers[slot] += 1
+
+        def step(w, key):
             yield from self.execute(self.costs.index_lookup_us, ctx=ctx)
             record = self.inodes.get(key)
             if record is None:
                 raise RpcFailure(RpcError.ENOENT, payload["path"])
             if not record.is_dir:
                 raise RpcFailure(RpcError.ENOTDIR, payload["path"])
-            peers = [
-                peer for peer in self.shared.mnode_names
-                if peer != self.name
-            ]
             # Marshaling one invalidation per peer costs owner CPU —
             # the cluster-size-proportional overhead of §6.2's rmdir.
             yield from self.execute(
-                self.costs.invalidate_apply_us * 4 * len(peers), ctx=ctx
+                self.costs.invalidate_apply_us * 4 * len(self._peers()),
+                ctx=ctx,
             )
-            replies = yield self.env.all_of([
-                self.call(peer, "invalidate",
-                          {"keys": [list(key)], "children_of": record.ino},
-                          ctx=ctx)
-                for peer in peers
-            ])
+            replies = yield self._call_peers(
+                "invalidate",
+                {"keys": [list(key)], "children_of": record.ino}, ctx)
             yield from self.execute(self.costs.index_lookup_us, ctx=ctx)
             local_children = self.inodes.has_prefix((record.ino,))
             if local_children or any(r.get("has_children") for r in replies):
                 raise RpcFailure(RpcError.ENOTEMPTY, payload["path"])
-            txn = self._txn(ctx=ctx)
-            txn.delete(self.inodes, key)
-            txn.delete(self.dentries, key)
-            yield from txn.commit()
-            self.inval_seq[("d",) + key] += 1
-            self._track_name(key, -1)
-            # The delete is applied locally either way; only the *ack*
-            # is gated on quorum.
-            if not (yield from self._quorum_barrier()):
-                raise RpcFailure(RpcError.ENOTLEADER, self.name)
-            self.metrics.counter("ops").inc("rmdir")
-            self.respond(message, {"ok": True})
-        except RpcFailure as failure:
-            self._respond_error(message, failure)
-        finally:
-            if slot is not None:
-                self._slot_writers[slot] -= 1
-            self.locks.release(igrant)
-            self.locks.release(dgrant)
+            w.delete(key)
+
+        yield from self._owner_write(message, "rmdir", step)
 
     def _on_chmod_exec(self, message):
         """Owner-side directory permission change: invalidate everywhere,
         then update the inode and the local replica dentry."""
         payload = message.payload
         ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        dgrant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
-                                    ctx=ctx)
-        yield dgrant.event
-        igrant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
-                                    ctx=ctx)
-        yield igrant.event
-        slot = None
-        try:
-            slot = self._check_hosted(key)
-            self._slot_writers[slot] += 1
+
+        def step(w, key):
             record = self.inodes.get(key)
             if record is None:
                 raise RpcFailure(RpcError.ENOENT, payload["path"])
-            peers = [
-                peer for peer in self.shared.mnode_names
-                if peer != self.name
-            ]
-            yield self.env.all_of([
-                self.call(peer, "invalidate", {"keys": [list(key)]},
-                          ctx=ctx)
-                for peer in peers
-            ])
+            yield self._call_peers("invalidate", {"keys": [list(key)]}, ctx)
             updated = record.copy()
             updated.mode = payload["mode"]
-            txn = self._txn(ctx=ctx)
-            txn.put(self.inodes, key, updated)
-            if record.is_dir:
-                txn.put(self.dentries, key, DentryRecord(
-                    ino=record.ino, mode=payload["mode"],
-                    uid=record.uid, gid=record.gid,
-                ))
-            yield from txn.commit()
-            if not (yield from self._quorum_barrier()):
-                raise RpcFailure(RpcError.ENOTLEADER, self.name)
-            self.metrics.counter("ops").inc("chmod")
-            self.respond(message, {"ok": True})
-        except RpcFailure as failure:
-            self._respond_error(message, failure)
-        finally:
-            if slot is not None:
-                self._slot_writers[slot] -= 1
-            self.locks.release(igrant)
-            self.locks.release(dgrant)
+            w.put(key, updated)
+
+        yield from self._owner_write(message, "chmod", step)
 
     # -- rename 2PC participant -----------------------------------------
 
@@ -1194,43 +1246,36 @@ class MNode(NamespaceReplicaMixin, Node):
         key = tuple(payload["key"])
         action = payload["action"]
         deadline = payload.get("deadline")
-        igrant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
-                                    ctx=message.ctx)
-        yield igrant.event
-        dgrant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
-                                    ctx=message.ctx)
-        yield dgrant.event
+        w = _OwnerWrite(self, message.ctx)
+        yield from w.lock(key)
         if deadline is not None and self.env.now_us() > deadline:
             # The coordinator timed this attempt out while we were still
             # queued on the locks; its abort may already have arrived and
             # found nothing.  Staging now would hold these X grants with
             # nobody left to release them — refuse the vote instead.
-            self.locks.release(igrant)
-            self.locks.release(dgrant)
+            w.close()
             self.respond(message, {"ok": False, "expired": True})
             return
-        slot = self._slot_of(key)
-        if slot not in self.hosted_slots:
-            # The slot migrated away while we were queued on the locks
-            # (or the coordinator resolved a stale map).  Refusing with
-            # the bounce makes the coordinator abort and the client
-            # re-resolve to the slot's new home.
-            self.locks.release(igrant)
-            self.locks.release(dgrant)
-            self._respond_error(message, self._slot_failure(slot, key)
-                                or RpcFailure(RpcError.ERETRY, key))
+        try:
+            # A slot that migrated away while we were queued bounces:
+            # the coordinator aborts and the client re-resolves to the
+            # slot's new home.  Otherwise the staged half pins the slot
+            # until the decision applies or the transaction aborts: a
+            # fence waits for the 2PC to finish, so the decided actions
+            # land at the source and ride the capture.
+            slot = w.enter(key)
+        except RpcFailure as failure:
+            w.close()
+            self._respond_error(message, failure)
             return
-        # Staged writers pin the slot until the decision applies or the
-        # transaction aborts: a fence waits for the 2PC to finish, so
-        # the decided actions land at the source and ride the capture.
-        self._slot_writers[slot] += 1
         yield from self.execute(self.costs.index_lookup_us, ctx=message.ctx)
         record = self.inodes.get(key)
         ok = record is not None if action == "delete" else record is None
-        staged = self._staged.setdefault(txid, [])
-        staged.append({
-            "action": action, "key": key, "grants": [igrant, dgrant],
-            "record": payload.get("record"), "slot": slot,
+        # The open write *is* the staged half: it keeps the locks and
+        # the slot pin until commit or abort closes it.
+        self._staged.setdefault(txid, []).append({
+            "action": action, "key": key, "record": payload.get("record"),
+            "slot": slot, "write": w,
         })
         # Persist the vote.
         yield self.wal.commit(self.costs.wal_record_bytes, ctx=message.ctx)
@@ -1259,65 +1304,41 @@ class MNode(NamespaceReplicaMixin, Node):
         memory can; it rides the WAL (redo restart), log shipping
         (promotion) and the slot handoff (capture tee + snapshot), so
         every future incarnation of the slot remembers."""
-        txn = self._txn(ctx=ctx)
+        # One write from here on, under the decision's context.
+        w = staged[0]["write"]
+        w.ctx = ctx
         for slot in sorted({entry["slot"] for entry in staged}):
-            txn.put(self.meta, ("rename", slot, txid), {"applied": True})
+            w.txn.put(self.meta, ("rename", slot, txid), {"applied": True})
         for entry in staged:
-            key = entry["key"]
             if entry["action"] == "delete":
-                record = self.inodes.get(key)
-                txn.delete(self.inodes, key)
-                if record is not None and record.is_dir:
-                    txn.delete(self.dentries, key)
-                    self.inval_seq[("d",) + key] += 1
-                self._track_name(key, -1)
+                w.delete(entry["key"])
             else:
-                record = inode_from_wire(entry["record"])
-                txn.put(self.inodes, key, record)
-                if record.is_dir:
-                    txn.put(self.dentries, key, DentryRecord(
-                        ino=record.ino, mode=record.mode,
-                        uid=record.uid, gid=record.gid,
-                    ))
-                self._track_name(key, +1)
-        yield from txn.commit()
+                w.put(entry["key"], inode_from_wire(entry["record"]))
+        yield from w.commit()
         self._release_staged(staged)
 
     def _release_staged(self, staged):
         for entry in staged:
-            for grant in entry["grants"]:
-                self.locks.release(grant)
-            slot = entry.get("slot")
-            if slot is not None:
-                self._slot_writers[slot] -= 1
+            entry["write"].close()
 
     def _resolve_in_doubt(self, txid, deadline):
         """Process: terminate a prepared rename whose decision never
         arrived (presumed abort, commit confirmed by the coordinator)."""
-        from repro.obs import deadline_call
-
-        grace = 2 * (self.shared.config.rpc_timeout_us or 1000.0)
-        yield self.env.timeout(max(0.0, deadline - self.env.now_us()) + grace)
-        backoff = 500.0
-        while txid in self._staged and not self.halted:
-            try:
-                reply = yield from deadline_call(
-                    self, NULL_CONTEXT, self.shared.coordinator_name,
-                    "rename_resolve", {"txid": txid},
-                    timeout_us=self.shared.config.rpc_timeout_us or 1000.0,
-                )
-            except RpcFailure:
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 8000.0)
-                continue
-            staged = self._staged.pop(txid, None)
-            if staged is None:
-                return
-            if reply["state"] == "commit":
-                yield from self._apply_rename(staged, NULL_CONTEXT, txid)
-            else:
-                self._release_staged(staged)
+        timeout_us = self.shared.config.rpc_timeout_us or 1000.0
+        yield self.env.timeout(
+            max(0.0, deadline - self.env.now_us()) + 2 * timeout_us)
+        reply = yield from redeliver(
+            self, lambda: self.shared.coordinator_name, "rename_resolve",
+            {"txid": txid}, timeout_us=timeout_us, backoff_us=500.0,
+            pending=lambda: txid in self._staged and not self.halted,
+        )
+        staged = None if reply is None else self._staged.pop(txid, None)
+        if staged is None:
             return
+        if reply["state"] == "commit":
+            yield from self._apply_rename(staged, NULL_CONTEXT, txid)
+        else:
+            self._release_staged(staged)
 
     def _on_rename_commit(self, message):
         txid = message.payload["txid"]
@@ -1325,18 +1346,14 @@ class MNode(NamespaceReplicaMixin, Node):
         staged = self._staged.pop(txid, None)
         if staged is not None:
             yield from self._apply_rename(staged, message.ctx, txid)
-        elif self._rename_applied(txid, actions):
-            # Already durably applied here (or by a predecessor whose
-            # state this node inherited): the completer's re-delivery
-            # must be a pure no-op ack.  Re-running the redo guards
-            # instead would resurrect state a *later* acked rename or
-            # unlink legitimately removed — the guards see a free key
-            # and cannot know the insert already happened once.
-            pass
-        else:
+        elif not self._rename_applied(txid, actions):
             # No staged state and no applied marker: this node lost its
             # prepared half across a crash/promotion.  Redo from the
-            # actions the commit carries, idempotently.
+            # actions the commit carries, idempotently.  (With the
+            # marker the re-delivery must be a pure no-op ack: re-running
+            # the redo guards would resurrect state a *later* acked
+            # rename or unlink legitimately removed — they see a free
+            # key and cannot know the insert already happened once.)
             try:
                 yield from self._redo_rename(txid, actions, message.ctx)
             except RpcFailure as failure:
@@ -1351,19 +1368,12 @@ class MNode(NamespaceReplicaMixin, Node):
         # failure the completer retries against the slot, which the
         # election install re-points at the new leader (whose
         # _redo_rename applies the actions idempotently).
-        if not (yield from self._quorum_barrier()):
-            self._respond_error(
-                message, RpcFailure(RpcError.ENOTLEADER, self.name)
-            )
-            return
-        self.respond(message, {"ok": True})
+        yield from self._ack(message, {"ok": True})
 
     def _rename_applied(self, txid, actions):
         """True when every half this commit carries is already durably
         marked applied for ``txid`` on this node's slots."""
-        if not actions:
-            return False
-        return all(
+        return bool(actions) and all(
             self.meta.get(
                 ("rename", self._slot_of(tuple(action["key"])), txid)
             ) is not None
@@ -1385,57 +1395,32 @@ class MNode(NamespaceReplicaMixin, Node):
         re-delivery must not get another chance at the key."""
         for action in actions:
             key = tuple(action["key"])
-            igrant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
-                                        ctx=ctx)
-            yield igrant.event
-            dgrant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
-                                        ctx=ctx)
-            yield dgrant.event
-            slot = None
+            w = _OwnerWrite(self, ctx)
+            yield from w.lock(key)
             try:
-                slot = self._check_hosted(key)
-                self._slot_writers[slot] += 1
-                marker = ("rename", slot, txid)
+                marker = ("rename", w.enter(key), txid)
                 if self.meta.get(marker) is not None:
                     continue
+                w.txn.put(self.meta, marker, {"applied": True})
                 current = self.inodes.get(key)
-                txn = self._txn(ctx=ctx)
-                txn.put(self.meta, marker, {"applied": True})
                 applied = None
                 if action["action"] == "delete":
                     if current is not None and current.ino == action["ino"]:
-                        txn.delete(self.inodes, key)
-                        if current.is_dir:
-                            txn.delete(self.dentries, key)
-                            self.inval_seq[("d",) + key] += 1
-                        self._track_name(key, -1)
+                        w.delete(key)
                         applied = "delete"
-                else:
-                    record = inode_from_wire(action["record"])
-                    if current is None:
-                        txn.put(self.inodes, key, record)
-                        if record.is_dir:
-                            txn.put(self.dentries, key, DentryRecord(
-                                ino=record.ino, mode=record.mode,
-                                uid=record.uid, gid=record.gid,
-                            ))
-                        self._track_name(key, +1)
-                        applied = "insert"
-                yield from txn.commit()
+                elif current is None:
+                    w.put(key, inode_from_wire(action["record"]))
+                    applied = "insert"
+                yield from w.commit()
                 if applied is not None:
                     self.metrics.counter("rename_redos").inc(applied)
             finally:
-                if slot is not None:
-                    self._slot_writers[slot] -= 1
-                self.locks.release(igrant)
-                self.locks.release(dgrant)
+                w.close()
 
     def _on_rename_abort(self, message):
         staged = self._staged.pop(message.payload["txid"], [])
         self._release_staged(staged)
         self.respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # control plane: directory listing
@@ -1460,14 +1445,8 @@ class MNode(NamespaceReplicaMixin, Node):
             self._respond_error(message, failure)
             return
         dir_ino = resolved.ino
-        peers = [
-            peer for peer in self.shared.mnode_names if peer != self.name
-        ]
-        replies = yield self.env.all_of([
-            self.call(peer, "scan_children", {"pid": dir_ino},
-                      ctx=message.ctx)
-            for peer in peers
-        ])
+        replies = yield self._call_peers("scan_children", {"pid": dir_ino},
+                                         message.ctx)
         local = self._scan_children(dir_ino)
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * len(local),
@@ -1529,45 +1508,30 @@ class MNode(NamespaceReplicaMixin, Node):
         )
 
     def _on_xt_update(self, message):
-        table = exception_table_from_wire(message.payload["table"])
-        if table.version > self.xt.version:
-            self.xt.version = table.version
-            self.xt.pathwalk = table.pathwalk
-            self.xt.override = table.override
+        self.xt.adopt(exception_table_from_wire(message.payload["table"]))
         yield from self.execute(self.costs.index_lookup_us)
         self.respond(message, {"ok": True})
-
-    def _on_fetch_xt(self, message):
-        yield from self.execute(self.costs.index_lookup_us)
-        self.respond(message, {"table": exception_table_to_wire(self.xt)})
 
     def _on_migrate_begin(self, message):
         self.migrating.update(message.payload["names"])
         self.respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     def _on_migrate_end(self, message):
         self.migrating.difference_update(message.payload["names"])
         self.respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     def _on_migrate_collect(self, message):
         """Remove and return every local inode with the given filename."""
         name = message.payload["name"]
-        parents = sorted(self._name_parents.get(name, ()))
         entries = []
-        txn = self._txn()
-        writer_slots = set()
-        try:
-            for pid in parents:
+
+        def stage(w):
+            for pid in sorted(self._name_parents.get(name, ())):
                 key = (pid, name)
                 record = self.inodes.get(key)
-                if record is None:
-                    continue
                 slot = self._slot_of(key)
-                if slot in self.moved_slots or slot in self.pending_slots:
+                if (record is None or slot in self.moved_slots
+                        or slot in self.pending_slots):
                     # Mid-slot-handoff copies: the fenced (or still
                     # installing) slot's records travel with the slot
                     # saga, not with the filename migration.  Note the
@@ -1575,27 +1539,14 @@ class MNode(NamespaceReplicaMixin, Node):
                     # merely non-hosted slot is the normal collect case
                     # (the table change just re-homed the name).
                     continue
-                if slot not in writer_slots:
-                    writer_slots.add(slot)
-                    self._slot_writers[slot] += 1
+                w.pin(slot)
                 entries.append({"key": list(key),
                                 "record": inode_to_wire(record)})
-                txn.delete(self.inodes, key)
-                if record.is_dir:
-                    txn.delete(self.dentries, key)
-                    self.inval_seq[("d",) + key] += 1
-            yield from self.execute(
-                self.costs.index_delete_us * max(1, len(entries))
-            )
-            if txn.write_count:
-                yield from txn.commit()
-            else:
-                txn.abort()
-        finally:
-            for slot in writer_slots:
-                self._slot_writers[slot] -= 1
-        for entry in entries:
-            self._track_name(tuple(entry["key"]), -1)
+                w.delete(key)
+            return len(entries)
+
+        yield from self._bulk_write(
+            message.ctx, self.costs.index_delete_us, stage)
         self.respond(
             message, {"entries": entries},
             size=self.costs.rpc_response_bytes + 64 * len(entries),
@@ -1603,33 +1554,18 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _on_migrate_install(self, message):
         entries = message.payload["entries"]
-        txn = self._txn()
-        writer_slots = set()
-        try:
+
+        def stage(w):
             for entry in entries:
                 key = tuple(entry["key"])
                 slot = self._slot_of(key)
-                if slot in self.hosted_slots and slot not in writer_slots:
-                    writer_slots.add(slot)
-                    self._slot_writers[slot] += 1
-                record = inode_from_wire(entry["record"])
-                txn.put(self.inodes, key, record)
-                if record.is_dir:
-                    txn.put(self.dentries, key, DentryRecord(
-                        ino=record.ino, mode=record.mode,
-                        uid=record.uid, gid=record.gid,
-                    ))
-                self._track_name(key, +1)
-            yield from self.execute(
-                self.costs.index_insert_us * max(1, len(entries))
-            )
-            if txn.write_count:
-                yield from txn.commit()
-            else:
-                txn.abort()
-        finally:
-            for slot in writer_slots:
-                self._slot_writers[slot] -= 1
+                if slot in self.hosted_slots:   # an exception-table
+                    w.pin(slot)                 # placement is unfenced
+                w.put(key, inode_from_wire(entry["record"]))
+            return len(entries)
+
+        yield from self._bulk_write(
+            message.ctx, self.costs.index_insert_us, stage)
         self.respond(message, {"ok": True})
 
     # ------------------------------------------------------------------
@@ -1657,15 +1593,16 @@ class MNode(NamespaceReplicaMixin, Node):
             if key[0] == "rename" and key[1] == slot
         ]
         self._slot_capture[slot] = []
+        yield from self._reply_rows(message, len(entries), {
+            "slot": slot, "entries": entries, "markers": markers})
+
+    def _reply_rows(self, message, rows, payload):
+        """Generator: answer a handoff step whose reply carries ``rows``
+        records — charge marshaling them, size the response by them."""
         yield from self.execute(
-            self.costs.index_lookup_us + 0.02 * len(entries),
-            ctx=message.ctx,
-        )
-        self.respond(
-            message, {"slot": slot, "entries": entries,
-                      "markers": markers},
-            size=self.costs.rpc_response_bytes + 64 * len(entries),
-        )
+            self.costs.index_lookup_us + 0.02 * rows, ctx=message.ctx)
+        self.respond(message, payload,
+                     size=self.costs.rpc_response_bytes + 64 * rows)
 
     def _on_slot_install(self, message):
         """Destination step 2: durably install the source's snapshot.
@@ -1677,44 +1614,23 @@ class MNode(NamespaceReplicaMixin, Node):
         authoritative, not fetched from the (retiring) source."""
         payload = message.payload
         slot = payload["slot"]
-        entries = payload["entries"]
         self.pending_slots.add(slot)
-        txn = self._txn(ctx=message.ctx)
-        # Durable marker: a crash between install and activate restarts
-        # with the slot *pending*, never serving the delta-less copy.
-        txn.put(self.meta, ("slot", slot), {"state": "pending"})
-        for marker in payload.get("markers", ()):
-            txn.put(self.meta, tuple(marker["key"]),
-                    dict(marker["record"]))
-        for entry in entries:
-            key = tuple(entry["key"])
-            record = inode_from_wire(entry["record"])
-            if txn.get(self.inodes, key) is None:
-                self._track_name(key, +1)
-            txn.put(self.inodes, key, record)
-            if record.is_dir:
-                txn.put(self.dentries, key, DentryRecord(
-                    ino=record.ino, mode=record.mode,
-                    uid=record.uid, gid=record.gid,
-                ))
-        yield from self.execute(
-            self.costs.index_insert_us * max(1, len(entries)),
-            ctx=message.ctx,
-        )
-        if txn.write_count:
-            yield from txn.commit()
-        else:
-            txn.abort()
-        if self.shared.config.broken_handoff:
-            # PLANTED BUG (test-only): start serving as soon as the
-            # snapshot lands, without waiting for the fenced delta —
-            # any write the source acknowledged during the capture
-            # window is invisible here (and clobbered when the stale
-            # activate arrives).  The migration nemesis must catch it.
-            self.pending_slots.discard(slot)
-            self.hosted_slots.add(slot)
-            self.moved_slots.pop(slot, None)
-        self.respond(message, {"ok": True, "installed": len(entries)})
+
+        def stage(w):
+            # Durable marker: a crash between install and activate
+            # restarts with the slot *pending*, never serving the
+            # delta-less copy.
+            w.txn.put(self.meta, ("slot", slot), {"state": "pending"})
+            for marker in payload.get("markers", ()):
+                w.txn.put(self.meta, tuple(marker["key"]),
+                          dict(marker["record"]))
+            for entry in payload["entries"]:
+                w.put(tuple(entry["key"]), inode_from_wire(entry["record"]))
+            return len(payload["entries"])
+
+        installed = yield from self._bulk_write(
+            message.ctx, self.costs.index_insert_us, stage)
+        self.respond(message, {"ok": True, "installed": installed})
 
     def _on_slot_fence(self, message):
         """Source step 3: the fence.  Stop serving the slot in one
@@ -1730,22 +1646,13 @@ class MNode(NamespaceReplicaMixin, Node):
         # Writers registered before the fence drain to zero with the
         # capture still running, so their commits are in the delta; no
         # new writer can register (the hosted check above bounces it).
-        while self._slot_writers.get(slot, 0) > 0:
-            yield self.env.timeout(50.0)
-        self._slot_writers.pop(slot, None)
+        yield from _OwnerWrite.drain(self, slot)
         delta = self._slot_capture.pop(slot, [])
-        entries = []
-        for table, key, value in delta:
-            if value is None:
-                wire = None
-            elif table == "inode":
-                wire = inode_to_wire(value)
-            elif table == "meta":
-                wire = dict(value)
-            else:
-                wire = dentry_to_wire(value)
-            entries.append({"table": table, "key": list(key),
-                            "record": wire})
+        entries = [
+            {"table": table, "key": list(key),
+             "record": None if value is None else _TO_WIRE[table](value)}
+            for table, key, value in delta
+        ]
         # Durable fence marker *before* the delta leaves this node: a
         # restart must come back fenced, not resurrect the slot from
         # the (not yet flipped) map and serve state the destination is
@@ -1756,14 +1663,8 @@ class MNode(NamespaceReplicaMixin, Node):
             "epoch": payload["epoch"],
         })
         yield from txn.commit()
-        yield from self.execute(
-            self.costs.index_lookup_us + 0.02 * len(entries),
-            ctx=message.ctx,
-        )
-        self.respond(
-            message, {"ok": True, "delta": entries},
-            size=self.costs.rpc_response_bytes + 64 * len(entries),
-        )
+        yield from self._reply_rows(message, len(entries),
+                                    {"ok": True, "delta": entries})
 
     def _on_slot_activate(self, message):
         """Destination step 4: durably apply the fenced delta, then
@@ -1773,52 +1674,41 @@ class MNode(NamespaceReplicaMixin, Node):
         payload = message.payload
         slot = payload["slot"]
         if slot in self.hosted_slots:
-            # Already serving.  Unreachable under the correct protocol
-            # (the slot is pending until this handler runs); only the
-            # broken_handoff ablation lands here — it activated at
-            # install time and now drops the delta on the floor.
+            # Already serving: a re-delivery whose first ack was lost.
+            # Applying the delta again would overwrite whatever clients
+            # wrote here since with the source's older rows.
             self.respond(message, {"ok": True, "applied": 0})
             return
-        txn = self._txn(ctx=message.ctx)
-        # Durable adoption marker, committed atomically with the delta:
-        # a restart after this commit serves the slot; before it, the
-        # slot is still pending and the re-delivered activate applies.
-        txn.put(self.meta, ("slot", slot), {"state": "active"})
-        applied = 0
-        for entry in payload["delta"]:
-            key = tuple(entry["key"])
-            if entry["table"] == "inode":
-                current = txn.get(self.inodes, key)
-                if entry["record"] is None:
-                    if current is not None:
-                        txn.delete(self.inodes, key)
-                        self._track_name(key, -1)
+
+        def stage(w):
+            # Durable adoption marker, committed atomically with the
+            # delta: a restart after this commit serves the slot; before
+            # it, the slot is still pending and the re-delivered
+            # activate applies.
+            w.txn.put(self.meta, ("slot", slot), {"state": "active"})
+            for entry in payload["delta"]:
+                name, key = entry["table"], tuple(entry["key"])
+                record = entry["record"]
+                if record is not None:
+                    record = _FROM_WIRE[name](record)
+                if name == "inode":
+                    # The delta carries the matching dentry rows itself.
+                    if record is None:
+                        w.delete(key, dentry=False)
+                    else:
+                        w.put(key, record, dentry=False)
                 else:
-                    if current is None:
-                        self._track_name(key, +1)
-                    txn.put(self.inodes, key,
-                            inode_from_wire(entry["record"]))
-            elif entry["table"] == "meta":
-                # A rename-applied marker committed at the source
-                # during the capture window.
-                if entry["record"] is None:
-                    txn.delete(self.meta, key)
-                else:
-                    txn.put(self.meta, key, dict(entry["record"]))
-            else:
-                if entry["record"] is None:
-                    txn.delete(self.dentries, key)
-                else:
-                    txn.put(self.dentries, key,
-                            dentry_from_wire(entry["record"]))
-            applied += 1
-        yield from self.execute(
-            self.costs.index_insert_us * max(1, applied), ctx=message.ctx
-        )
-        if txn.write_count:
-            yield from txn.commit()
-        else:
-            txn.abort()
+                    # A dentry row, or a rename-applied marker committed
+                    # at the source during the capture window.
+                    table = self.meta if name == "meta" else self.dentries
+                    if record is None:
+                        w.txn.delete(table, key)
+                    else:
+                        w.txn.put(table, key, record)
+            return len(payload["delta"])
+
+        applied = yield from self._bulk_write(
+            message.ctx, self.costs.index_insert_us, stage)
         self.pending_slots.discard(slot)
         self.hosted_slots.add(slot)
         # A slot migrating *back* clears the tombstone from its earlier
@@ -1852,27 +1742,8 @@ class MNode(NamespaceReplicaMixin, Node):
         slot = message.payload["slot"]
         self.pending_slots.discard(slot)
         self.hosted_slots.discard(slot)
-        removed = 0
-        txn = self._txn(ctx=message.ctx)
-        txn.delete(self.meta, ("slot", slot))
-        for key, _ in list(self.meta.scan()):
-            if key[0] == "rename" and key[1] == slot:
-                txn.delete(self.meta, key)
-        for key, record in list(self.inodes.scan()):
-            if self._slot_of(key) != slot:
-                continue
-            txn.delete(self.inodes, key)
-            if record.is_dir:
-                txn.delete(self.dentries, key)
-            self._track_name(key, -1)
-            removed += 1
-        yield from self.execute(
-            self.costs.index_delete_us * max(1, removed), ctx=message.ctx
-        )
-        if txn.write_count:
-            yield from txn.commit()
-        else:
-            txn.abort()
+        removed = yield from self._drop_slot_copy(message.ctx, slot,
+                                                  installed=True)
         self.respond(message, {"ok": True, "removed": removed})
 
     def _on_slot_purge(self, message):
@@ -1881,55 +1752,41 @@ class MNode(NamespaceReplicaMixin, Node):
         now.  Directory dentries stay behind as ordinary replica cache
         (no longer authoritative: the slot is not hosted here)."""
         slot = message.payload["slot"]
-        removed = 0
-        txn = self._txn(ctx=message.ctx)
-        # The slot's rename-applied markers went with the handoff (the
-        # destination answers stale commit re-deliveries now); drop the
-        # dead local copies alongside the records.
-        for key, _ in list(self.meta.scan()):
-            if key[0] == "rename" and key[1] == slot:
-                txn.delete(self.meta, key)
-        for key, record in list(self.inodes.scan()):
-            if self._slot_of(key) != slot:
-                continue
-            txn.delete(self.inodes, key)
-            self._track_name(key, -1)
-            removed += 1
-        yield from self.execute(
-            self.costs.index_delete_us * max(1, removed), ctx=message.ctx
-        )
-        if txn.write_count:
-            yield from txn.commit()
-        else:
-            txn.abort()
+        removed = yield from self._drop_slot_copy(message.ctx, slot,
+                                                  installed=False)
         self.metrics.counter("slot_purged").inc(amount=removed)
         self.respond(message, {"ok": True, "removed": removed})
 
+    def _drop_slot_copy(self, ctx, slot, installed):
+        """Generator: durably delete this node's non-authoritative copy
+        of ``slot`` — its inode rows and its rename-applied markers (the
+        authoritative host answers stale commit re-deliveries).  An
+        ``installed`` copy (a destination's, never served) also drops
+        its pending marker and the dentries the install reconstructed.
+        Returns the number of inode rows removed."""
+        def stage(w):
+            if installed:
+                w.txn.delete(self.meta, ("slot", slot))
+            for key, _ in list(self.meta.scan()):
+                if key[0] == "rename" and key[1] == slot:
+                    w.txn.delete(self.meta, key)
+            removed = 0
+            for key, record in list(self.inodes.scan()):
+                if self._slot_of(key) != slot:
+                    continue
+                w.delete(key, dentry=False)
+                if installed and record.is_dir:
+                    w.txn.delete(self.dentries, key)
+                removed += 1
+            return removed
 
-def dentry_to_wire(record):
-    """Serialize a :class:`DentryRecord` for a handoff delta."""
-    return {"ino": record.ino, "mode": record.mode, "uid": record.uid,
-            "gid": record.gid, "state": record.state}
+        removed = yield from self._bulk_write(
+            ctx, self.costs.index_delete_us, stage)
+        return removed
 
 
-def dentry_from_wire(data):
-    return DentryRecord(ino=data["ino"], mode=data["mode"],
-                        uid=data["uid"], gid=data["gid"],
-                        state=data.get("state", VALID))
-
-
-def exception_table_to_wire(table):
-    """Serialize an exception table for RPC distribution."""
-    return {
-        "version": table.version,
-        "pathwalk": sorted(table.pathwalk),
-        "override": dict(table.override),
-    }
-
-
-def exception_table_from_wire(data):
-    return ExceptionTable(
-        version=data["version"],
-        pathwalk=data["pathwalk"],
-        override=data["override"],
-    )
+#: Handoff-delta codecs per captured table (fence encodes, activate
+#: decodes; tombstones travel as ``None``).
+_TO_WIRE = {"inode": inode_to_wire, "dentry": dentry_to_wire, "meta": dict}
+_FROM_WIRE = {"inode": inode_from_wire, "dentry": dentry_from_wire,
+              "meta": dict}

@@ -58,6 +58,10 @@ class InodeRecord:
             self.size, self.mtime, self.nlink,
         )
 
+    def dentry(self):
+        """The dentry a directory's owner keeps beside this inode."""
+        return DentryRecord(self.ino, self.mode, self.uid, self.gid)
+
 
 def inode_to_wire(record):
     """Serialize an :class:`InodeRecord` for an RPC payload."""
@@ -85,6 +89,18 @@ def inode_from_wire(data):
         mtime=data["mtime"],
         nlink=data["nlink"],
     )
+
+
+def dentry_to_wire(record):
+    """Serialize a :class:`DentryRecord` (slot-handoff deltas)."""
+    return {"ino": record.ino, "mode": record.mode, "uid": record.uid,
+            "gid": record.gid, "state": record.state}
+
+
+def dentry_from_wire(data):
+    return DentryRecord(ino=data["ino"], mode=data["mode"],
+                        uid=data["uid"], gid=data["gid"],
+                        state=data.get("state", VALID))
 
 
 class InodeAllocator:

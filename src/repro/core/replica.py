@@ -109,24 +109,18 @@ class NamespaceReplicaMixin:
                 self.metrics.counter("remote_lookups").inc()
                 payload = {"pid": key[0], "name": key[1]}
                 try:
-                    if timeout_us is None:
-                        attrs = yield self.call(
-                            self._owner_name(key), "lookup_dentry",
-                            payload, ctx=ctx,
-                        )
-                    else:
-                        # Bounded fetch: a crashed owner black-holes the
-                        # request, and the holder may be sitting on locks
-                        # other operations need (the rename path fetches
-                        # while holding the global rename mutex).  Each
-                        # timed-out attempt re-resolves the owner, so the
-                        # retry lands on the promoted standby once
-                        # failover installs it.
-                        attrs = yield from deadline_call(
-                            self, ctx or NULL_CONTEXT,
-                            self._owner_name(key), "lookup_dentry",
-                            payload, timeout_us=timeout_us,
-                        )
+                    # Bounded when the cluster configures a per-attempt
+                    # timeout: a crashed owner black-holes the request,
+                    # and the holder may be sitting on locks other
+                    # operations need (the rename path fetches while
+                    # holding the global rename mutex).  Each timed-out
+                    # attempt re-resolves the owner, so the retry lands
+                    # on the promoted standby once failover installs it.
+                    attrs = yield from deadline_call(
+                        self, ctx or NULL_CONTEXT,
+                        self._owner_name(key), "lookup_dentry",
+                        payload, timeout_us=timeout_us,
+                    )
                 except RpcFailure as failure:
                     if (failure.code == RpcError.ENOENT
                             and record is not None):

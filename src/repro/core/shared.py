@@ -128,21 +128,10 @@ class FalconConfig:
     #: Replicate mkdir eagerly with 2PC instead of lazily (§4.3); True =
     #: the *no inv* ablation of Fig 15a.
     eager_replication: bool = False
-    #: Contention multiplier on the serialized dispatch cost when merging
-    #: is disabled (shared request-queue cache-line bouncing, §6.7).
-    unmerged_dispatch_factor: float = 24.0
     #: Load-balance bound: no node may exceed (1/n + epsilon) of inodes.
     epsilon: float = 0.02
-    #: Retry backoff for blocked (migrating) inodes, microseconds — the
-    #: base of the shared exponential backoff schedule.
-    retry_backoff_us: float = 100.0
-    #: Exponential backoff growth factor and cap for the shared
-    #: :class:`~repro.obs.RetryPolicy`.
-    retry_backoff_multiplier: float = 2.0
-    retry_backoff_max_us: float = 6400.0
-    #: Attempt budget per operation before the client gives up.
-    retry_max_attempts: int = 64
-    #: Backoff jitter fraction in [0, 1] (0 = off).  Each retry delay is
+    #: Retry backoff jitter fraction in [0, 1] (0 = off; the schedule
+    #: itself is fixed in :mod:`repro.obs.retry`).  Each retry delay is
     #: spread over ``[delay * (1 - jitter), delay]`` with the client's
     #: seeded RNG, so a mass invalidation (cache stampede) or failover
     #: does not meet perfectly synchronized retry storms.  Off by
@@ -156,12 +145,6 @@ class FalconConfig:
     #: node otherwise waits forever, and timeouts are what turn a crash
     #: into a retry against the promoted replacement.
     rpc_timeout_us: float = 0.0
-    #: Failure-detector heartbeat cadence and per-ping timeout,
-    #: microseconds, plus consecutive misses before a node is declared
-    #: dead.  The coordinator pings every MNode; see repro.faults.
-    heartbeat_interval_us: float = 500.0
-    heartbeat_timeout_us: float = 200.0
-    heartbeat_miss_threshold: int = 3
     #: Asynchronous log-shipping replication to per-MNode standbys (the
     #: evaluation runs with this disabled, like the paper's).
     replication: bool = False
@@ -171,36 +154,24 @@ class FalconConfig:
     #: gray link degradation.  Event-driven: the timer only exists while
     #: the unacked window is non-empty, so quiescence still drains.
     ship_retry_us: float = 0.0
-    #: Quorum-replicated metadata tier (requires ``replication``): each
+    #: Quorum-replicated metadata tier (implies ``replication``): each
     #: directory slot becomes a consensus group — leader (the MNode),
     #: one data-holding voter (the standby) and one vote-only witness.
     #: Commits acknowledge only after a majority has durably appended,
     #: leadership moves by election instead of coordinator ordination,
-    #: and the serve path is fenced by leader leases.
+    #: and the serve path is fenced by leader leases (timings are fixed
+    #: in :mod:`repro.storage.consensus`).
     consensus: bool = False
-    #: Follower election timeout base, microseconds: a follower that
-    #: hears nothing from its leader for a randomized duration in
-    #: ``[election_timeout_us, 2 * election_timeout_us]`` starts an
-    #: election (per-follower seeded randomization breaks ties).
-    election_timeout_us: float = 4000.0
-    #: Leader lease duration, microseconds.  A leader extends its lease
-    #: every time a quorum acknowledges a heartbeat; once the lease
-    #: lapses it stops acknowledging operations (ENOTLEADER) until a
-    #: quorum answers again — the fast-fail half of zombie fencing (the
-    #: safety half is quorum commit itself).
-    lease_us: float = 3000.0
-    #: Leader heartbeat (empty AppendEntries) cadence, microseconds.
-    consensus_heartbeat_us: float = 1000.0
     #: Directory slots in the hybrid index (0 = one per MNode, the
     #: static layout).  More slots than nodes gives migration something
     #: to move: each slot is the unit of online handoff and nodes host
     #: several.
     num_slots: int = 0
-    #: Test-only: activate a migrated slot at the destination as soon as
-    #: the snapshot installs, WITHOUT waiting for the fenced delta — the
-    #: planted handoff bug the checker's migration nemesis must catch.
-    broken_handoff: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        # A quorum group *is* a replicated slot (its data-holding voter).
+        self.replication = self.replication or self.consensus
 
 
 class ClusterShared:

@@ -15,7 +15,6 @@ import time
 
 from repro.experiments import (
     ablation,
-    bench,
     breakdown,
     burst,
     cache_sweep,
@@ -82,10 +81,6 @@ EXPERIMENTS = {
     "straggler": (straggler, {},
                   {"num_dirs": 16, "files_per_dir": 25, "threads": 96}),
     "breakdown": (breakdown, {}, {"num_ops": 40}),
-    "bench": (bench, {},
-              {"repeat": 3, "num_ops": 800, "threads": 32,
-               "num_files": 300, "num_gpus": 8, "num_clients": 4,
-               "duration_us": 15000.0}),
 }
 
 
@@ -107,9 +102,6 @@ def main(argv=None):
                         help="worker processes for sweeps whose points "
                              "are independent (default 1; output is "
                              "identical at any value)")
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="repetitions for experiments that support "
-                             "it (bench: median-of-N reporting)")
     args = parser.parse_args(argv)
 
     if args.list or not args.experiment:
@@ -131,11 +123,6 @@ def main(argv=None):
             parser.error("{} does not support --jobs (its points are "
                          "not independent)".format(args.experiment))
         kwargs["jobs"] = args.jobs
-    if args.repeat is not None:
-        if "repeat" not in accepted:
-            parser.error("{} does not support --repeat".format(
-                args.experiment))
-        kwargs["repeat"] = args.repeat
     start = time.time()
     if args.profile:
         import cProfile

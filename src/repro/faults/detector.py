@@ -2,15 +2,16 @@
 
 The coordinator periodically pings every MNode *slot* in the cluster
 directory with a per-ping timeout; a slot that misses
-``miss_threshold`` consecutive pings is declared dead and the
-``on_failure`` hook (normally the cluster's promote-and-repair path) is
+:data:`HEARTBEAT_MISS_THRESHOLD` consecutive pings is declared dead and
+the ``on_failure`` hook (normally the cluster's promote-and-repair path) is
 spawned for it.  Pinging slots rather than names means monitoring heals
 itself: once failover installs the promoted standby in the directory,
 the same slot resolves to the live replacement.
 
 Detection latency is therefore bounded by roughly
-``miss_threshold * interval + timeout`` — the availability-gap floor
-the failover experiment measures against.
+``HEARTBEAT_MISS_THRESHOLD * HEARTBEAT_INTERVAL_US +
+HEARTBEAT_TIMEOUT_US`` — the availability-gap floor the failover
+experiment measures against.
 
 Under the consensus tier (``config.consensus``) the detector runs
 **observe-only**: ``on_failure`` stays ``None``, so declarations are
@@ -24,23 +25,21 @@ from collections import defaultdict
 from repro.net.rpc import RpcFailure
 from repro.obs import NULL_CONTEXT, deadline_call
 
+#: Heartbeat cadence and per-ping timeout, microseconds, and the
+#: consecutive misses before a slot is declared dead.
+HEARTBEAT_INTERVAL_US = 500.0
+HEARTBEAT_TIMEOUT_US = 200.0
+HEARTBEAT_MISS_THRESHOLD = 3
+
 
 class FailureDetector:
     """Coordinator-side heartbeat/lease monitor for the MNode ring."""
 
-    def __init__(self, coordinator, shared, on_failure=None,
-                 interval_us=None, timeout_us=None, miss_threshold=None):
-        cfg = shared.config
+    def __init__(self, coordinator, shared, on_failure=None):
         self.node = coordinator
         self.shared = shared
         self.env = coordinator.env
         self.on_failure = on_failure
-        self.interval_us = (interval_us if interval_us is not None
-                            else cfg.heartbeat_interval_us)
-        self.timeout_us = (timeout_us if timeout_us is not None
-                           else cfg.heartbeat_timeout_us)
-        self.miss_threshold = (miss_threshold if miss_threshold is not None
-                               else cfg.heartbeat_miss_threshold)
         #: Consecutive misses per slot index.
         self.misses = defaultdict(int)
         #: Slots declared dead and not yet recovered (not pinged).
@@ -63,31 +62,31 @@ class FailureDetector:
         self._running = False
 
     def _loop(self):
-        """Fixed-rate tick: probes are spawned at ``interval_us`` cadence
+        """Fixed-rate tick: probes are spawned at the heartbeat cadence
         and *not* joined.
 
         Joining them (as this loop once did) made the effective period
         ``interval + slowest ping RTT``, so a slow-not-dead link
         silently stretched detection latency past the documented
         ``miss_threshold * interval + timeout`` floor.  Each probe is
-        already bounded by ``timeout_us``, so an unjoined straggler can
+        already bounded by the ping timeout, so an unjoined straggler can
         overlap the next tick at most briefly.  Tick arithmetic runs on
         the coordinator's *local* clock: skewing it genuinely changes
         the heartbeat cadence the cluster experiences.
         """
         clock = self.node.clock
-        next_due = clock.now_us() + self.interval_us
+        next_due = clock.now_us() + HEARTBEAT_INTERVAL_US
         while self._running:
             delay = next_due - clock.now_us()
             if delay > 0:
                 yield self.env.timeout(clock.to_env_delay(delay))
             if not self._running:
                 return
-            next_due += self.interval_us
+            next_due += HEARTBEAT_INTERVAL_US
             if next_due < clock.now_us():
                 # Fell behind (huge skew step or a stalled env): skip
                 # missed ticks rather than firing a probe burst.
-                next_due = clock.now_us() + self.interval_us
+                next_due = clock.now_us() + HEARTBEAT_INTERVAL_US
             for index in range(len(self.shared.mnode_names)):
                 if index not in self.declared:
                     self.env.process(self._ping(index))
@@ -100,11 +99,11 @@ class FailureDetector:
         try:
             yield from deadline_call(
                 self.node, NULL_CONTEXT, target, "ping", {},
-                timeout_us=self.timeout_us,
+                timeout_us=HEARTBEAT_TIMEOUT_US,
             )
         except RpcFailure:
             self.misses[index] += 1
-            if (self.misses[index] >= self.miss_threshold
+            if (self.misses[index] >= HEARTBEAT_MISS_THRESHOLD
                     and index not in self.declared):
                 self._declare(index, target)
         else:

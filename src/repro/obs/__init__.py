@@ -8,13 +8,19 @@ The substrate every layer of the simulated cluster threads through:
 * :class:`Span` / :class:`Tracer` / :class:`JsonlSink` — distributed
   tracing with zero cost when disabled (:data:`NULL_TRACER` allocates
   no spans);
-* :class:`RetryPolicy`, :func:`retry`, :func:`deadline_call` — the
-  shared context-driven retry/backoff and deadline-enforcement helpers
-  that replace per-call-site retry loops.
+* :class:`RetryPolicy`, :func:`retry`, :func:`deadline_call`,
+  :func:`redeliver` — the shared retry/backoff, deadline-enforcement
+  and re-delivery helpers that replace per-call-site retry loops.
 """
 
 from repro.obs.context import NULL_CONTEXT, OpContext
-from repro.obs.retry import RETRYABLE, RetryPolicy, deadline_call, retry
+from repro.obs.retry import (
+    RETRYABLE,
+    RetryPolicy,
+    deadline_call,
+    redeliver,
+    retry,
+)
 from repro.obs.tracer import (
     CAT_CPU,
     CAT_DISK,
@@ -54,5 +60,6 @@ __all__ = [
     "Span",
     "Tracer",
     "deadline_call",
+    "redeliver",
     "retry",
 ]

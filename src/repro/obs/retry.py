@@ -1,6 +1,6 @@
 """Shared retry/backoff policy and deadline-enforced RPC.
 
-Two helpers replace the ad-hoc retry loops that used to live at every
+Three helpers replace the ad-hoc retry loops that used to live at every
 call site:
 
 * :func:`retry` runs an attempt generator until it succeeds, backing off
@@ -15,12 +15,19 @@ call site:
   interrupts the waiter at the deadline, the abandoned reply event is
   defused (a late error response must not crash the run), and the
   caller sees ``RpcFailure(ETIMEDOUT)``.
+* :func:`redeliver` is the control plane's "this step is decided, make
+  it land" loop: a bounded call re-issued under a doubling backoff,
+  re-resolving its target each time so delivery follows a promotion or
+  a restart, until the receiver acknowledges.
 
-Both helpers speak only the :mod:`repro.runtime` contract, so the same
+All of them speak only the :mod:`repro.runtime` contract, so the same
 retry loops run under the discrete-event kernel and the asyncio backend.
 """
 
+from itertools import count
+
 from repro.net.rpc import RpcError, RpcFailure
+from repro.obs.context import NULL_CONTEXT
 from repro.obs.tracer import CAT_RETRY
 from repro.runtime import Interrupt
 
@@ -38,6 +45,18 @@ RETRYABLE = (RpcError.ERETRY, RpcError.EREDIRECT,
 
 #: Sentinel passed as the interrupt cause by the deadline watchdog.
 DEADLINE_EXPIRED = object()
+
+#: The operation retry schedule (:class:`RetryPolicy` defaults): attempt
+#: budget per operation, backoff base (microseconds), growth and cap.
+RETRY_MAX_ATTEMPTS = 64
+RETRY_BACKOFF_US = 100.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+RETRY_BACKOFF_MAX_US = 6400.0
+
+#: The control-plane re-delivery schedule (:func:`redeliver`): the
+#: backoff doubles from the first value to the cap, microseconds.
+REDELIVER_BACKOFF_US = 1000.0
+REDELIVER_BACKOFF_MAX_US = 8000.0
 
 
 class RetryPolicy:
@@ -57,8 +76,10 @@ class RetryPolicy:
     __slots__ = ("max_attempts", "base_us", "multiplier", "max_backoff_us",
                  "jitter")
 
-    def __init__(self, max_attempts=64, base_us=100.0, multiplier=2.0,
-                 max_backoff_us=6400.0, jitter=0.0):
+    def __init__(self, max_attempts=RETRY_MAX_ATTEMPTS,
+                 base_us=RETRY_BACKOFF_US,
+                 multiplier=RETRY_BACKOFF_MULTIPLIER,
+                 max_backoff_us=RETRY_BACKOFF_MAX_US, jitter=0.0):
         self.max_attempts = max_attempts
         self.base_us = base_us
         self.multiplier = multiplier
@@ -77,13 +98,7 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls, config):
-        return cls(
-            max_attempts=config.retry_max_attempts,
-            base_us=config.retry_backoff_us,
-            multiplier=config.retry_backoff_multiplier,
-            max_backoff_us=config.retry_backoff_max_us,
-            jitter=getattr(config, "retry_jitter", 0.0),
-        )
+        return cls(jitter=getattr(config, "retry_jitter", 0.0))
 
     def __repr__(self):
         return "<RetryPolicy x{} {}us*{}^n<={}us j={}>".format(
@@ -212,6 +227,37 @@ def deadline_call(node, ctx, target, kind, payload=None, size=None,
     if watchdog.is_alive:
         watchdog.interrupt()
     return result
+
+
+def redeliver(node, resolve_target, kind, payload, timeout_us=None,
+              attempts=None, backoff_us=REDELIVER_BACKOFF_US, pending=None):
+    """Generator: deliver one control-plane RPC until it is acknowledged.
+
+    Every attempt re-resolves its target (``resolve_target()``), so
+    delivery follows a promotion or a crash-restart of the receiver; it
+    is bounded by ``timeout_us`` (None = unbounded), and any
+    :class:`RpcFailure` sleeps the doubling backoff before the next.
+    The receiver must be idempotent: an attempt whose *reply* was lost
+    has already applied.  ``attempts`` bounds the tries, after which the
+    last failure propagates (the caller aborts); None means until acked
+    — the step is past its point of no return.  ``pending()``, when
+    given, is re-checked before every attempt: once false the delivery
+    is moot and ``None`` is returned.
+    """
+    for attempt in (count() if attempts is None else range(attempts)):
+        if pending is not None and not pending():
+            return None
+        try:
+            reply = yield from deadline_call(
+                node, NULL_CONTEXT, resolve_target(), kind, payload,
+                timeout_us=timeout_us,
+            )
+            return reply
+        except RpcFailure:
+            if attempt + 1 == attempts:
+                raise
+        yield node.env.timeout(backoff_us)
+        backoff_us = min(backoff_us * 2, REDELIVER_BACKOFF_MAX_US)
 
 
 def _await(reply):

@@ -420,8 +420,8 @@ class Environment:
 
     @property
     def events_scheduled(self):
-        """Total heap entries scheduled so far (the bench harness's
-        events metric; monotone, cheap, deterministic)."""
+        """Total heap entries scheduled so far (the ledger's events
+        metric; monotone, cheap, deterministic)."""
         return self._seq
 
     def _schedule(self, event, delay=0.0, priority=NORMAL):

@@ -41,9 +41,10 @@ oracle asserts — no promotion-loss excusal):
   reads) while its lease is live.  The lease is renewed by member acks
   and anchored at the leader-clock **send** timestamp the ack echoes
   back (never at receive time, which would extend it by a stale RTT).
-  ``election_timeout_us`` must exceed ``lease_us``: a deposed zombie's
-  lease provably lapses before any member can elect a successor, so a
-  zombie cannot even serve stale reads into the new leader's reign.
+  :data:`ELECTION_TIMEOUT_US` must exceed :data:`LEASE_US`: a deposed
+  zombie's lease provably lapses before any member can elect a
+  successor, so a zombie cannot even serve stale reads into the new
+  leader's reign.
 
 The coordinator is demoted to lease *issuer* and membership registry:
 it validates term monotonicity on ``leader_claim`` and runs the
@@ -55,6 +56,18 @@ from repro.net.rpc import RpcFailure
 from repro.obs import NULL_CONTEXT, deadline_call
 from repro.storage.replication import Standby
 from repro.storage.table import Table
+
+#: Follower election timeout base, microseconds: a follower that hears
+#: nothing from its leader for a seeded draw from ``[T, 2T]`` starts an
+#: election; the witness refuses votes within ``T`` of leader traffic.
+ELECTION_TIMEOUT_US = 4000.0
+#: Leader lease, microseconds, renewed by member acks.  Once it lapses
+#: the leader stops acknowledging (ENOTLEADER) until a quorum answers
+#: again — the fast-fail half of zombie fencing.
+LEASE_US = 3000.0
+#: Leader heartbeat (empty AppendEntries) cadence, microseconds.
+HEARTBEAT_US = 1000.0
+assert LEASE_US < ELECTION_TIMEOUT_US, "a zombie's lease must lapse first"
 
 
 class ReplicatedLog:
@@ -79,13 +92,9 @@ class ReplicatedLog:
     """
 
     def __init__(self, node, witness_name, standby_name=None, term=1,
-                 base_lsn=0, base_term=0, group_size=3,
-                 lease_us=3000.0, heartbeat_us=1000.0):
+                 base_lsn=0, base_term=0, group_size=3):
         self.node = node
         self.witness_name = witness_name
-        #: Kept for LogShipper-compatible readouts (divergence audits,
-        #: cluster wiring); the data member's name or None.
-        self.standby_name = standby_name
         self.term = term
         self.base_lsn = base_lsn
         self.base_term = base_term
@@ -94,13 +103,11 @@ class ReplicatedLog:
         self.entries = []
         self.commit_lsn = base_lsn
         self.quorum = group_size // 2 + 1
-        self.lease_us = lease_us
-        self.heartbeat_us = heartbeat_us
         #: Leader-clock instant the lease dies unless an ack renews it.
         #: A fresh leader gets one free lease: the election (or the
         #: registry, for an initial/restart grant) just established
         #: that no competitor can be elected within this window.
-        self.lease_until = node.clock.now_us() + lease_us
+        self.lease_until = node.clock.now_us() + LEASE_US
         #: Permanent fence: a member nacked us with a higher term, so a
         #: successor exists.  A deposed log never serves, never acks,
         #: never heartbeats again.
@@ -119,11 +126,10 @@ class ReplicatedLog:
         }
         self._waiters = []
         self._running = False
-        self.shipped_records = 0
         self.resent_records = 0
         self.quorum_failures = 0
 
-    # -- compat readouts -------------------------------------------------
+    # -- positions (shared surface with LogShipper: next_lsn, acked_lsn) --
 
     @property
     def last_lsn(self):
@@ -135,8 +141,13 @@ class ReplicatedLog:
 
     @property
     def next_lsn(self):
-        """LogShipper-compatible: the LSN the next entry will take."""
+        """The LSN the next entry will take."""
         return self.last_lsn + 1
+
+    def snapshot_position(self):
+        """The log position (and its term) a table copy taken now
+        reflects: the follower resets its log base to it."""
+        return {"lsn": self.last_lsn, "term": self.last_term}
 
     @property
     def acked_lsn(self):
@@ -147,16 +158,6 @@ class ReplicatedLog:
                 best = max(best, member["match"])
         return best
 
-    @property
-    def history(self):
-        """Uncommitted suffix as LogShipper-style ``(lsn, records)``."""
-        return [(lsn, records) for lsn, _, records in self.entries
-                if lsn > self.commit_lsn]
-
-    @property
-    def retained(self):
-        return len(self.entries)
-
     # -- appending and shipping ------------------------------------------
 
     def ship(self, txn):
@@ -166,12 +167,6 @@ class ReplicatedLog:
         commit hook runs, so the leader's own copy of this entry is
         durable before any member sees it."""
         self.append(txn.export_writes())
-
-    def ship_payload(self, records, lsn=None):
-        """LogShipper-compatible entry point (re-ship LSNs are ignored:
-        a consensus log owns its LSN space)."""
-        if records:
-            self.append(records)
 
     def append(self, records):
         if not records or self.deposed:
@@ -200,11 +195,8 @@ class ReplicatedLog:
         suffix = self.entries[start - self.base_lsn - 1:]
         if member["data"]:
             body = [[lsn, term, records] for lsn, term, records in suffix]
-            shipped = sum(len(records) for _, _, records in suffix)
         else:
             body = [[lsn, term, None] for lsn, term, _ in suffix]
-            shipped = len(suffix)
-        self.shipped_records += shipped
         resent = sum(1 for lsn, _, _ in suffix if lsn <= member["hi"])
         self.resent_records += resent
         if suffix:
@@ -226,15 +218,14 @@ class ReplicatedLog:
 
     def attach_data_member(self, name):
         """(Re)attach a data follower (a rejoin after crash/demotion)."""
-        self.standby_name = name
         self.members[name] = {
             "match": 0, "next": self.base_lsn + 1, "hi": 0, "data": True,
         }
 
     # -- acks, commit, lease ---------------------------------------------
 
-    def on_ack(self, payload):
-        """Consume a member's ``append_ack`` (fire-and-forget)."""
+    def on_ack(self, sender, payload):
+        """Consume member ``sender``'s ``append_ack`` (fire-and-forget)."""
         term = payload["term"]
         if term > self.term:
             # A successor's term exists: we are a zombie.  Fence forever.
@@ -242,15 +233,15 @@ class ReplicatedLog:
             return
         if term < self.term:
             return  # stale ack from before the member adopted our term
-        member = self.members.get(payload.get("member"))
+        member = self.members.get(sender)
         if member is None:
             return
         echo = payload.get("echo")
         if echo is not None and not self.deposed:
             # Anchor the renewal at the *send* instant the ack echoes:
             # the member provably heard us no earlier than then, so the
-            # no-election window extends exactly lease_us past it.
-            self.lease_until = max(self.lease_until, echo + self.lease_us)
+            # no-election window extends exactly LEASE_US past it.
+            self.lease_until = max(self.lease_until, echo + LEASE_US)
         if payload["ok"]:
             if payload["match_lsn"] > member["match"]:
                 member["match"] = payload["match_lsn"]
@@ -261,7 +252,7 @@ class ReplicatedLog:
             member["next"] = max(self.base_lsn + 1,
                                  min(member["next"], hint + 1))
             member["match"] = min(member["match"], hint)
-            self._send_member(payload["member"], member)
+            self._send_member(sender, member)
 
     def _advance_commit(self):
         matches = sorted(
@@ -358,7 +349,7 @@ class ReplicatedLog:
         env = node.env
         clock = node.clock
         while self._running and not self.deposed and not node.halted:
-            yield env.timeout(clock.to_env_delay(self.heartbeat_us))
+            yield env.timeout(clock.to_env_delay(HEARTBEAT_US))
             if not self._running or self.deposed:
                 return
             while node.network.is_down(node.name) and not node.halted:
@@ -369,62 +360,36 @@ class ReplicatedLog:
                 self._send_member(name, member)
 
 
-class ConsensusFollower(Standby):
-    """The data-holding voter of a metadata group.
+class MemberLog:
+    """The log core both non-leader members share: entries
+    ``(lsn, term, records)`` above a ``(base_lsn, base_term)`` snapshot
+    horizon, the stale-term refusal, the prev-``(lsn, term)`` log-matching
+    check and the dedup-append loop.  The witness is simply the member
+    whose ``records`` are ``None``."""
 
-    Extends :class:`~repro.storage.replication.Standby` with a proper
-    replicated log: entries buffer in ``log`` above a snapshot base and
-    only the quorum-committed prefix is applied to the tables, so a
-    conflicting (necessarily uncommitted) suffix can still be truncated
-    without un-applying anything.  It is the only member that can stand
-    for election: on a full election-timeout of silence it pre-votes,
-    then votes, then claims the slot with the coordinator's registry.
-    """
-
-    def __init__(self, env, network, name, slot, witness_name,
-                 coordinator_name, rng, election_timeout_us=4000.0,
-                 rpc_timeout_us=400.0, table_names=("dentry", "inode")):
-        super().__init__(env, network, name, table_names)
-        self.slot = slot
-        self.witness_name = witness_name
-        self.coordinator_name = coordinator_name
-        #: Seeded per-follower RNG (from ``shared.streams``) for the
-        #: randomized election timeout draw.
-        self.rng = rng
-        self.election_timeout_us = election_timeout_us
-        self.rpc_timeout_us = rpc_timeout_us
+    def init_member_log(self):
         self.term = 0
         self.leader_name = None
-        #: ``[(lsn, term, records), ...]`` above ``(log_base_lsn,
-        #: log_base_term)`` — the snapshot horizon from catch-up.
-        self.log = []
-        self.log_base_lsn = 0
-        self.log_base_term = 0
+        #: ``[(lsn, term, records), ...]`` above the base.
+        self.entries = []
+        self.base_lsn = 0
+        self.base_term = 0
         self.commit_lsn = 0
-        #: Bumped on every message from a live leader; the election
-        #: loop compares epochs across its sleep instead of managing a
-        #: cancellable timer.
-        self.heard_epoch = 0
-        self.elections_started = 0
-        self.elections_won = 0
         self.truncations = 0
-        self._running = False
-
-    # -- log helpers -----------------------------------------------------
 
     def _last_lsn(self):
-        return self.log[-1][0] if self.log else self.log_base_lsn
+        return self.entries[-1][0] if self.entries else self.base_lsn
 
     def _last_term(self):
-        return self.log[-1][1] if self.log else self.log_base_term
+        return self.entries[-1][1] if self.entries else self.base_term
 
     def _term_at(self, lsn):
-        if lsn <= self.log_base_lsn:
-            return self.log_base_term if lsn == self.log_base_lsn else None
-        index = lsn - self.log_base_lsn - 1
-        if index >= len(self.log):
+        if lsn <= self.base_lsn:
+            return self.base_term if lsn == self.base_lsn else None
+        index = lsn - self.base_lsn - 1
+        if index >= len(self.entries):
             return None
-        return self.log[index][1]
+        return self.entries[index][1]
 
     def _truncate_from(self, lsn):
         if lsn <= self.commit_lsn:
@@ -433,29 +398,108 @@ class ConsensusFollower(Standby):
                 "committed entry {} (commit_lsn={})".format(
                     self.name, lsn, self.commit_lsn))
         self.truncations += 1
-        self.log = [entry for entry in self.log if entry[0] < lsn]
+        self.entries = [entry for entry in self.entries if entry[0] < lsn]
 
-    def _heard(self):
-        self.heard_epoch += 1
+    def _adopt_term(self, term):
+        self.term = term
+
+    def _ack(self, message, ok, **extra):
+        self.send(message.sender, "append_ack", dict(
+            extra, term=self.term, ok=ok, match_lsn=self._last_lsn(),
+            echo=message.payload["echo"], member=self.name,
+        ))
+
+    def _hears_leader(self, message):
+        """Refuse (nack) an append from a stale term; otherwise adopt
+        the sender's term and leadership.  Returns whether to go on."""
+        payload = message.payload
+        if payload["term"] < self.term:
+            self._ack(message, False, stale=True)
+            return False
+        if payload["term"] > self.term:
+            self._adopt_term(payload["term"])
+        self.leader_name = payload["leader"]
+        return True
+
+    def _prev_mismatch(self, payload):
+        """Log matching on the entry preceding the shipped suffix: None
+        when it matches, ``"gap"`` when our log ends before it,
+        ``"conflict"`` when we hold a different term there."""
+        prev_lsn, prev_term = payload["prev"]
+        if prev_lsn > self._last_lsn():
+            return "gap"
+        mine = self._term_at(prev_lsn)
+        if mine is not None and mine != prev_term:
+            return "conflict"
+        return None
+
+    def _reject(self, message, mismatch):
+        """Nack a mismatched append, first truncating a conflicting
+        (necessarily uncommitted) suffix."""
+        if mismatch == "conflict":
+            self._truncate_from(message.payload["prev"][0])
+        self._ack(message, False)
+
+    def _append_new(self, entries):
+        """Append the entries we do not hold yet (duplicates skipped, a
+        conflicting suffix truncated); returns the ones appended."""
+        new = []
+        for lsn, term, records in entries:
+            if lsn <= self.base_lsn:
+                continue
+            have = self._term_at(lsn)
+            if have == term:
+                continue  # duplicate delivery
+            if have is not None:
+                self._truncate_from(lsn)
+            entry = (lsn, term, records)
+            self.entries.append(entry)
+            new.append(entry)
+        return new
+
+
+class ConsensusFollower(MemberLog, Standby):
+    """The data-holding voter of a metadata group.
+
+    Extends :class:`~repro.storage.replication.Standby` with a proper
+    replicated log: entries buffer above a snapshot base and only the
+    quorum-committed prefix is applied to the tables, so a conflicting
+    (necessarily uncommitted) suffix can still be truncated without
+    un-applying anything.  It is the only member that can stand for
+    election: on a full election-timeout of silence it pre-votes, then
+    votes, then claims the slot with the coordinator's registry.
+    """
+
+    def __init__(self, env, network, name, slot, witness_name,
+                 coordinator_name, rng, rpc_timeout_us=400.0,
+                 table_names=("dentry", "inode")):
+        super().__init__(env, network, name, table_names)
+        self.init_member_log()
+        self.slot = slot
+        self.witness_name = witness_name
+        self.coordinator_name = coordinator_name
+        #: Seeded per-follower RNG (from ``shared.streams``) for the
+        #: randomized election timeout draw.
+        self.rng = rng
+        self.rpc_timeout_us = rpc_timeout_us
+        #: Bumped on every message from a live leader; the election
+        #: loop compares epochs across its sleep instead of managing a
+        #: cancellable timer.
+        self.heard_epoch = 0
+        self.elections_started = 0
+        self.elections_won = 0
+        self._running = False
 
     # -- message handling ------------------------------------------------
 
     def handle(self, message):
-        kind = message.kind
-        if kind == "append_entries":
+        if message.kind == "append_entries":
             yield from self._on_append(message)
-            return
-        if kind == "applied_query":
-            yield from self.execute(self.costs.index_lookup_us)
-            self.respond(message, {"applied_lsn": self.applied_lsn})
-            return
-        if kind == "wal_ship":
+        elif message.kind == "wal_ship":
             # Legacy shipping must never reach a consensus follower.
             self.ignored_shipments += 1
-            return
-        raise RuntimeError(
-            "{} cannot handle {!r}".format(self.name, message)
-        )
+        else:
+            yield from super().handle(message)
 
     def _on_append(self, message):
         payload = message.payload
@@ -464,53 +508,29 @@ class ConsensusFollower(Standby):
             # is noise.  Never ack it — an ack would renew its lease.
             self.ignored_shipments += 1
             return
-        if payload["term"] < self.term:
-            self.send(message.sender, "append_ack", {
-                "term": self.term, "ok": False, "stale": True,
-                "match_lsn": self._last_lsn(),
-                "echo": payload["echo"], "member": self.name,
-            })
+        if not self._hears_leader(message):
             return
-        if payload["term"] > self.term:
-            self.term = payload["term"]
-        self.leader_name = payload["leader"]
-        self._heard()
+        self.heard_epoch += 1
         if self.catching_up:
             # A snapshot install is in flight and will reset the log
             # base; appends in the meantime are dropped (the leader's
             # heartbeat re-offers the suffix after the install).
             return
-        base_lsn, base_term = payload["base"]
-        if base_lsn > self._last_lsn():
+        if payload["base"][0] > self._last_lsn():
             # The leader's log starts above everything we have: only a
             # snapshot can catch us up.
             self.env.process(self._resync(payload["leader"]))
             return
-        prev_lsn, prev_term = payload["prev"]
-        if prev_lsn > self._last_lsn():
-            self._nack(message.sender, payload)  # gap
+        mismatch = self._prev_mismatch(payload)
+        if mismatch:
+            self._reject(message, mismatch)
             return
-        mine = self._term_at(prev_lsn)
-        if mine is not None and mine != prev_term:
-            self._truncate_from(prev_lsn)
-            self._nack(message.sender, payload)
-            return
-        appended = 0
-        nbytes = 0
-        for lsn, term, records in payload["entries"]:
-            if lsn <= self.log_base_lsn:
-                continue
-            have = self._term_at(lsn)
-            if have == term:
-                continue  # duplicate delivery
-            if have is not None:
-                self._truncate_from(lsn)
-            self.log.append((lsn, term, records))
-            appended += 1
-            nbytes += self.costs.wal_record_bytes * len(records)
-        if appended:
+        new = self._append_new(payload["entries"])
+        if new:
             # Durable append *before* the ack — quorum commit is only
             # meaningful if an ack certifies durability.
+            nbytes = sum(self.costs.wal_record_bytes * len(records)
+                         for _, _, records in new)
             yield self.env.fsync(
                 self.costs.wal_fsync_us
                 + nbytes * self.costs.wal_us_per_byte, nbytes)
@@ -524,22 +544,13 @@ class ConsensusFollower(Standby):
                 yield from self.execute(self.costs.index_insert_us * applied)
                 if self.halted or self.promoted:
                     return
-        self.send(message.sender, "append_ack", {
-            "term": self.term, "ok": True, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
-
-    def _nack(self, sender, payload):
-        self.send(sender, "append_ack", {
-            "term": self.term, "ok": False, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
+        self._ack(message, True)
 
     def _apply_committed(self):
         """Apply log entries up to the commit horizon; returns records
         applied.  This is the only path that touches the tables."""
         applied = 0
-        for lsn, _, records in self.log:
+        for lsn, _, records in self.entries:
             if lsn <= self.applied_lsn:
                 continue
             if lsn > self.commit_lsn:
@@ -597,20 +608,11 @@ class ConsensusFollower(Standby):
         if self.promoted or snap_lsn < self.applied_lsn:
             self.catching_up = False
             return 0
-        tables = {}
-        installed = 0
-        for table_name, entries in reply["tables"].items():
-            table = Table(table_name)
-            for key, value in entries:
-                table.put(tuple(key), value)
-                installed += 1
-            tables[table_name] = table
-        self.tables = tables
-        self.applied_lsn = snap_lsn
+        installed = self._install_snapshot(reply)
         self.commit_lsn = snap_lsn
-        self.log = []
-        self.log_base_lsn = snap_lsn
-        self.log_base_term = reply.get("term", 0)
+        self.entries = []
+        self.base_lsn = snap_lsn
+        self.base_term = reply.get("term", 0)
         self._pending = {}
         self.catching_up = False
         yield from self.execute(self.costs.index_insert_us * installed)
@@ -638,8 +640,8 @@ class ConsensusFollower(Standby):
         env = self.env
         clock = self.clock
         while self._running:
-            timeout = self.rng.uniform(self.election_timeout_us,
-                                       2.0 * self.election_timeout_us)
+            timeout = self.rng.uniform(ELECTION_TIMEOUT_US,
+                                       2.0 * ELECTION_TIMEOUT_US)
             epoch = self.heard_epoch
             yield env.timeout(clock.to_env_delay(timeout))
             if not self._running or self.promoted or self.halted:
@@ -654,6 +656,20 @@ class ConsensusFollower(Standby):
             if self.promoted:
                 return
 
+    def _request_vote(self, term, last, pre):
+        """Generator: one (pre-)vote round trip to the witness; the
+        reply, or None when the witness is unreachable."""
+        try:
+            reply = yield from deadline_call(
+                self, NULL_CONTEXT, self.witness_name, "request_vote",
+                {"term": term, "candidate": self.name,
+                 "last": last, "pre": pre},
+                timeout_us=self.rpc_timeout_us,
+            )
+        except RpcFailure:
+            return None
+        return reply
+
     def _run_election(self):
         self.elections_started += 1
         last = [self._last_lsn(), self._last_term()]
@@ -661,27 +677,13 @@ class ConsensusFollower(Standby):
         # up-to-date, leader actually silent) WITHOUT bumping the term,
         # so a partitioned follower cannot inflate terms and depose a
         # healthy leader the moment the partition heals.
-        try:
-            reply = yield from deadline_call(
-                self, NULL_CONTEXT, self.witness_name, "request_vote",
-                {"term": self.term + 1, "candidate": self.name,
-                 "last": last, "pre": True},
-                timeout_us=self.rpc_timeout_us,
-            )
-        except RpcFailure:
-            return
-        if not reply["granted"]:
+        reply = yield from self._request_vote(self.term + 1, last, True)
+        if reply is None or not reply["granted"]:
             return
         term = self.term + 1
         self.term = term
-        try:
-            reply = yield from deadline_call(
-                self, NULL_CONTEXT, self.witness_name, "request_vote",
-                {"term": term, "candidate": self.name,
-                 "last": last, "pre": False},
-                timeout_us=self.rpc_timeout_us,
-            )
-        except RpcFailure:
+        reply = yield from self._request_vote(term, last, False)
+        if reply is None:
             return
         if not reply["granted"]:
             self.term = max(self.term, reply["term"])
@@ -704,49 +706,28 @@ class ConsensusFollower(Standby):
         self.elections_won += 1
 
 
-class Witness(Node):
+class Witness(MemberLog, Node):
     """Vote-only consensus member: durable ``(lsn, term)`` positions,
     no data.  Acks appends (after paying the fsync), grants at most one
     vote per term, and enforces the two election safety rules — log
     up-to-dateness and leader stickiness."""
 
-    def __init__(self, env, network, name, election_timeout_us=4000.0):
+    def __init__(self, env, network, name):
         super().__init__(env, network, name)
-        self.election_timeout_us = election_timeout_us
-        self.term = 0
+        self.init_member_log()
         #: Candidate granted in the current term (one vote per term).
         self.voted_for = None
-        self.leader_name = None
         #: Witness-clock instant of the last message from a live leader;
-        #: votes are refused within ``election_timeout_us`` of it.
+        #: votes are refused within ``ELECTION_TIMEOUT_US`` of it.
         self.last_heard = float("-inf")
-        #: ``[(lsn, term), ...]`` above ``(base_lsn, base_term)``.
-        self.positions = []
-        self.base_lsn = 0
-        self.base_term = 0
         self.acked_appends = 0
         self.votes_granted = 0
         self.votes_refused = 0
         self.adoptions = 0
-        self.truncations = 0
 
-    def _last_lsn(self):
-        return self.positions[-1][0] if self.positions else self.base_lsn
-
-    def _last_term(self):
-        return self.positions[-1][1] if self.positions else self.base_term
-
-    def _term_at(self, lsn):
-        if lsn <= self.base_lsn:
-            return self.base_term if lsn == self.base_lsn else None
-        index = lsn - self.base_lsn - 1
-        if index >= len(self.positions):
-            return None
-        return self.positions[index][1]
-
-    def _truncate_from(self, lsn):
-        self.truncations += 1
-        self.positions = [p for p in self.positions if p[0] < lsn]
+    def _adopt_term(self, term):
+        self.term = term
+        self.voted_for = None
 
     def handle(self, message):
         if message.kind == "append_entries":
@@ -761,73 +742,37 @@ class Witness(Node):
 
     def _on_append(self, message):
         payload = message.payload
-        if payload["term"] < self.term:
-            self.send(message.sender, "append_ack", {
-                "term": self.term, "ok": False, "stale": True,
-                "match_lsn": self._last_lsn(),
-                "echo": payload["echo"], "member": self.name,
-            })
+        if not self._hears_leader(message):
             return
-        if payload["term"] > self.term:
-            self.term = payload["term"]
-            self.voted_for = None
-        self.leader_name = payload["leader"]
         self.last_heard = self.clock.now_us()
-        base = payload["base"]
-        prev_lsn, prev_term = payload["prev"]
-        gap = prev_lsn > self._last_lsn()
-        mine = None if gap else self._term_at(prev_lsn)
-        conflict = mine is not None and mine != prev_term
-        if gap or conflict:
-            if [prev_lsn, prev_term] == base:
-                # The current-term leader's snapshot horizon: adopt it.
-                # This is the witness's install-snapshot — the elected
-                # (or restarted) leader's base is authoritative, and
-                # the vote rule guarantees our positions never exceed
-                # an elected leader's log.
-                self.adoptions += 1
-                self.positions = []
-                self.base_lsn, self.base_term = base
-            elif conflict:
-                self._truncate_from(prev_lsn)
-                self._nack(message.sender, payload)
+        mismatch = self._prev_mismatch(payload)
+        if mismatch:
+            if payload["prev"] != payload["base"]:
+                self._reject(message, mismatch)
                 return
-            else:
-                self._nack(message.sender, payload)
-                return
-        appended = 0
-        for lsn, term, _ in payload["entries"]:
-            if lsn <= self.base_lsn:
-                continue
-            have = self._term_at(lsn)
-            if have == term:
-                continue
-            if have is not None:
-                self._truncate_from(lsn)
-            self.positions.append((lsn, term))
-            appended += 1
-        if appended:
+            # The current-term leader's snapshot horizon: adopt it.
+            # This is the witness's install-snapshot — the elected (or
+            # restarted) leader's base is authoritative, and the vote
+            # rule guarantees our positions never exceed an elected
+            # leader's log.
+            self.adoptions += 1
+            self.entries = []
+            self.base_lsn, self.base_term = payload["base"]
+        new = self._append_new(
+            (lsn, term, None) for lsn, term, _ in payload["entries"])
+        if new:
             yield self.env.fsync(self.costs.wal_fsync_us,
-                                 appended * self.costs.wal_record_bytes)
+                                 len(new) * self.costs.wal_record_bytes)
             if self.halted:
                 return
         self.acked_appends += 1
-        self.send(message.sender, "append_ack", {
-            "term": self.term, "ok": True, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
-
-    def _nack(self, sender, payload):
-        self.send(sender, "append_ack", {
-            "term": self.term, "ok": False, "match_lsn": self._last_lsn(),
-            "echo": payload["echo"], "member": self.name,
-        })
+        self._ack(message, True)
 
     def _on_vote(self, message):
         payload = message.payload
         yield from self.execute(self.costs.index_lookup_us)
         now = self.clock.now_us()
-        heard_recently = (now - self.last_heard) < self.election_timeout_us
+        heard_recently = (now - self.last_heard) < ELECTION_TIMEOUT_US
         c_lsn, c_term = payload["last"]
         up_to_date = (c_term, c_lsn) >= (self._last_term(),
                                          self._last_lsn())
@@ -841,8 +786,7 @@ class Witness(Node):
             self.respond(message, {"granted": False, "term": self.term})
             return
         if payload["term"] > self.term:
-            self.term = payload["term"]
-            self.voted_for = None
+            self._adopt_term(payload["term"])
         granted = (not heard_recently and up_to_date
                    and self.voted_for in (None, payload["candidate"]))
         if granted:
@@ -860,21 +804,9 @@ def term_positions(member):
     """``{lsn: term}`` for any consensus participant — leader log
     (:class:`ReplicatedLog`), data follower, or witness — including its
     base position.  Genesis (lsn 0) is excluded."""
-    if isinstance(member, ReplicatedLog):
-        base = (member.base_lsn, member.base_term)
-        tail = [(lsn, term) for lsn, term, _ in member.entries]
-    elif isinstance(member, ConsensusFollower):
-        base = (member.log_base_lsn, member.log_base_term)
-        tail = [(lsn, term) for lsn, term, _ in member.log]
-    elif isinstance(member, Witness):
-        base = (member.base_lsn, member.base_term)
-        tail = list(member.positions)
-    else:
-        raise TypeError("not a consensus participant: {!r}".format(member))
-    out = {}
-    if base[0] > 0:
-        out[base[0]] = base[1]
-    out.update(dict(tail))
+    out = {lsn: term for lsn, term, _ in member.entries}
+    if member.base_lsn > 0:
+        out[member.base_lsn] = member.base_term
     return out
 
 

@@ -138,6 +138,30 @@ class LogShipper:
         finally:
             self._retx_armed = False
 
+    # -- the shipper surface MNodes and the cluster program against ------
+    # (:class:`~repro.storage.consensus.ReplicatedLog` is the other
+    # implementation: ship, on_ack, leading, wait_quorum,
+    # snapshot_position.)
+
+    def on_ack(self, sender, payload):
+        """Consume a ``wal_ack`` from the current standby (a retired
+        standby's straggler names an LSN space that no longer exists)."""
+        if sender == self.standby_name:
+            self.acknowledge(payload["applied_lsn"])
+
+    def leading(self, now_us):
+        """Asynchronous shipping never fences the serve path."""
+        return True
+
+    def wait_quorum(self, lsn=None):
+        """Generator: asynchronous shipping acknowledges at once."""
+        return True
+        yield  # pragma: no cover
+
+    def snapshot_position(self):
+        """The shipping position a table copy taken now reflects."""
+        return {"lsn": self.next_lsn - 1}
+
     def acknowledge(self, applied_lsn):
         """Consume a standby ack: prune history up to ``applied_lsn``,
         keeping only the unacknowledged suffix.  Pruning runs even for
@@ -292,16 +316,7 @@ class Standby(Node):
             self.send(primary_name, "wal_ack",
                       {"applied_lsn": self.applied_lsn})
             return 0
-        tables = {}
-        installed = 0
-        for table_name, entries in reply["tables"].items():
-            table = Table(table_name)
-            for key, value in entries:
-                table.put(tuple(key), value)
-                installed += 1
-            tables[table_name] = table
-        self.tables = tables
-        self.applied_lsn = reply["lsn"]
+        installed = self._install_snapshot(reply)
         # Shipments the snapshot already covers are dropped; the rest
         # stay buffered and apply in order below.
         self._pending = {
@@ -315,6 +330,21 @@ class Standby(Node):
         )
         self.send(primary_name, "wal_ack",
                   {"applied_lsn": self.applied_lsn})
+        return installed
+
+    def _install_snapshot(self, reply):
+        """Replace the tables with a ``snapshot`` reply's copy and
+        fast-forward the applied LSN to it; returns rows installed."""
+        tables = {}
+        installed = 0
+        for table_name, entries in reply["tables"].items():
+            table = Table(table_name)
+            for key, value in entries:
+                table.put(tuple(key), value)
+                installed += 1
+            tables[table_name] = table
+        self.tables = tables
+        self.applied_lsn = reply["lsn"]
         return installed
 
     def lag(self, shipper):

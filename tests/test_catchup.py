@@ -121,7 +121,7 @@ class TestConsensusFollowerGuard:
         installed = cluster.run_process(follower.catch_up(mnode.name))
         assert installed > 0
         assert follower.table("inode").get((1, "seeded")).ino == 42
-        assert follower.log_base_lsn == follower.applied_lsn
+        assert follower.base_lsn == follower.applied_lsn
 
     def test_stale_snapshot_is_refused(self):
         cluster = FalconCluster(FalconConfig(

@@ -26,7 +26,7 @@ def test_registry_covers_all_paper_results():
     assert set(EXPERIMENTS) == {
         "fig02", "fig04", "fig10", "fig11", "fig12", "fig13", "fig14",
         "fig15a", "fig15b", "fig16", "fig17", "tab03", "sensitivity",
-        "straggler", "breakdown", "failover", "restart", "bench",
+        "straggler", "breakdown", "failover", "restart",
         "grayfail", "election", "rebalance",
     }
 

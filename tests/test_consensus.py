@@ -67,8 +67,11 @@ def _all_but(cluster, keep):
 
 
 class TestWiring:
-    def test_groups_are_built_per_slot(self):
-        cluster = _consensus_cluster()
+    @pytest.mark.parametrize("replication", [True, False])
+    def test_groups_are_built_per_slot(self, replication):
+        # Consensus alone still builds the data-holding member: a group
+        # of leader + witness only would ack with no quorum behind it.
+        cluster = _consensus_cluster(replication=replication)
         assert len(cluster.witnesses) == len(cluster.mnodes)
         for i, mnode in enumerate(cluster.mnodes):
             assert isinstance(mnode.shipper, ReplicatedLog)
@@ -103,7 +106,8 @@ class TestFencing:
         the log fences permanently — no serving, no appending."""
         cluster = _consensus_cluster()
         log = cluster.mnodes[0].shipper
-        log.on_ack({"term": log.term + 1, "ok": False, "stale": True,
+        log.on_ack(log.witness_name,
+                   {"term": log.term + 1, "ok": False, "stale": True,
                     "match_lsn": 0, "echo": None,
                     "member": log.witness_name})
         assert log.deposed

@@ -11,6 +11,11 @@ import pytest
 
 from repro.core import FalconCluster, FalconConfig
 from repro.faults import FaultInjector
+from repro.faults.detector import (
+    HEARTBEAT_INTERVAL_US,
+    HEARTBEAT_MISS_THRESHOLD,
+    HEARTBEAT_TIMEOUT_US,
+)
 from repro.net import CostModel, Network, Node, RpcError, RpcFailure
 from repro.net.transport import LOCAL_LABEL
 from repro.obs import NULL_CONTEXT, deadline_call
@@ -335,10 +340,9 @@ class TestDetectorFailover:
         FaultInjector(cluster).crash_mnode_at(crash_at, index=0)
         cluster.run_for(15000.0)
         detector.stop()
-        cfg = cluster.config
-        bound = (cfg.heartbeat_miss_threshold
-                 * (cfg.heartbeat_interval_us + cfg.heartbeat_timeout_us)
-                 + cfg.heartbeat_interval_us + 100.0)
+        bound = (HEARTBEAT_MISS_THRESHOLD
+                 * (HEARTBEAT_INTERVAL_US + HEARTBEAT_TIMEOUT_US)
+                 + HEARTBEAT_INTERVAL_US + 100.0)
         assert detector.log
         assert detector.log[0]["declared_at"] - crash_at <= bound
 

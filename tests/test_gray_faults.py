@@ -28,6 +28,11 @@ import pytest
 from repro.core import FalconCluster, FalconConfig
 from repro.core.records import VALID
 from repro.faults import FaultInjector
+from repro.faults.detector import (
+    HEARTBEAT_INTERVAL_US,
+    HEARTBEAT_MISS_THRESHOLD,
+    HEARTBEAT_TIMEOUT_US,
+)
 from repro.net import CostModel, Network, Node, RpcError, RpcFailure
 from repro.obs import OpContext, RetryPolicy, retry
 from repro.sim import Environment
@@ -548,7 +553,6 @@ class TestDetectorCadence:
             num_mnodes=3, num_storage=1, replication=True,
             rpc_timeout_us=400.0,
         ))
-        cfg = cluster.config
         env = cluster.env
         fs = cluster.fs()
         fs.mkdir("/d")
@@ -566,10 +570,10 @@ class TestDetectorCadence:
         cluster.detector.stop()
         assert cluster.detector.log, "crash was never detected"
         detect_us = cluster.detector.log[0]["declared_at"] - crash_at
-        floor = (cfg.heartbeat_miss_threshold
-                 * cfg.heartbeat_interval_us + cfg.heartbeat_timeout_us)
+        floor = (HEARTBEAT_MISS_THRESHOLD
+                 * HEARTBEAT_INTERVAL_US + HEARTBEAT_TIMEOUT_US)
         # One extra interval of slack: the crash lands mid-tick.
-        assert detect_us <= floor + cfg.heartbeat_interval_us
+        assert detect_us <= floor + HEARTBEAT_INTERVAL_US
 
 
 # ----------------------------------------------------------------------

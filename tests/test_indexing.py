@@ -12,11 +12,9 @@ from repro.core.indexing import (
     ROUTE_PATHWALK,
     ExceptionTable,
     HybridIndex,
-    stable_hash,
-)
-from repro.core.mnode import (
     exception_table_from_wire,
     exception_table_to_wire,
+    stable_hash,
 )
 from repro.metrics import load_share_extremes
 

@@ -91,3 +91,89 @@ def test_guard_list_is_current():
                          "baselines", "analysis", "check", "cli"}, (
         "new subpackage {} — add it to GUARDED or the sim-side allowlist"
         .format(sorted(unguarded)))
+
+
+# ----------------------------------------------------------------------
+# the owner-write scaffold is unskippable
+# ----------------------------------------------------------------------
+
+MNODE = SRC / "core" / "mnode.py"
+
+#: Functions of core/mnode.py allowed to touch ``_slot_writers`` or to
+#: X-lock an ``("i", ...)``/``("d", ...)`` key directly, besides the
+#: ``_OwnerWrite`` scaffold itself.
+SCAFFOLD_EXEMPT = {
+    "MNode.__init__",              # declares the counter
+    "MNode._execute_batch_body",   # the merged batch path: sorted,
+                                   # coalesced acquisition (hot path)
+    "MNode._mkdir_eager",          # Fig 15a "no inv" ablation: its own
+    "MNode._on_replica_prepare",   # single-lock 2PC across replicas
+}
+
+
+def _functions(tree):
+    """(qualified name, node) for every function, nested ones under
+    their enclosing function's name."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+    return visit(tree, "")
+
+
+def _locks_key_exclusively(call):
+    """``<x>.locks.acquire(("i"|"d", ...) [+ key], LockMode.EXCLUSIVE)``."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "acquire"
+            and "locks" in ast.unparse(func.value)):
+        return False
+    args = [ast.unparse(arg) for arg in call.args]
+    args += [ast.unparse(kw.value) for kw in call.keywords]
+    return (any("EXCLUSIVE" in arg for arg in args)
+            and any(arg.startswith(("('i'", "('d'")) for arg in args[:1]))
+
+
+def test_owner_writes_go_through_the_scaffold():
+    tree = ast.parse(MNODE.read_text(), filename=str(MNODE))
+    seen = set()
+    bad = []
+    for name, fn in _functions(tree):
+        seen.add(name)
+        if name.startswith("_OwnerWrite.") or name in SCAFFOLD_EXEMPT:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "_slot_writers":
+                bad.append("{}:{}: {} touches _slot_writers".format(
+                    MNODE.name, node.lineno, name))
+            if isinstance(node, ast.Call) and _locks_key_exclusively(node):
+                bad.append("{}:{}: {} X-locks an i/d key directly".format(
+                    MNODE.name, node.lineno, name))
+    assert not bad, (
+        "owner-side writes must run inside _OwnerWrite:\n" + "\n".join(bad))
+    # The lint must actually see the scaffold and its allow-list.
+    assert "_OwnerWrite.lock" in seen and SCAFFOLD_EXEMPT <= seen
+    locked = [node for name, fn in _functions(tree)
+              if name == "_OwnerWrite.lock" for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and "EXCLUSIVE" in ast.unparse(node)]
+    assert locked, "the lint no longer recognises the scaffold's own lock"
+
+
+def test_core_never_probes_shipper_capabilities():
+    """LogShipper and ReplicatedLog share one declared surface; nothing
+    under core/ may ask a shipper, follower or standby what it is."""
+    bad = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("hasattr", "isinstance")
+                    and node.args and any(
+                        word in ast.unparse(node.args[0])
+                        for word in ("shipper", "follower", "standby"))):
+                bad.append("{}:{}: {}".format(
+                    path.relative_to(SRC.parent), node.lineno,
+                    ast.unparse(node)))
+    assert not bad, "\n".join(bad)

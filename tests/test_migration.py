@@ -3,11 +3,12 @@ and the handoff/failover interaction.
 
 Four layers:
 
-* **planted bug** — with the test-only ``broken_handoff`` flag (the
-  destination activates a migrated slot before the fenced delta is
-  applied) the checker's migrate mix must catch the resulting loss
+* **planted bug** — with a broken handoff monkeypatched into
+  ``MNode`` (the destination activates a migrated slot before the
+  fenced delta is applied) the checker's migrate mix must catch the
+  resulting loss
   within 50 seeds, and ddmin must shrink the reproducer to a handful
-  of ops; the identical schedule without the flag stays clean, so the
+  of ops; the identical schedule without the plant stays clean, so the
   oracle is detecting the bug and not background noise;
 * **golden trace** — a fixed two-handoff schedule reproduces its
   committed digest bit-for-bit (``tests/golden/migration_trace.json``);
@@ -27,6 +28,7 @@ from repro.check.runner import run_schedule
 from repro.check.schedule import generate_schedule
 from repro.check.shrink import shrink
 from repro.core import FalconCluster, FalconConfig
+from repro.core.mnode import MNode
 from tests.golden_migration_workload import (
     MIGRATION_GOLDEN_PATH,
     run_migration_golden,
@@ -61,23 +63,37 @@ def test_migrate_mix_seeds_run_clean():
 # planted bug: broken handoff is caught and shrinks small
 # ----------------------------------------------------------------------
 
-def _first_caught_seed():
-    for seed in range(50):
-        sched = generate_schedule(seed, **_SHAPE)
-        sched["config"]["broken_handoff"] = True
-        result = run_schedule(sched)
-        if result["violations"]:
-            return seed, sched, result
-    return None, None, None
+_ORIG_SLOT_INSTALL = MNode._on_slot_install
+
+
+def _early_activating_install(self, message):
+    """PLANTED BUG: start serving as soon as the snapshot lands, without
+    waiting for the fenced delta — any write the source acknowledged
+    during the capture window is invisible at the destination, and the
+    real activate then finds the slot serving and drops the delta."""
+    yield from _ORIG_SLOT_INSTALL(self, message)
+    slot = message.payload["slot"]
+    self.pending_slots.discard(slot)
+    self.hosted_slots.add(slot)
+    self.moved_slots.pop(slot, None)
+
+
+def _plant(patcher):
+    """Class-level plant (like the lock leak in tests/test_check.py), so
+    every cluster the scan and the shrinker's re-runs build inherits it."""
+    patcher.setattr(MNode, "_on_slot_install", _early_activating_install)
 
 
 @pytest.fixture(scope="module")
 def caught():
-    seed, sched, result = _first_caught_seed()
-    assert seed is not None, (
-        "broken_handoff survived 50 migrate-mix seeds undetected"
-    )
-    return seed, sched, result
+    with pytest.MonkeyPatch.context() as patcher:
+        _plant(patcher)
+        for seed in range(50):
+            sched = generate_schedule(seed, **_SHAPE)
+            result = run_schedule(sched)
+            if result["violations"]:
+                return seed, sched, result
+    pytest.fail("broken handoff survived 50 migrate-mix seeds undetected")
 
 
 def test_broken_handoff_caught_within_fifty_seeds(caught):
@@ -86,13 +102,14 @@ def test_broken_handoff_caught_within_fifty_seeds(caught):
     # The bug drops the fenced delta: acked writes vanish (durability)
     # and/or the handoff bookkeeping never discharges (slot leaks).
     assert invariants & {"durability", "pending-slot-leak", "ownership"}
-    # Control: the identical schedule without the planted flag is clean,
-    # so the oracle is catching the bug, not background noise.
+    # Control: the identical schedule without the plant is clean, so
+    # the oracle is catching the bug, not background noise.
     control = generate_schedule(seed, **_SHAPE)
     assert run_schedule(control)["violations"] == []
 
 
-def test_broken_handoff_shrinks_to_minimal_reproducer(caught):
+def test_broken_handoff_shrinks_to_minimal_reproducer(caught, monkeypatch):
+    _plant(monkeypatch)
     _seed, sched, _result = caught
     minimal, _runs, min_result = shrink(sched, max_runs=400)
     assert min_result["violations"]

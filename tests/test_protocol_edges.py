@@ -7,6 +7,7 @@ from repro.core import FalconCluster, FalconConfig
 from repro.core.verify import check_cluster_invariants
 from repro.net.rpc import RpcError, RpcFailure
 from repro.storage import LockMode
+from repro.vfs.attrs import ROOT_INO
 
 
 @pytest.fixture
@@ -82,6 +83,136 @@ class TestRenameHazards:
         env.run(until=env.all_of([a, b]))
         assert sorted(outcomes) == ["EEXIST", "ok"]
         check_cluster_invariants(cluster)
+
+
+class TestOwnerWriteScaffold:
+    """The three ways out of ``_OwnerWrite``: serialized behind another
+    writer, a protocol step that fails mid-write, and a slot fenced
+    while the writer was still queued on its locks.  Each must answer
+    the caller and leave nothing behind."""
+
+    @staticmethod
+    def _residue(mnode):
+        return {
+            "locks": sorted(mnode.locks._locks),
+            "writers": {s: n for s, n in mnode._slot_writers.items() if n},
+            "staged": dict(mnode._staged),
+        }
+
+    CLEAN = {"locks": [], "writers": {}, "staged": {}}
+
+    def test_step_failing_mid_write_leaves_nothing(self):
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
+        cluster.fs().mkdir("/d")
+        owner = cluster.mnodes[0]
+        key = (ROOT_INO, "d")
+        before = (owner.inodes.get(key), owner.dentries.get(key),
+                  dict(owner.filename_counts), owner.wal.appended_txns)
+
+        def step(w, key):
+            w.delete(key)                       # staged, never committed
+            yield from owner.execute(1.0)
+            raise RpcFailure(RpcError.ENOTEMPTY, "mid-write")
+
+        owner._on_test_write = lambda message: owner._owner_write(
+            message, "test", step)
+        with pytest.raises(RpcFailure) as err:
+            cluster.run_process(_call(
+                cluster.coordinator, owner.name, "test_write",
+                {"pid": ROOT_INO, "name": "d"}))
+        assert err.value.code == RpcError.ENOTEMPTY
+        assert self._residue(owner) == self.CLEAN
+        assert before == (owner.inodes.get(key), owner.dentries.get(key),
+                          dict(owner.filename_counts),
+                          owner.wal.appended_txns)
+        check_cluster_invariants(cluster)
+
+    def test_slot_fenced_while_queued_on_the_locks_bounces(self):
+        cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
+        cluster.fs().mkdir("/d")
+        key = (ROOT_INO, "d")
+        slot = cluster.coordinator.index.locate(*key)
+        owner = cluster.mnodes[slot]
+        blocker = owner.locks.acquire(("d",) + key, LockMode.EXCLUSIVE)
+        reply = cluster.coordinator.call(
+            owner.name, "rmdir_exec",
+            {"pid": ROOT_INO, "name": "d", "path": "/d"})
+        reply.defused = True
+        cluster.run_for(1000.0)
+        assert not reply.triggered      # parked behind the blocker
+        # The fence's first, no-yield instant — then the lock frees up.
+        owner.hosted_slots.discard(slot)
+        owner.moved_slots[slot] = {"node": 1 - slot, "epoch": 7}
+        owner.locks.release(blocker)
+        cluster.run_for(1000.0)
+        assert reply.triggered and not reply.ok
+        assert reply.value.code == RpcError.EMOVED
+        assert reply.value.detail == {"slot": slot, "node": 1 - slot,
+                                      "epoch": 7}
+        assert self._residue(owner) == self.CLEAN
+        assert owner.inodes.get(key) is not None
+
+    def test_rmdir_and_rename_prepare_on_one_key_serialize(self):
+        """Every owner-side mutation takes a key's lock pair in one
+        order (``("d", key)`` then ``("i", key)``).  When rmdir_exec
+        locked d→i and rename_prepare i→d, the two delivered in the same
+        instant each took one X lock and parked forever on the other."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
+        cluster.fs().mkdir("/d")
+        coordinator, owner = cluster.coordinator, cluster.mnodes[0]
+        replies = [
+            coordinator.call(owner.name, "rmdir_exec",
+                             {"pid": ROOT_INO, "name": "d", "path": "/d"}),
+            coordinator.call(owner.name, "rename_prepare",
+                             {"txid": "rn-test", "action": "delete",
+                              "key": [ROOT_INO, "d"]}),
+        ]
+        for reply in replies:
+            reply.defused = True  # either may legitimately answer ENOENT
+        cluster.run_for(100_000.0)
+        assert all(reply.triggered for reply in replies)
+        waiting = {key: owner.locks.queue_length(key)
+                   for key in (("d", ROOT_INO, "d"), ("i", ROOT_INO, "d"))}
+        assert not any(waiting.values()), waiting
+        # Whichever ran second saw the first one's outcome; the staged
+        # half (if the prepare won) releases cleanly on abort.
+        cluster.run_process(_call(coordinator, owner.name, "rename_abort",
+                                  {"txid": "rn-test"}))
+        assert self._residue(owner) == self.CLEAN
+
+    def test_op_deadline_alone_never_abandons_a_queued_prepare(self):
+        """With only ``op_deadline_us`` set (no per-attempt RPC timeout)
+        prepares carry no deadline, so the participant has neither the
+        late-prepare refusal nor an in-doubt resolver.  The coordinator
+        must then sit the hop out: abandoning it at the op deadline
+        leaves a prepare that was queued on its locks to stage its half
+        — X locks, slot pin — with nobody left to release it."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             op_deadline_us=3000.0))
+        cluster.fs().create("/a")
+        owner = cluster.mnodes[0]
+        blocker = owner.locks.acquire(("d", ROOT_INO, "a"),
+                                      LockMode.EXCLUSIVE)
+        client = cluster.add_client()
+        done = cluster.env.process(_swallow(client.rename("/a", "/b")))
+        cluster.run_for(10_000.0)       # well past the op deadline
+        assert done.value.code == RpcError.ETIMEDOUT    # client gave up
+        owner.locks.release(blocker)
+        cluster.run_for(100_000.0)
+        assert self._residue(owner) == self.CLEAN
+        check_cluster_invariants(cluster)
+
+
+def _swallow(generator):
+    try:
+        yield from generator
+    except RpcFailure as failure:
+        return failure
+
+
+def _call(node, target, kind, payload):
+    reply = yield node.call(target, kind, payload)
+    return reply
 
 
 class TestCommitRedelivery:
