@@ -138,7 +138,7 @@ class FalconConfig:
     #: default: golden traces stay bit-identical.
     retry_jitter: float = 0.0
     #: Absolute per-operation deadline, microseconds (0 = no deadline).
-    #: Enforced at every hop via the kernel's Interrupt machinery.
+    #: Enforced at every hop by ``deadline_call`` (reply raced against a timer).
     op_deadline_us: float = 0.0
     #: Per-RPC-attempt timeout, microseconds (0 = no per-attempt bound).
     #: Required when faults are injected: a black-holed RPC to a crashed

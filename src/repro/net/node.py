@@ -86,7 +86,10 @@ class Node:
 
         The reply event succeeds with the responder's payload, or fails
         with :class:`~repro.net.rpc.RpcFailure` carrying an
-        :class:`~repro.net.rpc.RpcError` code.
+        :class:`~repro.net.rpc.RpcError` code.  The response's arrival
+        *settles* it (``reply.settle(ok, value)``): the caller resumes
+        inside the arrival itself, and a reply to a call already given
+        up on (see :func:`repro.obs.retry.deadline_call`) is dropped.
         """
         reply = self.env.event()
         self.send(recipient, kind, payload, size, reply_to=reply, ctx=ctx)
@@ -115,9 +118,9 @@ class Node:
                         node=message.sender,
                         attrs={"kind": message.kind, "bytes": size},
                     )
-                reply_to.succeed(payload)
+                reply_to.settle(True, payload)
         else:
-            deliver = partial(reply_to.succeed, payload)
+            deliver = partial(reply_to.settle, True, payload)
         self.network.send_response(self.name, message, size, deliver)
         self._responded.inc(message.kind)
 
@@ -138,9 +141,9 @@ class Node:
                         node=message.sender,
                         attrs={"kind": message.kind, "error": str(failure)},
                     )
-                reply_to.fail(failure)
+                reply_to.settle(False, failure)
         else:
-            deliver = partial(reply_to.fail, failure)
+            deliver = partial(reply_to.settle, False, failure)
         self.network.send_response(self.name, message, size, deliver)
         self._responded_error.inc(message.kind)
 

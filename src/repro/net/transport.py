@@ -37,6 +37,7 @@ links the send paths take their original branches untouched.
 """
 
 import random
+from functools import partial
 
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import CAT_NET
@@ -277,24 +278,23 @@ class Network:
             if delay is None:
                 self._lost.inc(message.kind)
                 return
+        self.env.timer(delay, partial(self._arrive, message, dst))
+
+    def _arrive(self, message, dst, _timer):
+        """A request reaches ``dst`` (the hop timer's callback)."""
+        if ((self._down or self._blocked) and not
+                self.reachable(message.sender, message.recipient)):
+            self._drop(message)
+            return
+        now = message.arrive_time = self.env.now
         ctx = message.ctx
-
-        def arrive(env=self.env):
-            yield env.schedule_timeout(delay)
-            if ((self._down or self._blocked) and not
-                    self.reachable(message.sender, message.recipient)):
-                self._drop(message)
-                return
-            message.arrive_time = env.now
-            if ctx is not None and ctx.traced:
-                ctx.record(
-                    "net.hop", CAT_NET, message.send_time, env.now,
-                    node=message.recipient,
-                    attrs={"kind": message.kind, "bytes": message.size},
-                )
-            dst.deliver(message)
-
-        self.env.process(arrive())
+        if ctx is not None and ctx.traced:
+            ctx.record(
+                "net.hop", CAT_NET, message.send_time, now,
+                node=message.recipient,
+                attrs={"kind": message.kind, "bytes": message.size},
+            )
+        dst.deliver(message)
 
     def send_response(self, responder, message, size, deliver):
         """Model the response hop for an RPC ``message``.
@@ -315,7 +315,9 @@ class Network:
         if responder == requester:
             self._responses.inc(LOCAL_LABEL)
             self._response_bytes.inc(LOCAL_LABEL, size)
-            deliver()
+            # Still one scheduler turn: the caller is a queued waiter,
+            # and must not resume in the middle of the responder's step.
+            self.env.timer(0.0, lambda _timer: deliver())
             return
         self._responses.inc(message.kind)
         self._response_bytes.inc(message.kind, size)
@@ -325,16 +327,17 @@ class Network:
             if delay is None:
                 self._lost.inc(message.kind)
                 return
+        self.env.timer(
+            delay, partial(self._arrive_response, responder, message,
+                           deliver))
 
-        def arrive(env=self.env):
-            yield env.schedule_timeout(delay)
-            if ((self._down or self._blocked) and not
-                    self.reachable(responder, requester)):
-                self._drop(message)
-                return
-            deliver()
-
-        self.env.process(arrive())
+    def _arrive_response(self, responder, message, deliver, _timer):
+        """A response reaches the requester (the hop timer's callback)."""
+        if ((self._down or self._blocked) and not
+                self.reachable(responder, message.sender)):
+            self._drop(message)
+            return
+        deliver()
 
     # -- accounting ------------------------------------------------------
 

@@ -10,11 +10,11 @@ call site:
   attempt budget is exhausted or the next backoff would overshoot the
   deadline.
 * :func:`deadline_call` issues one RPC and enforces
-  ``OpContext.deadline`` on it using the environment's
-  :class:`~repro.runtime.api.Interrupt` machinery: a watchdog process
-  interrupts the waiter at the deadline, the abandoned reply event is
-  defused (a late error response must not crash the run), and the
-  caller sees ``RpcFailure(ETIMEDOUT)``.
+  ``OpContext.deadline`` on it as a race between the reply and one
+  cancellable ``env.timer``: whichever settles the reply handle first
+  wins.  At the deadline the caller sees ``RpcFailure(ETIMEDOUT)``; a
+  reply that straggles in afterwards — payload or error — finds the
+  handle settled and is dropped.  A reply in time cancels the timer.
 * :func:`redeliver` is the control plane's "this step is decided, make
   it land" loop: a bounded call re-issued under a doubling backoff,
   re-resolving its target each time so delivery follows a promotion or
@@ -29,7 +29,6 @@ from itertools import count
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs.context import NULL_CONTEXT
 from repro.obs.tracer import CAT_RETRY
-from repro.runtime import Interrupt
 
 #: Codes the shared :func:`retry` helper treats as transient by default.
 #: ENOTLEADER/ESTALE_TERM are retryable but — unlike EREDIRECT — carry
@@ -42,9 +41,6 @@ from repro.runtime import Interrupt
 #: re-resolve — the hint updates *state*, not the next attempt's target.
 RETRYABLE = (RpcError.ERETRY, RpcError.EREDIRECT,
              RpcError.ENOTLEADER, RpcError.ESTALE_TERM, RpcError.EMOVED)
-
-#: Sentinel passed as the interrupt cause by the deadline watchdog.
-DEADLINE_EXPIRED = object()
 
 #: The operation retry schedule (:class:`RetryPolicy` defaults): attempt
 #: budget per operation, backoff base (microseconds), growth and cap.
@@ -179,7 +175,7 @@ def deadline_call(node, ctx, target, kind, payload=None, size=None,
     """Generator: one RPC from ``node`` to ``target`` under the
     context's deadline.  Returns the reply payload; raises
     ``RpcFailure(ETIMEDOUT)`` at the deadline (without waiting for the
-    straggling reply, whose event is defused so a late error cannot
+    straggling reply, which is dropped on arrival so a late error cannot
     crash the run), or the responder's failure.
 
     ``timeout_us`` additionally bounds *this attempt*: the effective
@@ -206,26 +202,17 @@ def deadline_call(node, ctx, target, kind, payload=None, size=None,
             RpcError.ETIMEDOUT, "{} to {} (not sent)".format(kind, target)
         )
     reply = node.call(target, kind, payload, size, ctx=ctx)
-    waiter = env.process(_await(reply))
-    watchdog = env.process(_watchdog(
-        env, waiter,
-        remaining if clock is None else clock.to_env_delay(remaining)))
+    # Reply versus timer, first to settle the handle wins: an expiring
+    # timer settles it with ETIMEDOUT, after which the straggling reply
+    # (payload or error alike) is dropped by ``settle``.
+    timer = env.timer(
+        remaining if clock is None else clock.to_env_delay(remaining),
+        lambda _timer: reply.settle(False, RpcFailure(
+            RpcError.ETIMEDOUT, "{} to {}".format(kind, target))))
     try:
-        result = yield waiter
-    except Interrupt:
-        # The watchdog fired: abandon the in-flight RPC.  A late reply
-        # now resolves an event nobody waits on; defusing it keeps a
-        # late *error* response from surfacing as an unhandled failure.
-        reply.defused = True
-        raise RpcFailure(
-            RpcError.ETIMEDOUT, "{} to {}".format(kind, target)
-        ) from None
-    except BaseException:
-        if watchdog.is_alive:
-            watchdog.interrupt()
-        raise
-    if watchdog.is_alive:
-        watchdog.interrupt()
+        result = yield reply
+    finally:
+        timer.cancel()
     return result
 
 
@@ -258,17 +245,3 @@ def redeliver(node, resolve_target, kind, payload, timeout_us=None,
                 raise
         yield node.env.timeout(backoff_us)
         backoff_us = min(backoff_us * 2, REDELIVER_BACKOFF_MAX_US)
-
-
-def _await(reply):
-    result = yield reply
-    return result
-
-
-def _watchdog(env, victim, delay):
-    try:
-        yield env.timeout(delay)
-    except Interrupt:
-        return
-    if victim.is_alive:
-        victim.interrupt(DEADLINE_EXPIRED)

@@ -110,11 +110,24 @@ class AioEvent:
         self.env._dispatch_soon(self)
         return self
 
+    def settle(self, ok, value):
+        """Deliver an outcome now: trigger the event and run its waiters
+        in this loop turn.  Settling an already-settled event is a
+        silent no-op (a reply straggling in past its deadline); see
+        :meth:`repro.sim.engine.Event.settle`."""
+        if self._value is not _PENDING:
+            return
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
 
 class AioTimeout(AioEvent):
     """An event that fires ``delay_us`` wall-clock microseconds later."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_handle")
 
     def __init__(self, env, delay_us, value=None):
         if delay_us < 0:
@@ -126,9 +139,15 @@ class AioTimeout(AioEvent):
         self.defused = False
         self.delay = delay_us
         if delay_us <= 0:
-            env._dispatch_soon(self)
+            self._handle = env._loop.call_soon(env._dispatch, self)
         else:
-            env._loop.call_later(delay_us / 1e6, env._dispatch, self)
+            self._handle = env._loop.call_later(
+                delay_us / 1e6, env._dispatch, self)
+
+    def cancel(self):
+        """Disarm an :meth:`AsyncioEnv.timer`: the loop's timer handle
+        is cancelled, so a met deadline costs no later wake-up."""
+        self._handle.cancel()
 
 
 class AioProcess(AioEvent):
@@ -201,7 +220,13 @@ class AioProcess(AioEvent):
                     target = throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody waits on this process: finish in place.
+                    self._ok = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except BaseException as exc:
                 env._active_process = None
@@ -332,12 +357,12 @@ class AioResource:
         return len(self._waiters)
 
     def request(self):
-        req = AioRequest(self)
         if len(self._users) < self.capacity:
+            req = self.env.done()   # immediate grant: no loop turn
             self._users.add(req)
-            req.succeed()
-        else:
-            self._waiters.append(req)
+            return req
+        req = AioRequest(self)
+        self._waiters.append(req)
         return req
 
     def release(self, req):
@@ -378,16 +403,15 @@ class AioStore:
         self._items.append(item)
 
     def get(self):
-        event = AioEvent(self.env)
         if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            getters = self._getters
-            if getters and getters[0].triggered:
-                self._getters = getters = deque(
-                    g for g in getters if not g.triggered
-                )
-            getters.append(event)
+            return self.env.done(self._items.popleft())
+        event = AioEvent(self.env)
+        getters = self._getters
+        if getters and getters[0].triggered:
+            self._getters = getters = deque(
+                g for g in getters if not g.triggered
+            )
+        getters.append(event)
         return event
 
     def get_nowait(self):
@@ -470,6 +494,18 @@ class AsyncioEnv:
 
     def sleep(self, delay_us):
         return AioTimeout(self, delay_us)
+
+    def done(self, value=None):
+        event = AioEvent(self)
+        event._ok = True
+        event._value = value
+        event.callbacks = None
+        return event
+
+    def timer(self, delay_us, callback):
+        event = AioTimeout(self, delay_us)
+        event.callbacks.append(callback)
+        return event
 
     def process(self, generator):
         return AioProcess(self, generator)

@@ -25,8 +25,24 @@ not a required base):
 ======================  =================================================
 ``now`` / ``now_us()``  current time in microseconds (float)
 ``event()``             fresh pending event: ``succeed(v)`` / ``fail(e)``
-                        triggers it; waiters ``yield`` it; ``defused``
+                        triggers it and wakes its waiters on a later
+                        scheduler turn; waiters ``yield`` it; ``defused``
                         suppresses unhandled-failure propagation
+``event.settle(ok, v)`` **inline reply delivery**: trigger the event and
+                        resume its waiters *now*, in the caller's turn.
+                        A second outcome is dropped silently (the reply
+                        that straggles in past its deadline); a failure
+                        nobody waits on yet is raised at the first
+                        ``yield``.  RPC reply handles are settled, never
+                        ``succeed``-ed: any object with ``settle`` works
+``done(v)``             **already-processed event** carrying ``v``: what
+                        an immediate grant (free core, uncontended lock,
+                        buffered item) hands back — yielding it
+                        continues inline, no scheduler turn
+``timer(us, fn)``       **cancellable timer**: ``fn(timer)`` runs ``us``
+                        microseconds from now unless ``timer.cancel()``
+                        came first; no process behind it.  Message
+                        arrivals and RPC deadlines are timers
 ``timeout(us, v)``      event firing ``us`` microseconds from now
 ``sleep(us)`` /
 ``schedule_timeout``    bare timeout (fast path; no value, no callbacks)
@@ -51,10 +67,26 @@ not a required base):
                         it; the DES must *not* see extra events)
 ======================  =================================================
 
+The scheduling rule both backends follow: **a heap entry (or asyncio
+loop turn) either advances the clock or wakes a waiter that was actually
+queued — never a zero-delay round trip.**  A network hop is one timer
+whose callback *is* the arrival; an uncontended grant is ``done``; a
+reply reaches its caller through ``settle`` inside the arrival; an RPC
+deadline is one timer raced against the reply, cancelled when the reply
+wins (on asyncio that cancels the ``call_later`` handle, so a met
+deadline never wakes the loop).  What still takes a turn is a real
+wake-up: a queued waiter granted by a ``release``, a parked worker
+handed an item, a process start.  The simulator keeps resume order equal
+to wake-up order — while a wake-up is still in the heap, ``done`` queues
+behind it.  ``cooperative`` backends additionally yield on zero-backoff
+retries: there the turn buys fairness, not ordering — with grants and
+replies inline, a hot retry loop would otherwise never let the loop
+read the socket that carries the answer it is waiting for.
+
 :class:`Interrupt` is the cancellation signal both kernels throw into a
-process at its current ``yield`` (deadline watchdogs use it), and
-:class:`EnvError` is the base for kernel-misuse errors (the simulator's
-``SimulationError`` subclasses it).
+process at its current ``yield``, and :class:`EnvError` is the base for
+kernel-misuse errors (the simulator's ``SimulationError`` subclasses
+it).
 """
 
 
@@ -159,6 +191,14 @@ class Env:
     def spawn(self, generator):
         """Drive ``generator`` as a concurrent process; returns the
         process handle (yieldable, ``is_alive``, ``interrupt()``)."""
+        raise NotImplementedError
+
+    def done(self, value=None):
+        """An already-processed event carrying ``value``."""
+        raise NotImplementedError
+
+    def timer(self, delay_us, callback):
+        """Run ``callback(timer)`` in ``delay_us``; ``cancel()`` disarms."""
         raise NotImplementedError
 
     def resource(self, capacity=1):

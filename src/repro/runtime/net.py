@@ -11,8 +11,8 @@ The RPC surface is unchanged: protocol code still calls ``node.call`` /
 ``node.respond`` against event-shaped reply handles.  For an outbound
 remote call the local reply event is resolved when the matching reply
 frame arrives; for an inbound request the reconstructed message carries
-a :class:`_RemoteReply` shim whose ``succeed``/``fail`` write the reply
-frame back on the originating connection.
+a :class:`_RemoteReply` shim whose ``settle`` writes the reply frame
+back on the originating connection.
 
 Deadlines cross the clock boundary as *remaining* microseconds and are
 re-anchored on the receiver's monotonic clock (absolute timestamps from
@@ -23,6 +23,7 @@ same code that survives simulated black holes — handles it.
 """
 
 import asyncio
+from functools import partial
 from itertools import count
 
 from repro.net.message import Message
@@ -35,51 +36,44 @@ from repro.runtime import wire
 class _RemoteReply:
     """Reply handle for a request that arrived over a socket.
 
-    Quacks like the subset of the event API that ``Node.respond`` /
-    ``respond_error`` touch: ``succeed`` and ``fail`` serialize the
-    outcome onto the originating connection.  One-way messages
-    (``rid is None``) swallow the reply, mirroring ``reply_to=None``
-    semantics — except the protocol always responds via ``respond``,
-    which checks ``reply_to is None`` first, so this shim is only
-    installed when a reply is expected.
+    Quacks like the one method of the event API that ``Node.respond`` /
+    ``respond_error`` touch: ``settle`` serializes the outcome onto the
+    originating connection, and a second outcome is dropped, like on
+    any settled handle.  One-way messages (``rid is None``) get no shim
+    at all (``reply_to=None``): ``respond`` checks for that first.
     """
 
-    __slots__ = ("_conn", "_rid", "defused", "_done")
+    __slots__ = ("_conn", "_rid", "_done")
 
     def __init__(self, conn, rid):
         self._conn = conn
         self._rid = rid
-        self.defused = False
         self._done = False
 
-    def succeed(self, value=None, priority=None):
+    def settle(self, ok, value):
         if self._done:
-            return self
+            return
         self._done = True
-        self._conn.write_frame(wire.encode_reply(self._rid, value))
-        return self
-
-    def fail(self, exception, priority=None):
-        if self._done:
-            return self
-        self._done = True
-        if not isinstance(exception, RpcFailure):
-            exception = RpcFailure(5, repr(exception))  # EIO
-        self._conn.write_frame(
-            wire.encode_reply_error(self._rid, exception)
-        )
-        return self
+        if ok:
+            frame = wire.encode_reply(self._rid, value)
+        else:
+            if not isinstance(value, RpcFailure):
+                value = RpcFailure(5, repr(value))  # EIO
+            frame = wire.encode_reply_error(self._rid, value)
+        self._conn.write_frame(frame)
 
 
 class _Connection:
     """One live peer connection (either direction) with its reader task."""
 
-    __slots__ = ("network", "reader", "writer", "task", "closed")
+    __slots__ = ("network", "reader", "writer", "peer", "task", "closed")
 
-    def __init__(self, network, reader, writer):
+    def __init__(self, network, reader, writer, peer=None):
         self.network = network
         self.reader = reader
         self.writer = writer
+        #: The dialed peer's name; ``None`` for an inbound connection.
+        self.peer = peer
         self.closed = False
         self.task = network.env._loop.create_task(self._read_loop())
 
@@ -92,12 +86,18 @@ class _Connection:
             self.close()
 
     async def _read_loop(self):
-        while True:
-            doc = await wire.read_frame(self.reader)
-            if doc is None:
-                break
-            self.network._on_frame(self, doc)
-        self.close()
+        try:
+            while True:
+                doc = await wire.read_frame(self.reader)
+                if doc is None:
+                    break
+                self.network._on_frame(self, doc)
+        except wire.WireError:
+            # A corrupt or hostile peer: nothing after a bad frame can
+            # be trusted to sit on a frame boundary, so hang up on it.
+            self.network._dropped.inc("malformed")
+        finally:
+            self.close()
 
     def close(self):
         if self.closed:
@@ -107,6 +107,7 @@ class _Connection:
             self.writer.close()
         except (ConnectionError, OSError):
             pass
+        self.network._on_close(self)
 
 
 class AioNetwork(Network):
@@ -117,7 +118,9 @@ class AioNetwork(Network):
         #: name -> (host, port) for every remote endpoint.
         self.peers = dict(peers or {})
         self._rids = count(1)
-        #: rid -> pending local reply event for outbound calls.
+        #: rid -> (peer, reply handle) for outbound calls owed a reply.
+        #: An entry leaves when the reply arrives, when the caller gives
+        #: up on it, or when the connection to the peer closes.
         self._pending = {}
         #: peer name -> established _Connection.
         self._conns = {}
@@ -161,9 +164,15 @@ class AioNetwork(Network):
         self._messages.inc(message.kind)
         self._bytes.inc(message.kind, message.size)
         rid = None
-        if message.reply_to is not None:
+        reply = message.reply_to
+        if reply is not None:
             rid = next(self._rids)
-            self._pending[rid] = message.reply_to
+            self._pending[rid] = (message.recipient, reply)
+            if not isinstance(reply, _RemoteReply):
+                # A local caller that gives up (``deadline_call`` settles
+                # the handle itself at the deadline) frees the slot.  A
+                # forwarded shim has no local caller to give up.
+                reply.callbacks.append(partial(self._forget, rid))
         remaining = None
         ctx = message.ctx
         if ctx is not None and ctx.deadline is not None:
@@ -193,34 +202,41 @@ class AioNetwork(Network):
             # retries — exactly the simulated black-hole discipline.
             for doc in self._dialing.pop(peer, []):
                 self._dropped.inc(doc.get("kind"))
+            self._abandon(peer)
             return
-        conn = _Connection(self, reader, writer)
+        conn = _Connection(self, reader, writer, peer)
         self._conns[peer] = conn
         for doc in self._dialing.pop(peer, []):
             conn.write_frame(doc)
 
+    def _forget(self, rid, _reply):
+        self._pending.pop(rid, None)
+
+    def _abandon(self, peer):
+        """Forget every call ``peer`` owes a reply: it cannot arrive.
+        The callers' deadlines turn the silence into ETIMEDOUT."""
+        for rid in [rid for rid, (owed_by, _) in self._pending.items()
+                    if owed_by == peer]:
+            del self._pending[rid]
+
+    def _on_close(self, conn):
+        if conn.peer is not None and self._conns.get(conn.peer) is conn:
+            del self._conns[conn.peer]
+            self._abandon(conn.peer)
+
     # -- receiving -------------------------------------------------------
 
     def _on_frame(self, conn, doc):
-        kind = doc.get("t")
-        if kind == "rep":
-            self._on_reply(doc)
-        elif kind == "req":
+        if doc["t"] == "req":
             self._on_request(conn, doc)
-
-    def _on_reply(self, doc):
-        event = self._pending.pop(doc["id"], None)
-        if event is None:
             return
-        if event.callbacks is None:
-            return  # already resolved (cannot happen: rids are unique)
+        _, reply = self._pending.pop(doc["id"], (None, None))
+        if reply is None:
+            return
         if doc["ok"]:
-            event.succeed(wire.decode(doc["value"]))
+            reply.settle(True, doc["value"])
         else:
-            failure = RpcFailure(doc["code"], doc.get("detail"))
-            # An abandoned reply (deadline fired first) arrives defused;
-            # failing it then is a silent no-op at dispatch.
-            event.fail(failure)
+            reply.settle(False, RpcFailure(doc["code"], doc.get("detail")))
 
     def _on_request(self, conn, doc):
         recipient = doc["to"]
@@ -248,7 +264,7 @@ class AioNetwork(Network):
             reply_to = _RemoteReply(conn, doc["id"])
         message = Message(
             doc["from"], recipient, doc["kind"],
-            payload=wire.decode(doc["payload"]),
+            payload=doc["payload"],
             size=doc.get("size") or self.costs.rpc_request_bytes,
             reply_to=reply_to, ctx=ctx,
         )

@@ -98,8 +98,11 @@ def pack_frame(doc):
 async def read_frame(reader):
     """Read one frame from an ``asyncio.StreamReader``.
 
-    Returns the decoded JSON document, or ``None`` on clean EOF at a
-    frame boundary.
+    Returns the request or reply envelope with its body already
+    :func:`decode`-d, or ``None`` on EOF (clean, or torn mid-frame).
+    Raises :class:`WireError` for a frame no well-behaved peer sends —
+    oversized, not UTF-8 JSON, not an envelope, an undecodable body —
+    so the caller can hang up instead of dying on it.
     """
     try:
         # IncompleteReadError (EOF mid-frame) subclasses EOFError; a torn
@@ -112,7 +115,39 @@ async def read_frame(reader):
         body = await reader.readexactly(length)
     except (EOFError, ConnectionError, OSError):
         return None
-    return json.loads(body.decode("utf-8"))
+    try:
+        return _open_envelope(json.loads(body.decode("utf-8")))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise WireError("malformed frame: {!r}".format(exc)) from None
+
+
+#: Fields every envelope of a type must carry (see the encoders below).
+_ENVELOPE_FIELDS = {
+    "req": ("id", "from", "to", "kind", "payload"),
+    "rep": ("id", "ok"),
+}
+
+
+def _open_envelope(doc):
+    """Check ``doc`` is a request or reply envelope and decode its body
+    in place.  A wrong shape raises :class:`WireError` — directly, or
+    as the ``KeyError`` / ``TypeError`` the caller folds into one."""
+    kind = doc["t"]
+    fields = _ENVELOPE_FIELDS.get(kind)
+    if fields is None:
+        raise WireError("unknown envelope type: {!r}".format(kind))
+    missing = [field for field in fields if field not in doc]
+    if missing:
+        raise WireError("{!r} envelope lacks {}".format(kind, missing))
+    if kind == "req":
+        if doc.get("ctx") is not None and "op" not in doc["ctx"]:
+            raise WireError("request context lacks its op")
+        doc["payload"] = decode(doc["payload"])
+    elif doc["ok"]:
+        doc["value"] = decode(doc["value"])
+    elif "code" not in doc:
+        raise WireError("error reply lacks its code")
+    return doc
 
 
 # -- envelopes -----------------------------------------------------------

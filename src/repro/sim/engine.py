@@ -35,12 +35,19 @@ performance" for the contract):
   common bare value-less timeout;
 * :meth:`Process._resume` binds the generator's ``send``/``throw`` once
   and type-checks yielded targets with EAFP instead of ``isinstance``;
-* :meth:`Environment.run` inlines the :meth:`step` body in its loops.
+* :meth:`Environment.run` inlines the :meth:`step` body in its loops;
+* only simulated time goes through the heap: a heap entry either
+  advances the clock or wakes a waiter that actually queued.  An
+  immediate grant is an already-processed event
+  (:meth:`Environment.done`), a callback on the clock is one bare
+  timeout (:meth:`Environment.timer`), a reply resumes its caller
+  inside the arrival (:meth:`Event.settle`), and a process nobody
+  waits on finishes in place.
 
-None of this changes *what* is simulated: the scheduling order — the
-``(time, priority, sequence)`` triple assigned to every event — is
-bit-identical to the original kernel, which the golden-trace test
-(``tests/test_perf_golden.py``) pins down.
+None of this changes *what* is simulated: every simulated timestamp is
+bit-identical to the original kernel's, which the golden-trace test
+(``tests/test_perf_golden.py``) and the checker fingerprints
+(``tests/test_check_fingerprints.py``) pin down.
 """
 
 from heapq import heappop, heappush
@@ -134,6 +141,8 @@ class Event:
         seq = env._seq
         env._seq = seq + 1
         heappush(env._queue, (env._now, priority, seq, self))
+        if priority:
+            env._waking = self
         return self
 
     def fail(self, exception, priority=NORMAL):
@@ -148,7 +157,29 @@ class Event:
         seq = env._seq
         env._seq = seq + 1
         heappush(env._queue, (env._now, priority, seq, self))
+        if priority:
+            env._waking = self
         return self
+
+    def settle(self, ok, value):
+        """Deliver an outcome *now*: trigger the event and run its
+        waiters inline, with no heap entry.
+
+        This is how an RPC reply reaches its caller: the hop timer that
+        carried the reply already paid for the simulated time, so a
+        second, zero-delay heap entry would only buy bookkeeping.
+        Settling an event that already has an outcome is a silent no-op
+        (a reply that straggles in after its caller gave up at the
+        deadline), and a failure settled before anyone waits is raised
+        at the first ``yield``, never as an unhandled kernel failure.
+        """
+        if self._value is not _PENDING:
+            return
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
 
 
 def _add_callback(event, callback):
@@ -184,6 +215,16 @@ class Timeout(Event):
         seq = env._seq
         env._seq = seq + 1
         heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+
+    def cancel(self):
+        """Disarm a :meth:`Environment.timer`: its callback never runs.
+
+        The heap entry stays (removing from a heap's middle costs more
+        than popping a no-op) and still advances the clock when it
+        comes due, like any timeout nobody waits on.
+        """
+        if self.callbacks is not None:
+            self.callbacks = _NO_CALLBACKS
 
 
 class Initialize(Event):
@@ -271,7 +312,14 @@ class Process(Event):
                     target = throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
-                self.succeed(stop.value, priority=URGENT)
+                if self.callbacks:
+                    self.succeed(stop.value, priority=URGENT)
+                else:
+                    # Nobody waits on this process: finish in place.  A
+                    # later ``yield`` of it continues inline.
+                    self._ok = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except BaseException as exc:
                 env._active_process = None
@@ -387,7 +435,8 @@ class Environment:
     :class:`~repro.runtime.aio.AsyncioEnv` with the wall clock.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks")
+    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks",
+                 "_waking")
 
     #: Environment-contract flags (see :mod:`repro.runtime.api`): the
     #: simulator charges every CostModel delay as virtual time and must
@@ -402,6 +451,11 @@ class Environment:
         #: Plain int tie-breaker; incremented inline on the hot paths.
         self._seq = 0
         self._active_process = None
+        #: The latest zero-delay wake-up pushed (``succeed`` / ``fail``
+        #: at NORMAL priority).  While it is still in the heap, an
+        #: immediate grant queues behind it instead of continuing
+        #: inline — see :meth:`done`.
+        self._waking = None
         #: Per-node ClockView registry (lazy; see ``clock``).
         self._clocks = None
 
@@ -462,6 +516,50 @@ class Environment:
     def process(self, generator):
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator)
+
+    def done(self, value=None):
+        """An already-processed event carrying ``value``.
+
+        What an immediate grant hands back (a free CPU core, an
+        uncontended lock, a buffered item): yielding it continues the
+        process inline, with no heap entry and no sequence number.
+
+        Resume order stays wake-up order: while an earlier zero-delay
+        wake-up is still in the heap (a waiter granted by a release in
+        this same instant has not run yet), the grant is an ordinary
+        triggered event queued behind it.
+        """
+        waking = self._waking
+        if waking is not None and waking.callbacks is not None:
+            return Event(self).succeed(value)
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = None
+        event._value = value
+        event._ok = True
+        event.defused = False
+        return event
+
+    def timer(self, delay, callback):
+        """Run ``callback(timer)`` after ``delay``; returns the timer,
+        whose ``cancel()`` disarms it.
+
+        One heap entry — the same one ``schedule_timeout(delay)`` would
+        push — and no process: message arrivals and RPC deadlines are
+        plain callbacks on the clock.  (Flattened like
+        ``schedule_timeout``: two timers per RPC.)
+        """
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = [callback]
+        event._value = None
+        event._ok = True
+        event.defused = False
+        event.delay = delay
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (self._now + delay, NORMAL, seq, event))
+        return event
 
     # -- environment-contract surface (repro.runtime.api) ---------------
 

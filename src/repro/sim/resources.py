@@ -8,7 +8,15 @@ Two primitives cover everything the FalconFS layers need:
   used to model message queues and request queues.
 
 Both hand out plain :class:`~repro.sim.engine.Event` objects so processes
-interact with them via ``yield``, exactly like timeouts.
+interact with them via ``yield``, exactly like timeouts.  An *immediate*
+grant (free capacity, a buffered item) is handed back already processed,
+so the ``yield`` continues inline and costs no heap entry; only a waiter
+that actually queued is woken through the heap, in FIFO order.  The fast
+path cannot jump the queue: capacity is free, or an item is buffered,
+only while nobody is waiting — and while a wake-up from this same
+instant is still in the heap, an immediate grant queues behind it
+(:meth:`~repro.sim.engine.Environment.done`), so processes resume in the
+order they were granted.
 
 Cancellation discipline: a queued :class:`Request` or getter event may be
 failed out-of-band (an interrupt or timeout path).  Both primitives skip
@@ -85,12 +93,14 @@ class Resource:
 
     def request(self):
         """Return an event that fires once a unit of capacity is granted."""
-        req = Request(self)
         if len(self._users) < self.capacity:
+            # Immediate grant: already processed (``env.done``), unless
+            # a waiter woken earlier in this instant has yet to resume.
+            req = self.env.done()
             self._users.add(req)
-            req.succeed()
-        else:
-            self._waiters.append(req)
+            return req
+        req = Request(self)
+        self._waiters.append(req)
         return req
 
     def release(self, req):
@@ -162,19 +172,18 @@ class Store:
 
     def get(self):
         """Return an event that fires with the next available item."""
-        event = Event(self.env)
         if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            getters = self._getters
-            if getters and getters[0].triggered:
-                # Compact cancelled getters eagerly rather than waiting
-                # for a future put to walk past them — an idle store
-                # must not pin dead events for the rest of the run.
-                self._getters = getters = deque(
-                    g for g in getters if not g.triggered
-                )
-            getters.append(event)
+            return self.env.done(self._items.popleft())
+        event = Event(self.env)
+        getters = self._getters
+        if getters and getters[0].triggered:
+            # Compact cancelled getters eagerly rather than waiting
+            # for a future put to walk past them — an idle store
+            # must not pin dead events for the rest of the run.
+            self._getters = getters = deque(
+                g for g in getters if not g.triggered
+            )
+        getters.append(event)
         return event
 
     def get_nowait(self):

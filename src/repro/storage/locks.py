@@ -8,6 +8,10 @@ writer starvation and matches PostgreSQL's lock manager behaviour.
 Acquisition returns a simulation event, so lock *waiting* consumes
 simulated time naturally; the CPU cost of the acquire/release bookkeeping
 itself is charged by the caller (FalconFS coalesces it per batch, §4.4).
+An uncontended acquire hands back an already-processed event
+(``env.done``), so yielding it continues inline; only a grant that
+actually queued is woken through the scheduler.  A request is grantable
+only while nobody is queued, so the inline path never jumps a waiter.
 """
 
 from collections import deque
@@ -66,22 +70,17 @@ class LockManager:
         state = self._locks.get(key)
         if state is None:
             # Fresh key: trivially grantable, skip the compatibility scan.
-            state = _LockState()
-            self._locks[key] = state
+            state = self._locks[key] = _LockState()
+        elif not self._grantable(state, mode):
             grant = Grant(key, mode, self.env.event())
-            self._grant(state, grant)
-            return grant
-        grant = Grant(key, mode, self.env.event())
-        if self._grantable(state, mode):
-            self._grant(state, grant)
-        else:
             if ctx is not None and ctx.traced:
                 grant.span = ctx.start_span(
                     "lock.wait", CAT_LOCK,
                     attrs={"key": str(key), "mode": mode},
                 )
             state.waiters.append(grant)
-        return grant
+            return grant
+        return self._grant_now(state, key, mode)
 
     def try_acquire(self, key, mode):
         """Non-blocking acquire: a granted :class:`Grant` or ``None``.
@@ -98,9 +97,7 @@ class LockManager:
             return None
         if fresh:
             self._locks[key] = state
-        grant = Grant(key, mode, self.env.event())
-        self._grant(state, grant)
-        return grant
+        return self._grant_now(state, key, mode)
 
     def release(self, grant):
         """Release a held grant (or cancel a queued one)."""
@@ -128,7 +125,17 @@ class LockManager:
         )
         return not holds_exclusive and not state.waiters
 
+    def _grant_now(self, state, key, mode):
+        """Uncontended grant: held on return, its event already
+        processed, so the acquirer's ``yield`` costs no scheduler turn."""
+        grant = Grant(key, mode, None)
+        grant.granted = True
+        grant.event = self.env.done(grant)
+        state.holders.append(grant)
+        return grant
+
     def _grant(self, state, grant):
+        """Wake a queued waiter (through the scheduler, FIFO)."""
         grant.granted = True
         if grant.span is not None:
             grant.span.finish(self.env.now)

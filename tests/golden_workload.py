@@ -17,6 +17,19 @@ optimization changed no simulated outcome.  Regenerate (only when a PR
 deliberately changes simulated behaviour) with::
 
     PYTHONPATH=src python -m tests.golden_workload
+
+Regenerated once since, by PR 13 ("only simulated time goes through the
+heap"): hop arrivals became timer callbacks, immediate grants and reply
+deliveries stopped taking a zero-delay heap entry, so ``event_pushes``
+fell from 2035 to 864 and ``event_order_sha256`` changed with it.
+``trace_sha256`` changed too, and only in bookkeeping: three replies
+landing in the same instant used to be recorded back to back before any
+caller ran, and now each caller runs inside its own arrival, so span
+*ids* and JSONL line order interleave differently.  ``span_times_sha256``
+— every span's name, category, node, start, end and attributes, ids
+dropped, order-insensitive — was added at the parent commit first and
+is unchanged, as are ``final_now``, ``messages``, ``responses`` and
+``trace_spans``: nothing that was simulated moved.
 """
 
 import hashlib
@@ -106,6 +119,11 @@ def run_golden(seed=SEED):
         sim_engine.heappush = real_heappush
 
     network = cluster.network
+    span_times = sorted(
+        json.dumps({key: value for key, value in json.loads(line).items()
+                    if key not in ("span", "parent", "op")}, sort_keys=True)
+        for line in sink_buffer.getvalue().splitlines()
+    )
     digest = {
         "ops": result.ops,
         "errors": result.errors,
@@ -114,6 +132,9 @@ def run_golden(seed=SEED):
         "event_order_sha256": pushes.hexdigest(),
         "trace_sha256": hashlib.sha256(
             sink_buffer.getvalue().encode()
+        ).hexdigest(),
+        "span_times_sha256": hashlib.sha256(
+            "\n".join(span_times).encode()
         ).hexdigest(),
         "trace_spans": len(tracer.spans),
         "messages": network.message_count(),

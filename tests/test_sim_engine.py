@@ -333,3 +333,95 @@ def _record_at(env, delay, log):
 def _return_after(env, delay, value):
     yield env.timeout(delay)
     return value
+
+
+class TestHeapFreePrimitives:
+    """The three primitives behind "only simulated time goes through
+    the heap": an already-processed event, a cancellable timer and
+    inline reply delivery."""
+
+    def test_done_is_processed_and_schedules_nothing(self, env):
+        event = env.done("granted")
+        assert event.processed and event.ok and event.value == "granted"
+        assert env.events_scheduled == 0
+
+        def user():
+            return (yield event)
+
+        assert env.run(until=env.process(user())) == "granted"
+
+    def test_done_queues_behind_a_wakeup_in_flight(self, env):
+        woken = env.event().succeed("first")
+        late = env.done("second")
+        assert not late.processed and late.triggered
+        order = []
+        woken.callbacks.append(lambda ev: order.append(ev.value))
+        late.callbacks.append(lambda ev: order.append(ev.value))
+        env.run()
+        assert order == ["first", "second"]
+        assert env.done().processed     # the wake-up has run: inline again
+
+    def test_timer_runs_its_callback_once_on_one_heap_entry(self, env):
+        fired = []
+        env.timer(5.0, lambda timer: fired.append(env.now))
+        assert env.events_scheduled == 1
+        env.run()
+        assert fired == [5.0] and env.events_scheduled == 1
+
+    def test_cancelled_timer_never_fires_but_keeps_its_instant(self, env):
+        fired = []
+        timer = env.timer(5.0, fired.append)
+        timer.cancel()
+        env.run()
+        assert fired == [] and env.now == 5.0
+        timer.cancel()                  # after the fact: harmless
+
+    def test_settle_resumes_the_waiter_inline(self, env):
+        reply = env.event()
+        log = []
+
+        def caller():
+            log.append((yield reply))
+
+        env.process(caller())
+        env.run()
+        scheduled = env.events_scheduled
+        reply.settle(True, "payload")
+        assert log == ["payload"] and reply.processed
+        assert env.events_scheduled == scheduled
+
+    def test_settle_twice_is_a_silent_noop(self, env):
+        reply = env.event()
+        reply.settle(False, TimeoutError("deadline"))
+        reply.settle(True, "straggler")             # late reply
+        reply.settle(False, RuntimeError("late"))   # late error
+        assert not reply.ok and isinstance(reply.value, TimeoutError)
+        env.run()                                   # nothing unhandled
+
+    def test_failure_settled_before_the_wait_is_raised_at_the_yield(self, env):
+        reply = env.event()
+        reply.settle(False, KeyError("early"))
+
+        def caller():
+            try:
+                yield reply
+            except KeyError as exc:
+                return exc.args[0]
+
+        assert env.run(until=env.process(caller())) == "early"
+
+    def test_unawaited_process_finishes_in_place(self, env):
+        def child():
+            yield env.timeout(1.0)
+            return "done"
+
+        proc = env.process(child())
+        env.run()
+        # Initialize + the timeout: no process-end entry for nobody.
+        assert env.events_scheduled == 2
+        assert proc.processed and proc.value == "done"
+
+        def late_waiter():
+            return (yield proc)
+
+        assert env.run(until=env.process(late_waiter())) == "done"

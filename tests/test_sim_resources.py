@@ -1,6 +1,8 @@
 """Unit tests for simulation resources (Resource, Store) and RNG streams."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, RandomStreams, Resource, SimulationError, Store
 
@@ -119,7 +121,90 @@ class TestResource:
         assert [t for _, t in finish] == [10.0, 10.0, 20.0, 20.0]
 
 
+class TestInlineGrant:
+    """The uncontended fast path costs no heap entry and never lets a
+    requester run ahead of one that asked before it."""
+
+    def test_immediate_grant_schedules_nothing(self, env):
+        res = Resource(env, capacity=2)
+        req = res.request()
+        assert req.processed and env.events_scheduled == 0
+
+        def user():
+            held = res.request()
+            yield held              # continues inline: no round trip
+            res.release(held)
+
+        env.run(until=env.process(user()))
+        # Initialize + the process-end wake-up of run(until=...).
+        assert env.events_scheduled == 2
+
+    def test_release_after_immediate_grant_wakes_exactly_the_head(self, env):
+        res = Resource(env, capacity=1)
+        holder = res.request()
+        head, tail = res.request(), res.request()
+        assert holder.processed and not head.triggered
+        res.release(holder)
+        assert head.triggered and not head.processed   # through the heap
+        assert not tail.triggered and res.queue_length == 1
+        env.run()
+        assert head.processed and not tail.triggered
+
+    def test_request_behind_an_unresumed_wakeup_takes_its_turn(self, env):
+        # Capacity frees up for two; the woken waiter has not run yet
+        # when a newcomer asks.  Both hold a core, but the newcomer must
+        # not resume first.
+        res = Resource(env, capacity=2)
+        first, second = res.request(), res.request()
+        waiter = res.request()
+        res.release(first)
+        res.release(second)
+        newcomer = res.request()
+        assert waiter.triggered and not waiter.processed
+        assert newcomer.triggered and not newcomer.processed
+        env.run()
+        assert newcomer.processed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        users=st.lists(
+            st.tuples(st.integers(0, 3),
+                      st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+            min_size=1, max_size=8),
+    )
+    def test_resume_order_equals_request_order(self, capacity, users):
+        # Integer times pile requests, releases and wake-ups into the
+        # same instants, and every user asks again the moment it lets
+        # go — right behind the wake-up its own release pushed, which is
+        # where an inline grant could overtake a waiter still in the heap.
+        env = Environment()
+        res = Resource(env, capacity=capacity)
+        asked, resumed = [], []
+
+        def user(tag, arrive, holds):
+            yield env.timeout(arrive)
+            for round_, hold in enumerate(holds):
+                asked.append((tag, round_))
+                req = res.request()
+                yield req
+                resumed.append((tag, round_))
+                yield env.timeout(hold)
+                res.release(req)
+
+        for tag, (arrive, holds) in enumerate(users):
+            env.process(user(tag, arrive, holds))
+        env.run()
+        assert resumed == asked
+        assert res.count == 0 and res.queue_length == 0
+
+
 class TestStore:
+    def test_buffered_get_schedules_nothing(self, env):
+        store = Store(env)
+        store.put("x")
+        assert store.get().processed and env.events_scheduled == 0
+
     def test_put_then_get(self, env):
         store = Store(env)
         store.put("x")

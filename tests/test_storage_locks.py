@@ -1,6 +1,8 @@
 """Unit tests for the shared/exclusive lock manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import EnvError
 from repro.sim import Environment
@@ -185,3 +187,57 @@ def test_invalidation_waits_for_shared_holders(env, locks):
     assert events == [
         ("read-start", 0.0), ("read-end", 20.0), ("invalidate", 20.0),
     ]
+
+
+def test_uncontended_acquire_schedules_nothing(env, locks):
+    grant = locks.acquire("k", LockMode.EXCLUSIVE)
+    assert grant.granted and grant.event.processed
+    assert locks.try_acquire("j", LockMode.SHARED).event.processed
+    assert env.events_scheduled == 0
+
+
+def test_release_after_inline_grant_wakes_exactly_the_head(env, locks):
+    held = locks.acquire("k", LockMode.EXCLUSIVE)
+    head = locks.acquire("k", LockMode.EXCLUSIVE)
+    tail = locks.acquire("k", LockMode.EXCLUSIVE)
+    locks.release(held)
+    assert head.granted and head.event.triggered
+    assert not head.event.processed          # woken through the heap
+    assert not tail.granted and locks.queue_length("k") == 1
+    env.run()
+    assert head.event.processed and not tail.event.triggered
+
+
+@settings(max_examples=200, deadline=None)
+@given(users=st.lists(
+    st.tuples(st.integers(0, 3),
+              st.lists(st.tuples(
+                  st.integers(0, 2),
+                  st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE])),
+                  min_size=1, max_size=3)),
+    min_size=1, max_size=8))
+def test_resume_order_equals_acquire_order(users):
+    """Under contention the inline fast path never jumps a queued
+    waiter: holders resume in the order they asked — even a shared
+    newcomer that is compatible with waiters woken in the same instant
+    (every user asks again the moment it lets go, right behind the
+    wake-ups its own release pushed)."""
+    env = Environment()
+    locks = LockManager(env)
+    asked, resumed = [], []
+
+    def user(tag, arrive, rounds):
+        yield env.timeout(arrive)
+        for round_, (hold, mode) in enumerate(rounds):
+            asked.append((tag, round_))
+            grant = locks.acquire("k", mode)
+            yield grant.event
+            resumed.append((tag, round_))
+            yield env.timeout(hold)
+            locks.release(grant)
+
+    for tag, (arrive, rounds) in enumerate(users):
+        env.process(user(tag, arrive, rounds))
+    env.run()
+    assert resumed == asked
+    assert not locks.is_locked("k") and locks.queue_length("k") == 0

@@ -79,7 +79,7 @@ class TestDeadlineCall:
         # The straggling reply (and its events) must drain harmlessly.
         env.run()
 
-    def test_late_error_reply_is_defused(self, env, net):
+    def test_late_error_reply_is_dropped(self, env, net):
         SlowNode(env, net, "server", delay=1000.0)
         client = SlowNode(env, net, "client")
 
@@ -106,7 +106,7 @@ class TestDeadlineCall:
         assert _drive(env, caller()) == RpcError.ETIMEDOUT
         assert net.message_count() == 0  # never hit the wire
 
-    def test_success_cancels_watchdog(self, env, net):
+    def test_success_cancels_timer(self, env, net):
         SlowNode(env, net, "server", delay=5.0)
         client = SlowNode(env, net, "client")
 
@@ -119,9 +119,14 @@ class TestDeadlineCall:
         result, when = _drive(env, caller())
         assert result == {"ok": True}
         assert when < 10_000.0
-        # The interrupted watchdog's timer fires inert on drain: no
-        # spurious Interrupt, no unhandled failure.
+        # The deadline costs exactly one heap entry and no process:
+        # caller start + request hop + deadline timer + handler start +
+        # dispatch slice + service delay + response hop + caller end.
+        assert env.events_scheduled == 8
+        # The cancelled timer's heap entry pops inert on drain: no
+        # spurious ETIMEDOUT, no unhandled failure.
         env.run()
+        assert env.now == 10_000.0
 
     def test_no_deadline_is_a_plain_call(self, env, net):
         SlowNode(env, net, "server", delay=5.0)
@@ -259,11 +264,11 @@ class TestClusterDeadlines:
         assert fs.read("/data/a.bin") == 16 * 1024
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_interrupt_cancellation_leaves_no_orphans(self, seed):
+    def test_deadline_cancellation_leaves_no_orphans(self, seed):
         """Fuzz: ops racing a deadline must never corrupt the cluster.
 
         A mid-range deadline makes some operations time out mid-flight
-        (cancelling waiters via Interrupt) while others complete; after
+        (their reply handles settled with ETIMEDOUT) while others complete; after
         draining, the event queue must be empty, no unhandled failure
         may surface, and the cluster invariants must hold.
         """
