@@ -144,13 +144,17 @@ class FalconClient(Node):
             try:
                 yield from self._meta_op("setattr", path, {"mode": mode},
                                          ctx=ctx)
+                return
             except RpcFailure as failure:
                 if failure.code != RpcError.EISDIR:
                     raise
-                yield from self._coordinator_op(
-                    "chmod_dir", {"path": path, "mode": mode}, ctx=ctx
-                )
-                self._drop_cached(path)
+            # Outside the handler: a generator suspended inside ``except``
+            # keeps the failure, its traceback and every frame it crossed
+            # alive for the whole coordinator round trip.
+            yield from self._coordinator_op(
+                "chmod_dir", {"path": path, "mode": mode}, ctx=ctx
+            )
+            self._drop_cached(path)
 
         yield from self._traced(ctx, body(), path=path)
 

@@ -26,6 +26,7 @@ from repro.core.shared import ClusterShared, FalconConfig
 from repro.net import CostModel, Network
 from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
+from repro.runtime.api import sized_nursery
 from repro.storage import Table
 from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
 from repro.storage.replication import Standby, divergence
@@ -645,6 +646,7 @@ class FalconCluster:
 
     # -- bulk loading -------------------------------------------------------
 
+    @sized_nursery()
     def bulk_load(self, tree, replicate_dentries=True):
         """Install a :class:`~repro.workloads.trees.TreeSpec` directly into
         the MNode tables, bypassing the protocol.
@@ -656,6 +658,11 @@ class FalconCluster:
         complete — the steady state lazy replication converges to; pass
         False to start replicas cold (only owners populated).
         Returns a ``path -> ino`` map.
+
+        Everything built here outlives the call, so the build runs with
+        the young generation sized up (:func:`sized_nursery`): under the
+        default threshold a growing namespace is re-scanned by a full
+        collection every time it grows by a quarter.
         """
         index = self.coordinator.index
         slot_map = self.shared.slot_map

@@ -97,7 +97,8 @@ def main(argv=None):
                         help="list available experiments")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top-25 "
-                             "cumulative hot spots")
+                             "cumulative hot spots, then the cyclic "
+                             "collector's time and collections")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweeps whose points "
                              "are independent (default 1; output is "
@@ -128,10 +129,17 @@ def main(argv=None):
         import cProfile
         import pstats
 
+        from repro.obs import CollectorTimer
+
         profiler = cProfile.Profile()
-        rows = profiler.runcall(module.run, **kwargs)
+        with CollectorTimer() as collector:
+            rows = profiler.runcall(module.run, **kwargs)
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative").print_stats(25)
+        print(collector.report())
+        print("(cProfile charges collector time to whichever function was "
+              "allocating when a collection began: it is inside the rows "
+              "above, never one of them)")
     else:
         rows = module.run(**kwargs)
     print(module.format_rows(rows))

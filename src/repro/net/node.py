@@ -125,9 +125,16 @@ class Node:
         self._responded.inc(message.kind)
 
     def respond_error(self, message, failure):
-        """Answer an RPC ``message`` with a failure exception."""
+        """Answer an RPC ``message`` with a failure exception.
+
+        The reply carries the failure, not this node's stack (over TCP
+        it is code and detail only): a handler that parks the failure
+        in a local before answering — a batch that commits first — has
+        closed a cycle through its own frame, which ends here.
+        """
         if message.reply_to is None:
             return
+        failure.__traceback__ = None
         size = self.costs.rpc_response_bytes
         reply_to = message.reply_to
         ctx = message.ctx

@@ -10,9 +10,12 @@ The substrate every layer of the simulated cluster threads through:
   no spans);
 * :class:`RetryPolicy`, :func:`retry`, :func:`deadline_call`,
   :func:`redeliver` — the shared retry/backoff, deadline-enforcement
-  and re-delivery helpers that replace per-call-site retry loops.
+  and re-delivery helpers that replace per-call-site retry loops;
+* :class:`CollectorTimer` — the garbage collector's seconds and
+  collections, timed from outside (no profiler row shows them).
 """
 
+from repro.obs.collector import CollectorTimer
 from repro.obs.context import NULL_CONTEXT, OpContext
 from repro.obs.retry import (
     RETRYABLE,
@@ -50,6 +53,7 @@ __all__ = [
     "CAT_RETRY",
     "CAT_WAL",
     "COMPONENT_CATEGORIES",
+    "CollectorTimer",
     "JsonlSink",
     "NULL_CONTEXT",
     "NULL_TRACER",

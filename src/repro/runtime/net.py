@@ -126,6 +126,11 @@ class AioNetwork(Network):
         self._conns = {}
         #: peer name -> list of frames queued while dialing.
         self._dialing = {}
+        #: Accepted connections (anonymous: replies ride the connection
+        #: their request came in on), held so ``close`` can hang up on
+        #: them and their reader tasks are not left to the loop's weak
+        #: reference.
+        self._inbound = set()
         self._server = None
 
     # -- lifecycle -------------------------------------------------------
@@ -137,7 +142,7 @@ class AioNetwork(Network):
         )
 
     async def close(self):
-        for conn in list(self._conns.values()):
+        for conn in list(self._conns.values()) + list(self._inbound):
             conn.close()
         self._conns.clear()
         if self._server is not None:
@@ -146,10 +151,9 @@ class AioNetwork(Network):
             self._server = None
 
     def _on_inbound(self, reader, writer):
-        # Inbound connections are anonymous until their first frame; they
-        # are tracked only for reply routing (the _RemoteReply holds the
-        # connection), never dialed through.
-        _Connection(self, reader, writer)
+        # Never dialed through: replies are routed by the _RemoteReply
+        # that holds the connection.
+        self._inbound.add(_Connection(self, reader, writer))
 
     # -- sending ---------------------------------------------------------
 
@@ -220,6 +224,7 @@ class AioNetwork(Network):
             del self._pending[rid]
 
     def _on_close(self, conn):
+        self._inbound.discard(conn)
         if conn.peer is not None and self._conns.get(conn.peer) is conn:
             del self._conns[conn.peer]
             self._abandon(conn.peer)

@@ -12,6 +12,11 @@ An uncontended acquire hands back an already-processed event
 (``env.done``), so yielding it continues inline; only a grant that
 actually queued is woken through the scheduler.  A request is grantable
 only while nobody is queued, so the inline path never jumps a waiter.
+
+The event carries no value: the acquirer already holds the
+:class:`Grant`, and an event whose value is the grant that owns it is a
+reference cycle per acquisition that only the cycle collector can free
+(``tests/test_gc_budget.py`` pins the hot path at zero such objects).
 """
 
 from collections import deque
@@ -63,8 +68,9 @@ class LockManager:
 
     def acquire(self, key, mode, ctx=None):
         """Request a lock; returns a :class:`Grant` whose ``event`` fires
-        once the lock is held.  With a traced ``ctx``, a ``lock.wait``
-        span covers any time spent queued behind other holders."""
+        (with no value) once the lock is held.  With a traced ``ctx``, a
+        ``lock.wait`` span covers any time spent queued behind other
+        holders."""
         if mode not in _MODES:
             raise EnvError("bad lock mode: {!r}".format(mode))
         state = self._locks.get(key)
@@ -128,9 +134,8 @@ class LockManager:
     def _grant_now(self, state, key, mode):
         """Uncontended grant: held on return, its event already
         processed, so the acquirer's ``yield`` costs no scheduler turn."""
-        grant = Grant(key, mode, None)
+        grant = Grant(key, mode, self.env.done())
         grant.granted = True
-        grant.event = self.env.done(grant)
         state.holders.append(grant)
         return grant
 
@@ -141,7 +146,7 @@ class LockManager:
             grant.span.finish(self.env.now)
             grant.span = None
         state.holders.append(grant)
-        grant.event.succeed(grant)
+        grant.event.succeed()
 
     def _wake(self, state):
         while state.waiters:

@@ -50,3 +50,16 @@ def test_quick_run_fig15b(capsys):
     assert main(["fig15b", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "one-hop" in out
+
+
+def test_profile_reports_the_collector(capsys):
+    """``--profile`` prints what no cProfile row can: the collector's
+    time and collections, and leaves no callback installed."""
+    import gc
+
+    callbacks = list(gc.callbacks)
+    assert main(["breakdown", "--quick", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "cumulative" in out
+    assert "cyclic collector:" in out and "gen0/gen1/gen2" in out
+    assert gc.callbacks == callbacks

@@ -98,6 +98,37 @@ def test_pending_is_dropped_when_the_connection_closes():
     assert len(before) == 1 and after == {} and not triggered
 
 
+def test_close_hangs_up_on_inbound_connections():
+    """The serving side owns the connections it accepted: one the peer
+    closes is forgotten, and ``close`` ends the rest — reader task
+    finished, socket closed (the peer reads EOF)."""
+    async def main():
+        env = AsyncioEnv()
+        served, port = await _serving(env, _Echo)
+
+        async def inbound(count):
+            while len(served._inbound) != count:
+                await asyncio.sleep(0.01)
+
+        try:
+            _, leaving = await asyncio.open_connection("127.0.0.1", port)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await inbound(2)
+            leaving.close()
+            await inbound(1)
+            (conn,) = served._inbound
+            await served.close()
+            eof = await reader.read()
+            await asyncio.wait([conn.task])
+            writer.close()
+            return (eof, conn.task.done(), conn.writer.is_closing(),
+                    set(served._inbound))
+        finally:
+            await served.close()
+
+    assert _run(main) == (b"", True, True, set())
+
+
 def _frame(body):
     return struct.pack(">I", len(body)) + body
 
