@@ -1,15 +1,15 @@
-"""Environment abstraction: one protocol implementation, two clocks.
+"""Environment abstraction: one protocol, one kernel, two clocks.
 
 ``repro.runtime.api`` defines the contract (and is import-cycle-free);
-the backends load lazily because :mod:`repro.sim.engine` itself imports
+the two drivers load lazily because :mod:`repro.sim.engine` itself imports
 ``repro.runtime.api`` — an eager ``from .sim_env import SimEnv`` here
 would re-enter a partially initialized package when the import chain
 starts from ``repro.sim``.
 """
 
-from repro.runtime.api import Env, EnvError, Interrupt
+from repro.runtime.api import EnvError, Interrupt
 
-__all__ = ["AsyncioEnv", "Env", "EnvError", "Interrupt", "SimEnv"]
+__all__ = ["AsyncioEnv", "EnvError", "Interrupt", "SimEnv"]
 
 _LAZY = {
     "SimEnv": "repro.runtime.sim_env",

@@ -1,26 +1,30 @@
-"""The environment contract: one protocol implementation, two clocks.
+"""The environment contract: one protocol, one kernel, two clocks.
 
 Every protocol layer in this repository — client, MNode, coordinator,
 replication, WAL, transport — is written as generator "processes" that
 ``yield`` handles obtained from an *environment*.  The environment owns
 the clock, the scheduler and the concurrency primitives; the protocol
-code never imports a particular kernel.  Two backends implement the
-contract:
+code never imports the kernel.  There is **one kernel** —
+:mod:`repro.sim.engine` and :mod:`repro.sim.resources`: the event heap
+and every primitive in the table below, written once — and **two
+drivers** that decide when a heap entry runs:
 
-* :class:`~repro.runtime.sim_env.SimEnv` — the discrete-event simulator
-  (:mod:`repro.sim.engine`).  Time is virtual microseconds, every cost in
-  :class:`~repro.net.costs.CostModel` is charged as simulated delay, and
-  runs are bit-for-bit deterministic (the golden traces pin this down).
-  The DES remains the reference implementation: fault injection, the
-  nemesis schedules and ``repro.check`` exist only here.
-* :class:`~repro.runtime.aio.AsyncioEnv` — a real asyncio event loop.
-  Time is the monotonic wall clock in microseconds, sleeps are real
+* :class:`~repro.runtime.sim_env.SimEnv` — the discrete-event simulator.
+  The kernel's own run loop pops the heap as fast as it can and stamps
+  the clock from each entry.  Time is virtual microseconds, every cost
+  in :class:`~repro.net.costs.CostModel` is charged as simulated delay,
+  and runs are bit-for-bit deterministic (the golden traces pin this
+  down).  Fault injection, the nemesis schedules and ``repro.check``
+  exist only here.
+* :class:`~repro.runtime.aio.AsyncioEnv` — the same kernel under the
+  monotonic wall clock.  An asyncio handle (the *pump*) pops the entries
+  that have come due and re-arms itself for the next; sleeps are real
   sleeps, and the fabric is real length-prefixed JSON-RPC over TCP
   sockets (:mod:`repro.runtime.net`).  Modeled hardware costs are *not*
   charged (``models_costs`` is False): real work takes real time.
 
-The contract (duck-typed; this class is documentation and a guard rail,
-not a required base):
+The contract (this table is its one description; both drivers inherit
+the implementation from :class:`repro.sim.engine.Environment`):
 
 ======================  =================================================
 ``now`` / ``now_us()``  current time in microseconds (float)
@@ -71,26 +75,38 @@ not a required base):
                         it; the DES must *not* see extra events)
 ======================  =================================================
 
-The scheduling rule both backends follow: **a heap entry (or asyncio
-loop turn) either advances the clock or wakes a waiter that was actually
-queued — never a zero-delay round trip.**  A network hop is one timer
-whose callback *is* the arrival; an uncontended grant is ``done``; a
-reply reaches its caller through ``settle`` inside the arrival; an RPC
-deadline is one timer raced against the reply, cancelled when the reply
-wins (on asyncio that cancels the ``call_later`` handle, so a met
-deadline never wakes the loop).  What still takes a turn is a real
-wake-up: a queued waiter granted by a ``release``, a parked worker
-handed an item, a process start.  The simulator keeps resume order equal
-to wake-up order — while a wake-up is still in the heap, ``done`` queues
-behind it.  ``cooperative`` backends additionally yield on zero-backoff
-retries: there the turn buys fairness, not ordering — with grants and
-replies inline, a hot retry loop would otherwise never let the loop
-read the socket that carries the answer it is waiting for.
+The scheduling rule, under either driver: **a heap entry either advances
+the clock or wakes a waiter that was actually queued — never a
+zero-delay round trip.**  A network hop is one timer whose callback *is*
+the arrival; an uncontended grant is ``done``; a reply reaches its
+caller through ``settle`` inside the arrival; an RPC deadline is one
+timer raced against the reply and cancelled when the reply wins.  **A
+cancelled timer leaves its heap entry to pop inert when it comes due**
+— removing from a heap's middle costs more than popping a no-op — so on
+the wall clock a met deadline still wakes the loop once, for nothing.
+What still takes a turn is a real wake-up: a queued waiter granted by a
+``release``, a parked worker handed an item, a process start.  Resume
+order equals wake-up order — while a wake-up is still in the heap,
+``done`` queues behind it.
 
-:class:`Interrupt` is the cancellation signal both kernels throw into a
+The real-time pump (:mod:`repro.runtime.aio`) adds three rules of its
+own.  **The clock is read at push time**: ``_now`` is the monotonic
+clock itself, never a cached turn time, or a deadline set after an idle
+gap would fire early.  **Entries pushed in a turn run in a later turn**:
+a pump turn runs what was in the heap and due when it began, then
+returns to the loop.  This is what the ``cooperative`` yield on a
+zero-backoff retry relies on — there the turn buys fairness, not
+ordering: with grants and replies inline, a hot retry loop would
+otherwise never let the loop read the socket that carries the answer it
+is waiting for.  **A cancelled timer pops inert**, as above.
+The pump learns of a push from the one signal the kernel already gives:
+every push site bumps ``env._seq`` *before* its ``heappush``, so an
+observer of the bump may schedule a pump but must never inspect the
+heap.
+
+:class:`Interrupt` is the cancellation signal the kernel throws into a
 process at its current ``yield``, and :class:`EnvError` is the base for
-kernel-misuse errors (the simulator's ``SimulationError`` subclasses
-it).
+kernel-misuse errors (the kernel's ``SimulationError`` subclasses it).
 
 The garbage-collection rule, for every layer written against this
 contract: **no object a fault-free operation allocates may need the
@@ -140,7 +156,7 @@ def sized_nursery():
 
 
 class EnvError(Exception):
-    """Kernel misuse or unhandled process failure (backend-agnostic)."""
+    """Kernel misuse or unhandled process failure."""
 
 
 class Interrupt(Exception):
@@ -148,8 +164,8 @@ class Interrupt(Exception):
 
     The interrupted process receives this exception at its current
     ``yield`` statement and may handle it to implement timeouts or
-    cancellation.  Shared by both backends so ``try/except Interrupt``
-    in protocol code is environment-independent.
+    cancellation.  Defined here so ``try/except Interrupt`` in protocol
+    code does not import the kernel.
     """
 
     def __init__(self, cause=None):
@@ -214,65 +230,3 @@ class ClockView:
         self.offset_us = 0.0
         self.drift_ppm = 0.0
         self._anchor_us = 0.0
-
-
-class Env:
-    """Documentation base class for environment backends.
-
-    Backends are duck-typed — protocol code never isinstance-checks —
-    but the two defaults declared here mean a backend only overrides
-    what differs from the simulator's semantics.
-    """
-
-    #: Charge :class:`~repro.net.costs.CostModel` delays as time.
-    models_costs = True
-    #: Yield to the scheduler even for zero-delay backoffs.
-    cooperative = False
-
-    def now_us(self):
-        """Current time in microseconds."""
-        raise NotImplementedError
-
-    def sleep(self, delay_us):
-        """A bare yieldable timeout ``delay_us`` microseconds long."""
-        raise NotImplementedError
-
-    def spawn(self, generator):
-        """Drive ``generator`` as a concurrent process; returns the
-        process handle (yieldable, ``is_alive``, ``interrupt()``)."""
-        raise NotImplementedError
-
-    def done(self, value=None):
-        """An already-processed event carrying ``value``."""
-        raise NotImplementedError
-
-    def timer(self, delay_us, callback):
-        """Run ``callback(timer)`` in ``delay_us``; ``cancel()`` disarms."""
-        raise NotImplementedError
-
-    def resource(self, capacity=1):
-        """A capacity-limited FIFO resource bound to this environment."""
-        raise NotImplementedError
-
-    def store(self):
-        """An unbounded FIFO buffer bound to this environment."""
-        raise NotImplementedError
-
-    def fsync(self, cost_us, nbytes=0):
-        """A yieldable durability barrier for one WAL flush batch."""
-        raise NotImplementedError
-
-    def clock(self, name):
-        """The :class:`ClockView` for node ``name`` (created on demand)."""
-        clocks = getattr(self, "_clocks", None)
-        if clocks is None:
-            clocks = self._clocks = {}
-        view = clocks.get(name)
-        if view is None:
-            view = clocks[name] = ClockView(self, name)
-        return view
-
-    def clock_views(self):
-        """All clock views handed out so far (for heal/reset sweeps)."""
-        clocks = getattr(self, "_clocks", None)
-        return list(clocks.values()) if clocks else []

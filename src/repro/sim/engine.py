@@ -436,9 +436,10 @@ class Environment:
     """The simulation clock and event queue.
 
     Implements the full environment contract of
-    :class:`repro.runtime.api.Env`: protocol code written against the
-    contract runs here with virtual time and on
-    :class:`~repro.runtime.aio.AsyncioEnv` with the wall clock.
+    :mod:`repro.runtime.api`: protocol code written against the contract
+    runs here with virtual time, and on the subclass
+    :class:`~repro.runtime.aio.AsyncioEnv` — this kernel driven by the
+    wall clock instead of by :meth:`run` — in real time.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks",

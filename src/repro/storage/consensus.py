@@ -54,7 +54,7 @@ directory surgery, but never ordains a promotion on its own.
 from repro.net import Node
 from repro.net.rpc import RpcFailure
 from repro.obs import NULL_CONTEXT, deadline_call
-from repro.storage.replication import Standby
+from repro.storage.replication import Standby, refuse_unowned
 from repro.storage.table import Table
 
 #: Follower election timeout base, microseconds: a follower that hears
@@ -736,9 +736,7 @@ class Witness(MemberLog, Node):
         if message.kind == "request_vote":
             yield from self._on_vote(message)
             return
-        raise RuntimeError(
-            "{} cannot handle {!r}".format(self.name, message)
-        )
+        refuse_unowned(self, message)
 
     def _on_append(self, message):
         payload = message.payload

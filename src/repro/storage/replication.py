@@ -29,6 +29,7 @@ re-validates them — see :meth:`Standby.promote_tables`.
 
 from repro.core.records import INVALID
 from repro.net import Node
+from repro.net.rpc import RpcError, RpcFailure
 from repro.storage.table import Table
 
 
@@ -182,6 +183,19 @@ class LogShipper:
         return len(self.history)
 
 
+def refuse_unowned(node, message):
+    """Answer a message kind ``node``'s role can never own: refuse with
+    ``ENOTLEADER`` and count it by kind — never raise.
+
+    A restarted machine rejoins as a standby *under its old MNode name*,
+    so traffic addressed to the owner it used to be (a 2PC abort sent to
+    the name captured at prepare time) lands on a replica role.  The
+    sender re-resolves or gives up; a raise would crash the whole run.
+    """
+    node.metrics.counter("unowned_messages").inc(message.kind)
+    node.respond_error(message, RpcFailure(RpcError.ENOTLEADER, node.name))
+
+
 class Standby(Node):
     """A warm standby holding a replica of one primary's tables."""
 
@@ -215,9 +229,8 @@ class Standby(Node):
             self.respond(message, {"applied_lsn": self.applied_lsn})
             return
         if message.kind != "wal_ship":
-            raise RuntimeError(
-                "{} cannot handle {!r}".format(self.name, message)
-            )
+            refuse_unowned(self, message)
+            return
         payload = message.payload
         lsn = payload["lsn"]
         if self.promoted:

@@ -267,3 +267,24 @@ class TestElection:
         cluster.run_for(20000.0)
         diffs = cluster.replication_divergence()
         assert not diffs[cluster.mnodes[slot].name]
+
+
+@pytest.mark.parametrize("role", ["standbys", "witnesses"])
+def test_group_members_refuse_a_kind_they_can_never_own(role):
+    """A follower (through ``Standby.handle``) and a witness answer a
+    message no group member owns — a 2PC abort addressed to the name an
+    MNode used to hold — with ENOTLEADER and count it; raising would
+    crash the whole run (signature A of the PR-20 red-seed census)."""
+    cluster = _consensus_cluster()
+    member = getattr(cluster, role)[0]
+
+    def abort():
+        try:
+            yield cluster.coordinator.call(
+                member.name, "rename_abort", {"txid": 1})
+        except RpcFailure as failure:
+            return failure.code
+
+    assert cluster.run_process(abort()) == RpcError.ENOTLEADER
+    assert member.metrics.counter("unowned_messages").by_label() == {
+        "rename_abort": 1}

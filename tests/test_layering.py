@@ -5,7 +5,7 @@ protocol machines — clients, MNodes, coordinator, replication, WAL,
 transport, retry — run unchanged on the simulated clock and on asyncio.
 That only holds if nothing in those layers imports :mod:`repro.sim.engine`
 (or the :mod:`repro.sim` package facade) directly; everything they need is
-on the :class:`~repro.runtime.Env` contract.
+on the environment contract (:mod:`repro.runtime.api`).
 
 ``repro.sim.rng`` is explicitly allowed: it is a pure seeded-PRNG helper
 with no dependence on the simulation kernel or clock.
@@ -27,8 +27,9 @@ GUARDED = ["core", "storage", "net", "obs", "runtime", "serve", "metrics",
 #: Exact sim modules that are kernel-free and therefore allowed.
 ALLOWED_SIM = {"repro.sim.rng"}
 
-#: The one sanctioned kernel adapter (checked separately below).
-ADAPTER = "runtime/sim_env.py"
+#: The sanctioned kernel adapters — the two drivers of the one kernel
+#: (checked separately below).
+ADAPTERS = {"runtime/sim_env.py", "runtime/aio.py"}
 
 
 def _imports(path):
@@ -55,7 +56,7 @@ def _allowed(name):
 def _violations(module_name):
     bad = []
     for path in sorted((SRC / module_name).rglob("*.py")):
-        if path.relative_to(SRC).as_posix() == ADAPTER:
+        if path.relative_to(SRC).as_posix() in ADAPTERS:
             continue
         for lineno, name in _imports(path):
             if name != "repro.sim" and not name.startswith("repro.sim."):
@@ -74,11 +75,44 @@ def test_layer_does_not_import_sim_kernel(layer):
         .format(layer, "\n".join(violations)))
 
 
-def test_sim_env_is_the_only_kernel_adapter():
-    """The one sanctioned bridge: repro.runtime.sim_env -> repro.sim.engine."""
-    adapter = SRC / "runtime" / "sim_env.py"
-    names = {name for _, name in _imports(adapter)}
-    assert any(n.startswith("repro.sim.engine") for n in names)
+def test_kernel_adapters_are_exactly_the_two_drivers():
+    """The sanctioned bridges: under ``runtime/``, ``sim_env.py`` and
+    ``aio.py`` import repro.sim.engine and nothing else does."""
+    importers = {
+        path.relative_to(SRC).as_posix()
+        for path in (SRC / "runtime").rglob("*.py")
+        if any(name.startswith("repro.sim.engine")
+               for _, name in _imports(path))
+    }
+    assert importers == ADAPTERS
+
+
+#: Methods only an event (``succeed``), a process (``_resume``) or a
+#: condition (``_observe``) implementation defines.
+KERNEL_SIGNATURE = {"succeed", "_resume", "_observe"}
+
+
+def test_no_second_kernel_outside_sim():
+    """Every primitive is written once, under ``src/repro/sim/``: the
+    real-time driver inherits the kernel's classes, it does not mirror
+    them."""
+    bad = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] == "sim":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defined = {child.name for child in node.body
+                       if isinstance(child, ast.FunctionDef)}
+            if defined & KERNEL_SIGNATURE:
+                bad.append("{}:{}: class {} defines {}".format(
+                    path.relative_to(SRC.parent), node.lineno, node.name,
+                    sorted(defined & KERNEL_SIGNATURE)))
+    assert not bad, (
+        "an event/process/condition implementation outside the kernel:\n"
+        + "\n".join(bad))
 
 
 def test_guard_list_is_current():

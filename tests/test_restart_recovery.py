@@ -1,7 +1,10 @@
 """Tests for durable WAL redo recovery, crash-restart and standby rejoin."""
 
+import json
+
 import pytest
 
+from repro.check import run_schedule
 from repro.core import FalconCluster, FalconConfig
 from repro.faults import FaultInjector
 from repro.net.costs import CostModel
@@ -397,3 +400,18 @@ class TestRestartExperiment:
             assert row["restart_loss"] <= row["promotion_loss"]
             assert row["replayed_txns"] == row["durable_txns"]
             assert row["divergence"] == 0
+
+
+def test_rename_abort_to_a_rejoined_standby_is_refused():
+    """Classic seed 473, shrunk (26 of the 33 red seeds of the PR-20
+    census had this signature).  Node 0 crashes, its standby is
+    promoted, the machine restarts and rejoins as a standby *under its
+    old MNode name* — and the coordinator then aborts a rename towards
+    the owner name it captured at prepare time.  The standby used to
+    raise "cannot handle rename_abort" and crash the run; it now refuses
+    with ENOTLEADER, which ``_abort_rename`` already swallows (the
+    outcome is recorded).  Replay the reproducer; it must stay clean."""
+    with open("tests/golden/rename_abort_standby_schedule.json") as handle:
+        schedule = json.load(handle)
+    result = run_schedule(schedule)
+    assert result["violations"] == [], result["violations"]

@@ -1,12 +1,15 @@
 """Robustness of the TCP fabric (``repro.runtime.net``) and of the
-asyncio backend's timers: bounded reply bookkeeping, hostile frames,
-really-cancelled deadline timers."""
+real-time driver under it: bounded reply bookkeeping, hostile frames,
+inert cancelled timers, and the pump that runs the DES kernel on the
+asyncio loop."""
 
 import asyncio
+import socket
 import struct
 
 import pytest
 
+from repro import sim
 from repro.net.costs import CostModel
 from repro.net.node import Node
 from repro.net.rpc import RpcError, RpcFailure
@@ -182,41 +185,124 @@ def test_hostile_frame_closes_only_its_connection(name):
     assert malformed == (0 if name == "truncated" else 1)
 
 
-def test_cancelled_timer_cancels_the_loop_handle():
-    """A met deadline must not leave its ``call_later`` behind to wake
-    the loop seconds later for nothing."""
+def test_cancelled_timer_never_fires():
+    """A cancelled timer's heap entry pops inert when it comes due, as
+    in the simulator: its callback never runs, nothing is unhandled,
+    and the heap is empty afterwards."""
     async def main():
         env = AsyncioEnv()
         fired = []
-        timer = env.timer(50_000.0, fired.append)
-        handle = timer._handle
-        timer.cancel()
+        env.timer(50_000.0, fired.append).cancel()
+        kept = env.timer(60_000.0, fired.append)
         await asyncio.sleep(0.1)
-        return fired, handle.cancelled()
+        return fired == [kept], env.unhandled, list(env._queue)
 
-    fired, cancelled = _run(main)
-    assert fired == [] and cancelled
+    assert _run(main) == (True, [], [])
 
 
 def test_deadline_call_on_time_leaves_no_timer_behind():
+    """A met deadline leaves no reply slot and nothing unhandled, and
+    its disarmed timer is gone from the heap once the deadline passes."""
     async def main():
         env = AsyncioEnv()
         served, port = await _serving(env, _Echo)
         calling = AioNetwork(env, CostModel(), {"server": ("127.0.0.1", port)})
         caller = _Echo(env, calling, "caller")
-        loop = asyncio.get_running_loop()
         try:
             reply = await env.run_process(deadline_call(
                 caller, OpContext(env, "probe"), "server", "echo", {"n": 3},
-                timeout_us=2_000_000.0))
-            live = [handle for handle in loop._scheduled
-                    if not handle.cancelled()
-                    and getattr(handle._callback, "__self__", None) is env]
-            return reply, live, dict(calling._pending)
+                timeout_us=150_000.0))
+            pending = dict(calling._pending)
+            await asyncio.sleep(0.2)
+            return reply, pending, env.unhandled, list(env._queue)
         finally:
             await calling.close()
             await served.close()
 
-    reply, live, pending = _run(main)
-    assert reply == {"n": 3}
-    assert live == [] and pending == {}
+    assert _run(main) == ({"n": 3}, {}, [], [])
+
+
+# ----------------------------------------------------------------------
+# the real-time pump: AsyncioEnv drives the DES kernel, it is not a copy
+# ----------------------------------------------------------------------
+
+def test_primitives_are_the_kernels_own():
+    async def main():
+        env = AsyncioEnv()
+
+        def body():
+            return
+            yield
+
+        made = [env.event(), env.timeout(0), env.process(body()),
+                env.resource(), env.store(), env.all_of([]),
+                env.any_of([env.event()])]
+        return [type(obj) for obj in made]
+
+    assert _run(main) == [sim.Event, sim.Timeout, sim.Process, sim.Resource,
+                          sim.Store, sim.AllOf, sim.AnyOf]
+
+
+def test_deadline_set_after_an_idle_gap_does_not_fire_early():
+    """The clock is read at push time, never cached from the last pump
+    turn: a timer armed after 50 ms of silence still waits out its full
+    delay."""
+    async def main():
+        env = AsyncioEnv()
+        await asyncio.sleep(0.05)
+        armed_at = env.now_us()
+        fired_at = []
+        env.timer(30_000.0, lambda _timer: fired_at.append(env.now_us()))
+        await asyncio.sleep(0.1)
+        return fired_at[0] - armed_at
+
+    assert _run(main) >= 30_000.0
+
+
+def test_zero_backoff_retry_does_not_starve_a_socket_read():
+    """Entries pushed during a pump turn run in a *later* loop turn.  A
+    pump that kept popping whatever is due would spin this retry loop
+    to exhaustion inside one turn — every zero-delay sleep is due by the
+    time it is looked at — and never let the loop read the socket."""
+    async def main():
+        env = AsyncioEnv()
+        ours, theirs = socket.socketpair()
+        answered = []
+        loop = asyncio.get_running_loop()
+        loop.add_reader(theirs, lambda: answered.append(theirs.recv(1)))
+
+        def retry():
+            for spins in range(10_000):
+                if answered:
+                    return spins
+                yield env.sleep(0)          # the ``cooperative`` backoff
+            return None
+
+        try:
+            ours.send(b"!")
+            return await env.run_process(retry()), answered, env.unhandled
+        finally:
+            loop.remove_reader(theirs)
+            ours.close()
+            theirs.close()
+
+    spins, answered, unhandled = _run(main)
+    assert answered == [b"!"] and unhandled == []
+    assert spins is not None and spins < 100
+
+
+def test_unhandled_failure_is_reported_and_the_turn_goes_on():
+    """A failed event nobody waits on is recorded, reaches asyncio's
+    exception handler, and does not strand the due entries behind it."""
+    async def main():
+        env = AsyncioEnv()
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context["exception"]))
+        boom = ValueError("nobody waits on this")
+        env.event().fail(boom)
+        behind = env.event().succeed("ran")
+        value = await env.wait(behind)
+        return value, env.unhandled == [boom], reported == [boom]
+
+    assert _run(main) == ("ran", True, True)
