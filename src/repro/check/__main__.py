@@ -13,7 +13,9 @@
 
 ``python -m repro.check repro <seed-file>``
     replay a written seed file (the minimal schedule by default, the
-    original with ``--original``); exit 1 if violations reproduce.
+    original with ``--original``) or a bare schedule such as the pinned
+    ``tests/golden/*_schedule.json``; exit 1 if violations reproduce,
+    exit 2 without a verdict if a nemesis event is malformed.
 
 ``python -m repro.check gen --seed 7``
     print the expanded schedule for one seed (debugging aid).
@@ -172,10 +174,17 @@ def cmd_run(args):
 def cmd_repro(args):
     with open(args.file) as handle:
         report = json.load(handle)
-    schedule = report["schedule"]
+    schedule = report.get("schedule", report)
     if not args.original and report.get("minimal"):
         schedule = report["minimal"]
-    result = run_schedule(schedule)
+    try:
+        result = run_schedule(schedule)
+    except ValueError as error:
+        # A malformed nemesis event is bad input, not a verdict against
+        # the system: ``FaultInjector.apply`` refuses it at scheduling
+        # time, before any simulated time passes.
+        print("input error: {}".format(error), file=sys.stderr)
+        return 2
     print(_summarize(result["stats"]))
     if not result["violations"]:
         print("no violations (did not reproduce)")

@@ -329,7 +329,7 @@ def promotion_risk_windows(cluster, nemesis_log):
     for crash in cluster.crash_log:
         troubles.setdefault(crash["index"], []).append(crash["at"])
     for event in nemesis_log:
-        if event["kind"] == "hang" and "index" in event:
+        if event["kind"] == "hang":
             troubles.setdefault(event["index"], []).append(event["at"])
     windows = []
     for record in cluster.coordinator.failover_log:

@@ -1,8 +1,10 @@
-"""Shared experiment utilities: cluster builders, table rendering, and
-the shared ``--jobs`` fan-out for point-parallel sweeps."""
+"""Shared experiment utilities: cluster builders, the fault experiments'
+common workload, table rendering, and the shared ``--jobs`` fan-out for
+point-parallel sweeps."""
 
 from repro.baselines import CephCluster, JuiceCluster, LustreCluster
 from repro.core import FalconCluster, FalconConfig
+from repro.net.rpc import RpcFailure
 
 #: Systems compared throughout the evaluation, in the paper's order.
 SYSTEMS = ("falconfs", "cephfs", "lustre", "juicefs")
@@ -65,6 +67,86 @@ def prefill_dcache(client, tree, path_ino, rng=None):
             pid, basename(dpath),
             InodeAttrs(ino=path_ino[dpath], is_dir=True, mode=0o755),
         )
+
+
+# -- the fault experiments' common ground (failover, restart, election,
+# grayfail, rebalance) ----------------------------------------------------
+
+def replicated_cluster(num_dirs, **config):
+    """A replicated FalconFS cluster holding ``/w0`` .. ``/w<num_dirs-1>``
+    with the setup shipments drained."""
+    cluster = FalconCluster(FalconConfig(replication=True, **config))
+    fs = cluster.fs()
+    for d in range(num_dirs):
+        fs.mkdir("/w{}".format(d))
+    cluster.run_for(5000.0)  # drain setup shipments
+    return cluster
+
+
+def drive_clients(cluster, threads, num_dirs, duration_us, read_back=True):
+    """Run ``threads`` closed-loop workers on one new libfs client for
+    ``duration_us``: each creates a fresh file under its ``/w`` directory
+    and, with ``read_back``, stats it on alternate turns.
+
+    Returns ``(records, acked)``: one ``(start_us, end_us, ok, creating)``
+    per op, and the paths whose create was acknowledged."""
+    env = cluster.env
+    client = cluster.add_client(mode="libfs")
+    end_at = env.now + duration_us
+    records, acked = [], []
+
+    def worker(wid):
+        i = 0
+        last = None
+        while env.now < end_at:
+            creating = not read_back or last is None or i % 2 == 0
+            if creating:
+                last = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
+                op = client.create(last, exclusive=False)
+            else:
+                op = client.getattr(last)
+            start = env.now
+            ok = True
+            try:
+                yield from op
+            except RpcFailure:
+                ok = False
+            records.append((start, env.now, ok, creating))
+            if creating and ok:
+                acked.append(last)
+            i += 1
+
+    workers = [env.process(worker(w)) for w in range(threads)]
+    env.run(until=env.all_of(workers))
+    return records, acked
+
+
+def phase_buckets(records, fault_at, healed_at):
+    """Split op records into those finished before the fault, those
+    overlapping ``[fault_at, healed_at]`` and those started after it."""
+    return {
+        "before": [r for r in records if r[1] < fault_at],
+        "during": [r for r in records
+                   if r[1] >= fault_at and r[0] <= healed_at],
+        "after": [r for r in records if r[0] > healed_at],
+    }
+
+
+def lost_acked(cluster, paths):
+    """Look every acknowledged create up again through a new client;
+    returns the paths that no longer resolve."""
+    probe = cluster.add_client(mode="libfs")
+    lost = []
+
+    def sweep():
+        for path in paths:
+            try:
+                yield from probe.getattr(path)
+            except RpcFailure:
+                lost.append(path)
+
+    cluster.run_process(sweep())
+    return lost
 
 
 def parallel_map(tasks, fn, jobs=1):

@@ -22,10 +22,16 @@ Everything is deterministic: the same seed yields the same crash time,
 victim, gap and loss.
 """
 
-from repro.core import FalconCluster, FalconConfig
+from repro.experiments.common import (
+    drive_clients,
+    format_table,
+    lost_acked,
+    parallel_map,
+    phase_buckets,
+    replicated_cluster,
+)
 from repro.faults import FaultInjector
 from repro.metrics import percentile
-from repro.net.rpc import RpcFailure
 
 
 def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
@@ -37,55 +43,20 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
         raise ValueError("mode must be 'consensus' or 'promotion', "
                          "got {!r}".format(mode))
     consensus = mode == "consensus"
-    cluster = FalconCluster(FalconConfig(
-        num_mnodes=num_mnodes, num_storage=num_storage, replication=True,
+    cluster = replicated_cluster(
+        num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
         consensus=consensus, rpc_timeout_us=rpc_timeout_us,
         retry_jitter=0.25, ship_retry_us=1200.0, seed=seed,
-    ))
-    env = cluster.env
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
-
+    )
     cluster.start_failure_detection()
     if consensus:
         cluster.start_consensus()
-    injector = FaultInjector(cluster)
-    crash_at = env.now + warm_us
-    victim = injector.crash_mnode_at(crash_at)
+    crash_at = cluster.env.now + warm_us
+    victim = FaultInjector(cluster).apply(
+        {"kind": "crash", "at_us": crash_at}).event["index"]
 
-    client = cluster.add_client(mode="libfs")
-    end_at = env.now + duration_us
-    records = []
-    acked_creates = []
-
-    def worker(wid):
-        i = 0
-        last = None
-        while env.now < end_at:
-            creating = last is None or i % 2 == 0
-            if creating:
-                path = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
-                op = client.create(path, exclusive=False)
-                nxt = path
-            else:
-                op = client.getattr(last)
-                nxt = last
-            start = env.now
-            ok = True
-            try:
-                yield from op
-            except RpcFailure:
-                ok = False
-            records.append((start, env.now, ok, creating))
-            if creating and ok:
-                acked_creates.append(path)
-            last = nxt
-            i += 1
-
-    workers = [env.process(worker(w)) for w in range(threads)]
-    env.run(until=env.all_of(workers))
+    records, acked_creates = drive_clients(cluster, threads, num_dirs,
+                                           duration_us)
     cluster.heal()  # restarts the crashed machine (rejoins as follower)
     cluster.run_for(20000.0)  # drain: catch-up, invalidations
 
@@ -102,31 +73,15 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
     detection = cluster.detector.log
 
     # Every acknowledged create must still resolve after healing.
-    lost_acked = 0
-    probe = cluster.add_client(mode="libfs")
-
-    def sweep():
-        nonlocal lost_acked
-        for path in acked_creates:
-            try:
-                yield from probe.getattr(path)
-            except RpcFailure:
-                lost_acked += 1
-
-    cluster.run_process(sweep())
-    if consensus and lost_acked:
+    lost = len(lost_acked(cluster, acked_creates))
+    if consensus and lost:
         raise AssertionError(
             "{} quorum-acknowledged creates vanished across the "
             "election — an ack without a surviving majority record"
-            .format(lost_acked))
+            .format(lost))
 
     recovered_at = recovery["recovered_at"]
-    phases = {
-        "before": [r for r in records if r[1] < crash_at],
-        "during": [r for r in records
-                   if r[1] >= crash_at and r[0] <= recovered_at],
-        "after": [r for r in records if r[0] > recovered_at],
-    }
+    phases = phase_buckets(records, crash_at, recovered_at)
     overlapping = [end - start for start, end, _, _ in records
                    if start <= crash_at <= end]
     return {
@@ -138,7 +93,7 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
         "gap_us": recovered_at - crash_at,
         "max_stall_us": max(overlapping) if overlapping else 0.0,
         "lost_txns": recovery["lost_txns"],
-        "lost_acked": lost_acked,
+        "lost_acked": lost,
         "acked": len(acked_creates),
         "elections": sum(1 for r in log if r.get("elected")),
         "promotions": sum(1 for r in log
@@ -177,15 +132,11 @@ def _point_row(task):
 
 
 def run(modes=("promotion", "consensus"), jobs=1, **kwargs):
-    from repro.experiments.common import parallel_map
-
     return parallel_map([(mode, kwargs) for mode in modes], _point_row,
                         jobs=jobs)
 
 
 def format_rows(rows):
-    from repro.experiments.common import format_table
-
     return format_table(
         rows,
         ["mode", "commit_p50_us", "commit_p99_us", "detect_us", "gap_us",

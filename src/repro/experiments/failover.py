@@ -20,58 +20,32 @@ Everything is deterministic: the same seed yields the same crash time,
 victim, gap and lost window.
 """
 
-from repro.core import FalconCluster, FalconConfig
+from repro.experiments.common import (
+    drive_clients,
+    format_table,
+    phase_buckets,
+    replicated_cluster,
+)
 from repro.faults import FaultInjector
 from repro.metrics import percentile
-from repro.net.rpc import RpcFailure
 
 
 def measure(num_mnodes=4, num_storage=2, threads=12, num_dirs=4,
             duration_us=30000.0, warm_us=8000.0, rpc_timeout_us=400.0,
             seed=0):
     """Run one crash-and-recover scenario; returns a result dict."""
-    cluster = FalconCluster(FalconConfig(
-        num_mnodes=num_mnodes, num_storage=num_storage, replication=True,
+    cluster = replicated_cluster(
+        num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
         rpc_timeout_us=rpc_timeout_us, seed=seed,
-    ))
+    )
     env = cluster.env
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
-
     cluster.start_failure_detection()
-    injector = FaultInjector(cluster)
     crash_at = env.now + warm_us
-    victim = injector.crash_mnode_at(crash_at)
+    victim = FaultInjector(cluster).apply(
+        {"kind": "crash", "at_us": crash_at}).event["index"]
 
-    client = cluster.add_client(mode="libfs")
     end_at = env.now + duration_us
-    records = []
-
-    def worker(wid):
-        i = 0
-        last = None
-        while env.now < end_at:
-            if last is None or i % 2 == 0:
-                path = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
-                op = client.create(path, exclusive=False)
-                nxt = path
-            else:
-                op = client.getattr(last)
-                nxt = last
-            start = env.now
-            ok = True
-            try:
-                yield from op
-            except RpcFailure:
-                ok = False
-            records.append((start, env.now, ok))
-            last = nxt
-            i += 1
-
-    workers = [env.process(worker(w)) for w in range(threads)]
-    env.run(until=env.all_of(workers))
+    records, _ = drive_clients(cluster, threads, num_dirs, duration_us)
     cluster.detector.stop()
     cluster.run_for(20000.0)  # quiesce: shipments, invalidations
 
@@ -82,21 +56,14 @@ def measure(num_mnodes=4, num_storage=2, threads=12, num_dirs=4,
     crash = cluster.crash_log[0]
     verify = cluster.verify()
 
-    phases = {
-        "before": [r for r in records if r[1] < crash_at],
-        "during": [
-            r for r in records
-            if r[1] >= crash_at and r[0] <= failover["recovered_at"]
-        ],
-        "after": [r for r in records if r[0] > failover["recovered_at"]],
-    }
+    phases = phase_buckets(records, crash_at, failover["recovered_at"])
     windows = {
         "before": crash_at - (end_at - duration_us),
         "during": failover["recovered_at"] - crash_at,
         "after": end_at - failover["recovered_at"],
     }
     overlapping = [
-        end - start for start, end, _ in records
+        end - start for start, end, _, _ in records
         if start <= crash_at <= end
     ]
     return {
@@ -119,8 +86,9 @@ def run(**kwargs):
     result = measure(**kwargs)
     rows = []
     for phase in ("before", "during", "after"):
-        latencies = [end - start for start, end, _ in result["phases"][phase]]
-        errors = sum(1 for _, _, ok in result["phases"][phase] if not ok)
+        records = result["phases"][phase]
+        latencies = [end - start for start, end, _, _ in records]
+        errors = sum(1 for _, _, ok, _ in records if not ok)
         rows.append({
             "kind": "phase",
             "phase": phase,
@@ -145,8 +113,6 @@ def run(**kwargs):
 
 
 def format_rows(rows):
-    from repro.experiments.common import format_table
-
     phase_rows = [r for r in rows if r.get("kind") == "phase"]
     failover_rows = [r for r in rows if r.get("kind") == "failover"]
     out = format_table(

@@ -27,10 +27,16 @@ converges after the window heals (shipper retransmission closes the
 gaps seeded packet loss opened).
 """
 
-from repro.core import FalconCluster, FalconConfig
+from repro.experiments.common import (
+    drive_clients,
+    format_table,
+    parallel_map,
+    phase_buckets,
+    replicated_cluster,
+)
 from repro.faults import FaultInjector
 from repro.metrics import percentile
-from repro.net.rpc import RpcFailure
+from repro.storage.replication import divergence
 
 #: Per-kind severity ladders (the swept knob differs per fault family).
 SEVERITIES = {
@@ -41,29 +47,26 @@ SEVERITIES = {
 }
 
 
-def _inject(injector, cluster, kind, severity, at_us, duration_us):
-    """Schedule one gray fault window of the given kind/severity."""
+def _events(kind, severity, at_us, duration_us):
+    """The nemesis events of one gray fault window of the given
+    kind/severity (victim: slot 0, or the coordinator's clock)."""
+    window = {"kind": kind, "at_us": at_us, "duration_us": duration_us}
     if kind == "slow_disk":
-        injector.slow_disk_at(at_us, index=0, duration_us=duration_us,
-                              fsync_factor=severity,
-                              bandwidth_factor=max(2.0, severity / 4.0),
-                              ramp_us=500.0)
-    elif kind == "degrade_link":
-        injector.degrade_link_at(at_us, cluster.mnodes[0].name,
-                                 duration_us, latency_factor=4.0,
-                                 loss_prob=severity,
-                                 reorder_window_us=120.0,
-                                 rng_seed=0xC0FFEE)
-    elif kind == "skew_clock":
-        injector.skew_clock_at(at_us, cluster.coordinator.name,
-                               offset_us=severity, drift_ppm=40000.0,
-                               duration_us=duration_us)
-    elif kind == "stampede":
+        return [dict(window, index=0, fsync_factor=severity,
+                     bandwidth_factor=max(2.0, severity / 4.0),
+                     ramp_us=500.0)]
+    if kind == "degrade_link":
+        return [dict(window, index=0, latency_factor=4.0,
+                     loss_prob=severity, reorder_window_us=120.0,
+                     rng_seed=0xC0FFEE)]
+    if kind == "skew_clock":
+        return [dict(window, target="coordinator", offset_us=severity,
+                     drift_ppm=40000.0)]
+    if kind == "stampede":
         storms = int(severity)
-        for i in range(storms):
-            injector.stampede_at(at_us + i * (duration_us / storms))
-    else:
-        raise ValueError("unknown gray fault kind: {!r}".format(kind))
+        return [{"kind": kind, "at_us": at_us + i * (duration_us / storms)}
+                for i in range(storms)]
+    raise ValueError("unknown gray fault kind: {!r}".format(kind))
 
 
 def measure(kind="degrade_link", severity=0.15, num_mnodes=3,
@@ -71,56 +74,22 @@ def measure(kind="degrade_link", severity=0.15, num_mnodes=3,
             warm_us=8000.0, fault_duration_us=8000.0,
             rpc_timeout_us=400.0, seed=0):
     """Run one gray-fault window under load; returns a result dict."""
-    cluster = FalconCluster(FalconConfig(
-        num_mnodes=num_mnodes, num_storage=num_storage, replication=True,
+    cluster = replicated_cluster(
+        num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
         rpc_timeout_us=rpc_timeout_us, retry_jitter=0.25,
         ship_retry_us=1200.0, seed=seed,
-    ))
-    env = cluster.env
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
-
+    )
     cluster.start_failure_detection()
     injector = FaultInjector(cluster)
-    fault_at = env.now + warm_us
+    fault_at = cluster.env.now + warm_us
     fault_end = fault_at + fault_duration_us
-    _inject(injector, cluster, kind, severity, fault_at,
-            fault_duration_us)
+    for event in _events(kind, severity, fault_at, fault_duration_us):
+        injector.apply(event)
 
-    client = cluster.add_client(mode="libfs")
-    end_at = env.now + duration_us
-    records = []
-
-    def worker(wid):
-        i = 0
-        last = None
-        while env.now < end_at:
-            if last is None or i % 2 == 0:
-                path = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
-                op = client.create(path, exclusive=False)
-                nxt = path
-            else:
-                op = client.getattr(last)
-                nxt = last
-            start = env.now
-            ok = True
-            try:
-                yield from op
-            except RpcFailure:
-                ok = False
-            records.append((start, env.now, ok))
-            last = nxt
-            i += 1
-
-    workers = [env.process(worker(w)) for w in range(threads)]
-    env.run(until=env.all_of(workers))
+    records, _ = drive_clients(cluster, threads, num_dirs, duration_us)
     cluster.detector.stop()
     cluster.heal()
     cluster.run_for(20000.0)  # drain: retransmissions, invalidations
-
-    from repro.storage.replication import divergence
 
     log = cluster.coordinator.failover_log
     real_promotions = [
@@ -148,16 +117,10 @@ def measure(kind="degrade_link", severity=0.15, num_mnodes=3,
                  if declared else None)
     resent = sum(m.shipper.resent_records for m in cluster.mnodes
                  if getattr(m, "shipper", None) is not None)
-    phases = {
-        "before": [r for r in records if r[1] < fault_at],
-        "during": [r for r in records
-                   if r[1] >= fault_at and r[0] <= fault_end],
-        "after": [r for r in records if r[0] > fault_end],
-    }
     return {
         "kind": kind,
         "severity": severity,
-        "phases": phases,
+        "phases": phase_buckets(records, fault_at, fault_end),
         "declared": len(declared),
         "detect_us": detect_us,
         "suppressed": sum(1 for r in log if r.get("suppressed")),
@@ -177,9 +140,9 @@ def _point_row(task):
     """
     kind, severity, kwargs = task
     result = measure(kind=kind, severity=severity, **kwargs)
-    during = [e - s for s, e, _ in result["phases"]["during"]]
-    after = [e - s for s, e, _ in result["phases"]["after"]]
-    errors = sum(1 for _, _, ok in result["phases"]["during"]
+    during = [e - s for s, e, _, _ in result["phases"]["during"]]
+    after = [e - s for s, e, _, _ in result["phases"]["after"]]
+    errors = sum(1 for _, _, ok, _ in result["phases"]["during"]
                  if not ok)
     return {
         "kind": kind,
@@ -201,8 +164,6 @@ def _point_row(task):
 
 def run(kinds=("slow_disk", "degrade_link", "skew_clock", "stampede"),
         severities=None, jobs=1, **kwargs):
-    from repro.experiments.common import parallel_map
-
     tasks = []
     for kind in kinds:
         ladder = (severities[kind] if severities is not None
@@ -212,8 +173,6 @@ def run(kinds=("slow_disk", "degrade_link", "skew_clock", "stampede"),
 
 
 def format_rows(rows):
-    from repro.experiments.common import format_table
-
     return format_table(
         rows,
         ["kind", "severity", "ops_during", "errors", "p50_us", "p99_us",

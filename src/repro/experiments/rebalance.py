@@ -23,7 +23,11 @@ Everything is deterministic: the same seed yields the same traffic,
 the same migration plan and the same final distribution.
 """
 
-from repro.core import FalconCluster, FalconConfig
+from repro.experiments.common import (
+    format_table,
+    lost_acked,
+    replicated_cluster,
+)
 from repro.metrics import percentile
 from repro.net.rpc import RpcFailure
 
@@ -44,18 +48,12 @@ def measure(start_mnodes=4, end_mnodes=32, num_slots=64, num_storage=4,
             rpc_timeout_us=400.0, seed=0):
     """Grow ``start_mnodes`` -> ``end_mnodes`` under live traffic;
     returns a result dict.  Raises if any acked create is lost."""
-    config = FalconConfig(
-        num_mnodes=start_mnodes, num_storage=num_storage,
-        replication=True, rpc_timeout_us=rpc_timeout_us,
-        num_slots=num_slots, seed=seed,
+    cluster = replicated_cluster(
+        num_dirs, num_mnodes=start_mnodes, num_storage=num_storage,
+        rpc_timeout_us=rpc_timeout_us, num_slots=num_slots, seed=seed,
     )
-    cluster = FalconCluster(config)
     env = cluster.env
     coordinator = cluster.coordinator
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
 
     client = cluster.add_client(mode="libfs")
     acked = []              # paths whose create was acknowledged OK
@@ -121,17 +119,7 @@ def measure(start_mnodes=4, end_mnodes=32, num_slots=64, num_storage=4,
     cluster.run_for(10000.0)  # quiesce: shipments, purges
 
     # -- zero-loss audit: every acked create must still be readable ----
-    reader = cluster.add_client(mode="libfs")
-    lost = []
-
-    def audit():
-        for path in acked:
-            try:
-                yield from reader.getattr(path)
-            except RpcFailure:
-                lost.append(path)
-
-    env.run(until=env.process(audit()))
+    lost = lost_acked(cluster, acked)
     if lost:
         raise RuntimeError(
             "{} acked creates lost across {} migrations (first: {})"
@@ -177,8 +165,6 @@ def run(**kwargs):
 
 
 def format_rows(rows):
-    from repro.experiments.common import format_table
-
     stage_rows = [r for r in rows if r.get("kind") == "stage"]
     summary_rows = [r for r in rows if r.get("kind") == "summary"]
     for row in stage_rows:

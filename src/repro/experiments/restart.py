@@ -25,9 +25,12 @@ Everything is deterministic: the same seed yields the same crash time,
 victim, WAL contents, torn tail and recovery outcome.
 """
 
-from repro.core import FalconCluster, FalconConfig
+from repro.experiments.common import (
+    drive_clients,
+    format_table,
+    replicated_cluster,
+)
 from repro.faults import FaultInjector
-from repro.net.rpc import RpcFailure
 from repro.storage.replication import divergence
 
 #: Restart delays (us after the crash) that decide the race against the
@@ -42,24 +45,19 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
     """Run one crash-restart scenario; returns a result dict."""
     if restart_delay_us is None:
         restart_delay_us = MODE_DELAYS[mode]
-    cluster = FalconCluster(FalconConfig(
-        num_mnodes=num_mnodes, num_storage=num_storage, replication=True,
+    cluster = replicated_cluster(
+        num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
         rpc_timeout_us=rpc_timeout_us, seed=seed,
-    ))
+    )
     env = cluster.env
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
-
     cluster.start_failure_detection()
-    injector = FaultInjector(cluster)
     crash_at = env.now + warm_us
-    victim = injector.crash_mnode_at(crash_at)
+    victim = FaultInjector(cluster).apply(
+        {"kind": "crash", "at_us": crash_at}).event["index"]
 
     # The check below must run in the same event as restart completion,
     # before post-restart traffic lands, so drive the restart ourselves
-    # rather than through injector.restart_mnode_at.
+    # rather than through a ``restart`` nemesis event.
     outcome = {}
 
     def restart():
@@ -86,25 +84,8 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
 
     env.process(restart())
 
-    client = cluster.add_client(mode="libfs")
-    end_at = env.now + duration_us
-    records = []
-
-    def worker(wid):
-        i = 0
-        while env.now < end_at:
-            path = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
-            start = env.now
-            ok = True
-            try:
-                yield from client.create(path, exclusive=False)
-            except RpcFailure:
-                ok = False
-            records.append((start, env.now, ok))
-            i += 1
-
-    workers = [env.process(worker(w)) for w in range(threads)]
-    env.run(until=env.all_of(workers))
+    records, _ = drive_clients(cluster, threads, num_dirs, duration_us,
+                               read_back=False)
     cluster.detector.stop()
     cluster.run_for(20000.0)  # quiesce: shipments, acks, invalidations
 
@@ -134,7 +115,7 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
         if s is not None
     ]
     diverged = sum(len(divergence(m, s)) for m, s in pairs)
-    errors = sum(1 for _, _, ok in records if not ok)
+    errors = sum(1 for _, _, ok, _ in records if not ok)
     return {
         "mode": mode,
         "seed": seed,
@@ -195,8 +176,6 @@ def run(modes=("resume", "rejoin"), seeds=(0, 1, 2), **kwargs):
 
 
 def format_rows(rows):
-    from repro.experiments.common import format_table
-
     return format_table(
         rows,
         ["mode", "seed", "role", "recovery_us", "appended_txns",

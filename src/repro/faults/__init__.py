@@ -5,9 +5,10 @@ FalconFS's MNodes inherit PostgreSQL primary-standby replication
 implements the log shipping — this package supplies the rest of the
 failure story, as reproducible simulation components:
 
-* :class:`FaultInjector` — schedules crashes, hangs and network
-  partitions at simulated times drawn from the cluster's seeded RNG
-  streams, so a failure schedule is part of the experiment seed;
+* :class:`FaultInjector` — schedules declarative nemesis events
+  (crashes, hangs, partitions, gray failures) whose omitted victims are
+  drawn from the cluster's seeded RNG streams at scheduling time, so a
+  failure schedule is part of the experiment seed;
 * :class:`FailureDetector` — the coordinator's heartbeat/lease monitor:
   periodic pings with a per-ping timeout, a consecutive-miss threshold,
   and an ``on_failure`` hook that drives promotion (by default the

@@ -1,13 +1,15 @@
 """Deterministic fault schedules driven by the simulation RNG.
 
-The injector turns "a node dies mid-run" into a reproducible experiment
-input: fault times and victims are either given explicitly or drawn from
-the cluster's seeded ``faults`` random stream, so the same seed yields
-the same crash at the same microsecond, every run.
+A fault is a *nemesis event*, a plain dict such as ``{"kind": "crash",
+"at_us": 9000.0, "index": 1}``, and :meth:`FaultInjector.apply` is the
+only way to schedule one — for generated schedules, seed files,
+experiments and tests alike.  :data:`NEMESIS_KINDS` is the vocabulary;
+``docs/architecture.md`` ("The failure model") tabulates each kind's
+fields, what it fires, what heals it and what it logs.
 
 Determinism discipline: every random choice is made at *scheduling*
 time, or (when the needed state does not exist yet, like a WAL's length)
-from a per-event RNG whose seed was drawn at scheduling time.  Fire-time
+from a per-event RNG whose seed was fixed at scheduling time.  Fire-time
 draws from the shared stream would make one event's outcome depend on
 how many other events fired before it — dropping an event from a
 schedule (as the checker's shrinker does) must never perturb the
@@ -15,6 +17,7 @@ survivors.
 """
 
 import random
+from collections import namedtuple
 
 from repro.core.records import INVALID, VALID
 from repro.storage.wal import DiskSlowdown
@@ -25,8 +28,8 @@ class FaultHandle:
 
     Returned by :meth:`FaultInjector.apply`; the shrinker cancels handles
     instead of rebuilding the event queue.  Cancelling after the event
-    fired is a no-op.
-    """
+    fired is a no-op.  ``event`` is the event as scheduled: the caller's
+    fields plus whatever ``apply`` drew for it."""
 
     __slots__ = ("event", "fired", "cancelled")
 
@@ -45,8 +48,287 @@ class FaultHandle:
         return "<FaultHandle {} {}>".format(self.event.get("kind"), state)
 
 
+#: One row of the vocabulary.  ``fire(injector, event)`` runs at
+#: ``at_us``; the event's author must supply ``needs`` (beside ``kind``
+#: and ``at_us``); ``draws`` are filled from the injector's stream, in
+#: this order, when omitted; ``coordinator`` marks a kind that accepts
+#: ``"target": "coordinator"`` in place of a slot ``index``.
+Kind = namedtuple("Kind", "fire needs draws coordinator",
+                  defaults=((), (), False))
+
+
+# Slots are targeted by ``index`` and resolved to the slot's *current*
+# occupant at fire time (it may be a promoted ``-pN`` incarnation).
+
+def _crash(inj, event):
+    cluster, index = inj.cluster, event["index"]
+    if index in cluster._crashed:
+        inj._log("crash_noop", cluster.mnodes[index].name, index=index)
+        return
+    lag = cluster.crash_mnode(index)
+    inj._log("crash", cluster.mnodes[index].name, index=index,
+             lag_at_crash=lag)
+
+
+def _restart(inj, event):
+    """Redo-replay the dead occupant's WAL, then resume as primary or
+    rejoin as standby; takes simulated time, logged at completion."""
+    cluster, index = inj.cluster, event["index"]
+    if index not in cluster._crashed:
+        inj._log("restart_noop", cluster.mnodes[index].name, index=index)
+        return
+
+    def proc():
+        record = yield from cluster.restart_mnode(index)
+        inj._log("restart", record["name"], index=index,
+                 role=record["role"],
+                 replayed_txns=record["replayed_txns"],
+                 torn_records=record["torn_records"])
+
+    inj.env.process(proc())
+
+
+def _corrupt_wal(inj, event):
+    """Silently corrupt one durable WAL record; only a later redo sees
+    it.  Without ``lsn`` the record is drawn now (the log's length is
+    unknowable earlier) from the event's own ``rng_seed``."""
+    index = event["index"]
+    node = inj.cluster.mnodes[index]
+    target = event.get("lsn")
+    if target is None:
+        if node.wal.durable_lsn == 0:
+            inj._log("corrupt_wal_noop", node.name, index=index)
+            return
+        target = random.Random(event["rng_seed"]).randint(
+            1, node.wal.durable_lsn)
+    for segment in node.wal.segments:
+        for record in segment.records:
+            if record.lsn == target:
+                record.corrupt()
+                inj._log("corrupt_wal", node.name, index=index, lsn=target)
+                return
+
+
+def _stampede(inj, event):
+    """Invalidate every non-owned VALID dentry replica on every alive
+    MNode (and the coordinator) and drop every client's dentry cache:
+    the synchronized refetch storm of a mass invalidation."""
+    cluster = inj.cluster
+    invalidated = 0
+    for node in [*cluster.mnodes, cluster.coordinator]:
+        if node.halted or cluster.network.is_down(node.name):
+            continue
+        for key, record in list(node.dentries.scan()):
+            if record.state == VALID and not node._owns_dentry(key):
+                # Mirrors the invalidation protocol's receiving side
+                # (seq bump + INVALID mark) without its X-lock: a
+                # stampede is exactly the case where invalidations land
+                # faster than lock discipline.
+                node.inval_seq[("d",) + key] += 1
+                record.state = INVALID
+                invalidated += 1
+    for client in cluster.clients:
+        invalidated += len(client.dcache.entries())
+        client.dcache.clear()
+    inj._log("stampede", "all", invalidated=invalidated)
+
+
+def _migrate_slot(inj, event):
+    """Online slot handoff.  A slot already on its destination is a
+    logged no-op, so dropping other events never perturbs this one; the
+    coordinator's saga must commit or roll back under ALL interleavings
+    (migration introduces no oracle excusals)."""
+    cluster, slot, dest = inj.cluster, event["slot"], event["dest"]
+    target = "slot-{}".format(slot)
+    if cluster.shared.slot_map.node_of(slot) == dest:
+        inj._log("migrate_noop", target, slot=slot, dest=dest)
+        return
+    inj._log("migrate_slot", target, slot=slot, dest=dest)
+
+    def proc():
+        record = yield from cluster.coordinator.migrate_slot(
+            slot, dest, reason="nemesis")
+        if record is not None:
+            inj._log("migrate_done", target, slot=slot, dest=dest,
+                     status=record["status"])
+
+    inj.env.process(proc())
+
+
+def _window(begin, heal_kind, draws=("index",), coordinator=False):
+    """Row for a "begin now, undo after ``duration_us``, log both" kind.
+
+    ``begin(inj, event)`` applies the fault and returns ``(target,
+    extra_log_fields, undo)``, or None when it logged a no-op instead;
+    ``undo()`` returns False when it had to leave the fault in place,
+    which is logged as ``<heal_kind>_noop``."""
+
+    def fire(inj, event):
+        opened = begin(inj, event)
+        if opened is None:
+            return
+        target, extra, undo = opened
+        index = event.get("index")
+        inj._log(event["kind"], target, index=index,
+                 duration_us=event["duration_us"], **extra)
+
+        def heal():
+            yield inj.env.timeout(event["duration_us"])
+            kind = heal_kind + "_noop" if undo() is False else heal_kind
+            inj._log(kind, target, index=index)
+
+        inj.env.process(heal())
+
+    return Kind(fire, ("duration_us",), draws, coordinator)
+
+
+def _hang(inj, event):
+    """The occupant is unreachable for the window, then comes back with
+    its state intact (a GC pause / brown-out, not a crash)."""
+    cluster, index = inj.cluster, event["index"]
+    node = cluster.mnodes[index]
+    if cluster.network.is_down(node.name):
+        inj._log("hang_noop", node.name, index=index)
+        return None
+    cluster.network.set_down(node.name)
+
+    def undo():
+        # A node that crashed inside the window stays down: ``set_up``
+        # would unfence it with its pre-crash state, and its restart
+        # could no longer reincarnate the name.
+        if cluster._crashed.get(index) is node:
+            return False
+        cluster.network.set_up(node.name)
+
+    return node.name, {}, undo
+
+
+def _cut(standby=False, witness=False, directed=False):
+    """Begin-function for the partition shapes: the slot's current
+    leader, with the named members of its replication group on its
+    side, loses every other node — or, ``directed``, one direction of
+    its links to those members and nothing else."""
+
+    def begin(inj, event):
+        cluster, index = inj.cluster, event["index"]
+        side = [cluster.mnodes[index].name]
+        if standby and cluster._standby(index) is not None:
+            side.append(cluster.standbys[index].name)
+        if witness and index < len(cluster.witnesses):
+            side.append(cluster.witnesses[index].name)
+        if directed:
+            leader, *members = side
+            extra = {"direction": event.get("direction", "outbound")}
+            if extra["direction"] == "inbound":
+                srcs, dsts = members, [leader]
+            else:
+                srcs, dsts = [leader], members
+            cluster.network.partition_directed(srcs, dsts)
+            return leader, extra, lambda: cluster.network.heal(srcs, dsts)
+        others = [
+            node.name
+            for node in (cluster.mnodes + cluster.standbys
+                         + cluster.witnesses + [cluster.coordinator]
+                         + cluster.storage + cluster.clients)
+            if node is not None and node.name not in side
+        ]
+        cluster.network.partition(side, others)
+        return "|".join(side), {}, lambda: cluster.network.heal(side, others)
+
+    return begin
+
+
+# Gray failures — slow-not-dead: the victim keeps answering and still
+# holds all the data, so the detector must NOT promote around it.  These
+# stress retry storms, detection flapping, replication retransmission.
+
+def _slow_disk(inj, event):
+    """The slot's WAL fsyncs and writes slower, ramping toward the
+    factors over ``ramp_us``; only the node's commits get slow."""
+    cluster, index = inj.cluster, event["index"]
+    node = cluster.mnodes[index]
+    slowdown = DiskSlowdown(inj.env.now, event["duration_us"], **{
+        field: event[field]
+        for field in ("fsync_factor", "bandwidth_factor", "ramp_us")
+        if field in event
+    })
+    node.wal.slow_disk = slowdown
+
+    def undo():
+        # Clear by identity: a restart may have swapped the WAL (or
+        # another window installed a new slowdown) since.
+        current = cluster.mnodes[index]
+        if current.wal.slow_disk is slowdown:
+            current.wal.slow_disk = None
+
+    return node.name, {"fsync_factor": slowdown.fsync_factor,
+                       "bandwidth_factor": slowdown.bandwidth_factor}, undo
+
+
+def _degrade_link(inj, event):
+    """Every hop touching the occupant gets slower, lossy and jittered
+    (which breaks per-link FIFO), all drawn from the event's
+    ``rng_seed`` so the window replays whatever else fired."""
+    network = inj.cluster.network
+    name = inj.cluster.mnodes[event["index"]].name
+    if network.is_degraded(name):
+        inj._log("degrade_noop", name, index=event["index"])
+        return None
+    quality = {
+        "latency_factor": event.get("latency_factor", 1.0),
+        "loss_prob": event.get("loss_prob", 0.0),
+        "reorder_window_us": event.get("reorder_window_us", 0.0),
+    }
+    network.degrade_link(name, rng_seed=event["rng_seed"], **quality)
+    return name, quality, lambda: network.restore_link(name)
+
+
+def _skew_clock(inj, event):
+    """The node's clock view jumps by ``offset_us`` and drifts by
+    ``drift_ppm``: deadline stamping, backoff arithmetic and — on the
+    coordinator — the heartbeat cadence all read it."""
+    if event.get("target") == "coordinator":
+        name = inj.cluster.coordinator.name
+    else:
+        name = inj.cluster.mnodes[event["index"]].name
+    skew = {"offset_us": event.get("offset_us", 0.0),
+            "drift_ppm": event.get("drift_ppm", 0.0)}
+    clock = inj.env.clock(name)
+    clock.skew(**skew)
+    return name, skew, clock.reset
+
+
+NEMESIS_KINDS = {
+    "crash": Kind(_crash, draws=("index",)),
+    "restart": Kind(_restart, needs=("index",)),
+    "corrupt_wal": Kind(_corrupt_wal, draws=("index", "rng_seed")),
+    "stampede": Kind(_stampede),
+    "migrate_slot": Kind(_migrate_slot, needs=("slot", "dest")),
+    "hang": _window(_hang, "unhang"),
+    # Primary *plus its standby*: shipping flows on the minority side.
+    "partition": _window(_cut(standby=True), "partition_heal"),
+    # A minority of one: the leader must never acknowledge another
+    # write; the follower and witness elect a successor.
+    "leader_partition": _window(_cut(), "leader_partition_heal"),
+    # Leader + witness keep a 2-of-3 quorum, and the follower must NOT
+    # be electable (the witness hears the live leader and refuses its
+    # vote): availability loss for clients, never a second leader.
+    "split_brain": _window(_cut(witness=True), "split_brain_heal"),
+    # Inbound (member->leader lost): no election, but the leader hears
+    # no acks, so its lease lapses and it must stop acknowledging.
+    # Outbound: members elect while the old leader, deaf, fences itself.
+    "asymm_partition": _window(
+        _cut(standby=True, witness=True, directed=True),
+        "asymm_partition_heal"),
+    "slow_disk": _window(_slow_disk, "slow_disk_end"),
+    "degrade_link": _window(_degrade_link, "degrade_heal",
+                            draws=("index", "rng_seed")),
+    "skew_clock": _window(_skew_clock, "skew_heal", coordinator=True),
+}
+
+
 class FaultInjector:
-    """Schedules crashes, hangs and partitions on a cluster."""
+    """Schedules nemesis events on a cluster."""
 
     def __init__(self, cluster, stream="faults"):
         self.cluster = cluster
@@ -59,620 +341,60 @@ class FaultInjector:
         event = {"kind": kind, "target": target, "at": self.env.now}
         event.update(extra)
         self.events.append(event)
-        return event
-
-    def _at(self, time_us, thunk):
-        """Run ``thunk()`` at absolute sim time ``time_us``."""
-
-        def proc():
-            delay = time_us - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            thunk()
-
-        return self.env.process(proc())
-
-    # -- crashes ---------------------------------------------------------
-
-    def crash_mnode_at(self, time_us, index=None):
-        """Schedule an MNode crash; a random victim when ``index`` is
-        None.  Returns the victim index (known up front: the draw happens
-        at scheduling time so the schedule is part of the seed)."""
-        if index is None:
-            index = self.rng.randrange(len(self.cluster.mnodes))
-
-        def crash():
-            lag = self.cluster.crash_mnode(index)
-            self._log("crash", self.cluster.mnodes[index].name,
-                      index=index, lag_at_crash=lag)
-
-        self._at(time_us, crash)
-        return index
-
-    def crash_storage_at(self, time_us, index=None):
-        """Schedule a storage-node crash (black-holed, never recovered)."""
-        if index is None:
-            index = self.rng.randrange(len(self.cluster.storage))
-        name = self.cluster.storage[index].name
-
-        def crash():
-            self.cluster.network.set_down(name)
-            self._log("crash", name, index=index)
-
-        self._at(time_us, crash)
-        return index
-
-    # -- restarts --------------------------------------------------------
-
-    def restart_mnode_at(self, time_us, index):
-        """Schedule a crash-restart of slot ``index``'s dead former
-        occupant: redo-replay its durable WAL and either resume it as
-        primary (no promotion happened yet) or rejoin it as a fresh
-        standby catching up from the promoted primary.  The restart is a
-        process (replay and catch-up take simulated time); its outcome
-        record lands in ``cluster.restart_log``."""
-
-        def restart():
-            def proc():
-                record = yield from self.cluster.restart_mnode(index)
-                self._log("restart", record["name"], index=index,
-                          role=record["role"],
-                          replayed_txns=record["replayed_txns"],
-                          torn_records=record["torn_records"])
-
-            self.env.process(proc())
-
-        return self._at(time_us, restart)
-
-    # -- disk corruption -------------------------------------------------
-
-    def corrupt_wal_at(self, time_us, index=None, lsn=None, rng_seed=None):
-        """Schedule silent disk corruption of one durable WAL record on
-        MNode ``index`` (a random victim when None).  The damage is only
-        observable at restart: redo verification fails the record's
-        checksum and truncates replay there, so everything behind it is
-        lost even though it was fsynced.  ``lsn`` picks the record; when
-        None it is drawn at *fire* time (the log's length is not known at
-        scheduling time) — but from a private RNG seeded *now* (or by the
-        caller via ``rng_seed``), so the draw depends only on this
-        event's seed, never on what other injector events did first."""
-        if index is None:
-            index = self.rng.randrange(len(self.cluster.mnodes))
-        draw = None
-        if lsn is None:
-            if rng_seed is None:
-                rng_seed = self.rng.getrandbits(64)
-            draw = random.Random(rng_seed)
-
-        def corrupt():
-            wal = self.cluster.mnodes[index].wal
-            target = lsn
-            if target is None:
-                if wal.durable_lsn == 0:
-                    self._log("corrupt_wal_noop",
-                              self.cluster.mnodes[index].name, index=index)
-                    return
-                target = draw.randint(1, wal.durable_lsn)
-            for segment in wal.segments:
-                for record in segment.records:
-                    if record.lsn == target:
-                        record.corrupt()
-                        self._log("corrupt_wal",
-                                  self.cluster.mnodes[index].name,
-                                  index=index, lsn=target)
-                        return
-
-        self._at(time_us, corrupt)
-        return index
-
-    # -- hangs -----------------------------------------------------------
-
-    def hang_at(self, time_us, name, duration_us):
-        """Schedule a transient hang: ``name`` is unreachable for
-        ``duration_us`` then comes back with its state intact (a GC
-        pause / network brown-out, not a crash)."""
-
-        def hang():
-            self.cluster.network.set_down(name)
-            self._log("hang", name, duration_us=duration_us)
-
-            def recover():
-                yield self.env.timeout(duration_us)
-                self.cluster.network.set_up(name)
-                self._log("unhang", name)
-
-            self.env.process(recover())
-
-        return self._at(time_us, hang)
-
-    # -- partitions ------------------------------------------------------
-
-    def partition_at(self, time_us, group_a, group_b, duration_us=None):
-        """Schedule a bidirectional partition between two node-name
-        groups; heals after ``duration_us`` if given, else persists."""
-        group_a = list(group_a)
-        group_b = list(group_b)
-
-        def split():
-            self.cluster.network.partition(group_a, group_b)
-            self._log("partition", "|".join(group_a) + "//"
-                      + "|".join(group_b), duration_us=duration_us)
-
-            if duration_us is not None:
-                def heal():
-                    yield self.env.timeout(duration_us)
-                    self.cluster.network.heal(group_a, group_b)
-                    self._log("heal", "|".join(group_a) + "//"
-                              + "|".join(group_b))
-
-                self.env.process(heal())
-
-        return self._at(time_us, split)
-
-    # -- gray failures ---------------------------------------------------
-    #
-    # Slow-not-dead modes: the victim keeps answering, so the failure
-    # detector must NOT promote around it (the primary still holds all
-    # the data) — these windows stress the degraded-but-alive paths:
-    # retry storms, detection flapping, replication retransmission.
-
-    def slow_disk_at(self, time_us, index=None, duration_us=3000.0,
-                     fsync_factor=8.0, bandwidth_factor=4.0,
-                     ramp_us=500.0):
-        """Schedule a gray disk slowdown on MNode ``index``'s WAL: fsync
-        latency ramps toward ``fsync_factor``× and per-byte bandwidth
-        cost toward ``bandwidth_factor``× over ``ramp_us``, holds for
-        ``duration_us``, then clears.  The node never stops answering —
-        only its commits get slow."""
-        if index is None:
-            index = self.rng.randrange(len(self.cluster.mnodes))
-
-        def slow():
-            node = self.cluster.mnodes[index]
-            slowdown = DiskSlowdown(
-                self.env.now, duration_us, fsync_factor=fsync_factor,
-                bandwidth_factor=bandwidth_factor, ramp_us=ramp_us,
-            )
-            node.wal.slow_disk = slowdown
-            self._log("slow_disk", node.name, index=index,
-                      duration_us=duration_us, fsync_factor=fsync_factor,
-                      bandwidth_factor=bandwidth_factor)
-
-            def clear():
-                yield self.env.timeout(duration_us)
-                # Clear by identity: a restart may have swapped the WAL
-                # (or another window installed a new slowdown) since.
-                current = self.cluster.mnodes[index]
-                if current.wal.slow_disk is slowdown:
-                    current.wal.slow_disk = None
-                self._log("slow_disk_end", current.name, index=index)
-
-            self.env.process(clear())
-
-        self._at(time_us, slow)
-        return index
-
-    def degrade_link_at(self, time_us, name, duration_us,
-                        latency_factor=1.0, loss_prob=0.0,
-                        reorder_window_us=0.0, rng_seed=None):
-        """Schedule gray link degradation on every hop touching
-        ``name``: latency stretched by ``latency_factor``, each message
-        independently lost with ``loss_prob``, and up to
-        ``reorder_window_us`` of seeded jitter per hop (which breaks
-        per-link FIFO).  Heals after ``duration_us``.  All draws come
-        from ``rng_seed`` (drawn from the shared stream *now* when not
-        given), so the window replays identically regardless of what
-        other events fired."""
-        if rng_seed is None:
-            rng_seed = self.rng.getrandbits(64)
-
-        def degrade():
-            self.cluster.network.degrade_link(
-                name, latency_factor=latency_factor, loss_prob=loss_prob,
-                reorder_window_us=reorder_window_us, rng_seed=rng_seed,
-            )
-            self._log("degrade_link", name, duration_us=duration_us,
-                      latency_factor=latency_factor, loss_prob=loss_prob,
-                      reorder_window_us=reorder_window_us)
-
-            def heal():
-                yield self.env.timeout(duration_us)
-                self.cluster.network.restore_link(name)
-                self._log("degrade_heal", name)
-
-            self.env.process(heal())
-
-        return self._at(time_us, degrade)
-
-    def skew_clock_at(self, time_us, name, offset_us=0.0, drift_ppm=0.0,
-                      duration_us=None):
-        """Schedule a clock skew on node ``name``: its local clock view
-        jumps by ``offset_us`` and thereafter runs fast/slow by
-        ``drift_ppm`` parts-per-million.  Resets after ``duration_us``
-        when given (an operator fixing NTP), else persists.  Deadline
-        stamping, backoff arithmetic and — when ``name`` is the
-        coordinator — the heartbeat cadence all read this view."""
-
-        def skew():
-            self.env.clock(name).skew(offset_us=offset_us,
-                                      drift_ppm=drift_ppm)
-            self._log("skew_clock", name, offset_us=offset_us,
-                      drift_ppm=drift_ppm, duration_us=duration_us)
-
-            if duration_us is not None:
-                def unskew():
-                    yield self.env.timeout(duration_us)
-                    self.env.clock(name).reset()
-                    self._log("skew_heal", name)
-
-                self.env.process(unskew())
-
-        return self._at(time_us, skew)
-
-    def stampede_at(self, time_us):
-        """Schedule a cache stampede: every non-owned VALID dentry
-        replica on every alive MNode (and the coordinator) is
-        invalidated at once, and every client's dentry cache is
-        dropped — the synchronized refetch storm a mass invalidation
-        (e.g. a directory-tree migration) unleashes in production."""
-
-        def stampede():
-            invalidated = self._stampede()
-            self._log("stampede", "all", invalidated=invalidated)
-
-        return self._at(time_us, stampede)
-
-    def _stampede(self):
-        cluster = self.cluster
-        invalidated = 0
-        for node in [*cluster.mnodes, cluster.coordinator]:
-            if node.halted or cluster.network.is_down(node.name):
-                continue
-            for key, record in list(node.dentries.scan()):
-                if record.state == VALID and not node._owns_dentry(key):
-                    # Mirrors the invalidation protocol's receiving
-                    # side (seq bump + INVALID mark) without its
-                    # X-lock: a stampede is exactly the case where
-                    # invalidations land faster than lock discipline.
-                    node.inval_seq[("d",) + key] += 1
-                    record.state = INVALID
-                    invalidated += 1
-        for client in cluster.clients:
-            invalidated += len(client.dcache.entries())
-            client.dcache.clear()
-        return invalidated
-
-    def _everyone_but(self, isolated):
-        """Every live node name outside ``isolated`` — mnodes, standbys,
-        witnesses (consensus mode), coordinator, storage, clients."""
-        cluster = self.cluster
-        return [
-            node.name
-            for node in (cluster.mnodes + cluster.standbys
-                         + list(getattr(cluster, "witnesses", []))
-                         + [cluster.coordinator]
-                         + cluster.storage + cluster.clients)
-            if node is not None and node.name not in isolated
-        ]
-
-    # -- randomized schedules -------------------------------------------
-
-    def crash_random_mnode_between(self, lo_us, hi_us):
-        """Crash one RNG-chosen MNode at an RNG-chosen time in
-        [lo_us, hi_us).  Returns ``(index, time_us)``."""
-        time_us = self.rng.uniform(lo_us, hi_us)
-        index = self.crash_mnode_at(time_us)
-        return index, time_us
-
-    # -- declarative schedules (the simulation checker's interface) ------
 
     def apply(self, event):
-        """Schedule one declarative nemesis event; returns a
-        :class:`FaultHandle` the owner can :meth:`~FaultHandle.cancel`
-        before it fires.
+        """Schedule one nemesis event — the only way to inject a fault.
+        Returns a :class:`FaultHandle` the owner can
+        :meth:`~FaultHandle.cancel` before it fires.
 
-        ``event`` is a plain dict from a generated schedule::
+        ``event`` is a plain dict: a ``kind`` from
+        :data:`NEMESIS_KINDS`, an absolute fire time ``at_us`` and the
+        kind's own fields.  It is checked now, before any simulated time
+        passes: an unknown kind, a missing field, an ``index``, ``slot``
+        or ``dest`` the cluster does not have, or a non-positive
+        ``duration_us`` raises :class:`ValueError` naming kind and field.
 
-            {"kind": "crash",      "at_us": t, "index": i}
-            {"kind": "restart",    "at_us": t, "index": i}
-            {"kind": "hang",       "at_us": t, "index": i, "duration_us": d}
-            {"kind": "partition",  "at_us": t, "index": i, "duration_us": d}
-            {"kind": "corrupt_wal","at_us": t, "index": i, "rng_seed": s}
-            {"kind": "slow_disk",  "at_us": t, "index": i, "duration_us": d,
-             "fsync_factor": f, "bandwidth_factor": b, "ramp_us": r}
-            {"kind": "degrade_link", "at_us": t, "index": i,
-             "duration_us": d, "latency_factor": f, "loss_prob": p,
-             "reorder_window_us": w, "rng_seed": s}
-            {"kind": "skew_clock", "at_us": t, "index": i | "target":
-             "coordinator", "duration_us": d, "offset_us": o,
-             "drift_ppm": ppm}
-            {"kind": "stampede",   "at_us": t}
-            {"kind": "leader_partition", "at_us": t, "index": i,
-             "duration_us": d}
-            {"kind": "split_brain", "at_us": t, "index": i,
-             "duration_us": d}
-            {"kind": "asymm_partition", "at_us": t, "index": i,
-             "duration_us": d, "direction": "inbound" | "outbound"}
-
-        Every random choice is pinned inside the event (victims at
-        generation time, fire-time draws via ``rng_seed``), so cancelling
-        any subset of events never perturbs the survivors — the property
-        the shrinker's drop-and-replay discipline rests on.  ``hang`` and
-        ``partition`` target MNode slot ``index`` (a partition isolates
-        the slot's primary plus its standby from everything else, so
-        log shipping keeps flowing on the minority side).
-        """
-        kind = event["kind"]
-        index = event.get("index")
-        handle = FaultHandle(event)
-        cluster = self.cluster
-
-        if kind == "crash":
-            def thunk():
-                if index in cluster._crashed:
-                    self._log("crash_noop", cluster.mnodes[index].name,
-                              index=index)
-                    return
-                lag = cluster.crash_mnode(index)
-                self._log("crash", cluster.mnodes[index].name,
-                          index=index, lag_at_crash=lag)
-        elif kind == "restart":
-            def thunk():
-                if index not in cluster._crashed:
-                    self._log("restart_noop", cluster.mnodes[index].name,
-                              index=index)
-                    return
-
-                def proc():
-                    record = yield from cluster.restart_mnode(index)
-                    self._log("restart", record["name"], index=index,
-                              role=record["role"],
-                              replayed_txns=record["replayed_txns"],
-                              torn_records=record["torn_records"])
-
-                self.env.process(proc())
-        elif kind == "hang":
-            def thunk():
-                name = cluster.mnodes[index].name
-                if cluster.network.is_down(name):
-                    self._log("hang_noop", name, index=index)
-                    return
-                cluster.network.set_down(name)
-                self._log("hang", name, index=index,
-                          duration_us=event["duration_us"])
-
-                def recover():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.set_up(name)
-                    self._log("unhang", name, index=index)
-
-                self.env.process(recover())
-        elif kind == "partition":
-            def thunk():
-                isolated = [cluster.mnodes[index].name]
-                if (index < len(cluster.standbys)
-                        and cluster.standbys[index] is not None):
-                    isolated.append(cluster.standbys[index].name)
-                others = self._everyone_but(isolated)
-                cluster.network.partition(isolated, others)
-                self._log("partition", "|".join(isolated), index=index,
-                          duration_us=event["duration_us"])
-
-                def heal():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.heal(isolated, others)
-                    self._log("partition_heal", "|".join(isolated),
-                              index=index)
-
-                self.env.process(heal())
-        elif kind == "leader_partition":
-            def thunk():
-                # Isolate ONLY the slot's current leader (resolved at
-                # fire time — it may be an elected -pN incarnation).
-                # The minority-of-one scenario: the leader can reach no
-                # member, so it must never acknowledge another write;
-                # the follower and witness elect a successor.
-                isolated = [cluster.mnodes[index].name]
-                others = self._everyone_but(isolated)
-                cluster.network.partition(isolated, others)
-                self._log("leader_partition", isolated[0], index=index,
-                          duration_us=event["duration_us"])
-
-                def heal():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.heal(isolated, others)
-                    self._log("leader_partition_heal", isolated[0],
-                              index=index)
-
-                self.env.process(heal())
-        elif kind == "split_brain":
-            def thunk():
-                # Leader + witness on one side, the data follower (and
-                # every client) on the other.  The leader retains a
-                # 2-of-3 quorum through the witness, and the follower
-                # must NOT be electable (the witness refuses its vote:
-                # it hears the live leader).  Availability loss for the
-                # partitioned clients, never a second leader.
-                isolated = [cluster.mnodes[index].name]
-                if index < len(cluster.witnesses):
-                    isolated.append(cluster.witnesses[index].name)
-                others = self._everyone_but(isolated)
-                cluster.network.partition(isolated, others)
-                self._log("split_brain", "|".join(isolated), index=index,
-                          duration_us=event["duration_us"])
-
-                def heal():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.heal(isolated, others)
-                    self._log("split_brain_heal", "|".join(isolated),
-                              index=index)
-
-                self.env.process(heal())
-        elif kind == "asymm_partition":
-            def thunk():
-                # Directed link loss inside the slot's consensus group.
-                # "inbound": member->leader traffic is lost — members
-                # still hear appends (no election) but the leader never
-                # hears acks, so its lease lapses and it must stop
-                # acknowledging (availability gap, no promotion).
-                # "outbound": leader->member traffic is lost — members
-                # go silent and elect while the old leader, deaf by
-                # lease lapse, fences itself.
-                leader = [cluster.mnodes[index].name]
-                members = []
-                if (index < len(cluster.standbys)
-                        and cluster.standbys[index] is not None):
-                    members.append(cluster.standbys[index].name)
-                if index < len(cluster.witnesses):
-                    members.append(cluster.witnesses[index].name)
-                direction = event.get("direction", "outbound")
-                if direction == "inbound":
-                    srcs, dsts = members, leader
-                else:
-                    srcs, dsts = leader, members
-                cluster.network.partition_directed(srcs, dsts)
-                self._log("asymm_partition", leader[0], index=index,
-                          direction=direction,
-                          duration_us=event["duration_us"])
-
-                def heal():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.heal(srcs, dsts)
-                    self._log("asymm_partition_heal", leader[0],
-                              index=index)
-
-                self.env.process(heal())
-        elif kind == "slow_disk":
-            def thunk():
-                node = cluster.mnodes[index]
-                slowdown = DiskSlowdown(
-                    self.env.now, event["duration_us"],
-                    fsync_factor=event.get("fsync_factor", 8.0),
-                    bandwidth_factor=event.get("bandwidth_factor", 4.0),
-                    ramp_us=event.get("ramp_us", 500.0),
-                )
-                node.wal.slow_disk = slowdown
-                self._log("slow_disk", node.name, index=index,
-                          duration_us=event["duration_us"],
-                          fsync_factor=slowdown.fsync_factor,
-                          bandwidth_factor=slowdown.bandwidth_factor)
-
-                def clear():
-                    yield self.env.timeout(event["duration_us"])
-                    current = cluster.mnodes[index]
-                    if current.wal.slow_disk is slowdown:
-                        current.wal.slow_disk = None
-                    self._log("slow_disk_end", current.name, index=index)
-
-                self.env.process(clear())
-        elif kind == "degrade_link":
-            def thunk():
-                # Degrade the *current* slot occupant's links (the name
-                # is resolved at fire time, like crash targets slots).
-                name = cluster.mnodes[index].name
-                if cluster.network.is_degraded(name):
-                    self._log("degrade_noop", name, index=index)
-                    return
-                cluster.network.degrade_link(
-                    name,
-                    latency_factor=event.get("latency_factor", 1.0),
-                    loss_prob=event.get("loss_prob", 0.0),
-                    reorder_window_us=event.get("reorder_window_us", 0.0),
-                    rng_seed=event["rng_seed"],
-                )
-                self._log("degrade_link", name, index=index,
-                          duration_us=event["duration_us"],
-                          latency_factor=event.get("latency_factor", 1.0),
-                          loss_prob=event.get("loss_prob", 0.0),
-                          reorder_window_us=event.get(
-                              "reorder_window_us", 0.0))
-
-                def heal():
-                    yield self.env.timeout(event["duration_us"])
-                    cluster.network.restore_link(name)
-                    self._log("degrade_heal", name, index=index)
-
-                self.env.process(heal())
-        elif kind == "skew_clock":
-            def thunk():
-                if event.get("target") == "coordinator":
-                    name = cluster.coordinator.name
-                else:
-                    name = cluster.mnodes[index].name
-                self.env.clock(name).skew(
-                    offset_us=event.get("offset_us", 0.0),
-                    drift_ppm=event.get("drift_ppm", 0.0),
-                )
-                self._log("skew_clock", name, index=index,
-                          offset_us=event.get("offset_us", 0.0),
-                          drift_ppm=event.get("drift_ppm", 0.0),
-                          duration_us=event["duration_us"])
-
-                def unskew():
-                    yield self.env.timeout(event["duration_us"])
-                    self.env.clock(name).reset()
-                    self._log("skew_heal", name, index=index)
-
-                self.env.process(unskew())
-        elif kind == "stampede":
-            def thunk():
-                invalidated = self._stampede()
-                self._log("stampede", "all", invalidated=invalidated)
-        elif kind == "migrate_slot":
-            def thunk():
-                # Online slot handoff under whatever chaos the rest of
-                # the schedule injects.  Slot and destination were drawn
-                # at generation time; a no-op draw (the slot already
-                # lives on the destination) is logged and skipped so
-                # dropping other events never perturbs this one.  The
-                # saga itself runs on the coordinator and must commit or
-                # roll back cleanly under ALL interleavings — migration
-                # introduces no oracle excusals.
-                coordinator = cluster.coordinator
-                slot = event["slot"]
-                dest = event["dest"]
-                if cluster.shared.slot_map.node_of(slot) == dest:
-                    self._log("migrate_noop", "slot-{}".format(slot),
-                              slot=slot, dest=dest)
-                    return
-                self._log("migrate_slot", "slot-{}".format(slot),
-                          slot=slot, dest=dest)
-
-                def proc():
-                    record = yield from coordinator.migrate_slot(
-                        slot, dest, reason="nemesis")
-                    if record is not None:
-                        self._log("migrate_done", "slot-{}".format(slot),
-                                  slot=slot, dest=dest,
-                                  status=record["status"])
-
-                self.env.process(proc())
-        elif kind == "corrupt_wal":
-            draw = random.Random(event["rng_seed"])
-
-            def thunk():
-                wal = cluster.mnodes[index].wal
-                if wal.durable_lsn == 0:
-                    self._log("corrupt_wal_noop",
-                              cluster.mnodes[index].name, index=index)
-                    return
-                target = draw.randint(1, wal.durable_lsn)
-                for segment in wal.segments:
-                    for record in segment.records:
-                        if record.lsn == target:
-                            record.corrupt()
-                            self._log("corrupt_wal",
-                                      cluster.mnodes[index].name,
-                                      index=index, lsn=target)
-                            return
-        else:
+        Every random choice is pinned now too (an omitted ``index`` or
+        ``rng_seed`` is drawn from the injector's seeded stream and
+        recorded in ``handle.event``), so cancelling any subset of events
+        never perturbs the survivors — the property the shrinker's
+        drop-and-replay discipline rests on."""
+        kind = event.get("kind")
+        row = NEMESIS_KINDS.get(kind)
+        if row is None:
             raise ValueError("unknown nemesis kind: {!r}".format(kind))
+        event = dict(event)
+        mnodes = range(len(self.cluster.mnodes))
+        ranges = {"index": mnodes, "dest": mnodes,
+                  "slot": range(self.cluster.shared.slot_map.num_slots)}
+        coordinator = row.coordinator and event.get("target") == "coordinator"
+        for field in ("at_us",) + row.needs + row.draws:
+            if field == "index" and coordinator:
+                continue
+            if event.get(field) is None and field in row.draws:
+                event[field] = (self.rng.getrandbits(64)
+                                if field == "rng_seed"
+                                else self.rng.randrange(len(mnodes)))
+            value = event.get(field)  # None: missing and not drawable
+            if field.endswith("_us"):
+                # A fire time may already be past; a window must be open.
+                valid = (isinstance(value, (int, float))
+                         and (field == "at_us" or value > 0))
+            else:
+                valid = (isinstance(value, int)
+                         and value in ranges.get(field, (value,)))
+            if not valid:
+                raise ValueError("nemesis {!r}: field {!r} is {!r}"
+                                 .format(kind, field, value))
+        handle = FaultHandle(event)
 
-        def guarded():
-            if handle.cancelled:
-                return
-            handle.fired = True
-            thunk()
+        def proc():
+            delay = event["at_us"] - self.env.now
+            if delay > 0:
+                yield self.env.timeout(delay)
+            if not handle.cancelled:
+                handle.fired = True
+                row.fire(self, event)
 
-        self._at(event["at_us"], guarded)
+        self.env.process(proc())
         return handle

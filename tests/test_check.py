@@ -429,6 +429,36 @@ def test_cli_repro_reports_non_reproduction(tmp_path, capsys):
     assert "did not reproduce" in capsys.readouterr().out
 
 
+def test_cli_repro_replays_a_bare_schedule(capsys):
+    """The pinned reproducers under ``tests/golden`` are schedules, not
+    reports; ``repro`` takes either."""
+    from repro.check.__main__ import main
+
+    assert main(["repro",
+                 "tests/golden/rename_redelivery_schedule.json"]) == 0
+    assert "did not reproduce" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("broken,field", [
+    ({"kind": "hang", "at_us": 2000.0, "index": 0}, "duration_us"),
+    ({"kind": "crash", "at_us": 2000.0, "index": 7}, "index"),
+])
+def test_cli_repro_refuses_a_malformed_nemesis(tmp_path, capsys, broken,
+                                               field):
+    """A seed file whose nemesis can never fire is an input error (exit
+    2, nothing on stdout) — not a ``sim-crash`` verdict on the system."""
+    from repro.check.__main__ import main
+
+    schedule = generate_schedule(2)
+    schedule["nemeses"] = [dict(broken, group=0)]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"seed": 2, "schedule": schedule}))
+    assert main(["repro", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and repr(field) in captured.err
+
+
 def test_cli_run_writes_seed_file_on_failure(tmp_path, capsys,
                                              monkeypatch):
     from repro.check.__main__ import main

@@ -172,6 +172,15 @@ def _replicated_cluster(seed=0, num_mnodes=3):
     ))
 
 
+def _crash_at_random(cluster, lo_us, hi_us):
+    """Crash one MNode at a time in [lo_us, hi_us), both drawn from the
+    cluster's seeded ``faults`` stream.  Returns ``(index, time_us)``."""
+    injector = FaultInjector(cluster)
+    time_us = injector.rng.uniform(lo_us, hi_us)
+    handle = injector.apply({"kind": "crash", "at_us": time_us})
+    return handle.event["index"], time_us
+
+
 class TestCrashPromotion:
     def test_lost_window_equals_lag(self):
         """Crash the owner while its WAL shipment is in flight: the
@@ -219,9 +228,8 @@ class TestCrashPromotion:
         for d in range(3):
             fs.mkdir("/w{}".format(d))
         client = cluster.add_client(mode="libfs")
-        injector = FaultInjector(cluster)
-        victim, crash_at = injector.crash_random_mnode_between(
-            env.now + 100.0, env.now + 2500.0)
+        victim, crash_at = _crash_at_random(
+            cluster, env.now + 100.0, env.now + 2500.0)
         end_at = crash_at + 200.0
 
         def worker(wid):
@@ -265,9 +273,8 @@ class TestCrashPromotion:
         for d in range(3):
             fs.mkdir("/w{}".format(d))
         client = cluster.add_client(mode="libfs")
-        injector = FaultInjector(cluster)
-        victim, crash_at = injector.crash_random_mnode_between(
-            env.now + 100.0, env.now + 2500.0)
+        victim, crash_at = _crash_at_random(
+            cluster, env.now + 100.0, env.now + 2500.0)
         end_at = crash_at + 200.0
 
         def worker(wid):
@@ -309,8 +316,8 @@ class TestDetectorFailover:
             fs.mkdir("/w{}".format(d))
         cluster.run_for(5000.0)
         detector = cluster.start_failure_detection()
-        injector = FaultInjector(cluster)
-        injector.crash_mnode_at(env.now + 1000.0, index=1)
+        FaultInjector(cluster).apply(
+            {"kind": "crash", "at_us": env.now + 1000.0, "index": 1})
         old_name = cluster.shared.mnode_name(1)
         cluster.run_for(15000.0)
         detector.stop()
@@ -337,7 +344,8 @@ class TestDetectorFailover:
         cluster.run_for(5000.0)
         detector = cluster.start_failure_detection()
         crash_at = env.now + 700.0
-        FaultInjector(cluster).crash_mnode_at(crash_at, index=0)
+        FaultInjector(cluster).apply(
+            {"kind": "crash", "at_us": crash_at, "index": 0})
         cluster.run_for(15000.0)
         detector.stop()
         bound = (HEARTBEAT_MISS_THRESHOLD
@@ -367,9 +375,7 @@ class TestCrashFuzz:
             fs.mkdir("/w{}".format(d))
         cluster.run_for(5000.0)
         detector = cluster.start_failure_detection()
-        injector = FaultInjector(cluster)
-        injector.crash_random_mnode_between(env.now + 500.0,
-                                            env.now + 4000.0)
+        _crash_at_random(cluster, env.now + 500.0, env.now + 4000.0)
         client = cluster.add_client(mode="libfs")
         end_at = env.now + 9000.0
         outcomes = []

@@ -15,11 +15,11 @@ from repro.core import FalconCluster, FalconConfig
 from repro.faults import FaultInjector
 
 
-def _loaded_cluster(seed=5):
+def _loaded_cluster(seed=5, **config):
     """A small replicated cluster with durable WAL records on every
     MNode (so corruption draws have a log to aim at)."""
     cluster = FalconCluster(FalconConfig(
-        num_mnodes=2, num_storage=1, replication=True, seed=seed,
+        num_mnodes=2, num_storage=1, replication=True, seed=seed, **config
     ))
     client = cluster.add_client(mode="libfs")
     cluster.run_process(client.mkdir("/d0"))
@@ -124,3 +124,104 @@ class TestFaultHandle:
         injector = FaultInjector(cluster)
         with pytest.raises(ValueError):
             injector.apply({"kind": "meteor", "at_us": 1.0, "index": 0})
+
+    def test_omitted_victim_is_drawn_at_scheduling_time(self):
+        """An event without ``index`` gets one from the seeded ``faults``
+        stream inside ``apply`` — known up front, the same every run,
+        and never written into the caller's dict."""
+        event = {"kind": "crash", "at_us": 9000.0}
+        victims = [FaultInjector(_loaded_cluster()).apply(event)
+                   .event["index"] for _ in range(2)]
+        assert victims[0] == victims[1]
+        assert victims[0] in range(2)
+        assert "index" not in event
+
+
+#: Events a seed file could carry that can never fire as written, and
+#: the field the refusal must name (the cluster has 2 MNodes, 2 slots).
+MALFORMED = [
+    ({"kind": "hang", "at_us": 50.0, "index": 0}, "duration_us"),
+    ({"kind": "crash", "index": 0}, "at_us"),
+    ({"kind": "restart", "at_us": 50.0}, "index"),
+    ({"kind": "crash", "at_us": 50.0, "index": 7}, "index"),
+    ({"kind": "crash", "at_us": 50.0, "index": -1}, "index"),
+    ({"kind": "skew_clock", "at_us": 50.0, "index": 2,
+      "duration_us": 10.0}, "index"),
+    ({"kind": "partition", "at_us": 50.0, "index": 0,
+      "duration_us": 0.0}, "duration_us"),
+    ({"kind": "slow_disk", "at_us": 50.0, "index": 0,
+      "duration_us": -5.0}, "duration_us"),
+    ({"kind": "degrade_link", "at_us": 50.0, "index": 0,
+      "duration_us": "long"}, "duration_us"),
+    ({"kind": "migrate_slot", "at_us": 50.0, "slot": 0}, "dest"),
+    ({"kind": "migrate_slot", "at_us": 50.0, "slot": 2, "dest": 0},
+     "slot"),
+    ({"kind": "migrate_slot", "at_us": 50.0, "slot": 0, "dest": 2},
+     "dest"),
+]
+
+
+class TestMalformedEvents:
+    @pytest.mark.parametrize(
+        "event,field", MALFORMED,
+        ids=["{}-{}".format(e["kind"], f) for e, f in MALFORMED])
+    def test_rejected_at_scheduling_time(self, event, field):
+        """A malformed event is a ``ValueError`` naming kind and field
+        out of ``apply`` itself — not a ``KeyError``/``IndexError`` at
+        fire time that the checker would report as a ``sim-crash``
+        verdict against the system."""
+        cluster = _loaded_cluster()
+        injector = FaultInjector(cluster)
+        before = cluster.env.now
+        with pytest.raises(ValueError) as refusal:
+            injector.apply(event)
+        assert repr(event["kind"]) in str(refusal.value)
+        assert repr(field) in str(refusal.value)
+        assert cluster.env.now == before
+        cluster.run_for(500.0)
+        assert injector.events == []
+
+    def test_only_skew_clock_can_target_the_coordinator(self):
+        """``"target": "coordinator"`` stands in for a slot index on
+        ``skew_clock`` alone; on any other kind the event still needs a
+        victim, so one is drawn rather than firing on ``mnodes[None]``."""
+        event = {"kind": "hang", "at_us": 50.0, "target": "coordinator",
+                 "index": None, "duration_us": 10.0}
+        injector = FaultInjector(_loaded_cluster())
+        assert injector.apply(event).event["index"] in range(2)
+        skew = dict(event, kind="skew_clock")
+        assert injector.apply(skew).event["index"] is None
+
+
+class TestOverlappingWindows:
+    def test_unhang_leaves_a_node_that_crashed_meanwhile_down(self):
+        """A slot that crashes inside its hang window must stay fenced
+        when the window closes: ``set_up`` on the dead name would let
+        its pre-crash state serve again, and the later restart could no
+        longer reincarnate it (``EnvError: cannot reincarnate mnode-0:
+        not down``).  Generated schedules serialize fault windows, so
+        only hand-written and shrunk seed files reach this shape."""
+        from repro.check import generate_schedule, run_schedule
+
+        schedule = generate_schedule(7, nemesis_mix="classic")
+        schedule["nemeses"] = [
+            {"group": 0, "kind": "hang", "at_us": 2000.0, "index": 0,
+             "duration_us": 600.0},
+            {"group": 1, "kind": "crash", "at_us": 2200.0, "index": 0},
+            {"group": 1, "kind": "restart", "at_us": 9000.0, "index": 0},
+        ]
+        result = run_schedule(schedule)
+        assert result["violations"] == []
+        assert result["stats"]["nemesis_fired"] == 3
+
+    def test_unhang_noop_is_logged(self):
+        cluster = _loaded_cluster()
+        injector = FaultInjector(cluster)
+        name = cluster.mnodes[0].name
+        injector.apply({"kind": "hang", "at_us": 4000.0, "index": 0,
+                        "duration_us": 600.0})
+        injector.apply({"kind": "crash", "at_us": 4200.0, "index": 0})
+        cluster.run_for(6000.0)
+        assert [e["kind"] for e in injector.events] == [
+            "hang", "crash", "unhang_noop"]
+        assert cluster.network.is_down(name)

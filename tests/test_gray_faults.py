@@ -283,10 +283,10 @@ class TestLinkDegradation:
         fs.mkdir("/d")
         cluster.run_for(3000.0)
         injector = FaultInjector(cluster)
-        injector.degrade_link_at(env.now + 500.0, cluster.mnodes[0].name,
-                                 4000.0, latency_factor=4.0,
-                                 loss_prob=0.25, reorder_window_us=150.0,
-                                 rng_seed=7)
+        injector.apply({"kind": "degrade_link", "at_us": env.now + 500.0,
+                        "index": 0, "duration_us": 4000.0,
+                        "latency_factor": 4.0, "loss_prob": 0.25,
+                        "reorder_window_us": 150.0, "rng_seed": 7})
         client = cluster.add_client(mode="libfs")
         end_at = env.now + 8000.0
 
@@ -337,9 +337,10 @@ class TestSlowDisk:
             return env.now - start
 
         baseline = timed_create("/d/before.dat")
-        injector.slow_disk_at(env.now + 10.0, index=0,
-                              duration_us=5000.0, fsync_factor=20.0,
-                              bandwidth_factor=8.0, ramp_us=0.001)
+        injector.apply({"kind": "slow_disk", "at_us": env.now + 10.0,
+                        "index": 0, "duration_us": 5000.0,
+                        "fsync_factor": 20.0, "bandwidth_factor": 8.0,
+                        "ramp_us": 0.001})
         cluster.run_for(100.0)
         assert wal.slow_disk is not None
         slowed = timed_create("/d/during.dat")
@@ -352,8 +353,8 @@ class TestSlowDisk:
     def test_heal_sweeps_slowdowns(self):
         cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
         injector = FaultInjector(cluster)
-        injector.slow_disk_at(cluster.env.now + 5.0, index=1,
-                              duration_us=100000.0)
+        injector.apply({"kind": "slow_disk", "at_us": cluster.env.now + 5.0,
+                        "index": 1, "duration_us": 100000.0})
         cluster.run_for(50.0)
         assert cluster.mnodes[1].wal.slow_disk is not None
         cluster.heal()
@@ -487,8 +488,9 @@ class TestClockSkew:
         env = cluster.env
         injector = FaultInjector(cluster)
         name = cluster.mnodes[0].name
-        injector.skew_clock_at(env.now + 10.0, name, offset_us=800.0,
-                               duration_us=1000.0)
+        injector.apply({"kind": "skew_clock", "at_us": env.now + 10.0,
+                        "index": 0, "offset_us": 800.0,
+                        "duration_us": 1000.0})
         cluster.run_for(100.0)
         assert env.clock(name).skewed
         cluster.run_for(2000.0)
@@ -564,8 +566,8 @@ class TestDetectorCadence:
         for mnode in cluster.mnodes:
             cluster.network.degrade_link(mnode.name, latency_factor=10.0)
         crash_at = env.now + 2000.0
-        injector = FaultInjector(cluster)
-        injector.crash_mnode_at(crash_at, index=1)
+        FaultInjector(cluster).apply(
+            {"kind": "crash", "at_us": crash_at, "index": 1})
         cluster.run_for(20000.0)
         cluster.detector.stop()
         assert cluster.detector.log, "crash was never detected"
@@ -608,8 +610,9 @@ class TestStampede:
                         if rec.state == VALID and node._owns_dentry(key)]
             for node in cluster.mnodes
         }
-        invalidated = injector._stampede()
-        assert invalidated > 0
+        injector.apply({"kind": "stampede", "at_us": cluster.env.now})
+        cluster.run_for(1.0)
+        assert injector.events[0]["invalidated"] > 0
         for node in cluster.mnodes:
             for key in owned_valid[node.name]:
                 assert node.dentries.get(key).state == VALID
@@ -621,7 +624,7 @@ class TestStampede:
         cluster, client = self._cluster()
         env = cluster.env
         injector = FaultInjector(cluster)
-        injector.stampede_at(env.now + 50.0)
+        injector.apply({"kind": "stampede", "at_us": env.now + 50.0})
         cluster.run_for(100.0)
 
         def reads():
@@ -640,7 +643,8 @@ class TestStampede:
     def test_stampede_event_logged_with_count(self):
         cluster, _client = self._cluster()
         injector = FaultInjector(cluster)
-        injector.stampede_at(cluster.env.now + 10.0)
+        injector.apply({"kind": "stampede",
+                        "at_us": cluster.env.now + 10.0})
         cluster.run_for(50.0)
         events = [e for e in injector.events if e["kind"] == "stampede"]
         assert len(events) == 1

@@ -328,8 +328,9 @@ class TestInjectorSchedules:
             fs = cluster.fs()
             fs.mkdir("/a")
             injector = FaultInjector(cluster)
-            victim = injector.crash_mnode_at(3000.0, index=0)
-            injector.restart_mnode_at(3600.0, victim)
+            injector.apply({"kind": "crash", "at_us": 3000.0, "index": 0})
+            injector.apply({"kind": "restart", "at_us": 3600.0,
+                            "index": 0})
             client = cluster.add_client(mode="libfs")
             env = cluster.env
             for i in range(20):
@@ -355,9 +356,11 @@ class TestInjectorSchedules:
         for i in range(10):
             fs.write("/a/f{}".format(i), size=64)
         injector = FaultInjector(cluster)
-        injector.corrupt_wal_at(cluster.env.now + 10.0, index=0, lsn=2)
+        injector.apply({"kind": "corrupt_wal", "index": 0, "lsn": 2,
+                        "at_us": cluster.env.now + 10.0})
         cluster.run_for(100.0)
-        assert any(e["kind"] == "corrupt_wal" for e in injector.events)
+        assert [(e["kind"], e["lsn"]) for e in injector.events] == [
+            ("corrupt_wal", 2)]
         durable = cluster.mnodes[0].wal.durable_lsn
         cluster.crash_mnode(0)
         record = _restart(cluster, 0)
@@ -368,7 +371,7 @@ class TestInjectorSchedules:
     def test_corruption_of_empty_log_is_noop(self):
         cluster = _cluster(seed=5)
         injector = FaultInjector(cluster)
-        injector.corrupt_wal_at(10.0, index=0)
+        injector.apply({"kind": "corrupt_wal", "at_us": 10.0, "index": 0})
         cluster.run_for(100.0)
         assert any(
             e["kind"] == "corrupt_wal_noop" for e in injector.events
