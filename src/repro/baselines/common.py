@@ -174,7 +174,8 @@ class MetaServer(Node):
 
     def _lock(self, key, mode, ctx=None):
         grant = self.locks.acquire(key, mode, ctx=ctx)
-        yield grant.event
+        if grant.event.callbacks is not None:
+            yield grant.event
         return grant
 
     def _touch_parent(self, payload, ctx=None):

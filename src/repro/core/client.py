@@ -46,6 +46,19 @@ from repro.vfs.pathwalk import split_path
 CLIENT_MODES = ("vfs", "libfs", "nobypass")
 
 
+def _components(path):
+    """:func:`split_path` for a path the caller supplied: a malformed
+    one (relative, empty, ``.``/``..``) is the caller's ``EINVAL`` — what
+    an MNode answers the same input with — not a ``ValueError`` out of
+    the client.  Called inside the operation's root span and before any
+    simulated time is charged, so the failure is acknowledged like any
+    other and costs nothing."""
+    try:
+        return split_path(path)
+    except ValueError:
+        raise RpcFailure(RpcError.EINVAL, path) from None
+
+
 class FalconClient(Node):
     """One FalconFS client (a mount point or a LibFS instance)."""
 
@@ -121,13 +134,18 @@ class FalconClient(Node):
         return self._meta_op("open", path, {}, ctx=ctx, extract="attrs")
 
     def getattr(self, path, ctx=None):
-        if split_path(path) == []:
-            return {
-                "ino": ROOT_INO, "is_dir": True, "mode": 0o777,
-                "uid": 0, "gid": 0, "size": 0, "mtime": 0.0, "nlink": 1,
-            }
-        data = yield from self._meta_op("getattr", path, {}, ctx=ctx)
-        return data["attrs"]
+        if path and not path.strip("/"):
+            # "/" (any run of slashes splits to no components).
+            return self._getattr_root()
+        return self._meta_op("getattr", path, {}, ctx=ctx, extract="attrs")
+
+    def _getattr_root(self):
+        """Generator: ``/`` always exists and is answered locally."""
+        return {
+            "ino": ROOT_INO, "is_dir": True, "mode": 0o777,
+            "uid": 0, "gid": 0, "size": 0, "mtime": 0.0, "nlink": 1,
+        }
+        yield  # pragma: no cover - makes this a generator
 
     def close(self, path, size, ctx=None):
         """Close after writing: persists size/mtime on the owner MNode."""
@@ -169,7 +187,6 @@ class FalconClient(Node):
     def readdir(self, path):
         """List a directory; returns a sorted list of (name, is_dir)."""
         ctx = self._begin_op("readdir", path)
-        name = split_path(path)[-1] if split_path(path) else "/"
 
         def attempt(_attempt, hint):
             # Re-resolve the slot every attempt (not just on a redirect
@@ -179,6 +196,8 @@ class FalconClient(Node):
             if hint is not None:
                 target_name = hint
             else:
+                components = _components(path)
+                name = components[-1] if components else "/"
                 target, _ = self.index.client_target(name, self.rng)
                 target_name = self._resolve_slot(target)
             return self._request(target_name, "readdir", {"path": path},
@@ -315,18 +334,36 @@ class FalconClient(Node):
         return data if extract is None else data[extract]
 
     def _meta_op_body(self, op, path, extra, ctx):
-        cost_us = self.costs.client_op_us if self.env.models_costs else 0.0
-        if cost_us:
+        components = _components(path)
+        env = self.env
+        vfs = self.mode == "vfs"
+        if env.models_costs:
+            # Private time is one heap entry: the client's own CPU slice
+            # and, under the VFS shortcut, one cache probe per ancestor
+            # involve nobody else, so they are slept as one wake-up.
+            # Its time is added up slice by slice, left to right — the
+            # additions a chain of per-slice timeouts would perform —
+            # because ``now + total`` rounds differently.
+            costs = self.costs
+            start = env.now
+            walk_start = wake = start + costs.client_op_us
+            if vfs:
+                probe_us = costs.cache_probe_us
+                for _ in range(len(components) - 1):
+                    wake += probe_us
+            if wake > start:
+                yield env.sleep_until(wake)
             if ctx.traced:
-                yield from self._client_cpu(ctx, cost_us)
-            else:
-                yield self.env.schedule_timeout(cost_us)
-        components = split_path(path)
+                if walk_start > start:
+                    ctx.record("client", CAT_CPU, start, walk_start,
+                               node=self.name)
+                if vfs:
+                    ctx.record("walk", CAT_PHASE, walk_start, wake,
+                               node=self.name)
         if not components:
             raise RpcFailure(RpcError.EINVAL, "operation on /")
-        if self.mode == "vfs":
-            with ctx.span("walk", CAT_PHASE, node=self.name):
-                yield from self._vfs_shortcut_walk(components)
+        if vfs:
+            self._vfs_shortcut_walk(components)
         elif self.mode == "nobypass":
             with ctx.span("walk", CAT_PHASE, node=self.name):
                 yield from self._stateful_walk(components, ctx)
@@ -337,7 +374,9 @@ class FalconClient(Node):
         return data
 
     def _vfs_shortcut_walk(self, components):
-        """Intermediate components resolve to cached fake attrs — no RPCs.
+        """Intermediate components resolve to cached fake attrs — no
+        RPCs, and no waiting: the probes' simulated time was slept by
+        the caller, so the whole walk happens at one instant.
 
         Mirrors §5: ``lookup()`` is called with LOOKUP_PARENT for
         non-final components and returns fake attributes; on a dcache hit
@@ -346,20 +385,18 @@ class FalconClient(Node):
         the operation's own full-path request (sent by the caller).
         """
         current = ROOT_INO
-        probe_us = self.costs.cache_probe_us if self.env.models_costs else 0.0
+        dcache = self.dcache
         for name in components[:-1]:
-            if probe_us:
-                yield self.env.schedule_timeout(probe_us)
-            entry = self.dcache.lookup(current, name)
+            entry = dcache.lookup(current, name)
             if entry is None:
                 attrs = make_fake_dir_attrs(self._fake_ino(current, name))
-                entry = self.dcache.insert(current, name, attrs)
+                entry = dcache.insert(current, name, attrs)
             current = entry.attrs.ino
-        final = self.dcache.peek(current, components[-1])
+        final = dcache.peek(current, components[-1])
         if final is not None and final.attrs.is_fake:
             # d_revalidate: fake attrs must never satisfy a final lookup.
             self.metrics.counter("revalidate_fake").inc()
-            self.dcache.invalidate(current, components[-1])
+            dcache.invalidate(current, components[-1])
 
     def _stateful_walk(self, components, ctx):
         """NoBypass: real client-side resolution through the dcache."""
@@ -475,6 +512,9 @@ class FalconClient(Node):
         return body
 
     def _coordinator_op_body(self, op, payload, ctx):
+        for field in ("path", "src", "dst"):
+            if field in payload:
+                _components(payload[field])
         if self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
 

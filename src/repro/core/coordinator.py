@@ -103,12 +103,14 @@ class Coordinator(NamespaceReplicaMixin, Node):
         try:
             for dkey, _, _ in resolved.chain:
                 grant = self.locks.acquire(dkey, LockMode.SHARED, ctx=ctx)
-                yield grant.event
+                if grant.event.callbacks is not None:
+                    yield grant.event
                 grants.append(grant)
             target = self.locks.acquire(
                 ("d", resolved.ino, name), LockMode.EXCLUSIVE, ctx=ctx
             )
-            yield target.event
+            if target.event.callbacks is not None:
+                yield target.event
             grants.append(target)
         except BaseException:
             for grant in grants:
@@ -225,7 +227,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
                     lock_keys.setdefault(key, LockMode.SHARED)
             for key in sorted(lock_keys):
                 grant = self.locks.acquire(key, lock_keys[key], ctx=ctx)
-                yield grant.event
+                if grant.event.callbacks is not None:
+                    yield grant.event
                 grants.append(grant)
             yield from self.execute(
                 len(grants) * self.costs.lock_acquire_us

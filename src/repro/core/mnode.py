@@ -143,7 +143,8 @@ class _OwnerWrite:
         for kind in ("d", "i"):
             grant = locks.acquire((kind,) + key, LockMode.EXCLUSIVE,
                                   ctx=self.ctx)
-            yield grant.event
+            if grant.event.callbacks is not None:
+                yield grant.event
             self.grants.append(grant)
 
     def enter(self, key):
@@ -621,7 +622,8 @@ class MNode(NamespaceReplicaMixin, Node):
         grants = []
         for key in sorted(lock_modes):
             grant = self.locks.acquire(key, lock_modes[key], ctx=bctx)
-            yield grant.event
+            if grant.event.callbacks is not None:
+                yield grant.event
             grants.append(grant)
 
         # -- revalidate: a concurrent invalidation between resolution and
@@ -965,7 +967,8 @@ class MNode(NamespaceReplicaMixin, Node):
         ctx = plan.message.ctx or NULL_CONTEXT
         grant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
                                    ctx=ctx)
-        yield grant.event
+        if grant.event.callbacks is not None:
+            yield grant.event
         try:
             if self.inodes.get(key) is not None:
                 self._respond_error(
@@ -1012,7 +1015,8 @@ class MNode(NamespaceReplicaMixin, Node):
         key = tuple(payload["key"])
         grant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
                                    ctx=message.ctx)
-        yield grant.event
+        if grant.event.callbacks is not None:
+            yield grant.event
         yield from self.execute(self.costs.index_insert_us, ctx=message.ctx)
         # Participants persist their vote before answering (2PC rule).
         yield self.wal.commit(self.costs.wal_record_bytes, ctx=message.ctx)
@@ -1156,7 +1160,8 @@ class MNode(NamespaceReplicaMixin, Node):
         key = (payload["pid"], payload["name"])
         grant = self.locks.acquire(("i",) + key, LockMode.SHARED,
                                    ctx=message.ctx)
-        yield grant.event
+        if grant.event.callbacks is not None:
+            yield grant.event
         try:
             yield from self.execute(self.costs.index_lookup_us,
                                     ctx=message.ctx)

@@ -160,7 +160,8 @@ class NamespaceReplicaMixin:
         for key in keys:
             dkey = ("d",) + tuple(key)
             grant = self.locks.acquire(dkey, LockMode.EXCLUSIVE)
-            yield grant.event
+            if grant.event.callbacks is not None:
+                yield grant.event
             self.inval_seq[dkey] += 1
             record = self.dentries.get(tuple(key))
             if record is not None:

@@ -193,11 +193,14 @@ class Node:
         env = self.env
         traced = ctx is not None and ctx.traced
         req = self.cpu.request()
-        wait_start = env.now if (traced and not req.triggered) else None
-        yield req
-        if wait_start is not None:
-            ctx.record("cpu.wait", CAT_QUEUE, wait_start, env.now,
-                       node=self.name)
+        if req.callbacks is not None:
+            # Not processed: every core is busy (or a wake-up from this
+            # instant resumes first).  A free core is not an event.
+            wait_start = env.now if (traced and not req.triggered) else None
+            yield req
+            if wait_start is not None:
+                ctx.record("cpu.wait", CAT_QUEUE, wait_start, env.now,
+                           node=self.name)
         try:
             # Modeled CPU slices are charged only where the environment
             # models hardware costs; on a live clock real work already

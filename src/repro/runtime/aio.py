@@ -28,7 +28,7 @@ cannot starve the socket read that carries its answer; and a
 **cancelled timer pops inert**, exactly as in the simulator — the pump
 wakes for it when it comes due and finds nothing to run.
 
-The kernel's six inlined heap-push sites do not know a driver exists.
+The kernel's seven inlined heap-push sites do not know a driver exists.
 Each bumps ``env._seq`` *before* its ``heappush``, so the ``_seq`` setter
 below is the one place every push passes through — from a pump turn, a
 socket frame, a coroutine or an executor callback alike.  Because the

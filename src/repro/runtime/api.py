@@ -44,9 +44,20 @@ the implementation from :class:`repro.sim.engine.Environment`):
                         buffered item) hands back — yielding it
                         continues inline, no scheduler turn.  **Lock-grant
                         events carry no value** on either path (inline
-                        ``done()``, queued ``succeed()``): the acquirer
+                        ``granted()``, queued ``succeed()``): the acquirer
                         holds the ``Grant``, and an event pointing back
                         at it would be a reference cycle per acquisition
+``granted()``           ``done()`` without a value and without the
+                        allocation: **the one processed event every
+                        uncontended lock grant shares**.  Same resume-
+                        order rule as ``done`` (behind a wake-up still
+                        in the heap: a fresh triggered event)
+``event.callbacks``     ``None`` once the event is processed.  **"Nothing
+                        to wait for" is spelled one way** at every lock
+                        and CPU call site — ``if ev.callbacks is not
+                        None: yield ev`` — so a free lock or core costs
+                        its acquirer neither an event nor a round trip
+                        down its generator chain
 ``timer(us, fn)``       **cancellable timer**: ``fn(timer)`` runs ``us``
                         microseconds from now unless ``timer.cancel()``
                         came first; no process behind it.  Message
@@ -54,6 +65,12 @@ the implementation from :class:`repro.sim.engine.Environment`):
 ``timeout(us, v)``      event firing ``us`` microseconds from now
 ``sleep(us)`` /
 ``schedule_timeout``    bare timeout (fast path; no value, no callbacks)
+``sleep_until(t)``      its absolute-time twin: a bare timeout firing at
+                        ``t``.  **Consecutive private delays of one
+                        process are one entry**: the process adds its
+                        slices up left to right from ``now`` (the chain's
+                        own float additions — ``now + total`` rounds
+                        differently) and sleeps once
 ``process(gen)`` /
 ``spawn(gen)``          drive a generator as a process; the handle is
                         itself an event (yieldable), with ``is_alive``
@@ -78,8 +95,9 @@ the implementation from :class:`repro.sim.engine.Environment`):
 The scheduling rule, under either driver: **a heap entry either advances
 the clock or wakes a waiter that was actually queued — never a
 zero-delay round trip.**  A network hop is one timer whose callback *is*
-the arrival; an uncontended grant is ``done``; a reply reaches its
-caller through ``settle`` inside the arrival; an RPC deadline is one
+the arrival; an uncontended grant is ``done`` / ``granted`` and is not
+waited for; delays nobody else can observe are one ``sleep_until``; a
+reply reaches its caller through ``settle`` inside the arrival; an RPC deadline is one
 timer raced against the reply and cancelled when the reply wins.  **A
 cancelled timer leaves its heap entry to pop inert when it comes due**
 — removing from a heap's middle costs more than popping a no-op — so on

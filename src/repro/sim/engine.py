@@ -42,7 +42,11 @@ performance" for the contract):
   (:meth:`Environment.done`), a callback on the clock is one bare
   timeout (:meth:`Environment.timer`), a reply resumes its caller
   inside the arrival (:meth:`Event.settle`), and a process nobody
-  waits on finishes in place;
+  waits on finishes in place.  Uncontended lock grants share one such
+  event (:meth:`Environment.granted`) and call sites skip the ``yield``
+  of a processed event altogether (``callbacks is None``), and
+  consecutive delays private to one process are one entry at an
+  absolute time it adds up itself (:meth:`Environment.sleep_until`);
 * the cycle collector stays off the hot path: nothing a fault-free
   operation allocates is a reference cycle, and the three run loops
   below execute inside :func:`repro.runtime.api.sized_nursery`, so the
@@ -443,7 +447,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks",
-                 "_waking")
+                 "_waking", "_granted")
 
     #: Environment-contract flags (see :mod:`repro.runtime.api`): the
     #: simulator charges every CostModel delay as virtual time and must
@@ -463,6 +467,9 @@ class Environment:
         #: immediate grant queues behind it instead of continuing
         #: inline — see :meth:`done`.
         self._waking = None
+        #: The one already-processed, value-less event every uncontended
+        #: lock grant shares — see :meth:`granted`.
+        self._granted = self.done()
         #: Per-node ClockView registry (lazy; see ``clock``).
         self._clocks = None
 
@@ -520,6 +527,29 @@ class Environment:
         heappush(self._queue, (self._now + delay, NORMAL, seq, event))
         return event
 
+    def sleep_until(self, when_us):
+        """The absolute-time twin of :meth:`schedule_timeout`: a bare
+        timeout that fires at ``when_us``.
+
+        This is how a process charges several consecutive private
+        delays as one heap entry: it adds the slices up itself, left to
+        right from :attr:`now` — the additions the chain of relative
+        timeouts would have performed, so the wake-up time is
+        bit-identical (``now + total`` rounds differently) — and sleeps
+        once.  Callers guarantee ``when_us >= now``.
+        """
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = _NO_CALLBACKS
+        event._value = None
+        event._ok = True
+        event.defused = False
+        event.delay = when_us - self._now
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (when_us, NORMAL, seq, event))
+        return event
+
     def process(self, generator):
         """Start a new :class:`Process` driving ``generator``."""
         return Process(self, generator)
@@ -546,6 +576,19 @@ class Environment:
         event._ok = True
         event.defused = False
         return event
+
+    def granted(self):
+        """:meth:`done` without a value and without the allocation: the
+        event of a grant whose holder keeps its own handle (a lock
+        :class:`~repro.storage.locks.Grant`), so every such grant can
+        share one immutable processed event.  The resume-order rule is
+        :meth:`done`'s: behind a wake-up still in the heap, the grant is
+        a fresh triggered event queued after it.
+        """
+        waking = self._waking
+        if waking is not None and waking.callbacks is not None:
+            return Event(self).succeed()
+        return self._granted
 
     def timer(self, delay, callback):
         """Run ``callback(timer)`` after ``delay``; returns the timer,

@@ -8,15 +8,28 @@ writer starvation and matches PostgreSQL's lock manager behaviour.
 Acquisition returns a simulation event, so lock *waiting* consumes
 simulated time naturally; the CPU cost of the acquire/release bookkeeping
 itself is charged by the caller (FalconFS coalesces it per batch, §4.4).
-An uncontended acquire hands back an already-processed event
-(``env.done``), so yielding it continues inline; only a grant that
-actually queued is woken through the scheduler.  A request is grantable
-only while nobody is queued, so the inline path never jumps a waiter.
+An uncontended grant is not an event: it is held on return, and its
+``event`` is the one already-processed event every such grant shares
+(``env.granted()``), so the acquirer neither allocates nor waits::
+
+    grant = locks.acquire(key, mode, ctx=ctx)
+    if grant.event.callbacks is not None:   # not processed: queued
+        yield grant.event
+
+Only a grant that actually queued is woken through the scheduler.  A
+request is grantable only while nobody is queued, so the inline path
+never jumps a waiter, and while a wake-up from this same instant is
+still in the heap ``env.granted()`` hands back a triggered event queued
+behind it, so holders resume in the order they asked.
 
 The event carries no value: the acquirer already holds the
 :class:`Grant`, and an event whose value is the grant that owns it is a
 reference cycle per acquisition that only the cycle collector can free
 (``tests/test_gc_budget.py`` pins the hot path at zero such objects).
+
+The table is lean for the common case, a key nobody contends: the
+waiter queue is built when the first waiter arrives, and a release with
+nobody queued returns without looking for someone to wake.
 """
 
 from collections import deque
@@ -38,11 +51,11 @@ class Grant:
 
     __slots__ = ("key", "mode", "event", "granted", "span")
 
-    def __init__(self, key, mode, event):
+    def __init__(self, key, mode, event, granted=False):
         self.key = key
         self.mode = mode
         self.event = event
-        self.granted = False
+        self.granted = granted
         #: Open ``lock.wait`` span while the grant is queued (traced only).
         self.span = None
 
@@ -56,7 +69,9 @@ class _LockState:
 
     def __init__(self):
         self.holders = []
-        self.waiters = deque()
+        #: FIFO ``deque`` of queued grants; ``None`` until somebody
+        #: queues (most keys never see a waiter).
+        self.waiters = None
 
 
 class LockManager:
@@ -84,9 +99,13 @@ class LockManager:
                     "lock.wait", CAT_LOCK,
                     attrs={"key": str(key), "mode": mode},
                 )
+            if state.waiters is None:
+                state.waiters = deque()
             state.waiters.append(grant)
             return grant
-        return self._grant_now(state, key, mode)
+        grant = Grant(key, mode, self.env.granted(), True)
+        state.holders.append(grant)
+        return grant
 
     def try_acquire(self, key, mode):
         """Non-blocking acquire: a granted :class:`Grant` or ``None``.
@@ -103,7 +122,9 @@ class LockManager:
             return None
         if fresh:
             self._locks[key] = state
-        return self._grant_now(state, key, mode)
+        grant = Grant(key, mode, self.env.granted(), True)
+        state.holders.append(grant)
+        return grant
 
     def release(self, grant):
         """Release a held grant (or cancel a queued one)."""
@@ -117,27 +138,22 @@ class LockManager:
             if grant.span is not None:
                 grant.span.finish(self.env.now, cancelled=True)
                 grant.span = None
-        self._wake(state)
-        if not state.holders and not state.waiters:
+        if state.waiters:
+            self._wake(state)
+        elif not state.holders:
             del self._locks[grant.key]
 
     def _grantable(self, state, mode):
+        if state.waiters:
+            # FIFO: nobody jumps a queued request, not even a shared one
+            # compatible with the holders (writer starvation).
+            return False
+        holders = state.holders
         if mode == LockMode.EXCLUSIVE:
-            return not state.holders and not state.waiters
-        # Shared: compatible with shared holders, but FIFO — don't jump
-        # ahead of a queued exclusive.
-        holds_exclusive = any(
-            g.mode == LockMode.EXCLUSIVE for g in state.holders
-        )
-        return not holds_exclusive and not state.waiters
-
-    def _grant_now(self, state, key, mode):
-        """Uncontended grant: held on return, its event already
-        processed, so the acquirer's ``yield`` costs no scheduler turn."""
-        grant = Grant(key, mode, self.env.done())
-        grant.granted = True
-        state.holders.append(grant)
-        return grant
+            return not holders
+        # An exclusive holder is always alone, so the first holder's
+        # mode is the whole compatibility scan.
+        return not holders or holders[0].mode != LockMode.EXCLUSIVE
 
     def _grant(self, state, grant):
         """Wake a queued waiter (through the scheduler, FIFO)."""
@@ -149,17 +165,13 @@ class LockManager:
         grant.event.succeed()
 
     def _wake(self, state):
-        while state.waiters:
-            head = state.waiters[0]
-            if head.mode == LockMode.EXCLUSIVE:
-                if state.holders:
-                    return
-                state.waiters.popleft()
-                self._grant(state, head)
+        waiters, holders = state.waiters, state.holders
+        while waiters:
+            head = waiters[0]
+            if holders and (head.mode == LockMode.EXCLUSIVE
+                            or holders[0].mode == LockMode.EXCLUSIVE):
                 return
-            if any(g.mode == LockMode.EXCLUSIVE for g in state.holders):
-                return
-            state.waiters.popleft()
+            waiters.popleft()
             self._grant(state, head)
 
     # -- introspection -----------------------------------------------------
@@ -173,7 +185,7 @@ class LockManager:
 
     def queue_length(self, key):
         state = self._locks.get(key)
-        return len(state.waiters) if state else 0
+        return len(state.waiters) if state and state.waiters else 0
 
     def is_locked(self, key):
         return bool(self.holders(key))
