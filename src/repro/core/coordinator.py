@@ -100,21 +100,12 @@ class Coordinator(NamespaceReplicaMixin, Node):
         name = components[-1]
         resolved = yield from self.resolve_dir(parents, ctx=ctx)
         grants = []
+        requests = [(dkey, LockMode.SHARED) for dkey, _, _ in resolved.chain]
+        requests.append((("d", resolved.ino, name), LockMode.EXCLUSIVE))
         try:
-            for dkey, _, _ in resolved.chain:
-                grant = self.locks.acquire(dkey, LockMode.SHARED, ctx=ctx)
-                if grant.event.callbacks is not None:
-                    yield grant.event
-                grants.append(grant)
-            target = self.locks.acquire(
-                ("d", resolved.ino, name), LockMode.EXCLUSIVE, ctx=ctx
-            )
-            if target.event.callbacks is not None:
-                yield target.event
-            grants.append(target)
+            yield from self.locks.acquire_all(requests, grants, ctx=ctx)
         except BaseException:
-            for grant in grants:
-                self.locks.release(grant)
+            self.locks.release_all(grants)
             raise
         yield from self.execute(
             self.costs.resolve_component_us * len(components)
@@ -122,10 +113,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
             ctx=ctx,
         )
         return resolved.ino, grants
-
-    def _release(self, grants):
-        for grant in grants:
-            self.locks.release(grant)
 
     def _owner(self, pid, name):
         return self.shared.mnode_name(self.index.locate(pid, name))
@@ -166,7 +153,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self.respond_error(message, failure)
             return None
         finally:
-            self._release(grants)
+            self.locks.release_all(grants)
         return pid, name
 
     def _on_rmdir(self, message):
@@ -225,11 +212,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
             for chain in (spid_res.chain, dpid_res.chain):
                 for key, _, _ in chain:
                     lock_keys.setdefault(key, LockMode.SHARED)
-            for key in sorted(lock_keys):
-                grant = self.locks.acquire(key, lock_keys[key], ctx=ctx)
-                if grant.event.callbacks is not None:
-                    yield grant.event
-                grants.append(grant)
+            yield from self.locks.acquire_all(sorted(lock_keys.items()),
+                                              grants, ctx=ctx)
             yield from self.execute(
                 len(grants) * self.costs.lock_acquire_us
                 + 2 * self.costs.two_phase_round_us,
@@ -243,7 +227,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 message, RpcFailure(RpcError.EINVAL, str(payload))
             )
         finally:
-            self._release(grants)
+            self.locks.release_all(grants)
             self._rename_mutex.release(mutex)
 
     def _mnode_call(self, target, kind, payload, ctx):

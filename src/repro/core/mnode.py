@@ -17,9 +17,11 @@ Client-facing operations (`create`, `open`, `close`, `getattr`, `setattr`,
 (dentry lookups serving other replicas, invalidations, rmdir/chmod/rename
 execution for the coordinator, statistics, migration) is handled by
 directly spawned processes so that replica maintenance can never be
-starved by a full worker pool.  Every control-plane handler that durably
-mutates owned state does so through one scaffold, :class:`_OwnerWrite`,
-and states only its protocol step.
+starved by a full worker pool.  Every write — a merged batch, a
+control-plane handler, either 2PC participant, a slot-handoff marker —
+runs inside one scaffold, :class:`_OwnerWrite`, and states only its
+protocol step; nothing else here opens a transaction, logs, pins a slot
+or takes an exclusive lock.
 """
 
 import heapq
@@ -78,7 +80,7 @@ UNMERGED_DISPATCH_FACTOR = 24.0
 class _Plan:
     """A validated, resolved request ready for batch execution."""
 
-    __slots__ = ("message", "op", "payload", "pid", "name", "chain",
+    __slots__ = ("message", "op", "payload", "pid", "name", "key", "chain",
                  "lock_specs", "cpu_us", "slot")
 
     def __init__(self, message, pid, name, chain):
@@ -87,31 +89,36 @@ class _Plan:
         self.payload = message.payload
         self.pid = pid
         self.name = name
+        #: The inode key ``(pid, name)``.
+        self.key = (pid, name)
         self.chain = chain
         self.lock_specs = {}
         self.cpu_us = 0.0
         self.slot = None
 
-    @property
-    def inode_key(self):
-        return (self.pid, self.name)
-
 
 class _OwnerWrite:
-    """One durable owner-side mutation: the scaffold every control-plane
-    write runs inside, so that a handler states only its protocol step.
-    It is the single home of the five obligations such a write carries:
+    """One durable mutation of this node's state: the scaffold every
+    write runs inside — the merged batch, each control-plane handler,
+    both 2PC participants and the slot-handoff markers — so that a
+    caller states only its protocol step.  It is the single home of the
+    five obligations such a write carries:
 
     1. **one lock order** — :meth:`lock` X-locks a key's pair as
-       ``("d", key)`` then ``("i", key)``, the order ``sorted`` gives the
-       batch path, so no two writers can each hold half of a key;
+       ``("d", key)`` then ``("i", key)``, and :meth:`lock_all` takes a
+       batch's coalesced set in ``sorted`` order, which agrees; both go
+       through :meth:`LockManager.acquire_all`, and :meth:`close`
+       releases in acquisition order, so no two writers can each hold
+       half of a key;
     2. **hosted check + writer registration** — :meth:`enter`, in one
        no-yield block: a slot fence either sees the writer and drains
        it (:meth:`drain`), or fenced first and the write bounces;
     3. **one put/delete primitive** — :meth:`put` / :meth:`delete` keep
-       inode row, owned dentry, ``inval_seq`` and name index in step;
+       inode row, owned dentry and ``inval_seq`` in step;
     4. **commit-or-abort** — :meth:`commit`; the name index moves only
-       once the rows are durable, so an abandoned write leaves nothing;
+       once the rows are durable, so an abandoned write leaves nothing
+       (a 2PC participant's :meth:`vote` is the one record with no
+       rows);
     5. **quorum-gated ack** — :meth:`MNode._ack` (the write applies
        locally either way; only the acknowledgement waits).
 
@@ -119,7 +126,7 @@ class _OwnerWrite:
     ``finally``, or, for a staged 2PC half, when the decision resolves it.
     """
 
-    __slots__ = ("node", "ctx", "_txn", "grants", "slots", "_index")
+    __slots__ = ("node", "ctx", "_txn", "grants", "slots")
 
     def __init__(self, node, ctx=None):
         self.node = node
@@ -127,25 +134,28 @@ class _OwnerWrite:
         self._txn = None
         self.grants = []
         self.slots = []
-        #: (key, +1 | -1) name-index deltas applied at commit.
-        self._index = []
 
     @property
     def txn(self):
-        """The write's transaction, opened by the first row it stages."""
-        if self._txn is None:
-            self._txn = self.node._txn(ctx=self.ctx)
-        return self._txn
+        """The write's transaction, opened by the first row it stages
+        (a write that stages nothing — a read-only batch — has none)."""
+        txn = self._txn
+        if txn is None:
+            node = self.node
+            txn = self._txn = Transaction(
+                node.env, node.wal, node.costs,
+                on_commit=node._ship_committed, ctx=self.ctx,
+                barrier=node.alive_barrier)
+        return txn
 
     def lock(self, key):
         """Generator: X-lock ``key``'s dentry/inode pair, ``d`` first."""
-        locks = self.node.locks
-        for kind in ("d", "i"):
-            grant = locks.acquire((kind,) + key, LockMode.EXCLUSIVE,
-                                  ctx=self.ctx)
-            if grant.event.callbacks is not None:
-                yield grant.event
-            self.grants.append(grant)
+        return self.lock_all(((("d",) + key, LockMode.EXCLUSIVE),
+                              (("i",) + key, LockMode.EXCLUSIVE)))
+
+    def lock_all(self, requests):
+        """Generator: take ``(key, mode)`` ``requests`` in order."""
+        return self.node.locks.acquire_all(requests, self.grants, self.ctx)
 
     def enter(self, key):
         """Raise the slot bounce unless ``key``'s slot is hosted here,
@@ -160,14 +170,20 @@ class _OwnerWrite:
             self.slots.append(slot)
             self.node._slot_writers[slot] += 1
 
+    def get(self, key):
+        """The inode row at ``key`` as this write sees it: its own
+        staged rows first, then the table."""
+        txn = self._txn
+        if txn is None:
+            return self.node.inodes.get(key)
+        return txn.get(self.node.inodes, key)
+
     def put(self, key, record, dentry=True):
-        """Stage inode ``record`` at ``key`` with what must move with it:
-        the owner's replica dentry for a directory and, at commit, the
-        name index.  ``dentry=False`` replays a logical record stream
-        that carries its own dentry rows (a handoff delta)."""
+        """Stage inode ``record`` at ``key`` with the owner's replica
+        dentry for a directory.  ``dentry=False`` replays a logical
+        record stream that carries its own dentry rows (a handoff
+        delta)."""
         node, txn = self.node, self.txn
-        if txn.get(node.inodes, key) is None:
-            self._index.append((key, +1))
         txn.put(node.inodes, key, record)
         if dentry and record.is_dir:
             txn.put(node.dentries, key, record.dentry())
@@ -178,32 +194,48 @@ class _OwnerWrite:
         (invalidating early is always safe).  ``dentry=False`` drops a
         copy this node is not the authority for and leaves the dentry
         to the caller.  Returns whether the key was present."""
-        node, txn = self.node, self.txn
-        record = txn.get(node.inodes, key)
+        record = self.get(key)
         if record is None:
             return False
+        node, txn = self.node, self.txn
         txn.delete(node.inodes, key)
         if dentry and record.is_dir:
             txn.delete(node.dentries, key)
             node.inval_seq[("d",) + key] += 1
-        self._index.append((key, -1))
         return True
 
+    def vote(self):
+        """Log a 2PC participant's vote, a record with no rows, before
+        the vote is answered; returns the event of its flush."""
+        node = self.node
+        return node.wal.commit(node.costs.wal_record_bytes, ctx=self.ctx)
+
     def commit(self):
-        """Generator: make the staged rows durable (nothing staged,
-        nothing logged), then bring the name index in step."""
-        if self._txn is not None and self._txn.write_count:
-            yield from self._txn.commit()
-        for key, delta in self._index:
-            self.node._track_name(key, delta)
+        """Generator: make the staged rows durable, then move the name
+        index by the inode rows that appeared or vanished.  Returns
+        whether anything was logged (nothing staged, nothing logged)."""
+        txn = self._txn
+        if txn is None:
+            return False
+        node = self.node
+        had = node.inodes.get
+        moved = [(key, present) for key, present in txn.staged(node.inodes)
+                 if (had(key) is None) is present]
+        yield from txn.commit()
+        for key, present in moved:
+            node._track_name(key, 1 if present else -1)
+        return True
 
     def close(self):
-        """Release every writer registration and grant, exactly once."""
+        """Release every writer registration and grant, exactly once.
+        A retired incarnation (``halted``) keeps its grants: it only
+        gets here when the collector closes a process that died with
+        it, and a release would wake its other dead processes."""
         node = self.node
         for slot in self.slots:
             node._slot_writers[slot] -= 1
-        for grant in reversed(self.grants):
-            node.locks.release(grant)
+        if not node.halted:
+            node.locks.release_all(self.grants)
 
     @staticmethod
     def drain(node, slot):
@@ -251,9 +283,9 @@ class MNode(NamespaceReplicaMixin, Node):
         #: migrated away, every commit touching it is also appended
         #: here; the fence returns (and stops) this capture atomically.
         self._slot_capture = {}
-        #: slot -> number of in-flight local writers (planned batch ops
-        #: and staged control-plane mutations); the fence drains this
-        #: to zero, with capture still running, before collecting.
+        #: slot -> number of open writes pinning it (batches, control-
+        #: plane writes, staged 2PC halves); the fence drains this to
+        #: zero, with capture still running, before collecting.
         self._slot_writers = defaultdict(int)
         #: slot -> live local inode-record count (planner statistics).
         self.slot_inode_counts = defaultdict(int)
@@ -263,7 +295,8 @@ class MNode(NamespaceReplicaMixin, Node):
         self._name_parents = defaultdict(set)
         #: Filenames whose inodes are blocked mid-migration.
         self.migrating = set()
-        #: txid -> list of staged 2PC actions (rename / eager replication).
+        #: txid -> the staged 2PC half (rename / eager replication): a
+        #: list of entries, each holding its open ``"write"``.
         self._staged = {}
         #: Log shipper when primary-standby replication is enabled.
         self.shipper = None
@@ -501,11 +534,6 @@ class MNode(NamespaceReplicaMixin, Node):
             w.close()
         return count
 
-    def _txn(self, ctx=None):
-        return Transaction(self.env, self.wal, self.costs,
-                           on_commit=self._ship_committed, ctx=ctx,
-                           barrier=self.alive_barrier)
-
     def _ship_committed(self, txn):
         # Resolved at commit time, not transaction creation: a standby
         # attached mid-flight (rejoin after a crash-restart) must see
@@ -619,75 +647,63 @@ class MNode(NamespaceReplicaMixin, Node):
             for key, mode in plan.lock_specs.items():
                 if lock_modes.get(key) != LockMode.EXCLUSIVE:
                     lock_modes[key] = mode
-        grants = []
-        for key in sorted(lock_modes):
-            grant = self.locks.acquire(key, lock_modes[key], ctx=bctx)
-            if grant.event.callbacks is not None:
-                yield grant.event
-            grants.append(grant)
-
-        # -- revalidate: a concurrent invalidation between resolution and
-        # locking forces a client retry (rare; namespace changes only).
-        # Surviving plans register as slot writers in the same no-yield
-        # block, so a slot fence firing after this instant waits for
-        # them (and one firing before it already failed them above).
-        live = []
-        for plan in plans:
-            if self._plan_still_valid(plan):
-                live.append(plan)
-                if plan.slot is not None:
-                    self._slot_writers[plan.slot] += 1
-            else:
-                self._respond_error(
-                    plan.message, RpcFailure(RpcError.ERETRY, plan.name)
-                )
-        if not live:
-            for grant in grants:
-                self.locks.release(grant)
-            return
-
-        # -- aggregate CPU charge: coalesced locks + per-op work + one txn.
+        w = _OwnerWrite(self, bctx)
+        yield from w.lock_all(sorted(lock_modes.items()))
         try:
+            # -- revalidate: a concurrent invalidation between resolution
+            # and locking forces a client retry (rare; namespace changes
+            # only).  The surviving plans' slots are pinned in the same
+            # no-yield block, so a slot fence firing after this instant
+            # waits for them (and one firing before it failed them here).
+            live = []
+            for plan in plans:
+                if self._plan_still_valid(plan):
+                    live.append(plan)
+                else:
+                    self._respond_error(
+                        plan.message, RpcFailure(RpcError.ERETRY, plan.name)
+                    )
+            if not live:
+                return
+            for slot in {plan.slot for plan in live}:
+                w.pin(slot)
+
+            # -- aggregate CPU charge: coalesced locks + per-op work + one
+            # txn.
             costs = self.costs
-            cpu = len(grants) * (costs.lock_acquire_us
-                                 + costs.lock_release_us)
+            cpu = len(w.grants) * (costs.lock_acquire_us
+                                   + costs.lock_release_us)
             cpu += sum(plan.cpu_us for plan in live)
             cpu += costs.txn_begin_us + costs.txn_commit_us
             yield from self.execute(cpu, ctx=bctx)
 
-            txn = self._txn(ctx=bctx)
             outcomes = []
             for plan in live:
                 try:
-                    outcomes.append((plan, self._apply(plan, txn)))
+                    outcomes.append((plan, self._apply(plan, w)))
                 except RpcFailure as failure:
                     outcomes.append((plan, failure))
             quorum_ok = True
-            if txn.write_count:
-                yield from txn.commit()
+            if (yield from w.commit()):
                 # Quorum commit: the batch's entry must be durably
                 # appended by a majority before anyone is told it
                 # happened.  Grants stay held across the wait so no
                 # concurrent reader observes state that a successor
                 # leader might not have.
                 quorum_ok = yield from self._quorum_barrier()
-            for grant in grants:
-                self.locks.release(grant)
-            for plan, outcome in outcomes:
-                if isinstance(outcome, RpcFailure):
-                    self._respond_error(plan.message, outcome)
-                elif not quorum_ok:
-                    self._respond_error(
-                        plan.message,
-                        RpcFailure(RpcError.ENOTLEADER, self.name),
-                    )
-                else:
-                    self._ops_ctr.inc(plan.op)
-                    self._respond_ok(plan.message, outcome)
         finally:
-            for plan in live:
-                if plan.slot is not None:
-                    self._slot_writers[plan.slot] -= 1
+            w.close()
+        for plan, outcome in outcomes:
+            if isinstance(outcome, RpcFailure):
+                self._respond_error(plan.message, outcome)
+            elif not quorum_ok:
+                self._respond_error(
+                    plan.message,
+                    RpcFailure(RpcError.ENOTLEADER, self.name),
+                )
+            else:
+                self._ops_ctr.inc(plan.op)
+                self._respond_ok(plan.message, outcome)
 
     def _plan(self, message):
         """Generator: validate routing and resolve the parent directory.
@@ -847,15 +863,15 @@ class MNode(NamespaceReplicaMixin, Node):
         return True
 
     # ------------------------------------------------------------------
-    # operation semantics (pure, executed inside the batch transaction)
+    # operation semantics (pure, staged in the batch's one write)
     # ------------------------------------------------------------------
 
-    def _apply(self, plan, txn):
+    def _apply(self, plan, w):
         op = plan.op
         payload = plan.payload
-        key = plan.inode_key
+        key = plan.key
         where = payload.get("path", key)
-        record = txn.get(self.inodes, key)
+        record = w.get(key)
         if op == "create":
             if record is not None:
                 if payload.get("exclusive", True):
@@ -865,27 +881,23 @@ class MNode(NamespaceReplicaMixin, Node):
                 truncated = record.copy()
                 truncated.size = 0
                 truncated.mtime = self.env.now
-                txn.put(self.inodes, key, truncated)
+                w.put(key, truncated)
                 return {"ino": record.ino}
             inode = InodeRecord(
                 ino=self.shared.allocator.allocate(), is_dir=False,
                 mode=payload.get("mode", 0o644), size=payload.get("size", 0),
                 mtime=self.env.now,
             )
-            txn.put(self.inodes, key, inode)
-            self._track_name(key, +1)
+            w.put(key, inode)
             return {"ino": inode.ino}
         if op == "mkdir":
             if record is not None:
                 raise RpcFailure(RpcError.EEXIST, where)
-            ino = self.shared.allocator.allocate()
-            mode = payload.get("mode", 0o755)
-            inode = InodeRecord(ino=ino, is_dir=True, mode=mode,
+            inode = InodeRecord(ino=self.shared.allocator.allocate(),
+                                is_dir=True, mode=payload.get("mode", 0o755),
                                 mtime=self.env.now)
-            txn.put(self.inodes, key, inode)
-            txn.put(self.dentries, key, DentryRecord(ino=ino, mode=mode))
-            self._track_name(key, +1)
-            return {"ino": ino}
+            w.put(key, inode)
+            return {"ino": inode.ino}
         if record is None:
             raise RpcFailure(RpcError.ENOENT, where)
         if op in ("open", "getattr", "lookup"):
@@ -896,13 +908,12 @@ class MNode(NamespaceReplicaMixin, Node):
             updated = record.copy()
             updated.size = payload.get("size", record.size)
             updated.mtime = self.env.now
-            txn.put(self.inodes, key, updated)
+            w.put(key, updated)
             return {}
         if op == "unlink":
             if record.is_dir:
                 raise RpcFailure(RpcError.EISDIR, where)
-            txn.delete(self.inodes, key)
-            self._track_name(key, -1)
+            w.delete(key)
             return {}
         if op == "setattr":
             if record.is_dir:
@@ -912,7 +923,7 @@ class MNode(NamespaceReplicaMixin, Node):
             updated.mode = payload.get("mode", record.mode)
             updated.uid = payload.get("uid", record.uid)
             updated.gid = payload.get("gid", record.gid)
-            txn.put(self.inodes, key, updated)
+            w.put(key, updated)
             return {}
         raise RpcFailure(RpcError.EINVAL, op)
 
@@ -921,7 +932,7 @@ class MNode(NamespaceReplicaMixin, Node):
         self.filename_counts[name] += delta
         if self.filename_counts[name] <= 0:
             del self.filename_counts[name]
-        slot = self._slot_of(key)
+        slot = self.index.locate(pid, name)
         self.slot_inode_counts[slot] += delta
         if self.slot_inode_counts[slot] <= 0:
             del self.slot_inode_counts[slot]
@@ -963,18 +974,15 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _mkdir_eager(self, plan):
         """mkdir with 2PC dentry replication to every MNode."""
-        key = plan.inode_key
-        ctx = plan.message.ctx or NULL_CONTEXT
-        grant = self.locks.acquire(("i",) + key, LockMode.EXCLUSIVE,
-                                   ctx=ctx)
-        if grant.event.callbacks is not None:
-            yield grant.event
+        key = plan.key
+        message = plan.message
+        ctx = message.ctx or NULL_CONTEXT
+        w = _OwnerWrite(self, ctx)
+        yield from w.lock(key)
         try:
+            w.enter(key)
             if self.inodes.get(key) is not None:
-                self._respond_error(
-                    plan.message, RpcFailure(RpcError.EEXIST, plan.name)
-                )
-                return
+                raise RpcFailure(RpcError.EEXIST, plan.name)
             ino = self.shared.allocator.allocate()
             mode = plan.payload.get("mode", 0o755)
             txid = "mkdir-{}-{}".format(self.name, ino)
@@ -991,54 +999,46 @@ class MNode(NamespaceReplicaMixin, Node):
                     yield self._call_peers("replica_abort", {"txid": txid},
                                            ctx)
                     self._respond_error(
-                        plan.message, RpcFailure(RpcError.ERETRY, plan.name)
-                    )
+                        message, RpcFailure(RpcError.ERETRY, plan.name))
                     return
-                txn = self._txn(ctx=ctx)
-                inode = InodeRecord(ino=ino, is_dir=True, mode=mode,
-                                    mtime=self.env.now)
-                txn.put(self.inodes, key, inode)
-                txn.put(self.dentries, key, DentryRecord(ino=ino,
-                                                         mode=mode))
-                yield from txn.commit()
-                self._track_name(key, +1)
+                w.put(key, InodeRecord(ino=ino, is_dir=True, mode=mode,
+                                       mtime=self.env.now))
+                yield from w.commit()
                 yield self._call_peers("replica_commit", {"txid": txid},
                                        ctx)
                 yield from self.execute(round_us, ctx=ctx)
-            self.metrics.counter("ops").inc("mkdir")
-            self._respond_ok(plan.message, {"ino": ino})
+            self._ops_ctr.inc("mkdir")
+            self._respond_ok(message, {"ino": ino})
+        except RpcFailure as failure:
+            self._respond_error(message, failure)
         finally:
-            self.locks.release(grant)
+            w.close()
 
     def _on_replica_prepare(self, message):
+        """Participant half of an eager mkdir: lock the new directory's
+        key and vote yes; the decision installs its replica dentry."""
         payload = message.payload
         key = tuple(payload["key"])
-        grant = self.locks.acquire(("d",) + key, LockMode.EXCLUSIVE,
-                                   ctx=message.ctx)
-        if grant.event.callbacks is not None:
-            yield grant.event
+        w = _OwnerWrite(self, message.ctx)
+        yield from w.lock(key)
         yield from self.execute(self.costs.index_insert_us, ctx=message.ctx)
-        # Participants persist their vote before answering (2PC rule).
-        yield self.wal.commit(self.costs.wal_record_bytes, ctx=message.ctx)
-        self._staged[payload["txid"]] = {"key": key, "grant": grant,
-                                         "record": payload["record"]}
+        self._staged[payload["txid"]] = [
+            {"key": key, "record": payload["record"], "write": w}]
+        yield w.vote()
         self.respond(message, {"ok": True})
 
     def _on_replica_commit(self, message):
-        staged = self._staged.pop(message.payload["txid"])
-        wire = staged["record"]
-        self.dentries.put(staged["key"], DentryRecord(
-            ino=wire["ino"], mode=wire["mode"], uid=wire["uid"],
-            gid=wire["gid"],
-        ))
-        yield from self.execute(self.costs.index_insert_us)
-        self.locks.release(staged["grant"])
-        self.respond(message, {"ok": True})
-
-    def _on_replica_abort(self, message):
-        staged = self._staged.pop(message.payload["txid"], None)
-        if staged is not None:
-            self.locks.release(staged["grant"])
+        """Install the staged replica dentry.  A participant that lost
+        its staged half (restarted between vote and decision) answers
+        ok: its replica fetches the dentry from the owner on demand."""
+        staged = self._staged.pop(message.payload["txid"], ())
+        for entry in staged:
+            wire = entry["record"]
+            self.dentries.put(entry["key"], DentryRecord(
+                ino=wire["ino"], mode=wire["mode"], uid=wire["uid"],
+                gid=wire["gid"]))
+            yield from self.execute(self.costs.index_insert_us)
+        self._release_staged(staged)
         self.respond(message, {"ok": True})
 
     # ------------------------------------------------------------------
@@ -1282,8 +1282,7 @@ class MNode(NamespaceReplicaMixin, Node):
             "action": action, "key": key, "record": payload.get("record"),
             "slot": slot, "write": w,
         })
-        # Persist the vote.
-        yield self.wal.commit(self.costs.wal_record_bytes, ctx=message.ctx)
+        yield w.vote()
         if deadline is not None:
             # In-doubt termination: if neither commit nor abort shows up
             # (both can be black-holed by a crash or partition), ask the
@@ -1423,9 +1422,11 @@ class MNode(NamespaceReplicaMixin, Node):
                 w.close()
 
     def _on_rename_abort(self, message):
-        staged = self._staged.pop(message.payload["txid"], [])
-        self._release_staged(staged)
+        self._release_staged(self._staged.pop(message.payload["txid"], ()))
         self.respond(message, {"ok": True})
+
+    #: An eager mkdir's staged half has the same shape.
+    _on_replica_abort = _on_rename_abort
 
     # ------------------------------------------------------------------
     # control plane: directory listing
@@ -1662,12 +1663,12 @@ class MNode(NamespaceReplicaMixin, Node):
         # restart must come back fenced, not resurrect the slot from
         # the (not yet flipped) map and serve state the destination is
         # about to supersede.
-        txn = self._txn(ctx=message.ctx)
-        txn.put(self.meta, ("slot", slot), {
+        w = _OwnerWrite(self, message.ctx)
+        w.txn.put(self.meta, ("slot", slot), {
             "state": "moved", "node": payload["node"],
             "epoch": payload["epoch"],
         })
-        yield from txn.commit()
+        yield from w.commit()
         yield from self._reply_rows(message, len(entries),
                                     {"ok": True, "delta": entries})
 
@@ -1735,9 +1736,9 @@ class MNode(NamespaceReplicaMixin, Node):
         self.pending_slots.discard(slot)
         self.hosted_slots.add(slot)
         if self.meta.get(("slot", slot)) is not None:
-            txn = self._txn(ctx=message.ctx)
-            txn.delete(self.meta, ("slot", slot))
-            yield from txn.commit()
+            w = _OwnerWrite(self, message.ctx)
+            w.txn.delete(self.meta, ("slot", slot))
+            yield from w.commit()
         self.respond(message, {"ok": True})
 
     def _on_slot_discard(self, message):

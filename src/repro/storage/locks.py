@@ -126,6 +126,24 @@ class LockManager:
         state.holders.append(grant)
         return grant
 
+    def acquire_all(self, requests, grants, ctx=None):
+        """Generator: acquire every ``(key, mode)`` of ``requests`` in
+        the order given, appending each grant to ``grants`` once held.
+        The caller owns the order (sorted keys, or an ancestor chain) —
+        every lock set is taken one key at a time, so two sets that
+        agree on the order of their common keys cannot deadlock — and
+        hands ``grants`` to :meth:`release_all`, also on failure."""
+        for key, mode in requests:
+            grant = self.acquire(key, mode, ctx=ctx)
+            if grant.event.callbacks is not None:
+                yield grant.event
+            grants.append(grant)
+
+    def release_all(self, grants):
+        """Release a lock set, in the order it was acquired."""
+        for grant in grants:
+            self.release(grant)
+
     def release(self, grant):
         """Release a held grant (or cancel a queued one)."""
         state = self._locks.get(grant.key)

@@ -111,6 +111,15 @@ class Transaction:
         self._check_open()
         self._bucket(table)[key] = _DELETED
 
+    def staged(self, table):
+        """``(key, present)`` for every write staged against ``table``:
+        whether the key holds a row once this transaction applies."""
+        bucket = self._writes.get(id(table))
+        if bucket is None:
+            return ()
+        return [(key, value is not _DELETED)
+                for key, value in bucket[1].items()]
+
     @property
     def write_count(self):
         return sum(len(bucket) for _, bucket in self._writes.values())

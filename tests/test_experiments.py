@@ -1,6 +1,8 @@
 """Integration tests: every experiment module runs at small scale and
 reproduces the paper's qualitative shape."""
 
+import pathlib
+
 import pytest
 
 from repro.experiments import (
@@ -18,6 +20,10 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_table
 from repro.workloads.datasets import labeling_task, linux_tree
+
+#: Committed figure tables (written by ``benchmarks/test_fig*.py``).
+RESULTS = (pathlib.Path(__file__).resolve().parent.parent
+           / "benchmarks" / "results")
 
 
 def _by(rows, **filters):
@@ -198,6 +204,14 @@ class TestAblation:
         assert by_config["no inv"]["relative"] < 0.6
         assert by_config["no merge"]["relative"] < 0.15
         assert "15a" in ablation.format_rows(rows)
+
+    def test_fig15a_matches_the_committed_table(self):
+        """The paper-scale run is pinned row for row: it is the only run
+        that drives the eager-replication 2PC (owner and participants)
+        and the unmerged dispatch path."""
+        rows = ablation.run(num_ops=1500, threads=256)
+        with open(RESULTS / "fig15a_ablation.txt") as handle:
+            assert ablation.format_rows(rows) + "\n" == handle.read()
 
 
 class TestCornerCases:

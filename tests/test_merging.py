@@ -187,6 +187,47 @@ class TestEagerReplicationAblation:
         with pytest.raises(RpcFailure):
             fs.mkdir("/a")
 
+    @staticmethod
+    def _decide(cluster, target, kind, payload):
+        def call():
+            reply = yield cluster.coordinator.call(target, kind, payload)
+            return reply
+        return cluster.run_process(call())
+
+    def test_decision_without_a_staged_half_answers_ok(self):
+        """A participant that restarted between its vote and the
+        decision holds no staged half; commit and abort still answer."""
+        cluster = FalconCluster(FalconConfig(
+            num_mnodes=4, num_storage=2, eager_replication=True,
+        ))
+        for kind in ("replica_commit", "replica_abort"):
+            reply = self._decide(cluster, "mnode-1", kind,
+                                 {"txid": "mkdir-x"})
+            assert reply == {"ok": True}
+        assert cluster.mnodes[1].dentries.get((1, "x")) is None
+
+    def test_prepare_stages_an_open_write_until_the_decision(self):
+        """Every staged 2PC half is a list of entries that each hold an
+        open write; the write keeps the key's lock pair until decided."""
+        cluster = FalconCluster(FalconConfig(
+            num_mnodes=4, num_storage=2, eager_replication=True,
+        ))
+        participant = cluster.mnodes[1]
+        record = {"ino": 99, "mode": 0o755, "uid": 0, "gid": 0}
+        for txid, decision in (("mkdir-a", "replica_abort"),
+                               ("mkdir-c", "replica_commit")):
+            self._decide(cluster, participant.name, "replica_prepare",
+                         {"txid": txid, "key": [1, txid], "record": record})
+            (entry,) = participant._staged[txid]
+            assert entry["write"].grants
+            assert participant.locks.holders(("d", 1, txid)) == ["X"]
+            self._decide(cluster, participant.name, decision,
+                         {"txid": txid})
+            assert participant._staged == {}
+            assert not participant.locks.is_locked(("d", 1, txid))
+        assert participant.dentries.get((1, "mkdir-a")) is None
+        assert participant.dentries.get((1, "mkdir-c")).ino == 99
+
     def test_eager_mkdir_slower_than_lazy(self):
         def run(eager):
             cluster = FalconCluster(FalconConfig(

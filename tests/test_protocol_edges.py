@@ -127,6 +127,64 @@ class TestOwnerWriteScaffold:
                           owner.wal.appended_txns)
         check_cluster_invariants(cluster)
 
+    def test_batch_moves_the_name_index_only_once_durable(self):
+        """Obligation 4 on the merged batch path: while a create or
+        mkdir batch waits on its WAL flush, none of its names is
+        counted; once it commits, every one is."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
+        cluster.fs().mkdir("/d")
+        owner = cluster.mnodes[0]
+        pid = owner.inodes.get((ROOT_INO, "d")).ino
+        during = []
+        real_commit = owner.wal.commit
+
+        def commit(nbytes, records=1, ctx=None, payload=None):
+            names = [key[1] for table, key, _ in payload or ()
+                     if table == "inode"]
+            during.append((
+                names,
+                [owner.filename_counts.get(name, 0) for name in names],
+                [name in owner._name_parents for name in names],
+                sum(owner.slot_inode_counts.values()) - len(owner.inodes),
+            ))
+            return real_commit(nbytes, records, ctx, payload)
+
+        owner.wal.commit = commit
+        client = cluster.add_client(mode="libfs")
+        env = cluster.env
+        procs = [env.process(op("/d/{}{}".format(op.__name__, i)))
+                 for op in (client.create, client.mkdir) for i in range(4)]
+        env.run(until=env.all_of(procs))
+        assert max(len(names) for names, _, _, _ in during) > 1   # merged
+        for names, counts, parented, surplus in during:
+            assert counts == [0] * len(names)
+            assert parented == [False] * len(names)
+            assert surplus == 0
+        created = [name for names, _, _, _ in during for name in names]
+        assert sorted(created) == sorted(
+            "{}{}".format(kind, i) for kind in ("create", "mkdir")
+            for i in range(4))
+        for name in created:
+            assert owner.filename_counts[name] == 1
+            assert owner._name_parents[name] == {pid}
+        assert sum(owner.slot_inode_counts.values()) == len(owner.inodes)
+
+    def test_retired_incarnation_wakes_nobody(self):
+        """Only the collector closes a write of a crashed-and-replaced
+        node: its release must not wake that node's other dead
+        processes queued behind it."""
+        from repro.core.mnode import _OwnerWrite
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
+        node = cluster.mnodes[0]
+        key = (ROOT_INO, "k")
+        w = _OwnerWrite(node)
+        cluster.run_process(w.lock(key))
+        waiter = node.locks.acquire(("d",) + key, LockMode.EXCLUSIVE)
+        node.halted = True
+        w.close()
+        assert not waiter.granted and not waiter.event.triggered
+
     def test_slot_fenced_while_queued_on_the_locks_bounces(self):
         cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
         cluster.fs().mkdir("/d")
