@@ -11,6 +11,12 @@
     results come back through an ordered merge and shrinking stays
     serial in the parent.
 
+``python -m repro.check run --seeds 1000 --keep-going``
+    explore every seed even past failures, then print a histogram of
+    violation signatures (invariant plus message with numbers and
+    bracketed lists normalised); the lowest failing seed is shrunk and
+    written as above, and the exit status is still 2.
+
 ``python -m repro.check repro <seed-file>``
     replay a written seed file (the minimal schedule by default, the
     original with ``--original``) or a bare schedule such as the pinned
@@ -24,8 +30,10 @@
 import argparse
 import json
 import os
+import re
 import sys
 import time
+from collections import defaultdict
 
 from repro.check.runner import run_schedule
 from repro.check.schedule import NEMESIS_MIXES, generate_schedule
@@ -52,6 +60,33 @@ def _summarize(stats):
         stats["ops_total"], stats["ops_ok"], stats["ops_failed"],
         stats["nemesis_fired"], stats["promotions"],
         stats["final_now_us"])
+
+
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_BRACKETED = re.compile(r"\[.*\]")
+
+
+def signature(violation):
+    """One violation's signature: its invariant plus its message with
+    ids, times and node indexes (every number) and bracketed lists
+    normalised, so the same failure in two seeds reads the same."""
+    message = _BRACKETED.sub("[...]", violation["message"])
+    return "[{}] {}".format(violation["invariant"],
+                            _NUMBER.sub("N", message))
+
+
+def _print_histogram(failures):
+    """Failing seeds grouped by violation signature, commonest first."""
+    seeds = defaultdict(list)
+    for record in failures:
+        for sig in {signature(v) for v in record["result"]["violations"]}:
+            seeds[sig].append(record["seed"])
+    print("# {} failing seeds, {} signatures".format(len(failures),
+                                                     len(seeds)))
+    for sig, hits in sorted(seeds.items(),
+                            key=lambda item: (-len(item[1]), item[0])):
+        print("{:5d}  {}  (seeds {})".format(
+            len(hits), sig, " ".join(str(s) for s in hits)))
 
 
 def _per_minute(count, seconds):
@@ -97,7 +132,7 @@ def cmd_run(args):
              for seed in range(args.start_seed,
                                args.start_seed + args.seeds)]
     explored = 0
-    failure = None
+    failures = []
     for record in _explore(tasks, args.jobs):
         if "error" in record:
             print("seed {:4d}: checker infrastructure failure"
@@ -112,26 +147,32 @@ def cmd_run(args):
             for violation in record["result"]["violations"]:
                 print("  [{}] {}".format(violation["invariant"],
                                          violation["message"]))
-            failure = record
-            break
-        print("seed {:4d}: ok   {}".format(seed,
-                                           _summarize(record["stats"])))
+            failures.append(record)
+            if not args.keep_going:
+                break
+        else:
+            print("seed {:4d}: ok   {}".format(
+                seed, _summarize(record["stats"])))
         if args.heartbeat and explored % args.heartbeat == 0 \
                 and explored < len(tasks):
             rate = _per_minute(explored, time.monotonic() - started)
-            print("# {}/{} seeds done, all clean, {} schedules/minute"
-                  .format(explored, len(tasks), _format_rate(rate)),
+            print("# {}/{} seeds done, {} failing, {} schedules/minute"
+                  .format(explored, len(tasks), len(failures),
+                          _format_rate(rate)),
                   file=sys.stderr)
 
     # Exploration-only wall clock: captured before any shrinking, so
     # the reported rate measures seed throughput, never debug work.
     explore_rate = _per_minute(explored, time.monotonic() - started)
 
-    if failure is None:
+    if not failures:
         print("{} seeds clean ({} schedules/minute)".format(
             args.seeds, _format_rate(explore_rate)))
         return 0
+    if args.keep_going:
+        _print_histogram(failures)
 
+    failure = failures[0]
     seed = failure["seed"]
     result = failure["result"]
     schedule = result["schedule"]
@@ -229,6 +270,11 @@ def main(argv=None):
     run_parser.add_argument("--start-seed", type=int, default=0)
     run_parser.add_argument("--out", default="check-artifacts")
     run_parser.add_argument("--no-shrink", action="store_true")
+    run_parser.add_argument(
+        "--keep-going", action="store_true",
+        help="explore every seed past failures and end with a histogram "
+             "of violation signatures (the lowest failing seed is still "
+             "shrunk and saved)")
     run_parser.add_argument("--max-shrink-runs", type=int, default=150)
     run_parser.add_argument(
         "--jobs", type=int, default=1,

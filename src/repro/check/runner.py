@@ -125,8 +125,9 @@ def run_schedule(schedule):
     cluster.start_failure_detection()
     if consensus:
         # Quorum groups replace ordained promotion: leader heartbeats
-        # and follower election timers run; the detector above stays
-        # observe-only (it never calls fail_over under consensus).
+        # and follower election timers run, and the election timers
+        # are the only failure detector (the call above starts none
+        # under consensus).
         cluster.start_consensus()
     t0 = env.now
 

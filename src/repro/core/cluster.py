@@ -581,11 +581,33 @@ class FalconCluster:
         if self._consensus_running:
             # Let the groups settle — heartbeats re-establish match
             # positions and push the commit horizon to every member —
-            # then stop the standing timers so the drain that follows
-            # can actually go quiescent.
-            self.run_for(10 * HEARTBEAT_US)
+            # beat by beat until every group has converged (at most ten
+            # beats), then stop the standing timers so the drain that
+            # follows can actually go quiescent.
+            for _ in range(10):
+                if self._groups_converged():
+                    break
+                self.run_for(HEARTBEAT_US)
             self.stop_consensus_timers()
         return records
+
+    def _groups_converged(self):
+        """True when every consensus group has nothing left to settle:
+        a serving leader whose whole log is committed and acked by every
+        member, and a data follower that has committed and applied it."""
+        for mnode, follower in zip(self.mnodes, self.standbys):
+            log = mnode.shipper
+            if log is None:
+                continue
+            last = log.last_lsn
+            if log.deposed or mnode.halted or log.commit_lsn != last:
+                return False
+            if any(m["match"] != last for m in log.members.values()):
+                return False
+            if follower is not None and (follower.commit_lsn != last
+                                         or follower.applied_lsn != last):
+                return False
+        return True
 
     def quiesce(self, budget_us=None):
         """Drain the event queue (bounded by ``budget_us`` when given);
@@ -597,16 +619,16 @@ class FalconCluster:
         deaths trigger :meth:`fail_over` automatically.  Returns the
         :class:`~repro.faults.FailureDetector`.
 
-        Under consensus the detector is observe-only (``on_failure``
-        stays ``None``): recovery is decided by election timeouts at
-        the followers, not ordained by the coordinator — the detector
-        keeps feeding its detection-latency metrics for comparison."""
+        Under consensus this starts nothing and returns ``None``: each
+        group's election timer is its failure detector, and the
+        instant the winning candidate's timer fired is the elected
+        failover record's ``detected_at``."""
+        if self.config.consensus:
+            return None
         from repro.faults import FailureDetector
 
-        self.detector = FailureDetector(
-            self.coordinator, self.shared,
-            on_failure=None if self.config.consensus else self.fail_over,
-        )
+        self.detector = FailureDetector(self.coordinator, self.shared,
+                                        on_failure=self.fail_over)
         self.detector.start()
         return self.detector
 

@@ -709,7 +709,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         cluster's install hook synchronously (the candidate becomes the
         slot's primary before we reply, so the reply doubles as the
         installation ack), then repairs the cluster around the new
-        primary exactly as ordained failover does.
+        primary exactly as ordained failover does.  The record's
+        ``detected_at`` is the instant the candidate's election timer
+        fired (the claim carries it); ``promoted_at`` is this claim's.
         """
         p = message.payload
         slot, term = p["slot"], p["term"]
@@ -720,7 +722,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
             # can step back down.
             self.respond(message, {"ok": False, "term": entry["term"]})
             return
-        detected_at = self.env.now
+        promoted_at = self.env.now
         if self.install_leader is None:
             raise RuntimeError("leader_claim without an install hook")
         deposed = entry["leader"]
@@ -729,9 +731,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         entry["leader"] = new_node.name
         orphans_removed = yield from self._repair_slot(slot, new_node.name)
         self.log_failover(
-            "elections", slot, deposed, detected_at,
+            "elections", slot, deposed, p["detected_at"],
             promoted=new_node.name, elected=True, term=term,
-            promoted_at=detected_at, recovered_at=self.env.now,
+            promoted_at=promoted_at, recovered_at=self.env.now,
             lost_txns=lost_txns, orphans_removed=orphans_removed)
         self.respond(message, {"ok": True, "term": term})
 

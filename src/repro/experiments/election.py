@@ -70,7 +70,13 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
         raise AssertionError(
             "consensus mode recovered by ordained promotion: {!r}"
             .format(recovery))
-    detection = cluster.detector.log
+    # Detection is the election timer firing under consensus, the
+    # coordinator's heartbeat declaration under promotion.
+    if consensus:
+        detected_at = recovery["detected_at"]
+    else:
+        detection = cluster.detector.log
+        detected_at = detection[0]["declared_at"] if detection else None
 
     # Every acknowledged create must still resolve after healing.
     lost = len(lost_acked(cluster, acked_creates))
@@ -88,8 +94,8 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
         "mode": mode,
         "victim": victim,
         "crash_at_us": crash_at,
-        "detect_us": (detection[0]["declared_at"] - crash_at
-                      if detection else None),
+        "detect_us": (detected_at - crash_at
+                      if detected_at is not None else None),
         "gap_us": recovered_at - crash_at,
         "max_stall_us": max(overlapping) if overlapping else 0.0,
         "lost_txns": recovery["lost_txns"],

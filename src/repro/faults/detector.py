@@ -13,11 +13,8 @@ Detection latency is therefore bounded by roughly
 HEARTBEAT_TIMEOUT_US`` — the availability-gap floor the failover
 experiment measures against.
 
-Under the consensus tier (``config.consensus``) the detector runs
-**observe-only**: ``on_failure`` stays ``None``, so declarations are
-logged and counted but never ordain a promotion — recovery is decided
-by election timeouts at the data followers instead, and the detection
-metrics remain comparable across the two recovery regimes.
+The consensus tier (``config.consensus``) runs no detector at all:
+each quorum group's election timer is its failure detector.
 """
 
 from collections import defaultdict
@@ -35,7 +32,7 @@ HEARTBEAT_MISS_THRESHOLD = 3
 class FailureDetector:
     """Coordinator-side heartbeat/lease monitor for the MNode ring."""
 
-    def __init__(self, coordinator, shared, on_failure=None):
+    def __init__(self, coordinator, shared, on_failure):
         self.node = coordinator
         self.shared = shared
         self.env = coordinator.env
@@ -116,8 +113,7 @@ class FailureDetector:
             "misses": self.misses[index],
         })
         self.node.metrics.counter("failures_declared").inc()
-        if self.on_failure is not None:
-            self.env.process(self._recover(index))
+        self.env.process(self._recover(index))
 
     def _recover(self, index):
         result = yield from self.on_failure(index)

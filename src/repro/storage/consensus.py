@@ -644,6 +644,7 @@ class ConsensusFollower(MemberLog, Standby):
                                        2.0 * ELECTION_TIMEOUT_US)
             epoch = self.heard_epoch
             yield env.timeout(clock.to_env_delay(timeout))
+            fired_at = env.now
             if not self._running or self.promoted or self.halted:
                 return
             while self.network.is_down(self.name) and not self.halted:
@@ -652,7 +653,7 @@ class ConsensusFollower(MemberLog, Standby):
                 return
             if self.heard_epoch != epoch or self.catching_up:
                 continue
-            yield from self._run_election()
+            yield from self._run_election(fired_at)
             if self.promoted:
                 return
 
@@ -670,7 +671,9 @@ class ConsensusFollower(MemberLog, Standby):
             return None
         return reply
 
-    def _run_election(self):
+    def _run_election(self, fired_at):
+        """Stand for election; ``fired_at`` is the instant the election
+        timer fired, which the claim reports as the detection time."""
         self.elections_started += 1
         last = [self._last_lsn(), self._last_term()]
         # Pre-vote: probe electability (witness reachable, our log
@@ -695,7 +698,7 @@ class ConsensusFollower(MemberLog, Standby):
             claim = yield from deadline_call(
                 self, NULL_CONTEXT, self.coordinator_name, "leader_claim",
                 {"slot": self.slot, "term": term, "name": self.name,
-                 "last": last},
+                 "last": last, "detected_at": fired_at},
                 timeout_us=self.rpc_timeout_us * 8,
             )
         except RpcFailure:

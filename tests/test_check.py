@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.check import generate_schedule, run_schedule, shrink
+from repro.check import generate_schedule, run_schedule, runner, shrink
 from repro.check.oracle import audit_history
 from repro.check.schedule import GRAY_NEMESIS_MIX, NEMESIS_MIXES
 from repro.storage.locks import LockManager
@@ -151,6 +151,27 @@ def test_runs_do_not_leak_into_each_other():
     run_schedule(generate_schedule(9))  # pollute process state
     again = json.dumps(run_schedule(generate_schedule(2)), sort_keys=True)
     assert again == baseline
+
+
+@pytest.mark.parametrize("mix,pings", [("election", False),
+                                        ("mixed", True)])
+def test_only_the_promotion_path_pings(monkeypatch, mix, pings):
+    """Under consensus the election timers are the failure detector:
+    the coordinator starts no detector and sends no ``ping``.  The
+    promotion path keeps its heartbeat detector."""
+    built = []
+
+    class Recording(runner.FalconCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "FalconCluster", Recording)
+    result = run_schedule(generate_schedule(0, nemesis_mix=mix))
+    assert result["violations"] == [], result["violations"]
+    (cluster,) = built
+    assert (cluster.detector is not None) is pings
+    assert (cluster.network.message_count("ping") > 0) is pings
 
 
 # ----------------------------------------------------------------------
@@ -476,3 +497,32 @@ def test_cli_run_writes_seed_file_on_failure(tmp_path, capsys,
     # The written file round-trips through the repro subcommand
     # (still under the planted bug, so the verdict reproduces).
     assert main(["repro", str(tmp_path / "seed-0.json")]) == 1
+
+
+def test_cli_keep_going_explores_past_failures(tmp_path, capsys,
+                                               monkeypatch):
+    """``--keep-going`` runs every seed, then groups the failures by
+    invariant plus normalised message; the lowest failing seed is still
+    the one reported (and written)."""
+    from repro.check.__main__ import main
+
+    monkeypatch.setattr(LockManager, "release", _leaky_release)
+    rc = main(["run", "--seeds", "3", "--out", str(tmp_path),
+               "--keep-going", "--no-shrink"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert all("seed {:4d}: FAIL".format(seed) in out for seed in range(3))
+    assert "# 3 failing seeds" in out
+    assert "(seeds 0 1 2)" in out and "[lock-leak]" in out
+    assert (tmp_path / "seed-0.json").exists()
+
+
+def test_signature_normalises_numbers_and_lists():
+    from repro.check.__main__ import signature
+
+    first = {"invariant": "identity",
+             "message": "inode number 5 appears twice: ['/a', '/b']"}
+    second = {"invariant": "identity",
+              "message": "inode number 17 appears twice: ['/c']"}
+    assert signature(first) == signature(second) == (
+        "[identity] inode number N appears twice: [...]")

@@ -13,7 +13,8 @@ import pytest
 from repro.core import FalconCluster, FalconConfig
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import RETRYABLE
-from repro.storage.consensus import ConsensusFollower, ReplicatedLog
+from repro.storage.consensus import (ELECTION_TIMEOUT_US, HEARTBEAT_US,
+                                     ConsensusFollower, ReplicatedLog)
 
 
 def _consensus_cluster(**overrides):
@@ -288,3 +289,61 @@ def test_group_members_refuse_a_kind_they_can_never_own(role):
     assert cluster.run_process(abort()) == RpcError.ENOTLEADER
     assert member.metrics.counter("unowned_messages").by_label() == {
         "rename_abort": 1}
+
+
+class TestLiveness:
+    """Under consensus each group's election timer is its only failure
+    detector, and ``heal()`` settles the groups only until they have
+    converged."""
+
+    def test_detected_at_is_the_election_timer_firing(self):
+        cluster = _consensus_cluster()
+        ino = _mkdir(cluster, "/d")
+        client = cluster.add_client(mode="libfs")
+        slot = 0
+        cluster.run_process(
+            client.create("/d/" + _name_owned_by(cluster, ino, slot, "w")))
+        assert cluster.start_failure_detection() is None
+        cluster.start_consensus()
+
+        cluster.run_for(3 * HEARTBEAT_US)
+        crash_at = cluster.env.now
+        cluster.crash_mnode(slot)
+        cluster.run_for(20000.0)
+
+        (record,) = [r for r in cluster.coordinator.failover_log
+                     if r.get("elected")]
+        # The follower last heard a heartbeat at most one beat before
+        # the crash; its timer fires no sooner than a timeout later.
+        assert (crash_at + ELECTION_TIMEOUT_US - HEARTBEAT_US
+                <= record["detected_at"] < record["promoted_at"])
+        assert cluster.network.message_count("ping") == 0
+
+    def _settled_beats(self, cluster):
+        before = cluster.env.now
+        cluster.heal()
+        return round((cluster.env.now - before) / HEARTBEAT_US)
+
+    def test_converged_groups_settle_within_two_beats(self):
+        cluster = _consensus_cluster()
+        ino = _mkdir(cluster, "/d")
+        client = cluster.add_client(mode="libfs")
+        cluster.start_consensus()
+        cluster.run_process(
+            client.create("/d/" + _name_owned_by(cluster, ino, 0, "c")))
+        assert self._settled_beats(cluster) <= 2
+        assert cluster._groups_converged()
+
+    def test_hung_follower_holds_the_settle_to_its_cap(self):
+        cluster = _consensus_cluster()
+        ino = _mkdir(cluster, "/d")
+        client = cluster.add_client(mode="libfs")
+        cluster.start_consensus()
+        follower = cluster.standbys[0]
+        cluster.network.set_down(follower.name)
+        # Leader + witness still commit; the hung follower falls behind.
+        cluster.run_process(
+            client.create("/d/" + _name_owned_by(cluster, ino, 0, "h")))
+        assert self._settled_beats(cluster) == 10
+        assert not cluster._groups_converged()
+        cluster.network.set_up(follower.name)
