@@ -27,8 +27,7 @@ class CephCluster(BaselineCluster):
         stack_factor=2.5,
         open_extra_us=10.0,
         coherence_lock_us=6.0,
-        journal_remote=True,
-        journal_rounds=2,
+        remote_journal_rounds=2,
         update_dir_metadata=False,
         two_round_commit=False,
         leader_fraction=1.0,

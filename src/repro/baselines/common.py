@@ -10,35 +10,31 @@ The baselines follow the classic stateful-client architecture:
 * each request is executed individually (no request merging), with
   journaling behaviour supplied by the concrete system model.
 
-Concrete systems subclass :class:`MetaServer` (journaling, placement,
-per-op costs) and :class:`BaselineCluster` (wiring + system profile).
+Concrete systems subclass :class:`BaselineCluster` and set its
+:class:`SystemProfile`; :class:`MetaServer` and :class:`BaselineClient`
+read every difference off the profile.
 """
 
 from dataclasses import dataclass
 
+from repro.core.client import OpClient
 from repro.core.cluster import FalconFilesystem
-from repro.core.filestore import BlockClient, StorageNode
+from repro.core.filestore import StorageNode
 from repro.core.indexing import stable_hash
 from repro.core.records import (
     InodeRecord,
+    attrs_from_wire,
+    inode_from_wire,
     inode_to_wire,
 )
 from repro.core.shared import ClusterShared, FalconConfig
 from repro.net import CostModel, Network, Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import (
-    CAT_CPU,
-    CAT_PHASE,
-    NULL_CONTEXT,
-    OpContext,
-    RetryPolicy,
-    deadline_call,
-    retry,
-)
+from repro.obs import CAT_PHASE, NULL_CONTEXT, deadline_call, retry
 from repro.runtime import SimEnv
 from repro.storage import LockManager, LockMode, Table, WriteAheadLog
-from repro.vfs import DentryCache, InodeAttrs, PathWalker, ROOT_INO
-from repro.vfs.pathwalk import split_path
+from repro.vfs import PathWalker, ROOT_INO
+from repro.vfs.pathwalk import basename, parent_path
 
 
 @dataclass
@@ -53,12 +49,12 @@ class SystemProfile:
     #: Additional server cost of an *open* (intent lock processing,
     #: capability issuance and open-state tracking).
     open_extra_us: float = 0.0
-    #: Journal mutations to a remote storage node instead of locally.
-    journal_remote: bool = False
-    #: Round trips per remote journal commit (RADOS replication acks).
-    journal_rounds: int = 1
-    #: Mutations also update the parent directory's metadata, with a
-    #: cross-server RPC when the parent inode lives elsewhere.
+    #: Round trips per journal commit to the remote storage nodes (RADOS
+    #: replication acks); 0 journals to the server's local WAL.
+    remote_journal_rounds: int = 0
+    #: Mutations also update the parent directory's metadata: a second
+    #: journal record and a local index update (a directory's inode lives
+    #: on the server holding its children, so no RPC is involved).
     update_dir_metadata: bool = False
     #: Percolator-style two-round transactional commit (JuiceFS/TiKV).
     two_round_commit: bool = False
@@ -93,7 +89,6 @@ class MetaServer(Node):
         self._journal_seq = 0
         #: CephFS's MDS journal has a single log writer; remote journal
         #: appends serialize through it.
-
         self._journal_writer = env.resource(capacity=1)
 
     # -- placement ----------------------------------------------------------
@@ -136,14 +131,14 @@ class MetaServer(Node):
     def _journal(self, records=1, ctx=None):
         """Generator: make ``records`` metadata mutations durable."""
         nbytes = records * self.costs.wal_record_bytes
-        if self.profile.journal_remote:
+        if self.profile.remote_journal_rounds:
             # CephFS journals its metadata log to the OSD cluster through
             # a single log writer: a network round trip plus an SSD write,
             # serialized per MDS.
             writer = self._journal_writer.request()
             yield writer
             try:
-                for _ in range(self.profile.journal_rounds):
+                for _ in range(self.profile.remote_journal_rounds):
                     self._journal_seq += 1
                     target = self.shared.storage_names[
                         self._journal_seq % len(self.shared.storage_names)
@@ -194,206 +189,185 @@ class MetaServer(Node):
 
     # -- metadata operations (all keyed (parent_ino, name)) -----------------
 
-    def _on_lookup(self, message):
-        payload = message.payload
+    def _keyed(self, message, mode, costs, step, key=None):
+        """Generator: the scaffold every keyed operation runs inside.
+
+        Locks the payload's ``(pid, name)`` row (or ``key``) in ``mode``,
+        charges ``sum(costs)`` — the terms added left to right, as they
+        are listed — and runs ``step(key, record, message)`` against the
+        row, a generator returning the reply payload.  The lock is
+        released on every exit; a failure the step raises is answered by
+        :meth:`handle`, and a success is counted under ``message.kind``.
+        """
         ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.SHARED, ctx=ctx)
+        if key is None:
+            key = (message.payload["pid"], message.payload["name"])
+        grant = yield from self._lock(key, mode, ctx=ctx)
         try:
-            cost = self.costs.index_lookup_us + self.profile.coherence_lock_us
-            if payload.get("intent") == "open":
-                # CephFS opens via lookup; the capability work still
-                # happens (Fig 13b counts these lookups as opens).
-                cost += self.profile.open_extra_us
-            yield from self._charge(cost, ctx=ctx)
-            record = self.inodes.get(key)
+            yield from self._charge(sum(costs), ctx=ctx)
+            reply = yield from step(key, self.inodes.get(key), message)
         finally:
             self.locks.release(grant)
+        self.metrics.counter("ops").inc(message.kind)
+        self.respond(message, reply)
+
+    def _on_lookup(self, message):
+        costs = (self.costs.index_lookup_us, self.profile.coherence_lock_us)
+        if message.kind == "open" or message.payload.get("intent") == "open":
+            # An open pays for its capability / intent work, also when it
+            # arrives as a lookup (CephFS opens via lookup; Fig 13b
+            # counts those lookups as opens).
+            costs += (self.profile.open_extra_us,)
+        return self._keyed(message, LockMode.SHARED, costs, self._attrs)
+
+    _on_getattr = _on_open = _on_lookup
+
+    def _on_create(self, message):
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            c.index_lookup_us, c.index_insert_us, c.lock_acquire_us,
+            c.lock_release_us, c.txn_begin_us, c.txn_commit_us,
+        ), self._insert)
+
+    def _on_mkdir(self, message):
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            c.index_lookup_us, c.index_insert_us, c.txn_begin_us,
+            c.txn_commit_us,
+        ), self._insert)
+
+    def _on_close(self, message):
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            c.index_lookup_us, c.index_insert_us,
+        ), self._update)
+
+    _on_setattr = _on_close
+
+    def _on_unlink(self, message):
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            c.index_lookup_us, c.index_delete_us, c.txn_begin_us,
+            c.txn_commit_us,
+        ), self._unlink)
+
+    def _on_rmdir(self, message):
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            c.index_lookup_us, c.index_delete_us,
+        ), self._rmdir)
+
+    def _on_rename(self, message):
+        """Rename orchestrated by the source directory's server."""
+        c = self.costs
+        return self._keyed(message, LockMode.EXCLUSIVE, (
+            2 * c.index_lookup_us, c.two_phase_round_us,
+        ), self._rename, key=tuple(message.payload["src_key"]))
+
+    # -- the steps run inside ``_keyed`` -------------------------------------
+
+    def _attrs(self, key, record, message):
+        """lookup / getattr / open: the row's attributes."""
         if record is None:
             raise RpcFailure(RpcError.ENOENT, key)
-        self.metrics.counter("ops").inc("lookup")
-        self.respond(message, {"attrs": inode_to_wire(record)})
+        if record.is_dir and message.kind == "open":
+            raise RpcFailure(RpcError.EISDIR, key)
+        return {"attrs": inode_to_wire(record)}
+        yield  # pragma: no cover - makes this a generator
 
-    def _on_open(self, message):
+    def _insert(self, key, record, message):
+        """create / mkdir: a new row, over an existing one only for a
+        non-exclusive create."""
         payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.SHARED, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.profile.coherence_lock_us
-                + self.profile.open_extra_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(key)
-        finally:
-            self.locks.release(grant)
+        is_dir = message.kind == "mkdir"
+        if record is not None and (is_dir or payload.get("exclusive", True)):
+            raise RpcFailure(RpcError.EEXIST, key)
+        record = InodeRecord(
+            ino=self.shared.allocator.allocate(), is_dir=is_dir,
+            mode=payload.get("mode", 0o755 if is_dir else 0o644),
+            mtime=self.env.now,
+        )
+        self.inodes.put(key, record)
+        yield from self._journal_entry(message)
+        return {"attrs": inode_to_wire(record)}
+
+    def _update(self, key, record, message):
+        """setattr / close: a new mode, or a written file's size and
+        mtime (a close after reading persists nothing)."""
+        if record is None:
+            raise RpcFailure(RpcError.ENOENT, key)
+        payload = message.payload
+        if message.kind == "close" and "size" not in payload:
+            return {"ok": True}
+        updated = record.copy()
+        if message.kind == "setattr":
+            updated.mode = payload.get("mode", record.mode)
+        else:
+            updated.size = payload["size"]
+            updated.mtime = self.env.now
+        self.inodes.put(key, updated)
+        yield from self._journal(ctx=message.ctx)
+        return {"ok": True}
+
+    def _unlink(self, key, record, message):
         if record is None:
             raise RpcFailure(RpcError.ENOENT, key)
         if record.is_dir:
             raise RpcFailure(RpcError.EISDIR, key)
-        self.metrics.counter("ops").inc("open")
-        self.respond(message, {"attrs": inode_to_wire(record)})
+        self.inodes.delete(key)
+        yield from self._journal_entry(message)
+        return {"ok": True}
 
-    _on_getattr = _on_lookup
+    def _rmdir(self, key, record, message):
+        if record is None:
+            raise RpcFailure(RpcError.ENOENT, key)
+        if not record.is_dir:
+            raise RpcFailure(RpcError.ENOTDIR, key)
+        children_owner = self.placement(record.ino)
+        if children_owner == self.my_index:
+            has_children = self.inodes.has_prefix((record.ino,))
+        else:
+            reply = yield self.call(
+                self.peer_name(children_owner), "children_check",
+                {"pid": record.ino}, ctx=message.ctx,
+            )
+            has_children = reply["has_children"]
+        if has_children:
+            raise RpcFailure(RpcError.ENOTEMPTY, key)
+        self.inodes.delete(key)
+        yield from self._journal(ctx=message.ctx)
+        return {"ok": True}
 
-    def _on_create(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_insert_us
-                + self.costs.lock_acquire_us + self.costs.lock_release_us
-                + self.costs.txn_begin_us + self.costs.txn_commit_us,
-                ctx=ctx,
+    def _rename(self, skey, record, message):
+        """Move the source row; a destination on another server is
+        installed there first, and its refusal leaves the source."""
+        if record is None:
+            raise RpcFailure(RpcError.ENOENT, skey)
+        dkey = tuple(message.payload["dst_key"])
+        dst_owner = self.placement(dkey[0])
+        if dst_owner == self.my_index:
+            if self.inodes.get(dkey) is not None:
+                raise RpcFailure(RpcError.EEXIST, dkey)
+            self.inodes.put(dkey, record)
+        else:
+            yield self.call(
+                self.peer_name(dst_owner), "rename_install",
+                {"key": list(dkey), "record": inode_to_wire(record)},
+                ctx=message.ctx,
             )
-            if self.inodes.get(key) is not None:
-                if payload.get("exclusive", True):
-                    raise RpcFailure(RpcError.EEXIST, key)
-            record = InodeRecord(
-                ino=self.shared.allocator.allocate(), is_dir=False,
-                mode=payload.get("mode", 0o644), mtime=self.env.now,
-            )
-            self.inodes.put(key, record)
-            records = 2 if self.profile.update_dir_metadata else 1
-            yield from self._journal(records=records, ctx=ctx)
-            yield from self._touch_parent(payload, ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("create")
-        self.respond(message, {"attrs": inode_to_wire(record)})
+        self.inodes.delete(skey)
+        yield from self._journal(records=2, ctx=message.ctx)
+        return {"ok": True}
 
-    def _on_mkdir(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_insert_us
-                + self.costs.txn_begin_us + self.costs.txn_commit_us,
-                ctx=ctx,
-            )
-            if self.inodes.get(key) is not None:
-                raise RpcFailure(RpcError.EEXIST, key)
-            record = InodeRecord(
-                ino=self.shared.allocator.allocate(), is_dir=True,
-                mode=payload.get("mode", 0o755), mtime=self.env.now,
-            )
-            self.inodes.put(key, record)
-            records = 2 if self.profile.update_dir_metadata else 1
-            yield from self._journal(records=records, ctx=ctx)
-            yield from self._touch_parent(payload, ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("mkdir")
-        self.respond(message, {"attrs": inode_to_wire(record)})
+    def _journal_entry(self, message):
+        """Generator: the durable tail of create, mkdir and unlink — the
+        entry's record, plus the parent directory's record and mtime
+        where the system keeps directory metadata."""
+        records = 2 if self.profile.update_dir_metadata else 1
+        yield from self._journal(records=records, ctx=message.ctx)
+        yield from self._touch_parent(message.payload, ctx=message.ctx)
 
-    def _on_close(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_insert_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(key)
-            if record is None:
-                raise RpcFailure(RpcError.ENOENT, key)
-            if "size" in payload:
-                updated = record.copy()
-                updated.size = payload["size"]
-                updated.mtime = self.env.now
-                self.inodes.put(key, updated)
-                yield from self._journal(ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("close")
-        self.respond(message, {"ok": True})
-
-    def _on_setattr(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_insert_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(key)
-            if record is None:
-                raise RpcFailure(RpcError.ENOENT, key)
-            updated = record.copy()
-            updated.mode = payload.get("mode", record.mode)
-            self.inodes.put(key, updated)
-            yield from self._journal(ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("setattr")
-        self.respond(message, {"ok": True})
-
-    def _on_unlink(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_delete_us
-                + self.costs.txn_begin_us + self.costs.txn_commit_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(key)
-            if record is None:
-                raise RpcFailure(RpcError.ENOENT, key)
-            if record.is_dir:
-                raise RpcFailure(RpcError.EISDIR, key)
-            self.inodes.delete(key)
-            records = 2 if self.profile.update_dir_metadata else 1
-            yield from self._journal(records=records, ctx=ctx)
-            yield from self._touch_parent(payload, ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("unlink")
-        self.respond(message, {"ok": True})
-
-    def _on_rmdir(self, message):
-        payload = message.payload
-        ctx = message.ctx
-        key = (payload["pid"], payload["name"])
-        grant = yield from self._lock(key, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                self.costs.index_lookup_us + self.costs.index_delete_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(key)
-            if record is None:
-                raise RpcFailure(RpcError.ENOENT, key)
-            if not record.is_dir:
-                raise RpcFailure(RpcError.ENOTDIR, key)
-            children_owner = self.placement(record.ino)
-            if children_owner == self.my_index:
-                has_children = self.inodes.has_prefix((record.ino,))
-            else:
-                reply = yield self.call(
-                    self.peer_name(children_owner), "children_check",
-                    {"pid": record.ino}, ctx=ctx,
-                )
-                has_children = reply["has_children"]
-            if has_children:
-                raise RpcFailure(RpcError.ENOTEMPTY, key)
-            self.inodes.delete(key)
-            yield from self._journal(ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("rmdir")
-        self.respond(message, {"ok": True})
+    # -- unkeyed operations --------------------------------------------------
 
     def _on_children_check(self, message):
         pid = message.payload["pid"]
@@ -417,42 +391,7 @@ class MetaServer(Node):
             size=self.costs.rpc_response_bytes + 16 * len(entries),
         )
 
-    def _on_rename(self, message):
-        """Rename orchestrated by the source directory's server."""
-        payload = message.payload
-        ctx = message.ctx
-        skey = tuple(payload["src_key"])
-        dkey = tuple(payload["dst_key"])
-        grant = yield from self._lock(skey, LockMode.EXCLUSIVE, ctx=ctx)
-        try:
-            yield from self._charge(
-                2 * self.costs.index_lookup_us + self.costs.two_phase_round_us,
-                ctx=ctx,
-            )
-            record = self.inodes.get(skey)
-            if record is None:
-                raise RpcFailure(RpcError.ENOENT, skey)
-            dst_owner = self.placement(dkey[0])
-            if dst_owner == self.my_index:
-                if self.inodes.get(dkey) is not None:
-                    raise RpcFailure(RpcError.EEXIST, dkey)
-                self.inodes.put(dkey, record)
-            else:
-                yield self.call(
-                    self.peer_name(dst_owner), "rename_install",
-                    {"key": list(dkey), "record": inode_to_wire(record)},
-                    ctx=ctx,
-                )
-            self.inodes.delete(skey)
-            yield from self._journal(records=2, ctx=ctx)
-        finally:
-            self.locks.release(grant)
-        self.metrics.counter("ops").inc("rename")
-        self.respond(message, {"ok": True})
-
     def _on_rename_install(self, message):
-        from repro.core.records import inode_from_wire
-
         key = tuple(message.payload["key"])
         if self.inodes.get(key) is not None:
             raise RpcFailure(RpcError.EEXIST, key)
@@ -496,31 +435,17 @@ class _StatefulOps:
         yield  # pragma: no cover
 
 
-def attrs_from_wire(wire):
-    return InodeAttrs(
-        ino=wire["ino"], is_dir=wire["is_dir"], mode=wire["mode"],
-        uid=wire["uid"], gid=wire["gid"], size=wire["size"],
-        mtime=wire["mtime"],
-    )
-
-
-class BaselineClient(Node):
+class BaselineClient(OpClient):
     """A stateful DFS client: client-side path resolution + final op RPC."""
 
     def __init__(self, env, network, shared, profile, name,
                  cache_budget_bytes=None):
-        super().__init__(env, network, name, cores=1024)
-        self.shared = shared
+        super().__init__(env, network, shared, name,
+                         cache_budget_bytes=cache_budget_bytes)
         self.profile = profile
-        self.dcache = DentryCache(budget_bytes=cache_budget_bytes)
         self.walker = PathWalker(
             env, network.costs, self.dcache, _StatefulOps(self)
         )
-        self.blocks = BlockClient(self, shared)
-        #: Per-op deadline (us; 0 = none) and shared retry policy, both
-        #: stamped onto every operation's OpContext (mirrors FalconClient).
-        self.deadline_us = shared.config.op_deadline_us
-        self.retry_policy = RetryPolicy.from_config(shared.config)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -534,36 +459,6 @@ class BaselineClient(Node):
         return "{}-mds-{}".format(
             self.profile.name, self.placement(parent_ino)
         )
-
-    def _begin_op(self, op, path=None):
-        """New :class:`OpContext` for one client-visible operation."""
-        deadline = None
-        if self.deadline_us:
-            deadline = self.env.now + self.deadline_us
-        ctx = OpContext(
-            self.env, op, origin=self.name, tracer=self.shared.tracer,
-            deadline=deadline, retry_policy=self.retry_policy,
-        )
-        ctx.begin(node=self.name,
-                  attrs={"path": path}
-                  if ctx.traced and path is not None else None)
-        return ctx
-
-    def _traced(self, ctx, gen):
-        """Generator: run ``gen`` to completion under ``ctx``'s root span."""
-        try:
-            result = yield from gen
-        except BaseException as exc:
-            ctx.finish(error=repr(exc))
-            raise
-        ctx.finish()
-        return result
-
-    def _client_cpu(self, ctx, cost_us):
-        """Generator: charge client-side CPU, attributed to ``ctx``."""
-        start = self.env.now
-        yield self.env.timeout(cost_us)
-        ctx.record("client", CAT_CPU, start, self.env.now, node=self.name)
 
     def _send_keyed(self, op, parent_ino, payload, ctx=None):
         ctx = ctx or NULL_CONTEXT
@@ -581,48 +476,44 @@ class BaselineClient(Node):
         data = yield from retry(self, ctx, attempt)
         return data
 
-    def _walk_parent(self, components, ctx=None):
-        """Generator: resolve the parent directory client-side."""
+    def _walk_parent(self, components, ctx):
+        """Generator: the parent directory's attrs, resolved client-side."""
         if len(components) == 1:
-            return self.walker.root_attrs, None
-        parent_path = "/" + "/".join(components[:-1])
-        result = yield from self.walker.walk(parent_path, ctx=ctx)
-        grand = result.parent_attrs
-        parent_key = (
-            None if grand is None
-            else [grand.ino, components[-2]]
-        )
-        return result.attrs, parent_key
+            return self.walker.root_attrs
+        result = yield from self.walker.walk(
+            "/" + "/".join(components[:-1]), ctx=ctx)
+        return result.attrs
 
-    def _meta_op(self, op, path, extra, cache_result=True, ctx=None):
+    def _meta_op(self, op, path, extra, ctx=None, extract=None):
+        """Generator: walk to the parent, send the op to its server.
+
+        With ``ctx=None`` this is a root operation (it opens and closes
+        the root span); otherwise a sub-op phase of ``read_file`` or
+        ``write_file``.
+        """
         if ctx is None:
             ctx = self._begin_op(op, path)
             data = yield from self._traced(
-                ctx, self._meta_op_body(op, path, extra, cache_result, ctx)
-            )
-            return data
-        with ctx.span("op." + op, CAT_PHASE, node=self.name):
-            data = yield from self._meta_op_body(op, path, extra,
-                                                 cache_result, ctx)
-        return data
+                ctx, self._meta_op_body(op, path, extra, ctx), path=path)
+        else:
+            with ctx.span("op." + op, CAT_PHASE, node=self.name):
+                data = yield from self._meta_op_body(op, path, extra, ctx)
+        return data if extract is None else data[extract]
 
-    def _meta_op_body(self, op, path, extra, cache_result, ctx):
+    def _meta_op_body(self, op, path, extra, ctx):
+        components = self._components(path)
         if self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
-        components = split_path(path)
         if not components:
             raise RpcFailure(RpcError.EINVAL, "operation on /")
-        parent, parent_key = yield from self._walk_parent(components,
-                                                          ctx=ctx)
+        parent = yield from self._walk_parent(components, ctx)
         if not parent.is_dir:
             raise RpcFailure(RpcError.ENOTDIR, path)
         payload = dict(extra)
-        payload.update({
-            "pid": parent.ino, "name": components[-1],
-            "parent_key": parent_key,
-        })
+        payload["pid"] = parent.ino
+        payload["name"] = components[-1]
         data = yield from self._send_keyed(op, parent.ino, payload, ctx=ctx)
-        if cache_result and isinstance(data, dict) and "attrs" in data:
+        if "attrs" in data:
             attrs = attrs_from_wire(data["attrs"])
             self.dcache.insert(parent.ino, components[-1], attrs,
                                cold=not attrs.is_dir)
@@ -631,66 +522,59 @@ class BaselineClient(Node):
     # -- public API (mirrors FalconClient) -------------------------------
 
     def mkdir(self, path, mode=0o755, ctx=None):
-        data = yield from self._meta_op("mkdir", path, {"mode": mode},
-                                        ctx=ctx)
-        return data["attrs"]["ino"]
+        attrs = yield from self._meta_op("mkdir", path, {"mode": mode},
+                                         ctx=ctx, extract="attrs")
+        return attrs["ino"]
 
     def create(self, path, mode=0o644, exclusive=True, ctx=None):
-        data = yield from self._meta_op(
-            "create", path, {"mode": mode, "exclusive": exclusive}, ctx=ctx
+        attrs = yield from self._meta_op(
+            "create", path, {"mode": mode, "exclusive": exclusive},
+            ctx=ctx, extract="attrs",
         )
-        return data["attrs"]["ino"]
+        return attrs["ino"]
 
     def open_file(self, path, ctx=None):
-        op = "lookup" if self.profile.open_via_lookup else "open"
-        data = yield from self._meta_op(op, path, {"intent": "open"},
-                                        ctx=ctx)
-        attrs = data["attrs"]
+        if self.profile.open_via_lookup:
+            # A lookup carrying the open intent (see MetaServer._on_lookup).
+            attrs = yield from self._meta_op(
+                "lookup", path, {"intent": "open"}, ctx=ctx, extract="attrs")
+        else:
+            attrs = yield from self._meta_op("open", path, {}, ctx=ctx,
+                                             extract="attrs")
         if attrs["is_dir"]:
             raise RpcFailure(RpcError.EISDIR, path)
         return attrs
 
-    def getattr(self, path):
-        if not split_path(path):
-            return {
-                "ino": ROOT_INO, "is_dir": True, "mode": 0o777,
-                "uid": 0, "gid": 0, "size": 0, "mtime": 0.0, "nlink": 1,
-            }
-        data = yield from self._meta_op("getattr", path, {})
-        return data["attrs"]
-
     def close(self, path, size=None, ctx=None):
         extra = {} if size is None else {"size": size}
-        yield from self._meta_op("close", path, extra, cache_result=False,
-                                 ctx=ctx)
+        yield from self._meta_op("close", path, extra, ctx=ctx)
 
     def unlink(self, path):
-        yield from self._meta_op("unlink", path, {}, cache_result=False)
+        yield from self._meta_op("unlink", path, {})
         self._drop_cached(path)
 
     def chmod(self, path, mode):
-        yield from self._meta_op(
-            "setattr", path, {"mode": mode}, cache_result=False
-        )
+        yield from self._meta_op("setattr", path, {"mode": mode})
         self._drop_cached(path)
 
     def rmdir(self, path):
-        yield from self._meta_op("rmdir", path, {}, cache_result=False)
+        yield from self._meta_op("rmdir", path, {})
         self._drop_cached(path)
 
     def rename(self, src, dst):
         ctx = self._begin_op("rename", src)
-        yield from self._traced(ctx, self._rename_body(src, dst, ctx))
+        yield from self._traced(ctx, self._rename_body(src, dst, ctx),
+                                path=src)
 
     def _rename_body(self, src, dst, ctx):
+        src_comps = self._components(src)
+        dst_comps = self._components(dst)
         if self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
-        src_comps = split_path(src)
-        dst_comps = split_path(dst)
         if not src_comps or not dst_comps:
             raise RpcFailure(RpcError.EINVAL, "rename involving /")
-        sparent, _ = yield from self._walk_parent(src_comps, ctx=ctx)
-        dparent, _ = yield from self._walk_parent(dst_comps, ctx=ctx)
+        sparent = yield from self._walk_parent(src_comps, ctx)
+        dparent = yield from self._walk_parent(dst_comps, ctx)
         self.metrics.counter("requests").inc("rename")
         with ctx.span("rpc", CAT_PHASE, node=self.name,
                       attrs={"op": "rename"} if ctx.traced else None):
@@ -704,12 +588,13 @@ class BaselineClient(Node):
 
     def readdir(self, path):
         ctx = self._begin_op("readdir", path)
-        return (yield from self._traced(ctx, self._readdir_body(path, ctx)))
+        return (yield from self._traced(ctx, self._readdir_body(path, ctx),
+                                        path=path))
 
     def _readdir_body(self, path, ctx):
+        components = self._components(path)
         if self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
-        components = split_path(path)
         if components:
             result = yield from self.walker.walk(path, ctx=ctx)
             dir_ino = result.attrs.ino
@@ -732,11 +617,10 @@ class BaselineClient(Node):
                     ctx, self.profile.data_overhead_us
                 )
             if self.profile.close_releases_caps:
-                yield from self._meta_op("close", path, {},
-                                         cache_result=False, ctx=ctx)
+                yield from self.close(path, ctx=ctx)
             return attrs
 
-        attrs = yield from self._traced(ctx, body())
+        attrs = yield from self._traced(ctx, body(), path=path)
         self.metrics.counter("files").inc("read")
         return attrs["size"]
 
@@ -754,35 +638,9 @@ class BaselineClient(Node):
             yield from self.close(path, size, ctx=ctx)
             return ino
 
-        ino = yield from self._traced(ctx, body())
+        ino = yield from self._traced(ctx, body(), path=path)
         self.metrics.counter("files").inc("written")
         return ino
-
-    def exists(self, path):
-        try:
-            yield from self.getattr(path)
-        except RpcFailure as failure:
-            if failure.code in (RpcError.ENOENT, RpcError.ENOTDIR):
-                return False
-            raise
-        return True
-
-    def _drop_cached(self, path):
-        components = split_path(path)
-        current = ROOT_INO
-        for name in components[:-1]:
-            entry = self.dcache.peek(current, name)
-            if entry is None:
-                return
-            current = entry.attrs.ino
-        if components:
-            self.dcache.invalidate(current, components[-1])
-
-    def handle(self, message):
-        raise RuntimeError(
-            "client {} received unexpected {!r}".format(self.name, message)
-        )
-        yield  # pragma: no cover
 
 
 class BaselineCluster:
@@ -837,9 +695,6 @@ class BaselineCluster:
     def bulk_load(self, tree):
         """Install a tree directly into the MDS tables (see
         :meth:`repro.core.cluster.FalconCluster.bulk_load`)."""
-        from repro.vfs.attrs import ROOT_INO
-        from repro.vfs.pathwalk import basename, parent_path
-
         path_ino = {"/": ROOT_INO}
         n = self.config.num_mnodes
         frac = self.profile.leader_fraction
@@ -862,24 +717,3 @@ class BaselineCluster:
             ))
             path_ino[fpath] = ino
         return path_ino
-
-    def prefill_client_cache(self, client, tree, path_ino, rng=None):
-        """Warm a stateful client's dentry cache with directory entries.
-
-        Insertion order is randomized so that, under a memory budget, the
-        retained subset is an unbiased sample — the steady state a long
-        random traversal converges to.
-        """
-        from repro.vfs.attrs import ROOT_INO
-        from repro.vfs.pathwalk import basename, parent_path
-
-        dirs = list(tree.dirs)
-        if rng is not None:
-            rng.shuffle(dirs)
-        for dpath in dirs:
-            parent = parent_path(dpath)
-            pid = path_ino.get(parent, ROOT_INO)
-            attrs = InodeAttrs(
-                ino=path_ino[dpath], is_dir=True, mode=0o755,
-            )
-            client.dcache.insert(pid, basename(dpath), attrs)

@@ -27,7 +27,7 @@ class JuiceCluster(BaselineCluster):
         stack_factor=2.5,
         open_extra_us=10.0,
         coherence_lock_us=1.0,
-        journal_remote=False,
+        remote_journal_rounds=0,
         update_dir_metadata=True,
         two_round_commit=True,
         leader_fraction=0.5,

@@ -9,8 +9,9 @@ Modeled properties:
   cache-coherence locking FalconFS's stateless clients avoid, §6.2);
 * **fast local journaling** — group-committed local WAL, which is why
   Lustre is the strongest baseline throughout the paper's evaluation;
-* mutations also update the parent directory's metadata, with a
-  cross-MDT RPC when the parent inode lives elsewhere.
+* mutations also update the parent directory's metadata: a second
+  journal record and an index update on the same MDT, which holds the
+  directory's inode beside its entries (no cross-MDT RPC is modeled).
 """
 
 from repro.baselines.common import BaselineCluster, SystemProfile
@@ -24,7 +25,7 @@ class LustreCluster(BaselineCluster):
         stack_factor=1.0,
         open_extra_us=25.0,
         coherence_lock_us=6.0,
-        journal_remote=False,
+        remote_journal_rounds=0,
         update_dir_metadata=True,
         two_round_commit=False,
         leader_fraction=1.0,

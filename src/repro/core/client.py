@@ -20,6 +20,10 @@ Every client keeps a lazily refreshed exception-table copy: requests carry
 the client's table version, responses piggyback a newer table when the
 client is stale, and misrouted requests are forwarded server-side in the
 meantime (§4.2.1).
+
+:class:`OpClient` is the base of this client and of the baselines'
+stateful client (:mod:`repro.baselines.common`): what a client does around
+an operation, whatever protocol carries it.
 """
 
 from repro.core.filestore import BlockClient
@@ -28,6 +32,7 @@ from repro.core.indexing import (
     HybridIndex,
     exception_table_from_wire,
 )
+from repro.core.records import attrs_from_wire
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import (
@@ -46,65 +51,26 @@ from repro.vfs.pathwalk import split_path
 CLIENT_MODES = ("vfs", "libfs", "nobypass")
 
 
-def _components(path):
-    """:func:`split_path` for a path the caller supplied: a malformed
-    one (relative, empty, ``.``/``..``) is the caller's ``EINVAL`` — what
-    an MNode answers the same input with — not a ``ValueError`` out of
-    the client.  Called inside the operation's root span and before any
-    simulated time is charged, so the failure is acknowledged like any
-    other and costs nothing."""
-    try:
-        return split_path(path)
-    except ValueError:
-        raise RpcFailure(RpcError.EINVAL, path) from None
+class OpClient(Node):
+    """What every simulated client shares — FalconFS's and the baselines'.
 
+    A dentry cache and a block client; the per-op deadline and retry
+    policy stamped onto each operation's :class:`OpContext`; the
+    ack-history tap; and the root-operation plumbing around them: open
+    the root span, validate the path, charge client CPU, acknowledge.
+    Subclasses supply the metadata protocol (``_meta_op`` and the public
+    operations).
+    """
 
-class FalconClient(Node):
-    """One FalconFS client (a mount point or a LibFS instance)."""
-
-    def __init__(self, env, network, shared, name, mode="vfs",
-                 cache_budget_bytes=None):
-        if mode not in CLIENT_MODES:
-            raise ValueError("unknown client mode: {!r}".format(mode))
+    def __init__(self, env, network, shared, name, cache_budget_bytes=None):
         super().__init__(env, network, name, cores=1024)
         self.shared = shared
-        self.mode = mode
-        self.xt = ExceptionTable()
-        self.index = HybridIndex(shared.num_slots, self.xt)
-        #: Private, possibly stale copy of the cluster slot map.  Never
-        #: read from ``shared`` after construction: a request routed by
-        #: a stale epoch bounces with ``EMOVED`` carrying the
-        #: reassignment, and :meth:`_on_moved_hint` patches this copy —
-        #: the elastic-namespace analogue of lazy exception-table
-        #: refresh.
-        self.slot_map = shared.slot_map.copy()
-        self.rng = shared.streams.stream("client." + name)
-        #: Dedicated stream for backoff jitter, consulted by the shared
-        #: retry helper only when ``config.retry_jitter`` is nonzero —
-        #: an independent stream so enabling jitter never perturbs
-        #: workload-shaping draws from ``self.rng``.
-        self.retry_rng = shared.streams.stream("retry." + name)
         self.dcache = DentryCache(budget_bytes=cache_budget_bytes)
         self.blocks = BlockClient(self, shared)
-        self.root_attrs = InodeAttrs(ino=ROOT_INO, is_dir=True, mode=0o777)
-        #: Lazy exception-table refresh off responses (§4.2.1).  The
-        #: stale-table corner-case experiment disables it to hold the
-        #: client at an old version.
-        self.auto_refresh_xt = True
         #: Per-op deadline (us; 0 = none) and shared retry policy, both
         #: stamped onto every operation's OpContext.
         self.deadline_us = shared.config.op_deadline_us
         self.retry_policy = RetryPolicy.from_config(shared.config)
-        #: Per-attempt RPC timeout (us; 0 = none).  With a timeout set,
-        #: ETIMEDOUT becomes retryable: a black-holed request to a
-        #: crashed MNode is retried, and since each attempt re-resolves
-        #: its target through the cluster directory, the retry lands on
-        #: the promoted standby once failover installs it.
-        self.rpc_timeout_us = shared.config.rpc_timeout_us
-        # Per-attempt counter: paid once here, not per RPC.
-        self._requests = self.metrics.counter("requests")
-        self._fake_inos = {}
-        self._fake_next = -2
         #: Ack-history tap: when set to a list, every *root* operation
         #: appends one client-visible completion record (op, path,
         #: start/end time, outcome) as it acknowledges — the history the
@@ -112,26 +78,18 @@ class FalconClient(Node):
         #: the hot path untouched.
         self.ack_log = None
 
-    # ------------------------------------------------------------------
-    # public API (generators; drive via the cluster facade or env.process)
-    # ------------------------------------------------------------------
-
-    def mkdir(self, path, mode=0o755, ctx=None):
-        # Plain functions handing back the _meta_op generator: one fewer
-        # generator frame for every resume of the operation (the field
-        # extraction rides on ``extract`` instead of a wrapper frame).
-        return self._meta_op("mkdir", path, {"mode": mode}, ctx=ctx,
-                             extract="ino")
-
-    def create(self, path, mode=0o644, exclusive=True, ctx=None):
-        return self._meta_op(
-            "create", path, {"mode": mode, "exclusive": exclusive},
-            ctx=ctx, extract="ino",
-        )
-
-    def open_file(self, path, ctx=None):
-        """Open for reading; returns the attrs dict (ino, size, ...)."""
-        return self._meta_op("open", path, {}, ctx=ctx, extract="attrs")
+    @staticmethod
+    def _components(path):
+        """:func:`split_path` for a path the caller supplied: a malformed
+        one (relative, empty, ``.``/``..``) is the caller's ``EINVAL`` —
+        what a server answers the same input with — not a ``ValueError``
+        out of the client.  Called inside the operation's root span and
+        before any simulated time is charged, so the failure is
+        acknowledged like any other and costs nothing."""
+        try:
+            return split_path(path)
+        except ValueError:
+            raise RpcFailure(RpcError.EINVAL, path) from None
 
     def getattr(self, path, ctx=None):
         if path and not path.strip("/"):
@@ -147,103 +105,6 @@ class FalconClient(Node):
         }
         yield  # pragma: no cover - makes this a generator
 
-    def close(self, path, size, ctx=None):
-        """Close after writing: persists size/mtime on the owner MNode."""
-        yield from self._meta_op("close", path, {"size": size}, ctx=ctx)
-
-    def unlink(self, path):
-        yield from self._meta_op("unlink", path, {})
-
-    def chmod(self, path, mode):
-        """chmod; files at their owner MNode, directories via coordinator."""
-        ctx = self._begin_op("chmod", path)
-
-        def body():
-            try:
-                yield from self._meta_op("setattr", path, {"mode": mode},
-                                         ctx=ctx)
-                return
-            except RpcFailure as failure:
-                if failure.code != RpcError.EISDIR:
-                    raise
-            # Outside the handler: a generator suspended inside ``except``
-            # keeps the failure, its traceback and every frame it crossed
-            # alive for the whole coordinator round trip.
-            yield from self._coordinator_op(
-                "chmod_dir", {"path": path, "mode": mode}, ctx=ctx
-            )
-            self._drop_cached(path)
-
-        yield from self._traced(ctx, body(), path=path)
-
-    def rmdir(self, path):
-        yield from self._coordinator_op("rmdir", {"path": path})
-        self._drop_cached(path)
-
-    def rename(self, src, dst):
-        yield from self._coordinator_op("rename", {"src": src, "dst": dst})
-        self._drop_cached(src)
-
-    def readdir(self, path):
-        """List a directory; returns a sorted list of (name, is_dir)."""
-        ctx = self._begin_op("readdir", path)
-
-        def attempt(_attempt, hint):
-            # Re-resolve the slot every attempt (not just on a redirect
-            # hint): under consensus a fenced leader answers ENOTLEADER
-            # with no hint, and the directory — updated by the election
-            # install — is where the new leader is found.
-            if hint is not None:
-                target_name = hint
-            else:
-                components = _components(path)
-                name = components[-1] if components else "/"
-                target, _ = self.index.client_target(name, self.rng)
-                target_name = self._resolve_slot(target)
-            return self._request(target_name, "readdir", {"path": path},
-                                 ctx=ctx)
-
-        data = yield from self._traced(
-            ctx, retry(self, ctx, attempt, retryable=self._retryable()),
-            path=path)
-        return [tuple(entry) for entry in data["entries"]]
-
-    def read_file(self, path):
-        """open + read all blocks (+ client-local close); returns size."""
-        ctx = self._begin_op("read", path)
-
-        def body():
-            attrs = yield from self.open_file(path, ctx=ctx)
-            yield from self.blocks.read(attrs["ino"], attrs["size"],
-                                        ctx=ctx)
-            return attrs
-
-        attrs = yield from self._traced(ctx, body(), path=path)
-        self.metrics.counter("files").inc("read")
-        return attrs["size"]
-
-    def write_file(self, path, size, mode=0o644, exclusive=True):
-        """create + write all blocks + close; returns the new ino."""
-        ctx = self._begin_op("write", path)
-
-        def body():
-            ino = yield from self.create(path, mode=mode,
-                                         exclusive=exclusive, ctx=ctx)
-            yield from self.blocks.write(ino, size, ctx=ctx)
-            yield from self.close(path, size, ctx=ctx)
-            return ino
-
-        ino = yield from self._traced(ctx, body(), path=path)
-        self.metrics.counter("files").inc("written")
-        return ino
-
-    def symlink(self, target, link_path):
-        """Symbolic links are unsupported: the VFS shortcut cannot follow
-        links client-side (§5's stated limitation)."""
-        raise RpcFailure(RpcError.EINVAL,
-                         "symlinks unsupported by the VFS shortcut")
-        yield  # pragma: no cover
-
     def exists(self, path):
         try:
             yield from self.getattr(path)
@@ -252,10 +113,6 @@ class FalconClient(Node):
                 return False
             raise
         return True
-
-    # ------------------------------------------------------------------
-    # metadata request path
-    # ------------------------------------------------------------------
 
     def _begin_op(self, op, path=None):
         """New :class:`OpContext` for one client-visible operation."""
@@ -306,6 +163,188 @@ class FalconClient(Node):
         yield self.env.schedule_timeout(cost_us)
         ctx.record("client", CAT_CPU, start, self.env.now, node=self.name)
 
+    def _cached_parent_ino(self, components):
+        current = ROOT_INO
+        for name in components[:-1]:
+            entry = self.dcache.peek(current, name)
+            if entry is None:
+                return None
+            current = entry.attrs.ino
+        return current
+
+    def _drop_cached(self, path):
+        """Best-effort local eviction after a namespace change we made."""
+        components = split_path(path)
+        if not components:
+            return
+        parent_ino = self._cached_parent_ino(components)
+        if parent_ino is not None:
+            self.dcache.invalidate(parent_ino, components[-1])
+
+
+class FalconClient(OpClient):
+    """One FalconFS client (a mount point or a LibFS instance)."""
+
+    def __init__(self, env, network, shared, name, mode="vfs",
+                 cache_budget_bytes=None):
+        if mode not in CLIENT_MODES:
+            raise ValueError("unknown client mode: {!r}".format(mode))
+        super().__init__(env, network, shared, name,
+                         cache_budget_bytes=cache_budget_bytes)
+        self.mode = mode
+        self.xt = ExceptionTable()
+        self.index = HybridIndex(shared.num_slots, self.xt)
+        #: Private, possibly stale copy of the cluster slot map.  Never
+        #: read from ``shared`` after construction: a request routed by
+        #: a stale epoch bounces with ``EMOVED`` carrying the
+        #: reassignment, and :meth:`_on_moved_hint` patches this copy —
+        #: the elastic-namespace analogue of lazy exception-table
+        #: refresh.
+        self.slot_map = shared.slot_map.copy()
+        self.rng = shared.streams.stream("client." + name)
+        #: Dedicated stream for backoff jitter, consulted by the shared
+        #: retry helper only when ``config.retry_jitter`` is nonzero —
+        #: an independent stream so enabling jitter never perturbs
+        #: workload-shaping draws from ``self.rng``.
+        self.retry_rng = shared.streams.stream("retry." + name)
+        self.root_attrs = InodeAttrs(ino=ROOT_INO, is_dir=True, mode=0o777)
+        #: Lazy exception-table refresh off responses (§4.2.1).  The
+        #: stale-table corner-case experiment disables it to hold the
+        #: client at an old version.
+        self.auto_refresh_xt = True
+        #: Per-attempt RPC timeout (us; 0 = none).  With a timeout set,
+        #: ETIMEDOUT becomes retryable: a black-holed request to a
+        #: crashed MNode is retried, and since each attempt re-resolves
+        #: its target through the cluster directory, the retry lands on
+        #: the promoted standby once failover installs it.
+        self.rpc_timeout_us = shared.config.rpc_timeout_us
+        # Per-attempt counter: paid once here, not per RPC.
+        self._requests = self.metrics.counter("requests")
+        self._fake_inos = {}
+        self._fake_next = -2
+
+    # ------------------------------------------------------------------
+    # public API (generators; drive via the cluster facade or env.process)
+    # ------------------------------------------------------------------
+
+    def mkdir(self, path, mode=0o755, ctx=None):
+        # Plain functions handing back the _meta_op generator: one fewer
+        # generator frame for every resume of the operation (the field
+        # extraction rides on ``extract`` instead of a wrapper frame).
+        return self._meta_op("mkdir", path, {"mode": mode}, ctx=ctx,
+                             extract="ino")
+
+    def create(self, path, mode=0o644, exclusive=True, ctx=None):
+        return self._meta_op(
+            "create", path, {"mode": mode, "exclusive": exclusive},
+            ctx=ctx, extract="ino",
+        )
+
+    def open_file(self, path, ctx=None):
+        """Open for reading; returns the attrs dict (ino, size, ...)."""
+        return self._meta_op("open", path, {}, ctx=ctx, extract="attrs")
+
+    def close(self, path, size, ctx=None):
+        """Close after writing: persists size/mtime on the owner MNode."""
+        yield from self._meta_op("close", path, {"size": size}, ctx=ctx)
+
+    def unlink(self, path):
+        yield from self._meta_op("unlink", path, {})
+
+    def chmod(self, path, mode):
+        """chmod; files at their owner MNode, directories via coordinator."""
+        ctx = self._begin_op("chmod", path)
+
+        def body():
+            try:
+                yield from self._meta_op("setattr", path, {"mode": mode},
+                                         ctx=ctx)
+                return
+            except RpcFailure as failure:
+                if failure.code != RpcError.EISDIR:
+                    raise
+            # Outside the handler: a generator suspended inside ``except``
+            # keeps the failure, its traceback and every frame it crossed
+            # alive for the whole coordinator round trip.
+            yield from self._coordinator_op(
+                "chmod_dir", {"path": path, "mode": mode}, ctx=ctx
+            )
+            self._drop_cached(path)
+
+        yield from self._traced(ctx, body(), path=path)
+
+    def rmdir(self, path):
+        yield from self._coordinator_op("rmdir", {"path": path})
+        self._drop_cached(path)
+
+    def rename(self, src, dst):
+        yield from self._coordinator_op("rename", {"src": src, "dst": dst})
+        self._drop_cached(src)
+
+    def readdir(self, path):
+        """List a directory; returns a sorted list of (name, is_dir)."""
+        ctx = self._begin_op("readdir", path)
+
+        def attempt(_attempt, hint):
+            # Re-resolve the slot every attempt (not just on a redirect
+            # hint): under consensus a fenced leader answers ENOTLEADER
+            # with no hint, and the directory — updated by the election
+            # install — is where the new leader is found.
+            if hint is not None:
+                target_name = hint
+            else:
+                components = self._components(path)
+                name = components[-1] if components else "/"
+                target, _ = self.index.client_target(name, self.rng)
+                target_name = self._resolve_slot(target)
+            return self._request(target_name, "readdir", {"path": path},
+                                 ctx=ctx)
+
+        data = yield from self._traced(
+            ctx, retry(self, ctx, attempt, retryable=self._retryable()),
+            path=path)
+        return [tuple(entry) for entry in data["entries"]]
+
+    def read_file(self, path):
+        """open + read all blocks (+ client-local close); returns size."""
+        ctx = self._begin_op("read", path)
+
+        def body():
+            attrs = yield from self.open_file(path, ctx=ctx)
+            yield from self.blocks.read(attrs["ino"], attrs["size"],
+                                        ctx=ctx)
+            return attrs
+
+        attrs = yield from self._traced(ctx, body(), path=path)
+        self.metrics.counter("files").inc("read")
+        return attrs["size"]
+
+    def write_file(self, path, size, mode=0o644, exclusive=True):
+        """create + write all blocks + close; returns the new ino."""
+        ctx = self._begin_op("write", path)
+
+        def body():
+            ino = yield from self.create(path, mode=mode,
+                                         exclusive=exclusive, ctx=ctx)
+            yield from self.blocks.write(ino, size, ctx=ctx)
+            yield from self.close(path, size, ctx=ctx)
+            return ino
+
+        ino = yield from self._traced(ctx, body(), path=path)
+        self.metrics.counter("files").inc("written")
+        return ino
+
+    def symlink(self, target, link_path):
+        """Symbolic links are unsupported: the VFS shortcut cannot follow
+        links client-side (§5's stated limitation)."""
+        raise RpcFailure(RpcError.EINVAL,
+                         "symlinks unsupported by the VFS shortcut")
+        yield  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # metadata request path
+    # ------------------------------------------------------------------
+
     def _meta_op(self, op, path, extra, ctx=None, extract=None):
         """Generator: walk according to the client mode, send the op.
 
@@ -334,7 +373,7 @@ class FalconClient(Node):
         return data if extract is None else data[extract]
 
     def _meta_op_body(self, op, path, extra, ctx):
-        components = _components(path)
+        components = self._components(path)
         env = self.env
         vfs = self.mode == "vfs"
         if env.models_costs:
@@ -414,13 +453,8 @@ class FalconClient(Node):
                 data = yield from self._send_routed(
                     "lookup", name, {"pid": current.ino, "name": name}, ctx
                 )
-                wire = data["attrs"]
-                attrs = InodeAttrs(
-                    ino=wire["ino"], is_dir=wire["is_dir"],
-                    mode=wire["mode"], uid=wire["uid"], gid=wire["gid"],
-                    size=wire["size"], mtime=wire["mtime"],
-                )
-                entry = self.dcache.insert(current.ino, name, attrs)
+                entry = self.dcache.insert(current.ino, name,
+                                           attrs_from_wire(data["attrs"]))
             current = entry.attrs
 
     def _send_routed(self, op, name, payload, ctx):
@@ -514,7 +548,7 @@ class FalconClient(Node):
     def _coordinator_op_body(self, op, payload, ctx):
         for field in ("path", "src", "dst"):
             if field in payload:
-                _components(payload[field])
+                self._components(payload[field])
         if self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
 
@@ -564,34 +598,5 @@ class FalconClient(Node):
         parent_ino = self._cached_parent_ino(components)
         if parent_ino is None:
             return
-        attrs = InodeAttrs(
-            ino=wire["ino"], is_dir=wire["is_dir"], mode=wire["mode"],
-            uid=wire["uid"], gid=wire["gid"], size=wire["size"],
-            mtime=wire["mtime"],
-        )
-        self.dcache.insert(parent_ino, components[-1], attrs,
-                           cold=not attrs.is_dir)
-
-    def _cached_parent_ino(self, components):
-        current = ROOT_INO
-        for name in components[:-1]:
-            entry = self.dcache.peek(current, name)
-            if entry is None:
-                return None
-            current = entry.attrs.ino
-        return current
-
-    def _drop_cached(self, path):
-        """Best-effort local eviction after a namespace change we made."""
-        components = split_path(path)
-        if not components:
-            return
-        parent_ino = self._cached_parent_ino(components)
-        if parent_ino is not None:
-            self.dcache.invalidate(parent_ino, components[-1])
-
-    def handle(self, message):
-        raise RuntimeError(
-            "client {} received unexpected {!r}".format(self.name, message)
-        )
-        yield  # pragma: no cover
+        self.dcache.insert(parent_ino, components[-1], attrs_from_wire(wire),
+                           cold=not wire["is_dir"])

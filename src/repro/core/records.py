@@ -17,6 +17,8 @@ footprint for the memory-accounting experiments.
 from dataclasses import dataclass
 from itertools import count
 
+from repro.vfs import InodeAttrs
+
 #: Modeled memory footprint of a server-side namespace-replica entry.
 SERVER_DENTRY_BYTES = 96
 
@@ -88,6 +90,15 @@ def inode_from_wire(data):
         size=data["size"],
         mtime=data["mtime"],
         nlink=data["nlink"],
+    )
+
+
+def attrs_from_wire(data):
+    """A client's view of a wire inode: the :class:`InodeAttrs` it caches."""
+    return InodeAttrs(
+        ino=data["ino"], is_dir=data["is_dir"], mode=data["mode"],
+        uid=data["uid"], gid=data["gid"], size=data["size"],
+        mtime=data["mtime"],
     )
 
 

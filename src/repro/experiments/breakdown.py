@@ -11,7 +11,11 @@ round trips the paper attributes to stateful-client designs (§2, §6.2).
 import random
 
 from repro.analysis.breakdown import breakdown_rows
-from repro.experiments.common import add_workload_client, build_cluster
+from repro.experiments.common import (
+    add_workload_client,
+    build_cluster,
+    prefill_dcache,
+)
 from repro.obs import Tracer
 from repro.workloads.trees import private_dirs_tree
 
@@ -29,7 +33,7 @@ def trace_system(system, num_ops=120, file_size=64 << 10, seed=0):
     tree = private_dirs_tree(8, files_per_dir=0)
     path_ino = cluster.bulk_load(tree)
     if system != "falconfs":
-        cluster.prefill_client_cache(client, tree, path_ino)
+        prefill_dcache(client, tree, path_ino)
     rng = random.Random(seed)
     fs = cluster.fs(client)
     paths = []

@@ -8,7 +8,12 @@ Lustre but below CephFS and JuiceFS, whose heavier stacks dominate.
 
 import random
 
-from repro.experiments.common import SYSTEMS, add_workload_client, build_cluster
+from repro.experiments.common import (
+    SYSTEMS,
+    add_workload_client,
+    build_cluster,
+    prefill_dcache,
+)
 from repro.workloads.driver import measure_latency
 from repro.workloads.trees import private_dirs_tree
 
@@ -24,7 +29,7 @@ def measure(system, op, num_ops=200, seed=0):
         tree = private_dirs_tree(8, files_per_dir=0)
         path_ino = cluster.bulk_load(tree)
         if system != "falconfs":
-            cluster.prefill_client_cache(client, tree, path_ino)
+            prefill_dcache(client, tree, path_ino)
         if op == "create":
             thunks = [
                 lambda i=i: client.create(
@@ -41,7 +46,7 @@ def measure(system, op, num_ops=200, seed=0):
         tree = private_dirs_tree(8, files_per_dir=(num_ops + 7) // 8)
         path_ino = cluster.bulk_load(tree)
         if system != "falconfs":
-            cluster.prefill_client_cache(client, tree, path_ino)
+            prefill_dcache(client, tree, path_ino)
         paths = tree.file_paths()[:num_ops]
         if op == "getattr":
             rng.shuffle(paths)
@@ -57,7 +62,7 @@ def measure(system, op, num_ops=200, seed=0):
             targets.append(path)
         path_ino = cluster.bulk_load(tree)
         if system != "falconfs":
-            cluster.prefill_client_cache(client, tree, path_ino)
+            prefill_dcache(client, tree, path_ino)
         thunks = [lambda p=p: client.rmdir(p) for p in targets]
     else:
         raise ValueError("unknown op {!r}".format(op))

@@ -9,7 +9,12 @@ FalconFS is driven through the LibFS interface, as in §6.2.
 
 import random
 
-from repro.experiments.common import SYSTEMS, add_workload_client, build_cluster
+from repro.experiments.common import (
+    SYSTEMS,
+    add_workload_client,
+    build_cluster,
+    prefill_dcache,
+)
 from repro.workloads.driver import run_closed_loop
 from repro.workloads.trees import private_dirs_tree
 
@@ -70,7 +75,7 @@ def _thunks(cluster, client, system, op, num_ops, num_dirs, seed):
 
 def _warm(cluster, client, system, tree, path_ino):
     if system != "falconfs":
-        cluster.prefill_client_cache(client, tree, path_ino)
+        prefill_dcache(client, tree, path_ino)
 
 
 def measure(system, num_servers, op, num_ops=1500, threads=128, seed=0):

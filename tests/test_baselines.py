@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import CephCluster, JuiceCluster, LustreCluster
 from repro.baselines.common import placement_index
 from repro.core.shared import FalconConfig
+from repro.experiments.common import prefill_dcache
 from repro.net.rpc import RpcError, RpcFailure
 
 ALL_CLUSTERS = (CephCluster, LustreCluster, JuiceCluster)
@@ -68,6 +69,42 @@ class TestSemantics:
         with pytest.raises(RpcFailure) as err:
             fs.rename("/a", "/b")
         assert err.value.code == RpcError.EEXIST
+
+    def test_cross_server_rename_conflict_keeps_the_source(self,
+                                                          cluster_cls):
+        """The destination's server refuses the install; the source's
+        server answers that refusal and keeps the source row."""
+        cluster = cluster_cls(_config())
+        fs = cluster.fs()
+        by_owner = {}
+        for d in range(16):
+            path = "/d{:02d}".format(d)
+            fs.mkdir(path)
+            owner = cluster.clients[0].placement(fs.getattr(path)["ino"])
+            by_owner.setdefault(owner, path)
+        src_dir, dst_dir = sorted(by_owner.values())[:2]
+        fs.write(src_dir + "/f", size=256)
+        fs.create(dst_dir + "/g")
+        with pytest.raises(RpcFailure) as err:
+            fs.rename(src_dir + "/f", dst_dir + "/g")
+        assert err.value.code == RpcError.EEXIST
+        assert sum(server.metrics.counter("received").get("rename_install")
+                   for server in cluster.servers) == 1
+        assert fs.getattr(src_dir + "/f")["size"] == 256
+        assert fs.getattr(dst_dir + "/g")["size"] == 0
+
+    def test_server_counts_each_op_under_its_own_kind(self, cluster_cls):
+        cluster = cluster_cls(_config())
+        fs = cluster.fs()
+        fs.create("/f")
+        fs.getattr("/f")
+
+        def served(kind):
+            return sum(server.metrics.counter("ops").get(kind)
+                       for server in cluster.servers)
+
+        assert served("getattr") == 1
+        assert served("lookup") == 0
 
     def test_readdir(self, cluster_cls):
         cluster = cluster_cls(_config())
@@ -226,7 +263,7 @@ class TestClientBehaviour:
         tree = private_dirs_tree(8, files_per_dir=2)
         path_ino = cluster.bulk_load(tree)
         client = cluster.add_client()
-        cluster.prefill_client_cache(client, tree, path_ino)
+        prefill_dcache(client, tree, path_ino)
         fs = cluster.fs(client)
         fs.getattr(tree.file_paths()[0])
         assert client.metrics.counter("requests").get("lookup") == 0

@@ -6,23 +6,30 @@ The MNode answers a relative, empty or dotted path with
 the checker and a traceback out of ``python -m repro.serve client``.
 The mapping happens once, before any simulated time is charged and
 inside the operation's root span, so the failure is acknowledged like
-any other.
+any other.  It lives in the client base class, so the baselines'
+stateful clients answer the same way.
 """
 
 import json
 
 import pytest
 
+from repro.baselines import CephCluster, JuiceCluster, LustreCluster
 from repro.core import FalconCluster, FalconConfig
 from repro.net.rpc import RpcError, RpcFailure
 from repro.serve.main import main as serve_main
 
 MALFORMED = ["relative/x", "/a/../b", ""]
 
+#: FalconFS's three client modes, then the baselines' stateful client.
+RIGS = {"vfs": FalconCluster, "libfs": FalconCluster,
+        "nobypass": FalconCluster, "cephfs": CephCluster,
+        "lustre": LustreCluster, "juicefs": JuiceCluster}
 
-@pytest.fixture(params=["vfs", "libfs", "nobypass"])
+
+@pytest.fixture(params=list(RIGS))
 def rig(request):
-    cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
+    cluster = RIGS[request.param](FalconConfig(num_mnodes=2, num_storage=1))
     cluster.fs().mkdir("/ok")
     client = cluster.add_client(mode=request.param)
     client.ack_log = []

@@ -16,9 +16,10 @@ import ast
 
 from tests.test_layering import SRC
 
-#: The layers that speak the FalconFS protocol (baselines have their own
-#: closed vocabulary; ``runtime``/``net`` carry kinds, never name them).
-LAYERS = ("core", "storage", "faults")
+#: The layers that name message kinds (``runtime``/``net`` carry kinds,
+#: never name them).  The baselines' vocabulary is closed over their own
+#: servers plus the storage nodes' ``write_block``.
+LAYERS = ("core", "storage", "faults", "baselines")
 
 #: Functions that take the kind of the message they send, and the
 #: position of that argument.  The first seven are the sending surface;
@@ -28,6 +29,7 @@ SENDERS = {
     "_mnode_call": 1, "_slot_call": 1, "_call_peers": 0,
     "_meta_op": 0, "_meta_op_body": 0, "_send_routed": 0, "_request": 1,
     "_coordinator_op": 0, "_coordinator_op_body": 0, "_directory_change": 1,
+    "_send_keyed": 0,
 }
 
 #: The name-dispatch idiom: ``getattr(self, "_on_" + message.kind, None)``.
@@ -154,15 +156,12 @@ MAY_RAISE = {
     "core/filestore.py:StorageNode":
         "storage names are never re-registered; clients address them "
         "with exactly the two kinds handled",
-    "core/client.py:FalconClient":
-        "nothing addresses a client by name: replies ride reply handles",
     "baselines/common.py:MetaServer":
         "baseline clusters have no promotion or rejoin: a name keeps "
         "its role for the whole run",
-    "baselines/common.py:BaselineClient":
-        "nothing addresses a client by name: replies ride reply handles",
     "net/node.py:Node":
-        "the abstract default; every concrete role overrides handle",
+        "the default, kept only by clients: nothing addresses a client "
+        "by name, replies ride reply handles",
 }
 
 
