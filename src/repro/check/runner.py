@@ -108,7 +108,6 @@ def run_schedule(schedule):
         rpc_timeout_us=cfg["rpc_timeout_us"],
         op_deadline_us=cfg["op_deadline_us"],
         retry_jitter=cfg.get("retry_jitter", 0.0),
-        ship_retry_us=cfg.get("ship_retry_us", 0.0),
         num_slots=cfg.get("num_slots", 0),
         seed=schedule["seed"],
     )

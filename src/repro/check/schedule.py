@@ -325,11 +325,9 @@ def generate_schedule(seed, num_ops=80, num_clients=3, num_mnodes=3,
             "consensus": nemesis_mix == "election",
             "rpc_timeout_us": 400.0,
             "op_deadline_us": 30000.0,
-            # Jittered backoff (stampedes must not meet synchronized
-            # retry storms) and shipper retransmission (lossy links
-            # must not permanently gap the standby).
+            # Jittered backoff: stampedes must not meet synchronized
+            # retry storms.
             "retry_jitter": 0.25,
-            "ship_retry_us": 1200.0,
             "nemesis_mix": nemesis_mix,
             "budget_us": budget_us,
             "quiesce_budget_us": quiesce_budget_us,

@@ -234,7 +234,7 @@ class FalconCluster:
         node.inodes = tables.get("inode", node.inodes)
         node.dentries = tables.get("dentry", node.dentries)
         node.meta = tables.get("meta", node.meta)
-        node._restore_slot_state()
+        node.slots = node.rebuilt_slots()
         self._rebuild_owned_state(node)
         node.wal.bootstrap(replayed_log if replayed_log is not None else [
             [(table.name, key, row.copy())]
@@ -435,11 +435,11 @@ class FalconCluster:
                 "MNode slot {} has no crashed node to restart".format(index)
             )
         started_at = self.env.now
-        payloads, torn = old.wal.replay()
+        entries, torn = old.wal.replay()
         # Reboot + redo take real time; the node serves nothing meanwhile.
         yield self.env.timeout(
             self.costs.wal_fsync_us
-            + self.costs.wal_replay_us_per_record * len(payloads)
+            + self.costs.wal_replay_us_per_record * len(entries)
         )
         # The old incarnation is retired for good: its frozen handler
         # processes must stay dead once the name is reachable again.
@@ -449,26 +449,26 @@ class FalconCluster:
             node = yield from self._rejoin(index, old)
         else:
             role = "primary"
-            node = yield from self._resume_primary(index, old, payloads)
+            node = yield from self._resume_primary(index, old, entries)
         if self.detector is not None:
             self.detector.node_restarted(index)
         record = {
             "index": index, "name": node.name, "role": role,
             "restarted_at": started_at, "recovered_at": self.env.now,
             "recovery_us": self.env.now - started_at,
-            "replayed_txns": len(payloads), "torn_records": torn,
+            "replayed_txns": len(entries), "torn_records": torn,
         }
         self.restart_log.append(record)
         return record
 
-    def _resume_primary(self, index, old, payloads):
+    def _resume_primary(self, index, old, entries):
         """Generator: rebuild the crashed node from its durable WAL and
         re-install it under its own name and slot (replayed handoff
         markers override the slot-map seed), then reconcile replication
         with the surviving standby."""
         self.network.reincarnate(old.name)
         tables = {name: Table(name) for name in ("inode", "dentry", "meta")}
-        for _, payload in payloads:
+        for _, _, payload in entries:
             for table_name, key, value in payload or ():
                 if value is None:
                     tables[table_name].delete(key)
@@ -476,7 +476,7 @@ class FalconCluster:
                     tables[table_name].put(key, value.copy())
         node = self._install_node(
             index, old, tables,
-            replayed_log=[payload for _, payload in payloads])
+            replayed_log=[payload for _, _, payload in entries])
         standby = self._standby(index)
         anchor, base = old._ship_anchor, old._ship_base
         if self.config.consensus:
@@ -489,7 +489,6 @@ class FalconCluster:
             # and members below it resync by snapshot (follower) or
             # adopt the base (witness).
             term = self.coordinator.next_term(index)
-            entries, _ = old.wal.replay_entries()
             shippable = [(etrm, payload) for lsn, etrm, payload in entries
                          if lsn > anchor and payload]
             shipper = node.attach_group(
@@ -507,7 +506,7 @@ class FalconCluster:
             # one LSN, starting at the old base.  Whatever the standby
             # has not applied is the durable-but-unshipped window —
             # exactly what a promotion would have lost; re-ship it.
-            shippable = [payload for lsn, payload in payloads
+            shippable = [payload for lsn, _, payload in entries
                          if lsn > anchor and payload]
             node.attach_standby(
                 standby.name, start_lsn=base + len(shippable),

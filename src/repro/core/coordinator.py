@@ -567,14 +567,17 @@ class Coordinator(NamespaceReplicaMixin, Node):
         """Generator: the handoff saga.
 
         1. **snapshot** — the source copies the slot's inode records
-           and starts capturing subsequent committed writes (a delta).
+           and names ``since``, the WAL position (in its incarnation's
+           log) above which every write the copy lacks sits.
         2. **install** — the destination durably applies the snapshot
            and marks the slot *pending* (bounces requests ``ERETRY``).
-        3. **fence** — the source atomically stops hosting the slot,
+        3. **fence** — the source atomically stops serving the slot,
            drains in-flight writers, durably marks it *moved* and
-           returns the captured delta; from here it bounces requests
-           with ``EMOVED`` naming the destination and the epoch the
-           move will install.
+           returns the delta it reads from its WAL above ``since``;
+           from here it bounces requests with ``EMOVED`` naming the
+           destination and the epoch the move will install.  Retried
+           like steps 1-2: a source restarted since the snapshot reads
+           the same delta, a promoted one refuses the foreign ``since``.
         4. **activate** — the destination applies the delta and marks
            the slot *active* in one transaction, then serves it.  This
            is the point of no return: activation is re-delivered until
@@ -600,22 +603,22 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.migrations[slot] = record
         try:
             try:
-                reply = yield from self._slot_call(
+                snapshot = yield from self._slot_call(
                     src, "slot_snapshot", {"slot": slot}, attempts=4)
                 record["phase"] = "install"
                 yield from self._slot_call(
                     dest, "slot_install",
-                    {"slot": slot, "entries": reply["entries"],
-                     "markers": reply.get("markers", [])},
+                    {"slot": slot, "entries": snapshot["entries"],
+                     "markers": snapshot["markers"]},
                     attempts=4)
                 record["phase"] = "fence"
                 advertised = self.shared.slot_map.epoch + 1
-                # Single attempt by design: a retried fence would
-                # return an *empty* delta (the capture is consumed by
-                # the first fence) and silently drop the real one.
                 reply = yield from self._slot_call(
                     src, "slot_fence",
-                    {"slot": slot, "node": dest, "epoch": advertised})
+                    {"slot": slot, "node": dest, "epoch": advertised,
+                     "since": snapshot["since"],
+                     "incarnation": snapshot["incarnation"]},
+                    attempts=4)
             except RpcFailure:
                 yield from self._slot_abort(slot, src, dest, record)
                 return record

@@ -76,6 +76,10 @@ PARENT_WRITE_OPS = frozenset(("create", "unlink", "mkdir"))
 #: disabled (shared request-queue cache-line bouncing, §6.7).
 UNMERGED_DISPATCH_FACTOR = 24.0
 
+#: The state of a slot an MNode serves — seeded from the slot map, or
+#: the marker a handoff's activate writes.
+SERVING = {"state": "active"}
+
 
 class _Plan:
     """A validated, resolved request ready for batch execution."""
@@ -115,10 +119,10 @@ class _OwnerWrite:
        it (:meth:`drain`), or fenced first and the write bounces;
     3. **one put/delete primitive** — :meth:`put` / :meth:`delete` keep
        inode row, owned dentry and ``inval_seq`` in step;
-    4. **commit-or-abort** — :meth:`commit`; the name index moves only
-       once the rows are durable, so an abandoned write leaves nothing
-       (a 2PC participant's :meth:`vote` is the one record with no
-       rows);
+    4. **commit-or-abort** — :meth:`commit`, the one place this node
+       commits a transaction; the name index moves only once the rows
+       are durable, so an abandoned write leaves nothing (a 2PC
+       participant's :meth:`vote` is the one record with no rows);
     5. **quorum-gated ack** — :meth:`MNode._ack` (the write applies
        locally either way; only the acknowledgement waits).
 
@@ -126,14 +130,14 @@ class _OwnerWrite:
     ``finally``, or, for a staged 2PC half, when the decision resolves it.
     """
 
-    __slots__ = ("node", "ctx", "_txn", "grants", "slots")
+    __slots__ = ("node", "ctx", "_txn", "grants", "pinned")
 
     def __init__(self, node, ctx=None):
         self.node = node
         self.ctx = ctx
         self._txn = None
         self.grants = []
-        self.slots = []
+        self.pinned = []
 
     @property
     def txn(self):
@@ -166,8 +170,8 @@ class _OwnerWrite:
 
     def pin(self, slot):
         """Register as an in-flight writer of ``slot`` (once)."""
-        if slot not in self.slots:
-            self.slots.append(slot)
+        if slot not in self.pinned:
+            self.pinned.append(slot)
             self.node._slot_writers[slot] += 1
 
     def get(self, key):
@@ -212,8 +216,11 @@ class _OwnerWrite:
 
     def commit(self):
         """Generator: make the staged rows durable, then move the name
-        index by the inode rows that appeared or vanished.  Returns
-        whether anything was logged (nothing staged, nothing logged)."""
+        index by the inode rows that appeared or vanished.  From just
+        before its WAL append until its rows apply, the record's LSN is
+        registered as unapplied — the writes a slot snapshot taken in
+        between cannot contain.  Returns whether anything was logged
+        (nothing staged, nothing logged)."""
         txn = self._txn
         if txn is None:
             return False
@@ -221,7 +228,10 @@ class _OwnerWrite:
         had = node.inodes.get
         moved = [(key, present) for key, present in txn.staged(node.inodes)
                  if (had(key) is None) is present]
+        lsn = node.wal.next_lsn
+        node._unapplied.add(lsn)
         yield from txn.commit()
+        node._unapplied.discard(lsn)
         for key, present in moved:
             node._track_name(key, 1 if present else -1)
         return True
@@ -232,7 +242,7 @@ class _OwnerWrite:
         gets here when the collector closes a process that died with
         it, and a release would wake its other dead processes."""
         node = self.node
-        for slot in self.slots:
+        for slot in self.pinned:
             node._slot_writers[slot] -= 1
         if not node.halted:
             node.locks.release_all(self.grants)
@@ -258,34 +268,27 @@ class MNode(NamespaceReplicaMixin, Node):
         self.my_index = index
         self.init_replica()
         self.inodes = Table("inode")
-        #: Durable node-local control records.  ``("slot", i)`` rows
-        #: persist handoff state ("moved"/"pending"/"active") so a
+        #: Durable node-local control records.  ``("slot", s)`` rows are
+        #: the handoff markers — exactly what ``slots[s]`` holds — so a
         #: crash-restart mid-migration reconstructs the fence instead of
         #: resurrecting a handed-off slot from the stale map seed.
         self.meta = Table("meta")
         self.wal = WriteAheadLog(env, self.costs, self.metrics)
         self.xt = ExceptionTable()
         self.index = HybridIndex(shared.num_slots, self.xt)
-        #: Directory slots this node currently hosts (serves
-        #: authoritatively).  Seeded from the cluster slot map so a
-        #: promoted or restarted incarnation starts with the slots its
-        #: predecessor ended with.
-        self.hosted_slots = set(shared.slot_map.slots_of(index))
-        #: slot -> {"node", "epoch"}: slots handed off (or mid-handoff)
-        #: to another node; requests bounce with EMOVED carrying the
-        #: destination so clients patch their private slot maps.
-        self.moved_slots = {}
-        #: Slots whose snapshot is installed but whose fenced delta has
-        #: not been applied yet — requests bounce ERETRY until
-        #: activation (the handoff-safety invariant).
-        self.pending_slots = set()
-        #: slot -> captured logical records: while a slot is being
-        #: migrated away, every commit touching it is also appended
-        #: here; the fence returns (and stops) this capture atomically.
-        self._slot_capture = {}
+        #: slot -> state, what a restart rebuilds (:meth:`rebuilt_slots`):
+        #: :data:`SERVING`; ``{"state": "moved", "node", "epoch"}`` (bounce
+        #: EMOVED to the destination); or ``{"state": "pending"}``, snapshot
+        #: installed but delta not applied (bounce ERETRY, or EMOVED while
+        #: it keeps an earlier handoff's ``node``/``epoch`` hint).  Absent:
+        #: neither served nor marked.
+        self.slots = self.rebuilt_slots()
+        #: LSNs logged but not yet applied (see :meth:`_OwnerWrite.commit`):
+        #: a slot snapshot's delta starts below the lowest of them.
+        self._unapplied = set()
         #: slot -> number of open writes pinning it (batches, control-
         #: plane writes, staged 2PC halves); the fence drains this to
-        #: zero, with capture still running, before collecting.
+        #: zero before it reads the delta from the WAL.
         self._slot_writers = defaultdict(int)
         #: slot -> live local inode-record count (planner statistics).
         self.slot_inode_counts = defaultdict(int)
@@ -352,8 +355,20 @@ class MNode(NamespaceReplicaMixin, Node):
             yield from steps
 
     def _owns_dentry(self, key):
-        slot = self.index.locate(key[0], key[1])
-        return slot in self.hosted_slots and slot not in self.moved_slots
+        return self.serves(self.index.locate(key[0], key[1]))
+
+    def serves(self, slot):
+        """True when this node currently serves directory ``slot``."""
+        return self.slots.get(slot) == SERVING
+
+    def rebuilt_slots(self):
+        """The slot states a restart rebuilds: the slot map's seed for
+        this node, serving, overlaid with the durable handoff markers."""
+        slots = dict.fromkeys(self.shared.slot_map.slots_of(self.my_index),
+                              SERVING)
+        for key, state in self.meta.scan_prefix(("slot",)):
+            slots[key[1]] = state
+        return slots
 
     def _peers(self):
         """Every other MNode (broadcast fan-out)."""
@@ -373,38 +388,17 @@ class MNode(NamespaceReplicaMixin, Node):
     def _slot_failure(self, slot, name):
         """The bounce for a request addressed to a slot this node does
         not serve: EMOVED with the destination hint when the slot was
-        handed off, ERETRY while its delta is still in flight here."""
-        moved = self.moved_slots.get(slot)
-        if moved is not None:
+        handed off (or pending with an earlier handoff's hint), ERETRY
+        while its delta is still in flight here."""
+        state = self.slots.get(slot)
+        if state is None:
+            return None
+        if "node" in state:
             return RpcFailure(RpcError.EMOVED, {
-                "slot": slot, "node": moved["node"],
-                "epoch": moved["epoch"],
+                "slot": slot, "node": state["node"],
+                "epoch": state["epoch"],
             })
-        if slot in self.pending_slots:
-            return RpcFailure(RpcError.ERETRY, name)
-        return None
-
-    def _restore_slot_state(self):
-        """Reconcile slot hosting with the durable handoff markers after
-        state surgery (redo restart or promotion): a fenced slot stays
-        fenced across a crash, an adopted slot stays adopted, and an
-        installed-but-never-activated slot stays pending — the slot-map
-        seed in the constructor knows none of this."""
-        for key, state in list(self.meta.scan()):
-            if key[0] != "slot":
-                continue
-            slot = key[1]
-            if state["state"] == "moved":
-                self.hosted_slots.discard(slot)
-                self.moved_slots[slot] = {"node": state["node"],
-                                          "epoch": state["epoch"]}
-            elif state["state"] == "pending":
-                self.hosted_slots.discard(slot)
-                self.pending_slots.add(slot)
-            elif state["state"] == "active":
-                self.hosted_slots.add(slot)
-                self.moved_slots.pop(slot, None)
-                self.pending_slots.discard(slot)
+        return RpcFailure(RpcError.ERETRY, name)
 
     def _check_hosted(self, key):
         """Raise the slot bounce unless this node currently serves
@@ -412,7 +406,7 @@ class MNode(NamespaceReplicaMixin, Node):
         :meth:`_OwnerWrite.enter`, which registers them for the fence
         in the same no-yield block."""
         slot = self._slot_of(key)
-        if slot not in self.hosted_slots:
+        if not self.serves(slot):
             failure = self._slot_failure(slot, key)
             if failure is None:
                 # No handoff marker of our own: the request was simply
@@ -440,10 +434,7 @@ class MNode(NamespaceReplicaMixin, Node):
         """
         from repro.storage.replication import LogShipper
 
-        self.shipper = LogShipper(
-            self, standby_name, start_lsn=start_lsn,
-            retry_us=self.shared.config.ship_retry_us,
-        )
+        self.shipper = LogShipper(self, standby_name, start_lsn=start_lsn)
         self._ship_anchor = (self.wal.appended_txns if anchor is None
                              else anchor)
         self._ship_base = start_lsn if base is None else base
@@ -542,26 +533,6 @@ class MNode(NamespaceReplicaMixin, Node):
         # snapshot its catch-up installs.
         if self.shipper is not None:
             self.shipper.ship(txn)
-        if self._slot_capture:
-            # Slot handoff in progress: tee every committed write that
-            # belongs to a captured slot into its migration delta.  This
-            # hook sees *every* durable commit path (batches, renames,
-            # fsck, coordinator-executed ops), so nothing that commits
-            # here before the fence collects can be missing at the
-            # destination.
-            # Rename-applied markers are slot-scoped durable state and
-            # must travel with the handoff: a stale commit re-delivery
-            # after the flip resolves to the *destination*, which can
-            # only no-op it if the marker moved too.  Handoff markers
-            # ("slot", ...) describe this node and never move.
-            for table, key, value in txn.export_writes():
-                if table == "meta":
-                    slot = key[1] if key[0] == "rename" else None
-                else:
-                    slot = self._slot_of(key)
-                buf = self._slot_capture.get(slot)
-                if buf is not None:
-                    buf.append((table, key, value))
 
     # ------------------------------------------------------------------
     # batch execution (concurrent request merging, §4.4)
@@ -752,7 +723,7 @@ class MNode(NamespaceReplicaMixin, Node):
         # forwarding (§4.2.1); one holding a stale slot map is bounced
         # with EMOVED carrying the destination (elastic namespace).
         route_kind, target = self.index.route(name)
-        if route_kind != ROUTE_PATHWALK and target not in self.hosted_slots:
+        if route_kind != ROUTE_PATHWALK and self.slots.get(target) != SERVING:
             failure = self._slot_failure(target, name)
             if failure is not None:
                 self._respond_error(message, failure)
@@ -771,7 +742,7 @@ class MNode(NamespaceReplicaMixin, Node):
 
         if route_kind == ROUTE_PATHWALK:
             target = self.index.hash_parent_name(resolved.ino, name)
-            if target not in self.hosted_slots:
+            if self.slots.get(target) != SERVING:
                 failure = self._slot_failure(target, name)
                 if failure is not None:
                     self._respond_error(message, failure)
@@ -817,7 +788,7 @@ class MNode(NamespaceReplicaMixin, Node):
         payload = message.payload
         pid, name = payload["pid"], payload["name"]
         target = self.index.locate(pid, name)
-        if target not in self.hosted_slots:
+        if self.slots.get(target) != SERVING:
             failure = self._slot_failure(target, name)
             if failure is not None:
                 self._respond_error(message, failure)
@@ -851,7 +822,7 @@ class MNode(NamespaceReplicaMixin, Node):
     def _plan_still_valid(self, plan):
         if plan.name in self.migrating:
             return False
-        if plan.slot is not None and plan.slot not in self.hosted_slots:
+        if plan.slot is not None and self.slots.get(plan.slot) != SERVING:
             # The slot was fenced (or handed off) between planning and
             # lock grant; the retry re-plans and gets the EMOVED hint.
             return False
@@ -1132,7 +1103,7 @@ class MNode(NamespaceReplicaMixin, Node):
             removed = 0
             for key in map(tuple, message.payload["keys"]):
                 slot = self._slot_of(key)
-                if slot in self.moved_slots or slot in self.pending_slots:
+                if self.slots.get(slot, SERVING) != SERVING:
                     # Mid-slot-handoff: the slot's records travel with
                     # the handoff saga; its current host sweeps them.
                     continue
@@ -1267,7 +1238,7 @@ class MNode(NamespaceReplicaMixin, Node):
             # slot's new home.  Otherwise the staged half pins the slot
             # until the decision applies or the transaction aborts: a
             # fence waits for the 2PC to finish, so the decided actions
-            # land at the source and ride the capture.
+            # land at the source and ride the delta.
             slot = w.enter(key)
         except RpcFailure as failure:
             w.close()
@@ -1306,7 +1277,7 @@ class MNode(NamespaceReplicaMixin, Node):
         vacated the keys, so the redo guards alone cannot tell "never
         applied" from "applied, then superseded".  Only receiver-side
         memory can; it rides the WAL (redo restart), log shipping
-        (promotion) and the slot handoff (capture tee + snapshot), so
+        (promotion) and the slot handoff (snapshot + WAL delta), so
         every future incarnation of the slot remembers."""
         # One write from here on, under the decision's context.
         w = staged[0]["write"]
@@ -1503,7 +1474,8 @@ class MNode(NamespaceReplicaMixin, Node):
             # Per-slot live record counts + the hosted set: the slot-
             # migration planner's raw material.
             "slot_counts": dict(self.slot_inode_counts),
-            "hosted_slots": sorted(self.hosted_slots),
+            "hosted_slots": sorted(slot for slot, state in self.slots.items()
+                                   if state == SERVING),
         })
 
     def _on_name_count(self, message):
@@ -1536,8 +1508,7 @@ class MNode(NamespaceReplicaMixin, Node):
                 key = (pid, name)
                 record = self.inodes.get(key)
                 slot = self._slot_of(key)
-                if (record is None or slot in self.moved_slots
-                        or slot in self.pending_slots):
+                if record is None or self.slots.get(slot, SERVING) != SERVING:
                     # Mid-slot-handoff copies: the fenced (or still
                     # installing) slot's records travel with the slot
                     # saga, not with the filename migration.  Note the
@@ -1565,8 +1536,8 @@ class MNode(NamespaceReplicaMixin, Node):
             for entry in entries:
                 key = tuple(entry["key"])
                 slot = self._slot_of(key)
-                if slot in self.hosted_slots:   # an exception-table
-                    w.pin(slot)                 # placement is unfenced
+                if self.serves(slot):   # an exception-table placement
+                    w.pin(slot)         # is unfenced
                 w.put(key, inode_from_wire(entry["record"]))
             return len(entries)
 
@@ -1579,12 +1550,11 @@ class MNode(NamespaceReplicaMixin, Node):
     # ------------------------------------------------------------------
 
     def _on_slot_snapshot(self, message):
-        """Source step 1 of an online slot handoff: atomically copy
-        every inode record in the slot and open the delta capture.
-
-        The copy and the capture start in one no-yield instant, so
-        every commit lands in exactly one of them — the analogue of
-        :meth:`_on_snapshot` reading the ship LSN at copy time."""
+        """Source step 1 of an online slot handoff: copy every inode
+        record in the slot and, in the same no-yield instant, name the
+        WAL position ``since`` above which every write the copy lacks
+        was logged — the analogue of :meth:`_on_snapshot` reading the
+        ship LSN at copy time.  The source keeps nothing for the saga."""
         slot = message.payload["slot"]
         entries = [
             {"key": list(key), "record": inode_to_wire(record)}
@@ -1598,9 +1568,10 @@ class MNode(NamespaceReplicaMixin, Node):
             for key, value in self.meta.scan()
             if key[0] == "rename" and key[1] == slot
         ]
-        self._slot_capture[slot] = []
+        since = min(self._unapplied, default=self.wal.next_lsn) - 1
         yield from self._reply_rows(message, len(entries), {
-            "slot": slot, "entries": entries, "markers": markers})
+            "slot": slot, "entries": entries, "markers": markers,
+            "since": since, "incarnation": self.name})
 
     def _reply_rows(self, message, rows, payload):
         """Generator: answer a handoff step whose reply carries ``rows``
@@ -1613,21 +1584,26 @@ class MNode(NamespaceReplicaMixin, Node):
     def _on_slot_install(self, message):
         """Destination step 2: durably install the source's snapshot.
 
-        The slot stays *pending* — requests bounce ERETRY — until
-        ``slot_activate`` applies the fenced delta.  Directory dentries
-        are reconstructed from the inode records: this node is about to
+        The slot is *pending* from before the install commits until
+        ``slot_activate`` applies the fenced delta, keeping an earlier
+        handoff's ``node``/``epoch`` hint.  Directory dentries are
+        reconstructed from the inode records: this node is about to
         become their owner, so its replica entries must be
         authoritative, not fetched from the (retiring) source."""
         payload = message.payload
         slot = payload["slot"]
-        self.pending_slots.add(slot)
+        pending = {"state": "pending"}
+        earlier = self.slots.get(slot)
+        if earlier is not None and "node" in earlier:
+            pending.update(node=earlier["node"], epoch=earlier["epoch"])
+        self.slots[slot] = pending
 
         def stage(w):
             # Durable marker: a crash between install and activate
             # restarts with the slot *pending*, never serving the
             # delta-less copy.
-            w.txn.put(self.meta, ("slot", slot), {"state": "pending"})
-            for marker in payload.get("markers", ()):
+            self._mark(w, slot, pending)
+            for marker in payload["markers"]:
                 w.txn.put(self.meta, tuple(marker["key"]),
                           dict(marker["record"]))
             for entry in payload["entries"]:
@@ -1641,36 +1617,53 @@ class MNode(NamespaceReplicaMixin, Node):
     def _on_slot_fence(self, message):
         """Source step 3: the fence.  Stop serving the slot in one
         no-yield instant — every later request bounces EMOVED with the
-        destination hint — drain the in-flight local writers, then
-        return the captured delta, closing the capture atomically."""
+        destination hint — drain the in-flight local writers, then read
+        the slot's delta back from the WAL above the snapshot's
+        ``since``.  Idempotent; refuses a ``since`` that counts LSNs in
+        another incarnation's log (a promoted node's)."""
         payload = message.payload
         slot = payload["slot"]
-        self.hosted_slots.discard(slot)
-        self.moved_slots[slot] = {
-            "node": payload["node"], "epoch": payload["epoch"],
-        }
-        # Writers registered before the fence drain to zero with the
-        # capture still running, so their commits are in the delta; no
-        # new writer can register (the hosted check above bounces it).
+        if payload["incarnation"] != self.name:
+            self._respond_error(message, RpcFailure(
+                RpcError.EINVAL, "since from " + payload["incarnation"]))
+            return
+        moved = {"state": "moved", "node": payload["node"],
+                 "epoch": payload["epoch"]}
+        self.slots[slot] = moved
+        # Writers registered before the fence drain to zero, so their
+        # records are in the log; no new writer can register (the
+        # serving check above bounces it).  Records are read whether or
+        # not their checksum verifies: this live node applied them.
+        # Rename-applied markers are slot-scoped durable state and
+        # travel too: a stale commit re-delivery after the flip resolves
+        # to the *destination*, which can only no-op it if the marker
+        # moved.  Handoff markers describe this node and never move.
         yield from _OwnerWrite.drain(self, slot)
-        delta = self._slot_capture.pop(slot, [])
         entries = [
             {"table": table, "key": list(key),
              "record": None if value is None else _TO_WIRE[table](value)}
-            for table, key, value in delta
+            for records in self.wal.payloads_since(payload["since"])
+            for table, key, value in records or ()
+            if (key[:2] == ("rename", slot) if table == "meta"
+                else self._slot_of(key) == slot)
         ]
         # Durable fence marker *before* the delta leaves this node: a
         # restart must come back fenced, not resurrect the slot from
         # the (not yet flipped) map and serve state the destination is
         # about to supersede.
         w = _OwnerWrite(self, message.ctx)
-        w.txn.put(self.meta, ("slot", slot), {
-            "state": "moved", "node": payload["node"],
-            "epoch": payload["epoch"],
-        })
+        self._mark(w, slot, moved)
         yield from w.commit()
         yield from self._reply_rows(message, len(entries),
                                     {"ok": True, "delta": entries})
+
+    def _mark(self, w, slot, state):
+        """Stage ``slot``'s durable handoff marker in ``w``: ``state``,
+        or no marker when it is None."""
+        if state is None:
+            w.txn.delete(self.meta, ("slot", slot))
+        else:
+            w.txn.put(self.meta, ("slot", slot), dict(state))
 
     def _on_slot_activate(self, message):
         """Destination step 4: durably apply the fenced delta, then
@@ -1679,7 +1672,7 @@ class MNode(NamespaceReplicaMixin, Node):
         applied here before the first request is."""
         payload = message.payload
         slot = payload["slot"]
-        if slot in self.hosted_slots:
+        if self.serves(slot):
             # Already serving: a re-delivery whose first ack was lost.
             # Applying the delta again would overwrite whatever clients
             # wrote here since with the source's older rows.
@@ -1691,7 +1684,7 @@ class MNode(NamespaceReplicaMixin, Node):
             # delta: a restart after this commit serves the slot; before
             # it, the slot is still pending and the re-delivered
             # activate applies.
-            w.txn.put(self.meta, ("slot", slot), {"state": "active"})
+            self._mark(w, slot, SERVING)
             for entry in payload["delta"]:
                 name, key = entry["table"], tuple(entry["key"])
                 record = entry["record"]
@@ -1705,7 +1698,7 @@ class MNode(NamespaceReplicaMixin, Node):
                         w.put(key, record, dentry=False)
                 else:
                     # A dentry row, or a rename-applied marker committed
-                    # at the source during the capture window.
+                    # at the source after the snapshot.
                     table = self.meta if name == "meta" else self.dentries
                     if record is None:
                         w.txn.delete(table, key)
@@ -1715,12 +1708,10 @@ class MNode(NamespaceReplicaMixin, Node):
 
         applied = yield from self._bulk_write(
             message.ctx, self.costs.index_insert_us, stage)
-        self.pending_slots.discard(slot)
-        self.hosted_slots.add(slot)
-        # A slot migrating *back* clears the tombstone from its earlier
+        # A slot migrating *back* drops the hint from its earlier
         # handoff; clients whose maps still point elsewhere recover via
         # server-side forwarding.
-        self.moved_slots.pop(slot, None)
+        self.slots[slot] = SERVING
         self.metrics.counter("slots_adopted").inc()
         self.respond(message, {"ok": True, "applied": applied})
 
@@ -1731,23 +1722,26 @@ class MNode(NamespaceReplicaMixin, Node):
         Idempotent: safe to re-deliver, safe on a restarted incarnation
         that never fenced."""
         slot = message.payload["slot"]
-        self.moved_slots.pop(slot, None)
-        self._slot_capture.pop(slot, None)
-        self.pending_slots.discard(slot)
-        self.hosted_slots.add(slot)
+        self.slots[slot] = SERVING
         if self.meta.get(("slot", slot)) is not None:
             w = _OwnerWrite(self, message.ctx)
-            w.txn.delete(self.meta, ("slot", slot))
+            self._mark(w, slot, None)
             yield from w.commit()
         self.respond(message, {"ok": True})
 
     def _on_slot_discard(self, message):
         """Destination-side abort: the saga failed before the map flip.
         Delete the installed copy — the placement audit must never find
-        the same key authoritative on two nodes."""
+        the same key authoritative on two nodes — and put the slot back
+        as it was: moved toward an earlier handoff's hint, or unmarked.
+        Idempotent: a copy that never landed leaves the state alone."""
         slot = message.payload["slot"]
-        self.pending_slots.discard(slot)
-        self.hosted_slots.discard(slot)
+        state = self.slots.get(slot)
+        if state is not None and state["state"] == "pending":
+            if "node" in state:
+                self.slots[slot] = dict(state, state="moved")
+            else:
+                del self.slots[slot]
         removed = yield from self._drop_slot_copy(message.ctx, slot,
                                                   installed=True)
         self.respond(message, {"ok": True, "removed": removed})
@@ -1756,7 +1750,7 @@ class MNode(NamespaceReplicaMixin, Node):
         """Source final step, after the authoritative map flip: delete
         the migrated slot's inode records — the destination owns them
         now.  Directory dentries stay behind as ordinary replica cache
-        (no longer authoritative: the slot is not hosted here)."""
+        (no longer authoritative: the slot is not served here)."""
         slot = message.payload["slot"]
         removed = yield from self._drop_slot_copy(message.ctx, slot,
                                                   installed=False)
@@ -1767,12 +1761,13 @@ class MNode(NamespaceReplicaMixin, Node):
         """Generator: durably delete this node's non-authoritative copy
         of ``slot`` — its inode rows and its rename-applied markers (the
         authoritative host answers stale commit re-deliveries).  An
-        ``installed`` copy (a destination's, never served) also drops
-        its pending marker and the dentries the install reconstructed.
-        Returns the number of inode rows removed."""
+        ``installed`` copy (a destination's, never served) also writes
+        back the slot's marker from ``slots`` and drops the dentries the
+        install reconstructed.  Returns the number of inode rows
+        removed."""
         def stage(w):
             if installed:
-                w.txn.delete(self.meta, ("slot", slot))
+                self._mark(w, slot, self.slots.get(slot))
             for key, _ in list(self.meta.scan()):
                 if key[0] == "rename" and key[1] == slot:
                     w.txn.delete(self.meta, key)
@@ -1791,7 +1786,7 @@ class MNode(NamespaceReplicaMixin, Node):
         return removed
 
 
-#: Handoff-delta codecs per captured table (fence encodes, activate
+#: Handoff-delta codecs per logged table (fence encodes, activate
 #: decodes; tombstones travel as ``None``).
 _TO_WIRE = {"inode": inode_to_wire, "dentry": dentry_to_wire, "meta": dict}
 _FROM_WIRE = {"inode": inode_from_wire, "dentry": dentry_from_wire,

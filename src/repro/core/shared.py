@@ -148,12 +148,6 @@ class FalconConfig:
     #: Asynchronous log-shipping replication to per-MNode standbys (the
     #: evaluation runs with this disabled, like the paper's).
     replication: bool = False
-    #: Shipper retransmission cadence, microseconds (0 = off).  While a
-    #: shipper has unacknowledged WAL records it re-ships the suffix at
-    #: this period, healing ``wal_ship``/``wal_ack`` messages lost to
-    #: gray link degradation.  Event-driven: the timer only exists while
-    #: the unacked window is non-empty, so quiescence still drains.
-    ship_retry_us: float = 0.0
     #: Quorum-replicated metadata tier (implies ``replication``): each
     #: directory slot becomes a consensus group — leader (the MNode),
     #: one data-holding voter (the standby) and one vote-only witness.

@@ -27,7 +27,9 @@ machine-readable dict — the form the simulation checker
 tables: after the event queue has drained, no live node may still hold
 or queue locks, stage 2PC participant state, or have unacknowledged WAL
 commit waiters — leftovers mean some code path leaked synchronization
-state under faults.
+state under faults — and each MNode's in-memory slot states must be
+exactly what a restart would rebuild from the slot map and its durable
+handoff markers.
 """
 
 from repro.core.records import VALID
@@ -231,12 +233,22 @@ def runtime_violations(cluster):
     for mnode in cluster.mnodes:
         if getattr(mnode, "halted", False):
             continue
-        pending = sorted(getattr(mnode, "pending_slots", ()))
+        pending = sorted(slot for slot, state in mnode.slots.items()
+                         if state["state"] == "pending")
         if pending:
             violations.append(_violation(
                 "pending-slot-leak",
                 "{} still holds undischarged pending slots {}",
                 mnode.name, pending, node=mnode.name, slots=pending,
+            ))
+        rebuilt = mnode.rebuilt_slots()
+        diverged = sorted(slot for slot in set(mnode.slots) | set(rebuilt)
+                          if mnode.slots.get(slot) != rebuilt.get(slot))
+        if diverged:
+            violations.append(_violation(
+                "slot-state",
+                "{} slot states {} differ from what a restart rebuilds",
+                mnode.name, diverged, node=mnode.name, slots=diverged,
             ))
         writers = {
             slot: n for slot, n

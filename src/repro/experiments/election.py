@@ -46,7 +46,7 @@ def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
     cluster = replicated_cluster(
         num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
         consensus=consensus, rpc_timeout_us=rpc_timeout_us,
-        retry_jitter=0.25, ship_retry_us=1200.0, seed=seed,
+        retry_jitter=0.25, seed=seed,
     )
     cluster.start_failure_detection()
     if consensus:

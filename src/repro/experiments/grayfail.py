@@ -76,8 +76,7 @@ def measure(kind="degrade_link", severity=0.15, num_mnodes=3,
     """Run one gray-fault window under load; returns a result dict."""
     cluster = replicated_cluster(
         num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
-        rpc_timeout_us=rpc_timeout_us, retry_jitter=0.25,
-        ship_retry_us=1200.0, seed=seed,
+        rpc_timeout_us=rpc_timeout_us, retry_jitter=0.25, seed=seed,
     )
     cluster.start_failure_detection()
     injector = FaultInjector(cluster)

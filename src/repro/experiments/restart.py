@@ -73,7 +73,7 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
             # is stable under the concurrent create workload).
             node = cluster.mnodes[victim]
             missing = 0
-            for _, payload in replayed:
+            for _, _, payload in replayed:
                 for table_name, key, value in payload or ():
                     if table_name != "inode" or value is None:
                         continue

@@ -32,6 +32,10 @@ from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.storage.table import Table
 
+#: Shipper retransmission period, microseconds: how long an unacked
+#: suffix waits for ack progress before it is re-shipped.
+SHIP_RETRY_US = 1200.0
+
 
 class LogShipper:
     """Primary-side hook: serialize committed writes to the standby.
@@ -43,15 +47,15 @@ class LogShipper:
     acked transaction, far outside any excusable crash window; a lost
     ``wal_ack`` strands retained history.  The shipper therefore
     retransmits: while ``history`` (the unacknowledged suffix, full
-    logical records) is non-empty and ``retry_us > 0``, a timer re-ships
-    the suffix whenever a period passes without ack progress.  The timer
+    logical records) is non-empty, a timer re-ships the suffix whenever
+    a :data:`SHIP_RETRY_US` period passes without ack progress.  The timer
     only exists while there is something unacknowledged — an idle
     cluster still runs to quiescence — and duplicate shipments are
     ignored (and re-acked) by the standby, so retransmission is safe
     under reordering too.
     """
 
-    def __init__(self, node, standby_name, start_lsn=1, retry_us=0.0):
+    def __init__(self, node, standby_name, start_lsn=1):
         self.node = node
         self.standby_name = standby_name
         self.next_lsn = start_lsn
@@ -65,8 +69,6 @@ class LogShipper:
         #: (bounded retention); after a crash, the entries above the
         #: standby's applied LSN are exactly the lost-unshipped window.
         self.history = []
-        #: Retransmission period (0 disables — the pre-gray behavior).
-        self.retry_us = retry_us
         self.resent_records = 0
         self._retx_armed = False
 
@@ -113,7 +115,7 @@ class LogShipper:
             self.resent_records += len(records)
 
     def _arm_retransmit(self):
-        if self.retry_us <= 0.0 or self._retx_armed or not self.history:
+        if self._retx_armed or not self.history:
             return
         self._retx_armed = True
         self.node.env.process(self._retransmit_loop())
@@ -129,7 +131,7 @@ class LogShipper:
         try:
             while self.history:
                 acked_before = self.acked_lsn
-                yield env.sleep(self.retry_us)
+                yield env.sleep(SHIP_RETRY_US)
                 while node.network.is_down(node.name) and not node.halted:
                     yield node.network.resume_event(node.name)
                 if node.halted:
@@ -413,7 +415,7 @@ def divergence(primary, standby):
 
 def _owned_by(primary, key):
     try:
-        return primary.index.locate(key[0], key[1]) in primary.hosted_slots
+        return primary._owns_dentry(key)
     except AttributeError:
         return True
 

@@ -21,7 +21,9 @@ to make durable, the way the paper's PostgreSQL MNodes do:
   machine must not confirm durability it never reached);
 * :meth:`replay` is the redo scan a restarting node runs: it reads the
   segments in LSN order and truncates at the first record that fails
-  verification (torn tail or injected disk corruption).
+  verification (torn tail or injected disk corruption);
+* :meth:`payloads_since` is a live node's read-back of its own log
+  above an LSN — where a slot handoff's delta comes from.
 """
 
 import zlib
@@ -291,29 +293,13 @@ class WriteAheadLog:
     def replay(self):
         """Redo scan: read the segments in LSN order.
 
-        Returns ``(payloads, torn)`` where ``payloads`` is the list of
-        ``(lsn, payload)`` for every record up to the first verification
-        failure, and ``torn`` counts the records truncated from that
-        point on (the torn tail, plus anything behind an injected
-        corruption — standard WAL recovery stops at the first bad
-        record).  Read-only and idempotent.
+        Returns ``(entries, torn)`` where ``entries`` is the list of
+        ``(lsn, term, payload)`` for every record up to the first
+        verification failure, and ``torn`` counts the records truncated
+        from that point on (the torn tail, plus anything behind an
+        injected corruption — standard WAL recovery stops at the first
+        bad record).  Read-only and idempotent.
         """
-        payloads = []
-        torn = 0
-        broken = False
-        for segment in self.segments:
-            for record in segment.records:
-                if broken or not record.intact:
-                    broken = True
-                    torn += 1
-                    continue
-                payloads.append((record.lsn, record.payload))
-        return payloads, torn
-
-    def replay_entries(self):
-        """Like :meth:`replay` but keeps consensus terms: returns
-        ``(entries, torn)`` where entries are ``(lsn, term, payload)``
-        triples for the verified durable prefix."""
         entries = []
         torn = 0
         broken = False
@@ -325,6 +311,13 @@ class WriteAheadLog:
                     continue
                 entries.append((record.lsn, record.term, record.payload))
         return entries, torn
+
+    def payloads_since(self, lsn):
+        """The payloads of every record above ``lsn`` that reached the
+        device, in LSN order, verified or not: a live node reading back
+        writes it applied (a slot handoff's delta), not a redo scan."""
+        return [record.payload for segment in self.segments
+                for record in segment.records if record.lsn > lsn]
 
     # -- readout ---------------------------------------------------------
 

@@ -20,8 +20,7 @@ from repro.storage.consensus import (ELECTION_TIMEOUT_US, HEARTBEAT_US,
 def _consensus_cluster(**overrides):
     kwargs = dict(num_mnodes=3, num_storage=2, replication=True,
                   consensus=True, rpc_timeout_us=400.0,
-                  op_deadline_us=30000.0, retry_jitter=0.25,
-                  ship_retry_us=1200.0, seed=0)
+                  op_deadline_us=30000.0, retry_jitter=0.25, seed=0)
     kwargs.update(overrides)
     return FalconCluster(FalconConfig(**kwargs))
 

@@ -28,7 +28,7 @@ from repro.check.runner import run_schedule
 from repro.check.schedule import generate_schedule
 from repro.check.shrink import shrink
 from repro.core import FalconCluster, FalconConfig
-from repro.core.mnode import MNode
+from repro.core.mnode import SERVING, MNode
 from tests.golden_migration_workload import (
     MIGRATION_GOLDEN_PATH,
     run_migration_golden,
@@ -72,10 +72,7 @@ def _early_activating_install(self, message):
     during the capture window is invisible at the destination, and the
     real activate then finds the slot serving and drops the delta."""
     yield from _ORIG_SLOT_INSTALL(self, message)
-    slot = message.payload["slot"]
-    self.pending_slots.discard(slot)
-    self.hosted_slots.add(slot)
-    self.moved_slots.pop(slot, None)
+    self.slots[message.payload["slot"]] = SERVING
 
 
 def _plant(patcher):
@@ -99,9 +96,11 @@ def caught():
 def test_broken_handoff_caught_within_fifty_seeds(caught):
     seed, _sched, result = caught
     invariants = {v["invariant"] for v in result["violations"]}
-    # The bug drops the fenced delta: acked writes vanish (durability)
-    # and/or the handoff bookkeeping never discharges (slot leaks).
-    assert invariants & {"durability", "pending-slot-leak", "ownership"}
+    # The bug drops the fenced delta: acked writes vanish (durability),
+    # the handoff bookkeeping never discharges (slot leaks), and/or the
+    # serving state in memory is not what the pending marker rebuilds.
+    assert invariants & {"durability", "pending-slot-leak", "ownership",
+                         "slot-state"}
     # Control: the identical schedule without the plant is clean, so
     # the oracle is catching the bug, not background noise.
     control = generate_schedule(seed, **_SHAPE)

@@ -199,8 +199,7 @@ class TestOwnerWriteScaffold:
         cluster.run_for(1000.0)
         assert not reply.triggered      # parked behind the blocker
         # The fence's first, no-yield instant — then the lock frees up.
-        owner.hosted_slots.discard(slot)
-        owner.moved_slots[slot] = {"node": 1 - slot, "epoch": 7}
+        owner.slots[slot] = {"state": "moved", "node": 1 - slot, "epoch": 7}
         owner.locks.release(blocker)
         cluster.run_for(1000.0)
         assert reply.triggered and not reply.ok

@@ -42,7 +42,7 @@ class TestWalDurability:
         assert wal.durable_lsn == 2
         assert wal.unfsynced_txns == 0
         payloads, torn = wal.replay()
-        assert [lsn for lsn, _ in payloads] == [1, 2]
+        assert [lsn for lsn, _, _ in payloads] == [1, 2]
         assert torn == 0
 
     def test_mid_flush_crash_never_acks(self, env, costs, wal):
@@ -92,7 +92,7 @@ class TestWalDurability:
         wal.power_fail()
         env.run(until=env.now + 10 * costs.wal_fsync_us)
         payloads, torn = wal.replay()
-        assert [lsn for lsn, _ in payloads] == [1, 2, 3, 4, 5]
+        assert [lsn for lsn, _, _ in payloads] == [1, 2, 3, 4, 5]
         assert torn == 1
         # Idempotent: a second scan reads the same log.
         assert wal.replay() == (payloads, torn)
@@ -110,7 +110,7 @@ class TestWalDurability:
         payloads, torn = wal.replay()
         # Standard WAL recovery stops at the first bad record: the
         # fsynced records behind it are lost too.
-        assert [lsn for lsn, _ in payloads] == [1, 2]
+        assert [lsn for lsn, _, _ in payloads] == [1, 2]
         assert torn == 4
 
     def test_bootstrap_records_are_durable(self, env, wal):
@@ -129,7 +129,7 @@ class TestWalDurability:
         env.run(until=env.process(committer()))
         assert wal.segment_count > 1
         payloads, _ = wal.replay()
-        assert [lsn for lsn, _ in payloads] == list(range(1, 9))
+        assert [lsn for lsn, _, _ in payloads] == list(range(1, 9))
 
 
 def _cluster(**overrides):

@@ -123,13 +123,13 @@ class TestTornTail:
     def test_replay_is_exactly_the_durable_prefix(self, commits, cut_us):
         wal, acked = self._run_and_cut(commits, cut_us)
         payloads, torn = wal.replay()
-        replayed = [lsn for lsn, _ in payloads]
+        replayed = [lsn for lsn, _, _ in payloads]
         # Exactly the fsynced prefix: a contiguous run from LSN 1 up to
         # the fsync horizon, nothing past it.
         assert replayed == list(range(1, wal.durable_lsn + 1))
         # Every acknowledged commit is in the replayed prefix, with its
         # logical payload intact (acked => durable, no zombie acks).
-        by_lsn = dict(payloads)
+        by_lsn = {lsn: payload for lsn, _, payload in payloads}
         for lsn in acked:
             assert lsn <= wal.durable_lsn
             assert by_lsn[lsn][0][1] == lsn
