@@ -248,40 +248,28 @@ class FalconCluster:
 
     def _rebuild_owned_state(self, node):
         """State surgery after installing tables into a fresh MNode
-        (promotion or redo recovery): revalidate owned dentries from the
-        authoritative inodes, conservatively invalidate non-owned
-        replicas, rebuild load-balancer statistics and copy in the
-        coordinator's exception table.
+        (promotion or redo recovery), by one rule: a dentry whose slot is
+        served or pending here (:meth:`MNode.authoritative`) is derived
+        from this node's own inode row, so it is rebuilt from the inode
+        table beside it; every other dentry is marked INVALID.  Then the
+        load-balancer statistics are rebuilt and the coordinator's
+        exception table is copied in.
 
-        Owned directories' dentries are rebuilt from the inode table
-        sitting alongside them (an owner treats INVALID as gone and
-        would otherwise delete its own namespace); non-owned replicas
-        may have missed invalidation broadcasts while the node was dead,
-        so they are marked INVALID and lazily refetched.
-        """
-        from repro.core.records import INVALID, VALID
+        A derived dentry may be stale or missing (lost behind a torn or
+        corrupted WAL record, never shipped to the standby), and its
+        holder reads INVALID as "gone", so it is never kept as found.
+        A replica may have missed invalidation broadcasts while the node
+        was dead, so it is refetched lazily."""
+        from repro.core.records import INVALID
 
         for key, record in list(node.dentries.scan()):
-            if not node._owns_dentry(key):
-                record.state = INVALID
-                continue
-            inode = node.inodes.get(key)
-            if inode is None or not inode.is_dir:
+            if node.authoritative(key):
                 node.dentries.delete(key)
-                continue
-            record.ino = inode.ino
-            record.mode = inode.mode
-            record.uid = inode.uid
-            record.gid = inode.gid
-            record.state = VALID
+            else:
+                record.state = INVALID
         for key, inode in node.inodes.scan():
             node._track_name(key, +1)
-            # Owned dentries are derivable state: if the record itself
-            # did not survive (lost behind a torn or corrupted WAL
-            # record, or never shipped to the standby), reconstruct it
-            # from the authoritative inode alongside it.
-            if (inode.is_dir and node._owns_dentry(key)
-                    and node.dentries.get(key) is None):
+            if inode.is_dir and node.authoritative(key):
                 node.dentries.put(key, inode.dentry())
         # The coordinator's exception table is authoritative.
         xt = self.coordinator.xt

@@ -108,7 +108,7 @@ class _OwnerWrite:
     caller states only its protocol step.  It is the single home of the
     five obligations such a write carries:
 
-    1. **one lock order** — :meth:`lock` X-locks a key's pair as
+    1. **one lock order** — :meth:`lock` X-locks key pairs, each as
        ``("d", key)`` then ``("i", key)``, and :meth:`lock_all` takes a
        batch's coalesced set in ``sorted`` order, which agrees; both go
        through :meth:`LockManager.acquire_all`, and :meth:`close`
@@ -152,10 +152,12 @@ class _OwnerWrite:
                 barrier=node.alive_barrier)
         return txn
 
-    def lock(self, key):
-        """Generator: X-lock ``key``'s dentry/inode pair, ``d`` first."""
-        return self.lock_all(((("d",) + key, LockMode.EXCLUSIVE),
-                              (("i",) + key, LockMode.EXCLUSIVE)))
+    def lock(self, *keys):
+        """Generator: X-lock each key's dentry/inode pair, all in sorted
+        order (for one key: ``d`` first)."""
+        return self.lock_all(sorted(
+            (kind + key, LockMode.EXCLUSIVE)
+            for key in keys for kind in (("d",), ("i",))))
 
     def lock_all(self, requests):
         """Generator: take ``(key, mode)`` ``requests`` in order."""
@@ -355,7 +357,18 @@ class MNode(NamespaceReplicaMixin, Node):
             yield from steps
 
     def _owns_dentry(self, key):
+        """True when this node serves ``key``'s slot, so its dentry is
+        the one every replica fetches.  Serving only: a node holding the
+        slot *pending* must still fetch from the source, which serves
+        newer state than its installed snapshot."""
         return self.serves(self.index.locate(key[0], key[1]))
+
+    def authoritative(self, key):
+        """True when this node derives ``key``'s dentry from its own
+        inode row: the slot is served or pending here (an install
+        rebuilt the dentries beside the rows it copied), not moved."""
+        state = self.slots.get(self._slot_of(key))
+        return state is not None and state["state"] != "moved"
 
     def serves(self, slot):
         """True when this node currently serves directory ``slot``."""
@@ -1239,7 +1252,7 @@ class MNode(NamespaceReplicaMixin, Node):
             # until the decision applies or the transaction aborts: a
             # fence waits for the 2PC to finish, so the decided actions
             # land at the source and ride the delta.
-            slot = w.enter(key)
+            w.enter(key)
         except RpcFailure as failure:
             w.close()
             self._respond_error(message, failure)
@@ -1247,12 +1260,16 @@ class MNode(NamespaceReplicaMixin, Node):
         yield from self.execute(self.costs.index_lookup_us, ctx=message.ctx)
         record = self.inodes.get(key)
         ok = record is not None if action == "delete" else record is None
-        # The open write *is* the staged half: it keeps the locks and
-        # the slot pin until commit or abort closes it.
-        self._staged.setdefault(txid, []).append({
-            "action": action, "key": key, "record": payload.get("record"),
-            "slot": slot, "write": w,
-        })
+        # The staged half is the action a commit would carry (a delete
+        # names the ino it voted on) behind the open write, which keeps
+        # the locks and the slot pin until commit or abort closes it.
+        decided = {"action": action, "key": list(key)}
+        if action == "delete":
+            decided["ino"] = None if record is None else record.ino
+        else:
+            decided["record"] = payload["record"]
+        self._staged.setdefault(txid, []).append(
+            {"action": decided, "write": w})
         yield w.vote()
         if deadline is not None:
             # In-doubt termination: if neither commit nor abort shows up
@@ -1265,32 +1282,64 @@ class MNode(NamespaceReplicaMixin, Node):
             response["record"] = inode_to_wire(record)
         self.respond(message, response)
 
-    def _apply_rename(self, staged, ctx, txid):
-        """Generator: apply a decided rename's staged actions in one
-        transaction and release the staged locks.
+    def _apply_decided(self, txid, actions, ctx, staged=()):
+        """Generator: apply a decided rename's ``actions`` on this node —
+        the one path for a staged commit, an in-doubt commit and a redo
+        whose staged half was lost across a crash or promotion.
 
-        The same transaction durably marks each touched slot's half of
-        ``txid`` as applied: a commit whose *acknowledgement* is lost
-        (not the commit itself) spawns a coordinator completer that
-        re-delivers the decision — and by the time that re-delivery
-        lands, a later acked rename or unlink may have legitimately
-        vacated the keys, so the redo guards alone cannot tell "never
-        applied" from "applied, then superseded".  Only receiver-side
-        memory can; it rides the WAL (redo restart), log shipping
-        (promotion) and the slot handoff (snapshot + WAL delta), so
-        every future incarnation of the slot remembers."""
-        # One write from here on, under the decision's context.
-        w = staged[0]["write"]
+        One write: the staged half's, which holds every key's lock pair
+        and slot pin, or a fresh one that locks the unmarked keys and
+        enters them (an unserved slot raises the bounce).  It writes each
+        touched slot's ``("rename", slot, txid)`` marker once, then each
+        action behind its guard — a delete only while the key holds the
+        voted ino, an insert only while the key is free, so an op acked
+        after the decision wins over a redo — and commits once.
+
+        The marker is the decision's receiver-side memory: a completer
+        may re-deliver a commit after a later acked op vacated the keys,
+        and the guards cannot tell "never applied" from "applied, then
+        superseded".  Markers are read before any lock (a marked
+        re-delivery acks without queuing) and again under the locks (a
+        concurrent re-delivery may have applied the actions)."""
+        actions = self._unmarked(txid, actions)
+        writes = ([entry["write"] for entry in staged]
+                  or [_OwnerWrite(self, ctx)])
+        w = writes[0]
         w.ctx = ctx
-        for slot in sorted({entry["slot"] for entry in staged}):
-            w.txn.put(self.meta, ("rename", slot, txid), {"applied": True})
-        for entry in staged:
-            if entry["action"] == "delete":
-                w.delete(entry["key"])
-            else:
-                w.put(entry["key"], inode_from_wire(entry["record"]))
-        yield from w.commit()
-        self._release_staged(staged)
+        applied = []
+        try:
+            if actions and not staged:
+                keys = sorted({tuple(action["key"]) for action in actions})
+                yield from w.lock(*keys)
+                for key in keys:
+                    w.enter(key)
+                actions = self._unmarked(txid, actions)
+            for slot in sorted({self._slot_of(tuple(action["key"]))
+                                for action in actions}):
+                w.txn.put(self.meta, ("rename", slot, txid), {"applied": True})
+            for action in actions:
+                key = tuple(action["key"])
+                current = w.get(key)
+                if action["action"] == "delete":
+                    if current is not None and current.ino == action["ino"]:
+                        w.delete(key)
+                        applied.append("delete")
+                elif current is None:
+                    w.put(key, inode_from_wire(action["record"]))
+                    applied.append("insert")
+            yield from w.commit()
+        finally:
+            for write in writes:
+                write.close()
+        if not staged:
+            for kind in applied:
+                self.metrics.counter("rename_redos").inc(kind)
+
+    def _unmarked(self, txid, actions):
+        """The ``actions`` whose slot holds no applied marker for
+        ``txid`` on this node."""
+        return [action for action in actions if self.meta.get(
+            ("rename", self._slot_of(tuple(action["key"])), txid)) is None]
 
     def _release_staged(self, staged):
         for entry in staged:
@@ -1311,86 +1360,31 @@ class MNode(NamespaceReplicaMixin, Node):
         if staged is None:
             return
         if reply["state"] == "commit":
-            yield from self._apply_rename(staged, NULL_CONTEXT, txid)
+            yield from self._apply_decided(
+                txid, [entry["action"] for entry in staged], NULL_CONTEXT,
+                staged)
         else:
             self._release_staged(staged)
 
     def _on_rename_commit(self, message):
         txid = message.payload["txid"]
         actions = message.payload.get("actions") or []
-        staged = self._staged.pop(txid, None)
-        if staged is not None:
-            yield from self._apply_rename(staged, message.ctx, txid)
-        elif not self._rename_applied(txid, actions):
-            # No staged state and no applied marker: this node lost its
-            # prepared half across a crash/promotion.  Redo from the
-            # actions the commit carries, idempotently.  (With the
-            # marker the re-delivery must be a pure no-op ack: re-running
-            # the redo guards would resurrect state a *later* acked
-            # rename or unlink legitimately removed — they see a free
-            # key and cannot know the insert already happened once.)
-            try:
-                yield from self._redo_rename(txid, actions, message.ctx)
-            except RpcFailure as failure:
-                # The key's slot migrated away: the completer re-resolves
-                # the slot to its new home and re-delivers there.
-                self._respond_error(message, failure)
-                return
+        try:
+            yield from self._apply_decided(txid, actions, message.ctx,
+                                           self._staged.pop(txid, ()))
+        except RpcFailure as failure:
+            # The key's slot migrated away: the completer re-resolves
+            # the slot to its new home and re-delivers there.
+            self._respond_error(message, failure)
+            return
         # Acking a decided commit tells the coordinator's completer to
         # stop re-delivering — so under consensus the ack must wait for
         # quorum, or a minority leader would absorb the decision and a
         # later elected leader would never see these actions.  On
         # failure the completer retries against the slot, which the
         # election install re-points at the new leader (whose
-        # _redo_rename applies the actions idempotently).
+        # _apply_decided redoes the actions behind their guards).
         yield from self._ack(message, {"ok": True})
-
-    def _rename_applied(self, txid, actions):
-        """True when every half this commit carries is already durably
-        marked applied for ``txid`` on this node's slots."""
-        return bool(actions) and all(
-            self.meta.get(
-                ("rename", self._slot_of(tuple(action["key"])), txid)
-            ) is not None
-            for action in actions
-        )
-
-    def _redo_rename(self, txid, actions, ctx):
-        """Generator: apply a decided rename's actions without staged
-        state, taking fresh locks per action.
-
-        Guards make re-delivery and crash interleavings safe: a delete
-        applies only while the key still holds the renamed ino, and an
-        insert only while the key is free — an op acknowledged after the
-        decision (a re-create of the source name, a create that took the
-        destination after promotion dropped the prepare) wins over the
-        redo, never the other way around.  Each action commits with its
-        slot's applied marker for ``txid`` — even when a guard skips the
-        data write, the decision is terminally resolved here and a later
-        re-delivery must not get another chance at the key."""
-        for action in actions:
-            key = tuple(action["key"])
-            w = _OwnerWrite(self, ctx)
-            yield from w.lock(key)
-            try:
-                marker = ("rename", w.enter(key), txid)
-                if self.meta.get(marker) is not None:
-                    continue
-                w.txn.put(self.meta, marker, {"applied": True})
-                current = self.inodes.get(key)
-                applied = None
-                if action["action"] == "delete":
-                    if current is not None and current.ino == action["ino"]:
-                        w.delete(key)
-                        applied = "delete"
-                elif current is None:
-                    w.put(key, inode_from_wire(action["record"]))
-                    applied = "insert"
-                yield from w.commit()
-                if applied is not None:
-                    self.metrics.counter("rename_redos").inc(applied)
-            finally:
-                w.close()
 
     def _on_rename_abort(self, message):
         self._release_staged(self._staged.pop(message.payload["txid"], ()))

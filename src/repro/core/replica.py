@@ -149,6 +149,11 @@ class NamespaceReplicaMixin:
         """True when this node is the owner MNode of ``key``'s inode."""
         return False
 
+    def authoritative(self, key):
+        """True when this holder derives ``key``'s dentry from its own
+        inode row (never, for a holder without inodes)."""
+        return False
+
     def _owner_name(self, key):
         index = self.index.locate(key[0], key[1])
         return self.shared.mnode_name(index)

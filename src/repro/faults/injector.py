@@ -110,16 +110,17 @@ def _corrupt_wal(inj, event):
 
 
 def _stampede(inj, event):
-    """Invalidate every non-owned VALID dentry replica on every alive
-    MNode (and the coordinator) and drop every client's dentry cache:
-    the synchronized refetch storm of a mass invalidation."""
+    """Invalidate every VALID dentry replica on every alive MNode (and
+    the coordinator) that the node does not derive from its own inodes,
+    and drop every client's dentry cache: the synchronized refetch storm
+    of a mass invalidation."""
     cluster = inj.cluster
     invalidated = 0
     for node in [*cluster.mnodes, cluster.coordinator]:
         if node.halted or cluster.network.is_down(node.name):
             continue
         for key, record in list(node.dentries.scan()):
-            if record.state == VALID and not node._owns_dentry(key):
+            if record.state == VALID and not node.authoritative(key):
                 # Mirrors the invalidation protocol's receiving side
                 # (seq bump + INVALID mark) without its X-lock: a
                 # stampede is exactly the case where invalidations land

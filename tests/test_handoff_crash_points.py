@@ -110,27 +110,12 @@ def _run_case(step, victim_role, early, monkeypatch):
     return cluster, saga.value, created, unlinked
 
 
-#: A destination that restarts while the slot is pending rebuilds its
-#: owned state with the slot not yet owned, so the dentries its install
-#: reconstructed come back INVALID; once activate makes it the owner it
-#: reads INVALID as "gone", and the slot's directories vanish from path
-#: resolution.  That is restart recovery's dentry rebuild, not the
-#: handoff's slot state (ROADMAP item 3, restart recovery).
-DESTINATION_RESTARTED_WHILE_PENDING = pytest.mark.xfail(
-    strict=True, reason="restart rebuild invalidates a pending slot's "
-    "reconstructed dentries (ROADMAP item 3)")
-
-
 def _cases():
     for step in STEPS:
         for victim_role in sorted(VICTIMS):
             for early in (True, False):
-                marks = ()
-                if (victim_role == "destination"
-                        and step in ("slot_install", "slot_fence")):
-                    marks = DESTINATION_RESTARTED_WHILE_PENDING
                 yield pytest.param(
-                    step, victim_role, early, marks=marks,
+                    step, victim_role, early,
                     id="{}-{}-{}".format(
                         step, victim_role,
                         "restart-before-next-step" if early
@@ -250,3 +235,43 @@ def test_fence_is_idempotent_and_refuses_a_foreign_since():
     assert [d_ino, name] in [entry["key"] for entry in first]
     assert _ask(cluster, src, "slot_fence", fence).value["delta"] == first
     assert src.slots[SLOT] == {"state": "moved", "node": DST, "epoch": 1}
+
+
+# ----------------------------------------------------------------------
+# a stampede while the destination holds the slot pending
+# ----------------------------------------------------------------------
+
+def test_stampede_while_pending_spares_the_installed_dentries(monkeypatch):
+    """The install rebuilds the slot's dentries from the rows it copied,
+    so the pending destination derives them from its own inodes, like
+    the serving source does: a stampede must spare them.  Invalidated,
+    they would read as "gone" once activate makes the destination
+    their owner, and the directory would vanish with its subtree."""
+    from repro.faults.injector import FaultInjector
+    from repro.vfs.attrs import ROOT_INO
+
+    cluster = FalconCluster(FalconConfig(
+        num_mnodes=2, num_storage=1, num_slots=4, rpc_timeout_us=400.0))
+    fs = cluster.fs()
+    directory = "/" + next(_names_in_slot(cluster, ROOT_INO))
+    fs.mkdir(directory)
+    fs.create(directory + "/file")
+    injector = FaultInjector(cluster)
+    real = Coordinator._slot_call
+
+    def slot_call(self, node_index, kind, payload, attempts=1):
+        reply = yield from real(self, node_index, kind, payload, attempts)
+        if kind == "slot_install":
+            injector.apply({"kind": "stampede", "at_us": cluster.env.now})
+        return reply
+
+    monkeypatch.setattr(Coordinator, "_slot_call", slot_call)
+    record = cluster.run_process(cluster.coordinator.migrate_slot(SLOT, DST))
+    assert record["status"] == "committed"
+    assert [event["kind"] for event in injector.events] == ["stampede"]
+    monkeypatch.undo()
+    check = cluster.fs()
+    assert check.is_dir(directory)
+    assert check.exists(directory + "/file")
+    cluster.verify()
+    assert runtime_violations(cluster) == []

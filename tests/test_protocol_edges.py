@@ -351,6 +351,61 @@ class TestCommitRedelivery:
         assert not fs.exists("/d/b")
         check_cluster_invariants(cluster)
 
+    def test_redo_of_a_same_slot_rename_applies_both_actions(self,
+                                                             monkeypatch):
+        """One MNode: both keys of a rename share its slot.  The node
+        crashes as the commit goes out and loses its staged half; the
+        completer's re-delivery redoes the delete *and* the insert in
+        one write.  (Redone one action at a time, the delete's marker
+        made the insert look applied, and the file vanished.)"""
+        from repro.core.coordinator import Coordinator
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             rpc_timeout_us=400.0))
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/a")
+        real = Coordinator._mnode_call
+
+        def mnode_call(self, target, kind, payload, ctx):
+            if kind == "rename_commit" and not cluster.crash_log:
+                cluster.crash_mnode(0)
+            return (yield from real(self, target, kind, payload, ctx))
+
+        monkeypatch.setattr(Coordinator, "_mnode_call", mnode_call)
+        client = cluster.add_client()
+        failure = cluster.run_process(_swallow(client.rename("/d/a",
+                                                             "/d/b")))
+        assert failure.code == RpcError.ETIMEDOUT
+        cluster.run_process(cluster.restart_mnode(0))
+        cluster.heal()
+        assert cluster.quiesce(1_000_000.0)
+        assert not fs.exists("/d/a")
+        assert fs.exists("/d/b")
+        assert cluster.mnodes[0].metrics.counter(
+            "rename_redos").by_label() == {"delete": 1, "insert": 1}
+        check_cluster_invariants(cluster)
+
+    def test_marked_redelivery_acks_without_waiting_for_locks(self,
+                                                              cluster, fs):
+        """The applied marker is read before any lock: a re-delivery of
+        a commit already applied here acks at once, even while another
+        write holds the key's lock pair."""
+        from repro.core.mnode import _OwnerWrite
+
+        fs.mkdir("/d")
+        fs.create("/d/a")
+        fs.rename("/d/a", "/d/b")
+        txid, owner, action = self._last_commit(cluster, fs, "/d/b")
+        w = _OwnerWrite(owner)
+        cluster.run_process(w.lock(tuple(action["key"])))
+        reply = cluster.coordinator.call(
+            owner.name, "rename_commit", {"txid": txid, "actions": [action]})
+        cluster.run_for(1000.0)
+        assert reply.triggered and reply.value == {"ok": True}
+        w.close()
+        check_cluster_invariants(cluster)
+
 
 class TestConflictCaseOne:
     def test_invalidation_waits_for_inflight_holder(self, cluster):
