@@ -17,6 +17,12 @@
     bracketed lists normalised); the lowest failing seed is shrunk and
     written as above, and the exit status is still 2.
 
+``python -m repro.check census --seeds 3000 --jobs 2 --out red.json``
+    run every mix in ``NEMESIS_MIXES`` over one seed block, keep-going
+    and unshrunk, and write ``{mix: {seed: signature}}`` for the red
+    seeds.  ``--check tests/golden/red_seeds.json`` exits 1 when any
+    mix's red set over the block is not a subset of the file's.
+
 ``python -m repro.check repro <seed-file>``
     replay a written seed file (the minimal schedule by default, the
     original with ``--original``) or a bare schedule such as the pinned
@@ -75,11 +81,18 @@ def signature(violation):
                             _NUMBER.sub("N", message))
 
 
+def _signatures(record):
+    """A failing seed's distinct violation signatures, sorted."""
+    if "error" in record:
+        return ["[error] checker infrastructure failure"]
+    return sorted({signature(v) for v in record["result"]["violations"]})
+
+
 def _print_histogram(failures):
     """Failing seeds grouped by violation signature, commonest first."""
     seeds = defaultdict(list)
     for record in failures:
-        for sig in {signature(v) for v in record["result"]["violations"]}:
+        for sig in _signatures(record):
             seeds[sig].append(record["seed"])
     print("# {} failing seeds, {} signatures".format(len(failures),
                                                      len(seeds)))
@@ -212,6 +225,39 @@ def cmd_run(args):
     return 2
 
 
+def cmd_census(args):
+    block = range(args.start_seed, args.start_seed + args.seeds)
+    census = {}
+    for mix in sorted(NEMESIS_MIXES):
+        kwargs = dict(_schedule_kwargs(args), nemesis_mix=mix)
+        red = {str(record["seed"]): " | ".join(_signatures(record))
+               for record in _explore([(seed, kwargs) for seed in block],
+                                      args.jobs)
+               if "error" in record or record["failed"]}
+        census[mix] = red
+        print("{}: {} red of {} seeds {}".format(
+            mix, len(red), args.seeds, " ".join(red)), flush=True)
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump(census, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+    if not args.check:
+        return 0
+    with open(args.check) as handle:
+        allowed = json.load(handle)
+    status = 0
+    for mix, red in sorted(census.items()):
+        known = allowed.get(mix, {})
+        for seed in sorted(set(red) - set(known), key=int):
+            status = 1
+            print("{}: NEW red {}  {}".format(mix, seed, red[seed]))
+        healed = [seed for seed in known if int(seed) in block
+                  and seed not in red]
+        if healed:
+            print("{}: now green {}".format(mix, " ".join(healed)))
+    return status
+
+
 def cmd_repro(args):
     with open(args.file) as handle:
         report = json.load(handle)
@@ -243,7 +289,7 @@ def cmd_gen(args):
     return 0
 
 
-def _add_schedule_args(parser):
+def _add_schedule_args(parser, mix=True):
     parser.add_argument("--ops", type=int, default=80)
     parser.add_argument("--clients", type=int, default=3)
     parser.add_argument("--mnodes", type=int, default=3)
@@ -252,6 +298,9 @@ def _add_schedule_args(parser):
     parser.add_argument("--budget-us", type=float, default=600000.0)
     parser.add_argument("--quiesce-budget-us", type=float,
                         default=300000.0)
+    if not mix:
+        parser.set_defaults(nemesis_mix=None)
+        return
     parser.add_argument(
         "--nemesis-mix", choices=sorted(NEMESIS_MIXES), default="mixed",
         help="fault family: classic (crash/corrupt/hang/partition), "
@@ -287,6 +336,20 @@ def main(argv=None):
              "(0 disables)")
     _add_schedule_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
+
+    census_parser = commands.add_parser(
+        "census", help="red seeds of every nemesis mix over one block")
+    census_parser.add_argument("--seeds", type=int, default=300)
+    census_parser.add_argument("--start-seed", type=int, default=0)
+    census_parser.add_argument("--jobs", type=int, default=1)
+    census_parser.add_argument(
+        "--out", help="write {mix: {seed: signature}} here")
+    census_parser.add_argument(
+        "--check", metavar="FILE",
+        help="exit 1 when a mix's red set over the block is not a subset "
+             "of FILE's")
+    _add_schedule_args(census_parser, mix=False)
+    census_parser.set_defaults(func=cmd_census)
 
     repro_parser = commands.add_parser(
         "repro", help="replay a saved seed file")

@@ -31,6 +31,7 @@ Violation taxonomy (the ``invariant`` field of each record):
     the client-side ack tap and the runner's history disagree.
 """
 
+from collections import Counter
 from itertools import count
 
 from repro.check.oracle import (
@@ -353,6 +354,15 @@ def run_schedule(schedule):
         "final_now_us": env.now,
         "final_paths": len(final_paths),
     }
+    # Every MNode incarnation's rename recovery counters — voted rows a
+    # recovery restaged, decided actions a guard skipped or a redo
+    # applied — reported, like ``errors``, only when they fired.
+    renames = Counter()
+    for mnode in cluster.mnodes + cluster.retired_mnodes:
+        for name in ("rename_restaged", "rename_guard_skips", "rename_redos"):
+            for kind, n in mnode.metrics.counter(name).by_label().items():
+                renames[name if kind is None else name + "." + kind] += n
+    stats.update(sorted(renames.items()))
     return {
         "schedule": schedule,
         "history": history,

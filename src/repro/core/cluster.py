@@ -219,7 +219,8 @@ class FalconCluster:
         node; a redo resume (``replayed_log`` given) keeps the name.
         Durable handoff markers then override the slot-map seed (a
         fenced or pending slot stays that way), owned state is rebuilt,
-        and the WAL is seeded so the new incarnation is itself
+        every voted-but-undecided rename is restaged with its locks and
+        resolver, and the WAL is seeded so the new incarnation is itself
         restartable: with the replayed log, or else a base backup of
         the installed tables, which a later crash redo-replays plus
         whatever commits on top.  The old incarnation is halted — its
@@ -236,6 +237,7 @@ class FalconCluster:
         node.meta = tables.get("meta", node.meta)
         node.slots = node.rebuilt_slots()
         self._rebuild_owned_state(node)
+        node.restage()
         node.wal.bootstrap(replayed_log if replayed_log is not None else [
             [(table.name, key, row.copy())]
             for table in (node.inodes, node.dentries, node.meta)

@@ -230,42 +230,28 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self.locks.release_all(grants)
             self._rename_mutex.release(mutex)
 
-    def _mnode_call(self, target, kind, payload, ctx):
-        """Generator: one participant RPC on the rename path, bounded by
-        the per-attempt RPC timeout when the cluster configures one, so
-        a dead or partitioned participant surfaces as ``ETIMEDOUT``
-        instead of parking this handler forever while it holds the
-        global rename mutex and the namespace locks.  Without one the
-        call is unbounded — not even the *operation* deadline may
-        abandon a 2PC hop, because ``_prepare`` arms the participant's
-        late-prepare refusal and in-doubt resolver only under a
-        per-attempt timeout: unarmed, a prepare still queued on its
-        locks would stage its half with nobody left to release it."""
-        timeout_us = self.shared.config.rpc_timeout_us or None
-        if timeout_us is None:
-            result = yield self.call(target, kind, payload, ctx=ctx)
-            return result
-        result = yield from deadline_call(
-            self, ctx, target, kind, payload, timeout_us=timeout_us,
-        )
-        return result
-
-    def _prepare(self, txid, owner, staged, refusal, ctx, prepare):
+    def _prepare(self, txid, owner, staged, ctx, prepare):
         """Generator: one rename prepare round; returns the yes vote.
-        A refusal (raised as ``refusal``) or an unreachable participant
-        aborts every participant in ``staged`` — recording the outcome
-        first, so one left in doubt resolves to it — and re-raises."""
+        A refusal (the participant's ``ENOENT``/``EEXIST``) or an
+        unreachable participant aborts every participant in ``staged``
+        — recording the outcome first, so one left in doubt resolves to
+        it — and re-raises.
+
+        Every participant hop is a :func:`deadline_call` bounded by the
+        per-attempt RPC timeout and the op deadline, whichever is set,
+        and a prepare carries the instant its hop gives up: the
+        participant refuses it when picked up later (our abort may have
+        come and gone), and once voted resolves itself after it."""
         timeout_us = self.shared.config.rpc_timeout_us or None
-        if timeout_us is not None:
-            # Participants reject prepares they pick up after this
-            # instant: by then the coordinator has timed out and its
-            # abort may already have come and gone.
-            prepare["deadline"] = self.env.now_us() + timeout_us
+        remaining = [timeout_us or math.inf]
+        if ctx.deadline is not None:
+            remaining.append(ctx.deadline - self.clock.now_us())
+        prepare["deadline"] = (None if min(remaining) == math.inf
+                               else self.env.now_us() + min(remaining))
         try:
-            vote = yield from self._mnode_call(owner, "rename_prepare",
-                                               prepare, ctx)
-            if not vote["ok"]:
-                raise RpcFailure(refusal, tuple(prepare["key"]))
+            vote = yield from deadline_call(
+                self, ctx, owner, "rename_prepare", prepare,
+                timeout_us=timeout_us)
         except RpcFailure:
             self._rename_outcomes[txid] = "abort"
             yield from self._abort_rename(staged, txid, ctx)
@@ -278,8 +264,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         in-doubt transaction itself via ``rename_resolve``."""
         for owner in owners:
             try:
-                yield from self._mnode_call(owner, "rename_abort",
-                                            {"txid": txid}, ctx)
+                yield from deadline_call(
+                    self, ctx, owner, "rename_abort", {"txid": txid},
+                    timeout_us=self.shared.config.rpc_timeout_us or None)
             except RpcFailure:
                 pass
 
@@ -288,10 +275,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         participant until it acknowledges.
 
         Addressed by slot, so retries follow a promotion to the slot's
-        new primary.  Only spawned under a bounded RPC timeout (an
-        unbounded commit call never fails), and the redo path on the
-        participant is idempotent, so re-delivering an already-applied
-        half is harmless."""
+        new primary.  Spawned when a commit hop failed (timed out, or
+        its slot moved); the participant's applied marker makes
+        re-delivering an already-applied half a no-op ack."""
         yield self.env.timeout(REDELIVER_BACKOFF_US)
         yield from redeliver(
             self, lambda: self.shared.mnode_name(slot), "rename_commit",
@@ -323,12 +309,12 @@ class Coordinator(NamespaceReplicaMixin, Node):
         with ctx.span("2pc", CAT_PHASE, node=self.name,
                       attrs={"txid": txid} if ctx.traced else None):
             vote = yield from self._prepare(
-                txid, src_owner, [src_owner], RpcError.ENOENT, ctx,
+                txid, src_owner, [src_owner], ctx,
                 {"txid": txid, "action": "delete", "key": list(skey)})
             record = vote["record"]
             # One abort per participant releases everything staged.
             yield from self._prepare(
-                txid, dst_owner, owners, RpcError.EEXIST, ctx,
+                txid, dst_owner, owners, ctx,
                 {"txid": txid, "action": "insert", "key": list(dkey),
                  "record": record})
             if record["is_dir"]:
@@ -352,9 +338,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
             # ``rename_resolve`` and finds "commit" here.
             self._rename_outcomes[txid] = "commit"
             # Commits carry the decided actions so a participant that
-            # lost its staged state (crashed after voting, restarted
-            # from a WAL that holds only the empty vote record) can
-            # still apply its half — 2PC must not leave the source
+            # never held the voted row (an asynchronous promotion lost
+            # it) can still apply its half — 2PC must not leave the source
             # record alive on one owner with the destination copy
             # already committed on the other.
             delete_action = {"action": "delete", "key": list(skey),
@@ -372,16 +357,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
             commit_failure = None
             for slot, owner, actions in plans:
                 try:
-                    yield from self._mnode_call(
-                        owner, "rename_commit",
-                        {"txid": txid, "actions": actions}, ctx,
-                    )
+                    yield from deadline_call(
+                        self, ctx, owner, "rename_commit",
+                        {"txid": txid, "actions": actions},
+                        timeout_us=self.shared.config.rpc_timeout_us or None)
                 except RpcFailure as failure:
                     commit_failure = failure
-                    # The participant is unreachable and may have lost
-                    # its staged half across a crash; a background
-                    # completer re-delivers the decision (by slot, so it
-                    # follows promotions) until it lands.
+                    # The participant is unreachable or the hop ran out
+                    # of time; a background completer re-delivers the
+                    # decision (by slot, so it follows promotions) until
+                    # it lands.
                     self.env.process(
                         self._complete_commit(txid, slot, actions)
                     )

@@ -80,6 +80,9 @@ UNMERGED_DISPATCH_FACTOR = 24.0
 #: the marker a handoff's activate writes.
 SERVING = {"state": "active"}
 
+#: A slot's rename row once the decision applied there.
+APPLIED = {"applied": True}
+
 
 class _Plan:
     """A validated, resolved request ready for batch execution."""
@@ -121,8 +124,9 @@ class _OwnerWrite:
        inode row, owned dentry and ``inval_seq`` in step;
     4. **commit-or-abort** — :meth:`commit`, the one place this node
        commits a transaction; the name index moves only once the rows
-       are durable, so an abandoned write leaves nothing (a 2PC
-       participant's :meth:`vote` is the one record with no rows);
+       are durable, so an abandoned write leaves nothing (a rename vote
+       is a row its decision overwrites or deletes before :meth:`close`;
+       only the Fig 15a participant logs a :meth:`vote` with no rows);
     5. **quorum-gated ack** — :meth:`MNode._ack` (the write applies
        locally either way; only the acknowledgement waits).
 
@@ -211,8 +215,9 @@ class _OwnerWrite:
         return True
 
     def vote(self):
-        """Log a 2PC participant's vote, a record with no rows, before
-        the vote is answered; returns the event of its flush."""
+        """Log the Fig 15a eager-mkdir participant's vote, a record with
+        no rows (a restart refetches its staged replica dentry from the
+        owner); returns the event of its flush."""
         node = self.node
         return node.wal.commit(node.costs.wal_record_bytes, ctx=self.ctx)
 
@@ -221,11 +226,12 @@ class _OwnerWrite:
         index by the inode rows that appeared or vanished.  From just
         before its WAL append until its rows apply, the record's LSN is
         registered as unapplied — the writes a slot snapshot taken in
-        between cannot contain.  Returns whether anything was logged
-        (nothing staged, nothing logged)."""
+        between cannot contain; the next row staged opens a new
+        transaction.  Returns whether anything was logged."""
         txn = self._txn
         if txn is None:
             return False
+        self._txn = None
         node = self.node
         had = node.inodes.get
         moved = [(key, present) for key, present in txn.staged(node.inodes)
@@ -301,7 +307,8 @@ class MNode(NamespaceReplicaMixin, Node):
         #: Filenames whose inodes are blocked mid-migration.
         self.migrating = set()
         #: txid -> the staged 2PC half (rename / eager replication): a
-        #: list of entries, each holding its open ``"write"``.
+        #: list of entries, each holding its open ``"write"``.  A rename's
+        #: entries cache its voted rows (:meth:`restage`).
         self._staged = {}
         #: Log shipper when primary-standby replication is enabled.
         self.shipper = None
@@ -1228,72 +1235,96 @@ class MNode(NamespaceReplicaMixin, Node):
         yield from self._owner_write(message, "chmod", step)
 
     # -- rename 2PC participant -----------------------------------------
+    #
+    # A participant's only record of a txid is one row per slot it
+    # touches, ``meta[("rename", slot, txid)]``: ``{"voted": [actions],
+    # "deadline": d}`` until the decision, then APPLIED, or none after an
+    # abort.  ``_staged`` caches the voted rows beside the open writes
+    # holding their locks and pins; every recovery rebuilds it.
 
     def _on_rename_prepare(self, message):
+        """Vote: a yes vote commits the voted row in the action's own
+        write, kept open until the decision, and answers through
+        :meth:`_ack` (under consensus, once a quorum holds the row)."""
         payload = message.payload
-        txid = payload["txid"]
-        key = tuple(payload["key"])
+        txid, key = payload["txid"], tuple(payload["key"])
         action = payload["action"]
         deadline = payload.get("deadline")
         w = _OwnerWrite(self, message.ctx)
         yield from w.lock(key)
-        if deadline is not None and self.env.now_us() > deadline:
-            # The coordinator timed this attempt out while we were still
-            # queued on the locks; its abort may already have arrived and
-            # found nothing.  Staging now would hold these X grants with
-            # nobody left to release them — refuse the vote instead.
-            w.close()
-            self.respond(message, {"ok": False, "expired": True})
-            return
         try:
-            # A slot that migrated away while we were queued bounces:
-            # the coordinator aborts and the client re-resolves to the
-            # slot's new home.  Otherwise the staged half pins the slot
-            # until the decision applies or the transaction aborts: a
-            # fence waits for the 2PC to finish, so the decided actions
-            # land at the source and ride the delta.
-            w.enter(key)
+            if deadline is not None and self.env.now_us() > deadline:
+                # The coordinator timed this attempt out while we were
+                # queued on the locks; its abort may have come and gone,
+                # leaving nobody to release what we would stage.
+                raise RpcFailure(RpcError.ETIMEDOUT, key)
+            # A slot that migrated away while we were queued bounces
+            # (the client re-resolves); otherwise the staged half pins
+            # the slot until the decision, so a fence waits for the 2PC
+            # and the decided actions ride the delta.
+            slot = w.enter(key)
+            yield from self.execute(self.costs.index_lookup_us,
+                                    ctx=message.ctx)
+            record = self.inodes.get(key)
+            if (record is None) is (action == "delete"):
+                raise RpcFailure(RpcError.ENOENT if record is None
+                                 else RpcError.EEXIST, key)
         except RpcFailure as failure:
             w.close()
             self._respond_error(message, failure)
             return
-        yield from self.execute(self.costs.index_lookup_us, ctx=message.ctx)
-        record = self.inodes.get(key)
-        ok = record is not None if action == "delete" else record is None
-        # The staged half is the action a commit would carry (a delete
-        # names the ino it voted on) behind the open write, which keeps
-        # the locks and the slot pin until commit or abort closes it.
+        # A delete names the ino it voted on; a same-slot rename's
+        # second half joins the first's row.
         decided = {"action": action, "key": list(key)}
         if action == "delete":
-            decided["ino"] = None if record is None else record.ino
+            decided["ino"] = record.ino
         else:
             decided["record"] = payload["record"]
+        row = self.meta.get(("rename", slot, txid)) or {"voted": []}
+        w.txn.put(self.meta, ("rename", slot, txid),
+                  {"voted": row["voted"] + [decided], "deadline": deadline})
         self._staged.setdefault(txid, []).append(
             {"action": decided, "write": w})
-        yield w.vote()
+        yield from w.commit()
         if deadline is not None:
-            # In-doubt termination: if neither commit nor abort shows up
-            # (both can be black-holed by a crash or partition), ask the
-            # coordinator for the recorded outcome rather than holding
-            # the staged X locks forever.
             self.env.process(self._resolve_in_doubt(txid, deadline))
-        response = {"ok": ok}
-        if ok and action == "delete":
+        response = {"ok": True}
+        if action == "delete":
             response["record"] = inode_to_wire(record)
-        self.respond(message, response)
+        yield from self._ack(message, response)
+
+    def restage(self):
+        """Rebuild ``_staged`` from every served slot's voted rows, as
+        :meth:`rebuilt_slots` rebuilds ``slots``, before the node can
+        receive a message: each voted action retakes its lock pair and
+        pins its slot, and each row gets one in-doubt resolver."""
+        for (_, slot, txid), row in self.meta.scan_prefix(("rename",)):
+            if "voted" not in row or not self.serves(slot):
+                continue
+            for action in row["voted"]:
+                w = _OwnerWrite(self)
+                next(w.lock(tuple(action["key"])), None)  # a fresh table
+                w.pin(slot)
+                self._staged.setdefault(txid, []).append(
+                    {"action": action, "write": w})
+            self.metrics.counter("rename_restaged").inc()
+            if row["deadline"] is not None:
+                self.env.process(
+                    self._resolve_in_doubt(txid, row["deadline"]))
 
     def _apply_decided(self, txid, actions, ctx, staged=()):
         """Generator: apply a decided rename's ``actions`` on this node —
         the one path for a staged commit, an in-doubt commit and a redo
-        whose staged half was lost across a crash or promotion.
+        where no voted row was held (an asynchronous promotion lost it).
 
         One write: the staged half's, which holds every key's lock pair
         and slot pin, or a fresh one that locks the unmarked keys and
-        enters them (an unserved slot raises the bounce).  It writes each
-        touched slot's ``("rename", slot, txid)`` marker once, then each
-        action behind its guard — a delete only while the key holds the
-        voted ino, an insert only while the key is free, so an op acked
-        after the decision wins over a redo — and commits once.
+        enters them (an unserved slot raises the bounce).  It overwrites
+        each touched slot's row with :data:`APPLIED` once, then applies
+        each action behind its guard — a delete only while the key holds
+        the voted ino, an insert only while the key is free, so an op
+        acked after the decision wins over a redo; a skip is counted in
+        ``rename_guard_skips`` — and commits once.
 
         The marker is the decision's receiver-side memory: a completer
         may re-deliver a commit after a later acked op vacated the keys,
@@ -1314,19 +1345,20 @@ class MNode(NamespaceReplicaMixin, Node):
                 for key in keys:
                     w.enter(key)
                 actions = self._unmarked(txid, actions)
-            for slot in sorted({self._slot_of(tuple(action["key"]))
-                                for action in actions}):
-                w.txn.put(self.meta, ("rename", slot, txid), {"applied": True})
+            for slot in self._touched(actions):
+                w.txn.put(self.meta, ("rename", slot, txid), dict(APPLIED))
             for action in actions:
-                key = tuple(action["key"])
+                key, kind = tuple(action["key"]), action["action"]
                 current = w.get(key)
-                if action["action"] == "delete":
-                    if current is not None and current.ino == action["ino"]:
-                        w.delete(key)
-                        applied.append("delete")
-                elif current is None:
+                if kind == "insert" and current is None:
                     w.put(key, inode_from_wire(action["record"]))
-                    applied.append("insert")
+                elif (kind == "delete" and current is not None
+                        and current.ino == action["ino"]):
+                    w.delete(key)
+                else:
+                    self.metrics.counter("rename_guard_skips").inc(kind)
+                    continue
+                applied.append(kind)
             yield from w.commit()
         finally:
             for write in writes:
@@ -1335,18 +1367,36 @@ class MNode(NamespaceReplicaMixin, Node):
             for kind in applied:
                 self.metrics.counter("rename_redos").inc(kind)
 
+    def _touched(self, actions):
+        """The slots ``actions`` write into, each once, in order."""
+        return sorted({self._slot_of(tuple(action["key"]))
+                       for action in actions})
+
     def _unmarked(self, txid, actions):
         """The ``actions`` whose slot holds no applied marker for
         ``txid`` on this node."""
         return [action for action in actions if self.meta.get(
-            ("rename", self._slot_of(tuple(action["key"])), txid)) is None]
+            ("rename", self._slot_of(tuple(action["key"])), txid))
+            != APPLIED]
 
-    def _release_staged(self, staged):
+    def _drop_vote(self, txid, staged):
+        """Generator: abort a staged half — delete its voted rows in
+        the staged write, then close every write."""
+        try:
+            for slot in self._touched([entry["action"] for entry in staged]):
+                staged[0]["write"].txn.delete(self.meta, ("rename", slot, txid))
+            if staged:
+                yield from staged[0]["write"].commit()
+        finally:
+            self._release_staged(staged)
+
+    @staticmethod
+    def _release_staged(staged):
         for entry in staged:
             entry["write"].close()
 
     def _resolve_in_doubt(self, txid, deadline):
-        """Process: terminate a prepared rename whose decision never
+        """Process: terminate a voted rename whose decision never
         arrived (presumed abort, commit confirmed by the coordinator)."""
         timeout_us = self.shared.config.rpc_timeout_us or 1000.0
         yield self.env.timeout(
@@ -1364,7 +1414,7 @@ class MNode(NamespaceReplicaMixin, Node):
                 txid, [entry["action"] for entry in staged], NULL_CONTEXT,
                 staged)
         else:
-            self._release_staged(staged)
+            yield from self._drop_vote(txid, staged)
 
     def _on_rename_commit(self, message):
         txid = message.payload["txid"]
@@ -1382,16 +1432,18 @@ class MNode(NamespaceReplicaMixin, Node):
         # quorum, or a minority leader would absorb the decision and a
         # later elected leader would never see these actions.  On
         # failure the completer retries against the slot, which the
-        # election install re-points at the new leader (whose
-        # _apply_decided redoes the actions behind their guards).
+        # election install re-points at the new leader (which restaged
+        # the quorum-committed voted rows it inherited).
         yield from self._ack(message, {"ok": True})
 
     def _on_rename_abort(self, message):
-        self._release_staged(self._staged.pop(message.payload["txid"], ()))
+        txid = message.payload["txid"]
+        yield from self._drop_vote(txid, self._staged.pop(txid, ()))
         self.respond(message, {"ok": True})
 
-    #: An eager mkdir's staged half has the same shape.
-    _on_replica_abort = _on_rename_abort
+    def _on_replica_abort(self, message):
+        self._release_staged(self._staged.pop(message.payload["txid"], ()))
+        self.respond(message, {"ok": True})
 
     # ------------------------------------------------------------------
     # control plane: directory listing
@@ -1555,8 +1607,9 @@ class MNode(NamespaceReplicaMixin, Node):
             for key, record in self.inodes.scan()
             if self._slot_of(key) == slot
         ]
-        # The slot's rename-applied markers ride along: the destination
-        # inherits the duty of no-op-acking stale commit re-deliveries.
+        # The slot's rename rows ride along: the destination inherits
+        # the duty of no-op-acking stale commit re-deliveries.  (A voted
+        # row pins the slot, so the fence's delta carries its decision.)
         markers = [
             {"key": list(key), "record": dict(value)}
             for key, value in self.meta.scan()

@@ -181,8 +181,9 @@ def runtime_violations(cluster):
     """Audit runtime synchronization state on a quiesced cluster.
 
     After the event queue drains, every lock must have been released,
-    every staged rename-2PC participant entry resolved, and every WAL
-    commit waiter acknowledged (on nodes whose WAL did not power-fail).
+    every staged 2PC participant entry and voted rename row resolved,
+    and every WAL commit waiter acknowledged (on nodes whose WAL did
+    not power-fail).
     Residue means a code path leaked state — typically an error or
     fault-handling branch that skipped a release.  Returns violation
     dicts like :func:`cluster_violations`.
@@ -201,7 +202,12 @@ def runtime_violations(cluster):
                 holder.name, len(lock_keys), lock_keys[:8],
                 node=holder.name, keys=lock_keys,
             ))
-        staged = getattr(holder, "_staged", None)
+        # A rename's staging is its voted rows; ``_staged`` caches them.
+        staged = set(getattr(holder, "_staged", ()))
+        meta = getattr(holder, "meta", None)
+        if meta is not None:
+            staged.update(key[2] for key, row in meta.scan_prefix(("rename",))
+                          if "voted" in row)
         if staged:
             violations.append(_violation(
                 "staged-leak",

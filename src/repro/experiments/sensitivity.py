@@ -127,36 +127,6 @@ def _point_row(task):
     return _POINT_FNS[name](args)
 
 
-def sweep_merge_linger(lingers=(0.0, 4.0, 16.0, 64.0), num_ops=1500,
-                       threads=256, seed=0, jobs=1):
-    """Throughput and mean latency of create as the window grows."""
-    from repro.experiments.common import parallel_map
-
-    return parallel_map(
-        [(linger, num_ops, threads, seed) for linger in lingers],
-        _merge_linger_row, jobs=jobs)
-
-
-def sweep_max_batch(batches=(1, 4, 16, 64), num_ops=1500, threads=256,
-                    seed=0, jobs=1):
-    """Throughput of create as the batch cap grows."""
-    from repro.experiments.common import parallel_map
-
-    return parallel_map(
-        [(max_batch, num_ops, threads, seed) for max_batch in batches],
-        _max_batch_row, jobs=jobs)
-
-
-def sweep_epsilon(epsilons=(0.005, 0.02, 0.08), num_dirs=120, seed=0,
-                  jobs=1):
-    """Exception-table size vs the balance bound tightness."""
-    from repro.experiments.common import parallel_map
-
-    return parallel_map(
-        [(epsilon, num_dirs, seed) for epsilon in epsilons],
-        _epsilon_row, jobs=jobs)
-
-
 def run(num_ops=1500, threads=256, seed=0, jobs=1):
     from repro.experiments.common import parallel_map
 

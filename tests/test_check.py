@@ -526,3 +526,23 @@ def test_signature_normalises_numbers_and_lists():
               "message": "inode number 17 appears twice: ['/c']"}
     assert signature(first) == signature(second) == (
         "[identity] inode number N appears twice: [...]")
+
+
+def test_cli_census_gates_on_new_red_seeds(tmp_path, capsys, monkeypatch):
+    """``census`` writes every mix's red seeds with their signatures;
+    ``--check`` passes while the red set stays inside the file's and
+    fails on a seed the file does not list."""
+    from repro.check.__main__ import main
+
+    monkeypatch.setattr(LockManager, "release", _leaky_release)
+    red = tmp_path / "red.json"
+    assert main(["census", "--seeds", "1", "--out", str(red)]) == 0
+    census = json.loads(red.read_text())
+    assert set(census) == set(NEMESIS_MIXES)
+    assert all("[lock-leak]" in mix["0"] for mix in census.values())
+    assert main(["census", "--seeds", "1", "--check", str(red)]) == 0
+    allowed = tmp_path / "allowed.json"
+    allowed.write_text(json.dumps(dict(census, gray={})))
+    capsys.readouterr()
+    assert main(["census", "--seeds", "1", "--check", str(allowed)]) == 1
+    assert "gray: NEW red 0" in capsys.readouterr().out

@@ -8,9 +8,13 @@ statistically: most importantly, a minority-partitioned leader must
 never acknowledge a write.
 """
 
+import json
+
 import pytest
 
+from repro.check import run_schedule
 from repro.core import FalconCluster, FalconConfig
+from repro.core.verify import check_cluster_invariants, runtime_violations
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import RETRYABLE
 from repro.storage.consensus import (ELECTION_TIMEOUT_US, HEARTBEAT_US,
@@ -346,3 +350,83 @@ class TestLiveness:
         assert self._settled_beats(cluster) == 10
         assert not cluster._groups_converged()
         cluster.network.set_up(follower.name)
+
+
+class TestVotedRename:
+    """A rename participant's vote is a quorum-committed row, so the
+    follower elected after the vote inherits it: the election install
+    restages the half — lock pairs, slot pin, in-doubt resolver —
+    before the new leader receives a message."""
+
+    def test_elected_follower_holds_the_vote_until_the_decision(self):
+        cluster = _consensus_cluster()
+        env = cluster.env
+        ino = _mkdir(cluster, "/d")
+        slot = 0
+        src, dst, other = (_name_owned_by(cluster, ino, slot, prefix)
+                           for prefix in ("a", "b", "c"))
+        client = cluster.add_client(mode="libfs")
+        cluster.run_process(client.create("/d/" + src))
+        cluster.start_failure_detection()
+        cluster.start_consensus()
+        leader = cluster.mnodes[slot]
+        coordinator = cluster.coordinator
+
+        # Both votes land; the leader is cut off as the decision leaves.
+        real_call = coordinator.call
+
+        def call(target, kind, *args, **kwargs):
+            if kind == "rename_commit" and target == leader.name:
+                minority = [leader.name]
+                cluster.network.partition(
+                    minority,
+                    _all_but(cluster, minority) + [leader.name + "-p1"])
+            return real_call(target, kind, *args, **kwargs)
+
+        coordinator.call = call
+        seen = {}
+        real_install = coordinator.install_leader
+
+        def probe(node):
+            yield env.timeout(300.0)
+            seen["queued"] = node.locks.queue_length(("d", ino, src))
+            seen["still_staged"] = sorted(node._staged)
+
+        def install(index, term, claim):
+            node, lost = real_install(index, term, claim)
+            seen["restaged"] = sorted(node._staged)
+            # A second rename of the same ino, before the decision lands.
+            seen["second"] = _attempt(cluster, client.rename(
+                "/d/" + src, "/d/" + other))
+            env.process(probe(node))
+            return node, lost
+
+        coordinator.install_leader = install
+        first = _attempt(cluster, client.rename("/d/" + src, "/d/" + dst))
+        cluster.run_for(40000.0)
+        cluster.heal()
+        assert cluster.quiesce(1_000_000.0)
+        fs = cluster.fs()
+        assert [fs.exists("/d/" + name) for name in (src, dst, other)] == [
+            False, True, False]
+        assert "ok" not in first, first
+        assert "ok" not in seen["second"], seen["second"]
+        assert cluster.mnodes[slot] is not leader
+        (txid,) = seen["restaged"]
+        assert seen["queued"] == 1 and seen["still_staged"] == [txid]
+        assert cluster.mnodes[slot].metrics.counter(
+            "rename_restaged").total() == 1
+        assert runtime_violations(cluster) == []
+        check_cluster_invariants(cluster)
+
+
+def test_rename_vote_election_reproducer_replays_clean():
+    """Election seed 985, shrunk to 32 ops and two partitions at the
+    commit before votes became rows (signature C).  The vote was a WAL
+    record with no rows, answered before a quorum held it; the elected
+    follower had neither the half nor its locks, a later rename moved
+    the ino, and the re-delivered decision then inserted it under a
+    second name."""
+    with open("tests/golden/rename_vote_election_schedule.json") as handle:
+        schedule = json.load(handle)
+    assert run_schedule(schedule)["violations"] == []

@@ -62,6 +62,18 @@ class TestRenameHazards:
         fs.unlink("/a")
         fs.unlink("/b")
 
+    def test_a_voted_row_left_after_drain_is_a_staged_leak(self, cluster):
+        """The audit reads the durable record, not only its cache: a
+        voted row left behind is residue even with ``_staged`` empty."""
+        from repro.core.verify import runtime_violations
+
+        assert runtime_violations(cluster) == []
+        cluster.mnodes[0].meta.put(("rename", 0, "rn-x"),
+                                   {"voted": [], "deadline": None})
+        (violation,) = runtime_violations(cluster)
+        assert violation["invariant"] == "staged-leak"
+        assert violation["txids"] == ["rn-x"]
+
     def test_concurrent_renames_serialize(self, cluster):
         fs = cluster.fs()
         client = cluster.add_client(mode="libfs")
@@ -237,13 +249,13 @@ class TestOwnerWriteScaffold:
                                   {"txid": "rn-test"}))
         assert self._residue(owner) == self.CLEAN
 
-    def test_op_deadline_alone_never_abandons_a_queued_prepare(self):
+    def test_op_deadline_alone_bounds_a_queued_prepare(self):
         """With only ``op_deadline_us`` set (no per-attempt RPC timeout)
-        prepares carry no deadline, so the participant has neither the
-        late-prepare refusal nor an in-doubt resolver.  The coordinator
-        must then sit the hop out: abandoning it at the op deadline
-        leaves a prepare that was queued on its locks to stage its half
-        — X locks, slot pin — with nobody left to release it."""
+        the coordinator's prepare hop gives up at the op deadline, and
+        the prepare carries that instant.  A prepare still queued on its
+        locks then refuses once it gets them — its abort may have come
+        and gone — so it stages nothing: no X locks, no slot pin, no
+        voted row are left behind."""
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
                                              op_deadline_us=3000.0))
         cluster.fs().create("/a")
@@ -351,38 +363,33 @@ class TestCommitRedelivery:
         assert not fs.exists("/d/b")
         check_cluster_invariants(cluster)
 
-    def test_redo_of_a_same_slot_rename_applies_both_actions(self,
-                                                             monkeypatch):
-        """One MNode: both keys of a rename share its slot.  The node
-        crashes as the commit goes out and loses its staged half; the
-        completer's re-delivery redoes the delete *and* the insert in
-        one write.  (Redone one action at a time, the delete's marker
-        made the insert look applied, and the file vanished.)"""
-        from repro.core.coordinator import Coordinator
+    def test_redo_of_a_same_slot_rename_applies_both_actions(self):
+        """One MNode: both keys of a rename share its slot.  A decided
+        commit reaches a participant that holds no voted row for it (an
+        asynchronous promotion can lose one), so it redoes the delete
+        *and* the insert in one write.  (Redone one action at a time,
+        the delete's marker made the insert look applied, and the file
+        vanished.)"""
+        from repro.core.mnode import inode_to_wire
 
-        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
-                                             rpc_timeout_us=400.0))
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
         fs = cluster.fs()
         fs.mkdir("/d")
         fs.create("/d/a")
-        real = Coordinator._mnode_call
-
-        def mnode_call(self, target, kind, payload, ctx):
-            if kind == "rename_commit" and not cluster.crash_log:
-                cluster.crash_mnode(0)
-            return (yield from real(self, target, kind, payload, ctx))
-
-        monkeypatch.setattr(Coordinator, "_mnode_call", mnode_call)
-        client = cluster.add_client()
-        failure = cluster.run_process(_swallow(client.rename("/d/a",
-                                                             "/d/b")))
-        assert failure.code == RpcError.ETIMEDOUT
-        cluster.run_process(cluster.restart_mnode(0))
-        cluster.heal()
-        assert cluster.quiesce(1_000_000.0)
+        owner = cluster.mnodes[0]
+        pid = fs.getattr("/d")["ino"]
+        record = inode_to_wire(owner.inodes.get((pid, "a")))
+        reply = cluster.run_process(_call(
+            cluster.coordinator, owner.name, "rename_commit",
+            {"txid": "rn-lost", "actions": [
+                {"action": "delete", "key": [pid, "a"],
+                 "ino": record["ino"]},
+                {"action": "insert", "key": [pid, "b"], "record": record},
+            ]}))
+        assert reply == {"ok": True}
         assert not fs.exists("/d/a")
         assert fs.exists("/d/b")
-        assert cluster.mnodes[0].metrics.counter(
+        assert owner.metrics.counter(
             "rename_redos").by_label() == {"delete": 1, "insert": 1}
         check_cluster_invariants(cluster)
 

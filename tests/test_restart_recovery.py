@@ -418,3 +418,63 @@ def test_rename_abort_to_a_rejoined_standby_is_refused():
         schedule = json.load(handle)
     result = run_schedule(schedule)
     assert result["violations"] == [], result["violations"]
+
+
+def test_redo_restart_restages_a_voted_rename_until_resolved(monkeypatch):
+    """The participant crashes after both votes, as the decision goes
+    out, and the decision's re-delivery is lost too.  Its redo replays
+    the voted row, so the restarted node retakes the half's locks
+    before it serves: a second rename of the same ino queues behind
+    them, and the in-doubt resolver — the only path left to the
+    decision — applies the first.  The ino ends under one name."""
+    from repro.core.coordinator import Coordinator
+    from repro.core.verify import check_cluster_invariants, runtime_violations
+    from repro.net.rpc import RpcFailure
+
+    def lost(self, txid, slot, actions):
+        return
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(Coordinator, "_complete_commit", lost)
+    cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                         rpc_timeout_us=400.0))
+    fs = cluster.fs()
+    pid = fs.mkdir("/d")
+    fs.create("/d/a")
+    coordinator = cluster.coordinator
+    real_call = coordinator.call
+
+    def call(target, kind, *args, **kwargs):
+        if kind == "rename_commit" and not cluster.crash_log:
+            cluster.crash_mnode(0)
+        return real_call(target, kind, *args, **kwargs)
+
+    coordinator.call = call
+    client = cluster.add_client()
+    outcomes = []
+
+    def rename(src, dst):
+        try:
+            yield from client.rename(src, dst)
+            outcomes.append("ok")
+        except RpcFailure as failure:
+            outcomes.append(failure.code)
+
+    cluster.run_process(rename("/d/a", "/d/b"))
+    cluster.run_process(cluster.restart_mnode(0))
+    node = cluster.mnodes[0]
+    restaged = sorted(node._staged)
+    second = cluster.env.process(rename("/d/a", "/d/c"))
+    cluster.run_for(300.0)
+    queued = node.locks.queue_length(("d", pid, "a"))
+    cluster.env.run(until=second)
+    cluster.heal()
+    assert cluster.quiesce(1_000_000.0)
+    assert [fs.exists(path) for path in ("/d/a", "/d/b", "/d/c")] == [
+        False, True, False]
+    assert "ok" not in outcomes, outcomes
+    assert len(restaged) == 1 and queued == 1
+    assert node.metrics.counter("rename_restaged").total() == 1
+    assert node.metrics.counter("rename_redos").total() == 0
+    assert runtime_violations(cluster) == []
+    check_cluster_invariants(cluster)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FalconCluster, FalconConfig
-from repro.core.verify import check_cluster_invariants
+from repro.core.verify import check_cluster_invariants, runtime_violations
 from repro.net import CostModel, Network, Node, RpcError, RpcFailure
 from repro.obs import OpContext, RetryPolicy, deadline_call, retry
 from repro.sim import Environment
@@ -270,7 +270,8 @@ class TestClusterDeadlines:
         A mid-range deadline makes some operations time out mid-flight
         (their reply handles settled with ETIMEDOUT) while others complete; after
         draining, the event queue must be empty, no unhandled failure
-        may surface, and the cluster invariants must hold.
+        may surface, and the cluster invariants must hold.  A rename
+        abandoned at the deadline leaves no lock, pin or voted row.
         """
         import random
 
@@ -284,11 +285,13 @@ class TestClusterDeadlines:
         completed = 0
         for i in range(30):
             op = rng.choice(("mkdir", "write", "read", "getattr",
-                             "unlink"))
+                             "unlink", "rename"))
             path = "/d{:02d}".format(rng.randrange(8))
             try:
                 if op == "mkdir":
                     fs.mkdir(path)
+                elif op == "rename":
+                    fs.rename(path, "/d{:02d}".format(rng.randrange(8)))
                 elif op == "write":
                     fs.write(path + "/f{:03d}".format(i),
                              size=rng.choice((4096, 65536)))
@@ -302,4 +305,5 @@ class TestClusterDeadlines:
         cluster.env.run()
         assert not cluster.env._queue
         check_cluster_invariants(cluster)
+        assert runtime_violations(cluster) == []
         assert completed + timeouts == 30
