@@ -549,7 +549,7 @@ class FalconClient(OpClient):
         for field in ("path", "src", "dst"):
             if field in payload:
                 self._components(payload[field])
-        if self.costs.client_op_us:
+        if self.env.models_costs and self.costs.client_op_us:
             yield from self._client_cpu(ctx, self.costs.client_op_us)
 
         def attempt(_attempt, _hint):

@@ -25,27 +25,18 @@ ROUTE_PATHWALK = "pathwalk"
 ROUTE_OVERRIDE = "override"
 
 
-_hash_cache = {}
-
-
 def stable_hash(value):
     """A process-stable hash of a string or tuple of strings/ints.
 
     Python's builtin ``hash`` is randomized per process; placement must be
-    deterministic across runs, so we CRC the repr of the key.  Results are
-    memoized: routing hashes the same filename on every hop, and the cache
-    grows with the namespace, which the simulation holds in memory anyway.
+    deterministic across runs, so we CRC the repr of the key.  Nothing is
+    memoized: the process holds no state per name it has hashed.
     """
-    cached = _hash_cache.get(value)
-    if cached is not None:
-        return cached
     if isinstance(value, tuple):
         data = "\x00".join(str(part) for part in value)
     else:
         data = str(value)
-    result = zlib.crc32(data.encode("utf-8"))
-    _hash_cache[value] = result
-    return result
+    return zlib.crc32(data.encode())
 
 
 class ExceptionTable:

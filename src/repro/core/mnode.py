@@ -302,8 +302,6 @@ class MNode(NamespaceReplicaMixin, Node):
         self.slot_inode_counts = defaultdict(int)
         #: filename -> number of local inodes with that name (load stats).
         self.filename_counts = defaultdict(int)
-        #: filename -> set of parent ids (secondary index for migration).
-        self._name_parents = defaultdict(set)
         #: Filenames whose inodes are blocked mid-migration.
         self.migrating = set()
         #: txid -> the staged 2PC half (rename / eager replication): a
@@ -927,12 +925,6 @@ class MNode(NamespaceReplicaMixin, Node):
         self.slot_inode_counts[slot] += delta
         if self.slot_inode_counts[slot] <= 0:
             del self.slot_inode_counts[slot]
-        if delta > 0:
-            self._name_parents[name].add(pid)
-        else:
-            self._name_parents[name].discard(pid)
-            if not self._name_parents[name]:
-                del self._name_parents[name]
 
     # ------------------------------------------------------------------
     # responses / forwarding
@@ -1545,16 +1537,20 @@ class MNode(NamespaceReplicaMixin, Node):
         self.respond(message, {"ok": True})
 
     def _on_migrate_collect(self, message):
-        """Remove and return every local inode with the given filename."""
+        """Remove and return every local inode with the given filename.
+
+        A full table scan (key order, so by parent id): the collect is a
+        rare control-plane RPC, and no name->parents index is kept for
+        it."""
         name = message.payload["name"]
         entries = []
 
         def stage(w):
-            for pid in sorted(self._name_parents.get(name, ())):
-                key = (pid, name)
-                record = self.inodes.get(key)
+            for key, record in self.inodes.scan():
+                if key[1] != name:
+                    continue
                 slot = self._slot_of(key)
-                if record is None or self.slots.get(slot, SERVING) != SERVING:
+                if self.slots.get(slot, SERVING) != SERVING:
                     # Mid-slot-handoff copies: the fenced (or still
                     # installing) slot's records travel with the slot
                     # saga, not with the filename migration.  Note the

@@ -29,26 +29,24 @@ from repro.vfs.attrs import ROOT_INO, InodeAttrs
 LOOKUP_PARENT = 0x1
 
 
-_split_cache = {}
-
-
 def split_path(path):
     """Split a path into its components ('/' -> []), validating it.
 
-    Results are memoized (every path is split at least twice: once by
-    the client, once by the serving MNode) and returned as fresh lists,
-    so callers may slice or mutate freely.  The cache grows with the
-    set of distinct paths, which the simulated namespace bounds anyway.
+    Returns a fresh list, so callers may slice or mutate freely.  Nothing
+    is memoized: the process holds no state per path it has seen (a
+    dataset's paths are mostly touched once, and a long-running MNode
+    sees unboundedly many), so the split itself is kept cheap instead:
+    one ``str.split``, with each validity check a substring test on the
+    path before any scan of the parts.
     """
-    cached = _split_cache.get(path)
-    if cached is not None:
-        return list(cached)
     if not path or path[0] != "/":
         raise ValueError("path must be absolute: {!r}".format(path))
-    parts = [p for p in path.split("/") if p]
-    if "." in parts or ".." in parts:
+    if "//" in path or path[-1] == "/":     # empty components ('/' too)
+        parts = [p for p in path.split("/") if p]
+    else:
+        parts = path[1:].split("/")
+    if "/." in path and ("." in parts or ".." in parts):
         raise ValueError("'.'/'..' components not supported: {!r}".format(path))
-    _split_cache[path] = tuple(parts)
     return parts
 
 

@@ -188,3 +188,44 @@ class TestStatsReporting:
         cluster.run_for(25000.0)
         counts = cluster.inode_distribution()
         assert max(counts) <= (1 / 4 + 0.05) * sum(counts) + 1
+
+
+class TestMigrateCollect:
+    """``migrate_collect`` finds a filename's rows by scanning the inode
+    table (no name->parents index): exactly the served ``(pid, name)``
+    rows, in parent-id order, and nothing that merely looks alike."""
+
+    def test_collects_exactly_the_served_rows_in_pid_order(self):
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             num_slots=8))
+        # Placed by (pid, name), so the name's rows spread over slots.
+        cluster.exception_table.add_pathwalk("a.dat")
+        cluster.run_process(cluster.coordinator.push_exception_table())
+        fs = cluster.fs()
+        # Created in reverse name order, so pid order is not name order.
+        for i in range(4, -1, -1):
+            fs.mkdir("/p{}".format(i))
+            fs.create("/p{}/a.dat".format(i))
+        fs.create("/p0/a.dat2")
+        fs.create("/p1/b.dat")
+        owner = cluster.mnodes[0]
+        keys = [key for key, _ in owner.inodes.scan() if key[1] == "a.dat"]
+        assert len(keys) == 5
+        # Park one row's slot mid-handoff: its row travels with the slot.
+        parked = owner._slot_of(keys[2])
+        owner.slots[parked] = {"state": "pending"}
+        served = [key for key in keys if owner._slot_of(key) != parked]
+        assert 0 < len(served) < len(keys)
+
+        def collect():
+            reply = yield cluster.coordinator.call(
+                owner.name, "migrate_collect", {"name": "a.dat"})
+            return reply
+
+        reply = cluster.run_process(collect())
+        assert [tuple(entry["key"]) for entry in reply["entries"]] == served
+        remaining = {key for key, _ in owner.inodes.scan()}
+        assert remaining.isdisjoint(served)
+        assert remaining >= set(keys) - set(served)
+        assert {name for _, name in remaining} >= {"a.dat2", "b.dat"}
+        assert owner.filename_counts["a.dat"] == len(keys) - len(served)

@@ -146,7 +146,6 @@ class TestOwnerWriteScaffold:
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
         cluster.fs().mkdir("/d")
         owner = cluster.mnodes[0]
-        pid = owner.inodes.get((ROOT_INO, "d")).ino
         during = []
         real_commit = owner.wal.commit
 
@@ -156,7 +155,6 @@ class TestOwnerWriteScaffold:
             during.append((
                 names,
                 [owner.filename_counts.get(name, 0) for name in names],
-                [name in owner._name_parents for name in names],
                 sum(owner.slot_inode_counts.values()) - len(owner.inodes),
             ))
             return real_commit(nbytes, records, ctx, payload)
@@ -167,18 +165,16 @@ class TestOwnerWriteScaffold:
         procs = [env.process(op("/d/{}{}".format(op.__name__, i)))
                  for op in (client.create, client.mkdir) for i in range(4)]
         env.run(until=env.all_of(procs))
-        assert max(len(names) for names, _, _, _ in during) > 1   # merged
-        for names, counts, parented, surplus in during:
+        assert max(len(names) for names, _, _ in during) > 1   # merged
+        for names, counts, surplus in during:
             assert counts == [0] * len(names)
-            assert parented == [False] * len(names)
             assert surplus == 0
-        created = [name for names, _, _, _ in during for name in names]
+        created = [name for names, _, _ in during for name in names]
         assert sorted(created) == sorted(
             "{}{}".format(kind, i) for kind in ("create", "mkdir")
             for i in range(4))
         for name in created:
             assert owner.filename_counts[name] == 1
-            assert owner._name_parents[name] == {pid}
         assert sum(owner.slot_inode_counts.values()) == len(owner.inodes)
 
     def test_retired_incarnation_wakes_nobody(self):

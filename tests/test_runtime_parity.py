@@ -91,16 +91,20 @@ def run_sim(plan):
     return outcomes, listing
 
 
+def _asyncio_client(env, name):
+    """A vfs client of a fresh 3-MNode cluster on ``env``."""
+    shared = ClusterShared(env, CostModel(), _config())
+    network = Network(env, shared.costs)
+    for i in range(3):
+        MNode(env, network, shared, i)  # registered with the network
+    Coordinator(env, network, shared)
+    return FalconClient(env, network, shared, name, mode="vfs")
+
+
 def run_asyncio(plan):
     async def main():
         env = AsyncioEnv()
-        shared = ClusterShared(env, CostModel(), _config())
-        network = Network(env, shared.costs)
-        mnodes = [MNode(env, network, shared, i) for i in range(3)]
-        coordinator = Coordinator(env, network, shared)
-        client = FalconClient(env, network, shared, "parity", mode="vfs")
-        del mnodes, coordinator  # registered with the network by side effect
-
+        client = _asyncio_client(env, "parity")
         outcomes = []
         for op, path, dest in plan:
             try:
@@ -145,3 +149,44 @@ def test_workload_succeeds_serially(plan):
     sim_outcomes, _ = run_sim(plan)
     failed = [(i, o) for i, o in enumerate(sim_outcomes) if o[1] != "ok"]
     assert not failed, failed[:5]
+
+
+def _spy_client_cpu(client):
+    """Record every modelled client-CPU charge the client makes."""
+    charged = []
+    real = client._client_cpu
+
+    def spy(ctx, cost_us):
+        charged.append(cost_us)
+        return (yield from real(ctx, cost_us))
+
+    client._client_cpu = spy
+    return charged
+
+
+def _coordinator_ops(client):
+    """A rename and an rmdir: the client ops the coordinator serves."""
+    yield from client.mkdir("/d")
+    yield from client.mkdir("/gone")
+    yield from client.create("/d/a")
+    charged = _spy_client_cpu(client)
+    yield from client.rename("/d/a", "/d/b")
+    yield from client.rmdir("/gone")
+    return charged
+
+
+def test_coordinator_ops_charge_client_cpu_only_when_costs_are_modelled():
+    """The ``models_costs`` contract on the coordinator path: the
+    simulator charges the modelled client CPU per op, the real clock
+    never enters it (real work already takes real time)."""
+    cluster = FalconCluster(config=_config())
+    client = cluster.add_client(mode="vfs", name="sim")
+    assert cluster.run_process(_coordinator_ops(client)) == \
+        [cluster.shared.costs.client_op_us] * 2
+
+    async def main():
+        env = AsyncioEnv()
+        client = _asyncio_client(env, "live")
+        return await env.run_process(_coordinator_ops(client))
+
+    assert asyncio.run(main()) == []
