@@ -31,8 +31,7 @@ synthetic histories, no cluster required.
 
 from repro.vfs.pathwalk import basename, parent_path
 
-#: Op kinds whose success acknowledges a namespace mutation.
-CREATE_KINDS = ("create", "write", "mkdir")
+#: Op kinds audited as reads of the namespace.
 READ_KINDS = ("getattr", "read", "readdir")
 
 #: Microseconds before a crash/hang instant within which an acked op may
@@ -355,9 +354,9 @@ def promotion_risk_windows(cluster, nemesis_log):
 
 def tainted_slot_set(cluster, nemesis_log):
     """Slots whose durable state became unaccountable: a WAL corruption
-    fired and the slot later resumed as *primary* from that log (the
-    generator avoids this; the backstop keeps the oracle honest if a
-    shrunken or hand-written schedule hits it)."""
+    fired and the slot later resumed as *primary* from that log (a
+    generated corruption does when an earlier promotion used up the
+    slot's standby)."""
     corrupted = {}
     for event in nemesis_log:
         if event["kind"] == "corrupt_wal":

@@ -41,6 +41,7 @@ from repro.check.oracle import (
     snapshot_namespace,
     tainted_slot_set,
 )
+from repro.check.schedule import OPS
 from repro.core import FalconCluster
 from repro.core.shared import FalconConfig
 from repro.core.verify import cluster_violations, runtime_violations
@@ -70,30 +71,6 @@ def _violation(invariant, message, **extra):
     record = {"invariant": invariant, "message": message}
     record.update(extra)
     return record
-
-
-def _dispatch(client, op):
-    """The generator for one scheduled client operation."""
-    kind = op["kind"]
-    if kind == "create":
-        return client.create(op["path"])
-    if kind == "unlink":
-        return client.unlink(op["path"])
-    if kind == "rename":
-        return client.rename(op["src"], op["dst"])
-    if kind == "getattr":
-        return client.getattr(op["path"])
-    if kind == "readdir":
-        return client.readdir(op["path"])
-    if kind == "mkdir":
-        return client.mkdir(op["path"])
-    if kind == "chmod":
-        return client.chmod(op["path"], op["mode"])
-    if kind == "write":
-        return client.write_file(op["path"], op["size"], exclusive=False)
-    if kind == "read":
-        return client.read_file(op["path"])
-    raise ValueError("unknown op kind: {!r}".format(kind))
 
 
 def run_schedule(schedule):
@@ -151,14 +128,11 @@ def run_schedule(schedule):
                 "status": "pending",
                 "error": None,
             }
-            if op["kind"] == "rename":
-                entry["src"] = op["src"]
-                entry["dst"] = op["dst"]
-            else:
-                entry["path"] = op["path"]
+            entry.update((field, op[field])
+                         for field in ("src", "dst", "path") if field in op)
             history.append(entry)
             try:
-                yield from _dispatch(client, op)
+                yield from OPS[op["kind"]].call(client, op)
             except RpcFailure as failure:
                 entry["status"] = "failed"
                 entry["error"] = RpcError.name(failure.code)

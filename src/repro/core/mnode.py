@@ -844,6 +844,12 @@ class MNode(NamespaceReplicaMixin, Node):
             # The slot was fenced (or handed off) between planning and
             # lock grant; the retry re-plans and gets the EMOVED hint.
             return False
+        if self.index.locate(plan.pid, plan.name) != plan.slot:
+            # An exception-table change rerouted the name while the plan
+            # waited (a whole redirection can run inside one parent
+            # resolution); committing here would strand the row at its
+            # old owner, so the retry re-routes.
+            return False
         for dkey, record, seq in plan.chain:
             if self.inval_seq[dkey] != seq or record.state == INVALID:
                 return False

@@ -232,6 +232,13 @@ def runtime_violations(cluster):
     for mnode in cluster.mnodes:
         if getattr(mnode, "halted", False):
             continue
+        if mnode.migrating:
+            violations.append(_violation(
+                "migrating-leak",
+                "{} still blocks names {} after drain",
+                mnode.name, sorted(mnode.migrating), node=mnode.name,
+                names=sorted(mnode.migrating),
+            ))
         pending = sorted(slot for slot, state in mnode.slots.items()
                          if state["state"] == "pending")
         if pending:

@@ -52,9 +52,104 @@ class FaultHandle:
 #: ``at_us``; the event's author must supply ``needs`` (beside ``kind``
 #: and ``at_us``); ``draws`` are filled from the injector's stream, in
 #: this order, when omitted; ``coordinator`` marks a kind that accepts
-#: ``"target": "coordinator"`` in place of a slot ``index``.
-Kind = namedtuple("Kind", "fire needs draws coordinator",
-                  defaults=((), (), False))
+#: ``"target": "coordinator"`` in place of a slot ``index``; ``shape``
+#: is how the checker's generator draws one occurrence (below), None
+#: for ``restart``, which only ever follows another kind's crash.
+Kind = namedtuple("Kind", "fire needs draws coordinator shape",
+                  defaults=((), (), False, None))
+
+
+# Generator shapes.  ``shape(rng, kind, start, index, setting)`` draws
+# one occurrence of ``kind`` opening at ``start`` on slot ``index`` from
+# the schedule's ``rng`` (``setting`` is the schedule's config) and
+# returns ``(events, busy_until)``: the events in firing order, and the
+# end of the fault plus the kind's settle margin, before which the next
+# window may not open.  The draw order is the schedule format.
+
+def _event(kind, at_us, index):
+    return {"kind": kind, "at_us": round(at_us, 3), "index": index}
+
+
+def _crash_shape(rng, kind, start, index, setting):
+    """A crash and its restart: fast, redo races (and may beat) the
+    detector's promotion or the follower's election timer; slow, the
+    promotion or (past the worst-case 2T = 8 ms timer draw plus the
+    claim round) the election wins and the machine rejoins."""
+    if rng.random() < 0.45:
+        restart_at = start + rng.uniform(600.0, 1700.0)
+    elif setting["consensus"]:
+        restart_at = start + rng.uniform(9500.0, 14000.0)
+    else:
+        restart_at = start + rng.uniform(4500.0, 8000.0)
+    return ([_event(kind, start, index),
+             _event("restart", restart_at, index)], restart_at + 3000.0)
+
+
+def _corrupt_wal_shape(rng, kind, start, index, setting):
+    """Corruption, then a crash and a slow restart of the same slot:
+    late enough that detection (~miss_threshold * interval) usually
+    promotes the standby first and the corrupt log is discarded."""
+    corrupt = dict(_event(kind, start, index), rng_seed=rng.getrandbits(48))
+    crash_at = start + rng.uniform(80.0, 300.0)
+    restart_at = crash_at + rng.uniform(5200.0, 8000.0)
+    return ([corrupt, _event("crash", crash_at, index),
+             _event("restart", restart_at, index)], restart_at + 3000.0)
+
+
+def _migrate_slot_shape(rng, kind, start, index, setting):
+    """Slot and destination pinned now (``index`` unused); a destination
+    that already owns the slot at fire time is a logged no-op.  The
+    margin covers the handoff's round trips and bounded retries."""
+    return ([{"kind": kind, "at_us": round(start, 3),
+              "slot": rng.randrange(setting["num_slots"]),
+              "dest": rng.randrange(setting["num_mnodes"])}],
+            start + 9000.0)
+
+
+def _stampede_shape(rng, kind, start, index, setting):
+    return [{"kind": kind, "at_us": round(start, 3)}], start + 1500.0
+
+
+def _span(lo, hi, settle=2600.0, fields=()):
+    """Shape of a window kind: a duration drawn from ``[lo, hi)``, then
+    each ``(field, draw)`` of ``fields`` in order; the slot settles
+    ``settle`` after the window closes."""
+
+    def shape(rng, kind, start, index, setting):
+        duration = rng.uniform(lo, hi)
+        event = dict(_event(kind, start, index),
+                     duration_us=round(duration, 3))
+        event.update((field, draw(rng)) for field, draw in fields)
+        return [event], start + duration + settle
+
+    return shape
+
+
+def _uniform(lo, hi, places=3):
+    return lambda rng: round(rng.uniform(lo, hi), places)
+
+
+def _signed(lo, hi):
+    return lambda rng: round(rng.uniform(lo, hi) * rng.choice((-1.0, 1.0)),
+                             3)
+
+
+_skew_window = _span(1000.0, 4000.0, fields=(
+    ("offset_us", _signed(200.0, 6000.0)),
+    ("drift_ppm", _signed(0.0, 80000.0)),
+))
+
+
+def _skew_clock_shape(rng, kind, start, index, setting):
+    """A skew window on the slot, or in about one draw of three on the
+    coordinator's clock (``index`` None)."""
+    (event,), busy_until = _skew_window(rng, kind, start, index, setting)
+    del event["index"]
+    if rng.random() < 0.35:
+        event.update(target="coordinator", index=None)
+    else:
+        event["index"] = index
+    return [event], busy_until
 
 
 # Slots are targeted by ``index`` and resolved to the slot's *current*
@@ -156,7 +251,7 @@ def _migrate_slot(inj, event):
     inj.env.process(proc())
 
 
-def _window(begin, heal_kind, draws=("index",), coordinator=False):
+def _window(begin, heal_kind, shape, draws=("index",), coordinator=False):
     """Row for a "begin now, undo after ``duration_us``, log both" kind.
 
     ``begin(inj, event)`` applies the fault and returns ``(target,
@@ -180,7 +275,7 @@ def _window(begin, heal_kind, draws=("index",), coordinator=False):
 
         inj.env.process(heal())
 
-    return Kind(fire, ("duration_us",), draws, coordinator)
+    return Kind(fire, ("duration_us",), draws, coordinator, shape)
 
 
 def _hang(inj, event):
@@ -300,31 +395,53 @@ def _skew_clock(inj, event):
 
 
 NEMESIS_KINDS = {
-    "crash": Kind(_crash, draws=("index",)),
+    "crash": Kind(_crash, draws=("index",), shape=_crash_shape),
     "restart": Kind(_restart, needs=("index",)),
-    "corrupt_wal": Kind(_corrupt_wal, draws=("index", "rng_seed")),
-    "stampede": Kind(_stampede),
-    "migrate_slot": Kind(_migrate_slot, needs=("slot", "dest")),
-    "hang": _window(_hang, "unhang"),
+    "corrupt_wal": Kind(_corrupt_wal, draws=("index", "rng_seed"),
+                        shape=_corrupt_wal_shape),
+    "stampede": Kind(_stampede, shape=_stampede_shape),
+    "migrate_slot": Kind(_migrate_slot, needs=("slot", "dest"),
+                         shape=_migrate_slot_shape),
+    "hang": _window(_hang, "unhang", _span(300.0, 2400.0)),
     # Primary *plus its standby*: shipping flows on the minority side.
-    "partition": _window(_cut(standby=True), "partition_heal"),
+    "partition": _window(_cut(standby=True), "partition_heal",
+                         _span(400.0, 2600.0)),
     # A minority of one: the leader must never acknowledge another
-    # write; the follower and witness elect a successor.
-    "leader_partition": _window(_cut(), "leader_partition_heal"),
+    # write; the follower and witness elect a successor.  Long enough
+    # for the lease to lapse AND the follower's randomized election
+    # timer (up to 2T = 8 ms) to fire.
+    "leader_partition": _window(_cut(), "leader_partition_heal",
+                                _span(9000.0, 16000.0, settle=6000.0)),
     # Leader + witness keep a 2-of-3 quorum, and the follower must NOT
     # be electable (the witness hears the live leader and refuses its
     # vote): availability loss for clients, never a second leader.
-    "split_brain": _window(_cut(witness=True), "split_brain_heal"),
+    "split_brain": _window(_cut(witness=True), "split_brain_heal",
+                           _span(3000.0, 9000.0, settle=4000.0)),
     # Inbound (member->leader lost): no election, but the leader hears
     # no acks, so its lease lapses and it must stop acknowledging.
     # Outbound: members elect while the old leader, deaf, fences itself.
     "asymm_partition": _window(
         _cut(standby=True, witness=True, directed=True),
-        "asymm_partition_heal"),
-    "slow_disk": _window(_slow_disk, "slow_disk_end"),
-    "degrade_link": _window(_degrade_link, "degrade_heal",
-                            draws=("index", "rng_seed")),
-    "skew_clock": _window(_skew_clock, "skew_heal", coordinator=True),
+        "asymm_partition_heal",
+        _span(9000.0, 16000.0, settle=6000.0, fields=(
+            ("direction",
+             lambda rng: rng.choice(("inbound", "outbound"))),
+        ))),
+    "slow_disk": _window(_slow_disk, "slow_disk_end", _span(
+        1500.0, 4000.0, fields=(
+            ("fsync_factor", _uniform(4.0, 40.0)),
+            ("bandwidth_factor", _uniform(2.0, 10.0)),
+            ("ramp_us", _uniform(200.0, 800.0)),
+        ))),
+    "degrade_link": _window(_degrade_link, "degrade_heal", _span(
+        800.0, 3000.0, fields=(
+            ("latency_factor", _uniform(2.0, 10.0)),
+            ("loss_prob", _uniform(0.05, 0.35, places=4)),
+            ("reorder_window_us", _uniform(40.0, 350.0)),
+            ("rng_seed", lambda rng: rng.getrandbits(48)),
+        )), draws=("index", "rng_seed")),
+    "skew_clock": _window(_skew_clock, "skew_heal", _skew_clock_shape,
+                          coordinator=True),
 }
 
 

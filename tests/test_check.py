@@ -7,6 +7,7 @@ be *caught* within the seed budget and *shrunk* to a reproducer small
 enough to debug by hand.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,22 @@ def test_unknown_mix_rejected():
         generate_schedule(0, nemesis_mix="nonsense")
     assert set(NEMESIS_MIXES) == {"classic", "gray", "mixed",
                                   "election", "migrate"}
+
+
+#: SHA-256 over every mix's schedules for seeds 0-199, in sorted mix
+#: order.  The generator's draw order is the schedule format: any change
+#: to a nemesis shape, an op draw or a field's key order moves it.
+SCHEDULE_DIGEST = (
+    "43cfe33cc0ddb1a6fce6c2bfa8f8a905113fbb371e8f6b60c3a7a8e4c9fe6331")
+
+
+def test_generated_schedules_are_byte_stable():
+    digest = hashlib.sha256()
+    for mix in sorted(NEMESIS_MIXES):
+        for seed in range(200):
+            digest.update(json.dumps(
+                generate_schedule(seed, nemesis_mix=mix)).encode())
+    assert digest.hexdigest() == SCHEDULE_DIGEST
 
 
 # ----------------------------------------------------------------------

@@ -229,3 +229,39 @@ class TestMigrateCollect:
         assert remaining >= set(keys) - set(served)
         assert {name for _, name in remaining} >= {"a.dat2", "b.dat"}
         assert owner.filename_counts["a.dat"] == len(keys) - len(served)
+
+
+class TestRedirectionUnderLoad:
+    """A create planned before a redirection and committed after it
+    must land where the new table says (§4.2.2): the batch re-derives
+    the route at lock grant, so a plan parked in parent resolution
+    through a whole migration retries instead of committing at the old
+    owner, where no collect will ever see its row."""
+
+    @pytest.mark.parametrize("method", ["override", "pathwalk"])
+    def test_every_acked_create_survives(self, method):
+        cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2))
+        fs = cluster.fs(mode="libfs")
+        paths = ["/d{}/hot.dat".format(d) for d in range(32)]
+        for path in paths:
+            fs.mkdir(path.rsplit("/", 1)[0])
+        env = cluster.env
+        client = cluster.add_client(mode="libfs")
+        acked = []
+
+        def create(path):
+            yield from client.create(path)
+            acked.append(path)
+
+        def redirect():
+            yield env.timeout(300.0)
+            yield from cluster.coordinator._apply_redirection(
+                "hot.dat", method, 3)
+
+        for path in paths:
+            env.process(create(path))
+        cluster.run_process(redirect())
+        cluster.run_for(50000.0)
+        assert sorted(acked) == sorted(paths)
+        assert [path for path in acked if not fs.exists(path)] == []
+        cluster.verify()

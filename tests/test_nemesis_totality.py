@@ -2,13 +2,14 @@
 in ``repro.faults.injector.NEMESIS_KINDS``, every row is reachable from
 some mix, and every row honours the shrinker's contract.
 
-The checker's generator (``repro.check.schedule``) and the injector's
-table name the same kinds as string literals on two sides of a JSON
-seed file; nothing ties them together until a schedule happens to carry
-the kind.  The first half of this file does, statically.  The second
-half holds each row to what ``repro.check.shrink`` assumes of it: a
-dropped event leaves no trace, and dropping one never changes what
-another logs.
+A row is both halves of a kind: how the injector fires it and, through
+its ``shape``, how the checker's generator (``repro.check.schedule``)
+draws it.  The first half of this file holds the mixes to the table
+statically: every kind a mix can draw has a row with a shape, and the
+only row without one is ``restart``, which the crash shapes emit.  The
+second half holds each row to what ``repro.check.shrink`` assumes of
+it: a dropped event leaves no trace, and dropping one never changes
+what another logs.
 """
 
 import pytest
@@ -59,6 +60,14 @@ def test_every_emitted_kind_has_a_row():
 
 def test_every_row_is_emitted_by_some_mix():
     assert set(NEMESIS_KINDS) - _emitted_kinds() == set()
+
+
+def test_every_drawable_kind_has_a_shape():
+    drawable = {kind for mix in NEMESIS_MIXES.values() for kind, _ in mix}
+    assert {kind for kind in drawable
+            if NEMESIS_KINDS[kind].shape is None} == set()
+    assert [kind for kind, row in NEMESIS_KINDS.items()
+            if row.shape is None] == ["restart"]
 
 
 def test_samples_cover_the_table():

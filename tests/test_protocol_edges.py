@@ -74,6 +74,19 @@ class TestRenameHazards:
         assert violation["invariant"] == "staged-leak"
         assert violation["txids"] == ["rn-x"]
 
+    def test_a_name_left_migrating_after_drain_is_a_migrating_leak(
+            self, cluster):
+        """A redirection that never reached ``migrate_end`` leaves its
+        name blocked on the survivors; the audit names node and name."""
+        from repro.core.verify import runtime_violations
+
+        assert runtime_violations(cluster) == []
+        cluster.mnodes[1].migrating.add("hot.dat")
+        (violation,) = runtime_violations(cluster)
+        assert violation["invariant"] == "migrating-leak"
+        assert violation["node"] == cluster.mnodes[1].name
+        assert violation["names"] == ["hot.dat"]
+
     def test_concurrent_renames_serialize(self, cluster):
         fs = cluster.fs()
         client = cluster.add_client(mode="libfs")
