@@ -274,10 +274,7 @@ class FalconCluster:
             if inode.is_dir and node.authoritative(key):
                 node.dentries.put(key, inode.dentry())
         # The coordinator's exception table is authoritative.
-        xt = self.coordinator.xt
-        node.xt.version = xt.version
-        node.xt.pathwalk = set(xt.pathwalk)
-        node.xt.override = dict(xt.override)
+        node.xt.adopt(self.coordinator.xt.copy())
 
     # -- consensus (leader election) -----------------------------------------
 

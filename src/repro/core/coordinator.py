@@ -17,6 +17,7 @@ The coordinator owns namespace *changes* and cluster load balance:
 """
 
 import math
+from functools import partial
 from itertools import count
 
 from repro.core.indexing import (
@@ -879,61 +880,48 @@ class Coordinator(NamespaceReplicaMixin, Node):
         return "pathwalk", max(pathwalk_counts)
 
     def _apply_redirection(self, name, method, target_index):
-        """Generator: block, migrate and repoint one filename."""
-        yield from self._migrate(name, lambda: self._update_table(
-            name, method, target_index
-        ))
-
-    def _update_table(self, name, method, target_index):
+        """Generator: redirect one filename by path-walk, or by
+        overriding it onto ``target_index``."""
         if method == "pathwalk":
-            self.xt.add_pathwalk(name)
-        elif method == "override":
-            self.xt.add_override(name, target_index)
+            update_table = partial(self.xt.add_pathwalk, name)
         else:
-            self.xt.remove(name)
+            update_table = partial(self.xt.add_override, name, target_index)
+        yield from self._migrate(name, update_table)
 
     def _migrate(self, name, update_table):
-        """Generator: the shared migrate protocol.
+        """Generator: move ``name``'s inodes across ``update_table``'s
+        change, in two fan-outs to every MNode, serialized with the slot
+        handoffs (both move rows between nodes):
 
-        1. block access to ``name`` on every MNode, 2. collect its inodes,
-        3. apply the table change and push it eagerly, 4. install inodes
-        at their new owners, 5. unblock.
+        1. ``migrate_collect`` blocks the name and removes and returns
+           the node's inodes with it;
+        2. after the table change here, ``migrate_install`` hands each
+           node the new table, which it adopts before it installs the
+           inodes that table places on it and unblocks the name.
         """
-        names = {"names": [name]}
-        mnodes = self.shared.mnode_names
-        yield self.env.all_of([
-            self.call(node, "migrate_begin", names) for node in mnodes
-        ])
-        replies = yield self.env.all_of([
-            self.call(node, "migrate_collect", {"name": name})
-            for node in mnodes
-        ])
-        entries = [e for reply in replies for e in reply["entries"]]
-        update_table()
-        yield from self.push_exception_table()
-        by_target = {}
-        for entry in entries:
-            pid = entry["key"][0]
-            target = self.index.locate(pid, name)
-            by_target.setdefault(target, []).append(entry)
-        if by_target:
-            yield self.env.all_of([
-                self.call(self.shared.mnode_name(target),
-                          "migrate_install", {"entries": group})
-                for target, group in by_target.items()
+        mutex = self._migration_mutex.request()
+        yield mutex
+        try:
+            mnodes = self.shared.mnode_names
+            replies = yield self.env.all_of([
+                self.call(node, "migrate_collect", {"name": name})
+                for node in mnodes
             ])
-        yield self.env.all_of([
-            self.call(node, "migrate_end", names) for node in mnodes
-        ])
+            entries = [e for reply in replies for e in reply["entries"]]
+            update_table()
+            table = exception_table_to_wire(self.xt)
+            by_node = {node: [] for node in mnodes}
+            for entry in entries:
+                target = self.index.locate(entry["key"][0], name)
+                by_node[self.shared.mnode_name(target)].append(entry)
+            yield self.env.all_of([
+                self.call(node, "migrate_install",
+                          {"name": name, "table": table, "entries": group})
+                for node, group in by_node.items()
+            ])
+        finally:
+            self._migration_mutex.release(mutex)
         self.metrics.counter("migrations").inc(amount=len(entries))
-
-    def push_exception_table(self):
-        """Generator: eagerly distribute the table to all MNodes."""
-        wire = {"table": exception_table_to_wire(self.xt)}
-        yield self.env.all_of([
-            self.call(node, "xt_update", wire)
-            for node in self.shared.mnode_names
-        ])
 
     # ------------------------------------------------------------------
     # exception-table shrinking
@@ -970,8 +958,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 projected[target] += freq
                 if max(projected) <= self._bound(total):
                     yield from self._migrate(
-                        name, lambda name=name: self.xt.remove(name)
-                    )
+                        name, partial(self.xt.remove, name))
                     removed.append(name)
         return removed
 

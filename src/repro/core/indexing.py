@@ -12,8 +12,9 @@ exception-table entries redirect corner cases:
 * **overriding redirection** — a filename is pinned to a designated MNode
   to correct hash variance; clients send straight to it.
 
-The table is versioned: the coordinator pushes updates eagerly to MNodes
-and clients refresh lazily off responses, so MNodes must validate every
+The table is versioned: an MNode adopts a new table in the install step
+of the redirection that made it (or from the coordinator on restart) and
+clients refresh lazily off responses, so MNodes must validate every
 request against their own copy and forward misdirected ones.
 """
 

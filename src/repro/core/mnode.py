@@ -529,13 +529,16 @@ class MNode(NamespaceReplicaMixin, Node):
         finally:
             w.close()
 
-    def _bulk_write(self, ctx, unit_us, stage):
+    def _bulk_write(self, ctx, unit_us, stage, locks=()):
         """Generator: one durable multi-key mutation inside the scaffold.
+        Once the ``(key, mode)`` ``locks`` are held, in the order given,
         ``stage(w)`` stages the rows (pinning the slots it writes into)
         and returns how many — the result; they are charged ``unit_us``
-        each and committed, and every pin is released whatever happens."""
+        each and committed, and every pin and lock is released whatever
+        happens."""
         w = _OwnerWrite(self, ctx)
         try:
+            yield from w.lock_all(locks)
             count = stage(w)
             yield from self.execute(unit_us * max(1, count), ctx=ctx)
             yield from w.commit()
@@ -1529,26 +1532,18 @@ class MNode(NamespaceReplicaMixin, Node):
             message, {"count": self.filename_counts.get(name, 0)}
         )
 
-    def _on_xt_update(self, message):
-        self.xt.adopt(exception_table_from_wire(message.payload["table"]))
-        yield from self.execute(self.costs.index_lookup_us)
-        self.respond(message, {"ok": True})
-
-    def _on_migrate_begin(self, message):
-        self.migrating.update(message.payload["names"])
-        self.respond(message, {"ok": True})
-
-    def _on_migrate_end(self, message):
-        self.migrating.difference_update(message.payload["names"])
-        self.respond(message, {"ok": True})
-
     def _on_migrate_collect(self, message):
-        """Remove and return every local inode with the given filename.
+        """Redirection step 1: block the filename, then remove and
+        return every local inode with it.
 
-        A full table scan (key order, so by parent id): the collect is a
+        The block turns away plans that have not yet locked the name's
+        rows; X on every such row key already held or queued waits out
+        those that have, so no write commits a row behind the scan.  A
+        full table scan (key order, so by parent id): the collect is a
         rare control-plane RPC, and no name->parents index is kept for
         it."""
         name = message.payload["name"]
+        self.migrating.add(name)
         entries = []
 
         def stage(w):
@@ -1559,10 +1554,7 @@ class MNode(NamespaceReplicaMixin, Node):
                 if self.slots.get(slot, SERVING) != SERVING:
                     # Mid-slot-handoff copies: the fenced (or still
                     # installing) slot's records travel with the slot
-                    # saga, not with the filename migration.  Note the
-                    # slot here is the key's *post-xt-change* slot — a
-                    # merely non-hosted slot is the normal collect case
-                    # (the table change just re-homed the name).
+                    # saga, not with the filename migration.
                     continue
                 w.pin(slot)
                 entries.append({"key": list(key),
@@ -1570,15 +1562,22 @@ class MNode(NamespaceReplicaMixin, Node):
                 w.delete(key)
             return len(entries)
 
+        locks = sorted(
+            (key, LockMode.EXCLUSIVE) for key in self.locks.keys()
+            if key[0] == "i" and key[2] == name)
         yield from self._bulk_write(
-            message.ctx, self.costs.index_delete_us, stage)
+            message.ctx, self.costs.index_delete_us, stage, locks)
         self.respond(
             message, {"entries": entries},
             size=self.costs.rpc_response_bytes + 64 * len(entries),
         )
 
     def _on_migrate_install(self, message):
-        entries = message.payload["entries"]
+        """Redirection step 2: adopt the new exception table, install
+        the rows it places here, then unblock the filename."""
+        payload = message.payload
+        self.xt.adopt(exception_table_from_wire(payload["table"]))
+        entries = payload["entries"]
 
         def stage(w):
             for entry in entries:
@@ -1591,6 +1590,7 @@ class MNode(NamespaceReplicaMixin, Node):
 
         yield from self._bulk_write(
             message.ctx, self.costs.index_insert_us, stage)
+        self.migrating.discard(payload["name"])
         self.respond(message, {"ok": True})
 
     # ------------------------------------------------------------------

@@ -207,3 +207,7 @@ class LockManager:
 
     def is_locked(self, key):
         return bool(self.holders(key))
+
+    def keys(self):
+        """Every key somebody holds or queues on."""
+        return list(self._locks)

@@ -199,8 +199,7 @@ class TestMigrateCollect:
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
                                              num_slots=8))
         # Placed by (pid, name), so the name's rows spread over slots.
-        cluster.exception_table.add_pathwalk("a.dat")
-        cluster.run_process(cluster.coordinator.push_exception_table())
+        cluster.install_exception_table(pathwalk=["a.dat"])
         fs = cluster.fs()
         # Created in reverse name order, so pid order is not name order.
         for i in range(4, -1, -1):
@@ -229,39 +228,108 @@ class TestMigrateCollect:
         assert remaining >= set(keys) - set(served)
         assert {name for _, name in remaining} >= {"a.dat2", "b.dat"}
         assert owner.filename_counts["a.dat"] == len(keys) - len(served)
+        # Blocked until the install step that would follow.
+        assert owner.migrating == {"a.dat"}
 
 
 class TestRedirectionUnderLoad:
-    """A create planned before a redirection and committed after it
-    must land where the new table says (§4.2.2): the batch re-derives
-    the route at lock grant, so a plan parked in parent resolution
-    through a whole migration retries instead of committing at the old
-    owner, where no collect will ever see its row."""
+    """A create racing a redirection must land where the new table says
+    (§4.2.2), and the redirection must not race a slot handoff."""
 
-    @pytest.mark.parametrize("method", ["override", "pathwalk"])
-    def test_every_acked_create_survives(self, method):
+    @staticmethod
+    def _race(method, offset_us, num_dirs, num_clients, start_us):
+        """Create ``/dN/hot.dat`` in fresh directories, the N-th from
+        client ``N % num_clients`` at ``start_us(N)``, while
+        ``hot.dat`` is redirected at ``offset_us``; every create must be
+        acked, exist afterwards and leave the cluster clean."""
         cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2))
         fs = cluster.fs(mode="libfs")
-        paths = ["/d{}/hot.dat".format(d) for d in range(32)]
+        paths = ["/d{}/hot.dat".format(d) for d in range(num_dirs)]
         for path in paths:
             fs.mkdir(path.rsplit("/", 1)[0])
         env = cluster.env
-        client = cluster.add_client(mode="libfs")
+        clients = [cluster.add_client(mode="libfs")
+                   for _ in range(num_clients)]
         acked = []
 
-        def create(path):
-            yield from client.create(path)
+        def create(n, path):
+            yield env.timeout(start_us(n))
+            yield from clients[n % num_clients].create(path)
             acked.append(path)
 
         def redirect():
-            yield env.timeout(300.0)
+            yield env.timeout(offset_us)
             yield from cluster.coordinator._apply_redirection(
                 "hot.dat", method, 3)
 
-        for path in paths:
-            env.process(create(path))
+        for n, path in enumerate(paths):
+            env.process(create(n, path))
         cluster.run_process(redirect())
         cluster.run_for(50000.0)
         assert sorted(acked) == sorted(paths)
         assert [path for path in acked if not fs.exists(path)] == []
         cluster.verify()
+
+    @pytest.mark.parametrize("method", ["override", "pathwalk"])
+    def test_every_acked_create_survives(self, method):
+        """The batch re-derives the route at lock grant, so a plan
+        parked in parent resolution through a whole migration retries
+        instead of committing at the old owner, where no collect will
+        ever see its row."""
+        self._race(method, 300.0, 32, 1, lambda n: 0.0)
+
+    @pytest.mark.parametrize("offset_us", [20.0, 390.0])
+    @pytest.mark.parametrize("method", ["override", "pathwalk"])
+    def test_a_create_committing_during_the_collect_survives(
+            self, method, offset_us):
+        """Staggered creates from eight clients: a batch that validated
+        its plan before the collect blocked the name still holds the
+        row's lock through its WAL commit, so the collect waits it out
+        before scanning instead of stranding the row at the old owner."""
+        self._race(method, offset_us, 64, 8, lambda n: (n * 7) % 400)
+
+    @pytest.mark.parametrize("method, offset_us", [
+        ("override", 0.0), ("override", 145.0),
+        ("pathwalk", 0.0), ("pathwalk", 15.0),
+    ])
+    def test_a_redirection_waits_for_a_slot_handoff(self, method,
+                                                    offset_us):
+        """The handoff moves the name's hash slot while the redirection
+        moves the name: both move the same rows, so they serialize."""
+        cluster = FalconCluster(FalconConfig(
+            num_mnodes=4, num_storage=2, num_slots=8, rpc_timeout_us=400.0))
+        fs = cluster.fs(mode="libfs")
+        paths = ["/d{}/hot.dat".format(d) for d in range(32)]
+        for path in paths:
+            fs.mkdir(path.rsplit("/", 1)[0])
+            fs.create(path)
+        env = cluster.env
+        coordinator = cluster.coordinator
+        slot = coordinator.index.hash_name("hot.dat")
+        dest = (cluster.shared.slot_map.node_of(slot) + 1) % 4
+        handoff = env.process(coordinator.migrate_slot(slot, dest))
+
+        def redirect():
+            yield env.timeout(offset_us)
+            yield from coordinator._apply_redirection("hot.dat", method, 0)
+
+        cluster.run_process(redirect())
+        env.run(until=handoff)
+        cluster.run_for(20000.0)
+        assert [path for path in paths if not fs.exists(path)] == []
+        cluster.verify()
+
+
+class TestRedirectionTraffic:
+    def test_a_redirection_is_two_requests_per_mnode(self, cluster):
+        """One ``migrate_collect`` and one ``migrate_install`` per
+        MNode, whichever nodes the rows move between."""
+        cluster.bulk_load(_hot_name_tree(num_dirs=24))
+        counter = cluster.network.metrics.counter("messages")
+        before = counter.by_label()
+        cluster.run_process(cluster.coordinator._apply_redirection(
+            "hot.dat", "pathwalk", 0))
+        sent = {kind: count - before.get(kind, 0)
+                for kind, count in counter.by_label().items()
+                if count != before.get(kind, 0)}
+        assert sent == {"migrate_collect": 4, "migrate_install": 4}

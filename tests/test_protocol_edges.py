@@ -76,8 +76,9 @@ class TestRenameHazards:
 
     def test_a_name_left_migrating_after_drain_is_a_migrating_leak(
             self, cluster):
-        """A redirection that never reached ``migrate_end`` leaves its
-        name blocked on the survivors; the audit names node and name."""
+        """A redirection whose ``migrate_install`` never reached a node
+        that ran its collect leaves the name blocked there; the audit
+        names node and name."""
         from repro.core.verify import runtime_violations
 
         assert runtime_violations(cluster) == []
