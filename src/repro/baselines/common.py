@@ -15,7 +15,7 @@ Concrete systems subclass :class:`BaselineCluster` and set its
 read every difference off the profile.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.client import OpClient
 from repro.core.cluster import FalconFilesystem
@@ -299,12 +299,11 @@ class MetaServer(Node):
         payload = message.payload
         if message.kind == "close" and "size" not in payload:
             return {"ok": True}
-        updated = record.copy()
         if message.kind == "setattr":
-            updated.mode = payload.get("mode", record.mode)
+            updated = replace(record, mode=payload.get("mode", record.mode))
         else:
-            updated.size = payload["size"]
-            updated.mtime = self.env.now
+            updated = replace(record, size=payload["size"],
+                              mtime=self.env.now)
         self.inodes.put(key, updated)
         yield from self._journal(ctx=message.ctx)
         return {"ok": True}

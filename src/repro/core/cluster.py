@@ -28,6 +28,7 @@ from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
 from repro.runtime.api import sized_nursery
 from repro.storage import Table
+from repro.storage.table import row_copy
 from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
 from repro.storage.replication import Standby, divergence
 from repro.vfs.attrs import ROOT_INO
@@ -208,7 +209,8 @@ class FalconCluster:
         self.standbys[index] = None
         return node, lost_txns
 
-    def _install_node(self, index, old, tables, replayed_log=None):
+    def _install_node(self, index, old, tables, replayed_log=None,
+                      base=None):
         """The state surgery every recovery path shares: a fresh MNode
         over ``tables`` replaces ``old`` at ``index``.
 
@@ -221,11 +223,11 @@ class FalconCluster:
         fenced or pending slot stays that way), owned state is rebuilt,
         every voted-but-undecided rename is restaged with its locks and
         resolver, and the WAL is seeded so the new incarnation is itself
-        restartable: with the replayed log, or else a base backup of
-        the installed tables, which a later crash redo-replays plus
-        whatever commits on top.  The old incarnation is halted — its
-        frozen handlers stay dead even if its *name* is reincarnated —
-        and retired.
+        restartable: with the redo's ``base`` record and the replayed
+        log above it, or else a base backup of the installed tables,
+        which a later crash redo-replays plus whatever commits on top.
+        The old incarnation is halted — its frozen handlers stay dead
+        even if its *name* is reincarnated — and retired.
         """
         if replayed_log is None:
             self._promotions += 1
@@ -239,10 +241,10 @@ class FalconCluster:
         self._rebuild_owned_state(node)
         node.restage()
         node.wal.bootstrap(replayed_log if replayed_log is not None else [
-            [(table.name, key, row.copy())]
+            [(table.name, key, row_copy(row))]
             for table in (node.inodes, node.dentries, node.meta)
             for key, row in table.scan()
-        ])
+        ], base=base)
         self.mnodes[index] = node
         old.halted = True
         self.retired_mnodes.append(old)
@@ -424,6 +426,8 @@ class FalconCluster:
         started_at = self.env.now
         entries, torn = old.wal.replay()
         # Reboot + redo take real time; the node serves nothing meanwhile.
+        # Redo reads the records above the base; installing the base is
+        # as free as taking it was.
         yield self.env.timeout(
             self.costs.wal_fsync_us
             + self.costs.wal_replay_us_per_record * len(entries)
@@ -449,21 +453,27 @@ class FalconCluster:
         return record
 
     def _resume_primary(self, index, old, entries):
-        """Generator: rebuild the crashed node from its durable WAL and
-        re-install it under its own name and slot (replayed handoff
+        """Generator: rebuild the crashed node from its durable WAL —
+        install its base record, then replay the suffix ``entries`` —
+        and re-install it under its own name and slot (replayed handoff
         markers override the slot-map seed), then reconcile replication
         with the surviving standby."""
         self.network.reincarnate(old.name)
         tables = {name: Table(name) for name in ("inode", "dentry", "meta")}
+        base = old.wal.base
+        if base is not None:
+            for table_name, (keys, rows) in base.payload.items():
+                for key, value in zip(keys, rows):
+                    tables[table_name].put(key, row_copy(value))
         for _, _, payload in entries:
             for table_name, key, value in payload or ():
                 if value is None:
                     tables[table_name].delete(key)
                 else:
-                    tables[table_name].put(key, value.copy())
+                    tables[table_name].put(key, row_copy(value))
         node = self._install_node(
             index, old, tables,
-            replayed_log=[payload for _, _, payload in entries])
+            replayed_log=[payload for _, _, payload in entries], base=base)
         standby = self._standby(index)
         anchor, base = old._ship_anchor, old._ship_base
         if self.config.consensus:
@@ -681,12 +691,12 @@ class FalconCluster:
             ino = self.shared.allocator.allocate()
             owner = self.mnodes[slot_map.node_of(index.locate(pid, name))]
             key = (pid, name)
-            owner.inodes.put(key, InodeRecord(ino=ino, is_dir=True,
-                                              mode=0o755))
+            record = InodeRecord(ino=ino, is_dir=True, mode=0o755)
+            owner.inodes.put(key, record)
             owner._track_name(key, +1)
-            self._bulk_standby(owner, key, owner.inodes.get(key), True)
+            self._bulk_standby(owner, key, record, True)
             owner.wal.bootstrap([[
-                ("inode", key, owner.inodes.get(key).copy()),
+                ("inode", key, record),
                 ("dentry", key, DentryRecord(ino=ino, mode=0o755)),
             ]])
             if replicate_dentries:
@@ -702,13 +712,11 @@ class FalconCluster:
             ino = self.shared.allocator.allocate()
             owner = self.mnodes[slot_map.node_of(index.locate(pid, name))]
             key = (pid, name)
-            owner.inodes.put(key, InodeRecord(ino=ino, is_dir=False,
-                                              size=size))
+            record = InodeRecord(ino=ino, is_dir=False, size=size)
+            owner.inodes.put(key, record)
             owner._track_name(key, +1)
-            self._bulk_standby(owner, key, owner.inodes.get(key), False)
-            owner.wal.bootstrap([[
-                ("inode", key, owner.inodes.get(key).copy()),
-            ]])
+            self._bulk_standby(owner, key, record, False)
+            owner.wal.bootstrap([[("inode", key, record)]])
             path_ino[fpath] = ino
         # Bulk records reached the standbys by direct mirroring, not log
         # shipping; advance each ship anchor past them so a restart never
@@ -724,7 +732,7 @@ class FalconCluster:
         standby = self.standbys[self.mnodes.index(owner)]
         if standby is None:
             return
-        standby.table("inode").put(key, record.copy())
+        standby.table("inode").put(key, record)
         if is_dir:
             standby.table("dentry").put(key, record.dentry())
 

@@ -26,6 +26,7 @@ or takes an exclusive lock.
 
 import heapq
 from collections import defaultdict
+from dataclasses import replace
 
 from repro.core.indexing import (
     ROUTE_PATHWALK,
@@ -58,6 +59,7 @@ from repro.obs import (
 )
 from repro.obs.tracer import CAT_BATCH
 from repro.storage import LockMode, Table, Transaction, WriteAheadLog
+from repro.storage.table import row_copy
 from repro.vfs.pathwalk import split_path
 
 #: Operations that flow through the merging worker pool.
@@ -282,6 +284,7 @@ class MNode(NamespaceReplicaMixin, Node):
         #: resurrecting a handed-off slot from the stale map seed.
         self.meta = Table("meta")
         self.wal = WriteAheadLog(env, self.costs, self.metrics)
+        self.wal.on_rotate = self.checkpoint
         self.xt = ExceptionTable()
         self.index = HybridIndex(shared.num_slots, self.xt)
         #: slot -> state, what a restart rebuilds (:meth:`rebuilt_slots`):
@@ -294,6 +297,10 @@ class MNode(NamespaceReplicaMixin, Node):
         #: LSNs logged but not yet applied (see :meth:`_OwnerWrite.commit`):
         #: a slot snapshot's delta starts below the lowest of them.
         self._unapplied = set()
+        #: slot -> the ``since`` of the handoff this node is the source
+        #: of, from its snapshot until its purge or reclaim: the fence
+        #: reads the log above it, so no checkpoint may retire past it.
+        self._handoff_since = {}
         #: slot -> number of open writes pinning it (batches, control-
         #: plane writes, staged 2PC halves); the fence drains this to
         #: zero before it reads the delta from the WAL.
@@ -545,6 +552,52 @@ class MNode(NamespaceReplicaMixin, Node):
         finally:
             w.close()
         return count
+
+    def table_image(self):
+        """``{table: (keys, rows)}`` of the durable tables, in key order:
+        inode rows by reference, mutable rows copied.  What a snapshot
+        reply carries and what a checkpoint's base holds; two flat lists
+        hold a row in 16 bytes, a list of pairs in 64."""
+        image = {}
+        for table in (self.inodes, self.dentries, self.meta):
+            keys, rows = image[table.name] = [], []
+            for key, row in table.scan():
+                keys.append(key)
+                rows.append(row_copy(row))
+        return image
+
+    def checkpoint(self):
+        """Write a base record and retire the log below it (the WAL's
+        rotation hook).  One step: no yield, no simulated time.
+
+        The horizon *h* is one below the lowest LSN that is logged but
+        not yet applied (or not yet durable), so every record at or
+        below it is in the tables the image copies; records above it
+        that already applied are in the image too, and redo replays
+        them again over it, which is idempotent.  *h* is held back by
+        the ``since`` of a slot handoff this node is the source of.
+        With a shipper, the ship anchor moves up to *h*: the records
+        with rows between the two took one ship LSN each, and
+        :meth:`shipper.trim <repro.storage.consensus.ReplicatedLog.trim>`
+        says how many of them the base may cover (an async standby
+        still needs the ones it has not applied; a consensus leader
+        drops its entries, and a member below resyncs by snapshot)."""
+        wal = self.wal
+        horizon = min(min(self._unapplied, default=wal.next_lsn) - 1,
+                      wal.durable_lsn, *self._handoff_since.values())
+        if self.shipper is not None and horizon > self._ship_anchor:
+            shipped = [record.lsn for segment in wal.segments
+                       for record in segment.records
+                       if self._ship_anchor < record.lsn <= horizon
+                       and record.payload]
+            covered = max(0, self.shipper.trim(
+                self._ship_base + len(shipped) - 1) - self._ship_base + 1)
+            if covered < len(shipped):
+                horizon = shipped[covered] - 1
+            self._ship_base += covered
+            self._ship_anchor = horizon
+        if horizon > wal.horizon:
+            wal.checkpoint(horizon, self.table_image(), term=wal.term)
 
     def _ship_committed(self, txn):
         # Resolved at commit time, not transaction creation: a standby
@@ -876,10 +929,7 @@ class MNode(NamespaceReplicaMixin, Node):
                     raise RpcFailure(RpcError.EEXIST, where)
                 if record.is_dir:
                     raise RpcFailure(RpcError.EISDIR, where)
-                truncated = record.copy()
-                truncated.size = 0
-                truncated.mtime = self.env.now
-                w.put(key, truncated)
+                w.put(key, replace(record, size=0, mtime=self.env.now))
                 return {"ino": record.ino}
             inode = InodeRecord(
                 ino=self.shared.allocator.allocate(), is_dir=False,
@@ -903,10 +953,8 @@ class MNode(NamespaceReplicaMixin, Node):
                 raise RpcFailure(RpcError.EISDIR, where)
             return {"attrs": inode_to_wire(record)}
         if op == "close":
-            updated = record.copy()
-            updated.size = payload.get("size", record.size)
-            updated.mtime = self.env.now
-            w.put(key, updated)
+            w.put(key, replace(record, size=payload.get("size", record.size),
+                               mtime=self.env.now))
             return {}
         if op == "unlink":
             if record.is_dir:
@@ -917,11 +965,10 @@ class MNode(NamespaceReplicaMixin, Node):
             if record.is_dir:
                 # Directory permission changes go through the coordinator.
                 raise RpcFailure(RpcError.EISDIR, where)
-            updated = record.copy()
-            updated.mode = payload.get("mode", record.mode)
-            updated.uid = payload.get("uid", record.uid)
-            updated.gid = payload.get("gid", record.gid)
-            w.put(key, updated)
+            w.put(key, replace(record,
+                               mode=payload.get("mode", record.mode),
+                               uid=payload.get("uid", record.uid),
+                               gid=payload.get("gid", record.gid)))
             return {}
         raise RpcFailure(RpcError.EINVAL, op)
 
@@ -1060,10 +1107,7 @@ class MNode(NamespaceReplicaMixin, Node):
         shipper must already point at the requester, so commits after
         this instant arrive as ordered log-shipping deltas the snapshot
         does not cover."""
-        entries = {
-            table.name: [(key, row.copy()) for key, row in table.scan()]
-            for table in (self.inodes, self.dentries, self.meta)
-        }
+        entries = self.table_image()
         # The LSN must be read at the same instant as the table copy:
         # transactions committing while the copy cost elapses below are
         # not in the snapshot and must stay above its LSN so the standby
@@ -1073,7 +1117,7 @@ class MNode(NamespaceReplicaMixin, Node):
         reply = {"tables": entries, "lsn": 0}
         if self.shipper is not None:
             reply.update(self.shipper.snapshot_position())
-        count = sum(len(rows) for rows in entries.values())
+        count = sum(len(keys) for keys, _ in entries.values())
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * count, ctx=message.ctx
         )
@@ -1229,9 +1273,7 @@ class MNode(NamespaceReplicaMixin, Node):
             if record is None:
                 raise RpcFailure(RpcError.ENOENT, payload["path"])
             yield self._call_peers("invalidate", {"keys": [list(key)]}, ctx)
-            updated = record.copy()
-            updated.mode = payload["mode"]
-            w.put(key, updated)
+            w.put(key, replace(record, mode=payload["mode"]))
 
         yield from self._owner_write(message, "chmod", step)
 
@@ -1618,6 +1660,8 @@ class MNode(NamespaceReplicaMixin, Node):
             if key[0] == "rename" and key[1] == slot
         ]
         since = min(self._unapplied, default=self.wal.next_lsn) - 1
+        self._handoff_since[slot] = min(
+            since, self._handoff_since.get(slot, since))
         yield from self._reply_rows(message, len(entries), {
             "slot": slot, "entries": entries, "markers": markers,
             "since": since, "incarnation": self.name})
@@ -1669,12 +1713,18 @@ class MNode(NamespaceReplicaMixin, Node):
         destination hint — drain the in-flight local writers, then read
         the slot's delta back from the WAL above the snapshot's
         ``since``.  Idempotent; refuses a ``since`` that counts LSNs in
-        another incarnation's log (a promoted node's)."""
+        another incarnation's log (a promoted node's), or one a
+        checkpoint retired past (a restarted node's, which forgot the
+        handoff): either delta would be short."""
         payload = message.payload
         slot = payload["slot"]
         if payload["incarnation"] != self.name:
             self._respond_error(message, RpcFailure(
                 RpcError.EINVAL, "since from " + payload["incarnation"]))
+            return
+        if payload["since"] + 1 < self.wal.first_lsn:
+            self._respond_error(message, RpcFailure(
+                RpcError.EINVAL, "since below the checkpoint"))
             return
         moved = {"state": "moved", "node": payload["node"],
                  "epoch": payload["epoch"]}
@@ -1772,6 +1822,7 @@ class MNode(NamespaceReplicaMixin, Node):
         that never fenced."""
         slot = message.payload["slot"]
         self.slots[slot] = SERVING
+        self._handoff_since.pop(slot, None)
         if self.meta.get(("slot", slot)) is not None:
             w = _OwnerWrite(self, message.ctx)
             self._mark(w, slot, None)
@@ -1803,6 +1854,7 @@ class MNode(NamespaceReplicaMixin, Node):
         slot = message.payload["slot"]
         removed = yield from self._drop_slot_copy(message.ctx, slot,
                                                   installed=False)
+        self._handoff_since.pop(slot, None)
         self.metrics.counter("slot_purged").inc(amount=removed)
         self.respond(message, {"ok": True, "removed": removed})
 

@@ -29,7 +29,10 @@ INVALID = "invalid"
 
 @dataclass
 class DentryRecord:
-    """Namespace-replica entry for one directory."""
+    """Namespace-replica entry for one directory.
+
+    Mutable (invalidation marks a replica INVALID in place), so the log
+    and every other holder keep a :meth:`copy`."""
 
     ino: int
     mode: int = 0o755
@@ -41,9 +44,13 @@ class DentryRecord:
         return DentryRecord(self.ino, self.mode, self.uid, self.gid, self.state)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class InodeRecord:
-    """Sharded attribute record for a file or directory."""
+    """Sharded attribute record for a file or directory.
+
+    Immutable: a write stores a new row (``dataclasses.replace``), so
+    the WAL, a checkpoint image, a snapshot reply and a standby's table
+    can all hold the stored object itself, never a copy of it."""
 
     ino: int
     is_dir: bool = False
@@ -53,12 +60,6 @@ class InodeRecord:
     size: int = 0
     mtime: float = 0.0
     nlink: int = 1
-
-    def copy(self):
-        return InodeRecord(
-            self.ino, self.is_dir, self.mode, self.uid, self.gid,
-            self.size, self.mtime, self.nlink,
-        )
 
     def dentry(self):
         """The dentry a directory's owner keeps beside this inode."""

@@ -186,22 +186,23 @@ def _restart(inj, event):
 def _corrupt_wal(inj, event):
     """Silently corrupt one durable WAL record; only a later redo sees
     it.  Without ``lsn`` the record is drawn now (the log's length is
-    unknowable earlier) from the event's own ``rng_seed``."""
+    unknowable earlier) from the event's own ``rng_seed``, among the
+    durable records a checkpoint has not retired.  A target that no
+    retained record holds is a logged no-op."""
     index = event["index"]
     node = inj.cluster.mnodes[index]
+    wal = node.wal
     target = event.get("lsn")
-    if target is None:
-        if node.wal.durable_lsn == 0:
-            inj._log("corrupt_wal_noop", node.name, index=index)
-            return
+    if target is None and wal.durable_lsn >= wal.first_lsn:
         target = random.Random(event["rng_seed"]).randint(
-            1, node.wal.durable_lsn)
-    for segment in node.wal.segments:
+            wal.first_lsn, wal.durable_lsn)
+    for segment in wal.segments:
         for record in segment.records:
             if record.lsn == target:
                 record.corrupt()
                 inj._log("corrupt_wal", node.name, index=index, lsn=target)
                 return
+    inj._log("corrupt_wal_noop", node.name, index=index)
 
 
 def _stampede(inj, event):

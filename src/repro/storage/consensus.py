@@ -80,15 +80,18 @@ class ReplicatedLog:
 
     Entries live above a ``(base_lsn, base_term)`` horizon — the
     snapshot point the leader's tables were built from (bulk load,
-    redo recovery, or an election install).  Everything in ``entries``
-    carries the *current* term (a leader never appends under an old
-    term), which is what makes commit-by-counting safe without Raft's
-    §5.4.2 current-term restriction as a separate check.
+    redo recovery, an election install, or its latest checkpoint).
+    Everything in ``entries`` carries the *current* term (a leader never
+    appends under an old term), which is what makes commit-by-counting
+    safe without Raft's §5.4.2 current-term restriction as a separate
+    check.
 
-    Retention is the full in-memory suffix above the base: a lagging
-    member backfills from it via gap-nack hints; a member that has
-    fallen below the base resynchronizes by snapshot (data follower)
-    or by adopting the base (witness).
+    Retention is the suffix above the base.  The base moves up when the
+    leader's WAL takes a checkpoint (:meth:`trim`), so the suffix is
+    bounded by the WAL's segment size: a lagging member backfills from
+    it via gap-nack hints; a member that has fallen below the base
+    resynchronizes by snapshot (data follower) or by adopting the base
+    (witness).
     """
 
     def __init__(self, node, witness_name, standby_name=None, term=1,
@@ -175,6 +178,20 @@ class ReplicatedLog:
         self.entries.append((lsn, self.term, records))
         for name, member in self.members.items():
             self._send_member(name, member)
+        return lsn
+
+    def trim(self, lsn):
+        """The leader's checkpoint covers the entries up to ``lsn``:
+        move the base up to it (at most to the last entry) and drop
+        them.  A member whose next entry is below the new base is
+        offered the base itself and resyncs by snapshot.  Returns the
+        LSN the base may cover."""
+        lsn = min(lsn, self.last_lsn)
+        if lsn > self.base_lsn:
+            drop = lsn - self.base_lsn
+            self.base_term = self.entries[drop - 1][1]
+            self.base_lsn = lsn
+            del self.entries[:drop]
         return lsn
 
     def _position_at(self, lsn):

@@ -144,7 +144,7 @@ class LogShipper:
     # -- the shipper surface MNodes and the cluster program against ------
     # (:class:`~repro.storage.consensus.ReplicatedLog` is the other
     # implementation: ship, on_ack, leading, wait_quorum,
-    # snapshot_position.)
+    # snapshot_position, trim.)
 
     def on_ack(self, sender, payload):
         """Consume a ``wal_ack`` from the current standby (a retired
@@ -164,6 +164,13 @@ class LogShipper:
     def snapshot_position(self):
         """The shipping position a table copy taken now reflects."""
         return {"lsn": self.next_lsn - 1}
+
+    def trim(self, lsn):
+        """The primary's checkpoint would cover the shipments up to
+        ``lsn``; returns how far it may.  A resumed shipper re-ships
+        from the log whatever the standby has not applied, so only the
+        acknowledged prefix may go."""
+        return min(lsn, self.acked_lsn)
 
     def acknowledge(self, applied_lsn):
         """Consume a standby ack: prune history up to ``applied_lsn``,
@@ -352,9 +359,9 @@ class Standby(Node):
         fast-forward the applied LSN to it; returns rows installed."""
         tables = {}
         installed = 0
-        for table_name, entries in reply["tables"].items():
+        for table_name, (keys, rows) in reply["tables"].items():
             table = Table(table_name)
-            for key, value in entries:
+            for key, value in zip(keys, rows):
                 table.put(tuple(key), value)
                 installed += 1
             tables[table_name] = table

@@ -15,6 +15,15 @@ _MISSING = object()
 _DELETED = object()
 
 
+def row_copy(value):
+    """What a second holder of stored row ``value`` keeps: a copy of a
+    row mutated in place (one with ``copy()``), the row itself when it
+    is immutable.  The log holds references, never copies, of inode
+    rows."""
+    copy = getattr(value, "copy", None)
+    return value if copy is None else copy()
+
+
 class Table:
     """A named, ordered key-value table."""
 
@@ -150,10 +159,13 @@ class Transaction:
         self.aborted = True
 
     def export_writes(self):
-        """Logical records for replication: (table, key, value|None).
+        """Logical records for the WAL and replication: ``(table, key,
+        value|None)``.
 
-        Values are copies (when the record supports ``copy()``) so the
-        standby never aliases the primary's live objects.
+        An immutable row (an inode) is the very object the table stores;
+        a row mutated in place (a dentry, a meta dict) is a
+        :func:`row_copy`, so neither the log nor a standby aliases a
+        live object that can still change.
         """
         records = []
         for table, bucket in self._writes.values():
@@ -161,8 +173,7 @@ class Transaction:
                 if value is _DELETED:
                     records.append((table.name, key, None))
                 else:
-                    copied = value.copy() if hasattr(value, "copy") else value
-                    records.append((table.name, key, copied))
+                    records.append((table.name, key, row_copy(value)))
         return records
 
     def _check_open(self):

@@ -24,6 +24,26 @@ to make durable, the way the paper's PostgreSQL MNodes do:
   verification (torn tail or injected disk corruption);
 * :meth:`payloads_since` is a live node's read-back of its own log
   above an LSN — where a slot handoff's delta comes from.
+
+The log is bounded by checkpoints, the way PostgreSQL bounds its own:
+
+* a **base record** (:meth:`checkpoint`) is an image of the owner's
+  tables that covers every record at or below its LSN, the horizon.
+  The owner picks the horizon and builds the image; the log only keeps
+  it.  The image may also hold writes above the horizon (a *fuzzy*
+  checkpoint): replaying those records over it again is idempotent,
+  because every record carries whole rows;
+* :meth:`retire` then drops every segment wholly at or below the base,
+  so the log keeps one base plus the suffix above it; the active
+  segment is never dropped;
+* redo is "install the base, then replay the suffix": :meth:`replay`
+  scans only the records above the base, and a restarted node's log is
+  rebuilt the same way (:meth:`bootstrap` with ``base``).
+
+A plain log never checkpoints on its own.  Its owner may set
+:attr:`~WriteAheadLog.on_rotate`, which the flusher calls once the
+flush after the one that opened a new segment is durable — about one
+checkpoint per ``costs.wal_segment_bytes`` of log.
 """
 
 import zlib
@@ -47,8 +67,9 @@ class WalRecord:
 
     ``payload`` is the transaction's logical record list
     (``(table, key, value-or-None)`` tuples, as produced by
-    :meth:`~repro.storage.table.Transaction.export_writes`), or ``None``
-    for control records (2PC votes) that carry no redo content.
+    :meth:`~repro.storage.table.Transaction.export_writes`), ``None``
+    for control records (2PC votes) that carry no redo content, or, in
+    a base record, the owner's table image.
     ``term`` is the consensus term under which the record was appended
     (0 when the log is not part of a replicated consensus group).
     """
@@ -172,6 +193,14 @@ class WriteAheadLog:
         #: therefore invisible to checksums and goldens) outside a
         #: replicated consensus group.
         self.term = 0
+        #: The latest base record (:meth:`checkpoint`), or None: every
+        #: record since the first is still in a segment.
+        self.base = None
+        #: Called with no arguments once the flush after the one that
+        #: opened a new segment is durable — the owner's checkpoint
+        #: trigger.
+        self.on_rotate = None
+        self._rotated = False
 
     # -- appending -------------------------------------------------------
 
@@ -203,14 +232,20 @@ class WriteAheadLog:
             self.env.process(self._flusher())
         return done
 
-    def bootstrap(self, payloads, terms=None):
+    def bootstrap(self, payloads, terms=None, base=None):
         """Install a base image: append ``payloads`` as already-durable
         records (no simulated time).  A promoted or redo-recovered node
         starts from the state its tables were built from — this is the
         base backup its future crash recovery replays before any new
         records.  ``terms`` (optional, parallel to ``payloads``) stamps
         each record with the consensus term it was originally appended
-        under, so redo recovery preserves term history."""
+        under, so redo recovery preserves term history.  ``base`` (a
+        redo's base record) goes first, and ``payloads`` then take the
+        LSNs above it, as they had in the log they were replayed from."""
+        if base is not None:
+            self.base = base
+            self.durable_lsn = base.lsn
+            self.next_lsn = base.lsn + 1
         for i, payload in enumerate(payloads):
             term = terms[i] if terms is not None else self.term
             record = WalRecord(self.next_lsn, payload,
@@ -220,11 +255,55 @@ class WriteAheadLog:
             self.durable_lsn = record.lsn
 
     def _segment_append(self, record):
+        """Append ``record`` to the active segment, first opening a new
+        one when it is full; returns whether it opened one."""
         segment = self.segments[-1]
-        if segment.nbytes >= self.costs.wal_segment_bytes and segment.records:
+        rotated = (segment.nbytes >= self.costs.wal_segment_bytes
+                   and bool(segment.records))
+        if rotated:
             segment = WalSegment(segment.index + 1)
             self.segments.append(segment)
         segment.append(record)
+        return rotated
+
+    # -- checkpoints -----------------------------------------------------
+
+    def checkpoint(self, lsn, image, term=0):
+        """Write a base record: ``image`` (the owner's tables, in the
+        form its redo installs) covers every record at or below ``lsn``.
+        Then :meth:`retire` below it.  No simulated time: the image is
+        taken and the segments dropped in one step."""
+        if lsn > self.durable_lsn:
+            raise ValueError("a base at LSN {} would cover records that "
+                             "are not durable (fsync horizon {})".format(
+                                 lsn, self.durable_lsn))
+        self.base = WalRecord(lsn, image, self.costs.wal_record_bytes,
+                              term=term)
+        self.retire(lsn)
+
+    def retire(self, lsn):
+        """Drop every segment whose records all lie at or below ``lsn``,
+        which the base must cover.  The active segment stays."""
+        if self.base is None or lsn > self.base.lsn:
+            raise ValueError("no base record covers LSN {}".format(lsn))
+        keep = len(self.segments) - 1
+        for i, segment in enumerate(self.segments[:-1]):
+            if segment.records and segment.records[-1].lsn > lsn:
+                keep = i
+                break
+        del self.segments[:keep]
+
+    @property
+    def horizon(self):
+        """The LSN the base covers up to (0 without a base)."""
+        return 0 if self.base is None else self.base.lsn
+
+    @property
+    def first_lsn(self):
+        """The lowest LSN still held in a segment: 1 while nothing has
+        been retired, else the first record the oldest segment kept."""
+        records = self.segments[0].records
+        return records[0].lsn if records else self.next_lsn
 
     # -- flushing --------------------------------------------------------
 
@@ -233,10 +312,14 @@ class WriteAheadLog:
             batch, self._pending = self._pending, []
             nbytes = sum(r.nbytes for _, r, _ in batch)
             records = sum(n for _, _, n in batch)
+            # The rotation hook runs once the flush *after* the one that
+            # opened a segment is durable: by then the writes of every
+            # earlier flush have applied, unless something holds them.
+            due, self._rotated = self._rotated, False
             # The batch hits the device now; the barrier completes after
             # the fsync latency.  Records are on disk but not yet safe.
             for _, record, _ in batch:
-                self._segment_append(record)
+                self._rotated |= self._segment_append(record)
             slow = self.slow_disk
             if slow is None:
                 duration = (
@@ -273,6 +356,8 @@ class WriteAheadLog:
                 self.metrics.counter("wal_bytes").inc(amount=nbytes)
             for done, _, _ in batch:
                 done.succeed()
+            if due and self.on_rotate is not None:
+                self.on_rotate()
         self._flushing = False
 
     # -- crash and recovery ----------------------------------------------
@@ -291,20 +376,25 @@ class WriteAheadLog:
             self._pending = []
 
     def replay(self):
-        """Redo scan: read the segments in LSN order.
+        """Redo scan: read the segments in LSN order, above the base.
 
         Returns ``(entries, torn)`` where ``entries`` is the list of
-        ``(lsn, term, payload)`` for every record up to the first
-        verification failure, and ``torn`` counts the records truncated
-        from that point on (the torn tail, plus anything behind an
-        injected corruption — standard WAL recovery stops at the first
-        bad record).  Read-only and idempotent.
+        ``(lsn, term, payload)`` for every record above :attr:`base`
+        (every record, without one) up to the first verification
+        failure, and ``torn`` counts the records truncated from that
+        point on (the torn tail, plus anything behind an injected
+        corruption — standard WAL recovery stops at the first bad
+        record).  Redo installs :attr:`base` first.  Read-only and
+        idempotent.
         """
         entries = []
         torn = 0
         broken = False
+        horizon = self.horizon
         for segment in self.segments:
             for record in segment.records:
+                if record.lsn <= horizon:
+                    continue
                 if broken or not record.intact:
                     broken = True
                     torn += 1
@@ -315,8 +405,14 @@ class WriteAheadLog:
     def payloads_since(self, lsn):
         """The payloads of every record above ``lsn`` that reached the
         device, in LSN order, verified or not: a live node reading back
-        writes it applied (a slot handoff's delta), not a redo scan."""
+        writes it applied (a slot handoff's delta), not a redo scan.
+        Raises ValueError when a record above ``lsn`` was retired: a
+        delta read from what is left would be short."""
+        if lsn + 1 < self.first_lsn:
+            raise ValueError("records above LSN {} were retired below "
+                             "LSN {}".format(lsn, self.first_lsn))
         return [record.payload for segment in self.segments
+                if segment.records and segment.records[-1].lsn > lsn
                 for record in segment.records if record.lsn > lsn]
 
     # -- readout ---------------------------------------------------------

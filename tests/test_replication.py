@@ -1,5 +1,7 @@
 """Tests for primary-standby metadata replication (log shipping)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core import FalconCluster, FalconConfig
@@ -202,15 +204,24 @@ class TestMechanics:
         # missing on both sides now.
         assert divergence(mnode, standby) == []
 
-    def test_standby_records_are_copies(self, cluster):
+    def test_standby_rows_never_change_under_it(self, cluster):
+        """The standby holds the primary's inode rows themselves, and
+        they are immutable: a later write at the primary stores a new
+        row and ships it; the row the standby holds never changes."""
         fs = cluster.fs()
         fs.create("/f")
         _drain(cluster)
         owner = cluster.coordinator.index.locate(1, "f")
         primary = cluster.mnodes[owner].inodes.get((1, "f"))
         replica = cluster.standbys[owner].table("inode").get((1, "f"))
-        assert replica is not primary
-        assert replica.ino == primary.ino
+        assert replica == primary
+        with pytest.raises(FrozenInstanceError):
+            replica.mode = 0o600
+        fs.chmod("/f", 0o600)
+        _drain(cluster)
+        assert replica.mode == 0o644
+        standby_row = cluster.standbys[owner].table("inode").get((1, "f"))
+        assert standby_row.mode == 0o600
 
     def test_promote_tables_invalidates_dentries(self, cluster):
         fs = cluster.fs()

@@ -35,6 +35,7 @@ import pytest
 import repro
 from repro.core.cluster import FalconCluster
 from repro.core.shared import FalconConfig
+from repro.net.costs import CostModel
 
 CREATES = 500
 DIRS = 4
@@ -72,3 +73,37 @@ def test_no_block_outlives_its_cluster():
     retained = snapshot.filter_traces(
         [tracemalloc.Filter(True, PACKAGE)]).statistics("lineno")
     assert [str(stat) for stat in retained] == []
+
+
+def _retained_wal_records(creates, segment_bytes):
+    """Per MNode, the records its WAL still holds after ``creates``
+    fault-free creates over shrunk segments."""
+    costs = CostModel(wal_segment_bytes=segment_bytes)
+    cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1),
+                            costs=costs)
+    client = cluster.add_client(mode="libfs")
+
+    def body():
+        for d in range(DIRS):
+            yield from client.mkdir("/d{}".format(d))
+        for i in range(creates):
+            yield from client.create("/d{}/f{}".format(i % DIRS, i))
+
+    cluster.run_process(body())
+    return [sum(len(segment.records) for segment in mnode.wal.segments)
+            for mnode in cluster.mnodes]
+
+
+def test_the_wal_keeps_at_most_two_segments():
+    """The log is bounded by its checkpoints, not by the run: after N
+    and after 4N creates each MNode's WAL holds at most what two
+    segments hold.  A count, never a timing."""
+    segment_bytes = 4096
+    record_bytes = CostModel().wal_record_bytes
+    bound = 2 * (segment_bytes // record_bytes + 1)
+    short = _retained_wal_records(CREATES // 2, segment_bytes)
+    long = _retained_wal_records(2 * CREATES, segment_bytes)
+    assert max(short + long) <= bound
+    # Unretired, the longer log would hold every create it logged:
+    # more than four times the bound.
+    assert 2 * CREATES // len(long) > 4 * bound
