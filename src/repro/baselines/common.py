@@ -24,7 +24,6 @@ from repro.core.indexing import stable_hash
 from repro.core.records import (
     InodeRecord,
     attrs_from_wire,
-    inode_from_wire,
     inode_to_wire,
 )
 from repro.core.shared import ClusterShared, FalconConfig
@@ -351,7 +350,7 @@ class MetaServer(Node):
         else:
             yield self.call(
                 self.peer_name(dst_owner), "rename_install",
-                {"key": list(dkey), "record": inode_to_wire(record)},
+                {"key": dkey, "record": record},
                 ctx=message.ctx,
             )
         self.inodes.delete(skey)
@@ -391,10 +390,10 @@ class MetaServer(Node):
         )
 
     def _on_rename_install(self, message):
-        key = tuple(message.payload["key"])
+        key = message.payload["key"]
         if self.inodes.get(key) is not None:
             raise RpcFailure(RpcError.EEXIST, key)
-        self.inodes.put(key, inode_from_wire(message.payload["record"]))
+        self.inodes.put(key, message.payload["record"])
         yield from self._charge(self.costs.index_insert_us, ctx=message.ctx)
         yield from self._journal(ctx=message.ctx)
         self.respond(message, {"ok": True})

@@ -27,8 +27,7 @@ from repro.net import CostModel, Network
 from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
 from repro.runtime.api import sized_nursery
-from repro.storage import Table
-from repro.storage.table import row_copy
+from repro.storage.table import apply_records, install_image, row_copy
 from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
 from repro.storage.replication import Standby, divergence
 from repro.vfs.attrs import ROOT_INO
@@ -459,18 +458,12 @@ class FalconCluster:
         markers override the slot-map seed), then reconcile replication
         with the surviving standby."""
         self.network.reincarnate(old.name)
-        tables = {name: Table(name) for name in ("inode", "dentry", "meta")}
+        tables = {}
         base = old.wal.base
         if base is not None:
-            for table_name, (keys, rows) in base.payload.items():
-                for key, value in zip(keys, rows):
-                    tables[table_name].put(key, row_copy(value))
+            install_image(tables, base.payload)
         for _, _, payload in entries:
-            for table_name, key, value in payload or ():
-                if value is None:
-                    tables[table_name].delete(key)
-                else:
-                    tables[table_name].put(key, row_copy(value))
+            apply_records(tables, payload or ())
         node = self._install_node(
             index, old, tables,
             replayed_log=[payload for _, _, payload in entries], base=base)
@@ -695,10 +688,6 @@ class FalconCluster:
             owner.inodes.put(key, record)
             owner._track_name(key, +1)
             self._bulk_standby(owner, key, record, True)
-            owner.wal.bootstrap([[
-                ("inode", key, record),
-                ("dentry", key, DentryRecord(ino=ino, mode=0o755)),
-            ]])
             if replicate_dentries:
                 for mnode in self.mnodes:
                     mnode.dentries.put(key, DentryRecord(ino=ino,
@@ -716,13 +705,15 @@ class FalconCluster:
             owner.inodes.put(key, record)
             owner._track_name(key, +1)
             self._bulk_standby(owner, key, record, False)
-            owner.wal.bootstrap([[("inode", key, record)]])
             path_ino[fpath] = ino
-        # Bulk records reached the standbys by direct mirroring, not log
-        # shipping; advance each ship anchor past them so a restart never
-        # tries to re-ship the preloaded dataset.
+        # No record carries the loaded rows, so each log gets one base
+        # holding them, at its current horizon: redo installs the image
+        # and replays every record above the horizon over it again (a
+        # fuzzy base), and no LSN moves, so neither does a ship anchor.
+        # The standbys got the rows by direct mirroring.
         for mnode in self.mnodes:
-            mnode._ship_anchor = mnode.wal.appended_txns
+            wal = mnode.wal
+            wal.checkpoint(wal.horizon, mnode.table_image(), term=wal.term)
         return path_ino
 
     def _bulk_standby(self, owner, key, record, is_dir):

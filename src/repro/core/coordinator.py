@@ -311,14 +311,14 @@ class Coordinator(NamespaceReplicaMixin, Node):
                       attrs={"txid": txid} if ctx.traced else None):
             vote = yield from self._prepare(
                 txid, src_owner, [src_owner], ctx,
-                {"txid": txid, "action": "delete", "key": list(skey)})
+                {"txid": txid, "action": "delete", "key": skey})
             record = vote["record"]
             # One abort per participant releases everything staged.
             yield from self._prepare(
                 txid, dst_owner, owners, ctx,
-                {"txid": txid, "action": "insert", "key": list(dkey),
+                {"txid": txid, "action": "insert", "key": dkey,
                  "record": record})
-            if record["is_dir"]:
+            if record.is_dir:
                 # Invalidate the source dentry everywhere; the two owners
                 # already hold it locked and update their replicas at
                 # commit.
@@ -329,7 +329,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 if peers:
                     yield self.env.all_of([
                         self.call(peer, "invalidate",
-                                  {"keys": [list(skey)]}, ctx=ctx)
+                                  {"keys": [skey]}, ctx=ctx)
                         for peer in peers
                     ])
                 self.dentries.delete(skey)
@@ -343,9 +343,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
             # it) can still apply its half — 2PC must not leave the source
             # record alive on one owner with the destination copy
             # already committed on the other.
-            delete_action = {"action": "delete", "key": list(skey),
-                             "ino": record["ino"]}
-            insert_action = {"action": "insert", "key": list(dkey),
+            delete_action = {"action": "delete", "key": skey,
+                             "ino": record.ino}
+            insert_action = {"action": "insert", "key": dkey,
                              "record": record}
             if dst_owner == src_owner:
                 plans = [(self.index.locate(*skey), src_owner,
@@ -594,8 +594,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 record["phase"] = "install"
                 yield from self._slot_call(
                     dest, "slot_install",
-                    {"slot": slot, "entries": snapshot["entries"],
-                     "markers": snapshot["markers"]},
+                    {"slot": slot, "image": snapshot["image"]},
                     attempts=4)
                 record["phase"] = "fence"
                 advertised = self.shared.slot_map.epoch + 1
@@ -746,10 +745,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         holder = {}
         info = {}
         for name, reply in zip(names, replies):
-            for entry in reply["entries"]:
-                key = tuple(entry["key"])
+            for key, record in zip(*reply["inode"]):
                 holder[key] = name
-                info[key] = (entry["ino"], entry["is_dir"])
+                info[key] = (record.ino, record.is_dir)
                 by_parent.setdefault(key[0], []).append(key)
         reachable_dirs = {ROOT_INO}
         frontier = [ROOT_INO]
@@ -764,9 +762,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         orphan_dir_keys = []
         for key, name in sorted(holder.items()):
             if key[0] not in reachable_dirs:
-                orphans.setdefault(name, []).append(list(key))
+                orphans.setdefault(name, []).append(key)
                 if info[key][1]:
-                    orphan_dir_keys.append(list(key))
+                    orphan_dir_keys.append(key)
         if not orphans:
             return 0
         if orphan_dir_keys:
@@ -776,9 +774,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 self.call(name, "invalidate", {"keys": orphan_dir_keys})
                 for name in names
             ])
-            yield from self.apply_invalidation(
-                [tuple(k) for k in orphan_dir_keys]
-            )
+            yield from self.apply_invalidation(orphan_dir_keys)
         replies = yield self.env.all_of([
             self.call(name, "fsck_delete", {"keys": keys})
             for name, keys in sorted(orphans.items())
@@ -912,7 +908,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
             table = exception_table_to_wire(self.xt)
             by_node = {node: [] for node in mnodes}
             for entry in entries:
-                target = self.index.locate(entry["key"][0], name)
+                _, (pid, _), _ = entry
+                target = self.index.locate(pid, name)
                 by_node[self.shared.mnode_name(target)].append(entry)
             yield self.env.all_of([
                 self.call(node, "migrate_install",

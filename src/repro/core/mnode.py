@@ -41,9 +41,6 @@ from repro.core.records import (
     VALID,
     DentryRecord,
     InodeRecord,
-    dentry_from_wire,
-    dentry_to_wire,
-    inode_from_wire,
     inode_to_wire,
 )
 from repro.core.replica import NamespaceReplicaMixin
@@ -320,8 +317,8 @@ class MNode(NamespaceReplicaMixin, Node):
         #: Ship-LSN origin within the WAL: (wal txn count at the lsn-space
         #: origin, first ship lsn after it).  Lets a restart map durable
         #: WAL records back onto shipping LSNs — records at or before the
-        #: anchor reached the standby out of band (snapshot / bulk load)
-        #: and are never re-shipped.
+        #: anchor reached the standby out of band (a snapshot) and are
+        #: never re-shipped.
         self._ship_anchor = 0
         self._ship_base = 1
         # Hot-path metric handles: deliver/_execute_batch/_respond run
@@ -554,17 +551,12 @@ class MNode(NamespaceReplicaMixin, Node):
         return count
 
     def table_image(self):
-        """``{table: (keys, rows)}`` of the durable tables, in key order:
-        inode rows by reference, mutable rows copied.  What a snapshot
-        reply carries and what a checkpoint's base holds; two flat lists
-        hold a row in 16 bytes, a list of pairs in 64."""
-        image = {}
-        for table in (self.inodes, self.dentries, self.meta):
-            keys, rows = image[table.name] = [], []
-            for key, row in table.scan():
-                keys.append(key)
-                rows.append(row_copy(row))
-        return image
+        """The table image ``{table: (keys, rows)}`` of the durable
+        tables (:meth:`Table.image <repro.storage.table.Table.image>`).
+        What a snapshot reply carries and what a checkpoint's base
+        holds."""
+        return {table.name: table.image()
+                for table in (self.inodes, self.dentries, self.meta)}
 
     def checkpoint(self):
         """Write a base record and retire the log below it (the WAL's
@@ -599,14 +591,14 @@ class MNode(NamespaceReplicaMixin, Node):
         if horizon > wal.horizon:
             wal.checkpoint(horizon, self.table_image(), term=wal.term)
 
-    def _ship_committed(self, txn):
+    def _ship_committed(self, records):
         # Resolved at commit time, not transaction creation: a standby
         # attached mid-flight (rejoin after a crash-restart) must see
         # every transaction that commits after the attach, or a commit
         # racing the attach would be neither shipped nor in the
         # snapshot its catch-up installs.
         if self.shipper is not None:
-            self.shipper.ship(txn)
+            self.shipper.ship(records)
 
     # ------------------------------------------------------------------
     # batch execution (concurrent request merging, §4.4)
@@ -1025,14 +1017,14 @@ class MNode(NamespaceReplicaMixin, Node):
             ino = self.shared.allocator.allocate()
             mode = plan.payload.get("mode", 0o755)
             txid = "mkdir-{}-{}".format(self.name, ino)
-            wire = {"ino": ino, "mode": mode, "uid": 0, "gid": 0}
             round_us = (self.costs.two_phase_round_us
                         * max(1, len(self._peers())))
             with ctx.span("2pc", CAT_PHASE, node=self.name,
                           attrs={"txid": txid} if ctx.traced else None):
                 votes = yield self._call_peers(
                     "replica_prepare",
-                    {"txid": txid, "key": list(key), "record": wire}, ctx)
+                    {"txid": txid, "key": key,
+                     "record": DentryRecord(ino=ino, mode=mode)}, ctx)
                 yield from self.execute(round_us, ctx=ctx)
                 if not all(vote.get("ok") for vote in votes):
                     yield self._call_peers("replica_abort", {"txid": txid},
@@ -1057,7 +1049,7 @@ class MNode(NamespaceReplicaMixin, Node):
         """Participant half of an eager mkdir: lock the new directory's
         key and vote yes; the decision installs its replica dentry."""
         payload = message.payload
-        key = tuple(payload["key"])
+        key = payload["key"]
         w = _OwnerWrite(self, message.ctx)
         yield from w.lock(key)
         yield from self.execute(self.costs.index_insert_us, ctx=message.ctx)
@@ -1072,10 +1064,7 @@ class MNode(NamespaceReplicaMixin, Node):
         ok: its replica fetches the dentry from the owner on demand."""
         staged = self._staged.pop(message.payload["txid"], ())
         for entry in staged:
-            wire = entry["record"]
-            self.dentries.put(entry["key"], DentryRecord(
-                ino=wire["ino"], mode=wire["mode"], uid=wire["uid"],
-                gid=wire["gid"]))
+            self.dentries.put(entry["key"], row_copy(entry["record"]))
             yield from self.execute(self.costs.index_insert_us)
         self._release_staged(staged)
         self.respond(message, {"ok": True})
@@ -1147,18 +1136,16 @@ class MNode(NamespaceReplicaMixin, Node):
         self.respond(message, {"invalidated": len(keys)})
 
     def _on_fsck_scan(self, message):
-        """Report every local inode entry for the coordinator's
-        post-failover reachability sweep."""
-        entries = [
-            {"key": list(key), "ino": record.ino, "is_dir": record.is_dir}
-            for key, record in self.inodes.scan()
-        ]
+        """Report every local inode row, as the table image
+        ``{"inode": (keys, rows)}``, for the coordinator's post-failover
+        reachability sweep."""
+        keys, rows = self.inodes.image()
         yield from self.execute(
-            self.costs.index_lookup_us + 0.02 * len(entries)
+            self.costs.index_lookup_us + 0.02 * len(keys)
         )
         self.respond(
-            message, {"entries": entries},
-            size=self.costs.rpc_response_bytes + 32 * len(entries),
+            message, {"inode": (keys, rows)},
+            size=self.costs.rpc_response_bytes + 32 * len(keys),
         )
 
     def _on_fsck_delete(self, message):
@@ -1166,7 +1153,7 @@ class MNode(NamespaceReplicaMixin, Node):
         failover's unshipped window)."""
         def stage(w):
             removed = 0
-            for key in map(tuple, message.payload["keys"]):
+            for key in message.payload["keys"]:
                 slot = self._slot_of(key)
                 if self.slots.get(slot, SERVING) != SERVING:
                     # Mid-slot-handoff: the slot's records travel with
@@ -1187,7 +1174,9 @@ class MNode(NamespaceReplicaMixin, Node):
     # ------------------------------------------------------------------
 
     def _on_lookup_dentry(self, message):
-        """Serve a dentry fetch from another namespace replica.
+        """Serve a dentry fetch from another namespace replica: answer
+        with the directory's inode row, from which the replica builds
+        its dentry.
 
         Takes the directory inode's shared lock, so fetches block behind a
         namespace change that holds it exclusively (§4.3, case 2).
@@ -1210,10 +1199,7 @@ class MNode(NamespaceReplicaMixin, Node):
         elif not record.is_dir:
             self._respond_error(message, RpcFailure(RpcError.ENOTDIR, key))
         else:
-            self.respond(message, {
-                "ino": record.ino, "mode": record.mode,
-                "uid": record.uid, "gid": record.gid,
-            })
+            self.respond(message, record)
 
     def _on_invalidate(self, message):
         """Invalidate replica dentries; optionally report child existence
@@ -1253,7 +1239,7 @@ class MNode(NamespaceReplicaMixin, Node):
             )
             replies = yield self._call_peers(
                 "invalidate",
-                {"keys": [list(key)], "children_of": record.ino}, ctx)
+                {"keys": [key], "children_of": record.ino}, ctx)
             yield from self.execute(self.costs.index_lookup_us, ctx=ctx)
             local_children = self.inodes.has_prefix((record.ino,))
             if local_children or any(r.get("has_children") for r in replies):
@@ -1272,7 +1258,7 @@ class MNode(NamespaceReplicaMixin, Node):
             record = self.inodes.get(key)
             if record is None:
                 raise RpcFailure(RpcError.ENOENT, payload["path"])
-            yield self._call_peers("invalidate", {"keys": [list(key)]}, ctx)
+            yield self._call_peers("invalidate", {"keys": [key]}, ctx)
             w.put(key, replace(record, mode=payload["mode"]))
 
         yield from self._owner_write(message, "chmod", step)
@@ -1290,7 +1276,7 @@ class MNode(NamespaceReplicaMixin, Node):
         write, kept open until the decision, and answers through
         :meth:`_ack` (under consensus, once a quorum holds the row)."""
         payload = message.payload
-        txid, key = payload["txid"], tuple(payload["key"])
+        txid, key = payload["txid"], payload["key"]
         action = payload["action"]
         deadline = payload.get("deadline")
         w = _OwnerWrite(self, message.ctx)
@@ -1318,7 +1304,7 @@ class MNode(NamespaceReplicaMixin, Node):
             return
         # A delete names the ino it voted on; a same-slot rename's
         # second half joins the first's row.
-        decided = {"action": action, "key": list(key)}
+        decided = {"action": action, "key": key}
         if action == "delete":
             decided["ino"] = record.ino
         else:
@@ -1333,7 +1319,7 @@ class MNode(NamespaceReplicaMixin, Node):
             self.env.process(self._resolve_in_doubt(txid, deadline))
         response = {"ok": True}
         if action == "delete":
-            response["record"] = inode_to_wire(record)
+            response["record"] = record
         yield from self._ack(message, response)
 
     def restage(self):
@@ -1346,7 +1332,7 @@ class MNode(NamespaceReplicaMixin, Node):
                 continue
             for action in row["voted"]:
                 w = _OwnerWrite(self)
-                next(w.lock(tuple(action["key"])), None)  # a fresh table
+                next(w.lock(action["key"]), None)  # a fresh table
                 w.pin(slot)
                 self._staged.setdefault(txid, []).append(
                     {"action": action, "write": w})
@@ -1383,7 +1369,7 @@ class MNode(NamespaceReplicaMixin, Node):
         applied = []
         try:
             if actions and not staged:
-                keys = sorted({tuple(action["key"]) for action in actions})
+                keys = sorted({action["key"] for action in actions})
                 yield from w.lock(*keys)
                 for key in keys:
                     w.enter(key)
@@ -1391,10 +1377,10 @@ class MNode(NamespaceReplicaMixin, Node):
             for slot in self._touched(actions):
                 w.txn.put(self.meta, ("rename", slot, txid), dict(APPLIED))
             for action in actions:
-                key, kind = tuple(action["key"]), action["action"]
+                key, kind = action["key"], action["action"]
                 current = w.get(key)
                 if kind == "insert" and current is None:
-                    w.put(key, inode_from_wire(action["record"]))
+                    w.put(key, action["record"])
                 elif (kind == "delete" and current is not None
                         and current.ino == action["ino"]):
                     w.delete(key)
@@ -1412,14 +1398,13 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _touched(self, actions):
         """The slots ``actions`` write into, each once, in order."""
-        return sorted({self._slot_of(tuple(action["key"]))
-                       for action in actions})
+        return sorted({self._slot_of(action["key"]) for action in actions})
 
     def _unmarked(self, txid, actions):
         """The ``actions`` whose slot holds no applied marker for
         ``txid`` on this node."""
         return [action for action in actions if self.meta.get(
-            ("rename", self._slot_of(tuple(action["key"])), txid))
+            ("rename", self._slot_of(action["key"]), txid))
             != APPLIED]
 
     def _drop_vote(self, txid, staged):
@@ -1576,7 +1561,7 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _on_migrate_collect(self, message):
         """Redirection step 1: block the filename, then remove and
-        return every local inode with it.
+        return every local inode with it, as a record list.
 
         The block turns away plans that have not yet locked the name's
         rows; X on every such row key already held or queued waits out
@@ -1599,8 +1584,7 @@ class MNode(NamespaceReplicaMixin, Node):
                     # saga, not with the filename migration.
                     continue
                 w.pin(slot)
-                entries.append({"key": list(key),
-                                "record": inode_to_wire(record)})
+                entries.append(("inode", key, record))
                 w.delete(key)
             return len(entries)
 
@@ -1622,12 +1606,11 @@ class MNode(NamespaceReplicaMixin, Node):
         entries = payload["entries"]
 
         def stage(w):
-            for entry in entries:
-                key = tuple(entry["key"])
+            for _, key, record in entries:
                 slot = self._slot_of(key)
                 if self.serves(slot):   # an exception-table placement
                     w.pin(slot)         # is unfenced
-                w.put(key, inode_from_wire(entry["record"]))
+                w.put(key, record)
             return len(entries)
 
         yield from self._bulk_write(
@@ -1640,31 +1623,28 @@ class MNode(NamespaceReplicaMixin, Node):
     # ------------------------------------------------------------------
 
     def _on_slot_snapshot(self, message):
-        """Source step 1 of an online slot handoff: copy every inode
-        record in the slot and, in the same no-yield instant, name the
-        WAL position ``since`` above which every write the copy lacks
-        was logged — the analogue of :meth:`_on_snapshot` reading the
-        ship LSN at copy time.  The source keeps nothing for the saga."""
+        """Source step 1 of an online slot handoff: take a table image
+        of the slot's inode rows and, in the same no-yield instant, name
+        the WAL position ``since`` above which every write the image
+        lacks was logged — the analogue of :meth:`_on_snapshot` reading
+        the ship LSN at copy time.  The source keeps nothing for the
+        saga."""
         slot = message.payload["slot"]
-        entries = [
-            {"key": list(key), "record": inode_to_wire(record)}
-            for key, record in self.inodes.scan()
-            if self._slot_of(key) == slot
-        ]
         # The slot's rename rows ride along: the destination inherits
         # the duty of no-op-acking stale commit re-deliveries.  (A voted
         # row pins the slot, so the fence's delta carries its decision.)
-        markers = [
-            {"key": list(key), "record": dict(value)}
-            for key, value in self.meta.scan()
-            if key[0] == "rename" and key[1] == slot
-        ]
+        image = {
+            "inode": self.inodes.image(
+                lambda key: self._slot_of(key) == slot),
+            "meta": self.meta.image(
+                lambda key: key[:2] == ("rename", slot)),
+        }
         since = min(self._unapplied, default=self.wal.next_lsn) - 1
         self._handoff_since[slot] = min(
             since, self._handoff_since.get(slot, since))
-        yield from self._reply_rows(message, len(entries), {
-            "slot": slot, "entries": entries, "markers": markers,
-            "since": since, "incarnation": self.name})
+        yield from self._reply_rows(message, len(image["inode"][0]), {
+            "slot": slot, "image": image, "since": since,
+            "incarnation": self.name})
 
     def _reply_rows(self, message, rows, payload):
         """Generator: answer a handoff step whose reply carries ``rows``
@@ -1696,12 +1676,13 @@ class MNode(NamespaceReplicaMixin, Node):
             # restarts with the slot *pending*, never serving the
             # delta-less copy.
             self._mark(w, slot, pending)
-            for marker in payload["markers"]:
-                w.txn.put(self.meta, tuple(marker["key"]),
-                          dict(marker["record"]))
-            for entry in payload["entries"]:
-                w.put(tuple(entry["key"]), inode_from_wire(entry["record"]))
-            return len(payload["entries"])
+            image = payload["image"]
+            for key, marker in zip(*image["meta"]):
+                w.txn.put(self.meta, key, row_copy(marker))
+            keys, rows = image["inode"]
+            for key, record in zip(keys, rows):
+                w.put(key, record)
+            return len(keys)
 
         installed = yield from self._bulk_write(
             message.ctx, self.costs.index_insert_us, stage)
@@ -1738,13 +1719,11 @@ class MNode(NamespaceReplicaMixin, Node):
         # to the *destination*, which can only no-op it if the marker
         # moved.  Handoff markers describe this node and never move.
         yield from _OwnerWrite.drain(self, slot)
-        entries = [
-            {"table": table, "key": list(key),
-             "record": None if value is None else _TO_WIRE[table](value)}
-            for records in self.wal.payloads_since(payload["since"])
-            for table, key, value in records or ()
-            if (key[:2] == ("rename", slot) if table == "meta"
-                else self._slot_of(key) == slot)
+        delta = [
+            record for records in self.wal.payloads_since(payload["since"])
+            for record in records or ()
+            if (record[1][:2] == ("rename", slot) if record[0] == "meta"
+                else self._slot_of(record[1]) == slot)
         ]
         # Durable fence marker *before* the delta leaves this node: a
         # restart must come back fenced, not resurrect the slot from
@@ -1753,8 +1732,8 @@ class MNode(NamespaceReplicaMixin, Node):
         w = _OwnerWrite(self, message.ctx)
         self._mark(w, slot, moved)
         yield from w.commit()
-        yield from self._reply_rows(message, len(entries),
-                                    {"ok": True, "delta": entries})
+        yield from self._reply_rows(message, len(delta),
+                                    {"ok": True, "delta": delta})
 
     def _mark(self, w, slot, state):
         """Stage ``slot``'s durable handoff marker in ``w``: ``state``,
@@ -1784,11 +1763,7 @@ class MNode(NamespaceReplicaMixin, Node):
             # it, the slot is still pending and the re-delivered
             # activate applies.
             self._mark(w, slot, SERVING)
-            for entry in payload["delta"]:
-                name, key = entry["table"], tuple(entry["key"])
-                record = entry["record"]
-                if record is not None:
-                    record = _FROM_WIRE[name](record)
+            for name, key, record in payload["delta"]:
                 if name == "inode":
                     # The delta carries the matching dentry rows itself.
                     if record is None:
@@ -1802,7 +1777,7 @@ class MNode(NamespaceReplicaMixin, Node):
                     if record is None:
                         w.txn.delete(table, key)
                     else:
-                        w.txn.put(table, key, record)
+                        w.txn.put(table, key, row_copy(record))
             return len(payload["delta"])
 
         applied = yield from self._bulk_write(
@@ -1885,10 +1860,3 @@ class MNode(NamespaceReplicaMixin, Node):
         removed = yield from self._bulk_write(
             ctx, self.costs.index_delete_us, stage)
         return removed
-
-
-#: Handoff-delta codecs per logged table (fence encodes, activate
-#: decodes; tombstones travel as ``None``).
-_TO_WIRE = {"inode": inode_to_wire, "dentry": dentry_to_wire, "meta": dict}
-_FROM_WIRE = {"inode": inode_from_wire, "dentry": dentry_from_wire,
-              "meta": dict}

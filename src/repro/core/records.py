@@ -12,6 +12,16 @@ Both tables key by ``(parent_id, name)``:
 A server-side dentry record is intentionally small (the paper's §3 notes
 under 100 bytes vs 800 bytes for a VFS-cached directory); we model that
 footprint for the memory-accounting experiments.
+
+Rows cross nodes and enter logs as the tables store them, with tuple
+keys, in one of two shapes: a record list ``[(table, key, row | None)]``
+(a WAL payload, a handoff delta, a shipment) or a table image
+``{table: (keys, rows)}`` (a base, a snapshot).  The live serving mode
+puts both on the wire through :mod:`repro.runtime.wire`, which encodes
+these two classes.  One copy rule: a node that stores a received row
+mutated in place (a :class:`DentryRecord`, a meta dict) keeps a
+:func:`~repro.storage.table.row_copy` of it; an :class:`InodeRecord`
+is shared as is.
 """
 
 from dataclasses import dataclass
@@ -32,7 +42,7 @@ class DentryRecord:
     """Namespace-replica entry for one directory.
 
     Mutable (invalidation marks a replica INVALID in place), so the log
-    and every other holder keep a :meth:`copy`."""
+    and every node that stores a received one keep a :meth:`copy`."""
 
     ino: int
     mode: int = 0o755
@@ -67,7 +77,9 @@ class InodeRecord:
 
 
 def inode_to_wire(record):
-    """Serialize an :class:`InodeRecord` for an RPC payload."""
+    """The attribute dict a client-facing reply carries (``{"attrs":
+    ...}``: ``getattr`` returns it).  Server-to-server messages carry
+    the row itself."""
     return {
         "ino": record.ino,
         "is_dir": record.is_dir,
@@ -80,20 +92,6 @@ def inode_to_wire(record):
     }
 
 
-def inode_from_wire(data):
-    """Deserialize an RPC payload into an :class:`InodeRecord`."""
-    return InodeRecord(
-        ino=data["ino"],
-        is_dir=data["is_dir"],
-        mode=data["mode"],
-        uid=data["uid"],
-        gid=data["gid"],
-        size=data["size"],
-        mtime=data["mtime"],
-        nlink=data["nlink"],
-    )
-
-
 def attrs_from_wire(data):
     """A client's view of a wire inode: the :class:`InodeAttrs` it caches."""
     return InodeAttrs(
@@ -101,18 +99,6 @@ def attrs_from_wire(data):
         uid=data["uid"], gid=data["gid"], size=data["size"],
         mtime=data["mtime"],
     )
-
-
-def dentry_to_wire(record):
-    """Serialize a :class:`DentryRecord` (slot-handoff deltas)."""
-    return {"ino": record.ino, "mode": record.mode, "uid": record.uid,
-            "gid": record.gid, "state": record.state}
-
-
-def dentry_from_wire(data):
-    return DentryRecord(ino=data["ino"], mode=data["mode"],
-                        uid=data["uid"], gid=data["gid"],
-                        state=data.get("state", VALID))
 
 
 class InodeAllocator:

@@ -14,7 +14,7 @@ responses issued before the invalidation are discarded — the paper's
 
 from collections import defaultdict
 
-from repro.core.records import INVALID, VALID, DentryRecord
+from repro.core.records import INVALID, DentryRecord
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import NULL_CONTEXT, RetryPolicy, deadline_call, retry
 from repro.storage import LockManager, LockMode, Table
@@ -116,7 +116,7 @@ class NamespaceReplicaMixin:
                     # holding the global rename mutex).  Each timed-out
                     # attempt re-resolves the owner, so the retry lands
                     # on the promoted standby once failover installs it.
-                    attrs = yield from deadline_call(
+                    row = yield from deadline_call(
                         self, ctx or NULL_CONTEXT,
                         self._owner_name(key), "lookup_dentry",
                         payload, timeout_us=timeout_us,
@@ -129,10 +129,9 @@ class NamespaceReplicaMixin:
                 if self.inval_seq[dkey] != seq:
                     # Stale response: let the retry helper re-issue.
                     raise RpcFailure(RpcError.ERETRY, key)
-                record = DentryRecord(
-                    ino=attrs["ino"], mode=attrs["mode"], uid=attrs["uid"],
-                    gid=attrs["gid"], state=VALID,
-                )
+                # The owner answers with its inode row; the replica
+                # keeps the dentry built from it.
+                record = row.dentry()
                 self.dentries.put(key, record)
             return record
 
@@ -163,12 +162,12 @@ class NamespaceReplicaMixin:
     def apply_invalidation(self, keys):
         """Generator: X-lock, bump sequence and mark INVALID for each key."""
         for key in keys:
-            dkey = ("d",) + tuple(key)
+            dkey = ("d",) + key
             grant = self.locks.acquire(dkey, LockMode.EXCLUSIVE)
             if grant.event.callbacks is not None:
                 yield grant.event
             self.inval_seq[dkey] += 1
-            record = self.dentries.get(tuple(key))
+            record = self.dentries.get(key)
             if record is not None:
                 record.state = INVALID
             self.locks.release(grant)

@@ -2,7 +2,10 @@
 
 The simulator passes Python objects between nodes by reference; the
 multi-process serving mode (:mod:`repro.serve`) must put the same
-payloads on real TCP sockets.  This module defines:
+payloads on real TCP sockets, and this module is the only serializer
+that does.  Protocol code never converts a payload for the wire: rows
+travel as the tables store them (see :mod:`repro.core.records`).  This
+module defines:
 
 * a **tagged-JSON codec** (:func:`encode` / :func:`decode`) covering the
   protocol's payload vocabulary beyond plain JSON — tuples (table keys),

@@ -55,7 +55,7 @@ from repro.net import Node
 from repro.net.rpc import RpcFailure
 from repro.obs import NULL_CONTEXT, deadline_call
 from repro.storage.replication import Standby, refuse_unowned
-from repro.storage.table import Table
+from repro.storage.table import apply_records
 
 #: Follower election timeout base, microseconds: a follower that hears
 #: nothing from its leader for a seeded draw from ``[T, 2T]`` starts an
@@ -74,7 +74,7 @@ class ReplicatedLog:
     """Leader-side consensus log for one metadata group.
 
     Drop-in for :class:`~repro.storage.replication.LogShipper` on the
-    MNode's commit hook (``ship(txn)``), but every shipped transaction
+    MNode's commit hook (``ship(records)``), but every shipped transaction
     becomes a term-stamped log entry and the commit path can park on
     :meth:`wait_quorum` until a majority has durably appended it.
 
@@ -163,15 +163,13 @@ class ReplicatedLog:
 
     # -- appending and shipping ------------------------------------------
 
-    def ship(self, txn):
-        """Commit hook: append one committed transaction's writes.
-
-        The WAL's durability barrier has already completed when the
-        commit hook runs, so the leader's own copy of this entry is
-        durable before any member sees it."""
-        self.append(txn.export_writes())
-
     def append(self, records):
+        """Append one entry (a committed transaction's WAL payload) and
+        offer it to every member; returns its LSN.
+
+        As the commit hook (:meth:`ship`) it runs once the WAL's
+        durability barrier has completed, so the leader's own copy of
+        this entry is durable before any member sees it."""
         if not records or self.deposed:
             return None
         lsn = self.last_lsn + 1
@@ -179,6 +177,8 @@ class ReplicatedLog:
         for name, member in self.members.items():
             self._send_member(name, member)
         return lsn
+
+    ship = append
 
     def trim(self, lsn):
         """The leader's checkpoint covers the entries up to ``lsn``:
@@ -572,14 +572,7 @@ class ConsensusFollower(MemberLog, Standby):
                 continue
             if lsn > self.commit_lsn:
                 break
-            for table_name, key, value in records:
-                table = self.tables.setdefault(table_name,
-                                               Table(table_name))
-                if value is None:
-                    table.delete(key)
-                else:
-                    table.put(key, value)
-                applied += 1
+            applied += apply_records(self.tables, records)
             self.applied_lsn = lsn
         self.applied_records += applied
         return applied

@@ -5,8 +5,8 @@ primary-secondary replication; the evaluation runs with replication
 disabled, but the mechanism belongs to the system.  This module
 implements asynchronous log shipping:
 
-* every committed transaction on a primary exports its logical records
-  (table, key, new value or tombstone) and ships them to the standby in
+* every committed transaction on a primary ships the record list its
+  WAL logged (table, key, new row or tombstone) to the standby in
   commit order;
 * the standby applies records in order, tracks its applied LSN, exposes
   replication lag, and acknowledges its applied LSN back to the primary
@@ -30,7 +30,7 @@ re-validates them — see :meth:`Standby.promote_tables`.
 from repro.core.records import INVALID
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.storage.table import Table
+from repro.storage.table import Table, apply_records, install_image
 
 #: Shipper retransmission period, microseconds: how long an unacked
 #: suffix waits for ack progress before it is re-shipped.
@@ -72,15 +72,13 @@ class LogShipper:
         self.resent_records = 0
         self._retx_armed = False
 
-    def ship(self, txn):
-        """Ship one committed transaction's writes (fire-and-forget;
-        asynchronous replication does not delay the commit path)."""
-        self.ship_payload(txn.export_writes())
-
     def ship_payload(self, records, lsn=None):
         """Ship a logical record list; assigns the next LSN unless a
         re-ship ``lsn`` is given (restart catch-up resends the durable
-        suffix the standby missed under its original LSNs)."""
+        suffix the standby missed under its original LSNs).  As the
+        commit hook (:meth:`ship`) it takes one committed transaction's
+        WAL payload, fire-and-forget: asynchronous replication does not
+        delay the commit path."""
         if not records:
             return None
         if lsn is None:
@@ -97,6 +95,8 @@ class LogShipper:
         self._send(lsn, records)
         self._arm_retransmit()
         return lsn
+
+    ship = ship_payload
 
     def _send(self, lsn, records):
         self.shipped_records += len(records)
@@ -280,15 +280,8 @@ class Standby(Node):
         applied = 0
         while self.applied_lsn + 1 in self._pending:
             self.applied_lsn += 1
-            for table_name, key, value in self._pending.pop(
-                    self.applied_lsn):
-                table = self.tables.setdefault(table_name,
-                                               Table(table_name))
-                if value is None:
-                    table.delete(key)
-                else:
-                    table.put(key, value)
-                applied += 1
+            applied += apply_records(
+                self.tables, self._pending.pop(self.applied_lsn))
         self.applied_records += applied
         return applied
 
@@ -357,17 +350,9 @@ class Standby(Node):
     def _install_snapshot(self, reply):
         """Replace the tables with a ``snapshot`` reply's copy and
         fast-forward the applied LSN to it; returns rows installed."""
-        tables = {}
-        installed = 0
-        for table_name, (keys, rows) in reply["tables"].items():
-            table = Table(table_name)
-            for key, value in zip(keys, rows):
-                table.put(tuple(key), value)
-                installed += 1
-            tables[table_name] = table
-        self.tables = tables
+        self.tables = {}
         self.applied_lsn = reply["lsn"]
-        return installed
+        return install_image(self.tables, reply["tables"])
 
     def lag(self, shipper):
         """Transactions shipped but not yet applied."""
@@ -407,14 +392,14 @@ def divergence(primary, standby):
         ("inode", primary.inodes),
     )
     for name, table in pairs:
-        replica = standby.tables.get(name, Table(name))
-        keys = {k for k, _ in table.scan()}
-        keys |= {k for k, _ in replica.scan()}
+        replica = standby.tables.get(name)
+        theirs_by_key = {} if replica is None else dict(replica.scan())
+        keys = {k for k, _ in table.scan()}.union(theirs_by_key)
         for key in sorted(keys):
             if name == "dentry" and not _owned_by(primary, key):
                 continue
             mine = table.get(key)
-            theirs = replica.get(key)
+            theirs = theirs_by_key.get(key)
             if not _records_equal(mine, theirs):
                 differences.append((name, key, mine, theirs))
     return differences

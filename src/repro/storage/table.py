@@ -24,6 +24,38 @@ def row_copy(value):
     return value if copy is None else copy()
 
 
+def _table(tables, name):
+    """``tables[name]``, created (once) when missing."""
+    table = tables.get(name)
+    if table is None:
+        table = tables[name] = Table(name)
+    return table
+
+
+def apply_records(tables, records):
+    """Apply a record list ``[(table, key, row | None)]`` — a WAL
+    payload — to ``tables`` (``{name: Table}``) in order, storing each
+    row as :func:`row_copy`; returns the number of records applied."""
+    for name, key, value in records:
+        if value is None:
+            _table(tables, name).delete(key)
+        else:
+            _table(tables, name).put(key, row_copy(value))
+    return len(records)
+
+
+def install_image(tables, image):
+    """Put every row of a table image ``{table: (keys, rows)}`` into
+    ``tables``, as :func:`row_copy`; returns the number of rows."""
+    installed = 0
+    for name, (keys, rows) in image.items():
+        table = _table(tables, name)
+        for key, value in zip(keys, rows):
+            table.put(key, row_copy(value))
+        installed += len(keys)
+    return installed
+
+
 class Table:
     """A named, ordered key-value table."""
 
@@ -53,6 +85,18 @@ class Table:
     def scan(self, lo=None, hi=None):
         return self.tree.items(lo, hi)
 
+    def image(self, keep=None):
+        """``(keys, rows)``: this table's part of a table image, in key
+        order, holding the rows whose key passes ``keep`` (all, without
+        one) as :func:`row_copy` — an image is the rows at one instant.
+        Two flat lists hold a row in 16 bytes, a list of pairs in 64."""
+        keys, rows = [], []
+        for key, row in self.tree.items():
+            if keep is None or keep(key):
+                keys.append(key)
+                rows.append(row_copy(row))
+        return keys, rows
+
     def scan_prefix(self, prefix):
         """Iterate entries whose tuple key starts with ``prefix``.
 
@@ -75,9 +119,9 @@ class Table:
 class Transaction:
     """Buffered writes over tables, made durable and applied at commit.
 
-    ``on_commit`` (optional) is invoked with the transaction after its
-    writes are applied — the hook log-shipping replication uses to ship
-    committed records to a standby.
+    ``on_commit`` (optional) is invoked with the record list the WAL
+    logged, after the writes are applied — the hook log-shipping
+    replication uses to ship that very payload to a standby.
 
     ``barrier`` (optional) is a generator function run after WAL
     durability but before the writes are applied — the hook a node uses
@@ -136,11 +180,11 @@ class Transaction:
     def commit(self):
         """Generator: persist WAL, then apply writes.  ``yield from`` it."""
         self._check_open()
-        records = self.write_count
+        records = self.export_writes()
         if records:
-            nbytes = records * self.costs.wal_record_bytes
-            yield self.wal.commit(nbytes, records=records, ctx=self.ctx,
-                                  payload=self.export_writes())
+            nbytes = len(records) * self.costs.wal_record_bytes
+            yield self.wal.commit(nbytes, records=len(records), ctx=self.ctx,
+                                  payload=records)
         if self.barrier is not None:
             yield from self.barrier()
         for table, bucket in self._writes.values():
@@ -151,7 +195,7 @@ class Transaction:
                     table.put(key, value)
         self.committed = True
         if self.on_commit is not None:
-            self.on_commit(self)
+            self.on_commit(records)
 
     def abort(self):
         self._check_open()
@@ -159,13 +203,14 @@ class Transaction:
         self.aborted = True
 
     def export_writes(self):
-        """Logical records for the WAL and replication: ``(table, key,
-        value|None)``.
+        """The record list the WAL logs and the shipper ships: ``(table,
+        key, value|None)``.
 
         An immutable row (an inode) is the very object the table stores;
         a row mutated in place (a dentry, a meta dict) is a
-        :func:`row_copy`, so neither the log nor a standby aliases a
-        live object that can still change.
+        :func:`row_copy`, so the log never aliases a live object that
+        can still change.  A node that stores a shipped row copies it
+        again (:func:`apply_records`).
         """
         records = []
         for table, bucket in self._writes.values():

@@ -32,7 +32,9 @@ The log is bounded by checkpoints, the way PostgreSQL bounds its own:
   The owner picks the horizon and builds the image; the log only keeps
   it.  The image may also hold writes above the horizon (a *fuzzy*
   checkpoint): replaying those records over it again is idempotent,
-  because every record carries whole rows;
+  because every record carries whole rows.  A bulk load seeds the log
+  this way too: one base at the current horizon holds the loaded rows,
+  which no record carries;
 * :meth:`retire` then drops every segment wholly at or below the base,
   so the log keeps one base plus the suffix above it; the active
   segment is never dropped;
@@ -65,11 +67,13 @@ def wal_checksum(lsn, payload, term=0):
 class WalRecord:
     """One appended transaction: LSN, logical records, term, checksum.
 
-    ``payload`` is the transaction's logical record list
-    (``(table, key, value-or-None)`` tuples, as produced by
-    :meth:`~repro.storage.table.Transaction.export_writes`), ``None``
-    for control records (2PC votes) that carry no redo content, or, in
-    a base record, the owner's table image.
+    ``payload`` is the transaction's record list (``(table, key,
+    row-or-None)`` tuples, as produced by
+    :meth:`~repro.storage.table.Transaction.export_writes`) — the very
+    list the commit hook ships and a slot fence filters into its delta —
+    ``None`` for control records (2PC votes) that carry no redo content,
+    or, in a base record, the owner's table image ``{table: (keys,
+    rows)}``.
     ``term`` is the consensus term under which the record was appended
     (0 when the log is not part of a replicated consensus group).
     """
@@ -232,24 +236,21 @@ class WriteAheadLog:
             self.env.process(self._flusher())
         return done
 
-    def bootstrap(self, payloads, terms=None, base=None):
+    def bootstrap(self, payloads, base=None):
         """Install a base image: append ``payloads`` as already-durable
         records (no simulated time).  A promoted or redo-recovered node
         starts from the state its tables were built from — this is the
         base backup its future crash recovery replays before any new
-        records.  ``terms`` (optional, parallel to ``payloads``) stamps
-        each record with the consensus term it was originally appended
-        under, so redo recovery preserves term history.  ``base`` (a
-        redo's base record) goes first, and ``payloads`` then take the
-        LSNs above it, as they had in the log they were replayed from."""
+        records.  ``base`` (a redo's base record) goes first, and
+        ``payloads`` then take the LSNs above it, as they had in the log
+        they were replayed from."""
         if base is not None:
             self.base = base
             self.durable_lsn = base.lsn
             self.next_lsn = base.lsn + 1
-        for i, payload in enumerate(payloads):
-            term = terms[i] if terms is not None else self.term
+        for payload in payloads:
             record = WalRecord(self.next_lsn, payload,
-                               self.costs.wal_record_bytes, term=term)
+                               self.costs.wal_record_bytes, term=self.term)
             self.next_lsn += 1
             self._segment_append(record)
             self.durable_lsn = record.lsn

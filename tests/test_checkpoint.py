@@ -231,6 +231,45 @@ class TestSlotHandoff:
         assert all(fs.exists("/d/" + name) for name in early + late)
 
 
+class TestBulkLoad:
+    """A bulk load bypasses the protocol, so no record carries its rows:
+    each MNode's log gets one base record holding them instead."""
+
+    @pytest.fixture
+    def loaded(self):
+        from repro.workloads.trees import uniform_tree
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+        tree = uniform_tree(levels=2, dir_fanout=3, files_per_leaf=4)
+        cluster.bulk_load(tree)
+        return cluster, tree
+
+    def test_a_bulk_load_writes_a_base_image(self, loaded):
+        cluster, tree = loaded
+        loaded_rows = 0
+        for mnode in cluster.mnodes:
+            wal = mnode.wal
+            assert [segment.records for segment in wal.segments] == [[]]
+            assert wal.appended_txns == 0 and wal.horizon == 0
+            for table in (mnode.inodes, mnode.dentries):
+                keys, rows = wal.base.payload[table.name]
+                assert list(zip(keys, rows)) == list(table.scan())
+            loaded_rows += len(wal.base.payload["inode"][0])
+        assert loaded_rows == tree.num_dirs + tree.num_files
+
+    def test_redo_right_after_the_load_restores_every_row(self, loaded):
+        cluster, tree = loaded
+        for index in range(len(cluster.mnodes)):
+            inodes = list(cluster.mnodes[index].inodes.scan())
+            cluster.crash_mnode(index)
+            record = _restart(cluster, index)
+            assert record["replayed_txns"] == 0
+            assert list(cluster.mnodes[index].inodes.scan()) == inodes
+        cluster.verify()
+        fs = cluster.fs()
+        assert all(fs.exists(path) for path in tree.file_paths())
+
+
 class TestCorruptWal:
     def test_the_draw_comes_from_the_retained_records(self):
         cluster = _cluster()

@@ -222,7 +222,7 @@ class TestMigrateCollect:
             return reply
 
         reply = cluster.run_process(collect())
-        assert [tuple(entry["key"]) for entry in reply["entries"]] == served
+        assert [key for _, key, _ in reply["entries"]] == served
         remaining = {key for key, _ in owner.inodes.scan()}
         assert remaining.isdisjoint(served)
         assert remaining >= set(keys) - set(served)

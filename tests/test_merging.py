@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FalconCluster, FalconConfig
 from repro.core.merging import WorkerPool
+from repro.core.records import DentryRecord
 from repro.sim import Environment
 
 
@@ -213,11 +214,11 @@ class TestEagerReplicationAblation:
             num_mnodes=4, num_storage=2, eager_replication=True,
         ))
         participant = cluster.mnodes[1]
-        record = {"ino": 99, "mode": 0o755, "uid": 0, "gid": 0}
+        record = DentryRecord(ino=99, mode=0o755)
         for txid, decision in (("mkdir-a", "replica_abort"),
                                ("mkdir-c", "replica_commit")):
             self._decide(cluster, participant.name, "replica_prepare",
-                         {"txid": txid, "key": [1, txid], "record": record})
+                         {"txid": txid, "key": (1, txid), "record": record})
             (entry,) = participant._staged[txid]
             assert entry["write"].grants
             assert participant.locks.holders(("d", 1, txid)) == ["X"]

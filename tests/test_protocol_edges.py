@@ -244,7 +244,7 @@ class TestOwnerWriteScaffold:
                              {"pid": ROOT_INO, "name": "d", "path": "/d"}),
             coordinator.call(owner.name, "rename_prepare",
                              {"txid": "rn-test", "action": "delete",
-                              "key": [ROOT_INO, "d"]}),
+                              "key": (ROOT_INO, "d")}),
         ]
         for reply in replies:
             reply.defused = True  # either may legitimately answer ENOENT
@@ -305,7 +305,6 @@ class TestCommitRedelivery:
     def _last_commit(self, cluster, fs, dst_path):
         """The most recent committed txid plus its reconstructed insert
         half, exactly as a completer would re-deliver it."""
-        from repro.core.mnode import inode_to_wire
         from repro.vfs.pathwalk import basename
 
         outcomes = cluster.coordinator._rename_outcomes
@@ -315,8 +314,8 @@ class TestCommitRedelivery:
         dkey = (pid, basename(dst_path))
         owner = next(m for m in cluster.mnodes
                      if m.inodes.get(dkey) is not None)
-        action = {"action": "insert", "key": list(dkey),
-                  "record": inode_to_wire(owner.inodes.get(dkey))}
+        action = {"action": "insert", "key": dkey,
+                  "record": owner.inodes.get(dkey)}
         return txid, owner, action
 
     def _redeliver(self, cluster, owner, txid, action):
@@ -380,21 +379,19 @@ class TestCommitRedelivery:
         *and* the insert in one write.  (Redone one action at a time,
         the delete's marker made the insert look applied, and the file
         vanished.)"""
-        from repro.core.mnode import inode_to_wire
-
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
         fs = cluster.fs()
         fs.mkdir("/d")
         fs.create("/d/a")
         owner = cluster.mnodes[0]
         pid = fs.getattr("/d")["ino"]
-        record = inode_to_wire(owner.inodes.get((pid, "a")))
+        record = owner.inodes.get((pid, "a"))
         reply = cluster.run_process(_call(
             cluster.coordinator, owner.name, "rename_commit",
             {"txid": "rn-lost", "actions": [
-                {"action": "delete", "key": [pid, "a"],
-                 "ino": record["ino"]},
-                {"action": "insert", "key": [pid, "b"], "record": record},
+                {"action": "delete", "key": (pid, "a"),
+                 "ino": record.ino},
+                {"action": "insert", "key": (pid, "b"), "record": record},
             ]}))
         assert reply == {"ok": True}
         assert not fs.exists("/d/a")
@@ -415,7 +412,7 @@ class TestCommitRedelivery:
         fs.rename("/d/a", "/d/b")
         txid, owner, action = self._last_commit(cluster, fs, "/d/b")
         w = _OwnerWrite(owner)
-        cluster.run_process(w.lock(tuple(action["key"])))
+        cluster.run_process(w.lock(action["key"]))
         reply = cluster.coordinator.call(
             owner.name, "rename_commit", {"txid": txid, "actions": [action]})
         cluster.run_for(1000.0)

@@ -204,6 +204,43 @@ class TestMechanics:
         # missing on both sides now.
         assert divergence(mnode, standby) == []
 
+    def test_applying_shipments_builds_no_table(self, monkeypatch):
+        """A standby applying records to tables it already has builds
+        no :class:`Table` (nor its B-link tree) per record, and
+        ``divergence`` reads a table the standby lacks as empty."""
+        from repro.core.records import DentryRecord, InodeRecord
+        from repro.net.message import Message
+        from repro.storage.replication import divergence
+        from repro.storage.table import Table
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             replication=True))
+        standby = cluster.standbys[0]
+        mnode = cluster.mnodes[0]
+        built = []
+        init = Table.__init__
+
+        def counted_init(self, name, *args, **kwargs):
+            built.append(name)
+            init(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Table, "__init__", counted_init)
+        for lsn in range(1, 6):
+            key = (1, "d{}".format(lsn))
+            standby.deliver(Message(
+                mnode.name, standby.name, "wal_ship",
+                {"lsn": lsn, "records": [
+                    ("inode", key, InodeRecord(ino=lsn, is_dir=True)),
+                    ("dentry", key, DentryRecord(ino=lsn))]}))
+        cluster.run_for(100.0)
+        assert standby.applied_lsn == 5
+        assert len(standby.table("inode")) == 5
+        del standby.tables["dentry"]
+        assert [(name, key) for name, key, _, _ in divergence(
+            mnode, standby)] == [("inode", (1, "d{}".format(lsn)))
+                                 for lsn in range(1, 6)]
+        assert built == []
+
     def test_standby_rows_never_change_under_it(self, cluster):
         """The standby holds the primary's inode rows themselves, and
         they are immutable: a later write at the primary stores a new
