@@ -27,7 +27,6 @@ from repro.net import CostModel, Network
 from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
 from repro.runtime.api import sized_nursery
-from repro.storage.table import apply_records, install_image, row_copy
 from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
 from repro.storage.replication import Standby, divergence
 from repro.vfs.attrs import ROOT_INO
@@ -49,19 +48,22 @@ class FalconCluster:
             MNode(self.env, self.network, self.shared, i)
             for i in range(self.config.num_mnodes)
         ]
+        for mnode in self.mnodes:
+            mnode.boot()
         self.coordinator = Coordinator(self.env, self.network, self.shared)
+        self.coordinator.install_leader = self.promote_standby
         self.standbys = []
         #: Vote-only consensus members, one per slot (consensus mode).
         self.witnesses = []
         self._consensus_running = False
-        #: (slot, name) of deposed-but-alive leaders awaiting demotion.
+        #: (slot, incarnation) of deposed-but-alive leaders awaiting
+        #: demotion.
         self._zombies = []
         if self.config.consensus:
             for i, mnode in enumerate(self.mnodes):
                 self.witnesses.append(Witness(
                     self.env, self.network, mnode.name + "-witness"))
                 self.coordinator.register_leader(i, 1, mnode.name)
-            self.coordinator.install_leader = self.install_elected_leader
         if self.config.replication:
             self.standbys = [self._join_member(i, mnode.name + "-standby")
                              for i, mnode in enumerate(self.mnodes)]
@@ -70,7 +72,8 @@ class FalconCluster:
             for name in self.shared.storage_names
         ]
         self.clients = []
-        #: Crash events ({index, name, at, lag_at_crash}) — see crash_mnode.
+        #: Crash events ({index, name, at, lag_at_crash, appended_txns,
+        #: durable_lsn}) — see crash_mnode.
         self.crash_log = []
         #: Dead primaries kept for post-mortem inspection (tests compare
         #: their tables against the promoted standby's).
@@ -136,6 +139,7 @@ class FalconCluster:
         index = len(self.mnodes)
         self.shared.mnode_names.append("mnode-{}".format(index))
         node = MNode(self.env, self.network, self.shared, index)
+        node.boot()
         self.mnodes.append(node)
         self.config.num_mnodes = len(self.mnodes)
         if self.config.replication:
@@ -179,103 +183,67 @@ class FalconCluster:
         self._crashed[index] = mnode
         self.crash_log.append({
             "index": index, "name": mnode.name, "at": self.env.now,
-            "lag_at_crash": lag,
+            "lag_at_crash": lag, "appended_txns": mnode.wal.appended_txns,
+            "durable_lsn": mnode.wal.durable_lsn,
         })
         return lag
+
+    def crashed(self, index):
+        """Slot ``index``'s crashed, not yet restarted occupant, or
+        None."""
+        return self._crashed.get(index)
 
     def _standby(self, index):
         """Slot ``index``'s replica machine, or None — no replication,
         or a promotion consumed it and no restart has restored one."""
         return self.standbys[index] if index < len(self.standbys) else None
 
-    def promote_standby(self, index):
-        """Promote MNode ``index``'s standby into the ring (state
-        surgery, called by the coordinator's failover path).
-
-        Builds a fresh MNode from the standby's replicated tables and
-        installs it under directory slot ``index``, so every client and
-        server that re-resolves the slot reaches the promoted node.
-        Returns ``(new_node, lost_txns)``.
-        """
-        standby = self._standby(index)
-        if standby is None:
+    def promote_standby(self, index, grant, claim=None):
+        """The coordinator's install hook: slot ``index``'s replica
+        machine becomes its primary, ordained or elected (``claim``, the
+        winner's leader claim).  The slot is renamed first, so every
+        retry that re-resolves it lands on the new incarnation, which
+        boots from the replica's disk under ``grant``.  A zombie (a
+        deposed leader still alive) rejoins at :meth:`heal`.  Returns
+        ``(new_node, lost_txns)``: what the old primary shipped and the
+        replica never applied, or, elected, appended but never
+        quorum-committed (acknowledged to no one)."""
+        member = self._standby(index)
+        if member is None or (claim is not None
+                              and member.name != claim["name"]):
             raise RuntimeError(
-                "MNode {} has no standby to promote".format(index)
-            )
+                "slot {} has no replica {!r} to promote (it has {!r})".format(
+                    index, claim and claim["name"],
+                    None if member is None else member.name))
         old = self.mnodes[index]
-        lost_txns = standby.lag(old.shipper) if old.shipper else 0
-        node = self._install_node(index, old, standby.promote_tables())
+        lost_txns = 0
+        if claim is None and old.shipper is not None:
+            lost_txns = member.lag(old.shipper)
+        self._promotions += 1
+        self.shared.mnode_names[index] = "{}-p{}".format(
+            old.name, self._promotions)
+        node = MNode(self.env, self.network, self.shared, index)
+        node.boot(member, grant)
+        self._install(index, node)
         self.standbys[index] = None
+        if claim is not None:
+            if old.shipper is not None:
+                lost_txns = max(0, old.shipper.last_lsn
+                                - node.shipper.base_lsn)
+            if self.crashed(index) is None:
+                self._zombies.append((index, old))
+            if self._consensus_running:
+                node.shipper.start()
         return node, lost_txns
 
-    def _install_node(self, index, old, tables, replayed_log=None,
-                      base=None):
-        """The state surgery every recovery path shares: a fresh MNode
-        over ``tables`` replaces ``old`` at ``index``.
-
-        A promotion or election installs it under a new name — the
-        directory slot must point there *before* the MNode is
-        constructed (it takes its name from the directory), and from
-        then on every retry that re-resolves the slot lands on the new
-        node; a redo resume (``replayed_log`` given) keeps the name.
-        Durable handoff markers then override the slot-map seed (a
-        fenced or pending slot stays that way), owned state is rebuilt,
-        every voted-but-undecided rename is restaged with its locks and
-        resolver, and the WAL is seeded so the new incarnation is itself
-        restartable: with the redo's ``base`` record and the replayed
-        log above it, or else a base backup of the installed tables,
-        which a later crash redo-replays plus whatever commits on top.
-        The old incarnation is halted — its frozen handlers stay dead
-        even if its *name* is reincarnated — and retired.
-        """
-        if replayed_log is None:
-            self._promotions += 1
-            self.shared.mnode_names[index] = "{}-p{}".format(
-                old.name, self._promotions)
-        node = MNode(self.env, self.network, self.shared, index)
-        node.inodes = tables.get("inode", node.inodes)
-        node.dentries = tables.get("dentry", node.dentries)
-        node.meta = tables.get("meta", node.meta)
-        node.slots = node.rebuilt_slots()
-        self._rebuild_owned_state(node)
-        node.restage()
-        node.wal.bootstrap(replayed_log if replayed_log is not None else [
-            [(table.name, key, row_copy(row))]
-            for table in (node.inodes, node.dentries, node.meta)
-            for key, row in table.scan()
-        ], base=base)
+    def _install(self, index, node):
+        """Swap ``node`` into slot ``index``; halt (its frozen handlers
+        stay dead even if its name comes back) and retire the old
+        incarnation."""
+        old = self.mnodes[index]
         self.mnodes[index] = node
         old.halted = True
         self.retired_mnodes.append(old)
-        return node
-
-    def _rebuild_owned_state(self, node):
-        """State surgery after installing tables into a fresh MNode
-        (promotion or redo recovery), by one rule: a dentry whose slot is
-        served or pending here (:meth:`MNode.authoritative`) is derived
-        from this node's own inode row, so it is rebuilt from the inode
-        table beside it; every other dentry is marked INVALID.  Then the
-        load-balancer statistics are rebuilt and the coordinator's
-        exception table is copied in.
-
-        A derived dentry may be stale or missing (lost behind a torn or
-        corrupted WAL record, never shipped to the standby), and its
-        holder reads INVALID as "gone", so it is never kept as found.
-        A replica may have missed invalidation broadcasts while the node
-        was dead, so it is refetched lazily."""
-        from repro.core.records import INVALID
-
-        for key, record in list(node.dentries.scan()):
-            if node.authoritative(key):
-                node.dentries.delete(key)
-            else:
-                record.state = INVALID
-        for key, inode in node.inodes.scan():
-            node._track_name(key, +1)
-            if inode.is_dir and node.authoritative(key):
-                node.dentries.put(key, inode.dentry())
-        # The coordinator's exception table is authoritative.
-        node.xt.adopt(self.coordinator.xt.copy())
 
     # -- consensus (leader election) -----------------------------------------
 
@@ -330,188 +298,68 @@ class FalconCluster:
             if follower is not None:
                 follower.stop_elections()
 
-    def install_elected_leader(self, slot, term, claim):
-        """Consensus-mode state surgery (the coordinator's
-        ``leader_claim`` install hook): promote the elected data
-        follower into the ring under directory slot ``slot``.
-
-        Unlike ordained promotion, nothing here decides *whether* the
-        follower may lead — the witness's vote already established
-        that its log holds every quorum-acked entry.  The follower
-        first applies its **entire** log including the uncommitted
-        suffix (an acked entry can sit above its last known commit
-        horizon if the old leader died before piggybacking it), then
-        its tables are installed into a fresh MNode whose replicated
-        log is re-based at the follower's log end.  The group runs
-        with the witness as its only member until the deposed
-        machine rejoins as the new data follower.
-        """
-        follower = self.standbys[slot]
-        if follower is None or follower.name != claim["name"]:
-            raise RuntimeError(
-                "leader claim for slot {} from {!r}, but the slot's "
-                "follower is {!r}".format(
-                    slot, claim["name"],
-                    None if follower is None else follower.name))
-        old = self.mnodes[slot]
-        follower.force_apply_all()
-        base_lsn = follower._last_lsn()
-        base_term = follower._last_term()
-        # Entries the old leader appended but never quorum-committed:
-        # durable on one machine only, never acknowledged to anyone.
-        lost_txns = 0
-        if old.shipper is not None:
-            lost_txns = max(0, old.shipper.last_lsn - base_lsn)
-        follower.stop_elections()
-        # The deposed leader is crashed, or an alive zombie on the
-        # minority side of a partition; its lease provably lapsed before
-        # the witness would grant the vote that got us here, so it has
-        # already stopped serving and the install's halt only makes that
-        # permanent.  An alive zombie's machine is demoted into the
-        # group's new data follower at heal time.
-        node = self._install_node(slot, old, follower.promote_tables())
-        if slot not in self._crashed:
-            self._zombies.append((slot, old.name))
-        self.standbys[slot] = None
-        shipper = node.attach_group(
-            self.witnesses[slot].name, standby_name=None, term=term,
-            base_lsn=base_lsn, base_term=base_term,
-        )
-        if self._consensus_running:
-            shipper.start()
-        return node, lost_txns
-
-    def _rejoin(self, index, old):
-        """Generator: another node owns the slot, so the restarted (or
-        demoted-zombie) machine ``old`` rejoins as its fresh replica —
-        a standby behind the promoted primary, or the elected leader's
-        new data follower with its election timer armed — and catches
-        up by snapshot.  (``old`` is already retired: the promotion put
-        it there when it took over the slot.)"""
-        if not self.network.is_down(old.name):
-            # A zombie being demoted, not a crash: abandon the halted
-            # incarnation's frozen handlers the same way a crash does.
-            self.network.set_down(old.name)
-        self.network.reincarnate(old.name)
-        member = self._join_member(index, old.name)
+    def _rejoin(self, index, name):
+        """Generator: machine ``name``, told to rejoin slot ``index``,
+        abandons its MNode incarnation as a crash would and comes back
+        as the replica of the slot's owner: a standby, or a data
+        follower with its election timer armed.  It catches up by
+        snapshot."""
+        if not self.network.is_down(name):
+            self.network.set_down(name)
+        self.network.reincarnate(name)
+        member = self._join_member(index, name)
         self.standbys[index] = member
         yield from member.catch_up(self.mnodes[index].name)
         if self._consensus_running:
             member.start_elections()
-        return member
 
     def restart_mnode(self, index):
         """Generator: restart the crashed former occupant of slot
-        ``index`` from its durable WAL.
-
-        Redo-replays the fsynced log prefix (truncating at the first
-        torn or corrupted record), then either
-
-        * **resumes as primary** — the failure detector has not promoted
-          anyone, so the rebuilt node re-registers under its own name
-          and slot, reconciles with its standby (queries the applied
-          LSN, re-ships the durable delta the standby missed), or
-        * **rejoins as standby** — a promoted node owns the slot; the
-          restarted machine becomes its fresh standby and catches up via
-          snapshot + log-shipping delta.
-
-        Returns the restart record (also appended to ``restart_log``).
-        """
+        ``index``.  This is fault delivery; the machine recovers itself.
+        Its disk powers on (redo reads the log while the name is still
+        down), and a new incarnation under the same name registers with
+        the coordinator.  Told **primary**, it boots from the disk
+        (:meth:`MNode.boot`), takes the ``mnodes`` entry back and leads
+        its replicas again (:meth:`MNode.resume`); told **standby of X**,
+        it rejoins as X's replica (:meth:`_rejoin`).  Returns the restart
+        record (also appended to ``restart_log``)."""
         old = self._crashed.pop(index, None)
         if old is None:
             raise RuntimeError(
                 "MNode slot {} has no crashed node to restart".format(index)
             )
         started_at = self.env.now
-        entries, torn = old.wal.replay()
-        # Reboot + redo take real time; the node serves nothing meanwhile.
-        # Redo reads the records above the base; installing the base is
-        # as free as taking it was.
-        yield self.env.timeout(
-            self.costs.wal_fsync_us
-            + self.costs.wal_replay_us_per_record * len(entries)
-        )
-        # The old incarnation is retired for good: its frozen handler
-        # processes must stay dead once the name is reachable again.
+        disk = old.wal
+        replayed, torn = yield from disk.power_on()
+        # The old incarnation's frozen handlers must stay dead once the
+        # name is reachable again.
         old.halted = True
-        if self.shared.mnode_names[index] != old.name:
-            role = "standby"
-            node = yield from self._rejoin(index, old)
+        self.network.reincarnate(old.name)
+        node = MNode(self.env, self.network, self.shared, index,
+                     name=old.name)
+        reply = yield from node.register()
+        if reply["role"] == "primary":
+            node.boot(disk, reply)
+            self._install(index, node)
+            standby = self._standby(index)
+            yield from node.resume(
+                disk, reply, standby and standby.name,
+                self.witnesses[index].name if self.witnesses else None)
+            if self._consensus_running:
+                node.shipper.start()
         else:
-            role = "primary"
-            node = yield from self._resume_primary(index, old, entries)
+            node.halted = True
+            yield from self._rejoin(index, old.name)
         if self.detector is not None:
             self.detector.node_restarted(index)
         record = {
-            "index": index, "name": node.name, "role": role,
+            "index": index, "name": old.name, "role": reply["role"],
             "restarted_at": started_at, "recovered_at": self.env.now,
             "recovery_us": self.env.now - started_at,
-            "replayed_txns": len(entries), "torn_records": torn,
+            "replayed_txns": replayed, "torn_records": torn,
         }
         self.restart_log.append(record)
         return record
-
-    def _resume_primary(self, index, old, entries):
-        """Generator: rebuild the crashed node from its durable WAL —
-        install its base record, then replay the suffix ``entries`` —
-        and re-install it under its own name and slot (replayed handoff
-        markers override the slot-map seed), then reconcile replication
-        with the surviving standby."""
-        self.network.reincarnate(old.name)
-        tables = {}
-        base = old.wal.base
-        if base is not None:
-            install_image(tables, base.payload)
-        for _, _, payload in entries:
-            apply_records(tables, payload or ())
-        node = self._install_node(
-            index, old, tables,
-            replayed_log=[payload for _, _, payload in entries], base=base)
-        standby = self._standby(index)
-        anchor, base = old._ship_anchor, old._ship_base
-        if self.config.consensus:
-            # Resume leading under a *bumped* term: an elected successor
-            # cannot exist (the slot never moved on), but the bump makes
-            # any concurrent claim under the old term provably stale.
-            # The whole durable log becomes the new base — entries the
-            # group already holds are below or at it (a shipped entry
-            # was fsynced first), so members above the base dup-skip
-            # and members below it resync by snapshot (follower) or
-            # adopt the base (witness).
-            term = self.coordinator.next_term(index)
-            shippable = [(etrm, payload) for lsn, etrm, payload in entries
-                         if lsn > anchor and payload]
-            shipper = node.attach_group(
-                self.witnesses[index].name,
-                standby_name=None if standby is None else standby.name,
-                term=term, base_lsn=base + len(shippable) - 1,
-                base_term=(shippable[-1][0] if shippable
-                           else old.shipper.base_term),
-            )
-            if self._consensus_running:
-                shipper.start()
-        elif standby is not None and old.shipper is not None:
-            # Map durable WAL records back onto shipping LSNs: every
-            # replicable transaction after the old ship anchor occupied
-            # one LSN, starting at the old base.  Whatever the standby
-            # has not applied is the durable-but-unshipped window —
-            # exactly what a promotion would have lost; re-ship it.
-            shippable = [payload for lsn, _, payload in entries
-                         if lsn > anchor and payload]
-            node.attach_standby(
-                standby.name, start_lsn=base + len(shippable),
-                anchor=anchor, base=base,
-            )
-            reply = yield node.call(standby.name, "applied_query", {})
-            applied = reply["applied_lsn"]
-            # Only the suffix past the standby's applied LSN is
-            # outstanding; acked state reflects that, not the ctor's
-            # fresh-shipper assumption.
-            node.shipper.acked_lsn = applied
-            for lsn, payload in enumerate(shippable, start=base):
-                if lsn > applied:
-                    node.shipper.ship_payload(payload, lsn=lsn)
-        return node
 
     def fail_over(self, index):
         """Generator: the full recovery path for a dead MNode — promote
@@ -529,10 +377,7 @@ class FalconCluster:
             return self.coordinator.log_failover(
                 "failovers_deferred", index, failed_name, self.env.now,
                 deferred=True)
-        record = yield from self.coordinator.fail_over(
-            index, self.promote_standby
-        )
-        return record
+        return (yield from self.coordinator.fail_over(index))
 
     def heal(self, restart=True):
         """Clear every injected fault condition so the cluster can drain:
@@ -555,18 +400,17 @@ class FalconCluster:
             mnode.wal.slow_disk = None
         records = []
         if restart:
-            for index in sorted(self._crashed):
+            for index in [index for index in range(len(self.mnodes))
+                          if self.crashed(index) is not None]:
                 records.append(self.run_process(self.restart_mnode(index)))
-        # Demote alive zombies: leaders deposed while partitioned (not
-        # crashed).  Their halted incarnation is already retired; the
-        # machine reincarnates as the slot's new data follower so the
-        # group regains its 2-of-3 data quorum.
+        # Demote alive zombies, leaders deposed while partitioned (not
+        # crashed): each registers like a restarted machine and rejoins
+        # as its slot's data follower, restoring the 2-of-3 data quorum.
         zombies, self._zombies = self._zombies, []
-        for slot, name in zombies:
+        for slot, zombie in zombies:
             if self.standbys[slot] is not None:
                 continue  # a crash-restart already refilled the slot
-            old = next(m for m in self.retired_mnodes if m.name == name)
-            self.run_process(self._rejoin(slot, old))
+            self.run_process(self._demote(slot, zombie))
         if self._consensus_running:
             # Let the groups settle — heartbeats re-establish match
             # positions and push the commit horizon to every member —
@@ -579,6 +423,12 @@ class FalconCluster:
                 self.run_for(HEARTBEAT_US)
             self.stop_consensus_timers()
         return records
+
+    def _demote(self, index, zombie):
+        """Generator: deposed leader ``zombie``, the incarnation still
+        running on its machine, registers and rejoins."""
+        yield from zombie.register()
+        yield from self._rejoin(index, zombie.name)
 
     def _groups_converged(self):
         """True when every consensus group has nothing left to settle:

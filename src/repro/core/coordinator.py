@@ -74,10 +74,10 @@ class Coordinator(NamespaceReplicaMixin, Node):
         #: it only validates term monotonicity on leader claims and
         #: remembers who currently leads each directory slot.
         self.consensus_registry = {}
-        #: State-surgery hook installed by the cluster in consensus mode:
-        #: ``hook(slot, term, claim) -> (new_node, lost_txns)``.  Called
-        #: synchronously from the claim handler, like ``promote`` in
-        #: :meth:`fail_over`.
+        #: The one install hook, set by the cluster: ``hook(slot, grant,
+        #: claim=None) -> (new_node, lost_txns)`` boots a new primary
+        #: from the slot's replica under ``grant`` (:meth:`_grant`),
+        #: ordained (:meth:`fail_over`) or elected (the ``claim``).
         self.install_leader = None
 
     def handle(self, message):
@@ -384,15 +384,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # failover (promote a standby into the MNode ring)
     # ------------------------------------------------------------------
 
-    def fail_over(self, index, promote):
-        """Generator: recover from the death of MNode ``index``.
-
-        ``promote`` is the cluster's promotion hook (state surgery):
-        called synchronously, it installs the standby's tables in a new
-        MNode under the directory slot ``index`` and returns
-        ``(new_node, lost_txns)``, where ``lost_txns`` is the number of
-        committed-but-unshipped transactions (the replication lag at
-        crash) that did not survive.
+    def fail_over(self, index):
+        """Generator: recover from the death of MNode ``index`` by
+        promoting its standby through :attr:`install_leader`.
 
         After promotion the coordinator repairs the cluster around the
         new primary: survivors invalidate their replica dentries for the
@@ -429,7 +423,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 "failovers_suppressed", index, failed_name, detected_at,
                 promoted=failed_name, suppressed=True,
                 promoted_at=self.env.now, recovered_at=self.env.now)
-        new_node, lost_txns = promote(index)
+        new_node, lost_txns = self.install_leader(index, self._grant())
         promoted_at = self.env.now
         # Hash slots hosted at promotion time: the oracle's loss windows
         # must cover every slot the promoted standby now serves, not
@@ -673,21 +667,38 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # consensus membership registry (the demoted coordinator role)
     # ------------------------------------------------------------------
 
-    def next_term(self, slot):
-        """Synchronously bump and return the slot's term.
-
-        Used when a crashed leader restarts in place: redo replay
-        resurrects it with its old log, but it must never again append
-        under a term an elected successor may have claimed meanwhile.
-        """
-        entry = self.consensus_registry[slot]
-        entry["term"] += 1
-        entry["leader"] = self.shared.mnode_name(slot)
-        return entry["term"]
-
     def register_leader(self, slot, term, leader):
-        """Record an initial (or surgically installed) leadership."""
+        """Record a group's initial leadership."""
         self.consensus_registry[slot] = {"term": term, "leader": leader}
+
+    def _grant(self, term=None):
+        """What an incarnation taking a slot is handed: the primary role,
+        the exception table and, under consensus, the term it leads
+        under."""
+        grant = {"role": "primary", "xt": exception_table_to_wire(self.xt)}
+        if term is not None:
+            grant["term"] = term
+        return grant
+
+    def _on_register(self, message):
+        """A machine that came back asks for its role.  If the directory
+        still names it for slot ``index``, it is primary again, under
+        consensus with a bumped term (it must never append under a term
+        a successor may have claimed; a re-delivery bumps again); else
+        it is the replica of the slot's owner."""
+        p = message.payload
+        index = p["index"]
+        owner = self.shared.node_name(index)
+        if owner != p["incarnation"]:
+            self.respond(message, {"role": "standby", "of": owner})
+            return
+        entry = self.consensus_registry.get(index)
+        if entry is not None:
+            entry["term"] += 1
+            entry["leader"] = owner
+        self.respond(message, self._grant(entry and entry["term"]))
+        return
+        yield  # pragma: no cover
 
     def _on_leader_claim(self, message):
         """An elected candidate registering its leadership.
@@ -711,10 +722,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self.respond(message, {"ok": False, "term": entry["term"]})
             return
         promoted_at = self.env.now
-        if self.install_leader is None:
-            raise RuntimeError("leader_claim without an install hook")
         deposed = entry["leader"]
-        new_node, lost_txns = self.install_leader(slot, term, p)
+        new_node, lost_txns = self.install_leader(slot, self._grant(term), p)
         entry["term"] = term
         entry["leader"] = new_node.name
         orphans_removed = yield from self._repair_slot(slot, new_node.name)

@@ -56,7 +56,7 @@ from repro.obs import (
 )
 from repro.obs.tracer import CAT_BATCH
 from repro.storage import LockMode, Table, Transaction, WriteAheadLog
-from repro.storage.table import row_copy
+from repro.storage.table import apply_records, install_image, row_copy
 from repro.vfs.pathwalk import split_path
 
 #: Operations that flow through the merging worker pool.
@@ -266,9 +266,9 @@ class _OwnerWrite:
 class MNode(NamespaceReplicaMixin, Node):
     """One metadata server."""
 
-    def __init__(self, env, network, shared, index):
+    def __init__(self, env, network, shared, index, name=None):
         super().__init__(
-            env, network, shared.node_name(index),
+            env, network, name or shared.node_name(index),
             cores=shared.config.server_cores,
         )
         self.shared = shared
@@ -314,13 +314,9 @@ class MNode(NamespaceReplicaMixin, Node):
         self._staged = {}
         #: Log shipper when primary-standby replication is enabled.
         self.shipper = None
-        #: Ship-LSN origin within the WAL: (wal txn count at the lsn-space
-        #: origin, first ship lsn after it).  Lets a restart map durable
-        #: WAL records back onto shipping LSNs — records at or before the
-        #: anchor reached the standby out of band (a snapshot) and are
-        #: never re-shipped.
-        self._ship_anchor = 0
-        self._ship_base = 1
+        #: True from :meth:`register` until :meth:`boot`: the role is
+        #: not known yet, so the node serves nothing.
+        self.booting = False
         # Hot-path metric handles: deliver/_execute_batch/_respond run
         # once per message, so the registry lookup is paid once, here.
         self._received_ctr = self.metrics.counter("received")
@@ -349,6 +345,8 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def deliver(self, message):
         self._received_ctr.inc(message.kind)
+        if self.booting:
+            return  # not serving yet: as silent as the down name was
         if message.kind in MERGEABLE_OPS:
             self.pool.submit(message.kind, message)
         else:
@@ -457,9 +455,9 @@ class MNode(NamespaceReplicaMixin, Node):
         from repro.storage.replication import LogShipper
 
         self.shipper = LogShipper(self, standby_name, start_lsn=start_lsn)
-        self._ship_anchor = (self.wal.appended_txns if anchor is None
-                             else anchor)
-        self._ship_base = start_lsn if base is None else base
+        self.wal.ship_anchor = (self.wal.appended_txns if anchor is None
+                                else anchor)
+        self.wal.ship_base = start_lsn if base is None else base
 
     def attach_group(self, witness_name, standby_name=None, term=1,
                      base_lsn=0, base_term=0):
@@ -479,9 +477,11 @@ class MNode(NamespaceReplicaMixin, Node):
             self, witness_name, standby_name=standby_name, term=term,
             base_lsn=base_lsn, base_term=base_term,
         )
-        self.wal.term = term
-        self._ship_anchor = self.wal.appended_txns
-        self._ship_base = base_lsn + 1
+        wal = self.wal
+        wal.term = term
+        wal.ship_anchor = wal.appended_txns
+        wal.ship_base = base_lsn + 1
+        wal.ship_base_term = base_term
         return self.shipper
 
     def _serving_as_leader(self):
@@ -577,19 +577,136 @@ class MNode(NamespaceReplicaMixin, Node):
         wal = self.wal
         horizon = min(min(self._unapplied, default=wal.next_lsn) - 1,
                       wal.durable_lsn, *self._handoff_since.values())
-        if self.shipper is not None and horizon > self._ship_anchor:
+        shipper = self.shipper
+        if shipper is not None and horizon > wal.ship_anchor:
             shipped = [record.lsn for segment in wal.segments
                        for record in segment.records
-                       if self._ship_anchor < record.lsn <= horizon
+                       if wal.ship_anchor < record.lsn <= horizon
                        and record.payload]
-            covered = max(0, self.shipper.trim(
-                self._ship_base + len(shipped) - 1) - self._ship_base + 1)
+            covered = max(0, shipper.trim(
+                wal.ship_base + len(shipped) - 1) - wal.ship_base + 1)
             if covered < len(shipped):
                 horizon = shipped[covered] - 1
-            self._ship_base += covered
-            self._ship_anchor = horizon
+            wal.ship_base += covered
+            wal.ship_anchor = horizon
+            wal.ship_base_term = shipper.base_term
         if horizon > wal.horizon:
             wal.checkpoint(horizon, self.table_image(), term=wal.term)
+
+    # ------------------------------------------------------------------
+    # boot: every incarnation's one recovery path
+    # ------------------------------------------------------------------
+
+    def boot(self, disk=None, grant=None):
+        """Install this incarnation's state from ``disk``, its machine's
+        durable state, under ``grant`` (what the coordinator handed it).
+        One step: no simulated time.  The disk is
+
+        * ``None`` on a fresh start: the empty tables stand;
+        * a :class:`~repro.storage.wal.WriteAheadLog` on a restart (its
+          redo read already took its time): the base record, then the
+          records above it up to the first bad one;
+        * an elected data follower: its whole log, including the suffix
+          above its commit horizon (a quorum-acked entry can sit there);
+        * an ordained standby: its replicated tables.
+
+        Then, by one rule: slot states come from the slot-map seed and
+        the durable handoff markers; a dentry whose slot is served or
+        pending here (:meth:`authoritative`) is derived again from its
+        inode row and every other dentry is marked INVALID (it may have
+        missed invalidations); the grant's exception table is adopted;
+        voted renames are restaged; and the log is seeded so that this
+        incarnation is itself restartable (the redo's base and suffix,
+        or one record per row).  An elected follower's log end becomes
+        the group's base under the grant's term."""
+        self.booting = False
+        if disk is None:
+            return
+        base = position = None
+        if isinstance(disk, WriteAheadLog):
+            entries, _ = disk.replay()
+            tables, base = {}, disk.base
+            if base is not None:
+                install_image(tables, base.payload)
+            for _, _, payload in entries:
+                apply_records(tables, payload or ())
+            log = [payload for _, _, payload in entries]
+        else:
+            if "term" in grant:
+                disk.force_apply_all()
+                position = (disk._last_lsn(), disk._last_term())
+                disk.stop_elections()
+            tables, log = disk.promote_tables(), None
+        self.inodes = tables.get("inode", self.inodes)
+        self.dentries = tables.get("dentry", self.dentries)
+        self.meta = tables.get("meta", self.meta)
+        self.slots = self.rebuilt_slots()
+        for key, record in list(self.dentries.scan()):
+            if self.authoritative(key):
+                self.dentries.delete(key)
+            else:
+                record.state = INVALID
+        for key, inode in self.inodes.scan():
+            self._track_name(key, +1)
+            if inode.is_dir and self.authoritative(key):
+                self.dentries.put(key, inode.dentry())
+        self.xt.adopt(exception_table_from_wire(grant["xt"]))
+        self.restage()
+        self.wal.bootstrap(log if log is not None else [
+            [(table.name, key, row_copy(row))]
+            for table in (self.inodes, self.dentries, self.meta)
+            for key, row in table.scan()
+        ], base=base)
+        if position is not None:
+            self.attach_group(disk.witness_name, term=grant["term"],
+                              base_lsn=position[0], base_term=position[1])
+
+    def register(self):
+        """Generator: this machine is back (restarted, or a deposed
+        leader reachable again) and asks the coordinator for its role:
+        one ``register {index, incarnation}`` RPC, re-delivered until
+        answered.  Until :meth:`boot`, the node drops every request, as
+        its down name did.  Returns ``{"role": "primary", "xt"}`` (plus
+        ``"term"`` under consensus) or ``{"role": "standby", "of"}``."""
+        self.booting = True
+        reply = yield from redeliver(
+            self, lambda: self.shared.coordinator_name, "register",
+            {"index": self.my_index, "incarnation": self.name},
+            timeout_us=self.shared.config.rpc_timeout_us or 400.0)
+        return reply
+
+    def resume(self, disk, grant, standby_name=None, witness_name=None):
+        """Generator: after :meth:`boot` from a restart's ``disk``, lead
+        the slot's replicas again from the ship-LSN origin in the disk's
+        control data; every record with rows above the anchor took one
+        ship LSN, from the base up.  Under consensus the whole durable
+        log becomes the group's base under the grant's (bumped) term:
+        members above it dup-skip, a follower below it resyncs by
+        snapshot.  An asynchronous standby is shipped again what it has
+        not applied: the window a promotion would have lost."""
+        entries, _ = disk.replay()
+        anchor, base = disk.ship_anchor, disk.ship_base
+        shippable = [(term, payload) for lsn, term, payload in entries
+                     if lsn > anchor and payload]
+        if "term" in grant:
+            self.attach_group(
+                witness_name, standby_name=standby_name, term=grant["term"],
+                base_lsn=base + len(shippable) - 1,
+                base_term=(shippable[-1][0] if shippable
+                           else disk.ship_base_term))
+            return
+        if standby_name is None:
+            return
+        self.attach_standby(standby_name, start_lsn=base + len(shippable),
+                            anchor=anchor, base=base)
+        reply = yield self.call(standby_name, "applied_query", {})
+        applied = reply["applied_lsn"]
+        # Only the suffix past the standby's applied LSN is outstanding;
+        # acked state reflects that, not the fresh shipper's assumption.
+        self.shipper.acked_lsn = applied
+        for lsn, (_, payload) in enumerate(shippable, start=base):
+            if lsn > applied:
+                self.shipper.ship_payload(payload, lsn=lsn)
 
     def _ship_committed(self, records):
         # Resolved at commit time, not transaction creation: a standby

@@ -64,9 +64,10 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
         delay = crash_at + restart_delay_us - env.now
         if delay > 0:
             yield env.timeout(delay)
-        outcome["restart"] = yield from cluster.restart_mnode(victim)
-        replayed, _ = cluster.retired_mnodes[0].wal.replay()
+        # The redo reference is read from the disk the restart boots from.
+        replayed, _ = cluster.crashed(victim).wal.replay()
         outcome["redo_reference"] = replayed
+        outcome["restart"] = yield from cluster.restart_mnode(victim)
         if outcome["restart"]["role"] == "primary":
             # Redo correctness: every durable transaction's inode writes
             # are present on the recovered node (compared by ino, which
@@ -93,11 +94,10 @@ def measure(mode="resume", num_mnodes=3, num_storage=2, threads=8,
         raise RuntimeError("restart never completed (run too short?)")
     restarted = outcome["restart"]
     crash = cluster.crash_log[0]
-    old = cluster.retired_mnodes[0]
 
-    # Durability matrix at the crash instant, frozen in the dead node.
-    appended = old.wal.appended_txns
-    durable = old.wal.durable_lsn
+    # Durability matrix at the crash instant, as the crash recorded it.
+    appended = crash["appended_txns"]
+    durable = crash["durable_lsn"]
     restart_loss = appended - restarted["replayed_txns"]
     suppressed = sum(
         1 for r in cluster.coordinator.failover_log if r.get("suppressed")

@@ -157,7 +157,7 @@ def _skew_clock_shape(rng, kind, start, index, setting):
 
 def _crash(inj, event):
     cluster, index = inj.cluster, event["index"]
-    if index in cluster._crashed:
+    if cluster.crashed(index) is not None:
         inj._log("crash_noop", cluster.mnodes[index].name, index=index)
         return
     lag = cluster.crash_mnode(index)
@@ -166,10 +166,11 @@ def _crash(inj, event):
 
 
 def _restart(inj, event):
-    """Redo-replay the dead occupant's WAL, then resume as primary or
-    rejoin as standby; takes simulated time, logged at completion."""
+    """Restart the dead occupant: redo, register, then resume as
+    primary or rejoin as standby; takes simulated time, logged at
+    completion."""
     cluster, index = inj.cluster, event["index"]
-    if index not in cluster._crashed:
+    if cluster.crashed(index) is None:
         inj._log("restart_noop", cluster.mnodes[index].name, index=index)
         return
 
@@ -293,7 +294,7 @@ def _hang(inj, event):
         # A node that crashed inside the window stays down: ``set_up``
         # would unfence it with its pre-crash state, and its restart
         # could no longer reincarnate the name.
-        if cluster._crashed.get(index) is node:
+        if cluster.crashed(index) is node:
             return False
         cluster.network.set_up(node.name)
 

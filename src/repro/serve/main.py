@@ -101,6 +101,8 @@ async def run_node(args):
         from repro.core.mnode import MNode
 
         node = MNode(env, network, shared, args.index)
+        # A fresh start: no disk to recover from, no role to ask for.
+        node.boot()
     await network.start(host, port)
     metrics = await _metrics_server(
         port + METRICS_PORT_OFFSET, [node.metrics, network.metrics]

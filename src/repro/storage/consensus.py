@@ -578,13 +578,9 @@ class ConsensusFollower(MemberLog, Standby):
         return applied
 
     def force_apply_all(self):
-        """Apply the *entire* log, including the uncommitted suffix.
-
-        Used at election install: an elected follower's log is
-        authoritative, and a quorum-acked entry may sit above its last
-        known commit horizon (the leader died before piggybacking the
-        new commit_lsn) — discarding the suffix would lose acked
-        writes."""
+        """Apply the *entire* log, including the uncommitted suffix: an
+        elected follower's log is authoritative (:meth:`MNode.boot
+        <repro.core.mnode.MNode.boot>`)."""
         self.commit_lsn = self._last_lsn()
         return self._apply_committed()
 

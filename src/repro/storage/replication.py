@@ -55,6 +55,10 @@ class LogShipper:
     under reordering too.
     """
 
+    #: Asynchronous shipping stamps no terms (the consensus log's base
+    #: term, which a checkpoint copies into the WAL's control data).
+    base_term = 0
+
     def __init__(self, node, standby_name, start_lsn=1):
         self.node = node
         self.standby_name = standby_name
@@ -359,13 +363,10 @@ class Standby(Node):
         return (shipper.next_lsn - 1) - self.applied_lsn
 
     def promote_tables(self):
-        """Prepare this standby's tables for promotion to primary.
-
-        Replicated dentry records may be stale relative to other
-        replicas' invalidation state, so they are all marked INVALID —
-        lazy replication re-fetches them on first use (§4.3).  Returns
-        the table dict for installation into a new MNode.
-        """
+        """Hand this standby's tables over to the MNode booting from
+        them; late shipments are ignored from now on.  Replicated
+        dentries may have missed invalidations, so all are marked
+        INVALID: lazy replication refetches them on first use (§4.3)."""
         self.promoted = True
         dentries = self.tables.get("dentry")
         if dentries is not None:

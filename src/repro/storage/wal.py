@@ -205,6 +205,14 @@ class WriteAheadLog:
         #: trigger.
         self.on_rotate = None
         self._rotated = False
+        #: Control data (PostgreSQL's ``pg_control``), written as freely
+        #: as a checkpoint: records up to ``ship_anchor`` reached the
+        #: replicas out of band, the first with rows above it took ship
+        #: LSN ``ship_base``, and ``ship_base_term`` is the term below
+        #: that.  A restart maps its redo onto ship LSNs from them.
+        self.ship_anchor = 0
+        self.ship_base = 1
+        self.ship_base_term = 0
 
     # -- appending -------------------------------------------------------
 
@@ -375,6 +383,18 @@ class WriteAheadLog:
         if not self._flushing and self._pending:
             self.lost_unwritten += len(self._pending)
             self._pending = []
+
+    def power_on(self):
+        """Generator: the owning machine comes back.  Before its next
+        incarnation can open its port, redo reads the log: one device
+        read plus the per-record replay cost of every record
+        :meth:`replay` returns (installing the base is as free as taking
+        it).  Returns ``(replayed, torn)``, the counts of that scan."""
+        entries, torn = self.replay()
+        yield self.env.timeout(
+            self.costs.wal_fsync_us
+            + self.costs.wal_replay_us_per_record * len(entries))
+        return len(entries), torn
 
     def replay(self):
         """Redo scan: read the segments in LSN order, above the base.

@@ -272,6 +272,44 @@ class TestElection:
         diffs = cluster.replication_divergence()
         assert not diffs[cluster.mnodes[slot].name]
 
+    def test_boot_from_an_elected_follower_applies_its_whole_log(self):
+        """An elected follower's log holds an entry above its commit
+        horizon: the booted leader applies it too, and its group is
+        re-based at the log end under the claim's term."""
+        from repro.core.mnode import MNode
+        from repro.core.records import InodeRecord
+
+        cluster = _consensus_cluster()
+        follower = cluster.standbys[0]
+        keys = [(1, "committed"), (1, "suffix")]
+        follower.entries = [
+            (lsn, 1, [("inode", key, InodeRecord(ino=90 + lsn))])
+            for lsn, key in enumerate(keys, start=1)]
+        follower.commit_lsn = 1
+        follower.start_elections()
+        node = MNode(cluster.env, cluster.network, cluster.shared, 0,
+                     name="mnode-0-elected")
+        node.boot(follower, cluster.coordinator._grant(term=5))
+        assert [node.inodes.get(key).ino for key in keys] == [91, 92]
+        assert follower.promoted and not follower._running
+        log = node.shipper
+        assert (log.base_lsn, log.base_term, log.term) == (2, 1, 5)
+        assert node.wal.term == 5
+        assert list(log.members) == [follower.witness_name]
+
+    def test_register_resumes_an_unmoved_slot_under_a_bumped_term(self):
+        """A leader that crashed and restarted before any election is
+        primary again, under a term the coordinator bumped."""
+        cluster = _consensus_cluster()
+        _mkdir(cluster, "/d")
+        cluster.crash_mnode(0)
+        record = cluster.run_process(cluster.restart_mnode(0))
+        assert record["role"] == "primary"
+        assert cluster.coordinator.consensus_registry[0] == {
+            "term": 2, "leader": "mnode-0"}
+        assert cluster.mnodes[0].shipper.term == 2
+        assert cluster.network.message_count("register") == 1
+
 
 @pytest.mark.parametrize("role", ["standbys", "witnesses"])
 def test_group_members_refuse_a_kind_they_can_never_own(role):
@@ -392,8 +430,8 @@ class TestVotedRename:
             seen["queued"] = node.locks.queue_length(("d", ino, src))
             seen["still_staged"] = sorted(node._staged)
 
-        def install(index, term, claim):
-            node, lost = real_install(index, term, claim)
+        def install(index, grant, claim=None):
+            node, lost = real_install(index, grant, claim)
             seen["restaged"] = sorted(node._staged)
             # A second rename of the same ino, before the decision lands.
             seen["second"] = _attempt(cluster, client.rename(

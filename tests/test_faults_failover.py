@@ -211,7 +211,8 @@ class TestCrashPromotion:
 
         lag = cluster.crash_mnode(victim)
         assert lag >= 1
-        node, lost_txns = cluster.promote_standby(victim)
+        node, lost_txns = cluster.promote_standby(
+            victim, cluster.coordinator._grant())
         assert lost_txns == lag
         # The shipped prefix survived; the unshipped suffix did not.
         assert node.inodes.get((dino, "f0")) is None
@@ -305,6 +306,53 @@ class TestCrashPromotion:
             assert after.getattr("/w{}/post-{}".format(d, seed))["ino"] > 0
         old_fs = cluster.fs(client=client)
         old_fs.create("/w0/post-old-{}".format(seed))
+
+    def test_boot_from_standby_tables_rebuilds_owned_dentries(self):
+        """Booting from a standby's tables derives every dentry of a
+        slot served here from the inode row beside it (a stale one with
+        no row goes) and marks every other dentry INVALID."""
+        from repro.core.mnode import MNode
+        from repro.core.records import (INVALID, VALID, DentryRecord,
+                                        InodeRecord)
+        from repro.storage.replication import Standby
+
+        cluster = _replicated_cluster()
+        index = cluster.coordinator.index
+
+        def key_on(node, prefix):
+            return next((1, "{}{}".format(prefix, i)) for i in range(2000)
+                        if index.locate(1, "{}{}".format(prefix, i)) == node)
+
+        owned_dir, stale, foreign = (key_on(0, "dir"), key_on(0, "gone"),
+                                     key_on(1, "far"))
+        standby = Standby(cluster.env, cluster.network, "probe-standby")
+        standby.table("inode").put(owned_dir, InodeRecord(
+            ino=77, is_dir=True, mode=0o750))
+        for key, ino in ((stale, 78), (foreign, 79)):
+            standby.table("dentry").put(key, DentryRecord(ino=ino,
+                                                          mode=0o755))
+        node = MNode(cluster.env, cluster.network, cluster.shared, 0,
+                     name="mnode-0-probe")
+        node.boot(standby, cluster.coordinator._grant())
+        assert standby.promoted
+        derived = node.dentries.get(owned_dir)
+        assert (derived.ino, derived.mode, derived.state) == (77, 0o750,
+                                                              VALID)
+        assert node.dentries.get(stale) is None
+        assert node.dentries.get(foreign).state == INVALID
+
+    def test_register_names_the_owner_a_slot_was_promoted_to(self):
+        """A machine whose slot was promoted away is told to rejoin as
+        the replica of the new owner."""
+        cluster = _replicated_cluster()
+        cluster.crash_mnode(1)
+        cluster.run_process(cluster.fail_over(1))
+        probe = Node(cluster.env, cluster.network, "probe")
+        reply = cluster.run_process(deadline_call(
+            probe, NULL_CONTEXT, cluster.coordinator.name, "register",
+            {"index": 1, "incarnation": "mnode-1"}, timeout_us=400.0))
+        assert reply == {"role": "standby", "of": "mnode-1-p1"}
+        assert cluster.mnodes[1].name == "mnode-1-p1"
 
 
 class TestDetectorFailover:

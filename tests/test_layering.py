@@ -246,3 +246,67 @@ def test_core_never_probes_shipper_capabilities():
                     path.relative_to(SRC.parent), node.lineno,
                     ast.unparse(node)))
     assert not bad, "\n".join(bad)
+
+
+CLUSTER = SRC / "core" / "cluster.py"
+
+#: The methods of core/cluster.py that may touch node tables: the bulk
+#: load writes them directly (the paper pre-creates its datasets too),
+#: and ``inode_distribution`` counts them.
+TABLE_TOUCHERS = {"FalconCluster.bulk_load", "FalconCluster._bulk_standby",
+                  "FalconCluster.inode_distribution"}
+
+
+def _surgery(node):
+    """What ``node`` does that recovery from outside a node would, or
+    None: touch a node's tables or log entries, run its redo or its
+    promotion steps, bump a term, or read the ship-LSN origin.  Reading
+    shipper positions stays allowed: it is the loss audit the crash and
+    failover records report (``lag``, ``lost_txns``)."""
+    if isinstance(node, ast.Attribute):
+        if node.attr in ("inodes", "dentries", "meta", "entries"):
+            return "touches ." + node.attr
+        if node.attr in ("_ship_anchor", "_ship_base"):
+            return "reads ." + node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("replay", "promote_tables",
+                                   "force_apply_all", "_last_lsn",
+                                   "_last_term", "next_term")):
+        return "calls .{}(".format(node.func.attr)
+    return None
+
+
+def test_cluster_delivers_faults_and_nodes_recover_themselves():
+    """``FalconCluster`` builds the cluster, delivers faults and audits;
+    a node recovers from its own disk (``MNode.boot``) and learns its
+    role from the coordinator (``register``).  No other method of
+    core/cluster.py reads or writes a node's state."""
+    tree = ast.parse(CLUSTER.read_text(), filename=str(CLUSTER))
+    seen = set()
+    bad = []
+    for name, fn in _functions(tree):
+        seen.add(name)
+        if name in TABLE_TOUCHERS:
+            continue
+        for node in ast.walk(fn):
+            what = _surgery(node)
+            if what is not None:
+                bad.append("{}:{}: {} {}".format(CLUSTER.name, node.lineno,
+                                                 name, what))
+    assert not bad, "recovery surgery in core/cluster.py:\n" + "\n".join(bad)
+    assert TABLE_TOUCHERS <= seen
+
+
+@pytest.mark.parametrize("source", [
+    "node.inodes = tables['inode']",
+    "old.meta.scan_prefix(('slot',))",
+    "follower.entries[-1]",
+    "entries, torn = old.wal.replay()",
+    "standby.promote_tables()",
+    "follower.force_apply_all()",
+    "follower._last_term()",
+    "self.coordinator.next_term(index)",
+    "anchor = old._ship_anchor",
+])
+def test_surgery_lint_flags_every_spelling(source):
+    assert any(_surgery(node) for node in ast.walk(ast.parse(source)))

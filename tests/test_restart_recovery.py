@@ -478,3 +478,104 @@ def test_redo_restart_restages_a_voted_rename_until_resolved(monkeypatch):
     assert node.metrics.counter("rename_redos").total() == 0
     assert runtime_violations(cluster) == []
     check_cluster_invariants(cluster)
+
+
+def _key_in(node, slot, prefix):
+    """An inode key under the root whose name hashes to ``slot``."""
+    for i in range(2000):
+        key = (1, "{}{}".format(prefix, i))
+        if node.index.locate(*key) == slot:
+            return key
+    raise RuntimeError("no name for slot {}".format(slot))
+
+
+class TestBoot:
+    def test_wal_disk_boots_to_every_durable_row(self):
+        """A log with a base, a suffix and a torn tail: the booted node
+        holds every durable row and none of the torn one, the handoff
+        marker overrides the slot-map seed, and the voted rename is
+        restaged with its lock pair and exactly one resolver."""
+        from repro.core.mnode import SERVING, MNode
+        from repro.core.records import InodeRecord
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1,
+                                             num_slots=6))
+        env, costs = cluster.env, cluster.costs
+        seed = cluster.mnodes[0]
+        served, moved = sorted(cluster.shared.slot_map.slots_of(0))[:2]
+        rows = {name: (_key_in(seed, served, name), InodeRecord(ino=ino))
+                for ino, name in enumerate(("base", "suffix", "voted",
+                                            "torn"), start=100)}
+        marker = {"state": "moved", "node": 1, "epoch": 7}
+        voted_key, voted_row = rows["voted"]
+        vote = {"voted": [{"action": "delete", "key": voted_key,
+                           "ino": voted_row.ino}],
+                "deadline": 5000.0}
+        disk = WriteAheadLog(env, costs)
+
+        def commit(records):
+            done = disk.commit(100, payload=records)
+            env.run(until=done)
+
+        commit([("inode",) + rows["base"]])
+        disk.checkpoint(1, {"inode": ([rows["base"][0]],
+                                      [rows["base"][1]])})
+        commit([("inode",) + rows["suffix"], ("meta", ("slot", moved),
+                                              marker)])
+        commit([("inode",) + rows["voted"],
+                ("meta", ("rename", served, 9), vote)])
+        disk.commit(100, payload=[("inode",) + rows["torn"]])
+        env.run(until=env.now + costs.wal_fsync_us / 2)
+        disk.power_fail()
+        env.run(until=env.now + 10 * costs.wal_fsync_us)
+        assert disk.replay()[1] == 1
+
+        node = MNode(env, cluster.network, cluster.shared, 0,
+                     name="mnode-0-boot")
+        resolvers = []
+
+        def resolver(txid, deadline):
+            resolvers.append(txid)
+            return (event for event in [env.timeout(0.0)])
+
+        node._resolve_in_doubt = resolver
+        node.boot(disk, cluster.coordinator._grant())
+        assert {key: row.ino for key, row in node.inodes.scan()} == {
+            rows[name][0]: rows[name][1].ino
+            for name in ("base", "suffix", "voted")}
+        assert node.slots[moved] == marker and node.slots[served] == SERVING
+        (entry,) = node._staged[9]
+        assert sorted(grant.key for grant in entry["write"].grants) == [
+            ("d",) + voted_key, ("i",) + voted_key]
+        assert resolvers == [9]
+        assert node.metrics.counter("rename_restaged").total() == 1
+        # The seeded log is the redo itself: base, then the suffix.
+        assert node.wal.base is disk.base
+        assert node.wal.replay() == ([
+            (lsn, 0, payload) for lsn, _, payload in disk.replay()[0]], 0)
+
+    def test_restart_registers_after_a_partition_heals(self):
+        """The coordinator is cut off while the machine restarts: its
+        register is black-holed and re-delivered, the node serves
+        nothing meanwhile, and it resumes as primary once the partition
+        heals."""
+        cluster = _cluster(rpc_timeout_us=400.0)
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/f")
+        old = cluster.mnodes[0]
+        cluster.crash_mnode(0)
+        coordinator = cluster.coordinator.name
+        cluster.network.partition(
+            [coordinator], [node.name for node in cluster.network.nodes()
+                            if node.name != coordinator])
+        restart = cluster.env.process(cluster.restart_mnode(0))
+        cluster.run_for(30000.0)
+        assert not restart.triggered and cluster.restart_log == []
+        assert cluster.mnodes[0] is old
+        assert cluster.network.dropped_count("register") > 1
+        cluster.network.heal()
+        record = cluster.env.run(until=restart)
+        assert record["role"] == "primary"
+        assert cluster.mnodes[0] is not old and not cluster.mnodes[0].booting
+        assert fs.exists("/d/f")
