@@ -559,10 +559,15 @@ class TestBoot:
         register is black-holed and re-delivered, the node serves
         nothing meanwhile, and it resumes as primary once the partition
         heals."""
+        from repro.net.rpc import RpcFailure
+
         cluster = _cluster(rpc_timeout_us=400.0)
         fs = cluster.fs()
-        fs.mkdir("/d")
-        fs.create("/d/f")
+        dino = fs.mkdir("/d")
+        path = "/d/" + next(
+            name for name in ("f{}".format(i) for i in range(200))
+            if cluster.coordinator.index.locate(dino, name) == 0)
+        fs.create(path)
         old = cluster.mnodes[0]
         cluster.crash_mnode(0)
         coordinator = cluster.coordinator.name
@@ -570,12 +575,25 @@ class TestBoot:
             [coordinator], [node.name for node in cluster.network.nodes()
                             if node.name != coordinator])
         restart = cluster.env.process(cluster.restart_mnode(0))
-        cluster.run_for(30000.0)
+        cluster.run_for(2000.0)
+        # A stat addressed to the booting node retries until it has
+        # booted: it must never be answered from its empty tables.
+        outcome = {}
+
+        def stat():
+            try:
+                outcome["ino"] = (yield from fs.client.getattr(path))["ino"]
+            except RpcFailure as failure:
+                outcome["error"] = failure.code
+
+        cluster.env.process(stat())
+        cluster.run_for(28000.0)
         assert not restart.triggered and cluster.restart_log == []
-        assert cluster.mnodes[0] is old
+        assert cluster.mnodes[0] is old and outcome == {}
         assert cluster.network.dropped_count("register") > 1
         cluster.network.heal()
         record = cluster.env.run(until=restart)
         assert record["role"] == "primary"
         assert cluster.mnodes[0] is not old and not cluster.mnodes[0].booting
-        assert fs.exists("/d/f")
+        cluster.run_for(100000.0)
+        assert outcome == {"ino": fs.getattr(path)["ino"]}
