@@ -1613,8 +1613,20 @@ class MNode(NamespaceReplicaMixin, Node):
             self._respond_error(message, failure)
             return
         dir_ino = resolved.ino
-        replies = yield self._call_peers("scan_children", {"pid": dir_ino},
-                                         message.ctx)
+        peers = self._peers()
+        calls = [self.call(peer, "scan_children", {"pid": dir_ino},
+                           ctx=message.ctx) for peer in peers]
+        try:
+            replies = yield self.env.all_of(calls)
+        except RpcFailure as failure:
+            # A peer that cannot scan now (fenced, booting, handing off)
+            # fails the listing, not this handler: the client retries.
+            peer = next((peer for peer, call in zip(peers, calls)
+                         if call.triggered and call.value is failure), None)
+            self._respond_error(message, RpcFailure(
+                RpcError.ERETRY, "scan_children on {}: {}".format(
+                    peer, RpcError.name(failure.code))))
+            return
         local = self._scan_children(dir_ino)
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * len(local),

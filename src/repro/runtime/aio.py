@@ -15,6 +15,7 @@ the simulator                   this driver
 ``env.now`` is virtual µs       monotonic clock µs since construction
 ``run()`` pops the whole heap   the pump pops what is due, then re-arms
                                 itself with ``call_soon`` / ``call_later``
+``sleep(0)`` is a heap entry    an event settled by ``call_soon``
 unhandled failed event raises   recorded in ``env.unhandled``, reported
 out of ``run()``                to the loop's exception handler
 ``fsync`` is modeled latency    a real ``os.fsync`` on the executor
@@ -22,11 +23,17 @@ out of ``run()``                to the loop's exception handler
 
 The pump keeps three rules (:mod:`repro.runtime.api` has the why): the
 clock is **read at push time** — ``_now`` is a property over
-``time.monotonic()``, never a cached turn time; entries **pushed in a
-turn run in a later turn**, so a zero-backoff ``cooperative`` retry
-cannot starve the socket read that carries its answer; and a
-**cancelled timer pops inert**, exactly as in the simulator — the pump
-wakes for it when it comes due and finds nothing to run.
+``time.monotonic()``, never a cached turn time; **a turn runs its whole
+wake-up chain** — what its own callbacks push and what comes due while
+it runs (the turn re-reads the clock before it leaves a head that looks
+early), with no second pump queued behind it — while the one
+``cooperative`` yield, ``sleep(0)``, is an event asyncio settles on its
+next loop iteration, so a zero-backoff retry still lets the socket read
+that carries its answer through; and a **cancelled timer pops inert**,
+exactly as in the simulator — the pump wakes for it when it comes due
+and finds nothing to run.  A head due within :data:`POLL_US` is polled
+for on the loop's next iteration rather than alarmed, because the
+selector sleeps in whole milliseconds.
 
 The kernel's seven inlined heap-push sites do not know a driver exists.
 Each bumps ``env._seq`` *before* its ``heappush``, so the ``_seq`` setter
@@ -45,7 +52,16 @@ import os
 from heapq import heappop
 from time import monotonic
 
-from repro.sim.engine import Environment, Process, _add_callback
+from repro.sim.engine import Environment, Event, Process, _add_callback
+
+#: ``_wake`` while a pump turn runs: pushes need no pump of their own.
+_IN_TURN = object()
+
+#: A head due sooner than this is polled for — a pump on the loop's next
+#: iteration, which reads the sockets first — not alarmed: the selector
+#: sleeps in whole milliseconds, so an alarm for a 4 µs request linger
+#: would idle the node up to 1 ms.
+POLL_US = 50.0
 
 
 class AsyncioEnv(Environment):
@@ -67,8 +83,9 @@ class AsyncioEnv(Environment):
     def __init__(self, loop=None, wal_dir=None):
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         #: The pump's pending ``call_soon`` handle (a push is waiting for
-        #: the next loop turn) and its ``call_later`` handle, set for the
-        #: heap time ``_alarm_at`` (the head is in the future).
+        #: the next loop turn), or ``_IN_TURN`` while a turn runs, and
+        #: its ``call_later`` handle, set for the heap time ``_alarm_at``
+        #: (the head is in the future).
         self._wake = self._alarm = None
         #: Exceptions from failed events nobody waited on (and did not
         #: defuse).  Live services log these; tests assert emptiness.
@@ -100,20 +117,27 @@ class AsyncioEnv(Environment):
     @_seq.setter
     def _seq(self, value):
         # Every heap push announces itself here, *before* the entry is
-        # in the heap: schedule a pump, never inspect the queue.
+        # in the heap: schedule a pump, never inspect the queue.  Inside
+        # a turn ``_wake`` is the turn itself, and the turn drains what
+        # its callbacks push.
         self._pushed = value
         if self._wake is None:
             self._wake = self._loop.call_soon(self._pump)
 
     def _pump(self):
-        """One turn: run every entry that is due and was in the heap
-        when the turn began, then re-arm for the new head."""
-        self._wake = None
+        """One turn: run every entry that is due — also those pushed by
+        the turn's own callbacks — then re-arm for the new head."""
+        self._wake = _IN_TURN
         queue = self._queue
-        due = self.now_us()
-        turn = self._pushed
+        now = self.now_us()
         try:
-            while queue and queue[0][0] <= due and queue[0][2] < turn:
+            while queue:
+                if queue[0][0] > now:
+                    # The reading ages while the turn runs: re-read it
+                    # before leaving a head that may have come due.
+                    now = self.now_us()
+                    if queue[0][0] > now:
+                        break
                 event = heappop(queue)[3]
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -124,26 +148,64 @@ class AsyncioEnv(Environment):
                         "message": "unhandled failed event in AsyncioEnv",
                         "exception": event._value,
                     })
-        finally:
-            # Also when a callback raised: the entries behind it must
-            # not wait for an unrelated push to be pumped.
-            if queue and self._wake is None:
-                head = queue[0][0]
-                delay = (head - self.now_us()) / 1e6
-                if delay <= 0:
-                    self._wake = self._loop.call_soon(self._pump)
-                elif self._alarm is None or head < self._alarm_at:
-                    # An alarm already set for this head (or an earlier
-                    # one: it rings, finds nothing due and re-arms)
-                    # stays; most turns leave the head where it was.
-                    if self._alarm is not None:
-                        self._alarm.cancel()
-                    self._alarm = self._loop.call_later(delay, self._ring)
-                    self._alarm_at = head
+        except BaseException:
+            # The entries behind a raising callback must not wait for an
+            # unrelated push to be pumped.
+            self._rearm(self.now_us())
+            raise
+        self._rearm(now)
+
+    def _rearm(self, now):
+        self._wake = None
+        queue = self._queue
+        if not queue:
+            return
+        head = queue[0][0]
+        if head - now < POLL_US:
+            self._wake = self._loop.call_soon(self._pump)
+        elif self._alarm is None or head < self._alarm_at:
+            # An alarm already set for this head (or an earlier one: it
+            # rings, finds nothing due and re-arms) stays; most turns
+            # leave the head where it was.
+            if self._alarm is not None:
+                self._alarm.cancel()
+            self._alarm = self._loop.call_later((head - now) / 1e6,
+                                                self._ring)
+            self._alarm_at = head
 
     def _ring(self):
         self._alarm = None
-        self._pump()
+        if self._wake is None:
+            self._pump()
+
+    def turn(self, callback, *args):
+        """Run ``callback(*args)`` at the head of a pump turn and return
+        its value: the wake-ups it causes run before this returns, and
+        no pump of their own is queued.  A socket read hands its frames
+        up this way, so the requests they carry start, and the callers
+        their replies resume run on, before the loop polls again."""
+        wake = self._wake
+        if wake is _IN_TURN:
+            return callback(*args)
+        if wake is not None:
+            wake.cancel()
+        self._wake = _IN_TURN
+        try:
+            return callback(*args)
+        finally:
+            self._pump()
+
+    def sleep(self, delay_us):
+        """A positive delay is a heap timeout, as in the simulator.  A
+        zero one is the ``cooperative`` yield: an event asyncio itself
+        settles on its next loop iteration, after that iteration's
+        socket reads — so a turn that drains its own pushes still lets
+        a hot zero-backoff retry loop see the answer it waits for."""
+        if delay_us > 0:
+            return self.schedule_timeout(delay_us)
+        event = Event(self)
+        self._loop.call_soon(self.turn, event.settle, True, None)
+        return event
 
     # -- durability ------------------------------------------------------
 
@@ -215,5 +277,7 @@ class AsyncioEnv(Environment):
         return await future
 
     async def run_process(self, generator):
-        """Drive a protocol generator to completion; return its value."""
-        return await self.wait(Process(self, generator))
+        """Drive a protocol generator to completion; return its value.
+        The process starts in the caller's own turn: its first request
+        is on the wire before the coroutine awaits the answer."""
+        return await self.wait(self.turn(Process, self, generator))

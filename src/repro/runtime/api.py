@@ -64,7 +64,8 @@ the implementation from :class:`repro.sim.engine.Environment`):
                         arrivals and RPC deadlines are timers
 ``timeout(us, v)``      event firing ``us`` microseconds from now
 ``sleep(us)`` /
-``schedule_timeout``    bare timeout (fast path; no value, no callbacks)
+``schedule_timeout``    bare timeout (fast path; no value, no callbacks);
+                        live, ``sleep(0)`` is the ``cooperative`` yield
 ``sleep_until(t)``      its absolute-time twin: a bare timeout firing at
                         ``t``.  **Consecutive private delays of one
                         process are one entry**: the process adds its
@@ -110,13 +111,19 @@ order equals wake-up order — while a wake-up is still in the heap,
 The real-time pump (:mod:`repro.runtime.aio`) adds three rules of its
 own.  **The clock is read at push time**: ``_now`` is the monotonic
 clock itself, never a cached turn time, or a deadline set after an idle
-gap would fire early.  **Entries pushed in a turn run in a later turn**:
-a pump turn runs what was in the heap and due when it began, then
-returns to the loop.  This is what the ``cooperative`` yield on a
-zero-backoff retry relies on — there the turn buys fairness, not
-ordering: with grants and replies inline, a hot retry loop would
-otherwise never let the loop read the socket that carries the answer it
-is waiting for.  **A cancelled timer pops inert**, as above.
+gap would fire early.  **A turn runs its whole wake-up chain**: the
+entries its own callbacks push are drained in the same turn, and the
+turn re-reads the clock before it leaves a head that looks early, so a
+chain of grants, hand-offs and replies costs one loop turn, not one per
+link, and leaves no empty pump queued behind it.  A socket read is the
+head of such a turn (``turn``): the requests its frames carry start,
+and the callers its replies settle run on, before the loop polls again.
+Fairness comes from the one place that needs it: the ``cooperative``
+yield of a zero-backoff retry, ``sleep(0)``, is an event asyncio itself
+settles on its next iteration, after that iteration's socket reads —
+with grants and replies inline, a hot retry loop would otherwise never
+let the loop read the socket that carries the answer it is waiting
+for.  **A cancelled timer pops inert**, as above.
 The pump learns of a push from the one signal the kernel already gives:
 every push site bumps ``env._seq`` *before* its ``heappush``, so an
 observer of the bump may schedule a pump but must never inspect the

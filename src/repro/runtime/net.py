@@ -9,10 +9,14 @@ frames of :mod:`repro.runtime.wire`.
 
 The RPC surface is unchanged: protocol code still calls ``node.call`` /
 ``node.respond`` against event-shaped reply handles.  For an outbound
-remote call the local reply event is resolved when the matching reply
+remote call the local reply event is settled when the matching reply
 frame arrives; for an inbound request the reconstructed message carries
 a :class:`_RemoteReply` shim whose ``settle`` writes the reply frame
-back on the originating connection.
+back on the originating connection — at once, from
+:meth:`AioNetwork.send_response`, with no zero-delay hop timer in front
+of it.  A read hands its frames up inside one pump turn
+(:meth:`~repro.runtime.aio.AsyncioEnv.turn`), so a request is answered,
+and a reply's caller runs on, before the loop polls again.
 
 Deadlines cross the clock boundary as *remaining* microseconds and are
 re-anchored on the receiver's monotonic clock (absolute timestamps from
@@ -31,6 +35,13 @@ from repro.net.rpc import RpcFailure
 from repro.net.transport import Network
 from repro.obs.context import OpContext
 from repro.runtime import wire
+
+_LEN = wire.FRAME_HEADER
+_HEADER = _LEN.size
+
+#: A connection's read buffer: the socket reads into it directly, and
+#: it grows only while one frame's head fills it.
+READ_SIZE = 64 * 1024
 
 
 class _RemoteReply:
@@ -63,50 +74,106 @@ class _RemoteReply:
         self._conn.write_frame(frame)
 
 
-class _Connection:
-    """One live peer connection (either direction) with its reader task."""
+class _Connection(asyncio.BufferedProtocol):
+    """One live peer connection (either direction).
 
-    __slots__ = ("network", "reader", "writer", "peer", "task", "closed")
+    Frames are cut where the bytes land: the socket reads straight into
+    this connection's buffer, and ``buffer_updated`` hands every frame
+    the read completed to the network before it returns.  The head of a
+    torn frame stays at the buffer's front for the next read.
+    """
 
-    def __init__(self, network, reader, writer, peer=None):
+    __slots__ = ("network", "peer", "transport", "closed", "_buffer",
+                 "_view", "_start", "_end")
+
+    def __init__(self, network, peer=None):
         self.network = network
-        self.reader = reader
-        self.writer = writer
         #: The dialed peer's name; ``None`` for an inbound connection.
         self.peer = peer
+        self.transport = None
         self.closed = False
-        self.task = network.env._loop.create_task(self._read_loop())
+        #: Bytes ``[_start, _end)`` of the buffer are read and not yet
+        #: cut; the socket reads into the free tail behind ``_end``.
+        self._reset(bytearray(READ_SIZE))
 
-    def write_frame(self, doc):
-        if self.closed:
-            return
-        try:
-            self.writer.write(wire.pack_frame(doc))
-        except (ConnectionError, OSError):
-            self.close()
+    def _reset(self, buffer):
+        self._buffer = buffer
+        self._view = memoryview(buffer)
+        self._start = self._end = 0
 
-    async def _read_loop(self):
+    def connection_made(self, transport):
+        self.transport = transport
+        if self.peer is None:
+            self.network._inbound.add(self)
+
+    def get_buffer(self, sizehint):
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes):
+        self._end += nbytes
+        self.network.env.turn(self._cut)
+
+    def _cut(self):
+        """Hand up every complete frame in the buffer, then keep the
+        head of a torn one at its front."""
+        buffer = self._buffer
+        start = self._start
+        end = self._end
         try:
-            while True:
-                doc = await wire.read_frame(self.reader)
-                if doc is None:
+            while end - start >= _HEADER:
+                (length,) = _LEN.unpack_from(buffer, start)
+                if length > wire.MAX_FRAME:
+                    raise wire.WireError(
+                        "oversized frame: {} bytes".format(length))
+                stop = start + _HEADER + length
+                if stop > end:
                     break
+                doc = wire.open_frame(self._view[start + _HEADER:stop])
+                start = self._start = stop
                 self.network._on_frame(self, doc)
+                if self.closed:
+                    return
         except wire.WireError:
             # A corrupt or hostile peer: nothing after a bad frame can
             # be trusted to sit on a frame boundary, so hang up on it.
             self.network._dropped.inc("malformed")
-        finally:
             self.close()
+            return
+        if start == end:
+            if len(buffer) > READ_SIZE:
+                self._reset(bytearray(READ_SIZE))
+            else:
+                self._start = self._end = 0
+            return
+        kept = end - start
+        if start:
+            buffer[:kept] = buffer[start:end]
+        if kept == len(buffer):
+            # Full of one frame's head: double, never past the frame
+            # (the header is in, or the buffer could not be full).
+            need = _HEADER + _LEN.unpack_from(buffer, 0)[0]
+            grown = bytearray(min(2 * kept, need))
+            grown[:kept] = buffer
+            self._reset(grown)
+        self._start, self._end = 0, kept
+
+    def eof_received(self):
+        # A frame torn at EOF is a plain close, like a clean one: the
+        # peer retries or gives up at the RPC layer, not here.
+        self.close()
+
+    def connection_lost(self, exc):
+        self.close()
+
+    def write_frame(self, doc):
+        if not self.closed:
+            self.transport.write(wire.pack_frame(doc))
 
     def close(self):
         if self.closed:
             return
         self.closed = True
-        try:
-            self.writer.close()
-        except (ConnectionError, OSError):
-            pass
+        self.transport.close()
         self.network._on_close(self)
 
 
@@ -128,8 +195,7 @@ class AioNetwork(Network):
         self._dialing = {}
         #: Accepted connections (anonymous: replies ride the connection
         #: their request came in on), held so ``close`` can hang up on
-        #: them and their reader tasks are not left to the loop's weak
-        #: reference.
+        #: them.
         self._inbound = set()
         self._server = None
 
@@ -137,8 +203,8 @@ class AioNetwork(Network):
 
     async def start(self, host, port):
         """Listen for inbound peer connections."""
-        self._server = await asyncio.start_server(
-            self._on_inbound, host, port
+        self._server = await self.env._loop.create_server(
+            partial(_Connection, self), host, port
         )
 
     async def close(self):
@@ -149,11 +215,6 @@ class AioNetwork(Network):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    def _on_inbound(self, reader, writer):
-        # Never dialed through: replies are routed by the _RemoteReply
-        # that holds the connection.
-        self._inbound.add(_Connection(self, reader, writer))
 
     # -- sending ---------------------------------------------------------
 
@@ -199,7 +260,8 @@ class AioNetwork(Network):
     async def _dial(self, peer):
         host, port = self.peers[peer]
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            _, conn = await self.env._loop.create_connection(
+                partial(_Connection, self, peer), host, port)
         except (ConnectionError, OSError):
             # The peer is unreachable: drop the queued frames.  Callers'
             # per-attempt timeouts turn the silence into ETIMEDOUT and
@@ -208,10 +270,20 @@ class AioNetwork(Network):
                 self._dropped.inc(doc.get("kind"))
             self._abandon(peer)
             return
-        conn = _Connection(self, reader, writer, peer)
         self._conns[peer] = conn
         for doc in self._dialing.pop(peer, []):
             conn.write_frame(doc)
+
+    def send_response(self, responder, message, size, deliver):
+        """A reply to a caller in another process goes out now: the
+        shim's ``settle`` writes the frame in the responder's own turn,
+        with no zero-delay hop timer in front of it."""
+        if not isinstance(message.reply_to, _RemoteReply):
+            super().send_response(responder, message, size, deliver)
+            return
+        self._responses.inc(message.kind)
+        self._response_bytes.inc(message.kind, size)
+        deliver()
 
     def _forget(self, rid, _reply):
         self._pending.pop(rid, None)

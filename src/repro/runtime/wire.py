@@ -12,7 +12,12 @@ module defines:
   sets, non-string-keyed dicts, :class:`~repro.core.records.DentryRecord`
   and :class:`~repro.core.records.InodeRecord`;
 * **framing**: each frame is a 4-byte big-endian length followed by that
-  many bytes of UTF-8 JSON (:func:`pack_frame`, :func:`read_frame`);
+  many bytes of UTF-8 JSON (:func:`pack_frame`, :func:`open_frame`; the
+  connection in :mod:`repro.runtime.net` cuts frames off the stream).
+  The parser undoes the tags itself: :func:`_untag` is its
+  ``object_hook``, so a body is decoded in one pass inside the C
+  parser, and :func:`decode` applies the same hook to a document
+  parsed without it;
 * **message envelopes** mapping the in-memory RPC surface onto frames —
   requests carry the operation context with its deadline as *remaining*
   microseconds (re-anchored on the receiver's clock; absolute deadlines
@@ -25,12 +30,14 @@ be escaped through the ``"d"`` (pair-list) form anyway.
 """
 
 import json
+import json.scanner
 import struct
 
 from repro.core.records import DentryRecord, InodeRecord
 
 _TAG = "__w"
-_LEN = struct.Struct(">I")
+#: The length prefix in front of every frame body.
+FRAME_HEADER = struct.Struct(">I")
 
 #: Frames above this size are refused — nothing in the metadata protocol
 #: comes close; a larger frame means a corrupt or hostile peer.
@@ -41,52 +48,132 @@ class WireError(Exception):
     """Malformed frame or an unencodable payload object."""
 
 
+def _encode_list(obj):
+    # A container whose members all encode to themselves is its own
+    # encoding: only what holds a tuple, a set or a row is copied.
+    out = obj
+    for index, item in enumerate(obj):
+        if type(item) in _PLAIN:
+            continue
+        encoded = encode(item)
+        if encoded is not item:
+            if out is obj:
+                out = list(obj)
+            out[index] = encoded
+    return out
+
+
+def _encode_tuple(obj):
+    return {_TAG: "t", "v": [item if type(item) in _PLAIN else encode(item)
+                             for item in obj]}
+
+
+def _encode_dict(obj):
+    out = obj
+    for key, value in obj.items():
+        if type(key) is not str or key == _TAG:
+            return {_TAG: "d", "v": [[encode(key), encode(value)]
+                                     for key, value in obj.items()]}
+        if type(value) in _PLAIN:
+            continue
+        encoded = encode(value)
+        if encoded is not value:
+            if out is obj:
+                out = dict(obj)
+            out[key] = encoded
+    return out
+
+
+def _encode_set(obj):
+    return {_TAG: "s", "v": sorted(encode(item) for item in obj)}
+
+
+def _encode_dentry(obj):
+    return {_TAG: "dr", "v": [obj.ino, obj.mode, obj.uid, obj.gid,
+                              obj.state]}
+
+
+def _encode_inode(obj):
+    return {_TAG: "ir", "v": [obj.ino, obj.is_dir, obj.mode, obj.uid,
+                              obj.gid, obj.size, obj.mtime, obj.nlink]}
+
+
+#: JSON carries these as they are.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+#: Exact type -> encoder.  A subclass (a named tuple, an ``IntEnum``
+#: code) finds its nearest listed base through its MRO.
+_ENCODERS = {
+    list: _encode_list,
+    tuple: _encode_tuple,
+    dict: _encode_dict,
+    set: _encode_set,
+    frozenset: _encode_set,
+    DentryRecord: _encode_dentry,
+    InodeRecord: _encode_inode,
+}
+
+
 def encode(obj):
-    """Recursively convert ``obj`` into a JSON-representable structure."""
-    if obj is None or isinstance(obj, (str, int, float, bool)):
+    """Convert ``obj`` into a JSON-representable structure."""
+    kind = type(obj)
+    if kind in _PLAIN:
         return obj
-    if isinstance(obj, (list, tuple)):
-        items = [encode(item) for item in obj]
-        if isinstance(obj, tuple):
-            return {_TAG: "t", "v": items}
-        return items
-    if isinstance(obj, dict):
-        if all(isinstance(k, str) for k in obj) and _TAG not in obj:
-            return {k: encode(v) for k, v in obj.items()}
-        return {_TAG: "d", "v": [[encode(k), encode(v)]
-                                 for k, v in obj.items()]}
-    if isinstance(obj, (set, frozenset)):
-        return {_TAG: "s", "v": sorted(encode(item) for item in obj)}
-    if isinstance(obj, DentryRecord):
-        return {_TAG: "dr", "v": [obj.ino, obj.mode, obj.uid, obj.gid,
-                                  obj.state]}
-    if isinstance(obj, InodeRecord):
-        return {_TAG: "ir", "v": [obj.ino, obj.is_dir, obj.mode, obj.uid,
-                                  obj.gid, obj.size, obj.mtime, obj.nlink]}
-    raise WireError("unencodable object: {!r}".format(obj))
+    encoder = _ENCODERS.get(kind)
+    if encoder is None:
+        for base in kind.__mro__[1:]:
+            if base in _PLAIN:
+                return obj
+            encoder = _ENCODERS.get(base)
+            if encoder is not None:
+                break
+        else:
+            raise WireError("unencodable object: {!r}".format(obj))
+    return encoder(obj)
+
+
+def _row(cls, arity):
+    def untag(value):
+        if type(value) is not list or len(value) != arity:
+            raise WireError("{} row needs {} fields: {!r}".format(
+                cls.__name__, arity, value))
+        return cls(*value)
+    return untag
+
+
+#: Tag -> constructor from the tagged object's already-decoded ``"v"``.
+_UNTAG = {
+    "t": tuple,
+    "d": dict,
+    "s": set,
+    "dr": _row(DentryRecord, 5),
+    "ir": _row(InodeRecord, 8),
+}
+
+
+def _untag(obj):
+    """Inverse of :func:`encode` for one JSON object whose members are
+    already decoded: the ``object_hook`` the frame parser runs."""
+    tag = obj.get(_TAG)
+    if tag is None:
+        return obj
+    try:
+        untag, value = _UNTAG[tag], obj["v"]
+    except (KeyError, TypeError):
+        raise WireError("unknown wire tag or no value: {!r}".format(
+            obj)) from None
+    return untag(value)
 
 
 def decode(obj):
-    """Inverse of :func:`encode`."""
-    if isinstance(obj, list):
+    """Inverse of :func:`encode`, for a document ``json.loads`` already
+    parsed without the hook: the same :func:`_untag`, bottom-up."""
+    kind = type(obj)
+    if kind is list:
         return [decode(item) for item in obj]
-    if not isinstance(obj, dict):
-        return obj
-    tag = obj.get(_TAG)
-    if tag is None:
-        return {k: decode(v) for k, v in obj.items()}
-    value = obj["v"]
-    if tag == "t":
-        return tuple(decode(item) for item in value)
-    if tag == "d":
-        return {decode(k): decode(v) for k, v in value}
-    if tag == "s":
-        return set(decode(item) for item in value)
-    if tag == "dr":
-        return DentryRecord(*value)
-    if tag == "ir":
-        return InodeRecord(*value)
-    raise WireError("unknown wire tag: {!r}".format(tag))
+    if kind is dict:
+        return _untag({key: decode(value) for key, value in obj.items()})
+    return obj
 
 
 # -- framing -------------------------------------------------------------
@@ -94,35 +181,39 @@ def decode(obj):
 
 def pack_frame(doc):
     """Serialize a JSON document into one length-prefixed frame."""
-    body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(body)) + body
+    body = _dumps(doc).encode("utf-8")
+    return FRAME_HEADER.pack(len(body)) + body
 
 
-async def read_frame(reader):
-    """Read one frame from an ``asyncio.StreamReader``.
+def open_frame(body):
+    """Parse one frame body (the bytes after its length prefix) into a
+    request or reply envelope, its payload already decoded.
 
-    Returns the request or reply envelope with its body already
-    :func:`decode`-d, or ``None`` on EOF (clean, or torn mid-frame).
-    Raises :class:`WireError` for a frame no well-behaved peer sends —
-    oversized, not UTF-8 JSON, not an envelope, an undecodable body —
-    so the caller can hang up instead of dying on it.
+    Raises :class:`WireError` for a body no well-behaved peer sends —
+    not UTF-8 JSON, not an envelope, an undecodable payload — so the
+    reader can hang up instead of dying on it.
     """
     try:
-        # IncompleteReadError (EOF mid-frame) subclasses EOFError; a torn
-        # connection surfaces the same way as a clean close — the peer
-        # retries or gives up at the RPC layer, not here.
-        header = await reader.readexactly(_LEN.size)
-        (length,) = _LEN.unpack(header)
-        if length > MAX_FRAME:
-            raise WireError("oversized frame: {} bytes".format(length))
-        body = await reader.readexactly(length)
-    except (EOFError, ConnectionError, OSError):
-        return None
-    try:
-        return _open_envelope(json.loads(body.decode("utf-8")))
+        text = str(body, "utf-8")
+        doc, end = _scan(text, 0)
+        if end != len(text):
+            raise ValueError("data after the document")
+        return _open_envelope(doc)
+    except StopIteration:
+        raise WireError("malformed frame: no JSON document") from None
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise WireError("malformed frame: {!r}".format(exc)) from None
 
+
+#: ``json.dumps(doc, separators=(",", ":"))`` built once, with no
+#: circular-reference memo: :func:`encode` has walked the document
+#: already (and would have recursed forever on a cycle first).  Same
+#: bytes.
+_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+#: The parser's own scanner with :func:`_untag` as its object hook:
+#: ``json.loads`` minus the per-call decoder and whitespace skipping
+#: (a frame is one compact document).
+_scan = json.scanner.make_scanner(json.JSONDecoder(object_hook=_untag))
 
 #: Fields every envelope of a type must carry (see the encoders below).
 _ENVELOPE_FIELDS = {
@@ -132,9 +223,9 @@ _ENVELOPE_FIELDS = {
 
 
 def _open_envelope(doc):
-    """Check ``doc`` is a request or reply envelope and decode its body
-    in place.  A wrong shape raises :class:`WireError` — directly, or
-    as the ``KeyError`` / ``TypeError`` the caller folds into one."""
+    """Check ``doc`` is a request or reply envelope.  A wrong shape
+    raises :class:`WireError` — directly, or as the ``KeyError`` /
+    ``TypeError`` the caller folds into one."""
     kind = doc["t"]
     fields = _ENVELOPE_FIELDS.get(kind)
     if fields is None:
@@ -145,10 +236,7 @@ def _open_envelope(doc):
     if kind == "req":
         if doc.get("ctx") is not None and "op" not in doc["ctx"]:
             raise WireError("request context lacks its op")
-        doc["payload"] = decode(doc["payload"])
-    elif doc["ok"]:
-        doc["value"] = decode(doc["value"])
-    elif "code" not in doc:
+    elif not doc["ok"] and "code" not in doc:
         raise WireError("error reply lacks its code")
     return doc
 

@@ -3,6 +3,7 @@
 import argparse
 import asyncio
 import json
+import os
 import random
 import signal
 import socket
@@ -44,6 +45,24 @@ def serve_config(args):
         # every client that saw the same failure retries in lockstep.
         retry_jitter=0.25,
     )
+
+
+def emit_status(line, stream=None):
+    """Write one status line and its newline in a single ``os.write``.
+
+    ``up`` and every node it starts share one stdout pipe, and whoever
+    watches it waits for whole ``READY`` / ``UP`` lines.  ``print(...,
+    flush=True)`` on an unbuffered stream writes the text and the
+    newline separately, so another process's line can land between
+    them.  A pipe write of at most ``PIPE_BUF`` bytes is atomic; longer
+    lines are still written whole, just not atomically.
+    """
+    stream = sys.stdout if stream is None else stream
+    stream.flush()
+    data = (line + "\n").encode("utf-8")
+    fd = stream.fileno()
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _shared(env, args):
@@ -107,8 +126,8 @@ async def run_node(args):
     metrics = await _metrics_server(
         port + METRICS_PORT_OFFSET, [node.metrics, network.metrics]
     )
-    print("READY {} rpc={} metrics={}".format(
-        name, port, port + METRICS_PORT_OFFSET), flush=True)
+    emit_status("READY {} rpc={} metrics={}".format(
+        name, port, port + METRICS_PORT_OFFSET))
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -159,20 +178,19 @@ def run_up(args):
     try:
         for name, (host, port) in peers.items():
             if not _wait_port(host, port):
-                print("FAILED waiting for {} on {}:{}".format(
-                    name, host, port), file=sys.stderr, flush=True)
+                emit_status("FAILED waiting for {} on {}:{}".format(
+                    name, host, port), sys.stderr)
                 return 1
-        print("UP {}".format(json.dumps({
+        emit_status("UP {}".format(json.dumps({
             name: {"rpc": port, "metrics": port + METRICS_PORT_OFFSET}
             for name, (_, port) in sorted(peers.items())
-        })), flush=True)
+        })))
         # Serve until interrupted or a child dies.
         while True:
             for proc in procs:
                 code = proc.poll()
                 if code is not None:
-                    print("CHILD EXITED {}".format(code),
-                          file=sys.stderr, flush=True)
+                    emit_status("CHILD EXITED {}".format(code), sys.stderr)
                     return code or 1
             time.sleep(0.2)
     except KeyboardInterrupt:

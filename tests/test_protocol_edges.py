@@ -497,6 +497,32 @@ class TestRetryPaths:
         assert err.value.code == RpcError.ERETRY
 
 
+    def test_readdir_answers_eretry_when_a_peer_scan_errs(self, cluster,
+                                                         monkeypatch):
+        """An error reply from one peer of the readdir fan-out fails the
+        listing, not the handler: the client is answered ERETRY, with
+        the peer and its code in the detail, and lists once the peer
+        scans again."""
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/f.dat")
+        erring = cluster.mnodes[2]
+
+        def refuse(message):
+            erring.respond_error(
+                message, RpcFailure(RpcError.ENOTLEADER, erring.name))
+
+        monkeypatch.setattr(erring, "_on_scan_children", refuse)
+        failure = cluster.run_process(_swallow(_call(
+            cluster.coordinator, cluster.mnodes[0].name, "readdir",
+            {"path": "/d"})))
+        assert failure.code == RpcError.ERETRY
+        assert failure.detail == "scan_children on {}: ENOTLEADER".format(
+            erring.name)
+        monkeypatch.undo()
+        assert fs.listdir("/d") == ["f.dat"]
+
+
 class TestMkdirRmdirChurn:
     def test_repeated_create_remove_cycles(self, cluster, fs):
         """Namespace churn leaves no residue: sequences of mkdir/rmdir

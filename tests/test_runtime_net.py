@@ -4,19 +4,22 @@ inert cancelled timers, and the pump that runs the DES kernel on the
 asyncio loop."""
 
 import asyncio
+import functools
 import socket
 import struct
 
 import pytest
 
 from repro import sim
+from repro.core.records import InodeRecord
 from repro.net.costs import CostModel
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import OpContext
 from repro.obs.retry import deadline_call
 from repro.runtime import AsyncioEnv, wire
-from repro.runtime.net import AioNetwork
+from repro.runtime.net import READ_SIZE, AioNetwork, _Connection
 
 TIMEOUT_S = 20.0
 
@@ -103,8 +106,8 @@ def test_pending_is_dropped_when_the_connection_closes():
 
 def test_close_hangs_up_on_inbound_connections():
     """The serving side owns the connections it accepted: one the peer
-    closes is forgotten, and ``close`` ends the rest — reader task
-    finished, socket closed (the peer reads EOF)."""
+    closes is forgotten, and ``close`` ends the rest — the transport is
+    closing and the peer reads EOF."""
     async def main():
         env = AsyncioEnv()
         served, port = await _serving(env, _Echo)
@@ -122,14 +125,137 @@ def test_close_hangs_up_on_inbound_connections():
             (conn,) = served._inbound
             await served.close()
             eof = await reader.read()
-            await asyncio.wait([conn.task])
             writer.close()
-            return (eof, conn.task.done(), conn.writer.is_closing(),
-                    set(served._inbound))
+            return eof, conn.transport.is_closing(), set(served._inbound)
         finally:
             await served.close()
 
-    assert _run(main) == (b"", True, True, set())
+    assert _run(main) == (b"", True, set())
+
+
+def _on_a_loop(test):
+    """Run a synchronous test body inside a running event loop (an
+    ``AsyncioEnv`` is built inside one)."""
+    @functools.wraps(test)
+    def run():
+        async def main():
+            test()
+        _run(main)
+    return run
+
+
+class _Recorder(AioNetwork):
+    """Records what the connection hands up instead of acting on it."""
+
+    def __init__(self):
+        super().__init__(AsyncioEnv(), CostModel())
+        self.frames = []
+
+    def _on_frame(self, conn, doc):
+        self.frames.append(doc)
+
+
+class _Transport:
+    """Stands in for the socket: keeps what is written to it."""
+
+    def __init__(self):
+        self.closed = False
+        self.written = b""
+
+    def write(self, data):
+        self.written += data
+
+    def close(self):
+        self.closed = True
+
+
+def _connection(network=None, peer="peer"):
+    network = network or _Recorder()
+    conn = _Connection(network, peer=peer)
+    conn.connection_made(_Transport())
+    return network, conn
+
+
+def _feed(conn, chunk):
+    """What the transport does with ``chunk``: read it into the buffer
+    the connection offers, as many times as the buffer needs."""
+    while chunk and not conn.closed:
+        buffer = conn.get_buffer(-1)
+        assert len(buffer) >= 1
+        taken = chunk[:len(buffer)]
+        buffer[:len(taken)] = taken
+        conn.buffer_updated(len(taken))
+        chunk = chunk[len(taken):]
+
+
+def _reply_frame(rid, value):
+    return wire.pack_frame(wire.encode_reply(rid, value))
+
+
+@_on_a_loop
+def test_a_frame_split_at_every_byte_is_cut_once_whole():
+    """However the stream is chunked, each frame reaches the network
+    exactly once, decoded, and only when its last byte is in."""
+    value = {"key": (1, "f"), "row": InodeRecord(ino=7, size=3)}
+    frame = _reply_frame(1, value)
+    for cut in range(1, len(frame)):
+        network, conn = _connection()
+        _feed(conn, frame[:cut])
+        assert network.frames == []
+        _feed(conn, frame[cut:])
+        assert [doc["value"] for doc in network.frames] == [value], cut
+        assert not conn.closed and conn._start == conn._end == 0
+
+
+@_on_a_loop
+def test_two_frames_in_one_chunk_are_both_handed_up_in_order():
+    first, second = _reply_frame(1, {"n": 1}), _reply_frame(2, {"n": 2})
+    network, conn = _connection()
+    _feed(conn, first + second + second[:5])
+    assert [doc["id"] for doc in network.frames] == [1, 2]
+    _feed(conn, second[5:])
+    assert [doc["id"] for doc in network.frames] == [1, 2, 2]
+    assert not conn.closed
+
+
+@_on_a_loop
+def test_a_frame_larger_than_the_read_buffer_grows_it_then_gives_it_back():
+    value = {"blob": "x" * (3 * READ_SIZE)}
+    frame = _reply_frame(5, value)
+    network, conn = _connection()
+    for index in range(0, len(frame), 1000):
+        _feed(conn, frame[index:index + 1000])
+    assert [doc["value"] for doc in network.frames] == [value]
+    assert len(conn._buffer) == READ_SIZE
+
+
+@_on_a_loop
+def test_a_bad_frame_after_a_good_one_in_one_chunk_hangs_up():
+    """The good frame ahead of it is delivered; nothing after it is."""
+    good = _reply_frame(1, {"n": 1})
+    network, conn = _connection()
+    _feed(conn, good + HOSTILE["not-json"] + good)
+    assert [doc["id"] for doc in network.frames] == [1]
+    assert conn.closed and conn.transport.closed
+    assert network.dropped_count("malformed") == 1
+
+
+@_on_a_loop
+def test_a_request_is_answered_before_its_read_returns():
+    """The read that completes a request frame runs the handler and
+    writes the reply in its own callback, and leaves no pump turn queued
+    behind the wake-ups it drained."""
+    network = AioNetwork(AsyncioEnv(), CostModel())
+    _Echo(network.env, network, "server")
+    _, conn = _connection(network, peer=None)
+    request = Message("caller", "server", "echo", {"n": 7},
+                      reply_to=network.env.event())
+    _feed(conn, wire.pack_frame(wire.encode_request(9, request)))
+    reply = conn.transport.written
+    assert wire.open_frame(reply[wire.FRAME_HEADER.size:]) == {
+        "t": "rep", "id": 9, "ok": True, "value": {"n": 7}}
+    assert network.env._wake is None
+    assert network.response_count("echo") == 1
 
 
 def _frame(body):
@@ -259,11 +385,65 @@ def test_deadline_set_after_an_idle_gap_does_not_fire_early():
     assert _run(main) >= 30_000.0
 
 
+class _CountingEnv(AsyncioEnv):
+    turns = 0
+
+    def _pump(self):
+        self.turns += 1
+        super()._pump()
+
+
+def test_a_wake_up_chain_runs_in_one_turn():
+    """Two processes handing an item back and forth 100 times: every
+    hand-off is a push the same turn drains, so the chain costs one
+    pump turn, and none is left queued behind it."""
+    async def main():
+        env = _CountingEnv()
+        ping, pong = env.store(), env.store()
+
+        def server():
+            for _ in range(100):
+                yield ping.get()
+                pong.put(None)
+
+        def caller():
+            for _ in range(100):
+                ping.put(None)
+                yield pong.get()
+
+        env.process(server())
+        done = env.process(caller())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        return done.processed, env.turns, env._wake, list(env._queue)
+
+    assert _run(main) == (True, 1, None, [])
+
+
+def test_a_head_due_within_the_poll_horizon_is_polled_not_alarmed():
+    """The selector sleeps in whole milliseconds: a head due in 30 µs
+    (a request-merging linger is 4 µs) is polled for on the next loop
+    iteration, while one due in 10 ms gets an alarm."""
+    async def main():
+        env = AsyncioEnv()
+        fired = []
+        env.turn(env.timer, 30.0, fired.append)
+        near = env._alarm
+        while not fired:
+            await asyncio.sleep(0)
+        env.turn(env.timer, 10_000.0, fired.append)
+        far = env._alarm
+        return near, far is not None
+
+    assert _run(main) == (None, True)
+
+
 def test_zero_backoff_retry_does_not_starve_a_socket_read():
-    """Entries pushed during a pump turn run in a *later* loop turn.  A
-    pump that kept popping whatever is due would spin this retry loop
-    to exhaustion inside one turn — every zero-delay sleep is due by the
-    time it is looked at — and never let the loop read the socket."""
+    """The ``cooperative`` yield is settled by asyncio on its next loop
+    iteration, after that iteration's socket reads.  Were it a heap
+    entry, the pump — which drains what its turn pushes — would spin
+    this retry loop to exhaustion inside one turn and never let the
+    loop read the socket."""
     async def main():
         env = AsyncioEnv()
         ours, theirs = socket.socketpair()

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import pathlib
+import select
 import signal
 import socket
 import subprocess
@@ -155,3 +156,34 @@ def test_prometheus_scrape(cluster):
     for line in samples:
         name = line.split("{")[0].split(" ")[0]
         assert name.startswith("falconfs_"), line
+
+
+def test_each_status_line_goes_out_in_one_write(monkeypatch):
+    """``up`` and its nodes share one stdout pipe: a status line written
+    in two pieces (text, then newline) can have another process's line
+    land inside it, and the watcher never sees a whole ``UP`` line.
+    Each line is one write, which a pipe keeps whole up to PIPE_BUF."""
+    from repro.serve.main import emit_status
+
+    writes = []
+    real_write = os.write
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    lines = ["READY mnode-0 rpc=20001 metrics=21001",
+             "UP " + json.dumps({"mnode-{}".format(i): {"rpc": 20001 + i,
+                                                      "metrics": 21001 + i}
+                                 for i in range(MNODES)})]
+    read_fd, write_fd = os.pipe()
+    monkeypatch.setattr(os, "write", recording_write)
+    with os.fdopen(write_fd, "w") as stream:
+        for line in lines:
+            emit_status(line, stream)
+    monkeypatch.undo()
+    with os.fdopen(read_fd, "rb") as pipe:
+        received = pipe.read()
+    assert writes == [(line + "\n").encode() for line in lines]
+    assert all(len(data) <= select.PIPE_BUF for data in writes)
+    assert received == b"".join(writes)
