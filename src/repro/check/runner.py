@@ -3,10 +3,11 @@
 ``run_schedule`` is a pure function of its schedule: it builds a cluster
 from the schedule's embedded config, preloads the directory skeleton,
 drives every client operation and nemesis event, heals, quiesces, and
-returns a JSON-safe result — history, violations, stats.  Two calls with
-the same schedule produce bit-identical results (global id counters are
-rewound, every random stream is seeded from the schedule), which is what
-lets the shrinker trust that a replayed subset reproduces honestly.
+returns a JSON-safe result — history, violations, stats and the
+recovery logs.  Two calls with the same schedule produce bit-identical
+results (global id counters are rewound, every random stream is seeded
+from the schedule), which is what lets the shrinker trust that a
+replayed subset reproduces honestly.
 
 Violation taxonomy (the ``invariant`` field of each record):
 
@@ -305,8 +306,12 @@ def run_schedule(schedule):
         - sum(1 for e in history if e["status"] != "pending"),
         "errors": dict(sorted(errors.items())),
         "nemesis_fired": sum(1 for h in handles if h.fired),
-        "promotions": sum(1 for r in cluster.coordinator.failover_log
-                          if r.get("promoted") and not r.get("elected")),
+        # Ordained promotions only: a suppressed failover names the
+        # failed node as ``promoted`` but replaced nothing.
+        "promotions": sum(
+            1 for r in cluster.coordinator.failover_log
+            if not (r.get("suppressed") or r.get("deferred")
+                    or r.get("elected"))),
         "elections": sum(1 for r in cluster.coordinator.failover_log
                          if r.get("elected")),
         "failovers_deferred": sum(
@@ -342,4 +347,11 @@ def run_schedule(schedule):
         "history": history,
         "violations": violations,
         "stats": stats,
+        # The recovery timelines, on the absolute clock; a nemesis fired
+        # at ``t0 + at_us``.
+        "t0": t0,
+        "failover_log": cluster.coordinator.failover_log,
+        "crash_log": cluster.crash_log,
+        "restart_log": cluster.restart_log,
+        "detector_log": cluster.detector.log if cluster.detector else [],
     }

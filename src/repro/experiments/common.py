@@ -1,10 +1,12 @@
 """Shared experiment utilities: cluster builders, the fault experiments'
-common workload, table rendering, and the shared ``--jobs`` fan-out for
-point-parallel sweeps."""
+checked schedule and phase report, table rendering, and the shared
+``--jobs`` fan-out for point-parallel sweeps."""
 
 from repro.baselines import CephCluster, JuiceCluster, LustreCluster
+from repro.check.runner import run_schedule
 from repro.core import FalconCluster, FalconConfig
-from repro.net.rpc import RpcFailure
+from repro.metrics import percentile
+from repro.sim.rng import RandomStreams
 
 #: Systems compared throughout the evaluation, in the paper's order.
 SYSTEMS = ("falconfs", "cephfs", "lustre", "juicefs")
@@ -70,83 +72,91 @@ def prefill_dcache(client, tree, path_ino, rng=None):
 
 
 # -- the fault experiments' common ground (failover, restart, election,
-# grayfail, rebalance) ----------------------------------------------------
+# grayfail): each run is one checker schedule -------------------------------
 
-def replicated_cluster(num_dirs, **config):
-    """A replicated FalconFS cluster holding ``/w0`` .. ``/w<num_dirs-1>``
-    with the setup shipments drained."""
-    cluster = FalconCluster(FalconConfig(replication=True, **config))
-    fs = cluster.fs()
-    for d in range(num_dirs):
-        fs.mkdir("/w{}".format(d))
-    cluster.run_for(5000.0)  # drain setup shipments
-    return cluster
+#: About what a healthy op takes; it sizes each client's op list so the
+#: workload spans the run's ``duration_us``.
+_OP_US = 100.0
 
 
-def drive_clients(cluster, threads, num_dirs, duration_us, read_back=True):
-    """Run ``threads`` closed-loop workers on one new libfs client for
-    ``duration_us``: each creates a fresh file under its ``/w`` directory
-    and, with ``read_back``, stats it on alternate turns.
-
-    Returns ``(records, acked)``: one ``(start_us, end_us, ok, creating)``
-    per op, and the paths whose create was acknowledged."""
-    env = cluster.env
-    client = cluster.add_client(mode="libfs")
-    end_at = env.now + duration_us
-    records, acked = [], []
-
-    def worker(wid):
-        i = 0
-        last = None
-        while env.now < end_at:
-            creating = not read_back or last is None or i % 2 == 0
-            if creating:
-                last = "/w{}/f{}-{}".format(wid % num_dirs, wid, i)
-                op = client.create(last, exclusive=False)
-            else:
-                op = client.getattr(last)
-            start = env.now
-            ok = True
-            try:
-                yield from op
-            except RpcFailure:
-                ok = False
-            records.append((start, env.now, ok, creating))
-            if creating and ok:
-                acked.append(last)
-            i += 1
-
-    workers = [env.process(worker(w)) for w in range(threads)]
-    env.run(until=env.all_of(workers))
-    return records, acked
+def victim(seed, num_mnodes):
+    """The slot a fault experiment crashes: the first draw of the seed's
+    ``faults`` stream, which is where the injector draws an omitted
+    ``index`` from."""
+    return RandomStreams(seed).stream("faults").randrange(num_mnodes)
 
 
-def phase_buckets(records, fault_at, healed_at):
-    """Split op records into those finished before the fault, those
-    overlapping ``[fault_at, healed_at]`` and those started after it."""
+def fault_schedule(seed, nemeses, threads, num_dirs, duration_us,
+                   read_back=True, **config):
+    """The checker schedule of one fault experiment.
+
+    One client per thread runs ``duration_us / 100`` ops back to back,
+    each creating a fresh file under its ``/w`` directory (with
+    ``read_back``, every other op stats the file just created instead),
+    while ``nemeses`` fire ``at_us`` after the preload.  ``config`` is the cluster's own part of the
+    schedule's config (``num_mnodes``, ``num_storage``,
+    ``rpc_timeout_us``, ...)."""
+    ops = []
+    for client in range(threads):
+        for i in range(int(duration_us / _OP_US)):
+            stat = read_back and i % 2 == 1
+            if not stat:
+                path = "/w{}/f{}-{}".format(client % num_dirs, client, i)
+            ops.append({"id": len(ops), "client": client,
+                        "kind": "getattr" if stat else "create",
+                        "path": path, "delay_us": 0.0})
     return {
-        "before": [r for r in records if r[1] < fault_at],
-        "during": [r for r in records
-                   if r[1] >= fault_at and r[0] <= healed_at],
-        "after": [r for r in records if r[0] > healed_at],
+        "version": 1,
+        "seed": seed,
+        "config": dict(config, num_clients=threads, replication=True,
+                       op_deadline_us=0.0, budget_us=600000.0,
+                       quiesce_budget_us=300000.0),
+        "preload_dirs": ["/w{}".format(d) for d in range(num_dirs)],
+        "ops": ops,
+        "nemeses": nemeses,
     }
 
 
-def lost_acked(cluster, paths):
-    """Look every acknowledged create up again through a new client;
-    returns the paths that no longer resolve."""
-    probe = cluster.add_client(mode="libfs")
-    lost = []
+def run_checked(schedule):
+    """Run ``schedule`` through the checker and return its result; any
+    violation (oracle, structural, residue or replication) raises,
+    naming its invariant."""
+    result = run_schedule(schedule)
+    if result["violations"]:
+        raise RuntimeError("the checker found {} violation(s): {}".format(
+            len(result["violations"]), "; ".join(
+                "[{invariant}] {message}".format(**violation)
+                for violation in result["violations"][:5])))
+    return result
 
-    def sweep():
-        for path in paths:
-            try:
-                yield from probe.getattr(path)
-            except RpcFailure:
-                lost.append(path)
 
-    cluster.run_process(sweep())
-    return lost
+def phase_stats(history, fault_at, healed_at, kinds=None):
+    """Per-phase ``ops``, ``errors``, ``p50_us``, ``p99_us`` and
+    ``max_us`` of a run's history (only ``kinds``, when given): ops that
+    finished before ``fault_at``, that overlap ``[fault_at, healed_at]``
+    ("during") and that started after ``healed_at``."""
+    phases = {"before": [], "during": [], "after": []}
+    for entry in history:
+        if kinds is not None and entry["kind"] not in kinds:
+            continue
+        if entry["end_us"] < fault_at:
+            phase = "before"
+        elif entry["start_us"] > healed_at:
+            phase = "after"
+        else:
+            phase = "during"
+        phases[phase].append(entry)
+    stats = {}
+    for phase, entries in phases.items():
+        latencies = [e["end_us"] - e["start_us"] for e in entries]
+        stats[phase] = {
+            "ops": len(entries),
+            "errors": sum(1 for e in entries if e["status"] != "ok"),
+            "p50_us": percentile(latencies, 50) if latencies else 0.0,
+            "p99_us": percentile(latencies, 99) if latencies else 0.0,
+            "max_us": max(latencies, default=0.0),
+        }
+    return stats
 
 
 def parallel_map(tasks, fn, jobs=1):

@@ -10,33 +10,29 @@ coordinator finds it reachable and must *suppress* the promotion — a
 degraded primary still holds strictly more data than its standby, so
 promoting around it would manufacture loss.
 
-This experiment sweeps one gray fault kind across severities and
-reports, per severity:
+This experiment sweeps one gray fault kind across severities, each
+point one checker schedule, and reports, per severity:
 
 * client op latency (p50/p99) before, during and after the fault
   window, plus error counts;
 * the detector's reaction: false-positive declarations (and how fast),
-  and the suppressed promotions that resulted;
-* replication health after drain: messages lost on the wire, records
-  retransmitted by the shipper, and the divergence count between every
-  primary/standby pair — asserted zero (the retransmission guarantee).
+  and the suppressed promotions that resulted.
 
 Two invariants are asserted outright: no *real* promotion ever happens
-under a gray fault (suppression), and every primary/standby pair
-converges after the window heals (shipper retransmission closes the
-gaps seeded packet loss opened).
+under a gray fault (suppression), and — the checker's replication
+audit — every primary/standby pair converges after the window heals
+(shipper retransmission closes the gaps seeded packet loss opened).
+The checker's oracle, structural and residue audits judge every run
+too.
 """
 
 from repro.experiments.common import (
-    drive_clients,
+    fault_schedule,
     format_table,
     parallel_map,
-    phase_buckets,
-    replicated_cluster,
+    phase_stats,
+    run_checked,
 )
-from repro.faults import FaultInjector
-from repro.metrics import percentile
-from repro.storage.replication import divergence
 
 #: Per-kind severity ladders (the swept knob differs per fault family).
 SEVERITIES = {
@@ -73,60 +69,31 @@ def measure(kind="degrade_link", severity=0.15, num_mnodes=3,
             num_storage=2, threads=8, num_dirs=3, duration_us=30000.0,
             warm_us=8000.0, fault_duration_us=8000.0,
             rpc_timeout_us=400.0, seed=0):
-    """Run one gray-fault window under load; returns a result dict."""
-    cluster = replicated_cluster(
-        num_dirs, num_mnodes=num_mnodes, num_storage=num_storage,
-        rpc_timeout_us=rpc_timeout_us, retry_jitter=0.25, seed=seed,
-    )
-    cluster.start_failure_detection()
-    injector = FaultInjector(cluster)
-    fault_at = cluster.env.now + warm_us
-    fault_end = fault_at + fault_duration_us
-    for event in _events(kind, severity, fault_at, fault_duration_us):
-        injector.apply(event)
-
-    records, _ = drive_clients(cluster, threads, num_dirs, duration_us)
-    cluster.detector.stop()
-    cluster.heal()
-    cluster.run_for(20000.0)  # drain: retransmissions, invalidations
-
-    log = cluster.coordinator.failover_log
-    real_promotions = [
-        r for r in log
-        if r.get("promoted") and not r.get("suppressed")
-        and not r.get("deferred")
-    ]
-    if real_promotions:
+    """Run one gray-fault window under load through the checker; returns
+    a result dict whose ``run`` is the checker's result."""
+    result = run_checked(fault_schedule(
+        seed, _events(kind, severity, warm_us, fault_duration_us),
+        threads, num_dirs, duration_us, num_mnodes=num_mnodes,
+        num_storage=num_storage, rpc_timeout_us=rpc_timeout_us,
+        retry_jitter=0.25))
+    if result["stats"]["promotions"]:
         raise AssertionError(
             "gray fault triggered a real promotion: {!r} (a degraded "
             "node must be suppressed, not replaced)".format(
-                real_promotions[0]))
-    diverged = 0
-    for mnode, standby in zip(cluster.mnodes, cluster.standbys):
-        if standby is not None:
-            diverged += len(divergence(mnode, standby))
-    if diverged:
-        raise AssertionError(
-            "{} primary/standby divergences survived the drain — "
-            "shipper retransmission failed to close the gap"
-            .format(diverged))
-
-    declared = cluster.detector.log
-    detect_us = (declared[0]["declared_at"] - fault_at
-                 if declared else None)
-    resent = sum(m.shipper.resent_records for m in cluster.mnodes
-                 if getattr(m, "shipper", None) is not None)
+                result["failover_log"]))
+    fault_at = result["t0"] + warm_us
+    declared = result["detector_log"]
     return {
         "kind": kind,
         "severity": severity,
-        "phases": phase_buckets(records, fault_at, fault_end),
+        "phases": phase_stats(result["history"], fault_at,
+                              fault_at + fault_duration_us),
         "declared": len(declared),
-        "detect_us": detect_us,
-        "suppressed": sum(1 for r in log if r.get("suppressed")),
-        "lost_msgs": cluster.network.lost_count(),
-        "resent_records": resent,
-        "divergence": diverged,
-        "cluster": cluster,
+        "detect_us": (declared[0]["declared_at"] - fault_at
+                      if declared else None),
+        "suppressed": sum(1 for r in result["failover_log"]
+                          if r.get("suppressed")),
+        "run": result,
     }
 
 
@@ -139,25 +106,19 @@ def _point_row(task):
     """
     kind, severity, kwargs = task
     result = measure(kind=kind, severity=severity, **kwargs)
-    during = [e - s for s, e, _, _ in result["phases"]["during"]]
-    after = [e - s for s, e, _, _ in result["phases"]["after"]]
-    errors = sum(1 for _, _, ok, _ in result["phases"]["during"]
-                 if not ok)
+    during = result["phases"]["during"]
     return {
         "kind": kind,
         "severity": severity,
-        "ops_during": len(during),
-        "errors": errors,
-        "p50_us": percentile(during, 50) if during else 0.0,
-        "p99_us": percentile(during, 99) if during else 0.0,
-        "p99_after_us": percentile(after, 99) if after else 0.0,
+        "ops_during": during["ops"],
+        "errors": during["errors"],
+        "p50_us": during["p50_us"],
+        "p99_us": during["p99_us"],
+        "p99_after_us": result["phases"]["after"]["p99_us"],
         "declared": result["declared"],
         "detect_us": (round(result["detect_us"], 1)
                       if result["detect_us"] is not None else "-"),
         "suppressed": result["suppressed"],
-        "lost_msgs": result["lost_msgs"],
-        "resent": result["resent_records"],
-        "diverged": result["divergence"],
     }
 
 
@@ -175,8 +136,7 @@ def format_rows(rows):
     return format_table(
         rows,
         ["kind", "severity", "ops_during", "errors", "p50_us", "p99_us",
-         "p99_after_us", "declared", "detect_us", "suppressed",
-         "lost_msgs", "resent", "diverged"],
+         "p99_after_us", "declared", "detect_us", "suppressed"],
         title="Client ops through gray fault windows "
               "(degraded, never promoted)",
     )

@@ -149,6 +149,17 @@ def test_gray_seeds_run_clean():
         assert result["stats"]["quiesced"]
 
 
+@pytest.mark.parametrize("mix, seed, promotions",
+                         [("gray", 0, 0), ("classic", 2, 1)])
+def test_promotions_stat_counts_only_real_promotions(mix, seed, promotions):
+    """A suppressed failover names the failed node as ``promoted`` but
+    replaces nothing; the stat counts only ordained promotions (gray
+    seed 0 has one suppression, classic seed 2 two beside its one
+    promotion)."""
+    result = run_schedule(generate_schedule(seed, nemesis_mix=mix))
+    assert result["stats"]["promotions"] == promotions
+
+
 def test_gray_schedule_is_bit_identical():
     """Jittered backoff and lossy links draw only from seeded streams:
     the same gray schedule replays to the same bytes."""

@@ -3,14 +3,15 @@
 ``tests/golden/fault_experiments_quick.json`` holds the exact rows
 ``failover``, ``restart``, ``election``, ``grayfail`` and ``rebalance``
 produce at their ``--quick`` kwargs.  They are not paper figures (CI's
-``figures`` job pins those thirteen), and the checker's fingerprints
-never run them: they schedule their own faults and draw their own
-victims from the injector's seeded stream, so a moved victim, crash
-instant or heal time shows here and nowhere else.
+``figures`` job pins those thirteen).  The first four run one checker
+schedule each, under the oracle and the structural, residue and
+replication audits, so a run that violates any of them raises before
+it yields a row; the checker's fingerprints cover only generated
+schedules, so a moved victim, crash instant or heal time in these shows
+here and nowhere else.  ``rebalance`` keeps its own growth driver.
 
-Generated at the commit before the imperative ``FaultInjector.*_at``
-methods were deleted.  Regenerate (only when a PR deliberately changes
-simulated behaviour) with::
+Generated when the four became checker schedules.  Regenerate (only
+when a change deliberately moves simulated behaviour) with::
 
     PYTHONPATH=src python -m tests.test_fault_experiments_golden
 """

@@ -407,7 +407,7 @@ class TestDetectorFailover:
 
         kwargs = {"threads": 4, "duration_us": 12000.0, "warm_us": 4000.0,
                   "seed": 7}
-        assert failover.run(**kwargs) == failover.run(**kwargs)
+        assert failover.measure(**kwargs) == failover.measure(**kwargs)
 
 
 class TestCrashFuzz:

@@ -385,9 +385,7 @@ class TestRestartExperiment:
         from repro.experiments.restart import measure
 
         def row(seed):
-            result = measure(mode="resume", seed=seed, **self.QUICK)
-            result.pop("cluster")
-            return result
+            return measure(mode="resume", seed=seed, **self.QUICK)
 
         assert row(1) == row(1)
 
