@@ -333,9 +333,13 @@ class MNode(NamespaceReplicaMixin, Node):
         else:
             def executor(kind, batch, _body=self._execute_batch_body):
                 return _body(kind, batch, None)
+        # The merge linger is a modeled cost: on the real clock every
+        # frame of one socket read is queued before a worker runs, so a
+        # wait would gather nothing and cost a loop iteration.
         self.pool = WorkerPool(
             env, executor, workers=cfg.server_cores,
-            max_batch=cfg.max_batch, linger_us=cfg.merge_linger_us,
+            max_batch=cfg.max_batch,
+            linger_us=cfg.merge_linger_us if env.models_costs else 0.0,
             merging=cfg.merging,
         )
 

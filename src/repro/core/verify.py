@@ -32,6 +32,8 @@ exactly what a restart would rebuild from the slot map and its durable
 handoff markers.
 """
 
+from itertools import groupby, islice
+
 from repro.core.records import VALID
 from repro.vfs.attrs import ROOT_INO
 
@@ -63,62 +65,102 @@ def cluster_violations(cluster):
 
 
 def _audit(cluster, counts):
-    """Generator over violation dicts; fills ``counts`` as it goes."""
+    """Generator over violation dicts; fills ``counts`` as it goes.
+
+    Reads every table in place and keeps no per-row structure beyond one
+    sorted list of references (inode numbers, then one MNode's names):
+    the namespace is checked where it lies, never copied first.  A key
+    held by several MNodes is read once, where the first holder lists
+    it, from the holder met last."""
     index = cluster.coordinator.index
-    slot_map = cluster.shared.slot_map
+    node_of = cluster.shared.slot_map.node_of
+    locate = index.locate
     mnodes = cluster.mnodes
+    tables = [mnode.inodes for mnode in mnodes]
 
-    # Gather the authoritative inode map: key -> (record, holder index).
-    inodes = {}
-    for holder_index, mnode in enumerate(mnodes):
-        for key, record in mnode.inodes.scan():
-            if key in inodes:
-                yield _violation(
-                    "placement",
-                    "duplicate inode record for {} on {} and {}",
-                    key, inodes[key][1], holder_index, key=list(key),
-                )
-            inodes[key] = (record, holder_index)
+    # The same key on two MNodes.  ``held`` maps only such keys to their
+    # (first, last) holders; the intersections run over the key views.
+    held = {}
+    for holder_index, table in enumerate(tables):
+        shared = set()
+        for earlier in tables[:holder_index]:
+            shared |= table.keys() & earlier.keys()
+        for key in sorted(shared):
+            holders = [j for j in range(holder_index) if key in tables[j]]
+            yield _violation(
+                "placement",
+                "duplicate inode record for {} on {} and {}",
+                key, holders[-1], holder_index, key=list(key),
+            )
+            held[key] = (holders[0], holder_index)
 
+    def rows():
+        """``(key, record, holder index)`` once per key, in table order."""
+        for holder_index, table in enumerate(tables):
+            for key, record in table.scan():
+                if held and key in held:
+                    first, last = held[key]
+                    if first != holder_index:
+                        continue
+                    yield key, tables[last].get(key), last
+                else:
+                    yield key, record, holder_index
+
+    # Directories, and inode numbers met more than once (found by
+    # sorting references to every number).
     dir_inos = {ROOT_INO}
-    ino_seen = set()
-    for key, (record, holder_index) in inodes.items():
-        pid, name = key
-        if record.ino in ino_seen:
-            yield _violation("identity", "inode number {} appears twice",
-                            record.ino, key=list(key))
-        ino_seen.add(record.ino)
+    inos = []
+    for _, record, _ in rows():
+        inos.append(record.ino)
         if record.is_dir:
             dir_inos.add(record.ino)
-        expected = slot_map.node_of(index.locate(pid, name))
-        migrating = any(name in mnode.migrating for mnode in mnodes)
-        if expected != holder_index and not migrating:
+    counts["inodes"] = len(inos)
+    inos.sort()
+    repeated = {ino for ino, after in zip(inos, islice(inos, 1, None))
+                if ino == after}
+    del inos
+
+    migrating = set().union(*(mnode.migrating for mnode in mnodes))
+    dirs = []
+    met = set()
+    # Reachability (every parent id names an existing directory) is
+    # checked in the same pass, and reported after placement.
+    orphans = []
+    for key, record, holder_index in rows():
+        pid, name = key
+        ino = record.ino
+        if ino in repeated:
+            if ino in met:
+                yield _violation("identity", "inode number {} appears twice",
+                                 ino, key=list(key))
+            met.add(ino)
+        if record.is_dir:
+            dirs.append(key)
+        expected = node_of(locate(pid, name))
+        if expected != holder_index and name not in migrating:
             yield _violation(
                 "placement",
                 "inode {} placed on MNode {} but indexing says {}",
                 key, holder_index, expected, key=list(key),
             )
-
-    # Reachability: every parent id must name an existing directory.
-    for key, (record, _) in inodes.items():
-        pid, name = key
         if pid not in dir_inos:
-            yield _violation(
+            orphans.append(_violation(
                 "reachability",
                 "orphaned inode {}: parent ino {} does not exist",
                 key, pid, key=list(key),
-            )
+            ))
+    yield from orphans
 
     # Ownership and replica coherence.
     replicas_checked = 0
-    holders = list(mnodes) + [cluster.coordinator]
-    by_key = {key: record for key, (record, _) in inodes.items()}
-    for holder in holders:
+    for holder in list(mnodes) + [cluster.coordinator]:
         for key, dentry in holder.dentries.scan():
             if dentry.state != VALID:
                 continue
             replicas_checked += 1
-            authoritative = by_key.get(key)
+            authoritative = None
+            for table in tables:
+                authoritative = table.get(key, authoritative)
             if authoritative is None or not authoritative.is_dir:
                 yield _violation(
                     "coherence",
@@ -141,13 +183,11 @@ def _audit(cluster, counts):
                 )
 
     # Every directory inode is backed by a VALID dentry at its owner.
-    for key, (record, holder_index) in inodes.items():
-        if not record.is_dir:
-            continue
-        owner = mnodes[slot_map.node_of(index.locate(*key))]
+    for key in dirs:
+        owner = mnodes[node_of(locate(*key))]
         dentry = owner.dentries.get(key)
         if dentry is None or dentry.state != VALID:
-            if not any(key[1] in mnode.migrating for mnode in mnodes):
+            if key[1] not in migrating:
                 yield _violation(
                     "ownership",
                     "directory {} missing VALID dentry at owner {}",
@@ -156,18 +196,28 @@ def _audit(cluster, counts):
 
     # Statistics used by the load balancer.
     for mnode in mnodes:
-        actual = {}
-        for (pid, name), _ in mnode.inodes.scan():
-            actual[name] = actual.get(name, 0) + 1
-        if dict(mnode.filename_counts) != actual:
+        if not _counts_match(mnode.inodes, mnode.filename_counts):
             yield _violation(
                 "statistics", "{} filename counters diverge from its table",
                 mnode.name, node=mnode.name,
             )
 
-    counts["inodes"] = len(inodes)
     counts["directories"] = len(dir_inos) - 1
     counts["valid_replica_dentries"] = replicas_checked
+
+
+def _counts_match(table, filename_counts):
+    """True when ``filename_counts`` holds exactly the number of rows of
+    ``table`` under each name: the names are sorted as references and
+    each run compared in place (``.get``, since the counter is a
+    defaultdict)."""
+    names = sorted(name for _, name in table.keys())
+    runs = 0
+    for name, run in groupby(names):
+        runs += 1
+        if filename_counts.get(name) != sum(1 for _ in run):
+            return False
+    return runs == len(filename_counts)
 
 
 def runtime_violations(cluster):

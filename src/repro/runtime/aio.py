@@ -43,8 +43,11 @@ bump precedes the push, the setter may only *schedule* a pump; it must
 never look at the heap.
 
 Cost-model delays are **not** charged (``models_costs`` is False): real
-work takes real time.  Timer-like delays — retry backoff, request
-linger, heartbeats — *are* real sleeps.
+work takes real time.  Timer-like delays — retry backoff, heartbeats,
+lease and election timeouts — *are* real sleeps.  The 4 µs
+request-merging linger is a modeled cost, so an MNode on this driver
+merges with none: every frame of one socket read is queued before a
+worker runs, and a wait would gather nothing.
 """
 
 import asyncio
@@ -59,8 +62,8 @@ _IN_TURN = object()
 
 #: A head due sooner than this is polled for — a pump on the loop's next
 #: iteration, which reads the sockets first — not alarmed: the selector
-#: sleeps in whole milliseconds, so an alarm for a 4 µs request linger
-#: would idle the node up to 1 ms.
+#: sleeps in whole milliseconds, so an alarm for a timer due in a few
+#: microseconds would idle the node up to 1 ms.
 POLL_US = 50.0
 
 

@@ -10,6 +10,8 @@ import socket
 import subprocess
 import sys
 import time
+from bisect import bisect_left, insort
+from heapq import heappop, heappush
 
 from repro.core.client import FalconClient
 from repro.core.records import InodeAllocator
@@ -273,38 +275,53 @@ def build_workload(seed, ops, dirs):
     #: path -> plan index of its last mention (creation or reference);
     #: renamed-away paths are removed and never referenced again.
     files = {}
+    #: The paths mentioned no later than the horizon, in sorted order;
+    #: ``waiting`` holds ``(last mention, path)`` for the rest, and an
+    #: entry whose path was mentioned again (or renamed away) since is
+    #: skipped when it surfaces.
+    ready = []
+    waiting = []
     serial = 0
 
-    def eligible():
-        horizon = len(plan) - _WORKLOAD_LAG
-        return sorted(p for p, last in files.items() if last <= horizon)
+    def mention(path):
+        files[path] = len(plan)
+        heappush(waiting, (len(plan), path))
+
+    def pick():
+        path = rng.choice(ready)
+        del ready[bisect_left(ready, path)]
+        return path
 
     while len(plan) < ops:
+        horizon = len(plan) - _WORKLOAD_LAG
+        while waiting and waiting[0][0] <= horizon:
+            last, path = heappop(waiting)
+            if files.get(path) == last:
+                insort(ready, path)
         roll = rng.random()
         directory = "/d{}".format(rng.randrange(dirs))
-        ready = eligible()
         if roll < 0.35 or not ready:
             path = "{}/f{}".format(directory, serial)
             serial += 1
-            files[path] = len(plan)
+            mention(path)
             plan.append(("create", path, None))
         elif roll < 0.70:
-            path = rng.choice(ready)
-            files[path] = len(plan)
+            path = pick()
+            mention(path)
             plan.append(("stat", path, None))
         elif roll < 0.80:
-            path = rng.choice(ready)
-            files[path] = len(plan)
+            path = pick()
+            mention(path)
             plan.append(("open", path, None))
         elif roll < 0.90:
             # Rename sources must be past the lag window too: an earlier
             # in-flight stat of the same path would otherwise be overtaken
             # by the rename and see ENOENT.
-            src = rng.choice(ready)
+            src = pick()
             del files[src]
             dst = "{}/r{}".format(directory, serial)
             serial += 1
-            files[dst] = len(plan)
+            mention(dst)
             plan.append(("rename", src, dst))
         else:
             plan.append(("ls", directory, None))

@@ -75,6 +75,11 @@ class Table:
     def get(self, key, default=None):
         return self.tree.get(key, default)
 
+    def keys(self):
+        """A set-like view of the keys, in no order (the tree's hash
+        shadow, read in place)."""
+        return self.tree._map.keys()
+
     def put(self, key, value):
         """Non-transactional insert/overwrite (used for bulk loading)."""
         self.tree.insert(key, value, overwrite=True)

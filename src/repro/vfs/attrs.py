@@ -15,9 +15,12 @@ FAKE_GID = 0xFA1C
 DENTRY_CACHE_COST_BYTES = 800
 
 
-@dataclass
+@dataclass(slots=True)
 class InodeAttrs:
-    """The attribute block a lookup returns (struct stat essentials)."""
+    """The attribute block a lookup returns (struct stat essentials).
+
+    Slotted: every cached dentry holds one, so an instance dict would be
+    paid once per cached file."""
 
     ino: int
     is_dir: bool = False

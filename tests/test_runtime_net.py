@@ -11,14 +11,16 @@ import struct
 import pytest
 
 from repro import sim
+from repro.core.mnode import MNode
 from repro.core.records import InodeRecord
+from repro.core.shared import ClusterShared, FalconConfig
 from repro.net.costs import CostModel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import OpContext
 from repro.obs.retry import deadline_call
-from repro.runtime import AsyncioEnv, wire
+from repro.runtime import AsyncioEnv, aio, wire
 from repro.runtime.net import READ_SIZE, AioNetwork, _Connection
 
 TIMEOUT_S = 20.0
@@ -422,8 +424,8 @@ def test_a_wake_up_chain_runs_in_one_turn():
 
 def test_a_head_due_within_the_poll_horizon_is_polled_not_alarmed():
     """The selector sleeps in whole milliseconds: a head due in 30 µs
-    (a request-merging linger is 4 µs) is polled for on the next loop
-    iteration, while one due in 10 ms gets an alarm."""
+    is polled for on the next loop iteration, while one due in 10 ms
+    gets an alarm."""
     async def main():
         env = AsyncioEnv()
         fired = []
@@ -486,3 +488,44 @@ def test_unhandled_failure_is_reported_and_the_turn_goes_on():
         return value, env.unhandled == [boom], reported == [boom]
 
     assert _run(main) == ("ran", True, True)
+
+
+def _frames(data):
+    """The documents of the frames in ``data``, in order."""
+    docs = []
+    while data:
+        (length,) = wire.FRAME_HEADER.unpack_from(data)
+        stop = wire.FRAME_HEADER.size + length
+        docs.append(wire.open_frame(data[wire.FRAME_HEADER.size:stop]))
+        data = data[stop:]
+    return docs
+
+
+def test_requests_of_one_read_run_as_one_batch_in_its_turn(monkeypatch):
+    """On the real clock an MNode merges with no linger: the requests
+    one socket read delivers run as one batch, and their replies are
+    written, inside that read's own turn.  The clock stands still here,
+    as on a machine fast enough that no linger expires within the turn:
+    a 4 us linger would then park the batch on a timer for the loop's
+    next iteration to poll for."""
+    monkeypatch.setattr(aio, "monotonic", lambda: 1000.0)
+
+    async def main():
+        env = _CountingEnv()
+        shared = ClusterShared(env, CostModel(),
+                               FalconConfig(num_mnodes=1, num_storage=0))
+        network = AioNetwork(env, shared.costs)
+        mnode = MNode(env, network, shared, 0)
+        _, conn = _connection(network, peer=None)
+        _feed(conn, b"".join(
+            wire.pack_frame(wire.encode_request(rid, Message(
+                "caller", mnode.name, "getattr",
+                {"path": "/f{}".format(rid)}, reply_to=env.event())))
+            for rid in range(1, 9)))
+        replies = [(doc["id"], doc["ok"])
+                   for doc in _frames(conn.transport.written)]
+        return (replies, mnode.pool.batches_executed,
+                mnode.pool.requests_executed, env.turns, env._wake)
+
+    assert _run(main) == (
+        [(rid, False) for rid in range(1, 9)], 1, 8, 1, None)

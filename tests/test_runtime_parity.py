@@ -15,6 +15,8 @@ this test fails.
 """
 
 import asyncio
+import hashlib
+import json
 
 import pytest
 
@@ -142,6 +144,28 @@ def test_same_workload_same_outcomes(plan):
 
 def test_workload_is_deterministic():
     assert build_workload(SEED, OPS, DIRS) == build_workload(SEED, OPS, DIRS)
+
+
+#: SHA-256 of ``json.dumps(build_workload(seed, ops, 8))``, recorded when
+#: the plan re-sorted every eligible path for every op.  The plan is now
+#: built in linear time; the plans themselves must not move.
+PLAN_DIGESTS = {
+    (0, 400): "a9effdc3e53998a04b835e331762f303a1720fd4801c420225eb8eb80493cbc5",
+    (1, 400): "0333babc523709439128b6713c9f2094ec88c8b97f217813e765a518759f111e",
+    (7, 400): "de4c613d78fb85ebbab5256801b02fc4ed16c6ae35a36a599c4c65155eaffe83",
+    (401, 400): "9fd84b98809b5c390651038f7dbba85f516fbe08a7aac94520bce6ced00d96b0",
+    (0, 3000): "70fdb5f87203499cb7b8d693316b2cab1e6bf76c02cc0573f715ac074bc20efa",
+    (1, 3000): "58dbf91ed03b283b86582805c29c9f92d5498a2889066b9a4f1fedff66b575e3",
+    (7, 3000): "44794205a84d354d106ac7c2ab2cba67e6a585cfbfbba364f2b9aa86ce977fb2",
+    (401, 3000): "86236db02834d1e730fb6b14ed4fafec3c23e5bda9a47c45fa466360cb041ad1",
+}
+
+
+@pytest.mark.parametrize("seed, ops", sorted(PLAN_DIGESTS))
+def test_workload_plans_are_pinned(seed, ops):
+    plan = build_workload(seed, ops, 8)
+    digest = hashlib.sha256(json.dumps(plan).encode()).hexdigest()
+    assert digest == PLAN_DIGESTS[seed, ops]
 
 
 def test_workload_succeeds_serially(plan):
