@@ -508,16 +508,15 @@ class FalconCluster:
     # -- bulk loading -------------------------------------------------------
 
     @sized_nursery()
-    def bulk_load(self, tree, replicate_dentries=True):
+    def bulk_load(self, tree):
         """Install a :class:`~repro.workloads.trees.TreeSpec` directly into
         the MNode tables, bypassing the protocol.
 
         Used to initialize the large trees of the traversal and
         load-balance experiments (the paper pre-creates its datasets too).
         Placement honours the coordinator's current exception table.
-        With ``replicate_dentries`` every MNode's namespace replica starts
-        complete — the steady state lazy replication converges to; pass
-        False to start replicas cold (only owners populated).
+        Every MNode's namespace replica starts complete — the steady
+        state lazy replication converges to.
         Returns a ``path -> ino`` map.
 
         Everything built here outlives the call, so the build runs with
@@ -538,12 +537,8 @@ class FalconCluster:
             owner.inodes.put(key, record)
             owner._track_name(key, +1)
             self._bulk_standby(owner, key, record, True)
-            if replicate_dentries:
-                for mnode in self.mnodes:
-                    mnode.dentries.put(key, DentryRecord(ino=ino,
-                                                         mode=0o755))
-            else:
-                owner.dentries.put(key, DentryRecord(ino=ino, mode=0o755))
+            for mnode in self.mnodes:
+                mnode.dentries.put(key, DentryRecord(ino=ino, mode=0o755))
             path_ino[dpath] = ino
         for fpath, size in tree.files:
             pid = path_ino[parent_path(fpath)]

@@ -52,10 +52,6 @@ class WorkerPool:
             self._ready.put(kind)
 
     @property
-    def backlog(self):
-        return sum(len(q) for q in self._queues.values())
-
-    @property
     def average_batch_size(self):
         if self.batches_executed == 0:
             return 0.0

@@ -37,7 +37,7 @@ VALID = "valid"
 INVALID = "invalid"
 
 
-@dataclass
+@dataclass(slots=True)
 class DentryRecord:
     """Namespace-replica entry for one directory.
 

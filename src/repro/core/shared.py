@@ -42,10 +42,6 @@ class SlotMap:
         self.versions = (list(versions) if versions is not None
                          else [0] * len(self.owners))
 
-    @classmethod
-    def identity(cls, num_slots):
-        return cls(range(num_slots))
-
     @property
     def num_slots(self):
         return len(self.owners)
@@ -72,21 +68,6 @@ class SlotMap:
     def copy(self):
         return SlotMap(self.owners, self.epoch, self.versions)
 
-    def update_from(self, other):
-        """Merge ``other``'s assignment slot by slot: adopt every slot
-        ``other`` knows a strictly newer move for.  A global-epoch gate
-        would be wrong here — two maps can share an epoch while each
-        holds patches the other lacks."""
-        changed = False
-        for slot, version in enumerate(other.versions):
-            if version > self.versions[slot]:
-                self.owners[slot] = other.owners[slot]
-                self.versions[slot] = version
-                changed = True
-        if other.epoch > self.epoch:
-            self.epoch = other.epoch
-        return changed
-
     def patch(self, slot, node_index, epoch):
         """Apply one EMOVED hint: adopt the single reassignment when the
         advertised epoch is ahead of what we know *about that slot* (a
@@ -98,14 +79,6 @@ class SlotMap:
                 self.epoch = epoch
             return True
         return False
-
-    def to_wire(self):
-        return {"owners": list(self.owners), "epoch": self.epoch,
-                "versions": list(self.versions)}
-
-    @classmethod
-    def from_wire(cls, wire):
-        return cls(wire["owners"], wire["epoch"], wire.get("versions"))
 
     def __repr__(self):
         return "SlotMap(epoch={}, owners={})".format(self.epoch,

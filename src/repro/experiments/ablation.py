@@ -14,6 +14,7 @@ The paper reports *no inv* losing 86.9 % of full throughput and
 """
 
 from repro.experiments.common import build_cluster
+from repro.parallel import pmap
 from repro.workloads.driver import run_closed_loop
 from repro.workloads.trees import private_dirs_tree
 
@@ -53,9 +54,7 @@ def _config_row(task):
 
 
 def run(configs=CONFIGS, jobs=1, **kwargs):
-    from repro.experiments.common import parallel_map
-
-    rows = parallel_map(
+    rows = pmap(
         [(label, overrides, kwargs) for label, overrides in configs],
         _config_row, jobs=jobs)
     full = rows[0]["mkdir_per_sec"]

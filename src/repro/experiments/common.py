@@ -159,29 +159,6 @@ def phase_stats(history, fault_at, healed_at, kinds=None):
     return stats
 
 
-def parallel_map(tasks, fn, jobs=1):
-    """Run ``fn`` over ``tasks``, returning results **in task order**.
-
-    The shared ``--jobs`` plumbing for every sweep: ``jobs <= 1`` runs
-    inline (the bit-identical serial reference path — no pool, no
-    pickling); ``jobs > 1`` fans out over a persistent worker pool.
-    Each simulated point is an independent cluster lifetime keyed only
-    by its task, and every row is assembled inside ``fn`` (a pure,
-    picklable dict), so the merged row list — and therefore every
-    rendered table and output file — is identical at any ``jobs``.
-
-    ``fn`` must be module-level and each task picklable; a failed task
-    raises :class:`repro.parallel.ParallelError` with its traceback
-    after the remaining tasks drain.
-    """
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    from repro.parallel import pmap
-
-    return pmap(tasks, fn, jobs=jobs)
-
-
 def format_table(rows, columns=None, title=None):
     """Render row dicts as an aligned text table."""
     if not rows:

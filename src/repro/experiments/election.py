@@ -26,11 +26,11 @@ victim, gap and loss.
 from repro.experiments.common import (
     fault_schedule,
     format_table,
-    parallel_map,
     phase_stats,
     run_checked,
     victim,
 )
+from repro.parallel import pmap
 
 
 def measure(mode="consensus", num_mnodes=3, num_storage=2, threads=8,
@@ -113,8 +113,7 @@ def _point_row(task):
 
 
 def run(modes=("promotion", "consensus"), jobs=1, **kwargs):
-    return parallel_map([(mode, kwargs) for mode in modes], _point_row,
-                        jobs=jobs)
+    return pmap([(mode, kwargs) for mode in modes], _point_row, jobs=jobs)
 
 
 def format_rows(rows):

@@ -29,10 +29,10 @@ too.
 from repro.experiments.common import (
     fault_schedule,
     format_table,
-    parallel_map,
     phase_stats,
     run_checked,
 )
+from repro.parallel import pmap
 
 #: Per-kind severity ladders (the swept knob differs per fault family).
 SEVERITIES = {
@@ -129,7 +129,7 @@ def run(kinds=("slow_disk", "degrade_link", "skew_clock", "stampede"),
         ladder = (severities[kind] if severities is not None
                   else SEVERITIES[kind])
         tasks.extend((kind, severity, kwargs) for severity in ladder)
-    return parallel_map(tasks, _point_row, jobs=jobs)
+    return pmap(tasks, _point_row, jobs=jobs)
 
 
 def format_rows(rows):

@@ -31,11 +31,6 @@ from repro.metrics import percentile
 from repro.net.rpc import RpcFailure
 
 
-def _distribution(cluster):
-    """Per-node inode counts (authoritative tables, primaries only)."""
-    return [sum(1 for _ in node.inodes.scan()) for node in cluster.mnodes]
-
-
 def _spread(counts):
     """max/mean load ratio; 1.0 is perfect balance."""
     mean = sum(counts) / len(counts) if counts else 0.0
@@ -91,14 +86,14 @@ def measure(start_mnodes=4, end_mnodes=32, num_slots=64, num_storage=4,
     moved_before = 0
     for target in targets:
         cluster.run_for(stage_us)  # live traffic at the current scale
-        pre = _distribution(cluster)
+        pre = cluster.inode_distribution()
         while len(cluster.mnodes) < target:
             cluster.add_mnode()
         plan = env.process(coordinator.rebalance_slots(
             max_moves=num_slots, reason="scale-out"))
         env.run(until=plan)
         cluster.run_for(3000.0)  # drain purges and shipments
-        post = _distribution(cluster)
+        post = cluster.inode_distribution()
         moved_total = len(coordinator.migration_log)
         stage_records = [r for r in records if r[3] == state["stage"]]
         latencies = [end - start for start, end, ok, _ in stage_records]
@@ -139,7 +134,7 @@ def measure(start_mnodes=4, end_mnodes=32, num_slots=64, num_storage=4,
         "migrations": len(coordinator.migration_log),
         "aborted": aborted,
         "final_epoch": cluster.shared.slot_map.epoch,
-        "final_counts": _distribution(cluster),
+        "final_counts": cluster.inode_distribution(),
         "patches": client.metrics.counter("slot_map_patches").total(),
         "verify": "ok ({} inodes)".format(verify["inodes"]),
         "cluster": cluster,

@@ -13,6 +13,7 @@ choices worth sweeping:
 """
 
 from repro.core import FalconCluster, FalconConfig
+from repro.parallel import pmap
 from repro.workloads.driver import measure_latency, run_closed_loop
 from repro.workloads.trees import TreeSpec, private_dirs_tree
 
@@ -128,8 +129,6 @@ def _point_row(task):
 
 
 def run(num_ops=1500, threads=256, seed=0, jobs=1):
-    from repro.experiments.common import parallel_map
-
     # One combined grid so every point shares the same pool — a short
     # sweep never leaves workers idle while another sweep queues.
     tasks = [("merge_linger", (linger, num_ops, threads, seed))
@@ -138,7 +137,7 @@ def run(num_ops=1500, threads=256, seed=0, jobs=1):
                  for batch in (1, 4, 16, 64))
     tasks.extend(("epsilon", (epsilon, 120, seed))
                  for epsilon in (0.005, 0.02, 0.08))
-    return parallel_map(tasks, _point_row, jobs=jobs)
+    return pmap(tasks, _point_row, jobs=jobs)
 
 
 def format_rows(rows):

@@ -1,4 +1,4 @@
-"""Measurement substrate: counters, histograms, time series, load stats."""
+"""Measurement substrate: counters, histograms, load stats."""
 
 from repro.metrics.stats import (
     coefficient_of_variation,
@@ -11,7 +11,6 @@ from repro.metrics.registry import (
     Counter,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
     render_prometheus,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
     "render_prometheus",
     "coefficient_of_variation",
     "load_share_extremes",

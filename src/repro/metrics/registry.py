@@ -1,4 +1,4 @@
-"""Labeled counters, histograms and time series.
+"""Labeled counters and histograms.
 
 Every simulated node owns a :class:`MetricsRegistry`; experiments read the
 registries after the run to build the paper's tables and figures (request
@@ -81,23 +81,6 @@ class Histogram:
         return "<Histogram {} n={}>".format(self.name, len(self.values))
 
 
-class TimeSeries:
-    """(time, value) samples, e.g. instantaneous queue lengths."""
-
-    def __init__(self, name):
-        self.name = name
-        self.samples = []
-
-    def record(self, time, value):
-        self.samples.append((time, value))
-
-    def values(self):
-        return [v for _, v in self.samples]
-
-    def __len__(self):
-        return len(self.samples)
-
-
 class MetricsRegistry:
     """A namespace of metrics with get-or-create semantics."""
 
@@ -105,7 +88,6 @@ class MetricsRegistry:
         self.name = name
         self._counters = {}
         self._histograms = {}
-        self._series = {}
 
     def counter(self, name):
         if name not in self._counters:
@@ -116,11 +98,6 @@ class MetricsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
-
-    def time_series(self, name):
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
 
     def counters(self):
         return dict(self._counters)

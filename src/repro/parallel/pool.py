@@ -129,10 +129,10 @@ class WorkerPool:
     :meth:`terminate` kills them (both idempotent).
     """
 
-    def __init__(self, jobs, start_method="spawn"):
+    def __init__(self, jobs):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got {}".format(jobs))
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self.jobs = int(jobs)
         self._workers = []
         self._closed = False

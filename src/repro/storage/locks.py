@@ -107,25 +107,6 @@ class LockManager:
         state.holders.append(grant)
         return grant
 
-    def try_acquire(self, key, mode):
-        """Non-blocking acquire: a granted :class:`Grant` or ``None``.
-
-        A miss must not create state: only :meth:`release` prunes empty
-        ``_LockState`` entries, so inserting one on the failure path would
-        leak an entry per missed poll.
-        """
-        state = self._locks.get(key)
-        fresh = state is None
-        if fresh:
-            state = _LockState()
-        if not self._grantable(state, mode):
-            return None
-        if fresh:
-            self._locks[key] = state
-        grant = Grant(key, mode, self.env.granted(), True)
-        state.holders.append(grant)
-        return grant
-
     def acquire_all(self, requests, grants, ctx=None):
         """Generator: acquire every ``(key, mode)`` of ``requests`` in
         the order given, appending each grant to ``grants`` once held.

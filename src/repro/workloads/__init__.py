@@ -8,8 +8,9 @@
   ImageNet, KITTI, Cityscapes, CelebA, SVHN, CUB-200, the Linux source
   tree, FSL homes).
 * :mod:`repro.workloads.driver` — closed-loop throughput driver, latency
-  probes, burst access, the labeling-trace replay and the MLPerf-style
-  training loop.
+  probes and the MLPerf-style training loop.  Burst access and the
+  labeling-trace replay live with their experiments
+  (:mod:`repro.experiments.burst`, :mod:`repro.experiments.labeling`).
 """
 
 from repro.workloads.datasets import TABLE3_WORKLOADS, dataset_tree

@@ -51,7 +51,7 @@ class LatencyResult:
         return self.histogram.summary()
 
 
-def run_closed_loop(cluster, thunks, num_threads, raise_errors=False):
+def run_closed_loop(cluster, thunks, num_threads):
     """Drive ``thunks`` (callables returning operation generators) with
     ``num_threads`` closed-loop workers; returns :class:`ThroughputResult`.
     """
@@ -69,8 +69,6 @@ def run_closed_loop(cluster, thunks, num_threads, raise_errors=False):
                 yield from thunk()
                 state["ops"] += 1
             except RpcFailure:
-                if raise_errors:
-                    raise
                 state["errors"] += 1
 
     start = env.now

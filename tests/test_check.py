@@ -414,10 +414,9 @@ _ORIG_RELEASE = LockManager.release
 
 
 def _leaky_release(self, grant):
-    """Re-introduce the PR-2 leak class: lock state outlives its last
-    holder (the original bug let ``try_acquire`` misses create entries
-    that nothing ever pruned; planting it at ``release`` exercises the
-    identical residue on every code path)."""
+    """Plant a lock-state leak: the entry outlives its last holder, the
+    residue any acquire path that creates entries nothing prunes would
+    leave.  Planting it at ``release`` leaves it on every code path."""
     state = self._locks.get(grant.key)
     _ORIG_RELEASE(self, grant)
     if state is not None and grant.key not in self._locks:

@@ -68,16 +68,6 @@ class TestBulkLoad:
         for mnode in cluster.mnodes:
             assert mnode.dentries.get((1, "data")) is not None
 
-    def test_cold_replicas_option(self):
-        cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2))
-        tree = uniform_tree(levels=1, dir_fanout=3, files_per_leaf=0)
-        cluster.bulk_load(tree, replicate_dentries=False)
-        holders = sum(
-            1 for mnode in cluster.mnodes
-            if mnode.dentries.get((1, "data")) is not None
-        )
-        assert holders == 1
-
     def test_counts_match_distribution(self):
         cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2))
         tree = uniform_tree(levels=2, dir_fanout=3, files_per_leaf=4)

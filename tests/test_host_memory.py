@@ -14,6 +14,9 @@ instance dict.  Two budgets pin it in traced bytes, the way
   About 310 on CPython 3.11.7; 358 while ``InodeAttrs`` carried an
   instance dict.  Object sizes differ between interpreter versions, so
   this budget runs on the version the benchmark runs on.
+
+Every MNode's namespace replica holds a :class:`DentryRecord` per
+directory, so that record carries no instance dict either.
 """
 
 import gc
@@ -23,6 +26,7 @@ import tracemalloc
 import pytest
 
 from repro.core import FalconCluster, FalconConfig
+from repro.core.records import DentryRecord
 from repro.core.verify import cluster_violations
 from repro.vfs.attrs import InodeAttrs, make_fake_dir_attrs
 from repro.workloads.trees import flat_burst_tree, private_dirs_tree
@@ -48,7 +52,8 @@ def test_the_audit_keeps_no_copy_of_the_namespace():
 
 
 def test_cached_attrs_carry_no_instance_dict():
-    for attrs in (InodeAttrs(ino=2), make_fake_dir_attrs(3)):
+    for attrs in (InodeAttrs(ino=2), make_fake_dir_attrs(3),
+                  DentryRecord(ino=2)):
         assert not hasattr(attrs, "__dict__")
     with pytest.raises(AttributeError):
         InodeAttrs(ino=2).stale = True

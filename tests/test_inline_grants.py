@@ -98,14 +98,6 @@ def test_grant_behind_a_wakeup_in_flight_queues_behind_it(env, locks):
     assert locks.acquire("c", LockMode.SHARED).event.callbacks is None
 
 
-def test_try_acquire_follows_the_same_rule(env, locks):
-    held = locks.acquire("a", LockMode.EXCLUSIVE)
-    locks.acquire("a", LockMode.EXCLUSIVE)
-    assert locks.try_acquire("b", LockMode.SHARED).event.callbacks is None
-    locks.release(held)
-    assert locks.try_acquire("c", LockMode.SHARED).event.callbacks is not None
-
-
 def test_free_core_is_not_an_event():
     cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
     node, env = cluster.mnodes[0], cluster.env

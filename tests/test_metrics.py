@@ -6,7 +6,6 @@ from repro.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
     coefficient_of_variation,
     load_share_extremes,
     mean,
@@ -121,21 +120,11 @@ class TestHistogram:
         assert len(hist) == 1
 
 
-class TestTimeSeries:
-    def test_record_and_values(self):
-        series = TimeSeries("s")
-        series.record(0.0, 10)
-        series.record(1.0, 20)
-        assert series.values() == [10, 20]
-        assert len(series) == 2
-
-
 class TestRegistry:
     def test_get_or_create(self):
         registry = MetricsRegistry("node")
         assert registry.counter("x") is registry.counter("x")
         assert registry.histogram("h") is registry.histogram("h")
-        assert registry.time_series("t") is registry.time_series("t")
 
     def test_listing(self):
         registry = MetricsRegistry("node")

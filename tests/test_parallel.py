@@ -226,16 +226,3 @@ def test_grayfail_sweep_rows_identical_serial_vs_parallel():
     parallel = grayfail.run(jobs=2, **kwargs)
     assert (json.dumps(serial, sort_keys=True)
             == json.dumps(parallel, sort_keys=True))
-
-
-def test_parallel_map_inline_path_is_plain_map():
-    from repro.experiments.common import parallel_map
-
-    calls = []
-
-    def fn(task):  # not picklable on purpose: must never hit the pool
-        calls.append(task)
-        return task + 1
-
-    assert parallel_map([1, 2, 3], fn, jobs=1) == [2, 3, 4]
-    assert calls == [1, 2, 3]

@@ -3,8 +3,7 @@
 Two layers pin the handoff-safety story down:
 
 * **model fuzz** — :class:`~repro.core.shared.SlotMap` against a plain
-  dict model under random ``assign``/``patch``/``copy``/``update_from``
-  interleavings: per-slot versions decide patches, the global epoch is
+  dict model under random ``assign``/``patch``/``copy`` interleavings: per-slot versions decide patches, the global epoch is
   the max version, and copies never alias;
 * **fence fuzz** — a live cluster under random migrate / lookup /
   crash-restart interleavings: once a slot's handoff commits at epoch
@@ -71,7 +70,7 @@ def test_slot_map_model_fuzz(seed):
             epoch = auth.assign(slot, node)
             assert epoch == auth.version_of(slot)
             hints.append((slot, node, epoch))
-        elif action < 0.85 and hints:
+        elif hints:
             # Replay a random (possibly stale, possibly duplicate) hint
             # at a random client.
             client = rng.choice(clients)
@@ -81,11 +80,6 @@ def test_slot_map_model_fuzz(seed):
             assert applied == (epoch > before)
             if applied:
                 assert client.node_of(slot) == node
-        elif hints:
-            # A full map push supersedes piecemeal patches.
-            client = rng.choice(clients)
-            client.update_from(auth)
-            assert client.owners == auth.owners
 
         # Invariants that hold at every step.
         assert auth.epoch == max([0] + auth.versions)
@@ -107,16 +101,6 @@ def test_slot_map_model_fuzz(seed):
         for slot, (node, epoch) in latest.items():
             client.patch(slot, node, epoch)
         assert client.owners == auth.owners
-
-
-def test_wire_round_trip_preserves_versions():
-    m = SlotMap(range(4))
-    m.assign(1, 3)
-    m.assign(2, 0)
-    back = SlotMap.from_wire(m.to_wire())
-    assert back.owners == m.owners
-    assert back.epoch == m.epoch
-    assert back.versions == m.versions
 
 
 def test_copy_does_not_alias():

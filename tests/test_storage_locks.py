@@ -84,42 +84,18 @@ def test_cancel_queued_grant(locks):
     assert not locks.is_locked("k")
 
 
-def test_try_acquire(locks):
-    assert locks.try_acquire("k", LockMode.SHARED) is not None
-    assert locks.try_acquire("k", LockMode.EXCLUSIVE) is None
-    grant = locks.try_acquire("k", LockMode.SHARED)
-    assert grant is not None and grant.granted
-
-
-def test_try_acquire_miss_leaves_no_state(locks):
-    """A failed non-blocking acquire must not materialize lock state:
-    only release() prunes entries, so a miss that inserted an empty
-    ``_LockState`` would leak it forever (the dict grew unboundedly
-    under polling).  Force the miss outcome for fresh keys to exercise
-    the failure path regardless of grant policy."""
-    locks._grantable = lambda state, mode: False
-    for i in range(50):
-        assert locks.try_acquire(("fresh", i), LockMode.SHARED) is None
-    assert not locks._locks
-
-
-def test_try_acquire_contended_key_leaves_no_extra_state(locks):
-    """Misses against a held key reuse its state and add nothing."""
-    held = locks.acquire("k", LockMode.EXCLUSIVE)
-    for _ in range(50):
-        assert locks.try_acquire("k", LockMode.SHARED) is None
-    assert set(locks._locks) == {"k"}
-    locks.release(held)
-    assert not locks._locks
-
-
-def test_try_acquire_polling_many_contended_keys(locks):
-    """Polling across many keys held elsewhere accumulates nothing."""
+def test_cancelled_waiters_leave_no_extra_state(locks):
+    """Waiters that give up on keys held elsewhere accumulate nothing:
+    a cancelled queued grant leaves only the holders' entries, and the
+    last release prunes those."""
     held = [locks.acquire(("d", i), LockMode.EXCLUSIVE) for i in range(8)]
     for _ in range(10):
         for i in range(8):
-            assert locks.try_acquire(("d", i), LockMode.EXCLUSIVE) is None
+            queued = locks.acquire(("d", i), LockMode.SHARED)
+            assert not queued.granted
+            locks.release(queued)
     assert len(locks._locks) == 8
+    assert all(locks.queue_length(("d", i)) == 0 for i in range(8))
     for grant in held:
         locks.release(grant)
     assert not locks._locks
@@ -195,7 +171,7 @@ def test_invalidation_waits_for_shared_holders(env, locks):
 def test_uncontended_acquire_schedules_nothing(env, locks):
     grant = locks.acquire("k", LockMode.EXCLUSIVE)
     assert grant.granted and grant.event.processed
-    assert locks.try_acquire("j", LockMode.SHARED).event.processed
+    assert locks.acquire("j", LockMode.SHARED).event.processed
     assert env.events_scheduled == 0
 
 

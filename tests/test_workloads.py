@@ -135,15 +135,6 @@ class TestDrivers:
         result = run_closed_loop(cluster, thunks, num_threads=2)
         assert result.ops == 0 and result.errors == 5
 
-    def test_closed_loop_raises_when_asked(self):
-        from repro.net.rpc import RpcFailure
-
-        cluster, client = self._cluster()
-        thunks = [lambda: client.getattr("/d/ghost")]
-        with pytest.raises(RpcFailure):
-            run_closed_loop(cluster, thunks, num_threads=1,
-                            raise_errors=True)
-
     def test_measure_latency(self):
         cluster, client = self._cluster()
         thunks = [
