@@ -84,14 +84,28 @@ def test_cancel_queued_grant(locks):
     assert not locks.is_locked("k")
 
 
-def test_cancelled_waiters_leave_no_extra_state(locks):
-    """Waiters that give up on keys held elsewhere accumulate nothing:
-    a cancelled queued grant leaves only the holders' entries, and the
-    last release prunes those."""
+def test_cancelled_waiter_on_contended_key_leaves_no_extra_state(locks):
+    """Queued grants cancelled against a held key reuse its state and
+    add nothing; the holder's release prunes it."""
+    held = locks.acquire("k", LockMode.EXCLUSIVE)
+    for _ in range(50):
+        queued = locks.acquire("k", LockMode.SHARED)
+        assert not queued.granted
+        locks.release(queued)
+    assert set(locks._locks) == {"k"}
+    assert locks.queue_length("k") == 0
+    locks.release(held)
+    assert not locks._locks
+
+
+def test_cancelled_waiters_on_many_contended_keys_leave_no_extra_state(locks):
+    """Waiters that give up on many keys held elsewhere accumulate
+    nothing: only the holders' entries remain, and the last release
+    prunes those."""
     held = [locks.acquire(("d", i), LockMode.EXCLUSIVE) for i in range(8)]
     for _ in range(10):
         for i in range(8):
-            queued = locks.acquire(("d", i), LockMode.SHARED)
+            queued = locks.acquire(("d", i), LockMode.EXCLUSIVE)
             assert not queued.granted
             locks.release(queued)
     assert len(locks._locks) == 8
