@@ -28,7 +28,7 @@ from repro.core.indexing import (
 from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import CAT_PHASE, NULL_CONTEXT, deadline_call, redeliver
+from repro.obs import CAT_PHASE, NULL_CONTEXT, call_all, redeliver
 from repro.obs.retry import REDELIVER_BACKOFF_US
 from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
@@ -49,9 +49,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self._txids = count(1)
         #: Serializes rename 2PC rounds (prevents cross-rename deadlock).
         self._rename_mutex = env.resource(capacity=1)
-        #: txid -> "commit" | "abort", recorded *before* the decision is
-        #: sent to any participant.  Participants left in doubt (their
-        #: commit/abort was black-holed by a fault) query this via
+        #: txid -> the decided actions of a committed rename, recorded
+        #: *before* any commit is sent.  A participant left in doubt (its
+        #: commit was black-holed by a fault) takes them from
         #: ``rename_resolve``; absence means no commit was ever sent, so
         #: the answer is presumed abort.
         self._rename_outcomes = {}
@@ -231,45 +231,38 @@ class Coordinator(NamespaceReplicaMixin, Node):
             self.locks.release_all(grants)
             self._rename_mutex.release(mutex)
 
-    def _prepare(self, txid, owner, staged, ctx, prepare):
-        """Generator: one rename prepare round; returns the yes vote.
-        A refusal (the participant's ``ENOENT``/``EEXIST``) or an
-        unreachable participant aborts every participant in ``staged``
-        — recording the outcome first, so one left in doubt resolves to
-        it — and re-raises.
+    def _prepare(self, txid, plans, ctx):
+        """Generator: the prepare round — one ``rename_prepare`` per
+        participant of ``plans`` (``(slot, owner, actions)``), all sent
+        at once; returns the yes votes in plan order.  If any
+        participant refuses (``ENOENT``/``EEXIST``) or is unreachable,
+        every participant asked is aborted and the first failure in plan
+        order — the source's before the destination's — is raised.
 
-        Every participant hop is a :func:`deadline_call` bounded by the
-        per-attempt RPC timeout and the op deadline, whichever is set,
-        and a prepare carries the instant its hop gives up: the
-        participant refuses it when picked up later (our abort may have
-        come and gone), and once voted resolves itself after it."""
+        The round is bounded by the per-attempt RPC timeout and the op
+        deadline, whichever is set, and each prepare carries the instant
+        it gives up: a participant refuses one it picks up later (our
+        abort may have come and gone), and once voted resolves itself
+        after it."""
         timeout_us = self.shared.config.rpc_timeout_us or None
         remaining = [timeout_us or math.inf]
         if ctx.deadline is not None:
             remaining.append(ctx.deadline - self.clock.now_us())
-        prepare["deadline"] = (None if min(remaining) == math.inf
-                               else self.env.now_us() + min(remaining))
-        try:
-            vote = yield from deadline_call(
-                self, ctx, owner, "rename_prepare", prepare,
+        deadline = (None if min(remaining) == math.inf
+                    else self.env.now_us() + min(remaining))
+        votes = yield from call_all(self, ctx, "rename_prepare", [
+            (owner, {"txid": txid, "actions": actions, "deadline": deadline})
+            for _, owner, actions in plans], timeout_us=timeout_us)
+        failure = next((vote for vote in votes
+                        if isinstance(vote, RpcFailure)), None)
+        if failure is not None:
+            # Best effort: no outcome is recorded, so a participant
+            # whose abort is lost resolves to presumed abort itself.
+            yield from call_all(self, ctx, "rename_abort", [
+                (owner, {"txid": txid}) for _, owner, _ in plans],
                 timeout_us=timeout_us)
-        except RpcFailure:
-            self._rename_outcomes[txid] = "abort"
-            yield from self._abort_rename(staged, txid, ctx)
-            raise
-        return vote
-
-    def _abort_rename(self, owners, txid, ctx):
-        """Generator: best-effort aborts — the outcome is already
-        recorded, so a participant whose abort is lost resolves the
-        in-doubt transaction itself via ``rename_resolve``."""
-        for owner in owners:
-            try:
-                yield from deadline_call(
-                    self, ctx, owner, "rename_abort", {"txid": txid},
-                    timeout_us=self.shared.config.rpc_timeout_us or None)
-            except RpcFailure:
-                pass
+            raise failure
+        return votes
 
     def _complete_commit(self, txid, slot, actions):
         """Process: re-deliver a decided commit to an unreachable
@@ -290,34 +283,39 @@ class Coordinator(NamespaceReplicaMixin, Node):
 
     def _on_rename_resolve(self, message):
         """A participant terminating an in-doubt prepared transaction:
-        report the recorded outcome (presumed abort when none — no
-        commit can have been sent before the outcome was recorded)."""
-        txid = message.payload["txid"]
-        self.respond(message, {
-            "state": self._rename_outcomes.get(txid, "abort"),
-        })
+        report the recorded outcome with its decided actions, or
+        presumed abort when none — no commit can have been sent before
+        the outcome was recorded."""
+        actions = self._rename_outcomes.get(message.payload["txid"])
+        self.respond(message, {"state": "abort"} if actions is None
+                     else {"state": "commit", "actions": actions})
         return
         yield  # pragma: no cover
 
     def _rename_2pc(self, message, skey, dkey):
+        """Generator: two participant rounds.  The prepare round asks
+        each owner to vote on every key it holds — the source's delete
+        (its vote returns the moved row) and the destination's insert
+        (a reservation of the free key) — and the commit round hands
+        each owner its decided actions, the insert now carrying the
+        row."""
         ctx = message.ctx or NULL_CONTEXT
         txid = "rn-{}".format(next(self._txids))
-        src_owner = self._owner(*skey)
-        dst_owner = self._owner(*dkey)
-        owners = [src_owner]
-        if dst_owner != src_owner:
-            owners.append(dst_owner)
+        src_slot = self.index.locate(*skey)
+        dst_slot = self.index.locate(*dkey)
+        src_owner = self.shared.mnode_name(src_slot)
+        dst_owner = self.shared.mnode_name(dst_slot)
+        delete = {"action": "delete", "key": skey}
+        insert = {"action": "insert", "key": dkey}
+        if dst_owner == src_owner:
+            plans = [(src_slot, src_owner, [delete, insert])]
+        else:
+            plans = [(src_slot, src_owner, [delete]),
+                     (dst_slot, dst_owner, [insert])]
         with ctx.span("2pc", CAT_PHASE, node=self.name,
                       attrs={"txid": txid} if ctx.traced else None):
-            vote = yield from self._prepare(
-                txid, src_owner, [src_owner], ctx,
-                {"txid": txid, "action": "delete", "key": skey})
-            record = vote["record"]
-            # One abort per participant releases everything staged.
-            yield from self._prepare(
-                txid, dst_owner, owners, ctx,
-                {"txid": txid, "action": "insert", "key": dkey,
-                 "record": record})
+            votes = yield from self._prepare(txid, plans, ctx)
+            record = votes[0]["record"]
             if record.is_dir:
                 # Invalidate the source dentry everywhere; the two owners
                 # already hold it locked and update their replicas at
@@ -334,36 +332,28 @@ class Coordinator(NamespaceReplicaMixin, Node):
                     ])
                 self.dentries.delete(skey)
                 self.inval_seq[("d",) + skey] += 1
-            # The decision is recorded before any commit is sent: a
-            # participant that never hears it terminates via
-            # ``rename_resolve`` and finds "commit" here.
-            self._rename_outcomes[txid] = "commit"
             # Commits carry the decided actions so a participant that
             # never held the voted row (an asynchronous promotion lost
             # it) can still apply its half — 2PC must not leave the source
             # record alive on one owner with the destination copy
             # already committed on the other.
-            delete_action = {"action": "delete", "key": skey,
-                             "ino": record.ino}
-            insert_action = {"action": "insert", "key": dkey,
-                             "record": record}
-            if dst_owner == src_owner:
-                plans = [(self.index.locate(*skey), src_owner,
-                          [delete_action, insert_action])]
-            else:
-                plans = [
-                    (self.index.locate(*skey), src_owner, [delete_action]),
-                    (self.index.locate(*dkey), dst_owner, [insert_action]),
-                ]
+            decided = {"delete": dict(delete, ino=record.ino),
+                       "insert": dict(insert, record=record)}
+            plans = [(slot, owner,
+                      [decided[action["action"]] for action in actions])
+                     for slot, owner, actions in plans]
+            # The decision is recorded before any commit is sent: a
+            # participant that never hears it terminates via
+            # ``rename_resolve`` and takes its actions from here.
+            self._rename_outcomes[txid] = list(decided.values())
+            acks = yield from call_all(self, ctx, "rename_commit", [
+                (owner, {"txid": txid, "actions": actions})
+                for _, owner, actions in plans],
+                timeout_us=self.shared.config.rpc_timeout_us or None)
             commit_failure = None
-            for slot, owner, actions in plans:
-                try:
-                    yield from deadline_call(
-                        self, ctx, owner, "rename_commit",
-                        {"txid": txid, "actions": actions},
-                        timeout_us=self.shared.config.rpc_timeout_us or None)
-                except RpcFailure as failure:
-                    commit_failure = failure
+            for (slot, _, actions), ack in zip(plans, acks):
+                if isinstance(ack, RpcFailure):
+                    commit_failure = ack
                     # The participant is unreachable or the hop ran out
                     # of time; a background completer re-delivers the
                     # decision (by slot, so it follows promotions) until

@@ -52,6 +52,7 @@ from repro.obs import (
     CAT_QUEUE,
     NULL_CONTEXT,
     OpContext,
+    expire,
     redeliver,
 )
 from repro.obs.tracer import CAT_BATCH
@@ -309,7 +310,7 @@ class MNode(NamespaceReplicaMixin, Node):
         #: Filenames whose inodes are blocked mid-migration.
         self.migrating = set()
         #: txid -> the staged 2PC half (rename / eager replication): a
-        #: list of entries, each holding its open ``"write"``.  A rename's
+        #: list of entries sharing one open ``"write"``.  A rename's
         #: entries cache its voted rows (:meth:`restage`).
         self._staged = {}
         #: Log shipper when primary-standby replication is enabled.
@@ -1389,78 +1390,96 @@ class MNode(NamespaceReplicaMixin, Node):
     # A participant's only record of a txid is one row per slot it
     # touches, ``meta[("rename", slot, txid)]``: ``{"voted": [actions],
     # "deadline": d}`` until the decision, then APPLIED, or none after an
-    # abort.  ``_staged`` caches the voted rows beside the open writes
-    # holding their locks and pins; every recovery rebuilds it.
+    # abort.  A voted action is a delete naming the ino it voted on, or
+    # an insert reserving a free key (the decision carries its row).
+    # ``_staged`` caches the voted rows, every action of a txid beside
+    # the one open ``_OwnerWrite`` holding their lock pairs and slot
+    # pins; every recovery rebuilds it.
 
     def _on_rename_prepare(self, message):
-        """Vote: a yes vote commits the voted row in the action's own
-        write, kept open until the decision, and answers through
-        :meth:`_ack` (under consensus, once a quorum holds the row)."""
+        """Vote on every action this owner holds for the rename, in one
+        write: a delete needs its key present, an insert its key free.
+        A yes vote commits one voted row per touched slot in that write,
+        kept open until the decision, and answers through :meth:`_ack`
+        (under consensus, once a quorum holds the rows) — with the moved
+        row when it voted a delete.  The first refusal, in action order
+        (the source's delete first), closes the write and answers."""
         payload = message.payload
-        txid, key = payload["txid"], payload["key"]
-        action = payload["action"]
-        deadline = payload.get("deadline")
+        txid, deadline = payload["txid"], payload.get("deadline")
+        keys = [action["key"] for action in payload["actions"]]
         w = _OwnerWrite(self, message.ctx)
-        yield from w.lock(key)
+        yield from w.lock(*keys)
+        voted, record = [], None
         try:
             if deadline is not None and self.env.now_us() > deadline:
                 # The coordinator timed this attempt out while we were
                 # queued on the locks; its abort may have come and gone,
                 # leaving nobody to release what we would stage.
-                raise RpcFailure(RpcError.ETIMEDOUT, key)
+                raise RpcFailure(RpcError.ETIMEDOUT, keys[0])
             # A slot that migrated away while we were queued bounces
-            # (the client re-resolves); otherwise the staged half pins
-            # the slot until the decision, so a fence waits for the 2PC
+            # (the client re-resolves); otherwise the staged write pins
+            # the slots until the decision, so a fence waits for the 2PC
             # and the decided actions ride the delta.
-            slot = w.enter(key)
-            yield from self.execute(self.costs.index_lookup_us,
+            slots = [w.enter(key) for key in keys]
+            yield from self.execute(self.costs.index_lookup_us * len(keys),
                                     ctx=message.ctx)
-            record = self.inodes.get(key)
-            if (record is None) is (action == "delete"):
-                raise RpcFailure(RpcError.ENOENT if record is None
-                                 else RpcError.EEXIST, key)
+            for action in payload["actions"]:
+                key, kind = action["key"], action["action"]
+                current = self.inodes.get(key)
+                if (current is None) is (kind == "delete"):
+                    raise RpcFailure(RpcError.ENOENT if current is None
+                                     else RpcError.EEXIST, key)
+                decided = {"action": kind, "key": key}
+                if kind == "delete":
+                    decided["ino"] = current.ino
+                    record = current
+                voted.append(decided)
         except RpcFailure as failure:
             w.close()
             self._respond_error(message, failure)
             return
-        # A delete names the ino it voted on; a same-slot rename's
-        # second half joins the first's row.
-        decided = {"action": action, "key": key}
-        if action == "delete":
-            decided["ino"] = record.ino
-        else:
-            decided["record"] = payload["record"]
-        row = self.meta.get(("rename", slot, txid)) or {"voted": []}
-        w.txn.put(self.meta, ("rename", slot, txid),
-                  {"voted": row["voted"] + [decided], "deadline": deadline})
-        self._staged.setdefault(txid, []).append(
-            {"action": decided, "write": w})
+        rows = {}
+        for slot, decided in zip(slots, voted):
+            rows.setdefault(slot, []).append(decided)
+        for slot, actions in rows.items():
+            w.txn.put(self.meta, ("rename", slot, txid),
+                      {"voted": actions, "deadline": deadline})
+        self._staged[txid] = [{"action": decided, "write": w}
+                              for decided in voted]
         yield from w.commit()
         if deadline is not None:
             self.env.process(self._resolve_in_doubt(txid, deadline))
         response = {"ok": True}
-        if action == "delete":
+        if record is not None:
             response["record"] = record
         yield from self._ack(message, response)
 
     def restage(self):
         """Rebuild ``_staged`` from every served slot's voted rows, as
         :meth:`rebuilt_slots` rebuilds ``slots``, before the node can
-        receive a message: each voted action retakes its lock pair and
-        pins its slot, and each row gets one in-doubt resolver."""
+        receive a message: each txid's voted actions retake their lock
+        pairs and pin their slots in one write, and each txid gets one
+        in-doubt resolver."""
+        voted = {}
         for (_, slot, txid), row in self.meta.scan_prefix(("rename",)):
             if "voted" not in row or not self.serves(slot):
                 continue
-            for action in row["voted"]:
-                w = _OwnerWrite(self)
-                next(w.lock(action["key"]), None)  # a fresh table
-                w.pin(slot)
-                self._staged.setdefault(txid, []).append(
-                    {"action": action, "write": w})
+            half = voted.setdefault(txid, {"actions": [], "slots": [],
+                                           "deadline": row["deadline"]})
+            half["actions"].extend(row["voted"])
+            half["slots"].append(slot)
             self.metrics.counter("rename_restaged").inc()
-            if row["deadline"] is not None:
+        for txid, half in voted.items():
+            w = _OwnerWrite(self)
+            next(w.lock(*[action["key"] for action in half["actions"]]),
+                 None)  # a fresh table
+            for slot in half["slots"]:
+                w.pin(slot)
+            self._staged[txid] = [{"action": action, "write": w}
+                                  for action in half["actions"]]
+            if half["deadline"] is not None:
                 self.env.process(
-                    self._resolve_in_doubt(txid, row["deadline"]))
+                    self._resolve_in_doubt(txid, half["deadline"]))
 
     def _apply_decided(self, txid, actions, ctx, staged=()):
         """Generator: apply a decided rename's ``actions`` on this node —
@@ -1483,9 +1502,7 @@ class MNode(NamespaceReplicaMixin, Node):
         re-delivery acks without queuing) and again under the locks (a
         concurrent re-delivery may have applied the actions)."""
         actions = self._unmarked(txid, actions)
-        writes = ([entry["write"] for entry in staged]
-                  or [_OwnerWrite(self, ctx)])
-        w = writes[0]
+        w = staged[0]["write"] if staged else _OwnerWrite(self, ctx)
         w.ctx = ctx
         applied = []
         try:
@@ -1511,8 +1528,10 @@ class MNode(NamespaceReplicaMixin, Node):
                 applied.append(kind)
             yield from w.commit()
         finally:
-            for write in writes:
-                write.close()
+            if staged:
+                self._release_staged(staged)
+            else:
+                w.close()
         if not staged:
             for kind in applied:
                 self.metrics.counter("rename_redos").inc(kind)
@@ -1530,7 +1549,7 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _drop_vote(self, txid, staged):
         """Generator: abort a staged half — delete its voted rows in
-        the staged write, then close every write."""
+        the staged write, then close it."""
         try:
             for slot in self._touched([entry["action"] for entry in staged]):
                 staged[0]["write"].txn.delete(self.meta, ("rename", slot, txid))
@@ -1541,12 +1560,15 @@ class MNode(NamespaceReplicaMixin, Node):
 
     @staticmethod
     def _release_staged(staged):
-        for entry in staged:
-            entry["write"].close()
+        """Close a staged half's write, once: a txid's entries share
+        one."""
+        if staged:
+            staged[0]["write"].close()
 
     def _resolve_in_doubt(self, txid, deadline):
         """Process: terminate a voted rename whose decision never
-        arrived (presumed abort, commit confirmed by the coordinator)."""
+        arrived: presumed abort, or the coordinator's recorded commit,
+        whose actions on the keys held here apply."""
         timeout_us = self.shared.config.rpc_timeout_us or 1000.0
         yield self.env.timeout(
             max(0.0, deadline - self.env.now_us()) + 2 * timeout_us)
@@ -1559,9 +1581,10 @@ class MNode(NamespaceReplicaMixin, Node):
         if staged is None:
             return
         if reply["state"] == "commit":
+            held = {entry["action"]["key"] for entry in staged}
             yield from self._apply_decided(
-                txid, [entry["action"] for entry in staged], NULL_CONTEXT,
-                staged)
+                txid, [action for action in reply["actions"]
+                       if action["key"] in held], NULL_CONTEXT, staged)
         else:
             yield from self._drop_vote(txid, staged)
 
@@ -1620,6 +1643,15 @@ class MNode(NamespaceReplicaMixin, Node):
         peers = self._peers()
         calls = [self.call(peer, "scan_children", {"pid": dir_ino},
                            ctx=message.ctx) for peer in peers]
+        # One timer bounds the fan-out: a peer that never answers
+        # (crashed mid-scan, partitioned, booting) times its call out
+        # instead of parking this handler.
+        timeout_us = self.shared.config.rpc_timeout_us
+        timer = None
+        if timeout_us and calls:
+            timer = expire(self, timeout_us, [
+                (call, "scan_children to " + peer)
+                for peer, call in zip(peers, calls)])
         try:
             replies = yield self.env.all_of(calls)
         except RpcFailure as failure:
@@ -1631,6 +1663,9 @@ class MNode(NamespaceReplicaMixin, Node):
                 RpcError.ERETRY, "scan_children on {}: {}".format(
                     peer, RpcError.name(failure.code))))
             return
+        finally:
+            if timer is not None:
+                timer.cancel()
         local = self._scan_children(dir_ino)
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * len(local),
@@ -1846,7 +1881,7 @@ class MNode(NamespaceReplicaMixin, Node):
         # Writers registered before the fence drain to zero, so their
         # records are in the log; no new writer can register (the
         # serving check above bounces it).  Records are read whether or
-        # not their checksum verifies: this live node applied them.
+        # not they are intact: this live node applied them.
         # Rename-applied markers are slot-scoped durable state and
         # travel too: a stale commit re-delivery after the flip resolves
         # to the *destination*, which can only no-op it if the marker

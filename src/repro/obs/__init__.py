@@ -9,8 +9,9 @@ The substrate every layer of the simulated cluster threads through:
   tracing with zero cost when disabled (:data:`NULL_TRACER` allocates
   no spans);
 * :class:`RetryPolicy`, :func:`retry`, :func:`deadline_call`,
-  :func:`redeliver` — the shared retry/backoff, deadline-enforcement
-  and re-delivery helpers that replace per-call-site retry loops;
+  :func:`call_all`, :func:`expire`, :func:`redeliver` — the shared
+  retry/backoff, deadline-enforcement, fan-out and re-delivery helpers
+  that replace per-call-site retry loops;
 * :class:`CollectorTimer` — the garbage collector's seconds and
   collections, timed from outside (no profiler row shows them).
 """
@@ -20,7 +21,9 @@ from repro.obs.context import NULL_CONTEXT, OpContext
 from repro.obs.retry import (
     RETRYABLE,
     RetryPolicy,
+    call_all,
     deadline_call,
+    expire,
     redeliver,
     retry,
 )
@@ -63,7 +66,9 @@ __all__ = [
     "RetryPolicy",
     "Span",
     "Tracer",
+    "call_all",
     "deadline_call",
+    "expire",
     "redeliver",
     "retry",
 ]

@@ -1,6 +1,6 @@
 """Shared retry/backoff policy and deadline-enforced RPC.
 
-Three helpers replace the ad-hoc retry loops that used to live at every
+Four helpers replace the ad-hoc retry loops that used to live at every
 call site:
 
 * :func:`retry` runs an attempt generator until it succeeds, backing off
@@ -15,6 +15,9 @@ call site:
   wins.  At the deadline the caller sees ``RpcFailure(ETIMEDOUT)``; a
   reply that straggles in afterwards — payload or error — finds the
   handle settled and is dropped.  A reply in time cancels the timer.
+* :func:`call_all` is one round of such calls sent at once — a fan-out
+  whose caller needs every outcome — bounded by one timer
+  (:func:`expire`) for the whole round.
 * :func:`redeliver` is the control plane's "this step is decided, make
   it land" loop: a bounded call re-issued under a doubling backoff,
   re-resolving its target each time so delivery follows a promotion or
@@ -184,36 +187,86 @@ def deadline_call(node, ctx, target, kind, payload=None, size=None,
     or partitioned peer) without burning the whole operation deadline on
     a reply that will never come.
     """
-    env = node.env
     if ctx.deadline is None and timeout_us is None:
         result = yield node.call(target, kind, payload, size, ctx=ctx)
         return result
-    clock = getattr(node, "clock", None)
-    remaining = float("inf")
-    if ctx.deadline is not None:
-        # Deadline math is node-local: a skewed clock makes this node
-        # judge remaining budget early or late, exactly like production.
-        now = clock.now_us() if clock is not None else env.now_us()
-        remaining = ctx.deadline - now
-    if timeout_us is not None:
-        remaining = min(remaining, timeout_us)
+    remaining = _budget(node, ctx, timeout_us)
     if remaining <= 0:
         raise RpcFailure(
             RpcError.ETIMEDOUT, "{} to {} (not sent)".format(kind, target)
         )
     reply = node.call(target, kind, payload, size, ctx=ctx)
-    # Reply versus timer, first to settle the handle wins: an expiring
-    # timer settles it with ETIMEDOUT, after which the straggling reply
-    # (payload or error alike) is dropped by ``settle``.
-    timer = env.timer(
-        remaining if clock is None else clock.to_env_delay(remaining),
-        lambda _timer: reply.settle(False, RpcFailure(
-            RpcError.ETIMEDOUT, "{} to {}".format(kind, target))))
+    # Reply versus timer, first to settle the handle wins.
+    timer = expire(node, remaining,
+                   [(reply, "{} to {}".format(kind, target))])
     try:
         result = yield reply
     finally:
         timer.cancel()
     return result
+
+
+def call_all(node, ctx, kind, calls, timeout_us=None):
+    """Generator: one round of ``kind`` RPCs — every ``(target,
+    payload)`` of ``calls`` sent at once, each bounded as
+    :func:`deadline_call` bounds one (the calls share their start, so
+    one timer serves the round), and every reply awaited.  Returns the
+    outcomes in call order, each the reply payload or the
+    :class:`RpcFailure` the call ended with; raises nothing."""
+    remaining = _budget(node, ctx, timeout_us)
+    if remaining <= 0:
+        return [RpcFailure(RpcError.ETIMEDOUT,
+                           "{} to {} (not sent)".format(kind, target))
+                for target, _ in calls]
+    replies = [node.call(target, kind, payload, ctx=ctx)
+               for target, payload in calls]
+    timer = None
+    if remaining != float("inf"):
+        timer = expire(node, remaining, [
+            (reply, "{} to {}".format(kind, target))
+            for reply, (target, _) in zip(replies, calls)])
+    outcomes = []
+    try:
+        for reply in replies:
+            try:
+                outcomes.append((yield reply))
+            except RpcFailure as failure:
+                outcomes.append(failure)
+    finally:
+        if timer is not None:
+            timer.cancel()
+    return outcomes
+
+
+def expire(node, delay_us, pending):
+    """Arm one timer, ``delay_us`` from now on ``node``'s clock, that
+    settles every reply of ``pending`` — ``(reply, detail)`` pairs —
+    still unanswered with ``RpcFailure(ETIMEDOUT, detail)``; returns it
+    (``cancel()`` disarms it).  A reply that straggles in afterwards,
+    payload or error alike, finds its handle settled and is dropped."""
+    def fire(_timer):
+        for reply, detail in pending:
+            reply.settle(False, RpcFailure(RpcError.ETIMEDOUT, detail))
+
+    clock = getattr(node, "clock", None)
+    return node.env.timer(
+        delay_us if clock is None else clock.to_env_delay(delay_us), fire)
+
+
+def _budget(node, ctx, timeout_us):
+    """How long a call ``node`` makes now may wait: the context
+    deadline's remainder on the node's own clock (deadline math is
+    node-local: a skewed clock judges it early or late, exactly like
+    production), capped by ``timeout_us``; infinite when neither is
+    set."""
+    remaining = float("inf")
+    if ctx.deadline is not None:
+        clock = getattr(node, "clock", None)
+        now = clock.now_us() if clock is not None else node.env.now_us()
+        remaining = ctx.deadline - now
+    if timeout_us is not None:
+        remaining = min(remaining, timeout_us)
+    return remaining
 
 
 def redeliver(node, resolve_target, kind, payload, timeout_us=None,

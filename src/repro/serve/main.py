@@ -401,7 +401,7 @@ async def run_bench(args):
                 outcomes["ok"] += 1
             except RpcFailure:
                 outcomes["failed"] += 1
-            latencies.append(env.now_us() - start)
+            latencies.append((op, env.now_us() - start))
         done[index].set()
 
     try:
@@ -418,13 +418,16 @@ async def run_bench(args):
     finally:
         await network.close()
 
-    latencies.sort()
+    by_op = {}
+    for op, us in latencies:
+        by_op.setdefault(op, []).append(us)
+    latencies = sorted(us for _, us in latencies)
 
-    def pct(q):
-        if not latencies:
+    def pct(ordered, q):
+        if not ordered:
             return 0.0
-        rank = min(len(latencies) - 1, int(round(q / 100.0 * (len(latencies) - 1))))
-        return latencies[rank]
+        rank = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
+        return ordered[rank]
 
     summary = {
         "ops": len(plan),
@@ -433,8 +436,14 @@ async def run_bench(args):
         "lost": len(plan) - outcomes["ok"] - outcomes["failed"],
         "latency_us": {
             "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-            "p50": pct(50), "p95": pct(95), "p99": pct(99),
+            "p50": pct(latencies, 50), "p95": pct(latencies, 95),
+            "p99": pct(latencies, 99),
             "max": latencies[-1] if latencies else 0.0,
+        },
+        "latency_us_by_op": {
+            op: {"p50": pct(ordered, 50), "p99": pct(ordered, 99)}
+            for op, ordered in sorted(
+                (op, sorted(values)) for op, values in by_op.items())
         },
     }
     print(json.dumps(summary), flush=True)

@@ -11,17 +11,22 @@ Unlike a pure timing device, the log actually *stores* what it was asked
 to make durable, the way the paper's PostgreSQL MNodes do:
 
 * every :meth:`commit` appends one :class:`WalRecord` (LSN, logical
-  payload, per-record checksum) to the active :class:`WalSegment`;
-  segments rotate at ``costs.wal_segment_bytes``;
+  payload, term) to the active :class:`WalSegment`; segments rotate at
+  ``costs.wal_segment_bytes``;
 * the **fsync horizon** ``durable_lsn`` advances only when a flush
   completes — records at or below it survive a crash;
+* a record's on-disk damage is modelled, not computed: it carries a
+  damage mark (``_delta``), zero while the image is whole, which a crash
+  mid-flush (:meth:`WalRecord.tear`) or an injected disk fault
+  (:meth:`WalRecord.corrupt`) sets; :attr:`WalRecord.intact` is the
+  verification a real log would make with a per-record CRC;
 * a crash mid-flush (:meth:`power_fail`) leaves a **torn tail**: the
-  in-flight batch was partially written, so its records fail their
-  checksum on replay and its waiters are *never* acknowledged (a dead
-  machine must not confirm durability it never reached);
+  in-flight batch was partially written, so its records are not intact
+  and its waiters are *never* acknowledged (a dead machine must not
+  confirm durability it never reached);
 * :meth:`replay` is the redo scan a restarting node runs: it reads the
-  segments in LSN order and truncates at the first record that fails
-  verification (torn tail or injected disk corruption);
+  segments in LSN order and truncates at the first record that is not
+  intact (torn tail or injected disk corruption);
 * :meth:`payloads_since` is a live node's read-back of its own log
   above an LSN — where a slot handoff's delta comes from.
 
@@ -48,24 +53,12 @@ flush after the one that opened a new segment is durable — about one
 checkpoint per ``costs.wal_segment_bytes`` of log.
 """
 
-import zlib
-
 from repro.obs.tracer import CAT_WAL
 
 
-def wal_checksum(lsn, payload, term=0):
-    """Deterministic per-record checksum over the logical payload.
-
-    ``term`` (the consensus term of the appending leader) folds into the
-    checksum only when nonzero, so records written outside consensus
-    mode — and every pre-existing golden trace — keep their bytes."""
-    if term:
-        return zlib.crc32(repr((term, lsn, payload)).encode("utf-8"))
-    return zlib.crc32(repr((lsn, payload)).encode("utf-8"))
-
-
 class WalRecord:
-    """One appended transaction: LSN, logical records, term, checksum.
+    """One appended transaction: LSN, logical records, term and the
+    on-disk damage mark.
 
     ``payload`` is the transaction's record list (``(table, key,
     row-or-None)`` tuples, as produced by
@@ -85,11 +78,8 @@ class WalRecord:
         self.payload = payload
         self.nbytes = nbytes
         self.term = term
-        #: XOR distance between the stored and the true checksum.  Zero
-        #: means the on-disk image is intact; a mid-flush tear or fault
-        #:  injection sets a nonzero delta.  Kept as a delta so the CRC
-        #: itself is only computed when something actually reads it —
-        #: commits on the happy path never pay for it.
+        #: The on-disk damage mark: zero while the image is intact; a
+        #: mid-flush tear or a corruption injection sets it nonzero.
         self._delta = 0
 
     def tear(self):
@@ -97,21 +87,12 @@ class WalRecord:
         self._delta = 0xFFFFFFFF
 
     def corrupt(self):
-        """Flip the stored checksum (disk corruption injection)."""
+        """Damage the on-disk image (disk corruption injection)."""
         self._delta = 0x1
 
     @property
-    def checksum(self):
-        return wal_checksum(self.lsn, self.payload, self.term)
-
-    @property
-    def stored(self):
-        """What the medium actually holds; diverges from ``checksum``
-        when the record is torn or corrupted."""
-        return self.checksum ^ self._delta
-
-    @property
     def intact(self):
+        """Whether the record verifies on redo."""
         return self._delta == 0
 
 
@@ -193,9 +174,8 @@ class WriteAheadLog:
         #: common case — the flush path charges the original cost
         #: expression untouched, keeping golden traces bit-identical).
         self.slow_disk = None
-        #: Consensus term stamped on every appended record; stays 0 (and
-        #: therefore invisible to checksums and goldens) outside a
-        #: replicated consensus group.
+        #: Consensus term stamped on every appended record; stays 0
+        #: outside a replicated consensus group.
         self.term = 0
         #: The latest base record (:meth:`checkpoint`), or None: every
         #: record since the first is still in a segment.
@@ -347,8 +327,8 @@ class WriteAheadLog:
             yield self.env.fsync(duration, nbytes)
             if self.failed:
                 # The machine lost power while this fsync was in flight:
-                # the batch is a torn tail — partially persisted, failing
-                # checksums on replay — and its waiters are never told
+                # the batch is a torn tail — partially persisted, not
+                # intact on replay — and its waiters are never told
                 # the write was durable (no zombie durability acks).
                 for _, record, _ in batch:
                     record.tear()

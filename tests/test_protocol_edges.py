@@ -243,8 +243,9 @@ class TestOwnerWriteScaffold:
             coordinator.call(owner.name, "rmdir_exec",
                              {"pid": ROOT_INO, "name": "d", "path": "/d"}),
             coordinator.call(owner.name, "rename_prepare",
-                             {"txid": "rn-test", "action": "delete",
-                              "key": (ROOT_INO, "d")}),
+                             {"txid": "rn-test", "actions": [
+                                 {"action": "delete",
+                                  "key": (ROOT_INO, "d")}]}),
         ]
         for reply in replies:
             reply.defused = True  # either may legitimately answer ENOENT
@@ -304,18 +305,20 @@ class TestCommitRedelivery:
 
     def _last_commit(self, cluster, fs, dst_path):
         """The most recent committed txid plus its reconstructed insert
-        half, exactly as a completer would re-deliver it."""
+        half, exactly as a completer would re-deliver it — and as the
+        coordinator recorded it for an in-doubt participant."""
         from repro.vfs.pathwalk import basename
 
         outcomes = cluster.coordinator._rename_outcomes
         txid = max(outcomes, key=lambda t: int(t.split("-")[1]))
-        assert outcomes[txid] == "commit"
         pid = fs.getattr("/d")["ino"]
         dkey = (pid, basename(dst_path))
         owner = next(m for m in cluster.mnodes
                      if m.inodes.get(dkey) is not None)
         action = {"action": "insert", "key": dkey,
                   "record": owner.inodes.get(dkey)}
+        delete, insert = outcomes[txid]
+        assert delete["action"] == "delete" and insert == action
         return txid, owner, action
 
     def _redeliver(self, cluster, owner, txid, action):
@@ -419,6 +422,276 @@ class TestCommitRedelivery:
         assert reply.triggered and reply.value == {"ok": True}
         w.close()
         check_cluster_invariants(cluster)
+
+
+class TestTwoRoundRename:
+    """A rename is two participant rounds: every owner's prepare sent at
+    once, carrying every action it holds, then every owner's commit sent
+    at once.  The destination's vote is a reservation of the free key;
+    the record it inserts arrives with the decision."""
+
+    @staticmethod
+    def _cross_owner(cluster, pid, src="a"):
+        """``(src, dst)`` names under ``pid`` with different owners."""
+        owner = cluster.coordinator._owner
+        dst = next(name for name in ("b{}".format(i) for i in range(200))
+                   if owner(pid, name) != owner(pid, src))
+        return src, dst
+
+    @staticmethod
+    def _node(cluster, pid, name):
+        owner = cluster.coordinator._owner(pid, name)
+        return next(node for node in cluster.mnodes if node.name == owner)
+
+    @staticmethod
+    def _rename_log(cluster):
+        """Every rename participant call the coordinator makes, as
+        ``("send" | "reply", kind, target)`` in the order they happen."""
+        coordinator = cluster.coordinator
+        real_call = coordinator.call
+        log = []
+
+        def call(target, kind, *args, **kwargs):
+            reply = real_call(target, kind, *args, **kwargs)
+            if kind.startswith("rename_"):
+                log.append(("send", kind, target))
+                reply.callbacks.append(
+                    lambda _: log.append(("reply", kind, target)))
+            return reply
+
+        coordinator.call = call
+        return log
+
+    def test_same_owner_rename_is_one_prepare_and_one_commit(self):
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/a")
+        log = self._rename_log(cluster)
+        fs.rename("/d/a", "/d/b")
+        owner = cluster.mnodes[0].name
+        assert log == [("send", "rename_prepare", owner),
+                       ("reply", "rename_prepare", owner),
+                       ("send", "rename_commit", owner),
+                       ("reply", "rename_commit", owner)]
+        assert [fs.exists(path) for path in ("/d/a", "/d/b")] == [False,
+                                                                   True]
+        check_cluster_invariants(cluster)
+
+    def test_cross_owner_rename_prepares_both_then_commits_both(self, cluster,
+                                                                fs):
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        ino = fs.getattr("/d/" + src)["ino"]
+        log = self._rename_log(cluster)
+        fs.rename("/d/" + src, "/d/" + dst)
+        owners = {cluster.coordinator._owner(pid, name)
+                  for name in (src, dst)}
+        assert len(owners) == 2
+        rounds = [log[:2], log[2:4], log[4:6], log[6:]]
+        assert [{(step, kind) for step, kind, _ in events}
+                for events in rounds] == [
+            {("send", "rename_prepare")}, {("reply", "rename_prepare")},
+            {("send", "rename_commit")}, {("reply", "rename_commit")}]
+        assert all({target for _, _, target in events} == owners
+                   for events in rounds)
+        assert not fs.exists("/d/" + src)
+        assert fs.getattr("/d/" + dst)["ino"] == ino
+        check_cluster_invariants(cluster)
+
+    def test_both_refusing_answers_the_source_refusal(self, cluster, fs):
+        """The source is missing (ENOENT) and the destination taken
+        (EEXIST): the source's refusal wins, and both are aborted."""
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + dst)
+        log = self._rename_log(cluster)
+        with pytest.raises(RpcFailure) as err:
+            fs.rename("/d/" + src, "/d/" + dst)
+        assert err.value.code == RpcError.ENOENT
+        assert sorted(kind for step, kind, _ in log if step == "send") == [
+            "rename_abort", "rename_abort",
+            "rename_prepare", "rename_prepare"]
+        assert fs.exists("/d/" + dst)
+        check_cluster_invariants(cluster)
+
+    def test_destination_refusal_aborts_the_source_vote(self, cluster, fs):
+        from repro.core.verify import runtime_violations
+
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        fs.create("/d/" + dst)
+        source = self._node(cluster, pid, src)
+        row = source.inodes.get((pid, src))
+        votes = []
+        real_prepare = source._on_rename_prepare
+
+        def prepare(message):
+            yield from real_prepare(message)
+            votes.append(sorted(source._staged))
+
+        source._on_rename_prepare = prepare
+        with pytest.raises(RpcFailure) as err:
+            fs.rename("/d/" + src, "/d/" + dst)
+        assert err.value.code == RpcError.EEXIST
+        assert len(votes) == 1 and len(votes[0]) == 1   # the source voted
+        assert source.inodes.get((pid, src)) is row
+        assert not any(key[0] == "rename" for key, _ in source.meta.scan())
+        assert runtime_violations(cluster) == []
+        fs.unlink("/d/" + src)                          # lock pair free
+        check_cluster_invariants(cluster)
+
+    def _black_hole_commits(self, cluster, target, monkeypatch):
+        """Drop every ``rename_commit`` the coordinator sends ``target``
+        and keep the completer from re-delivering them: the in-doubt
+        resolver is left as the only way to the decision."""
+        from repro.core.coordinator import Coordinator
+
+        def lost(self, txid, slot, actions):
+            return
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(Coordinator, "_complete_commit", lost)
+        coordinator = cluster.coordinator
+        real_call = coordinator.call
+
+        def call(recipient, kind, *args, **kwargs):
+            if kind == "rename_commit" and recipient == target:
+                return cluster.env.event()      # never sent, never answered
+            return real_call(recipient, kind, *args, **kwargs)
+
+        coordinator.call = call
+
+    def test_lost_commit_to_a_reservation_resolves_with_the_record(
+            self, monkeypatch):
+        """The destination voted a reservation (no record) and never
+        hears the commit: its in-doubt resolver takes the decided insert
+        from ``rename_resolve`` and inserts that record."""
+        from repro.core.verify import runtime_violations
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2,
+                                             rpc_timeout_us=400.0))
+        fs = cluster.fs()
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        record = self._node(cluster, pid, src).inodes.get((pid, src))
+        destination = self._node(cluster, pid, dst)
+        self._black_hole_commits(cluster, destination.name, monkeypatch)
+        resolved = []
+        real_resolve = cluster.coordinator._on_rename_resolve
+
+        def resolve(message):
+            resolved.append(message.sender)
+            yield from real_resolve(message)
+
+        cluster.coordinator._on_rename_resolve = resolve
+        voted = []
+        real_prepare = destination._on_rename_prepare
+
+        def prepare(message):
+            yield from real_prepare(message)
+            voted.append([row for key, row in destination.meta.scan()
+                          if key[0] == "rename"])
+
+        destination._on_rename_prepare = prepare
+        client = cluster.add_client()
+        failure = cluster.run_process(
+            _swallow(client.rename("/d/" + src, "/d/" + dst)))
+        # Decided but never confirmed: the commit hop timed out, and the
+        # client's retry met its own applied delete.
+        assert failure.code == RpcError.ENOENT
+        # The first prepare's reservation: the key, and no record.
+        assert voted[0] == [{"voted": [{"action": "insert",
+                                        "key": (pid, dst)}],
+                             "deadline": voted[0][0]["deadline"]}]
+        assert cluster.quiesce(1_000_000.0)
+        assert resolved == [destination.name]
+        assert destination.inodes.get((pid, dst)) == record
+        assert not fs.exists("/d/" + src)
+        assert runtime_violations(cluster) == []
+        check_cluster_invariants(cluster)
+
+    def test_restaged_reservation_resolves_after_a_crash(self, monkeypatch):
+        """The destination crashes as the decision goes out: its redo
+        replays the reservation, restages it (lock pair, slot pin, one
+        resolver) and the resolver inserts the decided record."""
+        from repro.core.verify import runtime_violations
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2,
+                                             rpc_timeout_us=400.0))
+        fs = cluster.fs()
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        ino = fs.getattr("/d/" + src)["ino"]
+        index = cluster.mnodes.index(self._node(cluster, pid, dst))
+        self._black_hole_commits(cluster, cluster.mnodes[index].name,
+                                 monkeypatch)
+        client = cluster.add_client()
+        crashed = []
+        real_call = cluster.coordinator.call
+
+        def call(recipient, kind, *args, **kwargs):
+            if kind == "rename_commit" and not crashed:
+                crashed.append(cluster.crash_mnode(index))
+            return real_call(recipient, kind, *args, **kwargs)
+
+        cluster.coordinator.call = call
+        cluster.run_process(_swallow(client.rename("/d/" + src,
+                                                   "/d/" + dst)))
+        assert crashed
+        cluster.run_process(cluster.restart_mnode(index))
+        node = cluster.mnodes[index]
+        assert node.metrics.counter("rename_restaged").total() == 1
+        ((txid, (entry,)),) = node._staged.items()
+        assert entry["action"] == {"action": "insert", "key": (pid, dst)}
+        assert sorted(grant.key for grant in entry["write"].grants) == [
+            ("d", pid, dst), ("i", pid, dst)]
+        assert cluster.quiesce(1_000_000.0)
+        assert node._staged == {}
+        assert not fs.exists("/d/" + src)
+        assert fs.getattr("/d/" + dst)["ino"] == ino
+        assert runtime_violations(cluster) == []
+        check_cluster_invariants(cluster)
+
+
+class TestReaddirFanOut:
+    def test_a_hung_peer_times_the_listing_out(self):
+        """A peer that never answers its ``scan_children`` (alive but
+        stuck) fails the listing with ``ERETRY`` once the fan-out's one
+        timer fires at ``rpc_timeout_us``; the readdir handler finishes
+        instead of parking behind it."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1,
+                                             rpc_timeout_us=400.0))
+        cluster.fs().mkdir("/d")
+        env = cluster.env
+        owner, hung = cluster.mnodes[0], cluster.mnodes[1]
+
+        def never_answer(message):
+            yield env.event()
+
+        hung._on_scan_children = never_answer
+        finished = []
+        real_readdir = owner._on_readdir
+
+        def readdir(message):
+            yield from real_readdir(message)
+            finished.append(env.now)
+
+        owner._on_readdir = readdir
+        start = env.now
+        reply = cluster.coordinator.call(owner.name, "readdir",
+                                         {"path": "/d"})
+        reply.defused = True
+        cluster.run_for(2000.0)
+        assert reply.triggered and not reply.ok
+        assert reply.value.code == RpcError.ERETRY
+        assert "ETIMEDOUT" in reply.value.detail
+        (done,) = finished
+        assert 400.0 < done - start < 600.0
 
 
 class TestConflictCaseOne:

@@ -129,7 +129,7 @@ def test_bench_zero_lost_acks(cluster):
     base = cluster
     proc = _serve("bench", "--base-port", str(base),
                   "--mnodes", str(MNODES),
-                  "--ops", str(OPS), "--seed", "3")
+                  "--ops", str(OPS), "--seed", "3", "--dirs", "8")
     out, _ = proc.communicate(timeout=600)
     summary = json.loads(out.strip().splitlines()[-1])
     assert proc.returncode == 0, summary
@@ -141,6 +141,14 @@ def test_bench_zero_lost_acks(cluster):
     # near the 15 s op deadline means retry storms or lost replies.
     assert summary["latency_us"]["p50"] < 1_000_000, summary
     assert summary["latency_us"]["max"] < 14_000_000, summary
+    # Every op kind of the plan gets its own latency row.
+    from repro.serve.main import build_workload
+
+    kinds = {op for op, _, _ in build_workload(3, OPS, 8)}
+    by_op = summary["latency_us_by_op"]
+    assert set(by_op) == kinds, by_op
+    for row in by_op.values():
+        assert 0.0 < row["p50"] <= row["p99"] < 14_000_000, by_op
 
 
 def test_prometheus_scrape(cluster):
