@@ -34,6 +34,13 @@ from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
 
 
+#: The prepare failures after which a participant may hold a staged
+#: vote: a timeout (the vote may still land) and ``ENOTLEADER``
+#: (``MNode._ack`` answers it after the vote was staged).  Any other
+#: refusal staged nothing.
+_MAY_HOLD_A_VOTE = frozenset((RpcError.ETIMEDOUT, RpcError.ENOTLEADER))
+
+
 class Coordinator(NamespaceReplicaMixin, Node):
     """The central coordinator node."""
 
@@ -47,7 +54,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.xt = ExceptionTable()
         self.index = HybridIndex(shared.num_slots, self.xt)
         self._txids = count(1)
-        #: Serializes rename 2PC rounds (prevents cross-rename deadlock).
+        #: Serializes renames from lock acquisition to the decision, so at
+        #: most one rename takes participant locks at a time (prevents
+        #: cross-rename deadlock); the commit round runs outside it.
         self._rename_mutex = env.resource(capacity=1)
         #: txid -> the decided actions of a committed rename, recorded
         #: *before* any commit is sent.  A participant left in doubt (its
@@ -189,6 +198,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         ctx = message.ctx
         mutex = self._rename_mutex.request()
         yield mutex
+        held = [mutex]
         grants = []
         try:
             src = split_path(payload["src"])
@@ -220,7 +230,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 + 2 * self.costs.two_phase_round_us,
                 ctx=ctx,
             )
-            yield from self._rename_2pc(message, skey, dkey)
+            yield from self._rename_2pc(
+                message, skey, dkey, partial(self._release_mutex, held))
         except RpcFailure as failure:
             self.respond_error(message, failure)
         except ValueError:
@@ -229,15 +240,25 @@ class Coordinator(NamespaceReplicaMixin, Node):
             )
         finally:
             self.locks.release_all(grants)
-            self._rename_mutex.release(mutex)
+            self._release_mutex(held)
 
-    def _prepare(self, txid, plans, ctx):
+    def _release_mutex(self, held):
+        """Release the rename mutex at the decision, once: ``held`` is
+        the one-element list of its grant, emptied by the release."""
+        if held:
+            self._rename_mutex.release(held.pop())
+
+    def _prepare(self, txid, plans, ctx, decided):
         """Generator: the prepare round — one ``rename_prepare`` per
         participant of ``plans`` (``(slot, owner, actions)``), all sent
-        at once; returns the yes votes in plan order.  If any
-        participant refuses (``ENOENT``/``EEXIST``) or is unreachable,
-        every participant asked is aborted and the first failure in plan
-        order — the source's before the destination's — is raised.
+        at once, marked ``commit`` when one participant holds every
+        action; returns the yes votes in plan order.  If any participant refuses
+        (``ENOENT``/``EEXIST``) or is unreachable, the rename is decided
+        (``decided()`` releases the mutex), every participant that may
+        hold a vote — it voted yes, timed out, or answered
+        ``ENOTLEADER`` after staging — is aborted, and the first failure
+        in plan order — the source's before the destination's — is
+        raised.
 
         The round is bounded by the per-attempt RPC timeout and the op
         deadline, whichever is set, and each prepare carries the instant
@@ -250,17 +271,26 @@ class Coordinator(NamespaceReplicaMixin, Node):
             remaining.append(ctx.deadline - self.clock.now_us())
         deadline = (None if min(remaining) == math.inf
                     else self.env.now_us() + min(remaining))
-        votes = yield from call_all(self, ctx, "rename_prepare", [
-            (owner, {"txid": txid, "actions": actions, "deadline": deadline})
-            for _, owner, actions in plans], timeout_us=timeout_us)
+        calls = []
+        for _, owner, actions in plans:
+            payload = {"txid": txid, "actions": actions, "deadline": deadline}
+            if len(plans) == 1:
+                payload["commit"] = True
+            calls.append((owner, payload))
+        votes = yield from call_all(self, ctx, "rename_prepare", calls,
+                                    timeout_us=timeout_us)
         failure = next((vote for vote in votes
                         if isinstance(vote, RpcFailure)), None)
         if failure is not None:
+            decided()
             # Best effort: no outcome is recorded, so a participant
-            # whose abort is lost resolves to presumed abort itself.
+            # whose abort is lost resolves to presumed abort itself.  A
+            # refusal staged nothing and needs none.
             yield from call_all(self, ctx, "rename_abort", [
-                (owner, {"txid": txid}) for _, owner, _ in plans],
-                timeout_us=timeout_us)
+                (owner, {"txid": txid})
+                for (_, owner, _), vote in zip(plans, votes)
+                if not isinstance(vote, RpcFailure)
+                or vote.code in _MAY_HOLD_A_VOTE], timeout_us=timeout_us)
             raise failure
         return votes
 
@@ -292,13 +322,20 @@ class Coordinator(NamespaceReplicaMixin, Node):
         return
         yield  # pragma: no cover
 
-    def _rename_2pc(self, message, skey, dkey):
+    def _rename_2pc(self, message, skey, dkey, decided):
         """Generator: two participant rounds.  The prepare round asks
         each owner to vote on every key it holds — the source's delete
         (its vote returns the moved row) and the destination's insert
         (a reservation of the free key) — and the commit round hands
         each owner its decided actions, the insert now carrying the
-        row."""
+        row.  ``decided()`` releases the rename mutex at the decision,
+        before the commit round.
+
+        When one owner holds both keys its prepare is marked ``commit``:
+        a file rename applies in the vote's own write and answers
+        ``applied`` — one round, nothing in doubt — and a directory
+        rename votes as usual, since its peers must be invalidated
+        before it commits."""
         ctx = message.ctx or NULL_CONTEXT
         txid = "rn-{}".format(next(self._txids))
         src_slot = self.index.locate(*skey)
@@ -314,61 +351,65 @@ class Coordinator(NamespaceReplicaMixin, Node):
                      (dst_slot, dst_owner, [insert])]
         with ctx.span("2pc", CAT_PHASE, node=self.name,
                       attrs={"txid": txid} if ctx.traced else None):
-            votes = yield from self._prepare(txid, plans, ctx)
-            record = votes[0]["record"]
-            if record.is_dir:
-                # Invalidate the source dentry everywhere; the two owners
-                # already hold it locked and update their replicas at
-                # commit.
-                peers = [
-                    peer for peer in self.shared.mnode_names
-                    if peer not in (src_owner, dst_owner)
-                ]
-                if peers:
-                    yield self.env.all_of([
-                        self.call(peer, "invalidate",
-                                  {"keys": [skey]}, ctx=ctx)
-                        for peer in peers
-                    ])
-                self.dentries.delete(skey)
-                self.inval_seq[("d",) + skey] += 1
-            # Commits carry the decided actions so a participant that
-            # never held the voted row (an asynchronous promotion lost
-            # it) can still apply its half — 2PC must not leave the source
-            # record alive on one owner with the destination copy
-            # already committed on the other.
-            decided = {"delete": dict(delete, ino=record.ino),
-                       "insert": dict(insert, record=record)}
-            plans = [(slot, owner,
-                      [decided[action["action"]] for action in actions])
-                     for slot, owner, actions in plans]
-            # The decision is recorded before any commit is sent: a
-            # participant that never hears it terminates via
-            # ``rename_resolve`` and takes its actions from here.
-            self._rename_outcomes[txid] = list(decided.values())
-            acks = yield from call_all(self, ctx, "rename_commit", [
-                (owner, {"txid": txid, "actions": actions})
-                for _, owner, actions in plans],
-                timeout_us=self.shared.config.rpc_timeout_us or None)
-            commit_failure = None
-            for (slot, _, actions), ack in zip(plans, acks):
-                if isinstance(ack, RpcFailure):
-                    commit_failure = ack
-                    # The participant is unreachable or the hop ran out
-                    # of time; a background completer re-delivers the
-                    # decision (by slot, so it follows promotions) until
-                    # it lands.
-                    self.env.process(
-                        self._complete_commit(txid, slot, actions)
-                    )
-            if commit_failure is not None:
-                # The rename is decided and will apply everywhere (the
-                # unreachable participant self-resolves or the completer
-                # re-delivers), but this client cannot be told it is
-                # complete.
-                raise commit_failure
+            votes = yield from self._prepare(txid, plans, ctx, decided)
+            if not votes[0].get("applied"):
+                yield from self._commit(ctx, txid, plans, delete, insert,
+                                        votes[0]["record"], decided)
         self.metrics.counter("ops").inc("rename")
         self.respond(message, {"ok": True})
+
+    def _commit(self, ctx, txid, plans, delete, insert, record, decided):
+        """Generator: decide a voted rename of ``record`` and run the
+        commit round — after invalidating a renamed directory's dentry
+        at every peer — with the mutex released (``decided()``) once the
+        decision is recorded."""
+        if record.is_dir:
+            # Invalidate the source dentry everywhere; the owners
+            # already hold it locked and update their replicas at commit.
+            skey = delete["key"]
+            peers = [peer for peer in self.shared.mnode_names
+                     if peer not in {owner for _, owner, _ in plans}]
+            if peers:
+                yield self.env.all_of([
+                    self.call(peer, "invalidate", {"keys": [skey]}, ctx=ctx)
+                    for peer in peers
+                ])
+            self.dentries.delete(skey)
+            self.inval_seq[("d",) + skey] += 1
+        # Commits carry the decided actions so a participant that never
+        # held the voted row (an asynchronous promotion lost it) can
+        # still apply its half — 2PC must not leave the source record
+        # alive on one owner with the destination copy already committed
+        # on the other.
+        decision = {"delete": dict(delete, ino=record.ino),
+                    "insert": dict(insert, record=record)}
+        plans = [(slot, owner, [decision[action["action"]]
+                                for action in actions])
+                 for slot, owner, actions in plans]
+        # The decision is recorded before any commit is sent: a
+        # participant that never hears it terminates via
+        # ``rename_resolve`` and takes its actions from here.  No
+        # participant lock is taken after it, so the mutex goes now.
+        self._rename_outcomes[txid] = list(decision.values())
+        decided()
+        acks = yield from call_all(self, ctx, "rename_commit", [
+            (owner, {"txid": txid, "actions": actions})
+            for _, owner, actions in plans],
+            timeout_us=self.shared.config.rpc_timeout_us or None)
+        commit_failure = None
+        for (slot, _, actions), ack in zip(plans, acks):
+            if isinstance(ack, RpcFailure):
+                commit_failure = ack
+                # The participant is unreachable or the hop ran out of
+                # time; a background completer re-delivers the decision
+                # (by slot, so it follows promotions) until it lands.
+                self.env.process(self._complete_commit(txid, slot, actions))
+        if commit_failure is not None:
+            # The rename is decided and will apply everywhere (the
+            # unreachable participant self-resolves or the completer
+            # re-delivers), but this client cannot be told it is
+            # complete.
+            raise commit_failure
 
     # ------------------------------------------------------------------
     # failover (promote a standby into the MNode ring)

@@ -1390,8 +1390,9 @@ class MNode(NamespaceReplicaMixin, Node):
     # A participant's only record of a txid is one row per slot it
     # touches, ``meta[("rename", slot, txid)]``: ``{"voted": [actions],
     # "deadline": d}`` until the decision, then APPLIED, or none after an
-    # abort.  A voted action is a delete naming the ino it voted on, or
-    # an insert reserving a free key (the decision carries its row).
+    # abort or a one-round commit.  A voted action is a delete naming the
+    # ino it voted on, or an insert reserving a free key (the decision
+    # carries its row).
     # ``_staged`` caches the voted rows, every action of a txid beside
     # the one open ``_OwnerWrite`` holding their lock pairs and slot
     # pins; every recovery rebuilds it.
@@ -1403,7 +1404,14 @@ class MNode(NamespaceReplicaMixin, Node):
         kept open until the decision, and answers through :meth:`_ack`
         (under consensus, once a quorum holds the rows) — with the moved
         row when it voted a delete.  The first refusal, in action order
-        (the source's delete first), closes the write and answers."""
+        (the source's delete first), closes the write and answers.
+
+        A prepare marked ``commit`` holds both keys.  When it moves a
+        file, the yes vote is the decision: the delete and insert apply
+        in the same write, with no voted row and no marker (nothing is
+        in doubt, and no commit will follow), and the answer adds
+        ``applied``.  A directory votes as usual: the coordinator must
+        invalidate its peers before it commits."""
         payload = message.payload
         txid, deadline = payload["txid"], payload.get("deadline")
         keys = [action["key"] for action in payload["actions"]]
@@ -1437,6 +1445,16 @@ class MNode(NamespaceReplicaMixin, Node):
         except RpcFailure as failure:
             w.close()
             self._respond_error(message, failure)
+            return
+        if payload.get("commit") and not record.is_dir:
+            try:
+                delete, insert = voted
+                w.delete(delete["key"])
+                w.put(insert["key"], record)
+                yield from w.commit()
+            finally:
+                w.close()
+            yield from self._ack(message, {"ok": True, "applied": True})
             return
         rows = {}
         for slot, decided in zip(slots, voted):
@@ -1677,9 +1695,9 @@ class MNode(NamespaceReplicaMixin, Node):
         entries = set(map(tuple, local))
         for reply in replies:
             entries.update(map(tuple, reply["entries"]))
-        entries = sorted(entries)
         self.metrics.counter("ops").inc("readdir")
-        self._respond_ok(message, {"entries": entries})
+        self._respond_ok(message, {"entries": [
+            [name, is_dir] for name, is_dir in sorted(entries)]})
 
     def _on_scan_children(self, message):
         pid = message.payload["pid"]
@@ -1693,8 +1711,10 @@ class MNode(NamespaceReplicaMixin, Node):
         )
 
     def _scan_children(self, pid):
+        """``[name, is_dir]`` of every child row of ``pid`` held here —
+        lists, which the live wire carries as plain JSON arrays."""
         return [
-            (key[1], record.is_dir)
+            [key[1], record.is_dir]
             for key, record in self.inodes.scan_prefix((pid,))
         ]
 

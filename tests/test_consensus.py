@@ -401,8 +401,10 @@ class TestVotedRename:
         env = cluster.env
         ino = _mkdir(cluster, "/d")
         slot = 0
-        src, dst, other = (_name_owned_by(cluster, ino, slot, prefix)
-                           for prefix in ("a", "b", "c"))
+        src, other = (_name_owned_by(cluster, ino, slot, prefix)
+                      for prefix in ("a", "c"))
+        # On another slot: a rename one MNode owns commits in its vote.
+        dst = _name_owned_by(cluster, ino, 1, "b")
         client = cluster.add_client(mode="libfs")
         cluster.run_process(client.create("/d/" + src))
         cluster.start_failure_detection()

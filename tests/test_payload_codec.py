@@ -151,3 +151,31 @@ def test_a_payload_no_encoder_writes_is_refused(name):
                             "payload": doc}))
     with pytest.raises(WireError):
         decode(doc)
+
+
+def test_a_readdir_reply_is_plain_json(monkeypatch):
+    """A listing's entries are ``[name, is_dir]`` arrays, not tuples:
+    its reply frame carries no codec tag, and it opens to the listing
+    the directory holds."""
+    cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+    fs = cluster.fs()
+    fs.mkdir("/d")
+    fs.mkdir("/d/sub")
+    for i in range(6):
+        fs.create("/d/f{}".format(i))
+    replies = []
+    respond = Node.respond
+
+    def tapped_respond(self, message, payload=None, size=None):
+        if message.kind == "readdir":
+            replies.append(payload)
+        return respond(self, message, payload, size)
+
+    monkeypatch.setattr(Node, "respond", tapped_respond)
+    listing = fs.readdir("/d")
+    (reply,) = replies
+    frame = pack_frame(encode_reply(1, reply))
+    assert b'"__w"' not in frame
+    entries = _opened(frame)["value"]["data"]["entries"]
+    assert [tuple(entry) for entry in entries] == listing == sorted(
+        [("f{}".format(i), False) for i in range(6)] + [("sub", True)])

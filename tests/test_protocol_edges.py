@@ -4,6 +4,7 @@ unsupported operations, retry paths."""
 import pytest
 
 from repro.core import FalconCluster, FalconConfig
+from repro.core.records import VALID
 from repro.core.verify import check_cluster_invariants
 from repro.net.rpc import RpcError, RpcFailure
 from repro.storage import LockMode
@@ -428,13 +429,15 @@ class TestTwoRoundRename:
     """A rename is two participant rounds: every owner's prepare sent at
     once, carrying every action it holds, then every owner's commit sent
     at once.  The destination's vote is a reservation of the free key;
-    the record it inserts arrives with the decision."""
+    the record it inserts arrives with the decision.  A file rename one
+    owner holds whole is one round, and the rename mutex is released at
+    the decision, before the commit round."""
 
     @staticmethod
-    def _cross_owner(cluster, pid, src="a"):
+    def _cross_owner(cluster, pid, src="a", prefix="b"):
         """``(src, dst)`` names under ``pid`` with different owners."""
         owner = cluster.coordinator._owner
-        dst = next(name for name in ("b{}".format(i) for i in range(200))
+        dst = next(name for name in (prefix + str(i) for i in range(200))
                    if owner(pid, name) != owner(pid, src))
         return src, dst
 
@@ -444,16 +447,24 @@ class TestTwoRoundRename:
         return next(node for node in cluster.mnodes if node.name == owner)
 
     @staticmethod
-    def _rename_log(cluster):
-        """Every rename participant call the coordinator makes, as
-        ``("send" | "reply", kind, target)`` in the order they happen."""
+    def _same_owner(cluster, pid, src="a"):
+        """A destination name under ``pid`` that ``src``'s owner holds."""
+        owner = cluster.coordinator._owner
+        return next(name for name in ("b{}".format(i) for i in range(200))
+                    if owner(pid, name) == owner(pid, src))
+
+    @staticmethod
+    def _rename_log(cluster, kinds=("rename_",)):
+        """Every call the coordinator makes whose kind starts with one
+        of ``kinds``, as ``("send" | "reply", kind, target)`` in the
+        order they happen."""
         coordinator = cluster.coordinator
         real_call = coordinator.call
         log = []
 
         def call(target, kind, *args, **kwargs):
             reply = real_call(target, kind, *args, **kwargs)
-            if kind.startswith("rename_"):
+            if kind.startswith(kinds):
                 log.append(("send", kind, target))
                 reply.callbacks.append(
                     lambda _: log.append(("reply", kind, target)))
@@ -462,20 +473,83 @@ class TestTwoRoundRename:
         coordinator.call = call
         return log
 
-    def test_same_owner_rename_is_one_prepare_and_one_commit(self):
+    def test_same_owner_file_rename_is_one_round(self):
+        """One owner holds both keys of a file rename: its prepare is
+        marked ``commit`` and applies the rename in the vote's write —
+        one WAL record, no voted row, no applied marker, no commit."""
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1))
         fs = cluster.fs()
         fs.mkdir("/d")
         fs.create("/d/a")
+        owner = cluster.mnodes[0]
+        prepares = []
+        real_prepare = owner._on_rename_prepare
+
+        def prepare(message):
+            prepares.append(message.payload)
+            yield from real_prepare(message)
+
+        owner._on_rename_prepare = prepare
         log = self._rename_log(cluster)
+        logged = owner.wal.appended_txns
         fs.rename("/d/a", "/d/b")
-        owner = cluster.mnodes[0].name
-        assert log == [("send", "rename_prepare", owner),
-                       ("reply", "rename_prepare", owner),
-                       ("send", "rename_commit", owner),
-                       ("reply", "rename_commit", owner)]
+        assert log == [("send", "rename_prepare", owner.name),
+                       ("reply", "rename_prepare", owner.name)]
+        (payload,) = prepares
+        assert payload["commit"] is True
+        assert owner.wal.appended_txns == logged + 1
+        assert not any(key[0] == "rename" for key, _ in owner.meta.scan())
+        assert owner._staged == {}
+        assert cluster.coordinator._rename_outcomes == {}
         assert [fs.exists(path) for path in ("/d/a", "/d/b")] == [False,
                                                                    True]
+        check_cluster_invariants(cluster)
+
+    def test_same_owner_directory_rename_votes_invalidates_then_commits(
+            self, cluster, fs):
+        """A directory's peers must drop their replica dentry before the
+        rename commits, so the one owner of both keys votes as usual:
+        prepare, then the invalidation at every other MNode, then one
+        commit that writes the applied marker."""
+        from repro.core.mnode import APPLIED
+
+        pid = fs.mkdir("/d")
+        dst = self._same_owner(cluster, pid)
+        fs.mkdir("/d/a")
+        fs.create("/d/a/f")
+        owner = self._node(cluster, pid, "a")
+        peers = [node.name for node in cluster.mnodes if node is not owner]
+        for node in cluster.mnodes:
+            cluster.run_process(node.resolve_dir(["d", "a"]))
+            assert node.dentries.get((pid, "a")).state == VALID
+        staged = []
+        real_prepare = owner._on_rename_prepare
+
+        def prepare(message):
+            yield from real_prepare(message)
+            staged.append(sorted(owner._staged))
+
+        owner._on_rename_prepare = prepare
+        log = self._rename_log(cluster, ("rename_", "invalidate"))
+        fs.rename("/d/a", "/d/" + dst)
+        assert log[:2] == [("send", "rename_prepare", owner.name),
+                           ("reply", "rename_prepare", owner.name)]
+        assert log[-2:] == [("send", "rename_commit", owner.name),
+                            ("reply", "rename_commit", owner.name)]
+        middle = log[2:-2]
+        assert sorted(target for step, kind, target in middle
+                      if step == "send") == sorted(peers)
+        assert all(kind == "invalidate" for _, kind, _ in middle)
+        (txid,) = staged[0]
+        slot = owner._slot_of((pid, "a"))
+        assert owner.meta.get(("rename", slot, txid)) == APPLIED
+        assert owner._staged == {}
+        for node in cluster.mnodes:
+            if node is not owner:
+                record = node.dentries.get((pid, "a"))
+                assert record is None or record.state != VALID
+        assert fs.exists("/d/{}/f".format(dst))
+        assert not fs.exists("/d/a")
         check_cluster_invariants(cluster)
 
     def test_cross_owner_rename_prepares_both_then_commits_both(self, cluster,
@@ -500,9 +574,71 @@ class TestTwoRoundRename:
         assert fs.getattr("/d/" + dst)["ino"] == ino
         check_cluster_invariants(cluster)
 
+    def test_next_rename_prepares_while_a_commit_round_is_in_flight(
+            self, cluster, fs):
+        """The rename mutex covers lock acquisition through the
+        decision, not the commit round: while the first rename's commits
+        are held in flight, a rename on disjoint keys takes the mutex
+        and sends its prepares.  Both complete and nothing is left."""
+        from repro.core.verify import runtime_violations
+
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        first = self._cross_owner(cluster, pid, "a")
+        second = self._cross_owner(cluster, pid, "x", "y")
+        for src, _ in (first, second):
+            fs.create("/d/" + src)
+        coordinator = cluster.coordinator
+        real_call = coordinator.call
+        release = env.event()
+        log = []
+
+        def hold(proxy, *args, **kwargs):
+            yield release
+            try:
+                proxy.succeed((yield real_call(*args, **kwargs)))
+            except RpcFailure as failure:
+                proxy.fail(failure)
+
+        def call(target, kind, *args, **kwargs):
+            if kind.startswith("rename_"):
+                txid = args[0]["txid"]
+                log.append((kind, txid))
+                if kind == "rename_commit" and txid == "rn-1":
+                    proxy = env.event()
+                    env.process(hold(proxy, target, kind, *args, **kwargs))
+                    return proxy
+            return real_call(target, kind, *args, **kwargs)
+
+        coordinator.call = call
+        client = cluster.add_client()
+        outcomes = []
+
+        def rename(src, dst):
+            yield from client.rename("/d/" + src, "/d/" + dst)
+            outcomes.append(dst)
+
+        env.process(rename(*first))
+        cluster.run_for(50_000.0)
+        assert log == [("rename_prepare", "rn-1")] * 2 + [
+            ("rename_commit", "rn-1")] * 2
+        env.process(rename(*second))
+        cluster.run_for(50_000.0)
+        assert log[4:] == [("rename_prepare", "rn-2")] * 2 + [
+            ("rename_commit", "rn-2")] * 2
+        assert outcomes == [second[1]]
+        release.succeed()
+        assert cluster.quiesce(1_000_000.0)
+        assert outcomes == [second[1], first[1]]
+        assert runtime_violations(cluster) == []
+        assert [fs.exists("/d/" + name) for name in first + second] == [
+            False, True, False, True]
+        check_cluster_invariants(cluster)
+
     def test_both_refusing_answers_the_source_refusal(self, cluster, fs):
         """The source is missing (ENOENT) and the destination taken
-        (EEXIST): the source's refusal wins, and both are aborted."""
+        (EEXIST): the source's refusal wins.  A refusal stages nothing,
+        so neither is aborted."""
         pid = fs.mkdir("/d")
         src, dst = self._cross_owner(cluster, pid)
         fs.create("/d/" + dst)
@@ -511,7 +647,6 @@ class TestTwoRoundRename:
             fs.rename("/d/" + src, "/d/" + dst)
         assert err.value.code == RpcError.ENOENT
         assert sorted(kind for step, kind, _ in log if step == "send") == [
-            "rename_abort", "rename_abort",
             "rename_prepare", "rename_prepare"]
         assert fs.exists("/d/" + dst)
         check_cluster_invariants(cluster)
@@ -533,10 +668,14 @@ class TestTwoRoundRename:
             votes.append(sorted(source._staged))
 
         source._on_rename_prepare = prepare
+        log = self._rename_log(cluster)
         with pytest.raises(RpcFailure) as err:
             fs.rename("/d/" + src, "/d/" + dst)
         assert err.value.code == RpcError.EEXIST
         assert len(votes) == 1 and len(votes[0]) == 1   # the source voted
+        assert [(kind, target) for step, kind, target in log
+                if step == "send" and kind == "rename_abort"] == [
+            ("rename_abort", source.name)]
         assert source.inodes.get((pid, src)) is row
         assert not any(key[0] == "rename" for key, _ in source.meta.scan())
         assert runtime_violations(cluster) == []
@@ -656,6 +795,57 @@ class TestTwoRoundRename:
         assert fs.getattr("/d/" + dst)["ino"] == ino
         assert runtime_violations(cluster) == []
         check_cluster_invariants(cluster)
+
+
+class TestFsck:
+    def test_fsck_deletes_planted_orphans_at_their_owners(self):
+        """An orphan file row and an orphan directory with a child,
+        planted straight into the owners' tables: the sweep invalidates
+        the directory's replica dentries everywhere and deletes all
+        three rows at their owners, and the audit is clean again."""
+        from repro.core.records import InodeRecord
+        from repro.core.verify import InvariantViolation
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/keep")
+        allocate = cluster.shared.allocator.allocate
+        lost_pid, dir_ino = allocate(), allocate()  # no row names lost_pid
+        dir_key = (lost_pid, "lostdir")
+        rows = {(lost_pid, "lost.dat"): InodeRecord(ino=allocate(),
+                                                    is_dir=False),
+                dir_key: InodeRecord(ino=dir_ino, is_dir=True, mode=0o755),
+                (dir_ino, "child.dat"): InodeRecord(ino=allocate(),
+                                                    is_dir=False)}
+        owners = {}
+        for key, record in rows.items():
+            owner = owners[key] = cluster.mnodes[
+                cluster.coordinator.index.locate(*key)]
+
+            def plant(w, key=key, record=record):
+                w.put(key, record)
+                w.pin(owner._slot_of(key))
+                return 1
+
+            cluster.run_process(owner._bulk_write(None, 0.0, plant))
+        for node in cluster.mnodes:
+            if node is not owners[dir_key]:
+                node.dentries.put(dir_key, rows[dir_key].dentry())
+        with pytest.raises(InvariantViolation):
+            cluster.verify()
+        assert cluster.run_process(cluster.coordinator.fsck()) == 3
+        for key, owner in owners.items():
+            assert owner.inodes.get(key) is None
+        assert {node.name: node.metrics.counter("fsck_removed").total()
+                for node in cluster.mnodes} == {
+            node.name: sum(owner is node for owner in owners.values())
+            for node in cluster.mnodes}
+        for node in cluster.mnodes:
+            record = node.dentries.get(dir_key)
+            assert record is None or record.state != VALID
+        assert fs.exists("/d/keep")
+        cluster.verify()
 
 
 class TestReaddirFanOut:

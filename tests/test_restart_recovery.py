@@ -434,11 +434,16 @@ def test_redo_restart_restages_a_voted_rename_until_resolved(monkeypatch):
         yield  # pragma: no cover
 
     monkeypatch.setattr(Coordinator, "_complete_commit", lost)
-    cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+    cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1,
                                          rpc_timeout_us=400.0))
     fs = cluster.fs()
     pid = fs.mkdir("/d")
-    fs.create("/d/a")
+    # The participant holds the source; the destination is on another
+    # slot, because a rename one MNode owns commits in its vote.
+    a, b, c = (next(name for name in (prefix + str(i) for i in range(100))
+                    if cluster.coordinator.index.locate(pid, name) == slot)
+               for prefix, slot in (("a", 0), ("b", 1), ("c", 0)))
+    fs.create("/d/" + a)
     coordinator = cluster.coordinator
     real_call = coordinator.call
 
@@ -458,17 +463,17 @@ def test_redo_restart_restages_a_voted_rename_until_resolved(monkeypatch):
         except RpcFailure as failure:
             outcomes.append(failure.code)
 
-    cluster.run_process(rename("/d/a", "/d/b"))
+    cluster.run_process(rename("/d/" + a, "/d/" + b))
     cluster.run_process(cluster.restart_mnode(0))
     node = cluster.mnodes[0]
     restaged = sorted(node._staged)
-    second = cluster.env.process(rename("/d/a", "/d/c"))
+    second = cluster.env.process(rename("/d/" + a, "/d/" + c))
     cluster.run_for(300.0)
-    queued = node.locks.queue_length(("d", pid, "a"))
+    queued = node.locks.queue_length(("d", pid, a))
     cluster.env.run(until=second)
     cluster.heal()
     assert cluster.quiesce(1_000_000.0)
-    assert [fs.exists(path) for path in ("/d/a", "/d/b", "/d/c")] == [
+    assert [fs.exists("/d/" + name) for name in (a, b, c)] == [
         False, True, False]
     assert "ok" not in outcomes, outcomes
     assert len(restaged) == 1 and queued == 1
