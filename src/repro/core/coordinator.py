@@ -28,7 +28,7 @@ from repro.core.indexing import (
 from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import CAT_PHASE, NULL_CONTEXT, call_all, redeliver
+from repro.obs import CAT_PHASE, NULL_CONTEXT, OpContext, call_all, redeliver
 from repro.obs.retry import REDELIVER_BACKOFF_US
 from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
@@ -59,10 +59,11 @@ class Coordinator(NamespaceReplicaMixin, Node):
         #: cross-rename deadlock); the commit round runs outside it.
         self._rename_mutex = env.resource(capacity=1)
         #: txid -> the decided actions of a committed rename, recorded
-        #: *before* any commit is sent.  A participant left in doubt (its
-        #: commit was black-holed by a fault) takes them from
-        #: ``rename_resolve``; absence means no commit was ever sent, so
-        #: the answer is presumed abort.
+        #: *before* any commit is sent or the client is answered.  A
+        #: participant left in doubt (its commit was black-holed by a
+        #: fault) takes them from ``rename_resolve``; absence means no
+        #: commit was ever sent, so the answer is presumed abort.  Held
+        #: in memory: no schedule crashes the coordinator.
         self._rename_outcomes = {}
         self.rebalance_log = []
         #: One record per completed failover (timeline + lost window).
@@ -231,7 +232,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 ctx=ctx,
             )
             yield from self._rename_2pc(
-                message, skey, dkey, partial(self._release_mutex, held))
+                message, skey, dkey, partial(self._release_mutex, held),
+                grants)
         except RpcFailure as failure:
             self.respond_error(message, failure)
         except ValueError:
@@ -322,7 +324,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         return
         yield  # pragma: no cover
 
-    def _rename_2pc(self, message, skey, dkey, decided):
+    def _rename_2pc(self, message, skey, dkey, decided, grants):
         """Generator: two participant rounds.  The prepare round asks
         each owner to vote on every key it holds — the source's delete
         (its vote returns the moved row) and the destination's insert
@@ -330,6 +332,12 @@ class Coordinator(NamespaceReplicaMixin, Node):
         each owner its decided actions, the insert now carrying the
         row.  ``decided()`` releases the rename mutex at the decision,
         before the commit round.
+
+        A file rename is answered at its decision: the commit round
+        runs behind the answer (:meth:`_commit_behind`), holding the
+        key ``grants`` until it ends.  A directory rename is answered
+        after its commit round, which installs the dentry its peers
+        resolve the new name from.
 
         When one owner holds both keys its prepare is marked ``commit``:
         a file rename applies in the vote's own write and answers
@@ -353,16 +361,29 @@ class Coordinator(NamespaceReplicaMixin, Node):
                       attrs={"txid": txid} if ctx.traced else None):
             votes = yield from self._prepare(txid, plans, ctx, decided)
             if not votes[0].get("applied"):
-                yield from self._commit(ctx, txid, plans, delete, insert,
-                                        votes[0]["record"], decided)
+                record = votes[0]["record"]
+                plans = yield from self._decide(ctx, txid, plans, delete,
+                                                insert, record)
+                decided()
+                if record.is_dir:
+                    failure = yield from self._commit(ctx, txid, plans)
+                    if failure is not None:
+                        # Decided and will apply everywhere (the
+                        # completer re-delivers), but the new name's
+                        # dentry may not be installed yet.
+                        raise failure
+                else:
+                    self.env.process(self._commit_behind(
+                        ctx, txid, plans, grants[:]))
+                    del grants[:]
         self.metrics.counter("ops").inc("rename")
         self.respond(message, {"ok": True})
 
-    def _commit(self, ctx, txid, plans, delete, insert, record, decided):
-        """Generator: decide a voted rename of ``record`` and run the
-        commit round — after invalidating a renamed directory's dentry
-        at every peer — with the mutex released (``decided()``) once the
-        decision is recorded."""
+    def _decide(self, ctx, txid, plans, delete, insert, record):
+        """Generator: decide a voted rename of ``record`` — after
+        invalidating a renamed directory's dentry at every peer — and
+        record the decision; returns the plans with their decided
+        actions."""
         if record.is_dir:
             # Invalidate the source dentry everywhere; the owners
             # already hold it locked and update their replicas at commit.
@@ -383,15 +404,19 @@ class Coordinator(NamespaceReplicaMixin, Node):
         # on the other.
         decision = {"delete": dict(delete, ino=record.ino),
                     "insert": dict(insert, record=record)}
-        plans = [(slot, owner, [decision[action["action"]]
-                                for action in actions])
-                 for slot, owner, actions in plans]
-        # The decision is recorded before any commit is sent: a
-        # participant that never hears it terminates via
-        # ``rename_resolve`` and takes its actions from here.  No
-        # participant lock is taken after it, so the mutex goes now.
+        # The decision is recorded before any commit is sent, and
+        # before the client is answered: a participant that never hears
+        # it terminates via ``rename_resolve`` and takes its actions
+        # from here.  No participant lock is taken after it.
         self._rename_outcomes[txid] = list(decision.values())
-        decided()
+        return [(slot, owner, [decision[action["action"]]
+                               for action in actions])
+                for slot, owner, actions in plans]
+
+    def _commit(self, ctx, txid, plans):
+        """Generator: the commit round — every participant's decided
+        actions sent at once.  A participant that fails gets a
+        background completer; returns the last failure, or None."""
         acks = yield from call_all(self, ctx, "rename_commit", [
             (owner, {"txid": txid, "actions": actions})
             for _, owner, actions in plans],
@@ -404,12 +429,24 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 # time; a background completer re-delivers the decision
                 # (by slot, so it follows promotions) until it lands.
                 self.env.process(self._complete_commit(txid, slot, actions))
-        if commit_failure is not None:
-            # The rename is decided and will apply everywhere (the
-            # unreachable participant self-resolves or the completer
-            # re-delivers), but this client cannot be told it is
-            # complete.
-            raise commit_failure
+        return commit_failure
+
+    def _commit_behind(self, ctx, txid, plans, grants):
+        """Process: the commit round of a file rename already answered
+        at its decision, under the op's deadline but in a trace of its
+        own (root ``rename.commit``), so the answered op is not charged
+        for it.  Holds the key ``grants`` until the round ends: a later
+        rename of either key queues on them, and every participant half
+        is applied or handed to a completer by then."""
+        round_ctx = OpContext(self.env, "rename.commit", origin=self.name,
+                              tracer=ctx.tracer, deadline=ctx.deadline)
+        round_ctx.begin(category=CAT_PHASE,
+                        attrs={"txid": txid} if round_ctx.traced else None)
+        try:
+            yield from self._commit(round_ctx, txid, plans)
+        finally:
+            self.locks.release_all(grants)
+            round_ctx.finish()
 
     # ------------------------------------------------------------------
     # failover (promote a standby into the MNode ring)

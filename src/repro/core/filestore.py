@@ -99,8 +99,10 @@ class StorageNode(Node):
         self.respond(message, {"size": size})
 
     def _disk_io(self, size, bandwidth, ctx=None, label="disk.io"):
-        """One device IO: fixed submission cost plus transfer at the
-        device bandwidth shared across the queue depth."""
+        """One device IO: one of the device's ``ssd_queue_depth`` slots,
+        held for the fixed submission cost plus the transfer at
+        ``bandwidth / ssd_queue_depth`` — a fixed per-slot share, the
+        same for a lone IO as under a full queue."""
         ctx = ctx or NULL_CONTEXT
         request = self.disk.request()
         yield request

@@ -313,6 +313,12 @@ class MNode(NamespaceReplicaMixin, Node):
         #: list of entries sharing one open ``"write"``.  A rename's
         #: entries cache its voted rows (:meth:`restage`).
         self._staged = {}
+        #: The completion event of every rename half staged here and not
+        #: yet released -> the parents of the keys it holds.  The half
+        #: leaves ``_staged`` when its decision arrives but stays here
+        #: until the decision is applied: a listing waits these out
+        #: (:meth:`_renames_settled`).
+        self._open_halves = {}
         #: Log shipper when primary-standby replication is enabled.
         self.shipper = None
         #: True from :meth:`register` until :meth:`boot`: the role is
@@ -1462,8 +1468,7 @@ class MNode(NamespaceReplicaMixin, Node):
         for slot, actions in rows.items():
             w.txn.put(self.meta, ("rename", slot, txid),
                       {"voted": actions, "deadline": deadline})
-        self._staged[txid] = [{"action": decided, "write": w}
-                              for decided in voted]
+        self._stage_half(txid, voted, w)
         yield from w.commit()
         if deadline is not None:
             self.env.process(self._resolve_in_doubt(txid, deadline))
@@ -1493,11 +1498,19 @@ class MNode(NamespaceReplicaMixin, Node):
                  None)  # a fresh table
             for slot in half["slots"]:
                 w.pin(slot)
-            self._staged[txid] = [{"action": action, "write": w}
-                                  for action in half["actions"]]
+            self._stage_half(txid, half["actions"], w)
             if half["deadline"] is not None:
                 self.env.process(
                     self._resolve_in_doubt(txid, half["deadline"]))
+
+    def _stage_half(self, txid, actions, w):
+        """Stage ``txid``'s voted ``actions`` beside the open write
+        ``w`` that holds their lock pairs, with one completion event
+        that :meth:`_release_staged` fires."""
+        done = self.env.event()
+        self._open_halves[done] = {action["key"][0] for action in actions}
+        self._staged[txid] = [{"action": action, "write": w, "done": done}
+                              for action in actions]
 
     def _apply_decided(self, txid, actions, ctx, staged=()):
         """Generator: apply a decided rename's ``actions`` on this node —
@@ -1576,12 +1589,19 @@ class MNode(NamespaceReplicaMixin, Node):
         finally:
             self._release_staged(staged)
 
-    @staticmethod
-    def _release_staged(staged):
+    def _release_staged(self, staged):
         """Close a staged half's write, once: a txid's entries share
-        one."""
+        one.  A rename half's completion event fires here — commit,
+        abort and in-doubt resolution all end in this call — waking the
+        listings that wait it out (not on a retired incarnation, whose
+        waiters died with it)."""
         if staged:
             staged[0]["write"].close()
+            done = staged[0].get("done")
+            if done is not None and self._open_halves.pop(done, None):
+                # An event only when a listing waits on it.
+                if done.callbacks and not self.halted:
+                    done.succeed()
 
     def _resolve_in_doubt(self, txid, deadline):
         """Process: terminate a voted rename whose decision never
@@ -1641,7 +1661,11 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _on_readdir(self, message):
         """Resolve the directory locally, then scatter a child scan to all
-        MNodes (file inodes for one directory live everywhere)."""
+        MNodes (file inodes for one directory live everywhere).  Every
+        node, this one included, first waits out its open rename halves
+        under the directory (:meth:`_renames_settled`): a rename is
+        answered at its decision, and its commit may still be on the
+        way to one owner."""
         payload = message.payload
         if not self._serving_as_leader():
             self._respond_error(
@@ -1661,17 +1685,29 @@ class MNode(NamespaceReplicaMixin, Node):
         peers = self._peers()
         calls = [self.call(peer, "scan_children", {"pid": dir_ino},
                            ctx=message.ctx) for peer in peers]
-        # One timer bounds the fan-out: a peer that never answers
-        # (crashed mid-scan, partitioned, booting) times its call out
-        # instead of parking this handler.
+        # One timer bounds the fan-out and the local wait below: a peer
+        # that never answers (crashed mid-scan, partitioned, booting, or
+        # waiting out a rename half) times its call out instead of
+        # parking this handler.  It settles what ``pending`` holds when
+        # it fires.
         timeout_us = self.shared.config.rpc_timeout_us
+        pending = [(call, "scan_children to " + peer)
+                   for peer, call in zip(peers, calls)]
         timer = None
         if timeout_us and calls:
-            timer = expire(self, timeout_us, [
-                (call, "scan_children to " + peer)
-                for peer, call in zip(peers, calls)])
+            timer = expire(self, timeout_us, pending)
         try:
             replies = yield self.env.all_of(calls)
+            # The local scan comes next: first wait out this node's own
+            # rename halves under the directory.
+            settled = self._renames_settled(dir_ino)
+            if settled is not None:
+                peers.append(self.name)
+                calls.append(settled)
+                pending.append((settled, "rename in doubt on " + self.name))
+                if timeout_us and timer is None:
+                    timer = expire(self, timeout_us, pending)
+                yield settled
         except RpcFailure as failure:
             # A peer that cannot scan now (fenced, booting, handing off)
             # fails the listing, not this handler: the client retries.
@@ -1701,6 +1737,9 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _on_scan_children(self, message):
         pid = message.payload["pid"]
+        settled = self._renames_settled(pid)
+        if settled is not None:
+            yield settled
         entries = self._scan_children(pid)
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * len(entries)
@@ -1709,6 +1748,16 @@ class MNode(NamespaceReplicaMixin, Node):
             message, {"entries": entries},
             size=self.costs.rpc_response_bytes + 16 * len(entries),
         )
+
+    def _renames_settled(self, pid):
+        """The event that every rename half open on this node with a key
+        under directory ``pid`` has ended — applied, dropped or resolved
+        — or None when none is open.  A half opened later belongs to a
+        rename not yet answered.  The event is the caller's own, so a
+        listing's timer may fail it."""
+        halves = [done for done, parents in self._open_halves.items()
+                  if pid in parents]
+        return self.env.all_of(halves) if halves else None
 
     def _scan_children(self, pid):
         """``[name, is_dir]`` of every child row of ``pid`` held here —

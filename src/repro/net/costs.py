@@ -71,8 +71,10 @@ class CostModel:
     ssd_write_bandwidth_bytes_per_us: float = 1400.0
     #: Fixed per-IO cost on the storage node (NVMe submission + interrupt).
     ssd_io_us: float = 10.0
-    #: NVMe queue depth: concurrent IOs per device; bandwidth is shared
-    #: across the in-flight IOs.
+    #: NVMe queue depth: concurrent IOs per device.  Each IO transfers
+    #: at a fixed ``1 / ssd_queue_depth`` share of the device bandwidth
+    #: however many are in flight, so a lone IO does not get the whole
+    #: device (``StorageNode._disk_io``).
     ssd_queue_depth: int = 8
     #: Data is striped in blocks of this size across storage nodes.
     block_size_bytes: int = 1 << 20

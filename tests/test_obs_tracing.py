@@ -195,6 +195,48 @@ class TestEndToEnd:
         assert member_ids and member_ids <= root_ids
 
 
+    def test_a_rename_answered_at_its_decision_is_not_charged_its_commit(
+            self):
+        """A file rename two MNodes own is answered at its decision, on
+        the live twin's configuration.  Its breakdown row is the latency
+        the client saw, every span of the op ends by the answer, and the
+        commit round behind the answer is a trace of its own (root
+        ``rename.commit``) that no op row counts."""
+        from repro.serve.main import build_parser, serve_config
+
+        tracer = Tracer()
+        cluster = FalconCluster(serve_config(build_parser().parse_args(
+            ["bench", "--mnodes", "3"])), tracer=tracer)
+        fs = cluster.fs()
+        pid = fs.mkdir("/d")
+        owner = cluster.coordinator._owner
+        dst = next(name for name in ("b{}".format(i) for i in range(200))
+                   if owner(pid, name) != owner(pid, "a"))
+        fs.create("/d/a")
+        tracer.clear()
+        client = cluster.add_client()
+        start = cluster.env.now
+        cluster.run_process(client.rename("/d/a", "/d/" + dst))
+        latency = cluster.env.now - start
+        cluster.run_for(10_000.0)
+        (row,) = op_breakdowns(tracer.spans)
+        assert row["op"] == "rename"
+        assert row["duration_us"] == pytest.approx(latency)
+        assert row["coverage"] == pytest.approx(1.0)
+        (root,) = [s for s in tracer.spans
+                   if s.op_id == row["op_id"] and s.parent_id is None]
+        assert max(s.end for s in tracer.spans
+                   if s.op_id == row["op_id"]) == root.end
+        (commit,) = [s for s in tracer.spans if s.name == "rename.commit"]
+        assert commit.parent_id is None and commit.category == CAT_PHASE
+        assert commit.op_id != row["op_id"]
+        assert commit.end > root.end
+        hops = [s for s in tracer.spans
+                if s.op_id == commit.op_id and s.category == CAT_NET]
+        assert {s.node for s in hops if s.name == "net.hop"} == {
+            owner(pid, "a"), owner(pid, dst)}
+
+
 class TestBreakdown:
     def test_op_breakdowns_components_and_other(self):
         tracer = Tracer()

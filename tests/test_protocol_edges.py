@@ -307,9 +307,12 @@ class TestCommitRedelivery:
     def _last_commit(self, cluster, fs, dst_path):
         """The most recent committed txid plus its reconstructed insert
         half, exactly as a completer would re-deliver it — and as the
-        coordinator recorded it for an in-doubt participant."""
+        coordinator recorded it for an in-doubt participant.  The
+        rename was answered at its decision, so the commit round is
+        drained first."""
         from repro.vfs.pathwalk import basename
 
+        assert cluster.quiesce(1_000_000.0)
         outcomes = cluster.coordinator._rename_outcomes
         txid = max(outcomes, key=lambda t: int(t.split("-")[1]))
         pid = fs.getattr("/d")["ino"]
@@ -431,7 +434,10 @@ class TestTwoRoundRename:
     at once.  The destination's vote is a reservation of the free key;
     the record it inserts arrives with the decision.  A file rename one
     owner holds whole is one round, and the rename mutex is released at
-    the decision, before the commit round."""
+    the decision, before the commit round.  A file rename two owners
+    hold is answered at the decision, and its commit round runs behind
+    the answer; a directory rename is answered after its commit
+    round."""
 
     @staticmethod
     def _cross_owner(cluster, pid, src="a", prefix="b"):
@@ -456,11 +462,20 @@ class TestTwoRoundRename:
     @staticmethod
     def _rename_log(cluster, kinds=("rename_",)):
         """Every call the coordinator makes whose kind starts with one
-        of ``kinds``, as ``("send" | "reply", kind, target)`` in the
-        order they happen."""
+        of ``kinds``, as ``("send" | "reply", kind, target)``, and its
+        answer to a client's rename, as ``("answer", "rename", client)``,
+        in the order they happen."""
         coordinator = cluster.coordinator
         real_call = coordinator.call
+        real_respond = coordinator.respond
         log = []
+
+        def respond(message, *args, **kwargs):
+            if message.kind == "rename":
+                log.append(("answer", "rename", message.sender))
+            return real_respond(message, *args, **kwargs)
+
+        coordinator.respond = respond
 
         def call(target, kind, *args, **kwargs):
             reply = real_call(target, kind, *args, **kwargs)
@@ -472,6 +487,33 @@ class TestTwoRoundRename:
 
         coordinator.call = call
         return log
+
+    @staticmethod
+    def _hold_commits(cluster, held):
+        """Hold every ``rename_commit`` the coordinator sends for which
+        ``held(target, txid)`` is true until the returned event fires,
+        then send it."""
+        env = cluster.env
+        coordinator = cluster.coordinator
+        real_call = coordinator.call
+        release = env.event()
+
+        def hold(proxy, *args, **kwargs):
+            yield release
+            try:
+                proxy.succeed((yield real_call(*args, **kwargs)))
+            except RpcFailure as failure:
+                proxy.fail(failure)
+
+        def call(target, kind, *args, **kwargs):
+            if kind == "rename_commit" and held(target, args[0]["txid"]):
+                proxy = env.event()
+                env.process(hold(proxy, target, kind, *args, **kwargs))
+                return proxy
+            return real_call(target, kind, *args, **kwargs)
+
+        coordinator.call = call
+        return release
 
     def test_same_owner_file_rename_is_one_round(self):
         """One owner holds both keys of a file rename: its prepare is
@@ -494,7 +536,8 @@ class TestTwoRoundRename:
         logged = owner.wal.appended_txns
         fs.rename("/d/a", "/d/b")
         assert log == [("send", "rename_prepare", owner.name),
-                       ("reply", "rename_prepare", owner.name)]
+                       ("reply", "rename_prepare", owner.name),
+                       ("answer", "rename", fs.client.name)]
         (payload,) = prepares
         assert payload["commit"] is True
         assert owner.wal.appended_txns == logged + 1
@@ -534,9 +577,10 @@ class TestTwoRoundRename:
         fs.rename("/d/a", "/d/" + dst)
         assert log[:2] == [("send", "rename_prepare", owner.name),
                            ("reply", "rename_prepare", owner.name)]
-        assert log[-2:] == [("send", "rename_commit", owner.name),
-                            ("reply", "rename_commit", owner.name)]
-        middle = log[2:-2]
+        assert log[-3:] == [("send", "rename_commit", owner.name),
+                            ("reply", "rename_commit", owner.name),
+                            ("answer", "rename", fs.client.name)]
+        middle = log[2:-3]
         assert sorted(target for step, kind, target in middle
                       if step == "send") == sorted(peers)
         assert all(kind == "invalidate" for _, kind, _ in middle)
@@ -554,16 +598,20 @@ class TestTwoRoundRename:
 
     def test_cross_owner_rename_prepares_both_then_commits_both(self, cluster,
                                                                 fs):
+        """Both prepares, both votes, the client's answer at the
+        decision, then both commits and their acknowledgements."""
         pid = fs.mkdir("/d")
         src, dst = self._cross_owner(cluster, pid)
         fs.create("/d/" + src)
         ino = fs.getattr("/d/" + src)["ino"]
         log = self._rename_log(cluster)
         fs.rename("/d/" + src, "/d/" + dst)
+        assert cluster.quiesce(1_000_000.0)
         owners = {cluster.coordinator._owner(pid, name)
                   for name in (src, dst)}
         assert len(owners) == 2
-        rounds = [log[:2], log[2:4], log[4:6], log[6:]]
+        assert log[4] == ("answer", "rename", fs.client.name)
+        rounds = [log[:2], log[2:4], log[5:7], log[7:]]
         assert [{(step, kind) for step, kind, _ in events}
                 for events in rounds] == [
             {("send", "rename_prepare")}, {("reply", "rename_prepare")},
@@ -574,12 +622,94 @@ class TestTwoRoundRename:
         assert fs.getattr("/d/" + dst)["ino"] == ino
         check_cluster_invariants(cluster)
 
+    @pytest.mark.parametrize("held", ["source", "destination"])
+    def test_a_file_rename_is_answered_with_a_commit_in_flight(self, cluster,
+                                                               fs, held):
+        """One owner's commit is held in flight and the client still
+        gets ``ok``.  A stat of the destination and an ls issued after
+        the answer see the rename: the stat queues on the vote's locked
+        pair (or reads the applied half), the ls waits out the half in
+        doubt, and it lists the destination, not the source."""
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        ino = fs.getattr("/d/" + src)["ino"]
+        target = self._node(cluster, pid, src if held == "source" else dst)
+        release = self._hold_commits(
+            cluster, lambda recipient, txid: recipient == target.name)
+        client = cluster.add_client()
+        assert cluster.run_process(_swallow(
+            client.rename("/d/" + src, "/d/" + dst))) is None
+        stat = env.process(client.getattr("/d/" + dst))
+        listing = env.process(client.readdir("/d"))
+        cluster.run_for(5_000.0)
+        assert target._open_halves and not listing.triggered
+        assert stat.triggered is (held == "source")
+        release.succeed()
+        assert cluster.quiesce(1_000_000.0)
+        assert stat.value["ino"] == ino
+        assert listing.value == [(dst, False)]
+        assert target._open_halves == {}
+        check_cluster_invariants(cluster)
+
+    def test_a_listing_between_the_two_halves_never_lists_both_names(
+            self, cluster, fs):
+        """The destination has applied its half and the source's commit
+        is still in flight: an ls in that window waits for the source's
+        half instead of listing both names."""
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.create("/d/" + src)
+        source = self._node(cluster, pid, src)
+        destination = self._node(cluster, pid, dst)
+        release = self._hold_commits(
+            cluster, lambda recipient, txid: recipient == source.name)
+        client = cluster.add_client()
+        env.process(client.rename("/d/" + src, "/d/" + dst))
+        while destination.inodes.get((pid, dst)) is None:
+            env.step()
+        assert source.inodes.get((pid, src)) is not None
+        listing = env.process(client.readdir("/d"))
+        cluster.run_for(5_000.0)
+        assert not listing.triggered
+        release.succeed()
+        assert cluster.quiesce(1_000_000.0)
+        assert listing.value == [(dst, False)]
+        check_cluster_invariants(cluster)
+
+    def test_a_directory_rename_answers_after_its_commit_round(self, cluster,
+                                                              fs):
+        """A renamed directory's peers resolve the new name from the
+        owner's dentry, which the commit installs: with one owner's
+        commit held, the client waits for it."""
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        src, dst = self._cross_owner(cluster, pid)
+        fs.mkdir("/d/" + src)
+        fs.create("/d/{}/f".format(src))
+        target = self._node(cluster, pid, dst)
+        release = self._hold_commits(
+            cluster, lambda recipient, txid: recipient == target.name)
+        client = cluster.add_client()
+        renamed = env.process(client.rename("/d/" + src, "/d/" + dst))
+        cluster.run_for(5_000.0)
+        assert not renamed.triggered
+        release.succeed()
+        env.run(until=renamed)
+        assert target._open_halves == {}
+        assert fs.exists("/d/{}/f".format(dst))
+        assert not fs.exists("/d/" + src)
+        check_cluster_invariants(cluster)
+
     def test_next_rename_prepares_while_a_commit_round_is_in_flight(
             self, cluster, fs):
         """The rename mutex covers lock acquisition through the
         decision, not the commit round: while the first rename's commits
         are held in flight, a rename on disjoint keys takes the mutex
-        and sends its prepares.  Both complete and nothing is left."""
+        and sends its prepares.  Each is answered before its commits
+        are acknowledged; both complete and nothing is left."""
         from repro.core.verify import runtime_violations
 
         env = cluster.env
@@ -589,25 +719,14 @@ class TestTwoRoundRename:
         for src, _ in (first, second):
             fs.create("/d/" + src)
         coordinator = cluster.coordinator
+        release = self._hold_commits(cluster,
+                                     lambda target, txid: txid == "rn-1")
         real_call = coordinator.call
-        release = env.event()
         log = []
-
-        def hold(proxy, *args, **kwargs):
-            yield release
-            try:
-                proxy.succeed((yield real_call(*args, **kwargs)))
-            except RpcFailure as failure:
-                proxy.fail(failure)
 
         def call(target, kind, *args, **kwargs):
             if kind.startswith("rename_"):
-                txid = args[0]["txid"]
-                log.append((kind, txid))
-                if kind == "rename_commit" and txid == "rn-1":
-                    proxy = env.event()
-                    env.process(hold(proxy, target, kind, *args, **kwargs))
-                    return proxy
+                log.append((kind, args[0]["txid"]))
             return real_call(target, kind, *args, **kwargs)
 
         coordinator.call = call
@@ -622,14 +741,15 @@ class TestTwoRoundRename:
         cluster.run_for(50_000.0)
         assert log == [("rename_prepare", "rn-1")] * 2 + [
             ("rename_commit", "rn-1")] * 2
+        assert outcomes == [first[1]]
         env.process(rename(*second))
         cluster.run_for(50_000.0)
         assert log[4:] == [("rename_prepare", "rn-2")] * 2 + [
             ("rename_commit", "rn-2")] * 2
-        assert outcomes == [second[1]]
+        assert outcomes == [first[1], second[1]]
         release.succeed()
         assert cluster.quiesce(1_000_000.0)
-        assert outcomes == [second[1], first[1]]
+        assert outcomes == [first[1], second[1]]
         assert runtime_violations(cluster) == []
         assert [fs.exists("/d/" + name) for name in first + second] == [
             False, True, False, True]
@@ -706,7 +826,8 @@ class TestTwoRoundRename:
     def test_lost_commit_to_a_reservation_resolves_with_the_record(
             self, monkeypatch):
         """The destination voted a reservation (no record) and never
-        hears the commit: its in-doubt resolver takes the decided insert
+        hears the commit: the client is answered ``ok`` at the decision,
+        and the destination's in-doubt resolver takes the decided insert
         from ``rename_resolve`` and inserts that record."""
         from repro.core.verify import runtime_violations
 
@@ -739,13 +860,14 @@ class TestTwoRoundRename:
         client = cluster.add_client()
         failure = cluster.run_process(
             _swallow(client.rename("/d/" + src, "/d/" + dst)))
-        # Decided but never confirmed: the commit hop timed out, and the
-        # client's retry met its own applied delete.
-        assert failure.code == RpcError.ENOENT
-        # The first prepare's reservation: the key, and no record.
-        assert voted[0] == [{"voted": [{"action": "insert",
-                                        "key": (pid, dst)}],
-                             "deadline": voted[0][0]["deadline"]}]
+        # Answered at the decision, before the lost commit hop.
+        assert failure is None
+        # The one prepare's reservation: the key, and no record.
+        assert voted == [[{"voted": [{"action": "insert",
+                                      "key": (pid, dst)}],
+                           "deadline": voted[0][0]["deadline"]}]]
+        assert resolved == []
+        assert destination.inodes.get((pid, dst)) is None
         assert cluster.quiesce(1_000_000.0)
         assert resolved == [destination.name]
         assert destination.inodes.get((pid, dst)) == record
@@ -882,6 +1004,51 @@ class TestReaddirFanOut:
         assert "ETIMEDOUT" in reply.value.detail
         (done,) = finished
         assert 400.0 < done - start < 600.0
+
+    @pytest.mark.parametrize("where", ["local", "peer"])
+    def test_a_rename_half_held_past_the_timeout_answers_eretry(self, where):
+        """A voted rename half under the directory that outlasts
+        ``rpc_timeout_us`` — on the node answering the readdir or on a
+        peer — makes the listing answer ``ERETRY`` when the fan-out's
+        timer fires.  Once the half is aborted the listing succeeds."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1,
+                                             rpc_timeout_us=400.0))
+        fs = cluster.fs()
+        pid = fs.mkdir("/d")
+        fs.create("/d/a")
+        env = cluster.env
+        coordinator = cluster.coordinator
+        holder = next(node for node in cluster.mnodes
+                      if node.name == coordinator._owner(pid, "a"))
+        node = holder if where == "local" else next(
+            node for node in cluster.mnodes if node is not holder)
+        # A vote with no deadline and no decision: nothing resolves it.
+        vote = coordinator.call(holder.name, "rename_prepare", {
+            "txid": "rn-held", "deadline": None,
+            "actions": [{"action": "delete", "key": (pid, "a")}]})
+        env.run(until=vote)
+        finished = []
+        real_readdir = node._on_readdir
+
+        def readdir(message):
+            yield from real_readdir(message)
+            finished.append(env.now)
+
+        node._on_readdir = readdir
+        start = env.now
+        reply = coordinator.call(node.name, "readdir", {"path": "/d"})
+        reply.defused = True
+        cluster.run_for(2000.0)
+        assert reply.triggered and not reply.ok
+        assert reply.value.code == RpcError.ERETRY
+        assert "ETIMEDOUT" in reply.value.detail
+        (done,) = finished
+        assert 400.0 < done - start < 600.0
+        env.run(until=coordinator.call(holder.name, "rename_abort",
+                                       {"txid": "rn-held"}))
+        assert holder._open_halves == {}
+        assert fs.listdir("/d") == ["a"]
+        check_cluster_invariants(cluster)
 
 
 class TestConflictCaseOne:
