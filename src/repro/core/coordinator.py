@@ -29,7 +29,7 @@ from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import CAT_PHASE, NULL_CONTEXT, OpContext, call_all, redeliver
-from repro.obs.retry import REDELIVER_BACKOFF_US
+from repro.obs.retry import ALL, REDELIVER, budget
 from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
 
@@ -267,12 +267,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         it gives up: a participant refuses one it picks up later (our
         abort may have come and gone), and once voted resolves itself
         after it."""
-        timeout_us = self.shared.config.rpc_timeout_us or None
-        remaining = [timeout_us or math.inf]
-        if ctx.deadline is not None:
-            remaining.append(ctx.deadline - self.clock.now_us())
-        deadline = (None if min(remaining) == math.inf
-                    else self.env.now_us() + min(remaining))
+        remaining = budget(self, ctx, self.rpc_timeout_us)
+        deadline = (None if remaining == math.inf
+                    else self.env.now_us() + remaining)
         calls = []
         for _, owner, actions in plans:
             payload = {"txid": txid, "actions": actions, "deadline": deadline}
@@ -280,38 +277,30 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 payload["commit"] = True
             calls.append((owner, payload))
         votes = yield from call_all(self, ctx, "rename_prepare", calls,
-                                    timeout_us=timeout_us)
+                                    timeout_us=self.rpc_timeout_us)
         failure = next((vote for vote in votes
                         if isinstance(vote, RpcFailure)), None)
         if failure is not None:
             decided()
-            # Best effort: no outcome is recorded, so a participant
-            # whose abort is lost resolves to presumed abort itself.  A
-            # refusal staged nothing and needs none.
-            yield from call_all(self, ctx, "rename_abort", [
-                (owner, {"txid": txid})
-                for (_, owner, _), vote in zip(plans, votes)
+            # A refusal staged nothing and needs no abort.
+            yield from self._abort(txid, [
+                owner for (_, owner, _), vote in zip(plans, votes)
                 if not isinstance(vote, RpcFailure)
-                or vote.code in _MAY_HOLD_A_VOTE], timeout_us=timeout_us)
+                or vote.code in _MAY_HOLD_A_VOTE])
             raise failure
         return votes
 
-    def _complete_commit(self, txid, slot, actions):
-        """Process: re-deliver a decided commit to an unreachable
-        participant until it acknowledges.
-
-        Addressed by slot, so retries follow a promotion to the slot's
-        new primary.  Spawned when a commit hop failed (timed out, or
-        its slot moved); the participant's applied marker makes
-        re-delivering an already-applied half a no-op ack."""
-        yield self.env.timeout(REDELIVER_BACKOFF_US)
-        yield from redeliver(
-            self, lambda: self.shared.mnode_name(slot), "rename_commit",
-            {"txid": txid, "actions": actions},
-            timeout_us=self.shared.config.rpc_timeout_us or 1000.0,
-            backoff_us=2 * REDELIVER_BACKOFF_US,
-        )
-        self.metrics.counter("rename_commits_completed").inc()
+    def _abort(self, txid, owners):
+        """Generator: the abort round — one ``rename_abort`` to each of
+        ``owners``, all at once.  It carries no op context, so it is
+        bounded by the per-call timeout alone and no participant sheds
+        it as expired: a rename whose op deadline is spent still frees
+        its voted halves.  Best effort: no outcome is recorded, so a
+        participant whose abort is lost resolves to presumed abort
+        itself."""
+        yield from call_all(self, None, "rename_abort", [
+            (owner, {"txid": txid}) for owner in owners],
+            timeout_us=self.rpc_timeout_us)
 
     def _on_rename_resolve(self, message):
         """A participant terminating an in-doubt prepared transaction:
@@ -363,13 +352,13 @@ class Coordinator(NamespaceReplicaMixin, Node):
             if not votes[0].get("applied"):
                 record = votes[0]["record"]
                 plans = yield from self._decide(ctx, txid, plans, delete,
-                                                insert, record)
+                                                insert, record, decided)
                 decided()
                 if record.is_dir:
                     failure = yield from self._commit(ctx, txid, plans)
                     if failure is not None:
-                        # Decided and will apply everywhere (the
-                        # completer re-delivers), but the new name's
+                        # Decided and will apply everywhere (the round
+                        # re-delivers), but the new name's
                         # dentry may not be installed yet.
                         raise failure
                 else:
@@ -379,22 +368,29 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.metrics.counter("ops").inc("rename")
         self.respond(message, {"ok": True})
 
-    def _decide(self, ctx, txid, plans, delete, insert, record):
+    def _decide(self, ctx, txid, plans, delete, insert, record, decided):
         """Generator: decide a voted rename of ``record`` — after
         invalidating a renamed directory's dentry at every peer — and
         record the decision; returns the plans with their decided
-        actions."""
+        actions.  If a peer fails the invalidation, nothing is decided:
+        the mutex is released (``decided()``), both voted halves are
+        aborted at once and the failure is raised."""
         if record.is_dir:
             # Invalidate the source dentry everywhere; the owners
             # already hold it locked and update their replicas at commit.
             skey = delete["key"]
+            owners = [owner for _, owner, _ in plans]
             peers = [peer for peer in self.shared.mnode_names
-                     if peer not in {owner for _, owner, _ in plans}]
-            if peers:
-                yield self.env.all_of([
-                    self.call(peer, "invalidate", {"keys": [skey]}, ctx=ctx)
-                    for peer in peers
-                ])
+                     if peer not in owners]
+            try:
+                if peers:
+                    yield from call_all(self, ctx, "invalidate", [
+                        (peer, {"keys": [skey]}) for peer in peers],
+                        timeout_us=self.rpc_timeout_us, rule=ALL)
+            except RpcFailure:
+                decided()
+                yield from self._abort(txid, owners)
+                raise
             self.dentries.delete(skey)
             self.inval_seq[("d",) + skey] += 1
         # Commits carry the decided actions so a participant that never
@@ -415,21 +411,19 @@ class Coordinator(NamespaceReplicaMixin, Node):
 
     def _commit(self, ctx, txid, plans):
         """Generator: the commit round — every participant's decided
-        actions sent at once.  A participant that fails gets a
-        background completer; returns the last failure, or None."""
+        actions sent at once under the ``redeliver`` rule.  A
+        participant that is unreachable or runs out of time gets the
+        decision re-delivered in the background, addressed by slot so
+        it follows a promotion to the slot's new primary (the applied
+        marker makes a re-delivered half a no-op ack).  Returns the last
+        failure, or None."""
         acks = yield from call_all(self, ctx, "rename_commit", [
-            (owner, {"txid": txid, "actions": actions})
-            for _, owner, actions in plans],
-            timeout_us=self.shared.config.rpc_timeout_us or None)
-        commit_failure = None
-        for (slot, _, actions), ack in zip(plans, acks):
-            if isinstance(ack, RpcFailure):
-                commit_failure = ack
-                # The participant is unreachable or the hop ran out of
-                # time; a background completer re-delivers the decision
-                # (by slot, so it follows promotions) until it lands.
-                self.env.process(self._complete_commit(txid, slot, actions))
-        return commit_failure
+            (owner, {"txid": txid, "actions": actions},
+             partial(self.shared.mnode_name, slot))
+            for slot, owner, actions in plans],
+            timeout_us=self.rpc_timeout_us, rule=REDELIVER)
+        return next((ack for ack in reversed(acks)
+                     if isinstance(ack, RpcFailure)), None)
 
     def _commit_behind(self, ctx, txid, plans, grants):
         """Process: the commit round of a file rename already answered
@@ -437,7 +431,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         own (root ``rename.commit``), so the answered op is not charged
         for it.  Holds the key ``grants`` until the round ends: a later
         rename of either key queues on them, and every participant half
-        is applied or handed to a completer by then."""
+        is applied or handed off for re-delivery by then."""
         round_ctx = OpContext(self.env, "rename.commit", origin=self.name,
                               tracer=ctx.tracer, deadline=ctx.deadline)
         round_ctx.begin(category=CAT_PHASE,
@@ -524,15 +518,13 @@ class Coordinator(NamespaceReplicaMixin, Node):
         and an fsck sweep collects orphans from any lost window.
         Returns orphans removed."""
         slots = set(self.shared.slot_map.slots_of(index))
-        survivors = [
-            name for name in self.shared.mnode_names if name != new_name
-        ]
-        if survivors and slots:
-            yield self.env.all_of([
-                self.call(peer, "invalidate_owner",
-                          {"slots": sorted(slots)})
-                for peer in survivors
-            ])
+        if slots:
+            # Re-delivered to a survivor that misses the round until it
+            # acks or leaves the cluster.
+            yield from call_all(self, None, "invalidate_owner", [
+                (peer, {"slots": sorted(slots)}, partial(self._member, peer))
+                for peer in self.shared.mnode_names if peer != new_name],
+                timeout_us=self.rpc_timeout_us, rule=REDELIVER)
         own_stale = [
             key for key, record in self.dentries.scan()
             if self.index.locate(key[0], key[1]) in slots
@@ -540,6 +532,10 @@ class Coordinator(NamespaceReplicaMixin, Node):
         yield from self.apply_invalidation(own_stale)
         orphans_removed = yield from self.fsck()
         return orphans_removed
+
+    def _member(self, name):
+        """``name`` while it names an MNode of the cluster, else None."""
+        return name if name in self.shared.mnode_names else None
 
     # ------------------------------------------------------------------
     # elastic namespace: online slot handoff
@@ -564,8 +560,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         would erase writes the destination may already have acked."""
         reply = yield from redeliver(
             self, lambda: self.shared.node_name(node_index), kind, payload,
-            timeout_us=self.shared.config.rpc_timeout_us or None,
-            attempts=attempts,
+            timeout_us=self.rpc_timeout_us, attempts=attempts,
         )
         return reply
 
@@ -702,6 +697,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
         moves = []
         for _ in range(max_moves):
             stats = yield from self._gather_stats()
+            if stats is None:
+                break
             counts = [s["inode_count"] for s in stats]
             total = sum(counts)
             if total == 0:
@@ -810,14 +807,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
         exists (recursively: an orphaned directory takes its whole
         subtree with it).  Replica dentries for deleted directories are
         invalidated everywhere first.  Returns the number of entries
-        removed.
+        removed.  Every round runs under the ``all`` rule: when an MNode
+        fails the scan, the invalidation or the delete, the sweep stops
+        there and returns 0.
         """
         from repro.vfs.attrs import ROOT_INO
 
         names = list(self.shared.mnode_names)
-        replies = yield self.env.all_of([
-            self.call(name, "fsck_scan", {}) for name in names
-        ])
+        replies = yield from self._poll("fsck_scan", {})
+        if replies is None:
+            return 0
         by_parent = {}
         holder = {}
         info = {}
@@ -847,15 +846,17 @@ class Coordinator(NamespaceReplicaMixin, Node):
         if orphan_dir_keys:
             # Replica dentries pointing into a removed subtree must not
             # stay VALID anywhere.
-            yield self.env.all_of([
-                self.call(name, "invalidate", {"keys": orphan_dir_keys})
-                for name in names
-            ])
+            if (yield from self._poll("invalidate",
+                                      {"keys": orphan_dir_keys})) is None:
+                return 0
             yield from self.apply_invalidation(orphan_dir_keys)
-        replies = yield self.env.all_of([
-            self.call(name, "fsck_delete", {"keys": keys})
-            for name, keys in sorted(orphans.items())
-        ])
+        try:
+            replies = yield from call_all(self, None, "fsck_delete", [
+                (name, {"keys": keys})
+                for name, keys in sorted(orphans.items())],
+                timeout_us=self.rpc_timeout_us, rule=ALL)
+        except RpcFailure:
+            return 0
         removed = sum(reply["removed"] for reply in replies)
         self.metrics.counter("fsck_orphans").inc(amount=removed)
         return removed
@@ -869,10 +870,19 @@ class Coordinator(NamespaceReplicaMixin, Node):
         return max(8, int(math.ceil(n * math.log2(max(2, n)))))
 
     def _gather_stats(self):
-        replies = yield self.env.all_of([
-            self.call(name, "stats", {"top_k": self._top_k()})
-            for name in self.shared.mnode_names
-        ])
+        stats = yield from self._poll("stats", {"top_k": self._top_k()})
+        return stats
+
+    def _poll(self, kind, payload):
+        """Generator: ``kind`` to every MNode under the ``all`` rule —
+        the replies in MNode order, or None when one failed or timed
+        out (the caller ends its pass)."""
+        try:
+            replies = yield from call_all(self, None, kind, [
+                (name, payload) for name in self.shared.mnode_names],
+                timeout_us=self.rpc_timeout_us, rule=ALL)
+        except RpcFailure:
+            return None
         return replies
 
     def _bound(self, total):
@@ -896,6 +906,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
         attempted = set()
         for _ in range(max_rounds):
             stats = yield from self._gather_stats()
+            if stats is None:
+                break
             counts = [s["inode_count"] for s in stats]
             total = sum(counts)
             if total == 0:
@@ -975,11 +987,11 @@ class Coordinator(NamespaceReplicaMixin, Node):
         mutex = self._migration_mutex.request()
         yield mutex
         try:
+            # No timer on either round: a collect's reply carries the
+            # rows it removed, and dropping it at a deadline loses them.
             mnodes = self.shared.mnode_names
-            replies = yield self.env.all_of([
-                self.call(node, "migrate_collect", {"name": name})
-                for node in mnodes
-            ])
+            replies = yield from call_all(self, None, "migrate_collect", [
+                (node, {"name": name}) for node in mnodes], rule=ALL)
             entries = [e for reply in replies for e in reply["entries"]]
             update_table()
             table = exception_table_to_wire(self.xt)
@@ -988,11 +1000,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 _, (pid, _), _ = entry
                 target = self.index.locate(pid, name)
                 by_node[self.shared.mnode_name(target)].append(entry)
-            yield self.env.all_of([
-                self.call(node, "migrate_install",
-                          {"name": name, "table": table, "entries": group})
-                for node, group in by_node.items()
-            ])
+            yield from call_all(self, None, "migrate_install", [
+                (node, {"name": name, "table": table, "entries": group})
+                for node, group in by_node.items()], rule=ALL)
         finally:
             self._migration_mutex.release(mutex)
         self.metrics.counter("migrations").inc(amount=len(entries))
@@ -1006,7 +1016,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
 
         Iterates path-walk entries then overriding entries in random
         order, removing each whose removal keeps every node within the
-        load bound (§4.2.2).
+        load bound (§4.2.2).  A poll that fails ends the pass early.
         """
         rng = self.shared.streams.stream("coordinator.shrink")
         removed = []
@@ -1015,14 +1025,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
             rng.shuffle(group)
             for name in group:
                 stats = yield from self._gather_stats()
+                if stats is None:
+                    return removed
                 counts = [s["inode_count"] for s in stats]
                 total = sum(counts)
                 if total == 0:
                     continue
-                name_counts = yield self.env.all_of([
-                    self.call(node, "name_count", {"name": name})
-                    for node in self.shared.mnode_names
-                ])
+                name_counts = yield from self._poll("name_count",
+                                                    {"name": name})
+                if name_counts is None:
+                    return removed
                 per_node = [reply["count"] for reply in name_counts]
                 freq = sum(per_node)
                 target = self.index.hash_name(name)

@@ -27,6 +27,7 @@ or takes an exclusive lock.
 import heapq
 from collections import defaultdict
 from dataclasses import replace
+from functools import partial
 
 from repro.core.indexing import (
     ROUTE_PATHWALK,
@@ -52,9 +53,10 @@ from repro.obs import (
     CAT_QUEUE,
     NULL_CONTEXT,
     OpContext,
-    expire,
+    call_all,
     redeliver,
 )
+from repro.obs.retry import ALL
 from repro.obs.tracer import CAT_BATCH
 from repro.storage import LockMode, Table, Transaction, WriteAheadLog
 from repro.storage.table import apply_records, install_image, row_copy
@@ -406,12 +408,6 @@ class MNode(NamespaceReplicaMixin, Node):
         return [peer for peer in self.shared.mnode_names
                 if peer != self.name]
 
-    def _call_peers(self, kind, payload, ctx=None):
-        """One RPC to every other MNode; the event of all the replies."""
-        return self.env.all_of([
-            self.call(peer, kind, payload, ctx=ctx) for peer in self._peers()
-        ])
-
     def _slot_of(self, key):
         """Directory slot owning inode key ``(pid, name)``."""
         return self.index.locate(key[0], key[1])
@@ -683,7 +679,7 @@ class MNode(NamespaceReplicaMixin, Node):
         reply = yield from redeliver(
             self, lambda: self.shared.coordinator_name, "register",
             {"index": self.my_index, "incarnation": self.name},
-            timeout_us=self.shared.config.rpc_timeout_us or 400.0)
+            timeout_us=self.rpc_timeout_us or 400.0)
         return reply
 
     def resume(self, disk, grant, standby_name=None, witness_name=None):
@@ -1145,26 +1141,28 @@ class MNode(NamespaceReplicaMixin, Node):
             ino = self.shared.allocator.allocate()
             mode = plan.payload.get("mode", 0o755)
             txid = "mkdir-{}-{}".format(self.name, ino)
-            round_us = (self.costs.two_phase_round_us
-                        * max(1, len(self._peers())))
+            peers = self._peers()
+            round_us = self.costs.two_phase_round_us * max(1, len(peers))
+            record = DentryRecord(ino=ino, mode=mode)
             with ctx.span("2pc", CAT_PHASE, node=self.name,
                           attrs={"txid": txid} if ctx.traced else None):
-                votes = yield self._call_peers(
-                    "replica_prepare",
-                    {"txid": txid, "key": key,
-                     "record": DentryRecord(ino=ino, mode=mode)}, ctx)
+                try:
+                    yield from call_all(self, ctx, "replica_prepare", [
+                        (peer, {"txid": txid, "key": key, "record": record})
+                        for peer in peers], timeout_us=self.rpc_timeout_us,
+                        rule=ALL)
+                except RpcFailure:
+                    yield from call_all(self, ctx, "replica_abort", [
+                        (peer, {"txid": txid}) for peer in peers],
+                        timeout_us=self.rpc_timeout_us, rule=ALL)
+                    raise RpcFailure(RpcError.ERETRY, plan.name) from None
                 yield from self.execute(round_us, ctx=ctx)
-                if not all(vote.get("ok") for vote in votes):
-                    yield self._call_peers("replica_abort", {"txid": txid},
-                                           ctx)
-                    self._respond_error(
-                        message, RpcFailure(RpcError.ERETRY, plan.name))
-                    return
                 w.put(key, InodeRecord(ino=ino, is_dir=True, mode=mode,
                                        mtime=self.env.now))
                 yield from w.commit()
-                yield self._call_peers("replica_commit", {"txid": txid},
-                                       ctx)
+                yield from call_all(self, ctx, "replica_commit", [
+                    (peer, {"txid": txid}) for peer in peers],
+                    timeout_us=self.rpc_timeout_us, rule=ALL)
                 yield from self.execute(round_us, ctx=ctx)
             self._ops_ctr.inc("mkdir")
             self._respond_ok(message, {"ino": ino})
@@ -1365,9 +1363,10 @@ class MNode(NamespaceReplicaMixin, Node):
                 self.costs.invalidate_apply_us * 4 * len(self._peers()),
                 ctx=ctx,
             )
-            replies = yield self._call_peers(
-                "invalidate",
-                {"keys": [key], "children_of": record.ino}, ctx)
+            replies = yield from call_all(self, ctx, "invalidate", [
+                (peer, {"keys": [key], "children_of": record.ino})
+                for peer in self._peers()],
+                timeout_us=self.rpc_timeout_us, rule=ALL)
             yield from self.execute(self.costs.index_lookup_us, ctx=ctx)
             local_children = self.inodes.has_prefix((record.ino,))
             if local_children or any(r.get("has_children") for r in replies):
@@ -1386,7 +1385,9 @@ class MNode(NamespaceReplicaMixin, Node):
             record = self.inodes.get(key)
             if record is None:
                 raise RpcFailure(RpcError.ENOENT, payload["path"])
-            yield self._call_peers("invalidate", {"keys": [key]}, ctx)
+            yield from call_all(self, ctx, "invalidate", [
+                (peer, {"keys": [key]}) for peer in self._peers()],
+                timeout_us=self.rpc_timeout_us, rule=ALL)
             w.put(key, replace(record, mode=payload["mode"]))
 
         yield from self._owner_write(message, "chmod", step)
@@ -1526,8 +1527,8 @@ class MNode(NamespaceReplicaMixin, Node):
         acked after the decision wins over a redo; a skip is counted in
         ``rename_guard_skips`` — and commits once.
 
-        The marker is the decision's receiver-side memory: a completer
-        may re-deliver a commit after a later acked op vacated the keys,
+        The marker is the decision's receiver-side memory: the
+        coordinator may re-deliver a commit after a later acked op vacated the keys,
         and the guards cannot tell "never applied" from "applied, then
         superseded".  Markers are read before any lock (a marked
         re-delivery acks without queuing) and again under the locks (a
@@ -1607,7 +1608,7 @@ class MNode(NamespaceReplicaMixin, Node):
         """Process: terminate a voted rename whose decision never
         arrived: presumed abort, or the coordinator's recorded commit,
         whose actions on the keys held here apply."""
-        timeout_us = self.shared.config.rpc_timeout_us or 1000.0
+        timeout_us = self.rpc_timeout_us or 1000.0
         yield self.env.timeout(
             max(0.0, deadline - self.env.now_us()) + 2 * timeout_us)
         reply = yield from redeliver(
@@ -1633,15 +1634,15 @@ class MNode(NamespaceReplicaMixin, Node):
             yield from self._apply_decided(txid, actions, message.ctx,
                                            self._staged.pop(txid, ()))
         except RpcFailure as failure:
-            # The key's slot migrated away: the completer re-resolves
+            # The key's slot migrated away: the re-delivery re-resolves
             # the slot to its new home and re-delivers there.
             self._respond_error(message, failure)
             return
-        # Acking a decided commit tells the coordinator's completer to
-        # stop re-delivering — so under consensus the ack must wait for
+        # Acking a decided commit tells the coordinator to stop
+        # re-delivering — so under consensus the ack must wait for
         # quorum, or a minority leader would absorb the decision and a
         # later elected leader would never see these actions.  On
-        # failure the completer retries against the slot, which the
+        # failure the re-delivery retries against the slot, which the
         # election install re-points at the new leader (which restaged
         # the quorum-committed voted rows it inherited).
         yield from self._ack(message, {"ok": True})
@@ -1682,44 +1683,21 @@ class MNode(NamespaceReplicaMixin, Node):
             self._respond_error(message, failure)
             return
         dir_ino = resolved.ino
-        peers = self._peers()
-        calls = [self.call(peer, "scan_children", {"pid": dir_ino},
-                           ctx=message.ctx) for peer in peers]
-        # One timer bounds the fan-out and the local wait below: a peer
-        # that never answers (crashed mid-scan, partitioned, booting, or
-        # waiting out a rename half) times its call out instead of
-        # parking this handler.  It settles what ``pending`` holds when
-        # it fires.
-        timeout_us = self.shared.config.rpc_timeout_us
-        pending = [(call, "scan_children to " + peer)
-                   for peer, call in zip(peers, calls)]
-        timer = None
-        if timeout_us and calls:
-            timer = expire(self, timeout_us, pending)
         try:
-            replies = yield self.env.all_of(calls)
-            # The local scan comes next: first wait out this node's own
-            # rename halves under the directory.
-            settled = self._renames_settled(dir_ino)
-            if settled is not None:
-                peers.append(self.name)
-                calls.append(settled)
-                pending.append((settled, "rename in doubt on " + self.name))
-                if timeout_us and timer is None:
-                    timer = expire(self, timeout_us, pending)
-                yield settled
+            # The round's timer also bounds the wait on this node's own
+            # rename halves under the directory, before the local scan.
+            replies = yield from call_all(
+                self, message.ctx, "scan_children",
+                [(peer, {"pid": dir_ino}) for peer in self._peers()],
+                timeout_us=self.rpc_timeout_us, rule=ALL,
+                then=partial(self._renames_settled, dir_ino))
         except RpcFailure as failure:
-            # A peer that cannot scan now (fenced, booting, handing off)
-            # fails the listing, not this handler: the client retries.
-            peer = next((peer for peer, call in zip(peers, calls)
-                         if call.triggered and call.value is failure), None)
-            self._respond_error(message, RpcFailure(
-                RpcError.ERETRY, "scan_children on {}: {}".format(
-                    peer, RpcError.name(failure.code))))
+            # A node that cannot scan now (fenced, booting, handing off,
+            # hung, or holding a rename half past the timer) fails the
+            # listing, not this handler: the client retries.
+            self._respond_error(message, RpcFailure(RpcError.ERETRY,
+                                                    failure.detail))
             return
-        finally:
-            if timer is not None:
-                timer.cancel()
         local = self._scan_children(dir_ino)
         yield from self.execute(
             self.costs.index_lookup_us + 0.02 * len(local),

@@ -54,6 +54,8 @@ class NamespaceReplicaMixin:
         self.inval_seq = defaultdict(int)
         #: The root directory is known everywhere and never invalidated.
         self.root_dentry = DentryRecord(ino=ROOT_INO, mode=0o777)
+        #: The per-attempt bound of this node's RPCs; None = unbounded.
+        self.rpc_timeout_us = self.shared.config.rpc_timeout_us or None
 
     # -- resolution ---------------------------------------------------------
 
@@ -94,7 +96,6 @@ class NamespaceReplicaMixin:
         record = self.dentries.get(key)
         if record is not None and record.state != INVALID:
             return record
-        timeout_us = self.shared.config.rpc_timeout_us or None
 
         def attempt(_attempt, _hint):
             record = self.dentries.get(key)
@@ -119,7 +120,7 @@ class NamespaceReplicaMixin:
                     row = yield from deadline_call(
                         self, ctx or NULL_CONTEXT,
                         self._owner_name(key), "lookup_dentry",
-                        payload, timeout_us=timeout_us,
+                        payload, timeout_us=self.rpc_timeout_us,
                     )
                 except RpcFailure as failure:
                     if (failure.code == RpcError.ENOENT
@@ -136,7 +137,7 @@ class NamespaceReplicaMixin:
             return record
 
         retryable = (RpcError.ERETRY,)
-        if timeout_us is not None:
+        if self.rpc_timeout_us is not None:
             retryable = (RpcError.ERETRY, RpcError.ETIMEDOUT)
         record = yield from retry(
             self, ctx or NULL_CONTEXT, attempt, policy=_FETCH_POLICY,

@@ -1,7 +1,7 @@
 """Shared retry/backoff policy and deadline-enforced RPC.
 
-Four helpers replace the ad-hoc retry loops that used to live at every
-call site:
+Five helpers replace the ad-hoc retry loops and fan-outs that used to
+live at every call site (:func:`expire` is their one timer):
 
 * :func:`retry` runs an attempt generator until it succeeds, backing off
   exponentially on retryable :class:`~repro.net.rpc.RpcFailure` codes
@@ -15,13 +15,15 @@ call site:
   wins.  At the deadline the caller sees ``RpcFailure(ETIMEDOUT)``; a
   reply that straggles in afterwards — payload or error — finds the
   handle settled and is dropped.  A reply in time cancels the timer.
-* :func:`call_all` is one round of such calls sent at once — a fan-out
-  whose caller needs every outcome — bounded by one timer
-  (:func:`expire`) for the whole round.
+* :func:`call_all` is one round of such calls sent at once — every
+  server-side fan-out — under one timer and a stated failure rule,
+  :data:`ALL` or :data:`REDELIVER`.
 * :func:`redeliver` is the control plane's "this step is decided, make
   it land" loop: a bounded call re-issued under a doubling backoff,
   re-resolving its target each time so delivery follows a promotion or
   a restart, until the receiver acknowledges.
+* :func:`redeliver_later` runs that loop in the background for a call
+  a :data:`REDELIVER` round handed off.
 
 All of them speak only the :mod:`repro.runtime` contract, so the same
 retry loops run under the discrete-event kernel and the asyncio backend.
@@ -187,46 +189,66 @@ def deadline_call(node, ctx, target, kind, payload=None, size=None,
     or partitioned peer) without burning the whole operation deadline on
     a reply that will never come.
     """
-    if ctx.deadline is None and timeout_us is None:
-        result = yield node.call(target, kind, payload, size, ctx=ctx)
-        return result
-    remaining = _budget(node, ctx, timeout_us)
-    if remaining <= 0:
-        raise RpcFailure(
-            RpcError.ETIMEDOUT, "{} to {} (not sent)".format(kind, target)
-        )
-    reply = node.call(target, kind, payload, size, ctx=ctx)
+    remaining = budget(node, ctx, timeout_us)
+    reply = (node.call(target, kind, payload, size, ctx=ctx)
+             if remaining > 0 else node.env.event())
     # Reply versus timer, first to settle the handle wins.
-    timer = expire(node, remaining,
-                   [(reply, "{} to {}".format(kind, target))])
+    timer = expire(node, remaining, [(reply, "{} to {}".format(kind, target))])
     try:
         result = yield reply
     finally:
-        timer.cancel()
+        if timer is not None:
+            timer.cancel()
     return result
 
 
-def call_all(node, ctx, kind, calls, timeout_us=None):
-    """Generator: one round of ``kind`` RPCs — every ``(target,
-    payload)`` of ``calls`` sent at once, each bounded as
-    :func:`deadline_call` bounds one (the calls share their start, so
-    one timer serves the round), and every reply awaited.  Returns the
-    outcomes in call order, each the reply payload or the
-    :class:`RpcFailure` the call ended with; raises nothing."""
-    remaining = _budget(node, ctx, timeout_us)
-    if remaining <= 0:
-        return [RpcFailure(RpcError.ETIMEDOUT,
-                           "{} to {} (not sent)".format(kind, target))
-                for target, _ in calls]
-    replies = [node.call(target, kind, payload, ctx=ctx)
-               for target, payload in calls]
-    timer = None
-    if remaining != float("inf"):
-        timer = expire(node, remaining, [
-            (reply, "{} to {}".format(kind, target))
-            for reply, (target, _) in zip(replies, calls)])
-    outcomes = []
+#: The failure rules of a :func:`call_all` round.
+ALL = "all"
+REDELIVER = "redeliver"
+
+
+def call_all(node, ctx, kind, calls, timeout_us=None, rule=None,
+             then=None):
+    """Generator: one round of ``kind`` RPCs, every ``(target, payload)``
+    of ``calls`` sent at once under one timer (:func:`expire`) at
+    ``timeout_us`` or the op deadline, whichever is sooner (``ctx`` may
+    be None).  ``rule`` says what a failed call does to the round:
+
+    * None: nothing; every outcome is returned in call order, the reply
+      payload or the :class:`RpcFailure` the call ended with;
+    * :data:`ALL`: the round fails at its first failure, raising its
+      code as ``"<kind> on <target>: <code>"`` and giving up on the
+      rest; else the replies are returned.  ``then()``, called once
+      they are in, may return an event of the caller's own to await
+      under the same timer, named ``node.name`` when it fails;
+    * :data:`REDELIVER`: calls are ``(target, payload, resolve)`` and a
+      failed one goes to :func:`redeliver_later`; returns as None does.
+    """
+    remaining = budget(node, ctx, timeout_us)
+    # A call whose budget is already spent is not sent.
+    pending = [(node.call(call[0], kind, call[1], ctx=ctx) if remaining > 0
+                else node.env.event(), "{} on {}".format(kind, call[0]))
+               for call in calls]
+    replies = [reply for reply, _ in pending]
+    timer = expire(node, remaining, pending)
     try:
+        if rule == ALL:
+            try:
+                outcomes = yield node.env.all_of(replies)
+                last = then and then()
+                if last is not None:
+                    pending.append((last, "{} on {}".format(kind, node.name)))
+                    timer = timer or expire(node, remaining, pending[-1:])
+                    yield last
+            except RpcFailure as failure:
+                detail = next(detail for reply, detail in pending
+                              if reply.triggered and reply.value is failure)
+                for reply, _ in pending:    # give up on the rest too
+                    reply.settle(False, failure)
+                raise RpcFailure(failure.code, "{}: {}".format(
+                    detail, RpcError.name(failure.code))) from None
+            return outcomes
+        outcomes = []
         for reply in replies:
             try:
                 outcomes.append((yield reply))
@@ -235,15 +257,29 @@ def call_all(node, ctx, kind, calls, timeout_us=None):
     finally:
         if timer is not None:
             timer.cancel()
+    for call, outcome in zip(calls, outcomes):
+        if rule == REDELIVER and isinstance(outcome, RpcFailure):
+            node.env.process(redeliver_later(node, call[2], kind, call[1],
+                                             timeout_us))
     return outcomes
 
 
 def expire(node, delay_us, pending):
-    """Arm one timer, ``delay_us`` from now on ``node``'s clock, that
-    settles every reply of ``pending`` — ``(reply, detail)`` pairs —
-    still unanswered with ``RpcFailure(ETIMEDOUT, detail)``; returns it
-    (``cancel()`` disarms it).  A reply that straggles in afterwards,
+    """Bound every reply of ``pending`` — ``(reply, detail)`` pairs —
+    by one timer ``delay_us`` from now on ``node``'s clock, which
+    settles each still unanswered with ``RpcFailure(ETIMEDOUT,
+    detail)``; returns it (``cancel()`` disarms it), or None when there
+    is no bound or it is already spent, in which case every reply fails
+    now as not sent.  A reply that straggles in after its timeout,
     payload or error alike, finds its handle settled and is dropped."""
+    if delay_us <= 0:
+        for reply, detail in pending:
+            reply.settle(False, RpcFailure(RpcError.ETIMEDOUT,
+                                           detail + " (not sent)"))
+        return None
+    if not pending or delay_us == float("inf"):
+        return None
+
     def fire(_timer):
         for reply, detail in pending:
             reply.settle(False, RpcFailure(RpcError.ETIMEDOUT, detail))
@@ -253,14 +289,14 @@ def expire(node, delay_us, pending):
         delay_us if clock is None else clock.to_env_delay(delay_us), fire)
 
 
-def _budget(node, ctx, timeout_us):
+def budget(node, ctx, timeout_us):
     """How long a call ``node`` makes now may wait: the context
     deadline's remainder on the node's own clock (deadline math is
     node-local: a skewed clock judges it early or late, exactly like
     production), capped by ``timeout_us``; infinite when neither is
     set."""
     remaining = float("inf")
-    if ctx.deadline is not None:
+    if ctx is not None and ctx.deadline is not None:
         clock = getattr(node, "clock", None)
         now = clock.now_us() if clock is not None else node.env.now_us()
         remaining = ctx.deadline - now
@@ -298,3 +334,19 @@ def redeliver(node, resolve_target, kind, payload, timeout_us=None,
                 raise
         yield node.env.timeout(backoff_us)
         backoff_us = min(backoff_us * 2, REDELIVER_BACKOFF_MAX_US)
+
+
+def redeliver_later(node, resolve, kind, payload, timeout_us=None):
+    """Process: :func:`redeliver` a call a :data:`REDELIVER` round handed
+    off — first after :data:`REDELIVER_BACKOFF_US`, then backing off from
+    twice that, each attempt bounded by ``timeout_us`` (else by that
+    first backoff) — until acknowledged, counted in the node's
+    ``redeliveries_completed`` by kind, or until ``resolve()`` is None."""
+    yield node.env.timeout(REDELIVER_BACKOFF_US)
+    reply = yield from redeliver(
+        node, resolve, kind, payload,
+        timeout_us=timeout_us or REDELIVER_BACKOFF_US,
+        backoff_us=2 * REDELIVER_BACKOFF_US,
+        pending=lambda: resolve() is not None)
+    if reply is not None:
+        node.metrics.counter("redeliveries_completed").inc(kind)

@@ -310,3 +310,93 @@ def test_cluster_delivers_faults_and_nodes_recover_themselves():
 ])
 def test_surgery_lint_flags_every_spelling(source):
     assert any(_surgery(node) for node in ast.walk(ast.parse(source)))
+
+
+#: Files under core/ whose ``all_of`` over RPCs is not a server
+#: broadcast, and why they keep it.
+FAN_OUT_ALLOWED = {
+    "core/filestore.py": "data path: a client's block reads and writes to "
+                         "the storage nodes, not a server broadcast",
+}
+
+
+def _issues_rpc(node):
+    """True when ``node`` contains an RPC issue, ``<x>.call(...)``."""
+    return any(isinstance(sub, ast.Call)
+               and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr == "call" for sub in ast.walk(node))
+
+
+def _hand_rolled_fan_outs(tree):
+    """Lines where ``all_of`` waits on a list built from ``.call(``
+    expressions — inline, or through a name that is assigned or
+    appended such calls in the same function."""
+    bad = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        lists = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and _issues_rpc(node.value):
+                lists.update(target.id for target in node.targets
+                             if isinstance(target, ast.Name))
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append", "extend")
+                    and isinstance(node.func.value, ast.Name)
+                    and any(_issues_rpc(arg) for arg in node.args)):
+                lists.add(node.func.value.id)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "all_of" and node.args
+                    and (_issues_rpc(node.args[0])
+                         or isinstance(node.args[0], ast.Name)
+                         and node.args[0].id in lists)):
+                bad.add(node.lineno)
+    return sorted(bad)
+
+
+def test_core_broadcasts_go_through_call_all():
+    """Every server-side fan-out under core/ is one
+    ``obs.retry.call_all`` round with a deadline and a stated failure
+    rule; none waits on ``env.all_of`` over hand-issued calls."""
+    bad = []
+    seen = set()
+    for path in sorted((SRC / "core").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        lines = _hand_rolled_fan_outs(
+            ast.parse(path.read_text(), filename=str(path)))
+        if rel in FAN_OUT_ALLOWED:
+            assert lines, "stale FAN_OUT_ALLOWED entry: " + rel
+            seen.add(rel)
+            continue
+        bad.extend("{}:{}".format(rel, line) for line in lines)
+    assert not bad, (
+        "a server fan-out must be a call_all round (obs/retry.py):\n"
+        + "\n".join(bad))
+    assert set(FAN_OUT_ALLOWED) == seen
+
+
+@pytest.mark.parametrize("source", [
+    "def f(self):\n"
+    "    yield self.env.all_of([self.call(p, 'k') for p in peers])",
+    "def f(self):\n"
+    "    calls = [self.call(p, 'k', ctx=ctx) for p in self._peers()]\n"
+    "    replies = yield self.env.all_of(calls)",
+    "def f(self):\n"
+    "    calls = []\n"
+    "    for p in peers:\n"
+    "        calls.append(self.node.call(p, 'k'))\n"
+    "    yield self.node.env.all_of(calls)",
+])
+def test_fan_out_lint_flags_every_spelling(source):
+    assert _hand_rolled_fan_outs(ast.parse(source))
+
+
+def test_fan_out_lint_allows_waiting_on_processes_and_events():
+    source = ("def f(self):\n"
+              "    yield self.env.all_of([self.env.process(g) for g in gs])\n"
+              "    halves = [done for done in self._open_halves]\n"
+              "    yield self.env.all_of(halves)\n")
+    assert not _hand_rolled_fan_outs(ast.parse(source))

@@ -190,6 +190,28 @@ class TestStatsReporting:
         assert max(counts) <= (1 / 4 + 0.05) * sum(counts) + 1
 
 
+class TestSilentMNode:
+    def test_rebalance_returns_its_report_with_no_move(self):
+        """The stats round runs under the ``all`` rule: with one MNode
+        silent it times out at ``rpc_timeout_us``, and ``rebalance``
+        ends its pass and returns its report with no move instead of
+        raising or parking.  Once the MNode is back it balances."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=4, num_storage=2,
+                                             epsilon=0.05,
+                                             rpc_timeout_us=400.0))
+        cluster.bulk_load(_hot_name_tree())
+        coordinator = cluster.coordinator
+        cluster.network.partition([coordinator.name],
+                                  [cluster.mnodes[1].name])
+        start = cluster.env.now
+        report = cluster.run_process(coordinator.rebalance())
+        assert report == {"moves": [], "counts": []}
+        assert 400.0 <= cluster.env.now - start < 500.0
+        assert len(cluster.exception_table) == 0
+        cluster.network.heal()
+        assert cluster.run_process(coordinator.rebalance())["moves"]
+
+
 class TestMigrateCollect:
     """``migrate_collect`` finds a filename's rows by scanning the inode
     table (no name->parents index): exactly the served ``(pid, name)``

@@ -22,14 +22,14 @@ from tests.test_layering import SRC
 LAYERS = ("core", "storage", "faults", "baselines")
 
 #: Functions that take the kind of the message they send, and the
-#: position of that argument.  The first seven are the sending surface;
+#: position of that argument.  The first six are the sending surface;
 #: the rest are client/coordinator wrappers that pass ``op`` through.
 SENDERS = {
     "send": 1, "call": 1, "deadline_call": 3, "call_all": 2, "redeliver": 2,
-    "_slot_call": 1, "_call_peers": 0,
+    "_slot_call": 1,
     "_meta_op": 0, "_meta_op_body": 0, "_send_routed": 0, "_request": 1,
     "_coordinator_op": 0, "_coordinator_op_body": 0, "_directory_change": 1,
-    "_send_keyed": 0,
+    "_send_keyed": 0, "_poll": 0,
 }
 
 #: The name-dispatch idiom: ``getattr(self, "_on_" + message.kind, None)``.

@@ -291,8 +291,8 @@ def _swallow(generator):
         return failure
 
 
-def _call(node, target, kind, payload):
-    reply = yield node.call(target, kind, payload)
+def _call(node, target, kind, payload, ctx=None):
+    reply = yield node.call(target, kind, payload, ctx=ctx)
     return reply
 
 
@@ -804,15 +804,16 @@ class TestTwoRoundRename:
 
     def _black_hole_commits(self, cluster, target, monkeypatch):
         """Drop every ``rename_commit`` the coordinator sends ``target``
-        and keep the completer from re-delivering them: the in-doubt
-        resolver is left as the only way to the decision."""
-        from repro.core.coordinator import Coordinator
+        and keep the ``redeliver`` rule from re-delivering them: the
+        in-doubt resolver is left as the only way to the decision."""
+        from importlib import import_module
 
-        def lost(self, txid, slot, actions):
+        def lost(node, resolve, kind, payload, timeout_us=None):
             return
             yield  # pragma: no cover
 
-        monkeypatch.setattr(Coordinator, "_complete_commit", lost)
+        monkeypatch.setattr(import_module("repro.obs.retry"),
+                            "redeliver_later", lost)
         coordinator = cluster.coordinator
         real_call = coordinator.call
 
@@ -920,16 +921,14 @@ class TestTwoRoundRename:
 
 
 class TestFsck:
-    def test_fsck_deletes_planted_orphans_at_their_owners(self):
+    @staticmethod
+    def _plant_orphans(cluster, fs):
         """An orphan file row and an orphan directory with a child,
-        planted straight into the owners' tables: the sweep invalidates
-        the directory's replica dentries everywhere and deletes all
-        three rows at their owners, and the audit is clean again."""
+        planted straight into the owners' tables, the directory's
+        replica dentry on every other MNode; returns ``(rows, owners,
+        dir_key)``."""
         from repro.core.records import InodeRecord
-        from repro.core.verify import InvariantViolation
 
-        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
-        fs = cluster.fs()
         fs.mkdir("/d")
         fs.create("/d/keep")
         allocate = cluster.shared.allocator.allocate
@@ -954,6 +953,17 @@ class TestFsck:
         for node in cluster.mnodes:
             if node is not owners[dir_key]:
                 node.dentries.put(dir_key, rows[dir_key].dentry())
+        return rows, owners, dir_key
+
+    def test_fsck_deletes_planted_orphans_at_their_owners(self):
+        """The sweep invalidates the orphan directory's replica dentries
+        everywhere and deletes all three planted rows at their owners,
+        and the audit is clean again."""
+        from repro.core.verify import InvariantViolation
+
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+        fs = cluster.fs()
+        rows, owners, dir_key = self._plant_orphans(cluster, fs)
         with pytest.raises(InvariantViolation):
             cluster.verify()
         assert cluster.run_process(cluster.coordinator.fsck()) == 3
@@ -967,6 +977,27 @@ class TestFsck:
             record = node.dentries.get(dir_key)
             assert record is None or record.state != VALID
         assert fs.exists("/d/keep")
+        cluster.verify()
+
+    def test_a_sweep_that_misses_a_table_deletes_nothing(self):
+        """``all``: with one MNode silent, the scan round times out at
+        ``rpc_timeout_us`` and the sweep deletes nothing and returns 0;
+        once the MNode is back the same sweep removes all three."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1,
+                                             rpc_timeout_us=400.0))
+        fs = cluster.fs()
+        rows, owners, dir_key = self._plant_orphans(cluster, fs)
+        coordinator = cluster.coordinator
+        cluster.network.partition([coordinator.name],
+                                  [cluster.mnodes[-1].name])
+        start = cluster.env.now
+        assert cluster.run_process(coordinator.fsck()) == 0
+        assert 400.0 <= cluster.env.now - start < 500.0
+        for key, owner in owners.items():
+            assert owner.inodes.get(key) is rows[key]
+        assert coordinator.metrics.counter("fsck_orphans").total() == 0
+        cluster.network.heal()
+        assert cluster.run_process(coordinator.fsck()) == 3
         cluster.verify()
 
 
@@ -1048,6 +1079,124 @@ class TestReaddirFanOut:
                                        {"txid": "rn-held"}))
         assert holder._open_halves == {}
         assert fs.listdir("/d") == ["a"]
+        check_cluster_invariants(cluster)
+
+
+class TestFanOutRules:
+    """Every server-side broadcast is one ``call_all`` round under a
+    stated failure rule (docs/protocol.md, "Fan-out rules").  Each test
+    black-holes one peer: the round gives up at ``rpc_timeout_us`` and
+    its rule decides what happens, instead of parking the caller."""
+
+    TIMEOUT = 400.0
+
+    def _cluster(self, **config):
+        return FalconCluster(FalconConfig(num_mnodes=4, num_storage=1,
+                                          rpc_timeout_us=self.TIMEOUT,
+                                          **config))
+
+    def test_rmdir_answers_the_failure_and_deletes_nothing(self):
+        """``all``: the owner's invalidation round misses one peer, so
+        the rmdir fails with the timeout, naming the peer, and the
+        directory stays; once the peer is back the rmdir succeeds."""
+        cluster = self._cluster()
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        key = (ROOT_INO, "d")
+        owner = TestTwoRoundRename._node(cluster, *key)
+        silent = next(node for node in cluster.mnodes if node is not owner)
+        cluster.network.partition([owner.name], [silent.name])
+        start = cluster.env.now
+        failure = cluster.run_process(_swallow(_call(
+            cluster.add_client(), cluster.coordinator.name, "rmdir",
+            {"path": "/d"})))
+        assert failure.code == RpcError.ETIMEDOUT
+        assert failure.detail == "invalidate on {}: ETIMEDOUT".format(
+            silent.name)
+        assert self.TIMEOUT < cluster.env.now - start < self.TIMEOUT + 200
+        assert owner.inodes.get(key) is not None
+        assert fs.exists("/d")
+        cluster.network.heal()
+        fs.rmdir("/d")
+        assert not fs.exists("/d")
+        check_cluster_invariants(cluster)
+
+    @pytest.mark.parametrize("budget_us", [1200.0, 300.0])
+    def test_a_failed_directory_rename_invalidation_aborts_both_halves(
+            self, budget_us):
+        """``all``, and nothing is decided: a peer that misses a
+        directory rename's invalidation fails the rename, by its
+        deadline when the timeout comes first, and both voted halves
+        are aborted at once — no ``("rename", slot, txid)`` row is left
+        to hold its locks until it resolves itself.  With 300 µs the
+        round ends at the op deadline, and the abort is sent all the
+        same.  The source still resolves."""
+        from repro.obs import OpContext
+
+        cluster = self._cluster()
+        fs = cluster.fs()
+        env = cluster.env
+        pid = fs.mkdir("/p")
+        src, dst = TestTwoRoundRename._cross_owner(cluster, pid)
+        fs.mkdir("/p/" + src)
+        owners = [TestTwoRoundRename._node(cluster, pid, name)
+                  for name in (src, dst)]
+        silent = next(node for node in cluster.mnodes
+                      if node not in owners)
+        cluster.network.partition([cluster.coordinator.name], [silent.name])
+        client = cluster.add_client()
+        ctx = OpContext(env, "rename", origin=client.name,
+                        deadline=env.now + budget_us)
+        failure = cluster.run_process(_swallow(_call(
+            client, cluster.coordinator.name, "rename",
+            {"src": "/p/" + src, "dst": "/p/" + dst}, ctx)))
+        assert failure.code == RpcError.ETIMEDOUT
+        assert failure.detail == "invalidate on {}: ETIMEDOUT".format(
+            silent.name)
+        if budget_us > self.TIMEOUT:
+            assert env.now <= ctx.deadline
+        for owner in owners:
+            assert not any(key[0] == "rename" for key, _ in owner.meta.scan())
+            assert owner._staged == {} and owner._open_halves == {}
+        assert fs.is_dir("/p/" + src)
+        assert not fs.exists("/p/" + dst)
+        cluster.network.heal()
+        check_cluster_invariants(cluster)
+
+    def test_invalidate_owner_lands_once_a_silent_survivor_heals(self):
+        """``redeliver``: a survivor that misses a failover's
+        ``invalidate_owner`` round does not hold the failover up, and
+        gets the invalidation re-delivered once it can be reached."""
+        from repro.obs.retry import REDELIVER_BACKOFF_US
+
+        cluster = self._cluster(replication=True)
+        fs = cluster.fs()
+        coordinator = cluster.coordinator
+        name = next(name for name in ("w{}".format(i) for i in range(100))
+                    if coordinator.index.locate(ROOT_INO, name) == 0)
+        fs.mkdir("/" + name)
+        key = (ROOT_INO, name)
+        silent = cluster.mnodes[2]
+        record = cluster.mnodes[0].inodes.get(key)
+        silent.dentries.put(key, record.dentry())
+        cluster.run_for(5000.0)                 # shipped to the standby
+        cluster.crash_mnode(0)
+        cluster.network.partition([coordinator.name], [silent.name])
+        start = cluster.env.now
+        failover = cluster.run_process(cluster.fail_over(0))
+        # Its two rounds that miss the survivor (``invalidate_owner``
+        # and the orphan sweep's scan) each end at the timeout.
+        assert cluster.env.now - start < 3 * self.TIMEOUT
+        assert failover["orphans_removed"] == 0
+        assert failover["promoted"] == cluster.shared.mnode_names[0]
+        assert silent.dentries.get(key).state == VALID      # missed it
+        completed = coordinator.metrics.counter("redeliveries_completed")
+        assert completed.get("invalidate_owner") == 0
+        cluster.network.heal()
+        cluster.run_for(4 * REDELIVER_BACKOFF_US)
+        assert completed.get("invalidate_owner") == 1
+        assert silent.dentries.get(key).state != VALID
+        assert fs.exists("/" + name)
         check_cluster_invariants(cluster)
 
 

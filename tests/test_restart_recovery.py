@@ -426,15 +426,17 @@ def test_redo_restart_restages_a_voted_rename_until_resolved(monkeypatch):
     before it serves: a second rename of the same ino queues behind
     them, and the in-doubt resolver — the only path left to the
     decision — applies the first.  The ino ends under one name."""
-    from repro.core.coordinator import Coordinator
+    from importlib import import_module
+
     from repro.core.verify import check_cluster_invariants, runtime_violations
     from repro.net.rpc import RpcFailure
 
-    def lost(self, txid, slot, actions):
+    def lost(node, resolve, kind, payload, timeout_us=None):
         return
         yield  # pragma: no cover
 
-    monkeypatch.setattr(Coordinator, "_complete_commit", lost)
+    monkeypatch.setattr(import_module("repro.obs.retry"),
+                        "redeliver_later", lost)
     cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1,
                                          rpc_timeout_us=400.0))
     fs = cluster.fs()
