@@ -16,7 +16,7 @@ Violation taxonomy (the ``invariant`` field of each record):
 ``placement``/``identity``/``reachability``/``coherence``/
 ``ownership``/``statistics``
     structural invariants from :func:`repro.core.verify.cluster_violations`;
-``lock-leak``/``staged-leak``/``wal-waiters``/``rename-mutex``
+``lock-leak``/``staged-leak``/``wal-waiters``
     runtime residue from :func:`repro.core.verify.runtime_violations`;
 ``replication``
     a primary/standby pair failed to converge after healing;

@@ -4,8 +4,8 @@ The coordinator owns namespace *changes* and cluster load balance:
 
 * **rmdir / directory chmod** — it resolves the path on its own namespace
   replica, takes shared locks on the ancestors and an exclusive lock on
-  the target, and forwards execution to the directory inode's owner MNode,
-  which drives the invalidation broadcast (§4.3).
+  the target, re-checks the path under them, and forwards execution to
+  the directory's owner MNode, which drives the invalidation broadcast.
 * **rename** — classic 2PL + 2PC across the source and destination owner
   MNodes, with an invalidation broadcast for directory renames.
 * **statistical load balancing** (§4.2.2) — it gathers per-MNode inode
@@ -28,7 +28,8 @@ from repro.core.indexing import (
 from repro.core.replica import NamespaceReplicaMixin
 from repro.net import Node
 from repro.net.rpc import RpcError, RpcFailure
-from repro.obs import CAT_PHASE, NULL_CONTEXT, OpContext, call_all, redeliver
+from repro.obs import (CAT_PHASE, NULL_CONTEXT, OpContext, call_all,
+                       deadline_call, redeliver)
 from repro.obs.retry import ALL, REDELIVER, budget
 from repro.storage import LockMode
 from repro.vfs.pathwalk import split_path
@@ -54,10 +55,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.xt = ExceptionTable()
         self.index = HybridIndex(shared.num_slots, self.xt)
         self._txids = count(1)
-        #: Serializes renames from lock acquisition to the decision, so at
-        #: most one rename takes participant locks at a time (prevents
-        #: cross-rename deadlock); the commit round runs outside it.
-        self._rename_mutex = env.resource(capacity=1)
         #: txid -> the decided actions of a committed rename, recorded
         #: *before* any commit is sent or the client is answered.  A
         #: participant left in doubt (its commit was black-holed by a
@@ -102,28 +99,43 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # path helpers
     # ------------------------------------------------------------------
 
-    def _resolve_and_lock(self, components, ctx=None):
-        """Resolve the parent chain and lock it (S ancestors, X target).
-
-        Returns ``(pid, grants)``; the caller must release the grants.
-        """
-        parents = components[:-1]
-        name = components[-1]
-        resolved = yield from self.resolve_dir(parents, ctx=ctx)
+    def _resolve_and_lock(self, paths, cpu_us, ctx=None):
+        """Generator: resolve the parent chain of each of ``paths``, take
+        every lock in one sorted acquisition (S on each chain, X on each
+        target), re-check every chain under them, as a merged MNode batch
+        does, and charge ``cpu_us`` plus the grants.  Returns each
+        target's ``(pid, name)`` and the grants the caller releases.
+        Raises ``ERETRY`` when a concurrent change made a chain stale,
+        and ``EINVAL`` for two paths naming one key."""
+        chains, keys = [], []
+        for components in paths:
+            resolved = yield from self.resolve_dir(components[:-1], ctx=ctx)
+            chains.append(resolved.chain)
+            keys.append((resolved.ino, components[-1]))
+        if len(set(keys)) < len(keys):
+            raise RpcFailure(RpcError.EINVAL, "rename onto itself")
+        requests = {("d",) + key: LockMode.EXCLUSIVE for key in keys}
+        for chain in chains:
+            for dkey, _, _ in chain:
+                requests.setdefault(dkey, LockMode.SHARED)
         grants = []
-        requests = [(dkey, LockMode.SHARED) for dkey, _, _ in resolved.chain]
-        requests.append((("d", resolved.ino, name), LockMode.EXCLUSIVE))
         try:
-            yield from self.locks.acquire_all(requests, grants, ctx=ctx)
+            yield from self.locks.acquire_all(sorted(requests.items()),
+                                              grants, ctx=ctx)
+            if not all(map(self.chain_valid, chains)):
+                raise RpcFailure(RpcError.ERETRY, "stale path")
+            yield from self.execute(
+                cpu_us + len(grants) * self.costs.lock_acquire_us, ctx=ctx)
         except BaseException:
             self.locks.release_all(grants)
             raise
-        yield from self.execute(
-            self.costs.resolve_component_us * len(components)
-            + len(grants) * self.costs.lock_acquire_us,
-            ctx=ctx,
-        )
-        return resolved.ino, grants
+        return keys, grants
+
+    def _drop_dentry(self, key):
+        """Forget our replica entry for ``key``, discarding any fetch of
+        it in flight; the next resolution asks its owner."""
+        self.dentries.delete(key)
+        self.inval_seq[("d",) + key] += 1
 
     def _owner(self, pid, name):
         return self.shared.mnode_name(self.index.locate(pid, name))
@@ -132,74 +144,72 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # client-facing namespace changes
     # ------------------------------------------------------------------
 
-    def _directory_change(self, message, exec_kind, extra=None, cpu_us=None):
-        """Generator: the rmdir / directory-chmod skeleton.  Resolve and
-        lock the path (S ancestors, X target), charge ``cpu_us`` of
-        coordinator bookkeeping, have the directory inode's owner
-        execute ``exec_kind`` — it drives the invalidation broadcast
-        (§4.3) — and release.  Returns the target's ``(pid, name)`` once
-        the owner acknowledged, None when the client was already
-        answered with a failure."""
+    def _directory_change(self, message, exec_kind, applied, extra=None,
+                          cpu_us=None):
+        """Generator: the rmdir / directory-chmod skeleton.  Resolve,
+        lock and re-check the path, charge ``cpu_us`` of bookkeeping,
+        have the directory's owner execute ``exec_kind`` — it drives the
+        invalidation broadcast (§4.3) — and update our replica entry
+        with ``applied(key)`` before the locks go.  The owner gets
+        ``2 * rpc_timeout_us``, above its own invalidation round; on a
+        timeout it may still apply the change, so our entry is dropped."""
         payload = message.payload
         ctx = message.ctx
         try:
             components = split_path(payload["path"])
             if not components:
                 raise RpcFailure(RpcError.EINVAL, message.kind + " /")
-            pid, grants = yield from self._resolve_and_lock(components,
-                                                            ctx=ctx)
+            (key,), grants = yield from self._resolve_and_lock(
+                [components],
+                self.costs.resolve_component_us * len(components), ctx=ctx)
         except (ValueError, RpcFailure) as failure:
             if not isinstance(failure, RpcFailure):
                 failure = RpcFailure(RpcError.EINVAL, payload["path"])
             self.respond_error(message, failure)
-            return None
-        name = components[-1]
+            return
         try:
             if cpu_us is not None:
                 yield from self.execute(cpu_us, ctx=ctx)
-            yield self.call(self._owner(pid, name), exec_kind, dict(
-                extra or {}, pid=pid, name=name, path=payload["path"],
-            ), ctx=ctx)
+            yield from deadline_call(
+                self, ctx, self._owner(*key), exec_kind,
+                dict(extra or {}, pid=key[0], name=key[1],
+                     path=payload["path"]),
+                timeout_us=self.rpc_timeout_us and 2 * self.rpc_timeout_us)
+            applied(key)
         except RpcFailure as failure:
+            if failure.code == RpcError.ETIMEDOUT:
+                self._drop_dentry(key)
             self.respond_error(message, failure)
-            return None
+            return
         finally:
             self.locks.release_all(grants)
-        return pid, name
+        self.metrics.counter("ops").inc(message.kind)
+        self.respond(message, {"ok": True})
 
     def _on_rmdir(self, message):
         # Per-MNode invalidation bookkeeping at the coordinator: the
         # cluster-size-proportional share of rmdir's overhead (§6.2).
-        key = yield from self._directory_change(
-            message, "rmdir_exec",
+        yield from self._directory_change(
+            message, "rmdir_exec", self._drop_dentry,
             cpu_us=(self.costs.invalidate_apply_us * 2
                     * self.shared.config.num_mnodes))
-        if key is None:
-            return
-        # Our own replica entry is gone from the authoritative store.
-        self.dentries.delete(key)
-        self.inval_seq[("d",) + key] += 1
-        self.metrics.counter("ops").inc("rmdir")
-        self.respond(message, {"ok": True})
 
     def _on_chmod_dir(self, message):
         mode = message.payload["mode"]
-        key = yield from self._directory_change(message, "chmod_exec",
-                                                {"mode": mode})
-        if key is None:
-            return
-        record = self.dentries.get(key)
-        if record is not None:
-            record.mode = mode
-        self.metrics.counter("ops").inc("chmod_dir")
-        self.respond(message, {"ok": True})
+
+        def applied(key):
+            record = self.dentries.get(key)
+            if record is not None:
+                record.mode = mode
+            # A path resolved through the old mode fails its re-check.
+            self.inval_seq[("d",) + key] += 1
+
+        yield from self._directory_change(message, "chmod_exec", applied,
+                                          {"mode": mode})
 
     def _on_rename(self, message):
         payload = message.payload
         ctx = message.ctx
-        mutex = self._rename_mutex.request()
-        yield mutex
-        held = [mutex]
         grants = []
         try:
             src = split_path(payload["src"])
@@ -212,28 +222,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
                 raise RpcFailure(
                     RpcError.EINVAL, "rename into own subtree"
                 )
-            spid_res = yield from self.resolve_dir(src[:-1], ctx=ctx)
-            dpid_res = yield from self.resolve_dir(dst[:-1], ctx=ctx)
-            spid, dpid = spid_res.ino, dpid_res.ino
-            sname, dname = src[-1], dst[-1]
-            skey, dkey = (spid, sname), (dpid, dname)
-            if skey == dkey:
-                raise RpcFailure(RpcError.EINVAL, "rename onto itself")
-            lock_keys = {("d",) + skey: LockMode.EXCLUSIVE,
-                         ("d",) + dkey: LockMode.EXCLUSIVE}
-            for chain in (spid_res.chain, dpid_res.chain):
-                for key, _, _ in chain:
-                    lock_keys.setdefault(key, LockMode.SHARED)
-            yield from self.locks.acquire_all(sorted(lock_keys.items()),
-                                              grants, ctx=ctx)
-            yield from self.execute(
-                len(grants) * self.costs.lock_acquire_us
-                + 2 * self.costs.two_phase_round_us,
-                ctx=ctx,
-            )
-            yield from self._rename_2pc(
-                message, skey, dkey, partial(self._release_mutex, held),
-                grants)
+            (skey, dkey), grants = yield from self._resolve_and_lock(
+                [src, dst], 2 * self.costs.two_phase_round_us, ctx=ctx)
+            yield from self._rename_2pc(message, skey, dkey, grants)
         except RpcFailure as failure:
             self.respond_error(message, failure)
         except ValueError:
@@ -242,25 +233,17 @@ class Coordinator(NamespaceReplicaMixin, Node):
             )
         finally:
             self.locks.release_all(grants)
-            self._release_mutex(held)
 
-    def _release_mutex(self, held):
-        """Release the rename mutex at the decision, once: ``held`` is
-        the one-element list of its grant, emptied by the release."""
-        if held:
-            self._rename_mutex.release(held.pop())
-
-    def _prepare(self, txid, plans, ctx, decided):
+    def _prepare(self, txid, plans, ctx):
         """Generator: the prepare round — one ``rename_prepare`` per
         participant of ``plans`` (``(slot, owner, actions)``), all sent
         at once, marked ``commit`` when one participant holds every
-        action; returns the yes votes in plan order.  If any participant refuses
-        (``ENOENT``/``EEXIST``) or is unreachable, the rename is decided
-        (``decided()`` releases the mutex), every participant that may
-        hold a vote — it voted yes, timed out, or answered
-        ``ENOTLEADER`` after staging — is aborted, and the first failure
-        in plan order — the source's before the destination's — is
-        raised.
+        action; returns the yes votes in plan order.  If any participant
+        refuses (``ENOENT``/``EEXIST``) or is unreachable, every
+        participant that may hold a vote — it voted yes, timed out, or
+        answered ``ENOTLEADER`` after staging — is aborted, and the
+        first failure in plan order — the source's before the
+        destination's — is raised.
 
         The round is bounded by the per-attempt RPC timeout and the op
         deadline, whichever is set, and each prepare carries the instant
@@ -281,7 +264,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
         failure = next((vote for vote in votes
                         if isinstance(vote, RpcFailure)), None)
         if failure is not None:
-            decided()
             # A refusal staged nothing and needs no abort.
             yield from self._abort(txid, [
                 owner for (_, owner, _), vote in zip(plans, votes)
@@ -313,14 +295,13 @@ class Coordinator(NamespaceReplicaMixin, Node):
         return
         yield  # pragma: no cover
 
-    def _rename_2pc(self, message, skey, dkey, decided, grants):
+    def _rename_2pc(self, message, skey, dkey, grants):
         """Generator: two participant rounds.  The prepare round asks
         each owner to vote on every key it holds — the source's delete
         (its vote returns the moved row) and the destination's insert
         (a reservation of the free key) — and the commit round hands
         each owner its decided actions, the insert now carrying the
-        row.  ``decided()`` releases the rename mutex at the decision,
-        before the commit round.
+        row.
 
         A file rename is answered at its decision: the commit round
         runs behind the answer (:meth:`_commit_behind`), holding the
@@ -348,12 +329,11 @@ class Coordinator(NamespaceReplicaMixin, Node):
                      (dst_slot, dst_owner, [insert])]
         with ctx.span("2pc", CAT_PHASE, node=self.name,
                       attrs={"txid": txid} if ctx.traced else None):
-            votes = yield from self._prepare(txid, plans, ctx, decided)
+            votes = yield from self._prepare(txid, plans, ctx)
             if not votes[0].get("applied"):
                 record = votes[0]["record"]
                 plans = yield from self._decide(ctx, txid, plans, delete,
-                                                insert, record, decided)
-                decided()
+                                                insert, record)
                 if record.is_dir:
                     failure = yield from self._commit(ctx, txid, plans)
                     if failure is not None:
@@ -368,13 +348,13 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.metrics.counter("ops").inc("rename")
         self.respond(message, {"ok": True})
 
-    def _decide(self, ctx, txid, plans, delete, insert, record, decided):
+    def _decide(self, ctx, txid, plans, delete, insert, record):
         """Generator: decide a voted rename of ``record`` — after
         invalidating a renamed directory's dentry at every peer — and
         record the decision; returns the plans with their decided
         actions.  If a peer fails the invalidation, nothing is decided:
-        the mutex is released (``decided()``), both voted halves are
-        aborted at once and the failure is raised."""
+        both voted halves are aborted at once and the failure is
+        raised."""
         if record.is_dir:
             # Invalidate the source dentry everywhere; the owners
             # already hold it locked and update their replicas at commit.
@@ -388,11 +368,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
                         (peer, {"keys": [skey]}) for peer in peers],
                         timeout_us=self.rpc_timeout_us, rule=ALL)
             except RpcFailure:
-                decided()
                 yield from self._abort(txid, owners)
                 raise
-            self.dentries.delete(skey)
-            self.inval_seq[("d",) + skey] += 1
+            self._drop_dentry(skey)
         # Commits carry the decided actions so a participant that never
         # held the voted row (an asynchronous promotion lost it) can
         # still apply its half — 2PC must not leave the source record

@@ -1022,12 +1022,11 @@ class MNode(NamespaceReplicaMixin, Node):
             # resolution); committing here would strand the row at its
             # old owner, so the retry re-routes.
             return False
-        for dkey, record, seq in plan.chain:
-            if self.inval_seq[dkey] != seq or record.state == INVALID:
-                return False
-            if self.dentries.get((dkey[1], dkey[2])) is not record:
-                return False
-        return True
+        # An owner replaces its own dentry with no invalidation, so a
+        # batch also needs the record it resolved to be the one in place.
+        return self.chain_valid(plan.chain) and all(
+            self.dentries.get(dkey[1:]) is record
+            for dkey, record, _ in plan.chain)
 
     # ------------------------------------------------------------------
     # operation semantics (pure, staged in the batch's one write)

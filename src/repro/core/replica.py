@@ -86,6 +86,16 @@ class NamespaceReplicaMixin:
             mode = record.mode
         return ResolvedDir(current, chain)
 
+    def chain_valid(self, chain):
+        """True while no component of a resolved ``chain`` was
+        invalidated or marked INVALID: a holder re-checks a chain under
+        the locks it took after resolving it."""
+        inval_seq = self.inval_seq
+        for dkey, record, seq in chain:
+            if inval_seq[dkey] != seq or record.state == INVALID:
+                return False
+        return True
+
     def _dentry_record(self, key, ctx=None):
         """Generator: return a VALID dentry record for ``key``.
 
@@ -111,12 +121,9 @@ class NamespaceReplicaMixin:
                 payload = {"pid": key[0], "name": key[1]}
                 try:
                     # Bounded when the cluster configures a per-attempt
-                    # timeout: a crashed owner black-holes the request,
-                    # and the holder may be sitting on locks other
-                    # operations need (the rename path fetches while
-                    # holding the global rename mutex).  Each timed-out
-                    # attempt re-resolves the owner, so the retry lands
-                    # on the promoted standby once failover installs it.
+                    # timeout, so a crashed owner cannot park the op; each
+                    # timed-out attempt re-resolves the owner, so the
+                    # retry lands on the promoted standby.
                     row = yield from deadline_call(
                         self, ctx or NULL_CONTEXT,
                         self._owner_name(key), "lookup_dentry",

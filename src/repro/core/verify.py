@@ -12,7 +12,8 @@ against the invariants the protocol is supposed to maintain:
   the coordinator) agrees with the owner's inode record; stale entries
   must be marked INVALID, never silently wrong;
 * **reachability** — every inode's parent id refers to an existing
-  directory (no orphans), transitively reachable from the root;
+  directory (no orphans), and every directory reaches the root by its
+  parent ids (no detached cycle);
 * **statistics** — the per-MNode filename counters and secondary indexes
   used by the load balancer match the actual tables.
 
@@ -106,14 +107,14 @@ def _audit(cluster, counts):
                 else:
                     yield key, record, holder_index
 
-    # Directories, and inode numbers met more than once (found by
-    # sorting references to every number).
-    dir_inos = {ROOT_INO}
+    # Directories, each number to its parent's, and inode numbers met
+    # more than once (found by sorting references to every number).
+    parent_of = {ROOT_INO: ROOT_INO}
     inos = []
-    for _, record, _ in rows():
+    for (pid, _), record, _ in rows():
         inos.append(record.ino)
         if record.is_dir:
-            dir_inos.add(record.ino)
+            parent_of[record.ino] = pid
     counts["inodes"] = len(inos)
     inos.sort()
     repeated = {ino for ino, after in zip(inos, islice(inos, 1, None))
@@ -135,7 +136,7 @@ def _audit(cluster, counts):
                                  ino, key=list(key))
             met.add(ino)
         if record.is_dir:
-            dirs.append(key)
+            dirs.append((key, ino))
         expected = node_of(locate(pid, name))
         if expected != holder_index and name not in migrating:
             yield _violation(
@@ -143,13 +144,28 @@ def _audit(cluster, counts):
                 "inode {} placed on MNode {} but indexing says {}",
                 key, holder_index, expected, key=list(key),
             )
-        if pid not in dir_inos:
+        if pid not in parent_of:
             orphans.append(_violation(
                 "reachability",
                 "orphaned inode {}: parent ino {} does not exist",
                 key, pid, key=list(key),
             ))
     yield from orphans
+    # Every directory reaches the root: a walk up stops at a directory
+    # already walked or at a missing parent (an orphan, reported above).
+    loops = {ROOT_INO: False}
+    for key, ino in dirs:
+        trail = set()
+        while ino in parent_of and ino not in loops and ino not in trail:
+            trail.add(ino)
+            ino = parent_of[ino]
+        loop = loops.get(ino, ino in trail)
+        loops.update(dict.fromkeys(trail, loop))
+        if loop:
+            yield _violation(
+                "reachability",
+                "directory {} does not reach the root: its parent chain "
+                "loops", key, key=list(key))
 
     # Ownership and replica coherence.
     replicas_checked = 0
@@ -183,7 +199,7 @@ def _audit(cluster, counts):
                 )
 
     # Every directory inode is backed by a VALID dentry at its owner.
-    for key in dirs:
+    for key, _ in dirs:
         owner = mnodes[node_of(locate(*key))]
         dentry = owner.dentries.get(key)
         if dentry is None or dentry.state != VALID:
@@ -202,7 +218,7 @@ def _audit(cluster, counts):
                 mnode.name, node=mnode.name,
             )
 
-    counts["directories"] = len(dir_inos) - 1
+    counts["directories"] = len(parent_of) - 1
     counts["valid_replica_dentries"] = replicas_checked
 
 
@@ -263,14 +279,6 @@ def runtime_violations(cluster):
             violations.append(_violation(
                 "wal-waiters", "{} has {} unacknowledged WAL commit waiters",
                 holder.name, len(wal._pending), node=holder.name,
-            ))
-    mutex = getattr(cluster.coordinator, "_rename_mutex", None)
-    if mutex is not None:
-        busy = mutex.count + mutex.queue_length
-        if busy:
-            violations.append(_violation(
-                "rename-mutex", "coordinator rename mutex busy after drain "
-                "({} holders/waiters)", busy,
             ))
     active = getattr(cluster.coordinator, "migrations", None)
     if active:

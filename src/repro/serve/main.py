@@ -338,9 +338,9 @@ def plan_deps(plan):
     reader of its source, so it can never overtake an in-flight stat and
     turn it into a spurious ENOENT.  The plan's :data:`_WORKLOAD_LAG`
     spacing makes these edges almost always already satisfied — they only
-    bite when one op (typically a rename, which serializes on the
-    coordinator mutex and pays real fsyncs) runs much slower than the
-    stream flowing past it.
+    bite when one op (typically a rename, which takes the coordinator's
+    path locks and pays real fsyncs) runs much slower than the stream
+    flowing past it.
     """
     producer = {}
     readers = {}

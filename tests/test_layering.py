@@ -400,3 +400,45 @@ def test_fan_out_lint_allows_waiting_on_processes_and_events():
               "    halves = [done for done in self._open_halves]\n"
               "    yield self.env.all_of(halves)\n")
     assert not _hand_rolled_fan_outs(ast.parse(source))
+
+
+COORDINATOR = SRC / "core" / "coordinator.py"
+
+
+def _takes_locks(node):
+    """True when ``node`` takes locks: ``acquire`` or ``acquire_all``
+    called on a receiver named for a lock manager."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("acquire", "acquire_all")
+            and "locks" in ast.unparse(node.func.value))
+
+
+def test_coordinator_locks_only_where_it_rechecks():
+    """The coordinator takes path locks in one place,
+    ``Coordinator._resolve_and_lock``, which re-checks every chain it
+    resolved once the locks are held.  An operation that locked a
+    resolved chain anywhere else could act on a path a concurrent
+    rmdir, chmod or rename had already changed."""
+    tree = ast.parse(COORDINATOR.read_text(), filename=str(COORDINATOR))
+    lockers = {name: node.lineno for name, fn in _functions(tree)
+               for node in ast.walk(fn) if _takes_locks(node)}
+    assert list(lockers) == ["Coordinator._resolve_and_lock"], (
+        "coordinator locks outside _resolve_and_lock: {}".format(lockers))
+
+
+@pytest.mark.parametrize("source", [
+    "yield from self.locks.acquire_all(sorted(requests), grants, ctx=ctx)",
+    "grant = self.locks.acquire(key, LockMode.SHARED)",
+    "locks = self.locks\n"
+    "yield from locks.acquire_all(requests, grants)",
+    "yield from coordinator.locks.acquire_all(requests, grants)",
+])
+def test_coordinator_lock_lint_flags_every_spelling(source):
+    assert any(_takes_locks(node) for node in ast.walk(ast.parse(source)))
+
+
+def test_coordinator_lock_lint_allows_releases_and_other_mutexes():
+    source = ("self.locks.release_all(grants)\n"
+              "mutex = self._migration_mutex.request()\n")
+    assert not any(_takes_locks(node) for node in ast.walk(ast.parse(source)))

@@ -433,11 +433,11 @@ class TestTwoRoundRename:
     once, carrying every action it holds, then every owner's commit sent
     at once.  The destination's vote is a reservation of the free key;
     the record it inserts arrives with the decision.  A file rename one
-    owner holds whole is one round, and the rename mutex is released at
-    the decision, before the commit round.  A file rename two owners
-    hold is answered at the decision, and its commit round runs behind
-    the answer; a directory rename is answered after its commit
-    round."""
+    owner holds whole is one round.  A file rename two owners hold is
+    answered at the decision, and its commit round runs behind the
+    answer; a directory rename is answered after its commit round.  No
+    lock but the coordinator's path locks orders renames, so renames on
+    disjoint keys prepare side by side."""
 
     @staticmethod
     def _cross_owner(cluster, pid, src="a", prefix="b"):
@@ -705,11 +705,11 @@ class TestTwoRoundRename:
 
     def test_next_rename_prepares_while_a_commit_round_is_in_flight(
             self, cluster, fs):
-        """The rename mutex covers lock acquisition through the
-        decision, not the commit round: while the first rename's commits
-        are held in flight, a rename on disjoint keys takes the mutex
-        and sends its prepares.  Each is answered before its commits
-        are acknowledged; both complete and nothing is left."""
+        """A commit round in flight holds only its own keys: while the
+        first rename's commits are held in flight, a rename on disjoint
+        keys locks its paths and sends its prepares.  Each is answered
+        before its commits are acknowledged; both complete and nothing
+        is left."""
         from repro.core.verify import runtime_violations
 
         env = cluster.env
@@ -753,6 +753,46 @@ class TestTwoRoundRename:
         assert runtime_violations(cluster) == []
         assert [fs.exists("/d/" + name) for name in first + second] == [
             False, True, False, True]
+        check_cluster_invariants(cluster)
+
+    def test_renames_on_disjoint_keys_prepare_side_by_side(self, cluster,
+                                                           fs):
+        """Two renames on disjoint keys, started together, both have
+        their prepares in flight before either is decided: the first
+        four rename calls the coordinator makes are the four prepares,
+        sent before any vote comes back."""
+        from repro.core.verify import runtime_violations
+
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        pairs = [self._cross_owner(cluster, pid, "a"),
+                 self._cross_owner(cluster, pid, "x", "y")]
+        for src, _ in pairs:
+            fs.create("/d/" + src)
+        coordinator = cluster.coordinator
+        real_call = coordinator.call
+        log = []
+
+        def call(target, kind, *args, **kwargs):
+            reply = real_call(target, kind, *args, **kwargs)
+            if kind.startswith("rename_"):
+                txid = args[0]["txid"]
+                log.append(("send", kind, txid))
+                reply.callbacks.append(
+                    lambda _: log.append(("reply", kind, txid)))
+            return reply
+
+        coordinator.call = call
+        client = cluster.add_client()
+        renames = [env.process(client.rename("/d/" + src, "/d/" + dst))
+                   for src, dst in pairs]
+        env.run(until=env.all_of(renames))
+        assert log[:4] == [("send", "rename_prepare", "rn-1")] * 2 + [
+            ("send", "rename_prepare", "rn-2")] * 2
+        assert cluster.quiesce(1_000_000.0)
+        assert runtime_violations(cluster) == []
+        assert [fs.exists("/d/" + name) for pair in pairs
+                for name in pair] == [False, True, False, True]
         check_cluster_invariants(cluster)
 
     def test_both_refusing_answers_the_source_refusal(self, cluster, fs):
@@ -1121,6 +1161,39 @@ class TestFanOutRules:
         assert not fs.exists("/d")
         check_cluster_invariants(cluster)
 
+    def test_an_unreachable_owner_times_the_rmdir_out(self):
+        """The coordinator waits ``2 * rpc_timeout_us`` for the owner of
+        ``/d``, above the owner's own invalidation round: partitioned
+        from it, ``rmdir /d`` answers ``ETIMEDOUT`` naming the owner and
+        frees the path's locks, so the next op on ``/d`` gets them."""
+        cluster = self._cluster()
+        fs = cluster.fs()
+        env = cluster.env
+        fs.mkdir("/d")
+        coordinator = cluster.coordinator
+        owner = TestTwoRoundRename._node(cluster, ROOT_INO, "d")
+        cluster.network.partition([coordinator.name], [owner.name])
+        start = env.now
+
+        def rmdir():
+            failure = yield from _swallow(_call(
+                cluster.add_client(), coordinator.name, "rmdir",
+                {"path": "/d"}))
+            return failure, env.now - start
+
+        answered = env.process(rmdir())
+        cluster.run_for(4 * self.TIMEOUT)
+        assert answered.triggered
+        failure, took = answered.value
+        assert failure.code == RpcError.ETIMEDOUT
+        assert failure.detail == "rmdir_exec to " + owner.name
+        assert 2 * self.TIMEOUT < took < 2 * self.TIMEOUT + 200
+        assert coordinator.locks._locks == {}
+        cluster.network.heal()
+        fs.rmdir("/d")
+        assert not fs.exists("/d")
+        check_cluster_invariants(cluster)
+
     @pytest.mark.parametrize("budget_us", [1200.0, 300.0])
     def test_a_failed_directory_rename_invalidation_aborts_both_halves(
             self, budget_us):
@@ -1197,6 +1270,70 @@ class TestFanOutRules:
         assert completed.get("invalidate_owner") == 1
         assert silent.dentries.get(key).state != VALID
         assert fs.exists("/" + name)
+        check_cluster_invariants(cluster)
+
+
+def _race(cluster, first, second, delay_us):
+    """Run client op ``first`` and, ``delay_us`` later from a second
+    client, ``second`` (each ``(op, *args)``); returns their outcomes,
+    ``"ok"`` or the failure code's name, once the cluster is quiet."""
+    env = cluster.env
+
+    def run(op, *args, delay=0.0):
+        yield env.timeout(delay)
+        try:
+            yield from getattr(cluster.add_client(), op)(*args)
+            return "ok"
+        except RpcFailure as failure:
+            return RpcError.name(failure.code)
+
+    procs = [env.process(run(*first)),
+             env.process(run(*second, delay=delay_us))]
+    env.run(until=env.all_of(procs))
+    assert cluster.quiesce(1_000_000.0)
+    return [proc.value for proc in procs]
+
+
+class TestResolveLockRecheck:
+    """The coordinator resolves a path, takes its locks, then re-checks
+    the resolution under them, as a merged MNode batch does.  A change
+    that reached a directory on the path first answers ``ERETRY``, and
+    the client's retry resolves the path as it now is."""
+
+    @pytest.mark.parametrize("delay_us", [0.0, 5.0])
+    def test_a_rename_into_a_directory_being_removed_fails(self, cluster,
+                                                           fs, delay_us):
+        """``rename /x/f /a/b/f`` resolves ``/a/b`` while ``rmdir /a/b``
+        holds it: it must not move the file under the removed
+        directory."""
+        from repro.core.verify import runtime_violations
+
+        fs.makedirs("/a/b")
+        fs.mkdir("/x")
+        fs.create("/x/f")
+        assert _race(cluster, ("rmdir", "/a/b"),
+                     ("rename", "/x/f", "/a/b/f"), delay_us) == [
+            "ok", "ENOENT"]
+        assert fs.exists("/x/f") and not fs.exists("/a/b")
+        assert runtime_violations(cluster) == []
+        check_cluster_invariants(cluster)
+
+    @pytest.mark.parametrize("delay_us", [0.0, 5.0, 10.0, 20.0, 40.0])
+    def test_crossing_directory_renames_form_no_cycle(self, cluster, fs,
+                                                      delay_us):
+        """``/a -> /b/c`` and ``/b -> /a/x``: if both applied, the two
+        directories would hold each other, detached from the root.
+        Exactly one succeeds; the other's path is gone."""
+        from repro.core.verify import runtime_violations
+
+        fs.mkdir("/a")
+        fs.mkdir("/b")
+        outcomes = _race(cluster, ("rename", "/a", "/b/c"),
+                         ("rename", "/b", "/a/x"), delay_us)
+        assert sorted(outcomes) == ["ENOENT", "ok"]
+        expected = ["b"] if outcomes[0] == "ok" else ["a"]
+        assert [name for name, _ in fs.readdir("/")] == expected
+        assert runtime_violations(cluster) == []
         check_cluster_invariants(cluster)
 
 

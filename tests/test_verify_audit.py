@@ -160,7 +160,25 @@ def _all_at_once(cluster, ino, plants=tuple(CORRUPTIONS.values())):
 
 CORRUPTIONS["all_at_once"] = _all_at_once
 
-#: Recorded from the dict-building audit this one replaced:
+
+def _detached_cycle(cluster, ino):
+    """Two directories, each the other's parent: every parent id names
+    a directory, yet neither reaches the root.  Each is placed at its
+    owner with its owner dentry, so reachability alone must catch it."""
+    x, y = 888881, 888882
+    for key, dir_ino in (((y, "x"), x), ((x, "y"), y)):
+        owner = cluster.mnodes[_owner(cluster, key)]
+        record = InodeRecord(ino=dir_ino, is_dir=True, mode=0o755)
+        _plant(owner, key, record)
+        owner.dentries.put(key, record.dentry())
+
+
+# Planted after the recorded set above, so ``all_at_once`` keeps its
+# recorded verdict.
+CORRUPTIONS["detached_cycle"] = _detached_cycle
+
+#: Recorded from the dict-building audit this one replaced, but for
+#: ``detached_cycle``, which that audit did not catch:
 #: name -> (violations, counts).
 EXPECTED = {
     "all_at_once": (
@@ -243,6 +261,16 @@ EXPECTED = {
           'message': "mnode-1 dentry (1, 'c') mode 700 != inode mode 755",
           'key': [1, 'c']}],
         {'inodes': 13, 'directories': 3, 'valid_replica_dentries': 7}),
+    "detached_cycle": (
+        [{'invariant': 'reachability',
+          'message': "directory (888881, 'y') does not reach the root: its "
+                     'parent chain loops',
+          'key': [888881, 'y']},
+         {'invariant': 'reachability',
+          'message': "directory (888882, 'x') does not reach the root: its "
+                     'parent chain loops',
+          'key': [888882, 'x']}],
+        {'inodes': 15, 'directories': 5, 'valid_replica_dentries': 9}),
     "duplicate_ino": (
         [{'invariant': 'identity',
           'message': 'inode number 6 appears twice',
