@@ -137,6 +137,12 @@ class Coordinator(NamespaceReplicaMixin, Node):
         self.dentries.delete(key)
         self.inval_seq[("d",) + key] += 1
 
+    def _give_up_at(self, ctx):
+        """When a call made now gives up (the RPC timeout or the op
+        deadline), or None."""
+        remaining = budget(self, ctx, self.rpc_timeout_us)
+        return None if remaining == math.inf else self.env.now_us() + remaining
+
     def _owner(self, pid, name):
         return self.shared.mnode_name(self.index.locate(pid, name))
 
@@ -144,15 +150,16 @@ class Coordinator(NamespaceReplicaMixin, Node):
     # client-facing namespace changes
     # ------------------------------------------------------------------
 
-    def _directory_change(self, message, exec_kind, applied, extra=None,
+    def _directory_change(self, message, exec_kind, extra=None,
                           cpu_us=None):
         """Generator: the rmdir / directory-chmod skeleton.  Resolve,
         lock and re-check the path, charge ``cpu_us`` of bookkeeping,
         have the directory's owner execute ``exec_kind`` — it drives the
-        invalidation broadcast (§4.3) — and update our replica entry
-        with ``applied(key)`` before the locks go.  The owner gets
-        ``2 * rpc_timeout_us``, above its own invalidation round; on a
-        timeout it may still apply the change, so our entry is dropped."""
+        invalidation broadcast (§4.3) — and drop our replica entry
+        before the locks go.  The owner gets ``2 * rpc_timeout_us``,
+        above its own invalidation round, and refuses an exec whose
+        locks it gets after the ``deadline`` it carries, one
+        ``rpc_timeout_us`` in: no exec starts once our locks are gone."""
         payload = message.payload
         ctx = message.ctx
         try:
@@ -173,9 +180,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
             yield from deadline_call(
                 self, ctx, self._owner(*key), exec_kind,
                 dict(extra or {}, pid=key[0], name=key[1],
-                     path=payload["path"]),
+                     path=payload["path"], deadline=self._give_up_at(ctx)),
                 timeout_us=self.rpc_timeout_us and 2 * self.rpc_timeout_us)
-            applied(key)
+            self._drop_dentry(key)
         except RpcFailure as failure:
             if failure.code == RpcError.ETIMEDOUT:
                 self._drop_dentry(key)
@@ -190,22 +197,13 @@ class Coordinator(NamespaceReplicaMixin, Node):
         # Per-MNode invalidation bookkeeping at the coordinator: the
         # cluster-size-proportional share of rmdir's overhead (§6.2).
         yield from self._directory_change(
-            message, "rmdir_exec", self._drop_dentry,
+            message, "rmdir_exec",
             cpu_us=(self.costs.invalidate_apply_us * 2
                     * self.shared.config.num_mnodes))
 
     def _on_chmod_dir(self, message):
-        mode = message.payload["mode"]
-
-        def applied(key):
-            record = self.dentries.get(key)
-            if record is not None:
-                record.mode = mode
-            # A path resolved through the old mode fails its re-check.
-            self.inval_seq[("d",) + key] += 1
-
-        yield from self._directory_change(message, "chmod_exec", applied,
-                                          {"mode": mode})
+        yield from self._directory_change(
+            message, "chmod_exec", {"mode": message.payload["mode"]})
 
     def _on_rename(self, message):
         payload = message.payload
@@ -239,7 +237,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
         participant of ``plans`` (``(slot, owner, actions)``), all sent
         at once, marked ``commit`` when one participant holds every
         action; returns the yes votes in plan order.  If any participant
-        refuses (``ENOENT``/``EEXIST``) or is unreachable, every
+        refuses (``ENOENT``/``EEXIST``, or ``ERETRY`` when a key of a
+        two-participant rename is busy) or is unreachable, every
         participant that may hold a vote — it voted yes, timed out, or
         answered ``ENOTLEADER`` after staging — is aborted, and the
         first failure in plan order — the source's before the
@@ -250,9 +249,7 @@ class Coordinator(NamespaceReplicaMixin, Node):
         it gives up: a participant refuses one it picks up later (our
         abort may have come and gone), and once voted resolves itself
         after it."""
-        remaining = budget(self, ctx, self.rpc_timeout_us)
-        deadline = (None if remaining == math.inf
-                    else self.env.now_us() + remaining)
+        deadline = self._give_up_at(ctx)
         calls = []
         for _, owner, actions in plans:
             payload = {"txid": txid, "actions": actions, "deadline": deadline}
@@ -356,8 +353,9 @@ class Coordinator(NamespaceReplicaMixin, Node):
         both voted halves are aborted at once and the failure is
         raised."""
         if record.is_dir:
-            # Invalidate the source dentry everywhere; the owners
-            # already hold it locked and update their replicas at commit.
+            # Invalidate the source dentry everywhere, with our votes
+            # held (so no peer waits for a lock); the owners already
+            # hold it locked and update their replicas at commit.
             skey = delete["key"]
             owners = [owner for _, owner, _ in plans]
             peers = [peer for peer in self.shared.mnode_names
@@ -365,7 +363,8 @@ class Coordinator(NamespaceReplicaMixin, Node):
             try:
                 if peers:
                     yield from call_all(self, ctx, "invalidate", [
-                        (peer, {"keys": [skey]}) for peer in peers],
+                        (peer, {"keys": [skey], "wait": False})
+                        for peer in peers],
                         timeout_us=self.rpc_timeout_us, rule=ALL)
             except RpcFailure:
                 yield from self._abort(txid, owners)

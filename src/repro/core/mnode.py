@@ -116,7 +116,8 @@ class _OwnerWrite:
     1. **one lock order** — :meth:`lock` X-locks key pairs, each as
        ``("d", key)`` then ``("i", key)``, and :meth:`lock_all` takes a
        batch's coalesced set in ``sorted`` order, which agrees; both go
-       through :meth:`LockManager.acquire_all`, and :meth:`close`
+       through :meth:`LockManager.acquire_all` (:meth:`try_lock` takes
+       :meth:`lock`'s pairs all at once or none), and :meth:`close`
        releases in acquisition order, so no two writers can each hold
        half of a key;
     2. **hosted check + writer registration** — :meth:`enter`, in one
@@ -161,9 +162,17 @@ class _OwnerWrite:
     def lock(self, *keys):
         """Generator: X-lock each key's dentry/inode pair, all in sorted
         order (for one key: ``d`` first)."""
-        return self.lock_all(sorted(
-            (kind + key, LockMode.EXCLUSIVE)
-            for key in keys for kind in (("d",), ("i",))))
+        return self.lock_all(self._pairs(keys))
+
+    def try_lock(self, *keys):
+        """:meth:`lock`, if every lock is free now (True); never waits."""
+        return self.node.locks.try_acquire_all(self._pairs(keys),
+                                               self.grants)
+
+    @staticmethod
+    def _pairs(keys):
+        return sorted((kind + key, LockMode.EXCLUSIVE)
+                      for key in keys for kind in (("d",), ("i",)))
 
     def lock_all(self, requests):
         """Generator: take ``(key, mode)`` ``requests`` in order."""
@@ -525,11 +534,15 @@ class MNode(NamespaceReplicaMixin, Node):
     def _owner_write(self, message, op, step):
         """Generator: run ``step(w, key)`` — a handler's protocol step —
         as one durable mutation of the payload's ``(pid, name)`` inside
-        the :class:`_OwnerWrite` scaffold, and answer the caller."""
+        the :class:`_OwnerWrite` scaffold, and answer the caller
+        (``ETIMEDOUT`` if the locks came after the payload's deadline)."""
         key = (message.payload["pid"], message.payload["name"])
+        deadline = message.payload.get("deadline")
         w = _OwnerWrite(self, message.ctx)
         yield from w.lock(key)
         try:
+            if deadline is not None and self.env.now_us() > deadline:
+                raise RpcFailure(RpcError.ETIMEDOUT, key)
             w.enter(key)
             yield from step(w, key)
             yield from w.commit()
@@ -1327,10 +1340,12 @@ class MNode(NamespaceReplicaMixin, Node):
             self.respond(message, record)
 
     def _on_invalidate(self, message):
-        """Invalidate replica dentries; optionally report child existence
+        """Invalidate replica dentries (``wait``: see
+        :meth:`apply_invalidation`); optionally report child existence
         (the rmdir children check rides the same broadcast)."""
         payload = message.payload
-        yield from self.apply_invalidation(payload["keys"])
+        yield from self.apply_invalidation(payload["keys"],
+                                           payload.get("wait", True))
         response = {}
         if payload.get("children_of") is not None:
             yield from self.execute(self.costs.index_lookup_us)
@@ -1417,18 +1432,25 @@ class MNode(NamespaceReplicaMixin, Node):
         in the same write, with no voted row and no marker (nothing is
         in doubt, and no commit will follow), and the answer adds
         ``applied``.  A directory votes as usual: the coordinator must
-        invalidate its peers before it commits."""
+        invalidate its peers before it commits.  An unmarked prepare
+        takes its locks all at once or refuses ``ERETRY``: the other
+        owner's vote is held meanwhile (docs/protocol.md, "Resolve,
+        lock, re-check")."""
         payload = message.payload
         txid, deadline = payload["txid"], payload.get("deadline")
         keys = [action["key"] for action in payload["actions"]]
         w = _OwnerWrite(self, message.ctx)
-        yield from w.lock(*keys)
         voted, record = [], None
         try:
+            if payload.get("commit"):
+                yield from w.lock(*keys)
+            elif not w.try_lock(*keys):
+                raise RpcFailure(RpcError.ERETRY, keys[0])
             if deadline is not None and self.env.now_us() > deadline:
-                # The coordinator timed this attempt out while we were
-                # queued on the locks; its abort may have come and gone,
-                # leaving nobody to release what we would stage.
+                # The coordinator timed this attempt out before the
+                # prepare arrived or while it queued on the locks; its
+                # abort may have come and gone, leaving nobody to
+                # release what we would stage.
                 raise RpcFailure(RpcError.ETIMEDOUT, keys[0])
             # A slot that migrated away while we were queued bounces
             # (the client re-resolves); otherwise the staged write pins

@@ -7,7 +7,7 @@ directory's *owner* MNode (the node hybrid indexing placed its inode on).
 
 The mixin also implements the receiving side of the invalidation protocol:
 an invalidation X-locks the dentry (waiting out any in-flight request that
-holds it shared), bumps the key's invalidation sequence number (so lookup
+holds it shared; a renamed directory's peers skip the lock), bumps the key's invalidation sequence number (so lookup
 responses issued before the invalidation are discarded — the paper's
 "discard stale responses" rule), and marks the entry invalid.
 """
@@ -167,18 +167,22 @@ class NamespaceReplicaMixin:
 
     # -- invalidation (receiving side) ---------------------------------------
 
-    def apply_invalidation(self, keys):
-        """Generator: X-lock, bump sequence and mark INVALID for each key."""
+    def apply_invalidation(self, keys, wait=True):
+        """Generator: X-lock, bump sequence and mark INVALID for each key.
+        ``wait=False`` skips the X lock, which waits out the ops holding
+        the key shared: a renamed directory's held votes wait on it, and
+        it keeps its ino, so such an op lands under the new name."""
         for key in keys:
             dkey = ("d",) + key
-            grant = self.locks.acquire(dkey, LockMode.EXCLUSIVE)
-            if grant.event.callbacks is not None:
+            grant = wait and self.locks.acquire(dkey, LockMode.EXCLUSIVE)
+            if grant and grant.event.callbacks is not None:
                 yield grant.event
             self.inval_seq[dkey] += 1
             record = self.dentries.get(key)
             if record is not None:
                 record.state = INVALID
-            self.locks.release(grant)
+            if grant:
+                self.locks.release(grant)
             if self.costs.invalidate_apply_us:
                 yield self.env.timeout(self.costs.invalidate_apply_us)
             self.metrics.counter("invalidations").inc()

@@ -120,6 +120,16 @@ class LockManager:
                 yield grant.event
             grants.append(grant)
 
+    def try_acquire_all(self, requests, grants):
+        """:meth:`acquire_all` without waiting: all of ``requests`` (on
+        distinct keys) if each is grantable now, and True; else none."""
+        locks = self._locks
+        if any(key in locks and not self._grantable(locks[key], mode)
+               for key, mode in requests):
+            return False
+        grants.extend(self.acquire(key, mode) for key, mode in requests)
+        return True
+
     def release_all(self, grants):
         """Release a lock set, in the order it was acquired."""
         for grant in grants:

@@ -154,7 +154,7 @@ def _scaffold_only(node):
     """What ``node`` does that only the scaffold may, or None: touch the
     slot-writer registry, open a transaction, write a WAL record, or
     take a lock that is not spelled SHARED — a lock set through
-    ``acquire_all`` counts whatever its modes."""
+    ``acquire_all`` or ``try_acquire_all`` counts whatever its modes."""
     if isinstance(node, ast.Attribute) and node.attr == "_slot_writers":
         return "touches _slot_writers"
     if not isinstance(node, ast.Call):
@@ -172,7 +172,7 @@ def _scaffold_only(node):
         return "writes a WAL record"
     if "locks" not in receiver:
         return None
-    if name == "acquire_all":
+    if name in ("acquire_all", "try_acquire_all"):
         return "acquires a lock set"
     if name in ("acquire", "try_acquire"):
         modes = [ast.unparse(arg) for arg in node.args[1:2]]
@@ -214,6 +214,7 @@ def test_owner_writes_go_through_the_scaffold():
     "self.locks.acquire(key, 'X', ctx=ctx)",
     "self.locks.try_acquire(key, mode)",
     "self.locks.acquire_all([(key, LockMode.SHARED)], grants)",
+    "self.node.locks.try_acquire_all(requests, self.grants)",
     "Transaction(env, wal, costs)",
     "self._txn(ctx=ctx)",
     "self.wal.commit(64, ctx=ctx)",
@@ -406,11 +407,12 @@ COORDINATOR = SRC / "core" / "coordinator.py"
 
 
 def _takes_locks(node):
-    """True when ``node`` takes locks: ``acquire`` or ``acquire_all``
-    called on a receiver named for a lock manager."""
+    """True when ``node`` takes locks: ``acquire``, ``acquire_all`` or
+    ``try_acquire_all`` called on a receiver named for a lock manager."""
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("acquire", "acquire_all")
+            and node.func.attr in ("acquire", "acquire_all",
+                                   "try_acquire_all")
             and "locks" in ast.unparse(node.func.value))
 
 
@@ -433,6 +435,7 @@ def test_coordinator_locks_only_where_it_rechecks():
     "locks = self.locks\n"
     "yield from locks.acquire_all(requests, grants)",
     "yield from coordinator.locks.acquire_all(requests, grants)",
+    "self.locks.try_acquire_all(requests, grants)",
 ])
 def test_coordinator_lock_lint_flags_every_spelling(source):
     assert any(_takes_locks(node) for node in ast.walk(ast.parse(source)))

@@ -284,6 +284,34 @@ class TestOwnerWriteScaffold:
         check_cluster_invariants(cluster)
 
 
+def _hold_calls(cluster, held):
+    """Hold every call the coordinator makes for which ``held(target,
+    kind, payload)`` is true until the returned event fires, then send
+    it; its answer settles the caller's reply, unless the caller gave
+    up on it first."""
+    env = cluster.env
+    coordinator = cluster.coordinator
+    real_call = coordinator.call
+    release = env.event()
+
+    def hold(proxy, *args, **kwargs):
+        yield release
+        try:
+            proxy.settle(True, (yield real_call(*args, **kwargs)))
+        except RpcFailure as failure:
+            proxy.settle(False, failure)
+
+    def call(target, kind, *args, **kwargs):
+        if held(target, kind, args[0]):
+            proxy = env.event()
+            env.process(hold(proxy, target, kind, *args, **kwargs))
+            return proxy
+        return real_call(target, kind, *args, **kwargs)
+
+    coordinator.call = call
+    return release
+
+
 def _swallow(generator):
     try:
         yield from generator
@@ -437,7 +465,8 @@ class TestTwoRoundRename:
     answered at the decision, and its commit round runs behind the
     answer; a directory rename is answered after its commit round.  No
     lock but the coordinator's path locks orders renames, so renames on
-    disjoint keys prepare side by side."""
+    disjoint keys prepare side by side, and a prepare of a two-owner
+    rename takes its keys at once or refuses ``ERETRY``."""
 
     @staticmethod
     def _cross_owner(cluster, pid, src="a", prefix="b"):
@@ -493,27 +522,8 @@ class TestTwoRoundRename:
         """Hold every ``rename_commit`` the coordinator sends for which
         ``held(target, txid)`` is true until the returned event fires,
         then send it."""
-        env = cluster.env
-        coordinator = cluster.coordinator
-        real_call = coordinator.call
-        release = env.event()
-
-        def hold(proxy, *args, **kwargs):
-            yield release
-            try:
-                proxy.succeed((yield real_call(*args, **kwargs)))
-            except RpcFailure as failure:
-                proxy.fail(failure)
-
-        def call(target, kind, *args, **kwargs):
-            if kind == "rename_commit" and held(target, args[0]["txid"]):
-                proxy = env.event()
-                env.process(hold(proxy, target, kind, *args, **kwargs))
-                return proxy
-            return real_call(target, kind, *args, **kwargs)
-
-        coordinator.call = call
-        return release
+        return _hold_calls(cluster, lambda target, kind, payload: (
+            kind == "rename_commit" and held(target, payload["txid"])))
 
     def test_same_owner_file_rename_is_one_round(self):
         """One owner holds both keys of a file rename: its prepare is
@@ -793,6 +803,62 @@ class TestTwoRoundRename:
         assert runtime_violations(cluster) == []
         assert [fs.exists("/d/" + name) for pair in pairs
                 for name in pair] == [False, True, False, True]
+        check_cluster_invariants(cluster)
+
+    def test_crossed_renames_behind_merged_batches_both_answer(self,
+                                                                cluster,
+                                                                fs):
+        """R1 moves ``s1`` (owner A) to ``k1`` (owner B) and R2 moves
+        ``s2`` (A) to ``k2`` (B), with ``s1 < s2`` and ``k2 < k1``.  R1
+        has voted at B and R2 at A when a merged two-create batch at
+        each owner takes the smaller key and queues on the other
+        rename's vote.  Had the remaining prepares queued behind those
+        batches, each rename would wait on the other's vote for good
+        (no RPC timeout is set).  A prepare that is one of two refuses
+        ``ERETRY`` instead, so its rename aborts its vote, the batches
+        run, and every op answers."""
+        from repro.core.verify import runtime_violations
+
+        env = cluster.env
+        pid = fs.mkdir("/d")
+        owner = cluster.coordinator._owner
+        names = ["n{}".format(i) for i in range(200)]
+        a = owner(pid, names[0])
+        s1, s2 = sorted([name for name in names if owner(pid, name) == a][:2])
+        b = next(owner(pid, name) for name in names if owner(pid, name) != a)
+        k2, k1 = sorted([name for name in names if owner(pid, name) == b][:2])
+        node_a, node_b = (self._node(cluster, pid, name) for name in (s1, k1))
+        for name in (s1, s2):
+            fs.create("/d/" + name)
+        release = _hold_calls(cluster, lambda target, kind, payload: (
+            kind == "rename_prepare"
+            and (target, payload["actions"][0]["key"][1]) in (
+                (a, s1), (b, k2))))
+
+        def op(kind, *paths):
+            return env.process(_swallow(
+                getattr(cluster.add_client(), kind)(*paths)))
+
+        renames = [op("rename", "/d/" + s1, "/d/" + k1),
+                   op("rename", "/d/" + s2, "/d/" + k2)]
+        cluster.run_for(5_000.0)
+        assert node_b.locks.holders(("i", pid, k1)) == ["X"]   # R1 voted
+        assert node_a.locks.holders(("i", pid, s2)) == ["X"]   # R2 voted
+        batches = [op("create", "/d/" + name) for name in (k2, k1, s1, s2)]
+        cluster.run_for(5_000.0)
+        for node, held, queued in ((node_b, k2, k1), (node_a, s1, s2)):
+            assert node.locks.holders(("i", pid, held)) == ["X"]
+            assert node.locks.queue_length(("i", pid, queued)) == 1
+        release.succeed()
+        cluster.run_for(100_000.0)
+        assert all(proc.triggered for proc in renames + batches)
+        # Each refused prepare let a create of its destination in first.
+        assert [proc.value.code for proc in renames] == [RpcError.EEXIST] * 2
+        assert [proc.value for proc in batches[:2]] == [None, None]
+        assert [proc.value.code for proc in batches[2:]] == [
+            RpcError.EEXIST] * 2
+        assert cluster.quiesce(1_000_000.0)
+        assert runtime_violations(cluster) == []
         check_cluster_invariants(cluster)
 
     def test_both_refusing_answers_the_source_refusal(self, cluster, fs):
@@ -1194,6 +1260,42 @@ class TestFanOutRules:
         assert not fs.exists("/d")
         check_cluster_invariants(cluster)
 
+    def test_an_rmdir_exec_that_arrives_late_is_refused(self):
+        """The coordinator timed ``rmdir /d`` out and let go of its
+        locks, and a rename then reserved ``/d/g``; the held-up
+        ``rmdir_exec`` reaches the owner while the reservation is voted
+        but not committed.  The reservation is no inode, so the owner's
+        children check would pass and the commit would land under a
+        removed directory.  The exec carries the instant the coordinator
+        gives up on the owner's locks, and the owner, getting them
+        later, refuses it: ``/d`` stays and holds ``g``."""
+        from repro.core.verify import runtime_violations
+
+        cluster = self._cluster()
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        pid = fs.mkdir("/x")
+        fs.create("/x/f")
+        owner = cluster.coordinator._owner
+        dst = next(name for name in ("g{}".format(i) for i in range(200))
+                   if owner(pid, name) != owner(pid, "f"))
+        exec_held = _hold_calls(cluster, lambda target, kind, payload: (
+            kind == "rmdir_exec"))
+        failure = cluster.run_process(_swallow(_call(
+            cluster.add_client(), cluster.coordinator.name, "rmdir",
+            {"path": "/d"})))
+        assert failure.code == RpcError.ETIMEDOUT
+        commit_held = TestTwoRoundRename._hold_commits(
+            cluster, lambda target, txid: True)
+        fs.rename("/x/f", "/d/" + dst)      # answered at its decision
+        exec_held.succeed()
+        cluster.run_for(10 * self.TIMEOUT)
+        commit_held.succeed()
+        assert cluster.quiesce(1_000_000.0)
+        assert [name for name, _ in fs.readdir("/d")] == [dst]
+        assert runtime_violations(cluster) == []
+        check_cluster_invariants(cluster)
+
     @pytest.mark.parametrize("budget_us", [1200.0, 300.0])
     def test_a_failed_directory_rename_invalidation_aborts_both_halves(
             self, budget_us):
@@ -1369,6 +1471,34 @@ class TestConflictCaseOne:
         labels = [label for label, _ in order]
         assert labels.index("chmod-done") > labels.index("holder-end")
         assert fs.getattr("/dir")["mode"] == 0o700
+
+
+    def test_a_directory_rename_does_not_wait_for_an_inflight_holder(
+            self, cluster):
+        """A renamed directory's peers mark its dentry invalid without
+        waiting for its lock: the rename's votes are held meanwhile, and
+        a holder that resolved through the directory may be a merged
+        batch queued on another rename's vote.  The holder's op keeps
+        the directory's ino, so it lands under the new name."""
+        fs = cluster.fs()
+        fs.mkdir("/dir")
+        fs.create("/dir/warm")  # replicate the dentry around
+        owner = cluster.coordinator._owner
+        owners = {owner(ROOT_INO, "dir"), owner(ROOT_INO, "moved")}
+        other = next(node for node in cluster.mnodes
+                     if node.name not in owners)
+        dkey = ("d", ROOT_INO, "dir")
+        seq = other.inval_seq[dkey]
+        holder = other.locks.acquire(dkey, LockMode.SHARED)
+        renamed = cluster.env.process(
+            cluster.clients[0].rename("/dir", "/moved"))
+        cluster.run_for(50_000.0)
+        assert renamed.triggered and renamed.ok
+        assert other.locks.holders(dkey) == ["S"]
+        assert other.inval_seq[dkey] == seq + 1
+        other.locks.release(holder)
+        assert fs.exists("/moved/warm") and not fs.exists("/dir")
+        check_cluster_invariants(cluster)
 
 
 class TestUnsupported:
