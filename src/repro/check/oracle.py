@@ -16,7 +16,11 @@ system actually promises:
   EEXIST against the op's own first attempt, an abort mid-2PC);
 * a **read** must be explainable by some serialization of acked
   operations: an OK read needs a possible creator, an ENOENT needs the
-  absence of any definite non-lost creator — or a possible remover;
+  absence of any definite non-lost creator — or a possible remover.  A
+  successful listing of D reads every path directly under D: a listed
+  one as an OK read, an unlisted one as an ENOENT read, and a listed
+  name whose removal was acked before the listing started needs a
+  possible re-creator;
 * after healing, the final namespace must contain the latest definite
   effect per path (existence and file/directory type), nothing outside
   the schedule's path universe, and no resurfaced removals.
@@ -29,7 +33,7 @@ Everything here is a pure function of plain data — unit-testable with
 synthetic histories, no cluster required.
 """
 
-from repro.vfs.pathwalk import basename, parent_path
+from repro.vfs.pathwalk import basename, join_path, parent_path
 
 #: Op kinds audited as reads of the namespace.
 READ_KINDS = ("getattr", "read", "readdir")
@@ -77,7 +81,9 @@ def audit_history(history, final_paths, preload_dirs, slot_of,
 
     ``history``      — entry dicts: op_id, kind, path (src/dst for
                        rename), start_us, end_us (None while pending),
-                       status ("ok" | "failed" | "pending").
+                       status ("ok" | "failed" | "pending"); a
+                       successful readdir also carries the listed
+                       ``names``.
     ``final_paths``  — healed-cluster namespace: path -> {"is_dir": b}.
     ``preload_dirs`` — paths created durably before the workload began.
     ``slot_of``      — callable path -> owning MNode slot (or None).
@@ -93,7 +99,23 @@ def audit_history(history, final_paths, preload_dirs, slot_of,
     # Expand the history into per-path effect and read streams.
     effects = {}
     reads = {}
+    listings = []
     universe = set(preload_dirs)
+
+    def add_read(path, entry, status, error, listed=False):
+        slot = slot_of(path)
+        reads.setdefault(path, []).append({
+            "op_id": entry["op_id"],
+            "start_us": entry["start_us"],
+            "end_us": entry["end_us"],
+            "status": status,
+            "error": error,
+            "excused": (slot in tainted_slots
+                        or _in_risk_window(slot, entry["end_us"],
+                                           risk_windows)),
+            "listed": listed,
+        })
+
     for entry in history:
         for path, action, is_dir in effects_of(entry):
             universe.add(path)
@@ -114,18 +136,23 @@ def audit_history(history, final_paths, preload_dirs, slot_of,
             path = entry["path"]
             if entry["kind"] != "readdir":
                 universe.add(path)
-            slot = slot_of(path)
-            excused = (slot in tainted_slots
-                       or _in_risk_window(slot, entry["end_us"],
-                                          risk_windows))
-            reads.setdefault(path, []).append({
-                "op_id": entry["op_id"],
-                "start_us": entry["start_us"],
-                "end_us": entry["end_us"],
-                "status": entry["status"],
-                "error": entry.get("error"),
-                "excused": excused,
-            })
+            elif "names" in entry:
+                listings.append(entry)
+            add_read(path, entry, entry["status"], entry.get("error"))
+
+    # A listing of D reads every universe path directly under D: a
+    # listed one as an OK read, an unlisted one as an ENOENT read.  A
+    # listed name outside the universe is an OK read nothing explains.
+    for entry in listings:
+        names = set(entry["names"])
+        under = {path for path in universe
+                 if path != "/" and parent_path(path) == entry["path"]}
+        under.update(join_path(entry["path"], name) for name in names)
+        for path in under:
+            if basename(path) in names:
+                add_read(path, entry, "ok", None, listed=True)
+            else:
+                add_read(path, entry, "failed", "ENOENT")
 
     # -- final-state durability per path --------------------------------
     for path in sorted(effects):
@@ -216,6 +243,31 @@ def audit_history(history, final_paths, preload_dirs, slot_of,
                         "have created it".format(path, read["op_id"]),
                         path=path, op_id=read["op_id"],
                     ))
+            if read["listed"]:
+                # A listing reads without locks, so it must wait out
+                # renames in doubt: a name whose removal was acked
+                # before the listing started may be listed only if
+                # something could have re-created it since.
+                removed = [e for e in stream if e["action"] == "remove"
+                           and e["definite"]
+                           and e["end_us"] < read["start_us"]]
+                if removed:
+                    remover = max(removed,
+                                  key=lambda e: (e["end_us"], e["op_id"]))
+                    if not any(
+                            e["action"] == "create"
+                            and e["start_us"] < read["end_us"]
+                            and (e["end_us"] is None
+                                 or e["end_us"] > remover["start_us"])
+                            for e in stream):
+                        violations.append(_violation(
+                            "read",
+                            "listing (op {}) shows {} after its acked "
+                            "removal (op {})".format(
+                                read["op_id"], path, remover["op_id"]),
+                            path=path, op_id=read["op_id"],
+                            remover_op_id=remover["op_id"],
+                        ))
             if (read["status"] == "failed"
                     and read.get("error") == "ENOENT"
                     and read["end_us"] is not None):

@@ -133,7 +133,7 @@ def run_schedule(schedule):
                          for field in ("src", "dst", "path") if field in op)
             history.append(entry)
             try:
-                yield from OPS[op["kind"]].call(client, op)
+                result = yield from OPS[op["kind"]].call(client, op)
             except RpcFailure as failure:
                 entry["status"] = "failed"
                 entry["error"] = RpcError.name(failure.code)
@@ -143,6 +143,10 @@ def run_schedule(schedule):
                 unexpected.append(entry)
             else:
                 entry["status"] = "ok"
+                if op["kind"] == "readdir":
+                    # What a listing returned is audited, not only that
+                    # it succeeded.
+                    entry["names"] = [name for name, _ in result]
             entry["end_us"] = env.now
 
     clients = []

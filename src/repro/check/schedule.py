@@ -29,8 +29,11 @@ depends on:
   the oracle excuses that slot through ``tainted_slot_set``.
 * **namespace pools are disjoint** — file names and directory names
   never collide, and renames/chmods target files only, so the workload
-  never triggers the directory-wide invalidation broadcasts (rmdir,
-  directory chmod/rename) that fan out unbounded to every peer.
+  never runs a directory-wide invalidation (rmdir, directory
+  chmod/rename).  Those broadcasts are bounded ``call_all`` rounds like
+  every other; they are unscheduled because their ``OPS`` rows, with
+  the oracle effects a subtree removal or rename needs, are not written
+  yet.
 """
 
 import random

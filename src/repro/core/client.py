@@ -41,9 +41,11 @@ from repro.obs import (
     OpContext,
     RETRYABLE,
     RetryPolicy,
+    call_all,
     deadline_call,
     retry,
 )
+from repro.obs.retry import ALL
 from repro.vfs import DentryCache, InodeAttrs, ROOT_INO
 from repro.vfs.attrs import make_fake_dir_attrs
 from repro.vfs.pathwalk import split_path
@@ -282,28 +284,37 @@ class FalconClient(OpClient):
         self._drop_cached(src)
 
     def readdir(self, path):
-        """List a directory; returns a sorted list of (name, is_dir)."""
+        """List a directory; returns a sorted list of (name, is_dir).
+
+        Hybrid indexing hashes a directory's children over every MNode,
+        and every MNode resolves the directory from its own replica, so
+        a listing is one round: each MNode is asked for its share at
+        once, under one ``rpc_timeout_us`` timer, and the shares are
+        merged.  A share that fails fails the round, and the retry
+        re-reads the MNode names, so it reaches a promoted leader."""
         ctx = self._begin_op("readdir", path)
 
-        def attempt(_attempt, hint):
-            # Re-resolve the slot every attempt (not just on a redirect
-            # hint): under consensus a fenced leader answers ENOTLEADER
-            # with no hint, and the directory — updated by the election
-            # install — is where the new leader is found.
-            if hint is not None:
-                target_name = hint
-            else:
-                components = self._components(path)
-                name = components[-1] if components else "/"
-                target, _ = self.index.client_target(name, self.rng)
-                target_name = self._resolve_slot(target)
-            return self._request(target_name, "readdir", {"path": path},
-                                 ctx=ctx)
+        def attempt(_attempt, _hint):
+            self._components(path)
+            names = self.shared.mnode_names
+            self._requests.inc("readdir", len(names))
+            with ctx.span("rpc", CAT_PHASE, node=self.name,
+                          attrs={"op": "readdir", "target": "*"}
+                          if ctx.traced else None):
+                replies = yield from call_all(
+                    self, ctx, "readdir",
+                    [(name, {"path": path}) for name in names],
+                    timeout_us=self.rpc_timeout_us or None, rule=ALL)
+            # Merged as a set: a share lists only the slots its node
+            # serves, so a name comes from one node; the set keeps a
+            # listing whole even if two ever overlapped.
+            return {(name, is_dir) for reply in replies
+                    for name, is_dir in reply["data"]["entries"]}
 
-        data = yield from self._traced(
+        entries = yield from self._traced(
             ctx, retry(self, ctx, attempt, retryable=self._retryable()),
             path=path)
-        return [tuple(entry) for entry in data["entries"]]
+        return sorted(entries)
 
     def read_file(self, path):
         """open + read all blocks (+ client-local close); returns size."""

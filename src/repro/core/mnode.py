@@ -27,7 +27,6 @@ or takes an exclusive lock.
 import heapq
 from collections import defaultdict
 from dataclasses import replace
-from functools import partial
 
 from repro.core.indexing import (
     ROUTE_PATHWALK,
@@ -54,9 +53,10 @@ from repro.obs import (
     NULL_CONTEXT,
     OpContext,
     call_all,
+    expire,
     redeliver,
 )
-from repro.obs.retry import ALL
+from repro.obs.retry import ALL, budget
 from repro.obs.tracer import CAT_BATCH
 from repro.storage import LockMode, Table, Transaction, WriteAheadLog
 from repro.storage.table import apply_records, install_image, row_copy
@@ -1114,13 +1114,13 @@ class MNode(NamespaceReplicaMixin, Node):
     # responses / forwarding
     # ------------------------------------------------------------------
 
-    def _respond_ok(self, message, data):
+    def _respond_ok(self, message, data, size=None):
         body = {"ok": True, "data": data, "xt_version": self.xt.version}
         payload = message.payload
         requester_version = payload.get("xt_version") if payload else None
         if requester_version is not None and requester_version < self.xt.version:
             body["xt"] = exception_table_to_wire(self.xt)
-        self.respond(message, body)
+        self.respond(message, body, size)
 
     def _respond_error(self, message, failure):
         self._op_errors_ctr.inc(RpcError.name(failure.code))
@@ -1682,12 +1682,14 @@ class MNode(NamespaceReplicaMixin, Node):
     # ------------------------------------------------------------------
 
     def _on_readdir(self, message):
-        """Resolve the directory locally, then scatter a child scan to all
-        MNodes (file inodes for one directory live everywhere).  Every
-        node, this one included, first waits out its open rename halves
-        under the directory (:meth:`_renames_settled`): a rename is
-        answered at its decision, and its commit may still be on the
-        way to one owner."""
+        """This node's share of a listing.  The client asks every MNode
+        at once (a directory's children are hashed over all of them) and
+        merges the shares.  Each node resolves the directory from its
+        own replica, then waits out its open rename halves under it
+        (:meth:`_renames_settled`) before it scans: a rename is answered
+        at its decision, and its commit may still be on the way here.
+        A share that cannot be served now answers the failure, and the
+        client retries the round."""
         payload = message.payload
         if not self._serving_as_leader():
             self._respond_error(
@@ -1695,76 +1697,66 @@ class MNode(NamespaceReplicaMixin, Node):
             )
             return
         try:
-            components = split_path(payload["path"])
-            resolved = yield from self.resolve_dir(components,
-                                                   ctx=message.ctx)
+            resolved = yield from self.resolve_dir(
+                split_path(payload["path"]), ctx=message.ctx)
+            yield from self._renames_settled(resolved.ino, message.ctx)
+            entries = self._scan_children(resolved.ino)
         except (ValueError, RpcFailure) as failure:
             if not isinstance(failure, RpcFailure):
                 failure = RpcFailure(RpcError.EINVAL, payload["path"])
             self._respond_error(message, failure)
             return
-        dir_ino = resolved.ino
-        try:
-            # The round's timer also bounds the wait on this node's own
-            # rename halves under the directory, before the local scan.
-            replies = yield from call_all(
-                self, message.ctx, "scan_children",
-                [(peer, {"pid": dir_ino}) for peer in self._peers()],
-                timeout_us=self.rpc_timeout_us, rule=ALL,
-                then=partial(self._renames_settled, dir_ino))
-        except RpcFailure as failure:
-            # A node that cannot scan now (fenced, booting, handing off,
-            # hung, or holding a rename half past the timer) fails the
-            # listing, not this handler: the client retries.
-            self._respond_error(message, RpcFailure(RpcError.ERETRY,
-                                                    failure.detail))
-            return
-        local = self._scan_children(dir_ino)
         yield from self.execute(
-            self.costs.index_lookup_us + 0.02 * len(local),
+            self.costs.index_lookup_us + 0.02 * len(entries),
             ctx=message.ctx,
         )
-        # De-duplicate: during a slot handoff's install window the same
-        # inode is (briefly, correctly) present on both the source and
-        # the pending destination.
-        entries = set(map(tuple, local))
-        for reply in replies:
-            entries.update(map(tuple, reply["entries"]))
         self.metrics.counter("ops").inc("readdir")
-        self._respond_ok(message, {"entries": [
-            [name, is_dir] for name, is_dir in sorted(entries)]})
+        self._respond_ok(message, {"entries": entries},
+                         size=self.costs.rpc_response_bytes
+                         + 16 * len(entries))
 
-    def _on_scan_children(self, message):
-        pid = message.payload["pid"]
-        settled = self._renames_settled(pid)
-        if settled is not None:
-            yield settled
-        entries = self._scan_children(pid)
-        yield from self.execute(
-            self.costs.index_lookup_us + 0.02 * len(entries)
-        )
-        self.respond(
-            message, {"entries": entries},
-            size=self.costs.rpc_response_bytes + 16 * len(entries),
-        )
-
-    def _renames_settled(self, pid):
-        """The event that every rename half open on this node with a key
-        under directory ``pid`` has ended — applied, dropped or resolved
-        — or None when none is open.  A half opened later belongs to a
-        rename not yet answered.  The event is the caller's own, so a
-        listing's timer may fail it."""
+    def _renames_settled(self, pid, ctx):
+        """Generator: wait until every rename half open on this node
+        with a key under directory ``pid`` has ended — applied, dropped
+        or resolved.  A half opened later belongs to a rename not yet
+        answered.  The wait is bounded by ``ctx``'s remaining budget
+        (at most ``rpc_timeout_us``) and raises ``ERETRY`` on expiry."""
         halves = [done for done, parents in self._open_halves.items()
                   if pid in parents]
-        return self.env.all_of(halves) if halves else None
+        if not halves:
+            return
+        settled = self.env.all_of(halves)
+        timer = expire(self, budget(self, ctx, self.rpc_timeout_us),
+                       [(settled, "rename halves on " + self.name)])
+        try:
+            yield settled
+        except RpcFailure as failure:
+            raise RpcFailure(RpcError.ERETRY, "{}: {}".format(
+                failure.detail, RpcError.name(failure.code))) from None
+        finally:
+            if timer is not None:
+                timer.cancel()
 
     def _scan_children(self, pid):
-        """``[name, is_dir]`` of every child row of ``pid`` held here —
-        lists, which the live wire carries as plain JSON arrays."""
-        return [
-            [key[1], record.is_dir]
-            for key, record in self.inodes.scan_prefix((pid,))
-        ]
+        """``[name, is_dir]`` of every child row of ``pid`` in a slot
+        this node serves — lists, which the live wire carries as plain
+        JSON arrays.  A handed-off slot's rows stay here until its
+        purge, after the destination serves (and may have removed) them,
+        so they are left out.  While a slot's handoff to this node is
+        pending, neither end may list its rows (the source may be
+        fenced already), so the share is refused with ``ERETRY``, as a
+        request for that slot is."""
+        rows = self.inodes.scan_prefix((pid,))
+        states = [state["state"] for state in self.slots.values()
+                  if state != SERVING]
+        if not states:
+            return [[key[1], record.is_dir] for key, record in rows]
+        if "pending" in states:
+            raise RpcFailure(RpcError.ERETRY,
+                             "slot handoff pending on " + self.name)
+        serves, slot_of = self.serves, self._slot_of
+        return [[key[1], record.is_dir] for key, record in rows
+                if serves(slot_of(key))]
 
     # ------------------------------------------------------------------
     # control plane: statistics, exception table, migration

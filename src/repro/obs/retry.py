@@ -16,8 +16,8 @@ live at every call site (:func:`expire` is their one timer):
   reply that straggles in afterwards — payload or error — finds the
   handle settled and is dropped.  A reply in time cancels the timer.
 * :func:`call_all` is one round of such calls sent at once — every
-  server-side fan-out — under one timer and a stated failure rule,
-  :data:`ALL` or :data:`REDELIVER`.
+  server-side fan-out, and a client's listing — under one timer and a
+  stated failure rule, :data:`ALL` or :data:`REDELIVER`.
 * :func:`redeliver` is the control plane's "this step is decided, make
   it land" loop: a bounded call re-issued under a doubling backoff,
   re-resolving its target each time so delivery follows a promotion or
@@ -207,8 +207,7 @@ ALL = "all"
 REDELIVER = "redeliver"
 
 
-def call_all(node, ctx, kind, calls, timeout_us=None, rule=None,
-             then=None):
+def call_all(node, ctx, kind, calls, timeout_us=None, rule=None):
     """Generator: one round of ``kind`` RPCs, every ``(target, payload)``
     of ``calls`` sent at once under one timer (:func:`expire`) at
     ``timeout_us`` or the op deadline, whichever is sooner (``ctx`` may
@@ -218,9 +217,7 @@ def call_all(node, ctx, kind, calls, timeout_us=None, rule=None,
       payload or the :class:`RpcFailure` the call ended with;
     * :data:`ALL`: the round fails at its first failure, raising its
       code as ``"<kind> on <target>: <code>"`` and giving up on the
-      rest; else the replies are returned.  ``then()``, called once
-      they are in, may return an event of the caller's own to await
-      under the same timer, named ``node.name`` when it fails;
+      rest; else the replies are returned;
     * :data:`REDELIVER`: calls are ``(target, payload, resolve)`` and a
       failed one goes to :func:`redeliver_later`; returns as None does.
     """
@@ -235,11 +232,6 @@ def call_all(node, ctx, kind, calls, timeout_us=None, rule=None,
         if rule == ALL:
             try:
                 outcomes = yield node.env.all_of(replies)
-                last = then and then()
-                if last is not None:
-                    pending.append((last, "{} on {}".format(kind, node.name)))
-                    timer = timer or expire(node, remaining, pending[-1:])
-                    yield last
             except RpcFailure as failure:
                 detail = next(detail for reply, detail in pending
                               if reply.triggered and reply.value is failure)

@@ -349,6 +349,116 @@ class TestOracle:
         assert kinds == ["durability"]
 
 
+def _listing(op_id, start, end, names, path="/d0"):
+    entry = _entry(op_id, "readdir", path, start, end, "ok")
+    entry["names"] = list(names)
+    return entry
+
+
+def _rename(op_id, src, dst, start, end, status="ok", error=None):
+    entry = _entry(op_id, "rename", None, start, end, status, error)
+    del entry["path"]
+    entry.update(src=src, dst=dst)
+    return entry
+
+
+class TestListingOracle:
+    """A successful listing of D reads every path directly under D:
+    listed paths as OK reads, unlisted ones as ENOENT reads, and a
+    listed name removed by an acked op before the listing started needs
+    a possible re-creator."""
+
+    _A = dict(_D0, **{"/d0/a.dat": {"is_dir": False}})
+
+    def test_a_listing_of_what_is_there_is_clean(self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _listing(1, 300, 400, ["a.dat"])]
+        assert _audit(history, self._A) == []
+
+    def test_a_listing_that_misses_an_acked_create_is_a_read_violation(
+            self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _listing(1, 300, 400, [])]
+        violations = _audit(history, self._A)
+        assert [v["invariant"] for v in violations] == ["read"]
+        assert violations[0]["creator_op_id"] == 0
+
+    def test_a_listing_concurrent_with_the_create_may_miss_it(self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 350, "ok"),
+                   _listing(1, 300, 400, [])]
+        assert _audit(history, self._A) == []
+
+    def test_a_listed_name_nothing_created_is_a_read_violation(self):
+        violations = _audit([_listing(0, 300, 400, ["ghost.dat"])],
+                            dict(_D0))
+        assert [(v["invariant"], v["path"]) for v in violations] == [
+            ("read", "/d0/ghost.dat")]
+
+    def test_a_listing_after_an_acked_unlink_must_not_list_it(self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _entry(1, "unlink", "/d0/a.dat", 300, 400, "ok"),
+                   _listing(2, 500, 600, ["a.dat"])]
+        violations = _audit(history, dict(_D0))
+        assert [v["invariant"] for v in violations] == ["read"]
+        assert violations[0]["remover_op_id"] == 1
+        assert violations[0]["op_id"] == 2
+
+    def test_a_listing_after_an_acked_rename_lists_the_destination(self):
+        """An ls issued after a rename's answer lists the destination
+        and not the source."""
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _rename(1, "/d0/a.dat", "/d0/b.dat", 300, 400)]
+        final = dict(_D0, **{"/d0/b.dat": {"is_dir": False}})
+        assert _audit(history + [_listing(2, 500, 600, ["b.dat"])],
+                      final) == []
+        both = _audit(history + [_listing(2, 500, 600, ["a.dat", "b.dat"])],
+                      final)
+        assert [(v["invariant"], v["path"], v["remover_op_id"])
+                for v in both] == [("read", "/d0/a.dat", 1)]
+        neither = _audit(history + [_listing(2, 500, 600, [])], final)
+        assert [(v["invariant"], v["path"]) for v in neither] == [
+            ("read", "/d0/b.dat")]
+
+    def test_a_listing_concurrent_with_the_removal_may_list_it(self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _entry(1, "unlink", "/d0/a.dat", 300, 550, "ok"),
+                   _listing(2, 500, 600, ["a.dat"])]
+        assert _audit(history, dict(_D0)) == []
+
+    @pytest.mark.parametrize("start, end, status, clean", [
+        (450, 480, "ok", True),            # re-created after the removal
+        (350, None, "failed", True),       # a maybe-applied overlap
+        (150, 250, "failed", False),       # over before the removal began
+        (650, 700, "ok", False),           # began after the listing ended
+    ])
+    def test_a_recreator_excuses_a_listed_removal(self, start, end, status,
+                                                  clean):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _entry(1, "unlink", "/d0/a.dat", 300, 400, "ok"),
+                   _entry(2, "create", "/d0/a.dat", start, end, status,
+                          None if status == "ok" else "ETIMEDOUT"),
+                   _listing(3, 500, 600, ["a.dat"])]
+        final = self._A if clean and status == "ok" else dict(_D0)
+        kinds = [v["invariant"] for v in _audit(history, final)
+                 if v["invariant"] == "read"]
+        assert kinds == ([] if clean else ["read"])
+
+    def test_a_lost_removal_excuses_the_listing(self):
+        """An unlink acked inside a promotion's loss window may have
+        been lost: listing the name afterwards is allowed."""
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _entry(1, "unlink", "/d0/a.dat", 300, 400, "ok"),
+                   _listing(2, 500, 600, ["a.dat"])]
+        assert _audit(history, self._A,
+                      risk_windows=[(0, 350.0, 700.0)]) == []
+
+    def test_a_failed_listing_reads_only_its_directory(self):
+        history = [_entry(0, "create", "/d0/a.dat", 100, 200, "ok"),
+                   _entry(1, "readdir", "/d0", 300, 400, "failed",
+                          "ETIMEDOUT")]
+        assert _audit(history, self._A) == []
+
+
 # ----------------------------------------------------------------------
 # shrinker
 # ----------------------------------------------------------------------

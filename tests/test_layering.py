@@ -445,3 +445,76 @@ def test_coordinator_lock_lint_allows_releases_and_other_mutexes():
     source = ("self.locks.release_all(grants)\n"
               "mutex = self._migration_mutex.request()\n")
     assert not any(_takes_locks(node) for node in ast.walk(ast.parse(source)))
+
+
+# ----------------------------------------------------------------------
+# a listing is one round from the client
+# ----------------------------------------------------------------------
+
+#: The MNode's code: its handlers and the replica mixin they resolve with.
+MNODE_SOURCES = (MNODE, SRC / "core" / "replica.py")
+
+#: Calls that put a message on the wire, and the position of its kind.
+WIRE_SENDS = {"send": 1, "call": 1, "deadline_call": 3, "call_all": 2,
+              "redeliver": 2, "redeliver_later": 2, "Message": 2}
+
+#: Words that make a message kind a listing, or a share of one.
+LISTING_WORDS = ("readdir", "scan", "list")
+
+
+def _listing_sends(tree):
+    """Lines where a message whose kind names a listing is sent."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name not in WIRE_SENDS:
+            continue
+        kinds = [kw.value for kw in node.keywords if kw.arg == "kind"]
+        if not kinds and len(node.args) > WIRE_SENDS[name]:
+            kinds = [node.args[WIRE_SENDS[name]]]
+        if any(isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+               and any(word in kind.value for word in LISTING_WORDS)
+               for kind in kinds):
+            bad.append(node.lineno)
+    return bad
+
+
+def test_no_mnode_relays_a_listing():
+    """A listing is one round: the client asks every MNode for its
+    share, and each answers its own rows.  An MNode that sent a listing
+    RPC to another would put a second round trip back on the critical
+    path (the relay this design deleted)."""
+    bad = []
+    for path in MNODE_SOURCES:
+        bad.extend("{}:{}".format(path.name, line) for line in
+                   _listing_sends(ast.parse(path.read_text(),
+                                            filename=str(path))))
+    assert not bad, (
+        "an MNode sends a listing RPC to another MNode:\n" + "\n".join(bad))
+
+
+@pytest.mark.parametrize("source", [
+    "reply = self.call(peer, 'readdir', {'path': path})",
+    "replies = yield from call_all(self, ctx, 'scan_children', calls,\n"
+    "                              rule=ALL)",
+    "body = yield from deadline_call(self, ctx, peer, 'readdir', payload)",
+    "self.send(peer, kind='list_children', payload=payload)",
+    "yield from redeliver(self, resolve, 'readdir_share', payload)",
+    "self.network.send(Message(self.name, peer, 'scan_children', payload,\n"
+    "                          size, reply_to))",
+])
+def test_listing_lint_flags_every_spelling(source):
+    assert _listing_sends(ast.parse(source))
+
+
+def test_listing_lint_allows_local_scans_and_other_rounds():
+    source = ("self.metrics.counter('ops').inc('readdir')\n"
+              "entries = self._scan_children(pid)\n"
+              "yield from call_all(self, ctx, 'invalidate', calls)\n"
+              "self.network.send(Message(self.name, peer, message.kind,\n"
+              "                          payload, size, reply_to))\n")
+    assert not _listing_sends(ast.parse(source))

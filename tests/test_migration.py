@@ -29,6 +29,8 @@ from repro.check.schedule import generate_schedule
 from repro.check.shrink import shrink
 from repro.core import FalconCluster, FalconConfig
 from repro.core.mnode import SERVING, MNode
+from repro.net.rpc import RpcError, RpcFailure
+from repro.obs import RetryPolicy
 from tests.golden_migration_workload import (
     MIGRATION_GOLDEN_PATH,
     run_migration_golden,
@@ -251,4 +253,73 @@ def test_failover_deferred_for_migration_participant():
 
     cluster.heal()
     cluster.run_for(3000.0)
+    cluster.verify()
+
+
+# ----------------------------------------------------------------------
+# a listing under a handoff
+# ----------------------------------------------------------------------
+
+def _held(node, handler):
+    """Hold ``node``'s ``handler`` until the returned event succeeds."""
+    release = node.env.event()
+    real = getattr(node, handler)
+
+    def held(message):
+        yield release
+        yield from real(message)
+
+    setattr(node, handler, held)
+    return release
+
+
+def test_a_listing_reads_only_the_slots_each_node_serves():
+    """A handed-off slot's rows stay at the source until its purge, and
+    the destination may remove some of them before then: a listing in
+    that window must not show an unlink the destination acked.  While
+    the destination's install is pending (the source already fenced),
+    neither end may list the slot, so the share is refused ``ERETRY``
+    and the listing retries until the slot is active."""
+    config = FalconConfig(num_mnodes=3, num_storage=1, num_slots=9,
+                          rpc_timeout_us=400.0, op_deadline_us=30000.0)
+    cluster = FalconCluster(config)
+    env = cluster.env
+    coordinator = cluster.coordinator
+    fs = cluster.fs()
+    pid = fs.mkdir("/d0")
+    names = {coordinator.index.locate(pid, "f{}".format(i)): "f{}".format(i)
+             for i in range(64)}
+    slot = 4
+    moved, kept = names[slot], names[(slot + 1) % 9]
+    for name in (moved, kept):
+        fs.create("/d0/" + name)
+    src = cluster.shared.slot_map.node_of(slot)
+    dest = (src + 1) % 3
+    source, destination = cluster.mnodes[src], cluster.mnodes[dest]
+    activate = _held(destination, "_on_slot_activate")
+    purge = _held(source, "_on_slot_purge")
+    saga = env.process(coordinator.migrate_slot(slot, dest, reason="test"))
+    while destination.slots.get(slot) is None or source.serves(slot):
+        env.step()
+    one_try = cluster.add_client()
+    one_try.retry_policy = RetryPolicy(max_attempts=1)
+    with pytest.raises(RpcFailure) as refused:
+        cluster.run_process(one_try.readdir("/d0"))
+    assert refused.value.code == RpcError.ERETRY
+    assert destination.name in refused.value.detail
+    listing = env.process(cluster.add_client().readdir("/d0"))
+    cluster.run_for(2000.0)
+    assert not listing.triggered
+    activate.succeed()
+    env.run(until=listing)
+    assert listing.value == sorted([(moved, False), (kept, False)])
+    while not destination.serves(slot):
+        env.step()
+    fs.unlink("/d0/" + moved)
+    assert source.inodes.get((pid, moved)) is not None
+    assert fs.readdir("/d0") == [(kept, False)]
+    purge.succeed()
+    env.run(until=saga)
+    assert saga.value["status"] == "committed"
+    assert fs.readdir("/d0") == [(kept, False)]
     cluster.verify()

@@ -155,8 +155,8 @@ def test_a_payload_no_encoder_writes_is_refused(name):
 
 def test_a_readdir_reply_is_plain_json(monkeypatch):
     """A listing's entries are ``[name, is_dir]`` arrays, not tuples:
-    its reply frame carries no codec tag, and it opens to the listing
-    the directory holds."""
+    each MNode's reply frame carries no codec tag, and the three shares
+    open to the listing the directory holds."""
     cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
     fs = cluster.fs()
     fs.mkdir("/d")
@@ -173,9 +173,11 @@ def test_a_readdir_reply_is_plain_json(monkeypatch):
 
     monkeypatch.setattr(Node, "respond", tapped_respond)
     listing = fs.readdir("/d")
-    (reply,) = replies
-    frame = pack_frame(encode_reply(1, reply))
-    assert b'"__w"' not in frame
-    entries = _opened(frame)["value"]["data"]["entries"]
-    assert [tuple(entry) for entry in entries] == listing == sorted(
+    assert len(replies) == 3
+    entries = []
+    for reply in replies:
+        frame = pack_frame(encode_reply(1, reply))
+        assert b'"__w"' not in frame
+        entries += _opened(frame)["value"]["data"]["entries"]
+    assert sorted(tuple(entry) for entry in entries) == listing == sorted(
         [("f{}".format(i), False) for i in range(6)] + [("sub", True)])

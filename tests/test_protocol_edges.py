@@ -7,7 +7,9 @@ from repro.core import FalconCluster, FalconConfig
 from repro.core.records import VALID
 from repro.core.verify import check_cluster_invariants
 from repro.net.rpc import RpcError, RpcFailure
+from repro.obs import RetryPolicy
 from repro.storage import LockMode
+from repro.storage.consensus import LEASE_US
 from repro.vfs.attrs import ROOT_INO
 
 
@@ -1107,47 +1109,113 @@ class TestFsck:
         cluster.verify()
 
 
+def _one_try(cluster):
+    """A client whose operations get one attempt: a failed round
+    surfaces as the client's failure instead of being retried."""
+    client = cluster.add_client()
+    client.retry_policy = RetryPolicy(max_attempts=1)
+    return client
+
+
+def _share(cluster, node, path):
+    """Ask one MNode for its share of ``path``'s listing directly;
+    returns the reply handle."""
+    reply = cluster.coordinator.call(node.name, "readdir", {"path": path})
+    reply.defused = True
+    return reply
+
+
+def _finishes(node):
+    """Record the instants ``node``'s readdir handler returns."""
+    finished = []
+    real_readdir = node._on_readdir
+
+    def readdir(message):
+        yield from real_readdir(message)
+        finished.append(node.env.now)
+
+    node._on_readdir = readdir
+    return finished
+
+
 class TestReaddirFanOut:
+    """A listing is one round from the client: every MNode resolves the
+    directory from its own replica, waits out its own rename halves
+    under it, and answers its share; no MNode relays another's."""
+
+    def test_a_listing_is_three_requests_and_three_replies(self):
+        """On three MNodes a listing is six frames, all between the
+        client and an MNode: no MNode asks another for anything."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+        fs = cluster.fs()
+        pid = fs.mkdir("/d")
+        names = ["f{}".format(i) for i in range(12)]
+        for name in names:
+            fs.create("/d/" + name)
+        assert {cluster.coordinator.index.locate(pid, name)
+                for name in names} == {0, 1, 2}
+        network = cluster.network
+        frames = []
+        real_send, real_respond = network.send, network.send_response
+
+        def send(message):
+            frames.append(("request", message.sender, message.recipient,
+                           message.kind))
+            return real_send(message)
+
+        def send_response(responder, message, size, deliver):
+            frames.append(("reply", responder, message.sender, message.kind))
+            return real_respond(responder, message, size, deliver)
+
+        network.send, network.send_response = send, send_response
+        client = cluster.add_client()
+        listing = cluster.run_process(client.readdir("/d"))
+        assert listing == [(name, False) for name in sorted(names)]
+        mnodes = {node.name for node in cluster.mnodes}
+        assert sorted(frames) == sorted(
+            [("request", client.name, name, "readdir") for name in mnodes]
+            + [("reply", name, client.name, "readdir") for name in mnodes])
+
     def test_a_hung_peer_times_the_listing_out(self):
-        """A peer that never answers its ``scan_children`` (alive but
-        stuck) fails the listing with ``ERETRY`` once the fan-out's one
-        timer fires at ``rpc_timeout_us``; the readdir handler finishes
-        instead of parking behind it."""
+        """An MNode that never answers its share (alive but stuck) fails
+        the round with ``ETIMEDOUT`` naming it once the round's one timer
+        fires at ``rpc_timeout_us``; the other MNodes' handlers finish
+        at once instead of parking behind it, and the retried listing
+        succeeds once the MNode answers again."""
         cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1,
                                              rpc_timeout_us=400.0))
         cluster.fs().mkdir("/d")
+        cluster.fs().create("/d/a")
         env = cluster.env
-        owner, hung = cluster.mnodes[0], cluster.mnodes[1]
+        hung = cluster.mnodes[1]
+        real_readdir = hung._on_readdir
 
         def never_answer(message):
             yield env.event()
 
-        hung._on_scan_children = never_answer
-        finished = []
-        real_readdir = owner._on_readdir
-
-        def readdir(message):
-            yield from real_readdir(message)
-            finished.append(env.now)
-
-        owner._on_readdir = readdir
+        hung._on_readdir = never_answer
+        finished = {node.name: _finishes(node) for node in cluster.mnodes
+                    if node is not hung}
         start = env.now
-        reply = cluster.coordinator.call(owner.name, "readdir",
-                                         {"path": "/d"})
-        reply.defused = True
-        cluster.run_for(2000.0)
-        assert reply.triggered and not reply.ok
-        assert reply.value.code == RpcError.ERETRY
-        assert "ETIMEDOUT" in reply.value.detail
-        (done,) = finished
-        assert 400.0 < done - start < 600.0
+        failure = cluster.run_process(_swallow(
+            _one_try(cluster).readdir("/d")))
+        assert failure.code == RpcError.ETIMEDOUT
+        assert failure.detail == "readdir on {}: ETIMEDOUT".format(
+            hung.name)
+        assert 400.0 <= env.now - start < 600.0
+        assert all(len(done) == 1 and done[0] - start < 400.0
+                   for done in finished.values())
+        hung._on_readdir = real_readdir
+        assert cluster.fs().listdir("/d") == ["a"]
 
     @pytest.mark.parametrize("where", ["local", "peer"])
     def test_a_rename_half_held_past_the_timeout_answers_eretry(self, where):
         """A voted rename half under the directory that outlasts
-        ``rpc_timeout_us`` — on the node answering the readdir or on a
-        peer — makes the listing answer ``ERETRY`` when the fan-out's
-        timer fires.  Once the half is aborted the listing succeeds."""
+        ``rpc_timeout_us`` makes the share of the node holding it
+        (``local``) answer ``ERETRY`` when its wait times out, while a
+        node that holds no half (``peer``) answers its share at once:
+        each node waits only for its own halves.  A client's listing
+        fails meanwhile, and succeeds once the half is aborted."""
         cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1,
                                              rpc_timeout_us=400.0))
         fs = cluster.fs()
@@ -1164,29 +1232,68 @@ class TestReaddirFanOut:
             "txid": "rn-held", "deadline": None,
             "actions": [{"action": "delete", "key": (pid, "a")}]})
         env.run(until=vote)
-        finished = []
-        real_readdir = node._on_readdir
-
-        def readdir(message):
-            yield from real_readdir(message)
-            finished.append(env.now)
-
-        node._on_readdir = readdir
+        finished = _finishes(node)
         start = env.now
-        reply = coordinator.call(node.name, "readdir", {"path": "/d"})
-        reply.defused = True
+        reply = _share(cluster, node, "/d")
         cluster.run_for(2000.0)
-        assert reply.triggered and not reply.ok
-        assert reply.value.code == RpcError.ERETRY
-        assert "ETIMEDOUT" in reply.value.detail
         (done,) = finished
-        assert 400.0 < done - start < 600.0
+        assert reply.triggered
+        if where == "local":
+            assert not reply.ok
+            assert reply.value.code == RpcError.ERETRY
+            assert reply.value.detail == (
+                "rename halves on {}: ETIMEDOUT".format(holder.name))
+            assert 400.0 < done - start < 600.0
+        else:
+            assert reply.ok and reply.value["data"]["entries"] == []
+            assert done - start < 400.0
+        failure = cluster.run_process(_swallow(
+            _one_try(cluster).readdir("/d")))
+        assert failure.code == RpcError.ETIMEDOUT
+        assert holder.name in failure.detail
         env.run(until=coordinator.call(holder.name, "rename_abort",
                                        {"txid": "rn-held"}))
         assert holder._open_halves == {}
         assert fs.listdir("/d") == ["a"]
         check_cluster_invariants(cluster)
 
+    @pytest.mark.parametrize("how", ["deposed", "lease_lapsed"])
+    def test_a_leader_that_may_not_serve_refuses_its_share(self, how):
+        """Under consensus, a leader that was deposed, or whose lease
+        lapsed, answers its share of a listing ``ENOTLEADER`` like every
+        other handler: it may be the minority side of a partition, and a
+        successor could already hold newer state."""
+        cluster = FalconCluster(FalconConfig(
+            num_mnodes=3, num_storage=1, replication=True, consensus=True,
+            rpc_timeout_us=400.0, op_deadline_us=30000.0, seed=0))
+        fs = cluster.fs()
+        fs.mkdir("/d")
+        fs.create("/d/a")
+        leader = cluster.mnodes[0]
+        log = leader.shipper
+        if how == "deposed":
+            log.on_ack(log.witness_name,
+                       {"term": log.term + 1, "ok": False, "stale": True,
+                        "match_lsn": 0, "echo": None,
+                        "member": log.witness_name})
+        else:
+            cluster.start_consensus()
+            # Members still hear the leader (no election) but their
+            # acks are lost, so nothing renews the lease.
+            cluster.network.partition_directed(
+                [cluster.standbys[0].name, cluster.witnesses[0].name],
+                [leader.name])
+            cluster.run_for(2 * LEASE_US)
+        assert not log.leading(leader.clock.now_us())
+        for node in cluster.mnodes:
+            reply = _share(cluster, node, "/d")
+            cluster.run_for(1000.0)
+            assert reply.triggered
+            if node is leader:
+                assert not reply.ok
+                assert reply.value.code == RpcError.ENOTLEADER
+            else:
+                assert reply.ok
 
 class TestFanOutRules:
     """Every server-side broadcast is one ``call_all`` round under a
@@ -1545,10 +1652,10 @@ class TestRetryPaths:
 
     def test_readdir_answers_eretry_when_a_peer_scan_errs(self, cluster,
                                                          monkeypatch):
-        """An error reply from one peer of the readdir fan-out fails the
-        listing, not the handler: the client is answered ERETRY, with
-        the peer and its code in the detail, and lists once the peer
-        scans again."""
+        """An error reply to one MNode's share fails the listing's
+        round: the client's attempt fails ``ERETRY`` with the MNode and
+        its code in the detail, and the listing succeeds once the MNode
+        serves its share again."""
         fs = cluster.fs()
         fs.mkdir("/d")
         fs.create("/d/f.dat")
@@ -1556,14 +1663,14 @@ class TestRetryPaths:
 
         def refuse(message):
             erring.respond_error(
-                message, RpcFailure(RpcError.ENOTLEADER, erring.name))
+                message, RpcFailure(RpcError.ERETRY, erring.name))
+            yield from ()
 
-        monkeypatch.setattr(erring, "_on_scan_children", refuse)
-        failure = cluster.run_process(_swallow(_call(
-            cluster.coordinator, cluster.mnodes[0].name, "readdir",
-            {"path": "/d"})))
+        monkeypatch.setattr(erring, "_on_readdir", refuse)
+        failure = cluster.run_process(_swallow(
+            _one_try(cluster).readdir("/d")))
         assert failure.code == RpcError.ERETRY
-        assert failure.detail == "scan_children on {}: ENOTLEADER".format(
+        assert failure.detail == "readdir on {}: ERETRY".format(
             erring.name)
         monkeypatch.undo()
         assert fs.listdir("/d") == ["f.dat"]

@@ -100,15 +100,20 @@ def cluster():
             up.wait(timeout=10)
 
 
+def _cli(base, *argv):
+    """Run one ``repro.serve client`` op; returns (exit code, payload)."""
+    proc = _serve("client", "--base-port", str(base),
+                  "--mnodes", str(MNODES), *argv)
+    out, _ = proc.communicate(timeout=60)
+    payload = json.loads(out.strip().splitlines()[-1])
+    return proc.returncode, payload
+
+
 def test_cli_roundtrip(cluster):
     base = cluster
 
     def cli(*argv):
-        proc = _serve("client", "--base-port", str(base),
-                      "--mnodes", str(MNODES), *argv)
-        out, _ = proc.communicate(timeout=60)
-        payload = json.loads(out.strip().splitlines()[-1])
-        return proc.returncode, payload
+        return _cli(base, *argv)
 
     code, res = cli("mkdir", "/smoke")
     assert code == 0 and res["ok"], res
@@ -164,6 +169,52 @@ def test_prometheus_scrape(cluster):
     for line in samples:
         name = line.split("{")[0].split(" ")[0]
         assert name.startswith("falconfs_"), line
+
+
+def _counters(base, metric):
+    """``{(node, label): value}`` of one counter over every MNode."""
+    values = {}
+    for i in range(MNODES):
+        for line in _scrape(base + 1 + i + 1000).splitlines():
+            if line.startswith(metric + "{"):
+                tags, value = line[len(metric) + 1:].rsplit("} ", 1)
+                labels = dict(tag.split("=", 1) for tag in tags.split(","))
+                values[(labels["node"].strip('"'),
+                        labels.get("label", "").strip('"'))] = float(value)
+    return values
+
+
+def test_ls_is_one_round_over_every_mnode(cluster):
+    """A directory whose files live on all three MNodes lists whole and
+    sorted, and the listing costs one request to each MNode: no MNode
+    sends a listing RPC to another."""
+    from repro.core.indexing import ExceptionTable, HybridIndex
+
+    base = cluster
+    code, res = _cli(base, "mkdir", "/spread")
+    assert code == 0 and res["ok"], res
+    index = HybridIndex(MNODES, ExceptionTable())
+    names = {}
+    for i in range(64):
+        names.setdefault(index.locate(res["ino"], "f{}".format(i)),
+                         "f{}".format(i))
+    assert len(names) == MNODES
+    for name in names.values():
+        code, res = _cli(base, "create", "/spread/" + name)
+        assert code == 0 and res["ok"], res
+    before = _counters(base, "falconfs_received_total")
+    code, res = _cli(base, "ls", "/spread")
+    after = _counters(base, "falconfs_received_total")
+    assert code == 0 and res["entries"] == [
+        [name, False] for name in sorted(names.values())], res
+    mnodes = ["mnode-{}".format(i) for i in range(MNODES)]
+    assert [after.get((node, "readdir"), 0) - before.get((node, "readdir"), 0)
+            for node in mnodes] == [1] * MNODES
+    sent = _counters(base, "falconfs_sent_total")
+    assert sent, "no MNode's sent counter was scraped"
+    listing = {key: value for key, value in sent.items()
+               if any(word in key[1] for word in ("readdir", "scan", "list"))}
+    assert not listing, listing
 
 
 def test_each_status_line_goes_out_in_one_write(monkeypatch):
