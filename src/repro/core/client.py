@@ -291,7 +291,10 @@ class FalconClient(OpClient):
         a listing is one round: each MNode is asked for its share at
         once, under one ``rpc_timeout_us`` timer, and the shares are
         merged.  A share that fails fails the round, and the retry
-        re-reads the MNode names, so it reaches a promoted leader."""
+        re-reads the MNode names, so it reaches a promoted leader.  Each
+        share names the directory inode it resolved; shares that name
+        different ones (the path was renamed away and made again during
+        the round) are never merged: the round is retried."""
         ctx = self._begin_op("readdir", path)
 
         def attempt(_attempt, _hint):
@@ -305,6 +308,10 @@ class FalconClient(OpClient):
                     self, ctx, "readdir",
                     [(name, {"path": path}) for name in names],
                     timeout_us=self.rpc_timeout_us or None, rule=ALL)
+            if len({reply["data"]["ino"] for reply in replies}) > 1:
+                raise RpcFailure(RpcError.ERETRY,
+                                 "readdir shares resolved " + path
+                                 + " to different directories")
             # Merged as a set: a share lists only the slots its node
             # serves, so a name comes from one node; the set keeps a
             # listing whole even if two ever overlapped.

@@ -354,12 +354,14 @@ class Coordinator(NamespaceReplicaMixin, Node):
         raised."""
         if record.is_dir:
             # Invalidate the source dentry everywhere, with our votes
-            # held (so no peer waits for a lock); the owners already
-            # hold it locked and update their replicas at commit.
+            # held (so no peer waits for a lock).  The source's owner
+            # holds it locked and deletes it at commit; the
+            # destination's owner only inserts the new key, so its
+            # replica of the source is invalidated like a peer's.
             skey = delete["key"]
             owners = [owner for _, owner, _ in plans]
             peers = [peer for peer in self.shared.mnode_names
-                     if peer not in owners]
+                     if peer != owners[0]]
             try:
                 if peers:
                     yield from call_all(self, ctx, "invalidate", [

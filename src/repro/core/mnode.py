@@ -1711,7 +1711,7 @@ class MNode(NamespaceReplicaMixin, Node):
             ctx=message.ctx,
         )
         self.metrics.counter("ops").inc("readdir")
-        self._respond_ok(message, {"entries": entries},
+        self._respond_ok(message, {"ino": resolved.ino, "entries": entries},
                          size=self.costs.rpc_response_bytes
                          + 16 * len(entries))
 
@@ -1742,20 +1742,17 @@ class MNode(NamespaceReplicaMixin, Node):
         this node serves — lists, which the live wire carries as plain
         JSON arrays.  A handed-off slot's rows stay here until its
         purge, after the destination serves (and may have removed) them,
-        so they are left out.  While a slot's handoff to this node is
+        so they are left out, as are a discarded copy's rows until its
+        delete commits.  While a slot's handoff to this node is
         pending, neither end may list its rows (the source may be
         fenced already), so the share is refused with ``ERETRY``, as a
         request for that slot is."""
-        rows = self.inodes.scan_prefix((pid,))
-        states = [state["state"] for state in self.slots.values()
-                  if state != SERVING]
-        if not states:
-            return [[key[1], record.is_dir] for key, record in rows]
-        if "pending" in states:
+        if any(state["state"] == "pending" for state in self.slots.values()):
             raise RpcFailure(RpcError.ERETRY,
                              "slot handoff pending on " + self.name)
         serves, slot_of = self.serves, self._slot_of
-        return [[key[1], record.is_dir] for key, record in rows
+        return [[key[1], record.is_dir]
+                for key, record in self.inodes.scan_prefix((pid,))
                 if serves(slot_of(key))]
 
     # ------------------------------------------------------------------

@@ -323,3 +323,56 @@ def test_a_listing_reads_only_the_slots_each_node_serves():
     assert saga.value["status"] == "committed"
     assert fs.readdir("/d0") == [(kept, False)]
     cluster.verify()
+
+
+def test_a_discarded_copy_is_not_listed_before_its_delete_commits():
+    """An aborted handoff unmarks the slot at the destination before
+    the delete of the installed copy commits.  In that window the
+    reclaimed source serves the slot again and may unlink a moved
+    name: the destination's share must leave the stale copy out, or
+    the listing shows a name whose removal was acked."""
+    config = FalconConfig(num_mnodes=3, num_storage=1, num_slots=9,
+                          rpc_timeout_us=400.0, op_deadline_us=30000.0)
+    cluster = FalconCluster(config)
+    env = cluster.env
+    coordinator = cluster.coordinator
+    fs = cluster.fs()
+    pid = fs.mkdir("/d0")
+    names = {coordinator.index.locate(pid, "f{}".format(i)): "f{}".format(i)
+             for i in range(64)}
+    slot = 4
+    moved, kept = names[slot], names[(slot + 1) % 9]
+    for name in (moved, kept):
+        fs.create("/d0/" + name)
+    src = cluster.shared.slot_map.node_of(slot)
+    dest = (src + 1) % 3
+    source, destination = cluster.mnodes[src], cluster.mnodes[dest]
+
+    def refuse_fence(message):
+        source._respond_error(message, RpcFailure(RpcError.EINVAL, "fence"))
+        yield from ()
+
+    source._on_slot_fence = refuse_fence
+    release = env.event()
+    real_drop = destination._drop_slot_copy
+
+    def held_drop(ctx, slot, installed):
+        yield release
+        return (yield from real_drop(ctx, slot, installed))
+
+    destination._drop_slot_copy = held_drop
+    saga = env.process(coordinator.migrate_slot(slot, dest, reason="test"))
+    while destination.slots.get(slot) is None:
+        env.step()
+    while destination.slots.get(slot) is not None:
+        env.step()
+    assert source.serves(slot)
+    fs.unlink("/d0/" + moved)
+    assert destination.inodes.get((pid, moved)) is not None
+    assert fs.readdir("/d0") == [(kept, False)]
+    release.succeed()
+    env.run(until=saga)
+    assert saga.value["status"] == "aborted"
+    assert destination.inodes.get((pid, moved)) is None
+    assert fs.readdir("/d0") == [(kept, False)]
+    cluster.verify()

@@ -46,6 +46,33 @@ class TestRenameHazards:
         assert fs.is_dir("/ab/a")
         check_cluster_invariants(cluster)
 
+    def test_a_renamed_directory_leaves_no_replica_of_its_old_name(
+            self, cluster, fs):
+        """The destination key's owner only inserts the new name, so it
+        is invalidated like every peer: once the old name is made again,
+        no MNode resolves it to the renamed directory, and no create
+        under the new directory lands in the renamed one."""
+        coordinator = cluster.coordinator
+        src_owner = coordinator._owner(ROOT_INO, "a")
+        dst = next("b{}".format(i) for i in range(64)
+                   if coordinator._owner(ROOT_INO, "b{}".format(i))
+                   != src_owner)
+        old = fs.mkdir("/a")
+        names = ["f{}".format(i) for i in range(16)]
+        for name in names:
+            fs.create("/a/" + name)
+        fs.rename("/a", "/" + dst)
+        new = fs.mkdir("/a")
+        for name in names:
+            fs.create("/a/" + name)
+        for node in cluster.mnodes:
+            record = node.dentries.get((ROOT_INO, "a"))
+            assert record is None or record.state != VALID \
+                or record.ino == new, node.name
+        assert old != new
+        assert fs.listdir("/a") == fs.listdir("/" + dst) == sorted(names)
+        check_cluster_invariants(cluster)
+
     def test_rename_missing_dst_parent(self, cluster, fs):
         fs.create("/f")
         with pytest.raises(RpcFailure) as err:
@@ -1207,6 +1234,43 @@ class TestReaddirFanOut:
                    for done in finished.values())
         hung._on_readdir = real_readdir
         assert cluster.fs().listdir("/d") == ["a"]
+
+    def test_shares_of_two_directories_are_not_merged(self):
+        """Each MNode resolves the path itself, so a directory renamed
+        away and made again while the round is out can give two shares
+        two different directories.  The client refuses to merge them:
+        the attempt fails ``ERETRY``, and a retried listing shows the
+        new directory alone."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=3, num_storage=1))
+        fs = cluster.fs()
+        pid = fs.mkdir("/a")
+        names = ["f{}".format(i) for i in range(12)]
+        for name in names:
+            fs.create("/a/" + name)
+        env = cluster.env
+        late = cluster.mnodes[1]
+        release = env.event()
+        real_readdir = late._on_readdir
+
+        def held(message):
+            yield release
+            yield from real_readdir(message)
+
+        late._on_readdir = held
+        finished = {node.name: _finishes(node) for node in cluster.mnodes
+                    if node is not late}
+        listing = env.process(_swallow(_one_try(cluster).readdir("/a")))
+        while not all(finished.values()):
+            env.step()
+        fs.rename("/a", "/b")
+        assert fs.mkdir("/a") != pid
+        release.succeed()
+        env.run(until=listing)
+        failure = listing.value
+        assert failure.code == RpcError.ERETRY
+        assert "different directories" in failure.detail
+        assert fs.readdir("/a") == []
+        assert fs.listdir("/b") == sorted(names)
 
     @pytest.mark.parametrize("where", ["local", "peer"])
     def test_a_rename_half_held_past_the_timeout_answers_eretry(self, where):
