@@ -1,16 +1,16 @@
-"""Result analysis: compile benchmark outputs into one report."""
+"""Result analysis: trace breakdowns (:mod:`repro.analysis.breakdown`)
+and the results report (:mod:`repro.analysis.report`, run as
+``python -m repro.analysis.report``; the package does not import it, so
+running it as a module finds it fresh)."""
 
 from repro.analysis.breakdown import (
     aggregate,
     breakdown_rows,
     op_breakdowns,
 )
-from repro.analysis.report import RESULT_ORDER, compile_report
 
 __all__ = [
-    "RESULT_ORDER",
     "aggregate",
     "breakdown_rows",
-    "compile_report",
     "op_breakdowns",
 ]

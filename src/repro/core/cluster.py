@@ -28,7 +28,7 @@ from repro.net.rpc import RpcError, RpcFailure
 from repro.runtime import SimEnv
 from repro.runtime.api import sized_nursery
 from repro.storage.consensus import HEARTBEAT_US, ConsensusFollower, Witness
-from repro.storage.replication import Standby, divergence
+from repro.storage.replication import Standby
 from repro.vfs.attrs import ROOT_INO
 from repro.vfs.pathwalk import basename, join_path, parent_path, split_path
 
@@ -471,21 +471,6 @@ class FalconCluster:
         self.detector.start()
         return self.detector
 
-    def replication_divergence(self):
-        """Per-MNode primary/standby differences (requires replication).
-
-        Run the simulation until quiescent first (e.g. ``run_for``) so
-        in-flight shipments drain; an all-empty result means every
-        standby has converged.
-        """
-        if not self.standbys:
-            raise RuntimeError("replication is not enabled")
-        return {
-            mnode.name: divergence(mnode, standby)
-            for mnode, standby in zip(self.mnodes, self.standbys)
-            if standby is not None
-        }
-
     def install_exception_table(self, pathwalk=(), override=None,
                                 include_clients=True):
         """Set redirection entries everywhere at once (offline).
@@ -568,9 +553,9 @@ class FalconCluster:
         standby = self.standbys[self.mnodes.index(owner)]
         if standby is None:
             return
-        standby.table("inode").put(key, record)
+        standby.tables["inode"].put(key, record)
         if is_dir:
-            standby.table("dentry").put(key, record.dentry())
+            standby.tables["dentry"].put(key, record.dentry())
 
 
 class FalconFilesystem:

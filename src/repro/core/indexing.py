@@ -56,9 +56,6 @@ class ExceptionTable:
         #: Filename -> MNode index pinnings.
         self.override = dict(override or {})
 
-    def copy(self):
-        return ExceptionTable(self.version, self.pathwalk, self.override)
-
     def adopt(self, newer):
         """Take over a strictly newer table's entries *in place* — every
         holder's :class:`HybridIndex` is bound to this object and must

@@ -54,9 +54,6 @@ class Histogram:
     def observe(self, value):
         self.values.append(value)
 
-    def __len__(self):
-        return len(self.values)
-
     def mean(self):
         return mean(self.values)
 

@@ -356,15 +356,3 @@ class Network:
         if kind is None:
             return self._responses.total()
         return self._responses.get(kind)
-
-    def dropped_count(self, kind=None):
-        """Black-holed messages (down node or partition), by kind."""
-        if kind is None:
-            return self._dropped.total()
-        return self._dropped.get(kind)
-
-    def lost_count(self, kind=None):
-        """Messages lost to gray link degradation, by kind."""
-        if kind is None:
-            return self._lost.total()
-        return self._lost.get(kind)

@@ -95,12 +95,6 @@ class OpContext:
 
     # -- deadline ------------------------------------------------------------
 
-    def remaining(self):
-        """Microseconds until the deadline (``inf`` when none is set)."""
-        if self.deadline is None:
-            return float("inf")
-        return self.deadline - self.env.now_us()
-
     def expired(self):
         return self.deadline is not None and self.env.now_us() >= self.deadline
 
@@ -121,9 +115,8 @@ class OpContext:
         """Close the root span (no-op when tracing is disabled)."""
         if self.root is None:
             return None
-        if error is not None:
-            self.root.annotate(error=error)
-        span = self.root.finish(self.env.now)
+        span = (self.root.finish(self.env.now) if error is None
+                else self.root.finish(self.env.now, error=error))
         self.current = None
         return span
 
@@ -177,23 +170,8 @@ class _NullContext:
     root = None
     current = None
 
-    def remaining(self):
-        return float("inf")
-
     def expired(self):
         return False
-
-    def begin(self, node=None, attrs=None):
-        return None
-
-    def finish(self, error=None):
-        return None
-
-    def start_span(self, name, category, node=None, attrs=None):
-        return None
-
-    def record(self, name, category, start, end, node=None, attrs=None):
-        return None
 
     def span(self, name, category, node=None, attrs=None):
         return _NULL_SCOPE

@@ -62,17 +62,12 @@ class Span:
             return 0.0
         return self.end - self.start
 
-    def annotate(self, **attrs):
-        if self.attrs is None:
-            self.attrs = {}
-        self.attrs.update(attrs)
-
     def finish(self, now, **attrs):
         """Close the span at simulated time ``now`` and record it."""
         if self.end is not None:
             return self
         if attrs:
-            self.annotate(**attrs)
+            self.attrs = {**(self.attrs or {}), **attrs}
         self.end = now
         self.tracer._finished(self)
         return self
@@ -128,30 +123,12 @@ class Tracer:
         if self.sink is not None:
             self.sink.write(span.to_dict())
 
-    def clear(self):
-        self.spans = []
-
-    def __len__(self):
-        return len(self.spans)
-
 
 class NullTracer:
     """Disabled tracer: no span is ever allocated."""
 
     enabled = False
     spans = ()
-
-    def start(self, *args, **kwargs):
-        return None
-
-    def record(self, *args, **kwargs):
-        return None
-
-    def clear(self):
-        pass
-
-    def __len__(self):
-        return 0
 
 
 NULL_TRACER = NullTracer()

@@ -9,7 +9,6 @@ from repro.parallel.pool import (
     ParallelError,
     TaskResult,
     WorkerPool,
-    default_jobs,
     pmap,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "ParallelError",
     "TaskResult",
     "WorkerPool",
-    "default_jobs",
     "pmap",
 ]

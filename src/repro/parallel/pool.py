@@ -44,7 +44,6 @@ every task is self-contained.
 """
 
 import multiprocessing
-import os
 import traceback
 from multiprocessing import connection
 
@@ -290,8 +289,3 @@ def pmap(tasks, fn, jobs=1):
     if failures:
         raise ParallelError(failures)
     return [r.value for r in results]
-
-
-def default_jobs():
-    """A sensible ``--jobs`` ceiling: the machine's CPU count."""
-    return os.cpu_count() or 1

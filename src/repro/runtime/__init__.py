@@ -7,9 +7,9 @@ would re-enter a partially initialized package when the import chain
 starts from ``repro.sim``.
 """
 
-from repro.runtime.api import EnvError, Interrupt
+from repro.runtime.api import EnvError
 
-__all__ = ["AsyncioEnv", "EnvError", "Interrupt", "SimEnv"]
+__all__ = ["AsyncioEnv", "EnvError", "SimEnv"]
 
 _LAZY = {
     "SimEnv": "repro.runtime.sim_env",

@@ -72,10 +72,8 @@ the implementation from :class:`repro.sim.engine.Environment`):
                         slices up left to right from ``now`` (the chain's
                         own float additions — ``now + total`` rounds
                         differently) and sleeps once
-``process(gen)`` /
-``spawn(gen)``          drive a generator as a process; the handle is
-                        itself an event (yieldable), with ``is_alive``
-                        and ``interrupt(cause)``
+``process(gen)``        drive a generator as a process; the handle is
+                        itself an event (yieldable)
 ``all_of(events)``      event firing when every child fired
 ``any_of(events)``      event firing at the first child
 ``resource(capacity)``  capacity-limited FIFO resource (CPU cores, ...)
@@ -129,9 +127,8 @@ every push site bumps ``env._seq`` *before* its ``heappush``, so an
 observer of the bump may schedule a pump but must never inspect the
 heap.
 
-:class:`Interrupt` is the cancellation signal the kernel throws into a
-process at its current ``yield``, and :class:`EnvError` is the base for
-kernel-misuse errors (the kernel's ``SimulationError`` subclasses it).
+:class:`EnvError` is the base for kernel-misuse errors (the kernel's
+``SimulationError`` subclasses it).
 
 The garbage-collection rule, for every layer written against this
 contract: **no object a fault-free operation allocates may need the
@@ -182,24 +179,6 @@ def sized_nursery():
 
 class EnvError(Exception):
     """Kernel misuse or unhandled process failure."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by ``process.interrupt(cause)``.
-
-    The interrupted process receives this exception at its current
-    ``yield`` statement and may handle it to implement timeouts or
-    cancellation.  Defined here so ``try/except Interrupt`` in protocol
-    code does not import the kernel.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        """The object passed to ``interrupt()``."""
-        return self.args[0]
 
 
 class ClockView:

@@ -9,7 +9,7 @@ module defines:
 
 * a **tagged-JSON codec** (:func:`encode` / :func:`decode`) covering the
   protocol's payload vocabulary beyond plain JSON — tuples (table keys),
-  sets, non-string-keyed dicts, :class:`~repro.core.records.DentryRecord`
+  non-string-keyed dicts, :class:`~repro.core.records.DentryRecord`
   and :class:`~repro.core.records.InodeRecord`;
 * **framing**: each frame is a 4-byte big-endian length followed by that
   many bytes of UTF-8 JSON (:func:`pack_frame`, :func:`open_frame`; the
@@ -50,7 +50,7 @@ class WireError(Exception):
 
 def _encode_list(obj):
     # A container whose members all encode to themselves is its own
-    # encoding: only what holds a tuple, a set or a row is copied.
+    # encoding: only what holds a tuple or a row is copied.
     out = obj
     for index, item in enumerate(obj):
         if type(item) in _PLAIN:
@@ -84,10 +84,6 @@ def _encode_dict(obj):
     return out
 
 
-def _encode_set(obj):
-    return {_TAG: "s", "v": sorted(encode(item) for item in obj)}
-
-
 def _encode_dentry(obj):
     return {_TAG: "dr", "v": [obj.ino, obj.mode, obj.uid, obj.gid,
                               obj.state]}
@@ -107,8 +103,6 @@ _ENCODERS = {
     list: _encode_list,
     tuple: _encode_tuple,
     dict: _encode_dict,
-    set: _encode_set,
-    frozenset: _encode_set,
     DentryRecord: _encode_dentry,
     InodeRecord: _encode_inode,
 }
@@ -145,7 +139,6 @@ def _row(cls, arity):
 _UNTAG = {
     "t": tuple,
     "d": dict,
-    "s": set,
     "dr": _row(DentryRecord, 5),
     "ir": _row(InodeRecord, 8),
 }

@@ -25,7 +25,6 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -38,7 +37,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "Resource",

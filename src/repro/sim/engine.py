@@ -62,10 +62,10 @@ bit-identical to the original kernel's, which the golden-trace test
 
 from heapq import heappop, heappush
 
-from repro.runtime.api import EnvError, Interrupt, sized_nursery
+from repro.runtime.api import EnvError, sized_nursery
 
 __all__ = [
-    "AllOf", "AnyOf", "Environment", "Event", "Initialize", "Interrupt",
+    "AllOf", "AnyOf", "Environment", "Event", "Initialize",
     "Process", "SimulationError", "Timeout", "NORMAL", "URGENT",
 ]
 
@@ -87,8 +87,7 @@ class SimulationError(EnvError):
 
     Subclasses the backend-agnostic :class:`repro.runtime.api.EnvError`
     so protocol code can catch kernel misuse without importing the
-    simulator.  :class:`Interrupt` likewise comes from the runtime
-    contract (re-exported here for compatibility)."""
+    simulator."""
 
 
 class Event:
@@ -261,7 +260,7 @@ class Process(Event):
     processes may therefore ``yield`` a process to wait for its completion.
     """
 
-    __slots__ = ("_generator", "_target", "_send", "_throw")
+    __slots__ = ("_generator", "_send", "_throw")
 
     def __init__(self, env, generator):
         try:
@@ -277,40 +276,9 @@ class Process(Event):
         self._ok = None
         self.defused = False
         self._generator = generator
-        self._target = None
         Initialize(env, self)
 
-    @property
-    def is_alive(self):
-        """True while the generator has not finished."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at its next resume."""
-        if self._value is not _PENDING:
-            raise SimulationError("cannot interrupt dead process")
-        env = self.env
-        if env._active_process is self:
-            raise SimulationError("process cannot interrupt itself")
-        event = Event(env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        event.callbacks.append(self._resume)
-        env._schedule(event, priority=URGENT)
-        # Detach from the event the process was waiting on: the interrupt
-        # wins the race, and the original event must not resume us twice.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-
     def _resume(self, event):
-        env = self.env
-        env._active_process = self
         send = self._send
         throw = self._throw
         while True:
@@ -321,7 +289,6 @@ class Process(Event):
                     event.defused = True
                     target = throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 if self.callbacks:
                     self.succeed(stop.value, priority=URGENT)
                 else:
@@ -332,7 +299,6 @@ class Process(Event):
                     self.callbacks = None
                 return
             except BaseException as exc:
-                env._active_process = None
                 self.fail(exc, priority=URGENT)
                 return
 
@@ -345,7 +311,6 @@ class Process(Event):
                 exc = SimulationError(
                     "process yielded a non-event: {!r}".format(target)
                 )
-                env._active_process = None
                 try:
                     throw(exc)
                 except BaseException as err:
@@ -357,13 +322,11 @@ class Process(Event):
                 # Already processed: loop and feed the value straight in.
                 event = target
                 continue
-            self._target = target
             if callbacks is _NO_CALLBACKS:
                 target.callbacks = [self._resume]
             else:
                 callbacks.append(self._resume)
             break
-        env._active_process = None
 
 
 class Condition(Event):
@@ -381,9 +344,6 @@ class Condition(Event):
             else:
                 self._pending += 1
                 _add_callback(event, self._observe)
-
-    def _observe(self, event):
-        raise NotImplementedError
 
 
 class AllOf(Condition):
@@ -446,7 +406,7 @@ class Environment:
     wall clock instead of by :meth:`run` — in real time.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_clocks",
+    __slots__ = ("_now", "_queue", "_seq", "_clocks",
                  "_waking", "_granted")
 
     #: Environment-contract flags (see :mod:`repro.runtime.api`): the
@@ -461,7 +421,6 @@ class Environment:
         self._queue = []
         #: Plain int tie-breaker; incremented inline on the hot paths.
         self._seq = 0
-        self._active_process = None
         #: The latest zero-delay wake-up pushed (``succeed`` / ``fail``
         #: at NORMAL priority).  While it is still in the heap, an
         #: immediate grant queues behind it instead of continuing
@@ -482,20 +441,10 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self):
-        """The process currently executing, if any."""
-        return self._active_process
-
-    @property
     def events_scheduled(self):
         """Total heap entries scheduled so far (the ledger's events
         metric; monotone, cheap, deterministic)."""
         return self._seq
-
-    def _schedule(self, event, delay=0.0, priority=NORMAL):
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
 
     # -- public event constructors ------------------------------------
 
@@ -621,10 +570,6 @@ class Environment:
     def sleep(self, delay_us):
         """Contract alias for :meth:`schedule_timeout`."""
         return self.schedule_timeout(delay_us)
-
-    def spawn(self, generator):
-        """Contract alias for :meth:`process`."""
-        return Process(self, generator)
 
     def resource(self, capacity=1):
         """A :class:`~repro.sim.resources.Resource` on this clock."""

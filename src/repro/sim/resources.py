@@ -185,13 +185,3 @@ class Store:
             )
         getters.append(event)
         return event
-
-    def get_nowait(self):
-        """Pop the next item immediately or return ``None`` if empty."""
-        return self._items.popleft() if self._items else None
-
-    def drain(self):
-        """Remove and return all buffered items as a list."""
-        items = list(self._items)
-        self._items.clear()
-        return items

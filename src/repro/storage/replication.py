@@ -190,11 +190,6 @@ class LogShipper:
                 if entry[0] > self.acked_lsn
             ]
 
-    @property
-    def retained(self):
-        """Unacknowledged entries currently held (retention readout)."""
-        return len(self.history)
-
 
 def refuse_unowned(node, message):
     """Answer a message kind ``node``'s role can never own: refuse with
@@ -231,9 +226,6 @@ class Standby(Node):
         self.promoted = False
         self.ignored_shipments = 0
         self.duplicate_shipments = 0
-
-    def table(self, name):
-        return self.tables[name]
 
     def handle(self, message):
         if message.kind == "applied_query":

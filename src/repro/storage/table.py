@@ -72,9 +72,6 @@ class Table:
     def __contains__(self, key):
         return key in self.tree
 
-    def get(self, key, default=None):
-        return self.tree.get(key, default)
-
     def keys(self):
         """A set-like view of the keys, in no order (the tree's hash
         shadow, read in place)."""
@@ -135,7 +132,7 @@ class Transaction:
     """
 
     __slots__ = ("env", "wal", "costs", "on_commit", "barrier", "ctx",
-                 "_writes", "committed", "aborted")
+                 "_writes", "committed")
 
     def __init__(self, env, wal, costs, on_commit=None, ctx=None,
                  barrier=None):
@@ -148,7 +145,6 @@ class Transaction:
         self.ctx = ctx
         self._writes = {}
         self.committed = False
-        self.aborted = False
 
     def _bucket(self, table):
         return self._writes.setdefault(id(table), (table, {}))[1]
@@ -178,10 +174,6 @@ class Transaction:
         return [(key, value is not _DELETED)
                 for key, value in bucket[1].items()]
 
-    @property
-    def write_count(self):
-        return sum(len(bucket) for _, bucket in self._writes.values())
-
     def commit(self):
         """Generator: persist WAL, then apply writes.  ``yield from`` it."""
         self._check_open()
@@ -201,11 +193,6 @@ class Transaction:
         self.committed = True
         if self.on_commit is not None:
             self.on_commit(records)
-
-    def abort(self):
-        self._check_open()
-        self._writes.clear()
-        self.aborted = True
 
     def export_writes(self):
         """The record list the WAL logs and the shipper ships: ``(table,
@@ -227,5 +214,5 @@ class Transaction:
         return records
 
     def _check_open(self):
-        if self.committed or self.aborted:
+        if self.committed:
             raise RuntimeError("transaction is closed")

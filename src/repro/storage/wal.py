@@ -424,15 +424,6 @@ class WriteAheadLog:
         return self.next_lsn - 1
 
     @property
-    def unfsynced_txns(self):
-        """Appended transactions that never reached the fsync horizon."""
-        return self.appended_txns - self.durable_lsn
-
-    @property
-    def segment_count(self):
-        return len(self.segments)
-
-    @property
     def records_per_flush(self):
         """Average commit-batch size achieved so far (1.0 = no batching)."""
         if self.flush_count == 0:

@@ -31,18 +31,6 @@ class InodeAttrs:
     nlink: int = 1
     mtime: float = 0.0
 
-    def copy(self):
-        return InodeAttrs(
-            ino=self.ino,
-            is_dir=self.is_dir,
-            mode=self.mode,
-            uid=self.uid,
-            gid=self.gid,
-            size=self.size,
-            nlink=self.nlink,
-            mtime=self.mtime,
-        )
-
     @property
     def is_fake(self):
         """True for the placeholder attributes of the VFS shortcut."""
@@ -51,12 +39,6 @@ class InodeAttrs:
     def allows_exec(self):
         """True if the directory can be traversed (any exec bit set)."""
         return bool(self.mode & 0o111)
-
-    def allows_write(self):
-        return bool(self.mode & 0o222)
-
-    def allows_read(self):
-        return bool(self.mode & 0o444)
 
 
 def make_fake_dir_attrs(ino=0):

@@ -24,10 +24,6 @@ class CacheEntry:
         self.attrs = attrs
         self.pinned = pinned
 
-    @property
-    def key(self):
-        return (self.parent_ino, self.name)
-
     def __repr__(self):
         return "<CacheEntry ({}, {}) ino={}>".format(
             self.parent_ino, self.name, self.attrs.ino

@@ -13,7 +13,7 @@
   (:mod:`repro.experiments.burst`, :mod:`repro.experiments.labeling`).
 """
 
-from repro.workloads.datasets import TABLE3_WORKLOADS, dataset_tree
+from repro.workloads.datasets import TABLE3_WORKLOADS
 from repro.workloads.driver import (
     LatencyResult,
     ThroughputResult,
@@ -28,7 +28,6 @@ __all__ = [
     "TABLE3_WORKLOADS",
     "ThroughputResult",
     "TreeSpec",
-    "dataset_tree",
     "measure_latency",
     "private_dirs_tree",
     "run_closed_loop",

@@ -212,11 +212,3 @@ TABLE3_WORKLOADS = (
     ("Linux-6.8 code", linux_tree),
     ("FSL homes", fsl_homes),
 )
-
-
-def dataset_tree(name, scale=1.0):
-    """Build a Table 3 workload by its display name."""
-    for display, builder in TABLE3_WORKLOADS:
-        if display == name:
-            return builder(scale)
-    raise KeyError("unknown Table 3 workload: {!r}".format(name))

@@ -44,9 +44,6 @@ class LatencyResult:
     def mean_us(self):
         return self.histogram.mean()
 
-    def percentile(self, q):
-        return self.histogram.percentile(q)
-
     def summary(self):
         return self.histogram.summary()
 

@@ -54,7 +54,8 @@ def _cache_state(env, client):
         "now": env.now,
         "hits": client.dcache.hits,
         "misses": client.dcache.misses,
-        "lru": [list(entry.key) for entry in client.dcache.entries()],
+        "lru": [[entry.parent_ino, entry.name]
+                for entry in client.dcache.entries()],
         "revalidate_fake":
             client.metrics.counter("revalidate_fake").total(),
     }

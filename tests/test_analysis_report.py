@@ -1,9 +1,11 @@
 """Tests for the results report compiler."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.analysis import RESULT_ORDER, compile_report
-from repro.analysis.report import main
+from repro.analysis.report import RESULT_ORDER, compile_report, main
 
 
 def test_compiles_present_results(tmp_path):
@@ -49,3 +51,18 @@ def test_real_results_directory_compiles():
         return  # benches not run yet in this checkout
     report = compile_report(results)
     assert "Figure 17" in report
+
+
+def test_module_entry_point_runs_without_a_warning(tmp_path):
+    """``python -m repro.analysis.report`` (README's entry point) runs
+    with every RuntimeWarning an error: the package must not import
+    the module it is about to run as ``__main__``."""
+    (tmp_path / "fig11_latency.txt").write_text("latency table body\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.analysis.report", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "latency table body" in proc.stdout

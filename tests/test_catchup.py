@@ -37,7 +37,7 @@ class TestSnapshotGuard:
 
         installed = cluster.run_process(standby.catch_up(mnode.name))
         assert installed > 0
-        assert standby.table("inode").get((1, "seeded")).ino == 99
+        assert standby.tables["inode"].get((1, "seeded")).ino == 99
         assert divergence(mnode, standby) == []
 
     def test_duplicate_snapshot_is_idempotent(self):
@@ -76,12 +76,12 @@ class TestSnapshotGuard:
         assert horizon > 0
         # Fast-forward the standby past the primary's snapshot point.
         standby.applied_lsn = horizon + 5
-        standby.table("inode").put((9, "ahead"), InodeRecord(ino=7))
+        standby.tables["inode"].put((9, "ahead"), InodeRecord(ino=7))
 
         installed = cluster.run_process(standby.catch_up(mnode.name))
         assert installed == 0
         assert standby.applied_lsn == horizon + 5
-        assert standby.table("inode").get((9, "ahead")).ino == 7
+        assert standby.tables["inode"].get((9, "ahead")).ino == 7
 
     def test_delta_after_snapshot_does_not_double_apply(self):
         """Overlapping delivery: a shipped delta at or below the
@@ -120,7 +120,7 @@ class TestConsensusFollowerGuard:
 
         installed = cluster.run_process(follower.catch_up(mnode.name))
         assert installed > 0
-        assert follower.table("inode").get((1, "seeded")).ino == 42
+        assert follower.tables["inode"].get((1, "seeded")).ino == 42
         assert follower.base_lsn == follower.applied_lsn
 
     def test_stale_snapshot_is_refused(self):

@@ -16,6 +16,7 @@ from repro.net.costs import CostModel
 from repro.sim import Environment
 from repro.storage import WriteAheadLog
 from repro.storage.consensus import log_matching_violations, term_positions
+from tests.test_replication import replication_divergence
 
 #: Ten one-row records per segment.
 SEGMENT_BYTES = 1600
@@ -57,7 +58,7 @@ class TestWal:
 
     def test_a_plain_log_never_checkpoints(self):
         wal = self._log(40)
-        assert wal.segment_count == 4
+        assert len(wal.segments) == 4
         assert wal.base is None and wal.first_lsn == 1
         entries, torn = wal.replay()
         assert [lsn for lsn, _, _ in entries] == list(range(1, 41))
@@ -126,15 +127,15 @@ class TestRestart:
         cluster.network.set_down(standby.name)
         paths = ["/d/f{}".format(i) for i in range(60)]
         _create_all(fs, paths, node.wal)
-        assert node.wal.segment_count >= 4
+        assert len(node.wal.segments) >= 4
         assert node.wal.first_lsn == 1
         cluster.crash_mnode(0)
         cluster.network.set_up(standby.name)
         _restart(cluster, 0)
         cluster.run_for(20000.0)
-        assert cluster.replication_divergence() == {node.name: []}
-        pid = standby.table("inode").get((1, "d")).ino
-        assert all(standby.table("inode").get((pid, path[3:])) is not None
+        assert replication_divergence(cluster) == {node.name: []}
+        pid = standby.tables["inode"].get((1, "d")).ino
+        assert all(standby.tables["inode"].get((pid, path[3:])) is not None
                    for path in paths)
 
     def test_a_commit_held_by_a_hang_survives_a_checkpoint(self):
@@ -183,7 +184,7 @@ class TestConsensus:
         cluster.run_for(20000.0)
         assert follower.base_lsn >= log.base_lsn
         assert follower._last_lsn() == log.last_lsn
-        assert cluster.replication_divergence() == {leader.name: []}
+        assert replication_divergence(cluster) == {leader.name: []}
         assert log_matching_violations([
             ("leader", term_positions(log)),
             (follower.name, term_positions(follower)),

@@ -9,16 +9,21 @@ never acknowledge a write.
 """
 
 import json
+import random
 
 import pytest
 
 from repro.check import run_schedule
 from repro.core import FalconCluster, FalconConfig
 from repro.core.verify import check_cluster_invariants, runtime_violations
+from repro.net import CostModel, Network
+from repro.net.node import Node
 from repro.net.rpc import RpcError, RpcFailure
 from repro.obs import RETRYABLE
+from repro.sim import Environment
 from repro.storage.consensus import (ELECTION_TIMEOUT_US, HEARTBEAT_US,
                                      ConsensusFollower, ReplicatedLog)
+from tests.test_replication import replication_divergence
 
 
 def _consensus_cluster(**overrides):
@@ -199,7 +204,7 @@ class TestFencing:
 
         cluster.heal()
         cluster.run_for(20000.0)
-        diffs = cluster.replication_divergence()
+        diffs = replication_divergence(cluster)
         assert not diffs[cluster.mnodes[slot].name]
 
 
@@ -232,7 +237,7 @@ class TestElection:
 
         cluster.heal()
         cluster.run_for(20000.0)
-        diffs = cluster.replication_divergence()
+        diffs = replication_divergence(cluster)
         assert not diffs[cluster.mnodes[slot].name]
 
     def test_leader_crash_elects_follower_and_machine_rejoins(self):
@@ -269,7 +274,7 @@ class TestElection:
 
         cluster.heal()
         cluster.run_for(20000.0)
-        diffs = cluster.replication_divergence()
+        diffs = replication_divergence(cluster)
         assert not diffs[cluster.mnodes[slot].name]
 
     def test_boot_from_an_elected_follower_applies_its_whole_log(self):
@@ -473,3 +478,62 @@ def test_rename_vote_election_reproducer_replays_clean():
     with open("tests/golden/rename_vote_election_schedule.json") as handle:
         schedule = json.load(handle)
     assert run_schedule(schedule)["violations"] == []
+
+
+class _Leader(Node):
+    """Sends ``append_entries`` by hand and keeps every ack."""
+
+    def __init__(self, env, network):
+        super().__init__(env, network, "leader")
+        self.acks = []
+
+    def handle(self, message):
+        self.acks.append(message.payload)
+        yield from ()
+
+    def append(self, term, prev, entries, commit_lsn=0):
+        self.send("follower", "append_entries", {
+            "term": term, "leader": self.name, "prev": list(prev),
+            "base": [0, 0], "entries": entries, "commit_lsn": commit_lsn,
+            "echo": self.env.now})
+        self.env.run()
+
+
+class TestConflictTruncation:
+    """A follower holding an uncommitted term-1 suffix hears a term-2
+    leader: a conflicting suffix is truncated, never a committed one.
+    No checker schedule reaches this path (ROADMAP items 4 and 12)."""
+
+    @pytest.fixture
+    def pair(self):
+        env = Environment()
+        network = Network(env, CostModel())
+        leader = _Leader(env, network)
+        follower = ConsensusFollower(env, network, "follower", 0, "witness",
+                                     "coordinator", random.Random(0))
+        leader.append(1, (0, 0), [(lsn, 1, []) for lsn in (1, 2, 3)],
+                      commit_lsn=1)
+        assert [e[:2] for e in follower.entries] == [(1, 1), (2, 1), (3, 1)]
+        assert follower.commit_lsn == 1 and leader.acks[-1]["ok"]
+        return leader, follower
+
+    def test_conflicting_prev_truncates_and_nacks(self, pair):
+        leader, follower = pair
+        leader.append(2, (3, 2), [(4, 2, [])])
+        assert [e[:2] for e in follower.entries] == [(1, 1), (2, 1)]
+        assert follower.truncations == 1
+        assert not leader.acks[-1]["ok"]
+        assert leader.acks[-1]["match_lsn"] == 2
+
+    def test_conflicting_entry_truncates_then_appends(self, pair):
+        leader, follower = pair
+        leader.append(2, (1, 1), [(2, 2, []), (3, 2, [])])
+        assert [e[:2] for e in follower.entries] == [(1, 1), (2, 2), (3, 2)]
+        assert follower.truncations == 1
+        assert leader.acks[-1]["ok"] and leader.acks[-1]["match_lsn"] == 3
+
+    def test_truncating_a_committed_entry_raises(self, pair):
+        leader, follower = pair
+        with pytest.raises(RuntimeError, match="committed entry 1"):
+            leader.append(2, (0, 0), [(1, 2, [])])
+        assert follower.truncations == 0

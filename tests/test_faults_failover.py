@@ -59,7 +59,7 @@ class TestNetworkFaults:
         client.send("server", "echo", "x")
         env.run()
         assert server.metrics.counter("received").get("echo") == 0
-        assert net.dropped_count("echo") == 1
+        assert net.metrics.counter("dropped").get("echo") == 1
         assert net.message_count("echo") == 0
 
     def test_down_node_cannot_send(self, env, net):
@@ -69,7 +69,7 @@ class TestNetworkFaults:
         client.send("server", "echo", "x")
         env.run()
         assert server.metrics.counter("received").get("echo") == 0
-        assert net.dropped_count("echo") == 1
+        assert net.metrics.counter("dropped").get("echo") == 1
 
     def test_black_hole_at_arrival(self, env, net):
         """A message in flight when its destination dies is lost — this
@@ -82,7 +82,7 @@ class TestNetworkFaults:
         assert server.metrics.counter("received").get("echo") == 0
         # Counted as sent (it left the client) but then dropped.
         assert net.message_count("echo") == 1
-        assert net.dropped_count("echo") == 1
+        assert net.metrics.counter("dropped").get("echo") == 1
 
     def test_set_up_restores_delivery(self, env, net):
         EchoNode(env, net, "server")
@@ -161,7 +161,7 @@ class TestNetworkFaults:
         net.set_down("client")
         assert env.run(until=proc) == RpcError.ETIMEDOUT
         env.run()
-        assert net.dropped_count("echo") == 1
+        assert net.metrics.counter("dropped").get("echo") == 1
         assert net.response_count("echo") == 0
 
 
@@ -326,10 +326,10 @@ class TestCrashPromotion:
         owned_dir, stale, foreign = (key_on(0, "dir"), key_on(0, "gone"),
                                      key_on(1, "far"))
         standby = Standby(cluster.env, cluster.network, "probe-standby")
-        standby.table("inode").put(owned_dir, InodeRecord(
+        standby.tables["inode"].put(owned_dir, InodeRecord(
             ino=77, is_dir=True, mode=0o750))
         for key, ino in ((stale, 78), (foreign, 79)):
-            standby.table("dentry").put(key, DentryRecord(ino=ino,
+            standby.tables["dentry"].put(key, DentryRecord(ino=ino,
                                                           mode=0o755))
         node = MNode(cluster.env, cluster.network, cluster.shared, 0,
                      name="mnode-0-probe")

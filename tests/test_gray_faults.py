@@ -219,7 +219,7 @@ class TestLinkDegradation:
             for i in range(40):
                 client.send("server", "echo", {"i": i})
             env.run()
-            counts.append(net.lost_count("echo"))
+            counts.append(net.metrics.counter("gray_lost").get("echo"))
         assert counts[0] == counts[1]
         assert 0 < counts[0] < 40  # actually lossy, not all-or-nothing
 
@@ -397,7 +397,7 @@ class TestShipperRetransmission:
         assert not divergence(cluster.mnodes[0], cluster.standbys[0])
         shipper = cluster.mnodes[0].shipper
         assert shipper.resent_records > 0
-        assert shipper.retained == 0  # acks pruned everything
+        assert len(shipper.history) == 0  # acks pruned everything
 
     def test_retransmission_is_quiescent_when_acked(self):
         """The retransmit timer only exists while something is unacked:
@@ -407,7 +407,7 @@ class TestShipperRetransmission:
             fs.create("/d/q{}.dat".format(i))
         cluster.run_for(5000.0)
         shipper = cluster.mnodes[0].shipper
-        assert shipper.retained == 0
+        assert len(shipper.history) == 0
         assert not shipper._retx_armed
         assert cluster.quiesce(50000.0)
 
@@ -432,7 +432,7 @@ class TestShipperRetransmission:
         # The duplicate must not have leaked into the reorder buffer.
         assert 1 not in standby._pending
         # And the re-ack pruned the re-retained entry.
-        assert mnode.shipper.retained == 0
+        assert len(mnode.shipper.history) == 0
 
     def test_promoted_standby_ignores_zombie_shipments(self):
         """After promotion the standby's tables ARE the new primary's

@@ -69,9 +69,11 @@ class TestExceptionTable:
         assert not table.remove("x")
 
     def test_copy_is_independent(self):
+        """A table received over the wire shares no state with the
+        coordinator's own."""
         table = ExceptionTable()
         table.add_pathwalk("x")
-        clone = table.copy()
+        clone = exception_table_from_wire(exception_table_to_wire(table))
         clone.add_override("y", 1)
         assert "y" not in table.override
 

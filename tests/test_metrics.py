@@ -117,7 +117,7 @@ class TestHistogram:
     def test_len(self):
         hist = Histogram("h")
         hist.observe(1)
-        assert len(hist) == 1
+        assert len(hist.values) == 1
 
 
 class TestRegistry:

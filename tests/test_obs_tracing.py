@@ -45,8 +45,6 @@ class TestTracer:
 
     def test_null_tracer_is_inert(self):
         assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.start(1, "x", CAT_OP, "n", 0.0) is None
-        assert NULL_TRACER.record(1, "x", CAT_OP, "n", 0.0, 1.0) is None
         assert len(NULL_TRACER.spans) == 0
 
     def test_jsonl_sink_roundtrip(self, tmp_path):
@@ -79,11 +77,10 @@ class TestOpContext:
     def test_deadline_bookkeeping(self):
         env = Environment()
         ctx = OpContext(env, "op", deadline=10.0)
-        assert ctx.remaining() == 10.0
         assert not ctx.expired()
         env.run(until=11.0)
         assert ctx.expired()
-        assert OpContext(env, "op").remaining() == float("inf")
+        assert not OpContext(env, "op").expired()
 
     def test_disabled_tracing_allocates_no_spans(self):
         env = Environment()
@@ -94,7 +91,6 @@ class TestOpContext:
         assert scope_a is scope_b  # the shared no-op scope, no allocation
 
     def test_null_context_is_inert(self):
-        assert NULL_CONTEXT.remaining() == float("inf")
         assert not NULL_CONTEXT.expired()
         with NULL_CONTEXT.span("x", CAT_PHASE) as span:
             assert span is None
@@ -213,7 +209,7 @@ class TestEndToEnd:
         dst = next(name for name in ("b{}".format(i) for i in range(200))
                    if owner(pid, name) != owner(pid, "a"))
         fs.create("/d/a")
-        tracer.clear()
+        tracer.spans.clear()
         client = cluster.add_client()
         start = cluster.env.now
         cluster.run_process(client.rename("/d/a", "/d/" + dst))

@@ -7,6 +7,10 @@ lazy table in ``runtime/__init__.py`` is the only file that names
 would fail here.  Tests do not count: a module only tests import is
 code no workload runs, and a per-def scan misses it when its defs
 reference one another.
+
+The per-def check this test leaves out — a def no run enters — is the
+census gate, ``python benchmarks/census.py --check
+benchmarks/census_allow.txt`` (Python 3.12+, ``sys.monitoring``).
 """
 
 import ast

@@ -6,12 +6,21 @@ import pytest
 
 from repro.core import FalconCluster, FalconConfig
 from repro.core.records import INVALID
+from repro.storage.replication import divergence
 
 
 @pytest.fixture
 def cluster():
     return FalconCluster(FalconConfig(num_mnodes=3, num_storage=2,
                                       replication=True))
+
+
+def replication_divergence(cluster):
+    """Per-MNode primary/standby differences; all empty once every
+    standby has converged (drain in-flight shipments first)."""
+    return {mnode.name: divergence(mnode, standby)
+            for mnode, standby in zip(cluster.mnodes, cluster.standbys)
+            if standby is not None}
 
 
 def _drain(cluster):
@@ -31,7 +40,7 @@ class TestConvergence:
         fs.chmod("/a/b/f02", 0o600)
         _drain(cluster)
         assert all(
-            not diffs for diffs in cluster.replication_divergence().values()
+            not diffs for diffs in replication_divergence(cluster).values()
         )
 
     def test_namespace_changes_converge(self, cluster):
@@ -43,7 +52,7 @@ class TestConvergence:
         fs.rename("/d1", "/e1")
         _drain(cluster)
         assert all(
-            not diffs for diffs in cluster.replication_divergence().values()
+            not diffs for diffs in replication_divergence(cluster).values()
         )
 
     def test_concurrent_ops_converge(self, cluster):
@@ -58,7 +67,7 @@ class TestConvergence:
         env.run(until=env.all_of(procs))
         _drain(cluster)
         assert all(
-            not diffs for diffs in cluster.replication_divergence().values()
+            not diffs for diffs in replication_divergence(cluster).values()
         )
 
     def test_bulk_load_mirrored(self, cluster):
@@ -67,7 +76,7 @@ class TestConvergence:
         cluster.bulk_load(uniform_tree(levels=2, dir_fanout=3,
                                        files_per_leaf=4))
         assert all(
-            not diffs for diffs in cluster.replication_divergence().values()
+            not diffs for diffs in replication_divergence(cluster).values()
         )
 
     def test_rebalance_migration_converges(self):
@@ -81,7 +90,7 @@ class TestConvergence:
         cluster.rebalance()
         _drain(cluster)
         assert all(
-            not diffs for diffs in cluster.replication_divergence().values()
+            not diffs for diffs in replication_divergence(cluster).values()
         )
 
 
@@ -129,8 +138,8 @@ class TestMechanics:
         deliver(1, (1, "a"), InodeRecord(ino=10))
         cluster.run_for(100.0)
         assert standby.applied_lsn == 2
-        assert standby.table("inode").get((1, "a")).ino == 10
-        assert standby.table("inode").get((1, "b")).ino == 11
+        assert standby.tables["inode"].get((1, "a")).ino == 10
+        assert standby.tables["inode"].get((1, "b")).ino == 11
 
     def test_out_of_order_multi_gap(self):
         """Several missing LSNs: the reorder buffer holds everything and
@@ -160,7 +169,7 @@ class TestMechanics:
         assert standby.applied_lsn == 4
         assert standby._pending == {}
         for lsn in (1, 2, 3, 4):
-            assert standby.table("inode").get((1, "k{}".format(lsn))).ino \
+            assert standby.tables["inode"].get((1, "k{}".format(lsn))).ino \
                 == lsn
 
     def test_ack_bounds_retained_history(self, cluster):
@@ -172,7 +181,7 @@ class TestMechanics:
         peak = 0
         for i in range(40):
             fs.create("/d/f{:03d}".format(i))
-            peak = max(peak, max(m.shipper.retained
+            peak = max(peak, max(len(m.shipper.history)
                                  for m in cluster.mnodes))
         # Ship -> apply -> ack is a few RPC hops; the synchronous facade
         # runs the loop between ops, so the unacked window stays tiny
@@ -181,7 +190,7 @@ class TestMechanics:
         _drain(cluster)
         for mnode in cluster.mnodes:
             if mnode.shipper.next_lsn > 1:
-                assert mnode.shipper.retained == 0
+                assert len(mnode.shipper.history) == 0
                 assert mnode.shipper.acked_lsn == mnode.shipper.next_lsn - 1
 
     def test_divergence_tombstone_vs_missing(self):
@@ -197,8 +206,8 @@ class TestMechanics:
         mnode = cluster.mnodes[0]
         standby = cluster.standbys[0]
         # Tombstone applied: standby saw the put and the delete.
-        standby.table("inode").put((1, "gone"), InodeRecord(ino=9))
-        standby.table("inode").delete((1, "gone"))
+        standby.tables["inode"].put((1, "gone"), InodeRecord(ino=9))
+        standby.tables["inode"].delete((1, "gone"))
         # Never-seen: primary created and deleted entirely within the
         # lost window; the standby has no trace.  Either way the key is
         # missing on both sides now.
@@ -234,7 +243,7 @@ class TestMechanics:
                     ("dentry", key, DentryRecord(ino=lsn))]}))
         cluster.run_for(100.0)
         assert standby.applied_lsn == 5
-        assert len(standby.table("inode")) == 5
+        assert len(standby.tables["inode"]) == 5
         del standby.tables["dentry"]
         assert [(name, key) for name, key, _, _ in divergence(
             mnode, standby)] == [("inode", (1, "d{}".format(lsn)))
@@ -250,14 +259,14 @@ class TestMechanics:
         _drain(cluster)
         owner = cluster.coordinator.index.locate(1, "f")
         primary = cluster.mnodes[owner].inodes.get((1, "f"))
-        replica = cluster.standbys[owner].table("inode").get((1, "f"))
+        replica = cluster.standbys[owner].tables["inode"].get((1, "f"))
         assert replica == primary
         with pytest.raises(FrozenInstanceError):
             replica.mode = 0o600
         fs.chmod("/f", 0o600)
         _drain(cluster)
         assert replica.mode == 0o644
-        standby_row = cluster.standbys[owner].table("inode").get((1, "f"))
+        standby_row = cluster.standbys[owner].tables["inode"].get((1, "f"))
         assert standby_row.mode == 0o600
 
     def test_promote_tables_invalidates_dentries(self, cluster):
@@ -270,18 +279,13 @@ class TestMechanics:
         record = tables["dentry"].get((1, "d"))
         assert record is not None and record.state == INVALID
 
-    def test_divergence_requires_replication(self):
-        cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
-        with pytest.raises(RuntimeError):
-            cluster.replication_divergence()
-
     def test_divergence_detects_planted_gap(self, cluster):
         fs = cluster.fs()
         fs.create("/f")
         _drain(cluster)
         owner = cluster.coordinator.index.locate(1, "f")
-        cluster.standbys[owner].table("inode").delete((1, "f"))
-        diffs = cluster.replication_divergence()
+        cluster.standbys[owner].tables["inode"].delete((1, "f"))
+        diffs = replication_divergence(cluster)
         assert diffs[cluster.mnodes[owner].name]
 
 

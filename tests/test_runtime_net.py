@@ -239,7 +239,7 @@ def test_a_bad_frame_after_a_good_one_in_one_chunk_hangs_up():
     _feed(conn, good + HOSTILE["not-json"] + good)
     assert [doc["id"] for doc in network.frames] == [1]
     assert conn.closed and conn.transport.closed
-    assert network.dropped_count("malformed") == 1
+    assert network.metrics.counter("dropped").get("malformed") == 1
 
 
 @_on_a_loop
@@ -302,7 +302,7 @@ def test_hostile_frame_closes_only_its_connection(name):
             assert await reader.read() == b""
             writer.close()
             assert await env.run_process(call(2)) == {"n": 2}
-            return env.unhandled, served.dropped_count("malformed")
+            return env.unhandled, served.metrics.counter("dropped").get("malformed")
         finally:
             await calling.close()
             await served.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 @pytest.fixture
@@ -135,10 +135,12 @@ class TestProcess:
         assert env.run(until=proc) == 99
 
     def test_is_alive_transitions(self, env):
+        """A process is alive until its generator returns: then its
+        event triggers."""
         proc = env.process(_return_after(env, 5.0, None))
-        assert proc.is_alive
+        assert not proc.triggered
         env.run()
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_exception_propagates_to_waiter(self, env):
         def boom():
@@ -202,70 +204,6 @@ class TestProcess:
 
         assert env.run(until=env.process(outer())) == "inner-outer"
         assert env.now == 3.0
-
-    def test_active_process_visible_during_execution(self, env):
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(0)
-
-        handle = env.process(proc())
-        env.run()
-        assert seen == [handle]
-        assert env.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-                return "slept"
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        proc = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(7.0)
-            proc.interrupt("reason")
-
-        env.process(killer())
-        assert env.run(until=proc) == ("interrupted", "reason", 7.0)
-
-    def test_interrupt_dead_process_rejected(self, env):
-        proc = env.process(_return_after(env, 1.0, None))
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc():
-            env.active_process.interrupt()
-            yield env.timeout(1.0)
-
-        handle = env.process(proc())
-        with pytest.raises(SimulationError):
-            env.run(until=handle)
-
-    def test_interrupted_process_can_continue(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(5.0)
-            return env.now
-
-        proc = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(10.0)
-            proc.interrupt()
-
-        env.process(killer())
-        assert env.run(until=proc) == 15.0
 
 
 class TestConditions:

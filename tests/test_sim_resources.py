@@ -258,14 +258,8 @@ class TestStore:
         for item in range(5):
             store.put(item)
         assert len(store) == 5
-        assert store.drain() == [0, 1, 2, 3, 4]
+        assert [store.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
         assert len(store) == 0
-
-    def test_get_nowait(self, env):
-        store = Store(env)
-        assert store.get_nowait() is None
-        store.put("a")
-        assert store.get_nowait() == "a"
 
     def test_cancelled_getter_skipped(self, env):
         store = Store(env)

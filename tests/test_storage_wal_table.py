@@ -260,22 +260,18 @@ class TestTransaction:
         assert table.get("old") is None
         assert wal.records_written == 2
 
-    def test_abort_discards(self, env, costs, wal):
-        table = Table("t")
-        txn = Transaction(env, wal, costs)
-        txn.put(table, "k", 1)
-        txn.abort()
-        assert txn.aborted
-        assert table.get("k") is None
-
     def test_closed_transaction_rejects_use(self, env, costs, wal):
         table = Table("t")
         txn = Transaction(env, wal, costs)
-        txn.abort()
+
+        def run():
+            yield from txn.commit()
+
+        env.run(until=env.process(run()))
         with pytest.raises(RuntimeError):
             txn.put(table, "k", 1)
         with pytest.raises(RuntimeError):
-            txn.abort()
+            txn.delete(table, "k")
 
     def test_empty_commit_writes_no_log(self, env, costs, wal):
         txn = Transaction(env, wal, costs)
@@ -291,7 +287,7 @@ class TestTransaction:
         txn = Transaction(env, wal, costs)
         txn.put(table, "k", 1)
         txn.put(table, "k", 2)
-        assert txn.write_count == 1
+        assert txn.staged(table) == [("k", True)]
 
     def test_multiple_tables_one_transaction(self, env, costs, wal):
         a, b = Table("a"), Table("b")

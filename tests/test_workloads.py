@@ -8,13 +8,12 @@ from repro.core import FalconCluster, FalconConfig
 from repro.vfs.pathwalk import parent_path
 from repro.workloads import (
     TABLE3_WORKLOADS,
-    dataset_tree,
     measure_latency,
     run_closed_loop,
     training_run,
     uniform_tree,
 )
-from repro.workloads.datasets import fsl_homes, linux_tree
+from repro.workloads.datasets import celeba, fsl_homes, linux_tree
 from repro.workloads.trees import flat_burst_tree, private_dirs_tree
 
 
@@ -74,12 +73,8 @@ class TestDatasets:
         ]
 
     def test_dataset_tree_lookup(self):
-        tree = dataset_tree("KITTI", scale=0.1)
+        tree = dict(TABLE3_WORKLOADS)["KITTI"](0.1)
         assert tree.num_files > 0
-
-    def test_unknown_dataset(self):
-        with pytest.raises(KeyError):
-            dataset_tree("nope")
 
     def test_linux_tree_hot_names(self):
         tree = linux_tree(scale=0.2)
@@ -101,8 +96,8 @@ class TestDatasets:
         assert count / len(names) < 0.05
 
     def test_scaling(self):
-        small = dataset_tree("CelebA", scale=0.01)
-        smaller = dataset_tree("CelebA", scale=0.005)
+        small = celeba(scale=0.01)
+        smaller = celeba(scale=0.005)
         assert small.num_files > smaller.num_files
 
     def test_all_datasets_buildable(self):
@@ -142,9 +137,9 @@ class TestDrivers:
             for i in range(10)
         ]
         result = measure_latency(cluster, thunks)
-        assert len(result.histogram) == 10
+        assert len(result.histogram.values) == 10
         assert result.mean_us > 0
-        assert result.percentile(99) >= result.percentile(50)
+        assert result.histogram.percentile(99) >= result.histogram.percentile(50)
 
     def test_training_run_au_bounds(self):
         cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=4))
