@@ -17,9 +17,9 @@ from collections import deque
 class WorkerPool:
     """Schedules batches of same-kind requests onto worker processes.
 
-    ``executor(kind, batch)`` is a generator invoked by a worker with a
-    non-empty list of messages; it owns all timing (dispatch, CPU, WAL)
-    and responding.
+    ``executor(kind, batch)`` is a generator a worker runs on a non-empty
+    list of messages, busy until it returns (the MNode's returns at a
+    write batch's WAL append and leaves the answers to the batch's tail).
     """
 
     def __init__(self, env, executor, workers, max_batch=32,

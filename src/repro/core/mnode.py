@@ -233,15 +233,17 @@ class _OwnerWrite:
         return node.wal.commit(node.costs.wal_record_bytes, ctx=self.ctx)
 
     def commit(self):
-        """Generator: make the staged rows durable, then move the name
-        index by the inode rows that appeared or vanished.  From just
-        before its WAL append until its rows apply, the record's LSN is
-        registered as unapplied — the writes a slot snapshot taken in
-        between cannot contain; the next row staged opens a new
-        transaction.  Returns whether anything was logged."""
+        """Append the staged rows to the WAL now, with no yield, and
+        return the generator that waits until they are durable, applies
+        them and moves the name index by the inode rows that appeared or
+        vanished (``yield from w.commit()`` runs it at once; ``()``, if
+        nothing was staged).  From the append until the rows apply, the
+        record's LSN is registered as unapplied — the writes a slot
+        snapshot taken in between cannot contain; the next row staged
+        opens a new transaction."""
         txn = self._txn
         if txn is None:
-            return False
+            return ()
         self._txn = None
         node = self.node
         had = node.inodes.get
@@ -249,11 +251,14 @@ class _OwnerWrite:
                  if (had(key) is None) is present]
         lsn = node.wal.next_lsn
         node._unapplied.add(lsn)
-        yield from txn.commit()
+        return self._settle(txn.commit(), lsn, moved)
+
+    def _settle(self, applying, lsn, moved):
+        node = self.node
+        yield from applying
         node._unapplied.discard(lsn)
         for key, present in moved:
             node._track_name(key, 1 if present else -1)
-        return True
 
     def close(self):
         """Release every writer registration and grant, exactly once.
@@ -766,12 +771,21 @@ class MNode(NamespaceReplicaMixin, Node):
 
     def _execute_batch(self, kind, batch):
         bctx = self._batch_ctx(kind, batch)
+        return self._spanned(self._execute_batch_body(kind, batch, bctx),
+                             bctx)
+
+    @staticmethod
+    def _spanned(steps, bctx):
+        """Generator: run ``steps`` of a traced batch.  The batch span
+        ends with them (with the error, if one escapes), unless they
+        handed the batch to its tail: the tail's end ends it."""
         try:
-            yield from self._execute_batch_body(kind, batch, bctx)
+            handed = yield from steps
         except BaseException as exc:
             bctx.finish(error=repr(exc))
             raise
-        bctx.finish()
+        if not handed:
+            bctx.finish()
 
     def _execute_batch_body(self, kind, batch, bctx):
         cfg = self.shared.config
@@ -857,16 +871,35 @@ class MNode(NamespaceReplicaMixin, Node):
                     outcomes.append((plan, self._apply(plan, w)))
                 except RpcFailure as failure:
                     outcomes.append((plan, failure))
-            quorum_ok = True
-            if (yield from w.commit()):
-                # Quorum commit: the batch's entry must be durably
-                # appended by a majority before anyone is told it
-                # happened.  Grants stay held across the wait so no
-                # concurrent reader observes state that a successor
-                # leader might not have.
-                quorum_ok = yield from self._quorum_barrier()
+            committing = w.commit()
+            if committing:
+                # The worker's seat ends at the WAL append: the wait for
+                # durability and the answers run in the batch's tail.
+                tail = self._batch_tail(w, committing, outcomes)
+                self.env.process(
+                    tail if bctx is None else self._spanned(tail, bctx))
+                w = None
+                return True
+        finally:
+            if w is not None:
+                w.close()
+        self._answer(outcomes, True)
+
+    def _batch_tail(self, w, committing, outcomes):
+        """Generator: a write batch once its WAL append is done, run
+        behind the worker.  Quorum commit: the batch's entry must be
+        durably appended by a majority before anyone is told it
+        happened.  Grants and pins stay held across the wait so no
+        concurrent reader observes state that is not durable, or that a
+        successor leader might not have."""
+        try:
+            yield from committing
+            quorum_ok = yield from self._quorum_barrier()
         finally:
             w.close()
+        self._answer(outcomes, quorum_ok)
+
+    def _answer(self, outcomes, quorum_ok):
         for plan, outcome in outcomes:
             if isinstance(outcome, RpcFailure):
                 self._respond_error(plan.message, outcome)

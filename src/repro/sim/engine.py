@@ -260,7 +260,7 @@ class Process(Event):
     processes may therefore ``yield`` a process to wait for its completion.
     """
 
-    __slots__ = ("_generator", "_send", "_throw")
+    __slots__ = ("_send", "_throw")
 
     def __init__(self, env, generator):
         try:
@@ -275,7 +275,6 @@ class Process(Event):
         self._value = _PENDING
         self._ok = None
         self.defused = False
-        self._generator = generator
         Initialize(env, self)
 
     def _resume(self, event):

@@ -175,13 +175,21 @@ class Transaction:
                 for key, value in bucket[1].items()]
 
     def commit(self):
-        """Generator: persist WAL, then apply writes.  ``yield from`` it."""
+        """Append the writes to the WAL now, with no yield; returns the
+        generator that waits for their flush, then applies them
+        (``yield from txn.commit()``)."""
         self._check_open()
         records = self.export_writes()
+        durable = None
         if records:
             nbytes = len(records) * self.costs.wal_record_bytes
-            yield self.wal.commit(nbytes, records=len(records), ctx=self.ctx,
-                                  payload=records)
+            durable = self.wal.commit(nbytes, records=len(records),
+                                      ctx=self.ctx, payload=records)
+        return self._apply(records, durable)
+
+    def _apply(self, records, durable):
+        if durable is not None:
+            yield durable
         if self.barrier is not None:
             yield from self.barrier()
         for table, bucket in self._writes.values():

@@ -350,6 +350,43 @@ class TestSlowDisk:
         recovered = timed_create("/d/after.dat")
         assert recovered == pytest.approx(baseline, rel=0.2)
 
+    def test_reads_do_not_starve_behind_a_slow_log(self):
+        """With the WAL 8x slow and more write batches waiting on it
+        than the node has cores, a getattr answers as fast as on an
+        idle node — its hops, dispatch and CPU: a write batch holds its
+        worker only until its WAL append."""
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             server_cores=2))
+        env = cluster.env
+        fs = cluster.fs(mode="libfs")
+        fs.mkdir("/d")
+        fs.create("/d/other")
+        owner = cluster.mnodes[0]
+
+        def call(kind, path):
+            start = env.now
+            reply = yield cluster.coordinator.call(owner.name, kind,
+                                                   {"path": path})
+            assert reply["ok"]
+            return env.now - start
+
+        idle = cluster.run_process(call("getattr", "/d/other"))
+        FaultInjector(cluster).apply({
+            "kind": "slow_disk", "at_us": env.now + 10.0, "index": 0,
+            "duration_us": 20000.0, "fsync_factor": 8.0,
+            "ramp_us": 0.001})
+        cluster.run_for(100.0)
+        for i in range(4):
+            # Far enough apart that each create is a batch of its own.
+            env.process(call("create", "/d/w{}".format(i)))
+            cluster.run_for(30.0)
+        wal = owner.wal
+        waiting = wal.next_lsn - 1 - wal.durable_lsn
+        assert waiting > cluster.config.server_cores
+        assert cluster.run_process(call("getattr", "/d/other")) == \
+            pytest.approx(idle)
+        assert wal.next_lsn - 1 - wal.durable_lsn == waiting
+
     def test_heal_sweeps_slowdowns(self):
         cluster = FalconCluster(FalconConfig(num_mnodes=2, num_storage=1))
         injector = FaultInjector(cluster)

@@ -6,6 +6,7 @@ from repro.core import FalconCluster, FalconConfig
 from repro.core.merging import WorkerPool
 from repro.core.records import DentryRecord
 from repro.sim import Environment
+from repro.vfs.attrs import ROOT_INO
 
 
 def _concurrent_creates(cluster, client, count, directory="/d"):
@@ -247,3 +248,121 @@ class TestEagerReplicationAblation:
             return env.now - start
 
         assert run(False) < run(True)
+
+
+class TestWorkerFreedAtAppend:
+    """A merged write batch holds its worker until its WAL append; the
+    wait for durability, the lock release and the answers run in the
+    batch's tail.  Each cluster has one MNode with one core, so one
+    worker serves every queue."""
+
+    @staticmethod
+    def _one_core(*files):
+        cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
+                                             server_cores=1))
+        fs = cluster.fs(mode="libfs")
+        fs.mkdir("/d")
+        for path in files:
+            fs.create(path)
+        return cluster, cluster.mnodes[0]
+
+    @staticmethod
+    def _watch_appends(owner):
+        """One entry per WAL append: when it was made and when its
+        flush became durable (None until then)."""
+        env, wal, appends = owner.env, owner.wal, []
+        real_commit = wal.commit
+
+        def commit(nbytes, records=1, ctx=None, payload=None):
+            entry = {"at": env.now, "records": records, "durable": None}
+            done = real_commit(nbytes, records, ctx, payload)
+            done.callbacks.append(
+                lambda _event: entry.update(durable=env.now))
+            appends.append(entry)
+            return done
+
+        wal.commit = commit
+        return appends
+
+    @staticmethod
+    def _timed_call(cluster, owner, answered, name, kind, path):
+        def call():
+            reply = yield cluster.coordinator.call(owner.name, kind,
+                                                   {"path": path})
+            answered[name] = (cluster.env.now, reply)
+        cluster.env.process(call())
+
+    def test_the_worker_takes_a_second_batch_while_the_first_flushes(self):
+        cluster, owner = self._one_core()
+        appends = self._watch_appends(owner)
+        batches = owner.pool.batches_executed
+        answered = {}
+        self._timed_call(cluster, owner, answered, "a", "create", "/d/a")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "b", "create", "/d/b")
+        cluster.run_for(1000.0)
+        assert owner.pool.batches_executed == batches + 2
+        first, second = appends
+        assert second["at"] < first["durable"]
+        assert answered["a"][1]["ok"] and answered["b"][1]["ok"]
+
+    def test_a_getattr_waits_only_for_the_key_being_flushed(self):
+        cluster, owner = self._one_core("/d/other")
+        appends = self._watch_appends(owner)
+        answered = {}
+        self._timed_call(cluster, owner, answered, "create", "create",
+                         "/d/a")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "other", "getattr",
+                         "/d/other")
+        cluster.run_for(25.0)
+        self._timed_call(cluster, owner, answered, "same", "getattr",
+                         "/d/a")
+        cluster.run_for(1000.0)
+        (flush,) = appends
+        assert answered["other"][0] < flush["durable"]
+        # Planned, dispatched and locked long before the flush ended:
+        # only the create's X lock, released once durable, held it.
+        assert answered["same"][0] > flush["durable"]
+        assert answered["same"][1]["ok"]
+
+    def test_a_power_fail_mid_flush_answers_none_of_the_batch(self):
+        cluster, owner = self._one_core()
+        appends = self._watch_appends(owner)
+        answered = []
+        owner.respond = lambda message, *args: answered.append(message)
+        owner.respond_error = lambda message, *args: answered.append(
+            message)
+        replies = [cluster.coordinator.call(owner.name, "create",
+                                            {"path": "/d/f{}".format(i)})
+                   for i in range(3)]
+        cluster.run_for(40.0)
+        (flush,) = appends
+        assert flush["records"] == 3 and flush["durable"] is None
+        cluster.crash_mnode(0)
+        cluster.run_for(5000.0)
+        assert answered == []
+        assert not any(reply.triggered for reply in replies)
+        # Nor did the parked tail apply a row or move the name index.
+        d_ino = owner.dentries.get((ROOT_INO, "d")).ino
+        assert flush["durable"] is None
+        assert all(owner.inodes.get((d_ino, "f{}".format(i))) is None
+                   for i in range(3))
+        assert "f0" not in owner.filename_counts
+
+    def test_an_exception_in_a_tail_surfaces_from_run(self):
+        cluster, owner = self._one_core()
+
+        def broken_barrier():
+            raise RuntimeError("tail failed")
+            yield  # pragma: no cover
+
+        owner._quorum_barrier = broken_barrier
+        reply = cluster.coordinator.call(owner.name, "create",
+                                         {"path": "/d/a"})
+        reply.defused = True
+        with pytest.raises(RuntimeError, match="tail failed"):
+            cluster.run_for(1000.0)
+        assert not reply.triggered
+        # The tail's own release still ran on the way out.
+        assert not owner.locks._locks

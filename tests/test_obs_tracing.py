@@ -247,6 +247,28 @@ class TestBreakdown:
         writes = [b for b in breakdowns if b["op"] == "write"]
         assert writes and writes[0]["components"]["disk"] > 0
 
+    def test_a_write_batch_span_ends_with_its_last_answer(self):
+        """A write batch's worker leaves at the WAL append, but the
+        ``batch:create`` span ends in the tail, after the flush and the
+        answers, so every member is still charged its share of the
+        flush."""
+        tracer = Tracer()
+        cluster = FalconCluster(FalconConfig(num_mnodes=1), tracer=tracer)
+        client = cluster.add_client(mode="libfs")
+        env = cluster.env
+        procs = [env.process(client.create("/f{}.dat".format(i)))
+                 for i in range(3)]
+        env.run(until=env.all_of(procs))
+        (batch,) = [s for s in tracer.spans if s.name == "batch:create"]
+        (wal,) = [s for s in tracer.spans
+                  if s.op_id == batch.op_id and s.category == "wal"]
+        assert len(batch.attrs["members"]) == 3
+        assert "error" not in batch.attrs
+        assert wal.end <= batch.end
+        for row in op_breakdowns(tracer.spans):
+            assert row["components"]["wal"] == pytest.approx(
+                wal.duration / 3)
+
     def test_batch_amortization_divides_by_members(self):
         spans = [
             {"span": 1, "op": 10, "parent": None, "name": "create",
