@@ -19,7 +19,8 @@ class WorkerPool:
 
     ``executor(kind, batch)`` is a generator a worker runs on a non-empty
     list of messages, busy until it returns (the MNode's returns at a
-    write batch's WAL append and leaves the answers to the batch's tail).
+    write batch's WAL append and leaves the answers to the batch's tail,
+    unless the tails already hold one full batch per worker).
     """
 
     def __init__(self, env, executor, workers, max_batch=32,

@@ -365,6 +365,10 @@ class MNode(NamespaceReplicaMixin, Node):
             linger_us=cfg.merge_linger_us if env.models_costs else 0.0,
             merging=cfg.merging,
         )
+        #: Members of write batches whose tails wait on the WAL without
+        #: a worker, and the most that may: one full batch per worker.
+        self._backlog = 0
+        self._backlog_cap = cfg.server_cores * self.pool.max_batch
 
     # ------------------------------------------------------------------
     # message intake
@@ -838,6 +842,15 @@ class MNode(NamespaceReplicaMixin, Node):
         w = _OwnerWrite(self, bctx)
         yield from w.lock_all(sorted(lock_modes.items()))
         try:
+            if not self._serving_as_leader():
+                # The lease lapsed while the locks were awaited, perhaps
+                # behind a write whose quorum failed: no majority holds
+                # the rows it applied here.
+                for plan in plans:
+                    self._respond_error(
+                        plan.message,
+                        RpcFailure(RpcError.ENOTLEADER, self.name))
+                return
             # -- revalidate: a concurrent invalidation between resolution
             # and locking forces a client retry (rare; namespace changes
             # only).  The surviving plans' slots are pinned in the same
@@ -874,29 +887,39 @@ class MNode(NamespaceReplicaMixin, Node):
             committing = w.commit()
             if committing:
                 # The worker's seat ends at the WAL append: the wait for
-                # durability and the answers run in the batch's tail.
-                tail = self._batch_tail(w, committing, outcomes)
+                # durability and the answers run in the batch's tail,
+                # unless the backlog is full and the worker runs it.
+                members = len(outcomes)
+                if self._backlog + members > self._backlog_cap:
+                    members = 0
+                self._backlog += members
+                tail = self._batch_tail(w, committing, outcomes, members)
+                w = None
+                if not members:
+                    yield from tail
+                    return
                 self.env.process(
                     tail if bctx is None else self._spanned(tail, bctx))
-                w = None
                 return True
         finally:
             if w is not None:
                 w.close()
         self._answer(outcomes, True)
 
-    def _batch_tail(self, w, committing, outcomes):
+    def _batch_tail(self, w, committing, outcomes, backlog=0):
         """Generator: a write batch once its WAL append is done, run
-        behind the worker.  Quorum commit: the batch's entry must be
-        durably appended by a majority before anyone is told it
-        happened.  Grants and pins stay held across the wait so no
-        concurrent reader observes state that is not durable, or that a
-        successor leader might not have."""
+        behind the worker (it counts ``backlog`` members there) or on
+        it.  Quorum commit: the batch's entry must be durably appended
+        by a majority before anyone is told it happened.  Grants and
+        pins stay held across the wait so no concurrent reader observes
+        state that is not durable, or that a successor leader might not
+        have."""
         try:
             yield from committing
             quorum_ok = yield from self._quorum_barrier()
         finally:
             w.close()
+            self._backlog -= backlog
         self._answer(outcomes, quorum_ok)
 
     def _answer(self, outcomes, quorum_ok):

@@ -5,7 +5,9 @@ import pytest
 from repro.core import FalconCluster, FalconConfig
 from repro.core.merging import WorkerPool
 from repro.core.records import DentryRecord
+from repro.net.rpc import RpcError
 from repro.sim import Environment
+from repro.storage.consensus import LEASE_US
 from repro.vfs.attrs import ROOT_INO
 
 
@@ -257,9 +259,9 @@ class TestWorkerFreedAtAppend:
     worker serves every queue."""
 
     @staticmethod
-    def _one_core(*files):
+    def _one_core(*files, **config):
         cluster = FalconCluster(FalconConfig(num_mnodes=1, num_storage=1,
-                                             server_cores=1))
+                                             server_cores=1, **config))
         fs = cluster.fs(mode="libfs")
         fs.mkdir("/d")
         for path in files:
@@ -349,6 +351,73 @@ class TestWorkerFreedAtAppend:
         assert all(owner.inodes.get((d_ino, "f{}".format(i))) is None
                    for i in range(3))
         assert "f0" not in owner.filename_counts
+
+    def test_a_read_of_the_flushing_key_holds_the_worker(self):
+        """The limit of the hand-off: a getattr of the flushing key
+        that reaches the worker first waits in its lock for the flush,
+        on the worker, so a getattr of another key waits behind it."""
+        cluster, owner = self._one_core("/d/other")
+        appends = self._watch_appends(owner)
+        answered = {}
+        self._timed_call(cluster, owner, answered, "create", "create",
+                         "/d/a")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "same", "getattr",
+                         "/d/a")
+        cluster.run_for(25.0)
+        self._timed_call(cluster, owner, answered, "other", "getattr",
+                         "/d/other")
+        cluster.run_for(1000.0)
+        (flush,) = appends
+        assert answered["same"][0] > flush["durable"]
+        assert answered["other"][0] > flush["durable"]
+        assert answered["other"][1]["ok"]
+
+    def test_a_full_backlog_keeps_the_worker_on_its_flush(self):
+        """At most one full batch per worker waits on the log without
+        one.  With one worker and a batch cap of one, the second create
+        finds the backlog full: its worker waits out its flush, and a
+        getattr of another key waits behind it."""
+        cluster, owner = self._one_core("/d/other", max_batch=1)
+        appends = self._watch_appends(owner)
+        answered = {}
+        self._timed_call(cluster, owner, answered, "a", "create", "/d/a")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "b", "create", "/d/b")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "other", "getattr",
+                         "/d/other")
+        cluster.run_for(1000.0)
+        first, second = appends
+        assert second["at"] < first["durable"]
+        assert answered["other"][0] > second["durable"]
+        assert all(answered[name][1]["ok"] for name in ("a", "b", "other"))
+        assert owner._backlog == 0
+
+    def test_a_read_queued_on_a_write_whose_quorum_fails_is_fenced(self):
+        """A getattr planned while the lease held, then queued on the
+        lock of a create whose quorum wait fails, answers ENOTLEADER:
+        the create's row is applied here, but no majority holds it."""
+        cluster, owner = self._one_core(replication=True, consensus=True,
+                                        seed=0)
+        cluster.start_consensus()
+        # Members still hear the leader but their acks are lost: nothing
+        # commits the create, and nothing renews the lease.
+        cluster.network.partition_directed(
+            [cluster.standbys[0].name, cluster.witnesses[0].name],
+            [owner.name])
+        replies = {}
+        for name, kind in (("create", "create"), ("getattr", "getattr")):
+            replies[name] = cluster.coordinator.call(owner.name, kind,
+                                                     {"path": "/d/a"})
+            replies[name].defused = True
+            cluster.run_for(20.0)
+        cluster.run_for(2 * LEASE_US)
+        d_ino = owner.dentries.get((ROOT_INO, "d")).ino
+        assert owner.inodes.get((d_ino, "a")) is not None
+        for reply in replies.values():
+            assert reply.triggered and not reply.ok
+            assert reply.value.code == RpcError.ENOTLEADER
 
     def test_an_exception_in_a_tail_surfaces_from_run(self):
         cluster, owner = self._one_core()
