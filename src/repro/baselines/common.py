@@ -105,11 +105,9 @@ class MetaServer(Node):
     # -- request handling ------------------------------------------------
 
     def handle(self, message):
-        handler = getattr(self, "_on_" + message.kind, None)
-        if handler is None:
-            raise RuntimeError(
-                "{} cannot handle {!r}".format(self.name, message)
-            )
+        """Refuse an expired deadline, charge the stack's extra entry
+        cost, then dispatch (:meth:`Node.handle`); a failure a handler
+        raises is answered here."""
         try:
             if (message.ctx is not None and message.ctx.expired()):
                 raise RpcFailure(RpcError.ETIMEDOUT, message.kind)
@@ -119,7 +117,7 @@ class MetaServer(Node):
             if extra > 0:
                 yield from self._charge(extra / self.profile.stack_factor,
                                         ctx=message.ctx)
-            yield from handler(message)
+            yield from super().handle(message)
         except RpcFailure as failure:
             self.metrics.counter("op_errors").inc(RpcError.name(failure.code))
             self.respond_error(message, failure)

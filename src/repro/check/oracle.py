@@ -33,6 +33,7 @@ Everything here is a pure function of plain data — unit-testable with
 synthetic histories, no cluster required.
 """
 
+from repro.core.verify import _violation
 from repro.vfs.pathwalk import basename, join_path, parent_path
 
 #: Op kinds audited as reads of the namespace.
@@ -42,12 +43,6 @@ READ_KINDS = ("getattr", "read", "readdir")
 #: have been committed but not yet shipped to the standby (send latency
 #: plus in-flight shipments black-holed by the fault).
 SHIP_MARGIN_US = 1200.0
-
-
-def _violation(invariant, message, **extra):
-    record = {"invariant": invariant, "message": message}
-    record.update(extra)
-    return record
 
 
 def effects_of(entry):

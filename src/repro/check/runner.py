@@ -45,7 +45,8 @@ from repro.check.oracle import (
 from repro.check.schedule import OPS
 from repro.core import FalconCluster
 from repro.core.shared import FalconConfig
-from repro.core.verify import cluster_violations, runtime_violations
+from repro.core.verify import (_violation, cluster_violations,
+                                runtime_violations)
 from repro.faults import FaultInjector
 from repro.net.rpc import RpcError, RpcFailure
 from repro.storage.replication import divergence
@@ -66,12 +67,6 @@ def _reset_global_ids():
 
     message_mod._message_ids = count(1)
     context_mod._OP_IDS = count(1)
-
-
-def _violation(invariant, message, **extra):
-    record = {"invariant": invariant, "message": message}
-    record.update(extra)
-    return record
 
 
 def run_schedule(schedule):

@@ -199,7 +199,7 @@ class FalconClient(OpClient):
         #: Private, possibly stale copy of the cluster slot map.  Never
         #: read from ``shared`` after construction: a request routed by
         #: a stale epoch bounces with ``EMOVED`` carrying the
-        #: reassignment, and :meth:`_on_moved_hint` patches this copy —
+        #: reassignment, and :meth:`_absorb_moved_hint` patches this copy —
         #: the elastic-namespace analogue of lazy exception-table
         #: refresh.
         self.slot_map = shared.slot_map.copy()
@@ -503,7 +503,7 @@ class FalconClient(OpClient):
         bounces ``EMOVED``, which patches the map for the retry."""
         return self.shared.node_name(self.slot_map.node_of(slot))
 
-    def _on_moved_hint(self, detail):
+    def _absorb_moved_hint(self, detail):
         """Absorb an ``EMOVED`` bounce (called by the shared retry
         helper): adopt the advertised reassignment if its epoch is ahead
         of the private map's."""

@@ -87,14 +87,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
         #: ordained (:meth:`fail_over`) or elected (the ``claim``).
         self.install_leader = None
 
-    def handle(self, message):
-        handler = getattr(self, "_on_" + message.kind, None)
-        if handler is None:
-            raise RuntimeError(
-                "coordinator cannot handle {!r}".format(message)
-            )
-        yield from handler(message)
-
     # ------------------------------------------------------------------
     # path helpers
     # ------------------------------------------------------------------
@@ -289,8 +281,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
         actions = self._rename_outcomes.get(message.payload["txid"])
         self.respond(message, {"state": "abort"} if actions is None
                      else {"state": "commit", "actions": actions})
-        return
-        yield  # pragma: no cover
 
     def _rename_2pc(self, message, skey, dkey, grants):
         """Generator: two participant rounds.  The prepare round asks
@@ -741,8 +731,6 @@ class Coordinator(NamespaceReplicaMixin, Node):
             entry["term"] += 1
             entry["leader"] = owner
         self.respond(message, self._grant(entry and entry["term"]))
-        return
-        yield  # pragma: no cover
 
     def _on_leader_claim(self, message):
         """An elected candidate registering its leadership.

@@ -48,17 +48,7 @@ class StorageNode(Node):
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def handle(self, message):
-        if message.kind == "read_block":
-            yield from self._read(message)
-        elif message.kind == "write_block":
-            yield from self._write(message)
-        else:
-            raise RuntimeError(
-                "{} cannot handle {!r}".format(self.name, message)
-            )
-
-    def _read(self, message):
+    def _on_read_block(self, message):
         payload = message.payload
         size = payload["size"]
         yield from self._disk_io(
@@ -72,7 +62,7 @@ class StorageNode(Node):
         self.respond(message, {"size": size, "checksum": stored},
                      size=size + self.costs.rpc_response_bytes)
 
-    def _write(self, message):
+    def _on_write_block(self, message):
         payload = message.payload
         size = payload["size"]
         if "checksum" in payload:

@@ -262,13 +262,14 @@ class _OwnerWrite:
 
     def close(self):
         """Release every writer registration and grant, exactly once.
-        A retired incarnation (``halted``) keeps its grants: it only
-        gets here when the collector closes a process that died with
-        it, and a release would wake its other dead processes."""
+        A crashed incarnation (its log ``failed``) or a retired one
+        (``halted``) keeps its grants: it only gets here when the
+        collector closes a process that died with it, and a release
+        would wake its other dead processes."""
         node = self.node
         for slot in self.pinned:
             node._slot_writers[slot] -= 1
-        if not node.halted:
+        if not (node.halted or node.wal.failed):
             node.locks.release_all(self.grants)
 
     @staticmethod
@@ -382,17 +383,6 @@ class MNode(NamespaceReplicaMixin, Node):
             self.pool.submit(message.kind, message)
         else:
             self.env.process(self._handle_guard(message))
-
-    def handle(self, message):
-        handler = getattr(self, "_on_" + message.kind, None)
-        if handler is None:
-            raise RuntimeError(
-                "{} cannot handle {!r}".format(self.name, message)
-            )
-        # Handlers that never wait are plain functions, not generators.
-        steps = handler(message)
-        if steps is not None:
-            yield from steps
 
     def _owns_dentry(self, key):
         """True when this node serves ``key``'s slot, so its dentry is

@@ -44,9 +44,11 @@ class InvariantViolation(AssertionError):
 
 
 def _violation(invariant, message, *args, **extra):
-    record = {"invariant": invariant, "message": message.format(*args)}
-    for key, value in extra.items():
-        record[key] = value
+    """One violation record: ``message``, formatted with ``args`` when
+    there are any, plus the ``extra`` fields."""
+    record = {"invariant": invariant,
+              "message": message.format(*args) if args else message}
+    record.update(extra)
     return record
 
 

@@ -10,8 +10,10 @@ from repro.obs.tracer import CAT_CPU, CAT_NET, CAT_QUEUE
 class Node:
     """A machine on the fabric: named endpoint, CPU cores, inbox.
 
-    Subclasses implement :meth:`handle`, a generator run as a process for
-    every delivered message.  The default delivery policy spawns one handler
+    Subclasses handle a message kind ``k`` with a method ``_on_k``, which
+    :meth:`handle` finds by name and runs as a process for every
+    delivered message; a kind with no such method goes to
+    :meth:`_unhandled`.  The default delivery policy spawns one handler
     process per message; contention is then modeled by the shared ``cpu``
     resource (via :meth:`execute`).  Subclasses that schedule work
     differently (e.g. the FalconFS MNode's typed request queues) override
@@ -56,15 +58,26 @@ class Node:
     def _handle_guard(self, message):
         # Every message costs a decode/dispatch slice on the receiver.
         yield from self.execute(self.costs.dispatch_us, ctx=message.ctx)
-        result = yield from self.handle(message)
-        return result
+        yield from self.handle(message)
 
     def handle(self, message):
-        """Process one message.  Subclasses must override (generator)."""
-        raise NotImplementedError(
-            "{} received unexpected message {!r}".format(self, message)
+        """Generator: process one message with this node's
+        ``_on_<kind>`` method, or :meth:`_unhandled` when it has none.
+        Handlers that never wait are plain functions, not generators."""
+        handler = getattr(self, "_on_" + message.kind, None)
+        if handler is None:
+            handler = self._unhandled
+        steps = handler(message)
+        if steps is not None:
+            yield from steps
+
+    def _unhandled(self, message):
+        """Answer a kind this role has no handler for: raise.  A role
+        that can be reached under another role's name refuses instead
+        (:func:`repro.storage.replication.refuse_unowned`)."""
+        raise RuntimeError(
+            "{} cannot handle {!r}".format(self.name, message)
         )
-        yield  # pragma: no cover - makes this a generator
 
     def send(self, recipient, kind, payload=None, size=None, reply_to=None,
              ctx=None):

@@ -41,7 +41,7 @@ from repro.obs.tracer import CAT_RETRY
 #: attempt re-resolves the slot through the cluster directory instead
 #: of blindly retrying the fenced (or deposed) node it just talked to.
 #: EMOVED is retryable-with-hint of a third kind: its detail is an
-#: epoch-stamped slot reassignment that the node's ``_on_moved_hint``
+#: epoch-stamped slot reassignment that the node's ``_absorb_moved_hint``
 #: hook (clients patch their private slot map there) absorbs before the
 #: re-resolve — the hint updates *state*, not the next attempt's target.
 RETRYABLE = (RpcError.ERETRY, RpcError.EREDIRECT,
@@ -141,7 +141,7 @@ def retry(node, ctx, attempt_fn, policy=None, retryable=RETRYABLE):
             hint = exc.detail if exc.code == RpcError.EREDIRECT else None
             if (exc.code == RpcError.EMOVED
                     and isinstance(exc.detail, dict)):
-                moved = getattr(node, "_on_moved_hint", None)
+                moved = getattr(node, "_absorb_moved_hint", None)
                 if moved is not None:
                     moved(exc.detail)
         delay = policy.backoff_us(attempt, rng)

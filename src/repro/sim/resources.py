@@ -26,7 +26,6 @@ out of their queues so long runs do not accumulate dead events.
 """
 
 from collections import deque
-from contextlib import contextmanager
 
 from repro.sim.engine import _PENDING, Event, SimulationError
 
@@ -58,12 +57,6 @@ class Resource:
     ...     yield env.timeout(service_time)
     ... finally:
     ...     cpu.release(req)
-
-    or, with the context-manager helper inside a process::
-
-    >>> with cpu.use() as req:
-    ...     yield req
-    ...     yield env.timeout(service_time)
     """
 
     __slots__ = ("env", "capacity", "_users", "_waiters")
@@ -121,19 +114,6 @@ class Resource:
                 continue
             self._users.add(nxt)
             nxt.succeed()
-
-    @contextmanager
-    def use(self):
-        """Context manager pairing ``request()`` with ``release()``.
-
-        The body must still ``yield`` the request before consuming the
-        resource; the manager only guarantees the release.
-        """
-        req = self.request()
-        try:
-            yield req
-        finally:
-            self.release(req)
 
 
 class Store:

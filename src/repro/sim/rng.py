@@ -32,6 +32,3 @@ class RandomStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def __call__(self, name):
-        return self.stream(name)

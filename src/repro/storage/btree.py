@@ -169,12 +169,6 @@ class BLinkTree:
         for key, _ in self.items(lo, hi):
             yield key
 
-    def first_key(self, lo=None, hi=None):
-        """The smallest key in [lo, hi), or None when the range is empty."""
-        for key in self.keys(lo, hi):
-            return key
-        return None
-
     def _leftmost_leaf(self):
         node = self._root
         while not node.leaf:

@@ -509,16 +509,11 @@ class ConsensusFollower(MemberLog, Standby):
 
     # -- message handling ------------------------------------------------
 
-    def handle(self, message):
-        if message.kind == "append_entries":
-            yield from self._on_append(message)
-        elif message.kind == "wal_ship":
-            # Legacy shipping must never reach a consensus follower.
-            self.ignored_shipments += 1
-        else:
-            yield from super().handle(message)
+    def _on_wal_ship(self, message):
+        # Legacy shipping must never reach a consensus follower.
+        self.ignored_shipments += 1
 
-    def _on_append(self, message):
+    def _on_append_entries(self, message):
         payload = message.payload
         if self.promoted:
             # We are (becoming) the leader; a deposed sender's traffic
@@ -738,16 +733,10 @@ class Witness(MemberLog, Node):
         self.term = term
         self.voted_for = None
 
-    def handle(self, message):
-        if message.kind == "append_entries":
-            yield from self._on_append(message)
-            return
-        if message.kind == "request_vote":
-            yield from self._on_vote(message)
-            return
-        refuse_unowned(self, message)
+    #: Like a follower, refuse a kind no group member owns.
+    _unhandled = refuse_unowned
 
-    def _on_append(self, message):
+    def _on_append_entries(self, message):
         payload = message.payload
         if not self._hears_leader(message):
             return
@@ -775,7 +764,7 @@ class Witness(MemberLog, Node):
         self.acked_appends += 1
         self._ack(message, True)
 
-    def _on_vote(self, message):
+    def _on_request_vote(self, message):
         payload = message.payload
         yield from self.execute(self.costs.index_lookup_us)
         now = self.clock.now_us()

@@ -227,15 +227,16 @@ class Standby(Node):
         self.ignored_shipments = 0
         self.duplicate_shipments = 0
 
-    def handle(self, message):
-        if message.kind == "applied_query":
-            # A restarted primary asking where to resume the delta.
-            yield from self.execute(self.costs.index_lookup_us)
-            self.respond(message, {"applied_lsn": self.applied_lsn})
-            return
-        if message.kind != "wal_ship":
-            refuse_unowned(self, message)
-            return
+    #: A restarted machine rejoins under its old MNode name: refuse
+    #: what only the owner it used to be can answer.
+    _unhandled = refuse_unowned
+
+    def _on_applied_query(self, message):
+        """A restarted primary asking where to resume the delta."""
+        yield from self.execute(self.costs.index_lookup_us)
+        self.respond(message, {"applied_lsn": self.applied_lsn})
+
+    def _on_wal_ship(self, message):
         payload = message.payload
         lsn = payload["lsn"]
         if self.promoted:

@@ -16,9 +16,9 @@ calls ``lookup()`` and ``d_revalidate()``:
   returns the (possibly refreshed) attrs for a cache hit, or ``None`` to
   force a miss.
 
-Stateful clients use a trivial revalidate (trust the cache) and a remote
-lookup; the FalconFS client returns fake attrs from ``lookup`` for
-intermediate components and uses ``revalidate`` to avoid exposing them.
+The baseline clients use a trivial revalidate (trust the cache) and a
+remote lookup.  The FalconFS client does not walk through here; only
+the baselines, the tests and the ledger's path-walk micro do.
 """
 
 from repro.net.rpc import RpcError, RpcFailure

@@ -318,7 +318,7 @@ class TestElection:
 
 @pytest.mark.parametrize("role", ["standbys", "witnesses"])
 def test_group_members_refuse_a_kind_they_can_never_own(role):
-    """A follower (through ``Standby.handle``) and a witness answer a
+    """A follower (through ``Standby``'s hook) and a witness answer a
     message no group member owns — a 2PC abort addressed to the name an
     MNode used to hold — with ENOTLEADER and count it; raising would
     crash the whole run (signature A of the PR-20 red-seed census)."""
@@ -335,6 +335,40 @@ def test_group_members_refuse_a_kind_they_can_never_own(role):
     assert cluster.run_process(abort()) == RpcError.ENOTLEADER
     assert member.metrics.counter("unowned_messages").by_label() == {
         "rename_abort": 1}
+
+
+def test_an_unknown_kind_is_refused_by_a_witness_and_raises_at_an_mnode():
+    """``Node.handle`` sends a kind with no ``_on_<kind>`` to the role's
+    ``_unhandled`` hook: a witness refuses it and counts it, an MNode
+    keeps the default and raises."""
+    cluster = _consensus_cluster()
+    witness, mnode = cluster.witnesses[0], cluster.mnodes[0]
+
+    def bogus(name):
+        try:
+            yield cluster.coordinator.call(name, "bogus", {})
+        except RpcFailure as failure:
+            return failure.code
+
+    assert cluster.run_process(bogus(witness.name)) == RpcError.ENOTLEADER
+    assert witness.metrics.counter("unowned_messages").by_label() == {
+        "bogus": 1}
+    with pytest.raises(RuntimeError, match="cannot handle"):
+        cluster.run_process(bogus(mnode.name))
+
+
+def test_a_follower_ignores_legacy_shipping():
+    """A ``wal_ship`` reaching a consensus follower is counted and
+    dropped: its records never apply and it is never answered."""
+    cluster = _consensus_cluster()
+    follower = cluster.standbys[0]
+    ignored, applied = follower.ignored_shipments, follower.applied_lsn
+    reply = cluster.coordinator.call(follower.name, "wal_ship", {
+        "lsn": applied + 1, "records": [("inode", (1, "x"), None)]})
+    cluster.run_for(1000.0)
+    assert follower.ignored_shipments == ignored + 1
+    assert follower.applied_lsn == applied
+    assert not reply.triggered
 
 
 class TestLiveness:

@@ -1,5 +1,7 @@
 """Tests for concurrent request merging (§4.4) and its ablations."""
 
+import gc
+
 import pytest
 
 from repro.core import FalconCluster, FalconConfig
@@ -7,6 +9,7 @@ from repro.core.merging import WorkerPool
 from repro.core.records import DentryRecord
 from repro.net.rpc import RpcError
 from repro.sim import Environment
+from repro.storage import LockMode
 from repro.storage.consensus import LEASE_US
 from repro.vfs.attrs import ROOT_INO
 
@@ -351,6 +354,35 @@ class TestWorkerFreedAtAppend:
         assert all(owner.inodes.get((d_ino, "f{}".format(i))) is None
                    for i in range(3))
         assert "f0" not in owner.filename_counts
+
+    def test_a_crashed_node_keeps_its_grants_when_its_tail_is_collected(
+            self):
+        """A crash mid-flush parks the batch's tail for good.  When the
+        cycle collector closes that tail, the dead incarnation's write
+        keeps its grants, as a retired one's does: a release would wake
+        the dead node's other processes, here a getattr queued on the
+        created key's lock."""
+        cluster, owner = self._one_core()
+        appends = self._watch_appends(owner)
+        answered = {}
+        self._timed_call(cluster, owner, answered, "create", "create",
+                         "/d/a")
+        cluster.run_for(20.0)
+        self._timed_call(cluster, owner, answered, "same", "getattr",
+                         "/d/a")
+        cluster.run_for(25.0)
+        (flush,) = appends
+        assert flush["durable"] is None
+        d_ino = owner.dentries.get((ROOT_INO, "d")).ino
+        key = ("i", d_ino, "a")
+        assert owner.locks.queue_length(key) == 1
+        cluster.crash_mnode(0)
+        cluster.run_for(5000.0)
+        gc.collect()
+        cluster.run_for(5000.0)
+        assert owner.locks.holders(key) == [LockMode.EXCLUSIVE]
+        assert owner.locks.queue_length(key) == 1
+        assert answered == {}
 
     def test_a_read_of_the_flushing_key_holds_the_worker(self):
         """The limit of the hand-off: a getattr of the flushing key

@@ -4,16 +4,23 @@ crashes on a kind it does not own.
 
 The protocol's message vocabulary is spread over string literals: the
 kind a caller names in ``call(target, "kind", ...)`` and the
-``_on_<kind>`` method (or ``message.kind == "<kind>"`` arm) that
-receives it.  Nothing ties the two ends together at run time until a
-schedule happens to deliver the message — PR 12 found a handler
-(``_on_fetch_xt``) whose last sender had been deleted, and 26 red
-checker seeds were one ``rename_abort`` delivered to a role that
-answered an unknown kind by raising.  Both are visible statically.
+``_on_<kind>`` method that receives it.  ``Node.handle`` is the one
+dispatcher: it runs the receiver's ``_on_<kind>``, and a kind with no
+such method goes to the role's ``_unhandled`` hook.  Nothing ties the
+two ends together at run time until a schedule happens to deliver the
+message -- a handler (``_on_fetch_xt``) once outlived its last sender,
+and 26 red checker seeds were one ``rename_abort`` delivered to a role
+that answered an unknown kind by raising.  Both are visible statically.
 """
 
 import ast
+import importlib
+import inspect
+from pathlib import Path
 
+from repro.core.mnode import MERGEABLE_OPS
+from repro.net import Node
+from repro.storage.replication import refuse_unowned
 from tests.test_layering import SRC
 
 #: The layers that name message kinds (``runtime``/``net`` carry kinds,
@@ -31,9 +38,6 @@ SENDERS = {
     "_coordinator_op": 0, "_coordinator_op_body": 0, "_directory_change": 1,
     "_send_keyed": 0, "_poll": 0,
 }
-
-#: The name-dispatch idiom: ``getattr(self, "_on_" + message.kind, None)``.
-DISPATCH_BY_NAME = "'_on_' + message.kind"
 
 
 def _trees(layers=LAYERS):
@@ -82,46 +86,37 @@ def _sent_kinds():
     return sent, opaque
 
 
-def _handle_methods(layers=LAYERS):
-    """(site, class node, its own ``handle``) for every role class."""
-    for rel, tree in _trees(layers):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                for child in node.body:
-                    if (isinstance(child, ast.FunctionDef)
-                            and child.name == "handle"):
-                        yield "{}:{}".format(rel, node.name), node, child
+def _module(rel):
+    parts = rel[:-len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro"] + parts)
+
+
+def _roles():
+    """{"path:Class": class} for :class:`Node` and every subclass of it
+    that the layers define."""
+    for rel, _ in _trees():
+        importlib.import_module(_module(rel))
+    roles, pending = {}, [Node]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro."):
+            rel = Path(inspect.getfile(cls)).relative_to(SRC).as_posix()
+            roles["{}:{}".format(rel, cls.__name__)] = cls
+    return roles
 
 
 def _handled_kinds():
     handled = {}
-    for site, cls, handle in _handle_methods():
-        kinds = set()
-        for node in ast.walk(handle):
-            if (isinstance(node, ast.Compare)
-                    and ast.unparse(node.left) == "message.kind"):
-                kinds |= {c.value for c in node.comparators
-                          if isinstance(c, ast.Constant)}
-        if DISPATCH_BY_NAME in ast.unparse(handle):
-            for child in cls.body:
-                names = []
-                if isinstance(child, ast.FunctionDef):
-                    names = [child.name]
-                elif isinstance(child, ast.Assign):    # _on_a = _on_b
-                    names = [t.id for t in child.targets
-                             if isinstance(t, ast.Name)]
-                kinds |= {n[4:] for n in names if n.startswith("_on_")}
-        for kind in kinds:
-            handled.setdefault(kind, []).append(site)
+    for site, cls in _roles().items():
+        for name in vars(cls):                  # _on_a = _on_b counts too
+            if name.startswith("_on_"):
+                handled.setdefault(name[len("_on_"):], []).append(site)
     # MNode.deliver routes these to the merge pool, not to ``_on_*``.
-    for rel, tree in _trees():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Assign)
-                    and ast.unparse(node.targets[0]) == "MERGEABLE_OPS"):
-                for const in ast.walk(node.value):
-                    if isinstance(const, ast.Constant):
-                        handled.setdefault(const.value, []).append(
-                            rel + ":MERGEABLE_OPS")
+    for kind in MERGEABLE_OPS:
+        handled.setdefault(kind, []).append("core/mnode.py:MERGEABLE_OPS")
     return handled
 
 
@@ -145,8 +140,9 @@ def test_every_kind_sent_is_handled_and_every_handler_has_a_sender():
 #: name*, so anything addressed to the former owner reaches them.
 NAME_OUTLIVES_ROLE = {"Standby", "ConsensusFollower", "Witness"}
 
-#: Every other ``handle`` that answers an unknown kind by raising, with
-#: the reason no re-addressed name can reach it.
+#: Every other role that answers an unknown kind by raising (the
+#: default ``Node._unhandled``), with the reason no re-addressed name
+#: can reach it.
 MAY_RAISE = {
     "core/mnode.py:MNode":
         "an MNode name is only ever handed on to the roles above, and "
@@ -160,28 +156,57 @@ MAY_RAISE = {
         "baseline clusters have no promotion or rejoin: a name keeps "
         "its role for the whole run",
     "net/node.py:Node":
-        "the default, kept only by clients: nothing addresses a client "
-        "by name, replies ride reply handles",
+        "the default, kept by the nodes with no handler at all, the "
+        "clients: nothing addresses a client by name, replies ride "
+        "reply handles",
 }
 
 
-def _crashes_on_unknown_kind(handle):
-    return any(
-        isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-        and _callee(node.exc) in ("RuntimeError", "NotImplementedError")
-        for node in ast.walk(handle))
-
-
 def test_roles_that_inherit_a_name_refuse_instead_of_raising():
-    everywhere = list(_handle_methods(layers=("",)))     # all of src/repro
-    raising = {site for site, _, handle in everywhere
-               if _crashes_on_unknown_kind(handle)}
-    assert NAME_OUTLIVES_ROLE <= {cls.name for _, cls, _ in everywhere}
-    assert not {site for site in raising
-                if site.split(":")[1] in NAME_OUTLIVES_ROLE}, (
+    roles = _roles()
+    hooks = {site.split(":")[1]: cls._unhandled
+             for site, cls in roles.items()}
+    assert NAME_OUTLIVES_ROLE <= set(hooks)
+    assert {name for name in NAME_OUTLIVES_ROLE
+            if hooks[name] is not refuse_unowned} == set(), (
         "a role reachable under a former owner's name must answer an "
         "unowned kind with ENOTLEADER, not raise")
+    assert set(hooks.values()) == {Node._unhandled, refuse_unowned}
+    raising = set()
+    for site, cls in roles.items():
+        if cls._unhandled is Node._unhandled:
+            handles = any(name.startswith("_on_") for name in dir(cls))
+            raising.add(site if handles else "net/node.py:Node")
     assert raising == set(MAY_RAISE), (
-        "a handle() that raises on an unknown kind needs a reason in "
+        "a role that raises on an unknown kind needs a reason in "
         "MAY_RAISE (or should refuse instead): {}".format(
             sorted(raising ^ set(MAY_RAISE))))
+
+
+def test_node_handle_is_the_one_dispatcher():
+    """No role hand-writes a dispatcher: the only ``handle`` methods are
+    ``Node.handle`` and the baseline server's wrapper around it, no
+    ``handle`` compares ``message.kind``, and only ``net/node.py`` names
+    a handler by a string."""
+    handles, comparisons, named = set(), [], set()
+    for rel, tree in _trees(layers=("",)):             # all of src/repro
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    if (isinstance(child, ast.FunctionDef)
+                            and child.name == "handle"):
+                        handles.add("{}:{}".format(rel, node.name))
+                        comparisons += [
+                            "{}:{}".format(rel, compare.lineno)
+                            for compare in ast.walk(child)
+                            if isinstance(compare, ast.Compare)
+                            and "message.kind" in map(
+                                ast.unparse,
+                                [compare.left] + compare.comparators)]
+            if (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("_on_")):
+                named.add(rel)
+    assert handles == {"net/node.py:Node", "baselines/common.py:MetaServer"}
+    assert not comparisons, comparisons
+    assert named == {"net/node.py"}

@@ -153,9 +153,10 @@ def test_unhandled_kind_raises(env, net):
 
 
 def test_default_handle_is_abstract(env, net):
+    """A bare node has no ``_on_<kind>`` handler: every kind raises."""
     node = Node(env, net, "base")
     node.send("base", "anything")
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(RuntimeError, match="base cannot handle"):
         env.run()
 
 

@@ -981,7 +981,7 @@ class TestTwoRoundRename:
 
         def resolve(message):
             resolved.append(message.sender)
-            yield from real_resolve(message)
+            return real_resolve(message)
 
         cluster.coordinator._on_rename_resolve = resolve
         voted = []

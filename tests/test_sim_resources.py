@@ -80,30 +80,6 @@ class TestResource:
         assert res.queue_length == 0
         env.run()
 
-    def test_use_context_manager_releases(self, env):
-        res = Resource(env, capacity=1)
-
-        def user():
-            with res.use() as req:
-                yield req
-                yield env.timeout(1.0)
-            return res.count
-
-        assert env.run(until=env.process(user())) == 0
-
-    def test_use_releases_on_exception(self, env):
-        res = Resource(env, capacity=1)
-
-        def user():
-            try:
-                with res.use() as req:
-                    yield req
-                    raise ValueError("inside")
-            except ValueError:
-                return res.count
-
-        assert env.run(until=env.process(user())) == 0
-
     def test_parallel_capacity_two(self, env):
         res = Resource(env, capacity=2)
         finish = []
@@ -319,7 +295,3 @@ class TestRandomStreams:
         streams.stream("noise").random()
         assert (streams.stream("signal").random()
                 == reference.stream("signal").random())
-
-    def test_callable_shorthand(self):
-        streams = RandomStreams(seed=0)
-        assert streams("x") is streams.stream("x")

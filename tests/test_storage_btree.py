@@ -86,13 +86,6 @@ class TestScans:
     def test_scan_empty_range(self):
         assert list(self._tree().keys(lo=50, hi=50)) == []
 
-    def test_first_key(self):
-        tree = self._tree()
-        assert tree.first_key() == 0
-        assert tree.first_key(lo=13) == 14
-        assert tree.first_key(lo=98, hi=99) == 98
-        assert tree.first_key(lo=99) is None
-
     def test_tuple_keys_prefix_range(self):
         tree = BLinkTree(order=4)
         for pid in range(5):
